@@ -166,6 +166,11 @@ def soft_selection_minimize(
     found is polished with rosenbrock_minimize. Deterministic for a fixed seed.
     When x0 is given the initial population is a Gaussian cloud around it
     instead of a uniform spread over the box.
+
+    f maps points of shape (..., n) to values of shape (...): each generation
+    is evaluated by one call f(pop) on the (lam, n) population, which must
+    return lam values (ValueError otherwise), and the polish calls f on single
+    (n,) points. trace holds the best value after each generation.
     """
     p = params or SoftSelectionParams()
     rng = np.random.default_rng(seed)
@@ -192,7 +197,12 @@ def soft_selection_minimize(
     rank_w /= rank_w.sum()
 
     for _ in range(p.generations):
-        fitness = np.array([f(ind) for ind in pop])
+        fitness = np.asarray(f(pop), dtype=float)
+        if fitness.shape != (p.lam,):
+            raise ValueError(
+                f"f returned shape {fitness.shape} for a population of {p.lam}; "
+                "it must map (lam, n) points to (lam,) values"
+            )
         n_eval += p.lam
         order = np.argsort(fitness, kind="stable")
         if fitness[order[0]] < best_f:

@@ -101,7 +101,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         tri = stage("tri", lambda: triangulate2(pts))
     else:
         tri = stage("tri", lambda: tetrahedralize3(pts))
-    nm = neighbor_map(tri)
+    nm = stage("neighbors", lambda: neighbor_map(tri))
     emit("triangulation.json", triangulation_doc(tri))
 
     mode = VolumeMode(config.mode)
@@ -111,7 +111,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         equal_radii=config.equal_radii,
         bounds_policy=config.bounds_policy,
     ))
-    overlap = classify_overlap(solve.radii, nm, pts)
+    overlap = stage("overlap", lambda: classify_overlap(solve.radii, nm, pts))
     n_overlapping = sum(1 for k in overlap.pairs.values() if k is OverlapKind.OVERLAPPING)
     rdoc = radii_doc(solve, config.dimension)
     rdoc["overlap"] = {
@@ -125,7 +125,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     mesh.mode = config.mode
 
     perp = stage("validate", lambda: validate_perpendicularity(mesh, tol=config.tol_perp))
-    glob = validate_global(mesh, probes=config.probes, seed=config.seed)
+    glob = stage("validate_global", lambda: validate_global(mesh, probes=config.probes, seed=config.seed))
     report = report_doc(perp, glob)
     mesh.diagnostics = report
     emit("report.json", {"schema": SCHEMA, "kind": "report", **report})
@@ -169,6 +169,8 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "residual": solve.objective,
         "solver_status": solve.status,
         "solver_converged": solve.converged,
+        "solver_n_eval": solve.n_eval,
+        "solver_trace": solve.trace,
         "clamped_points": len(solve.clamped_points),
         "max_simplex_residual": _max_simplex_residual(mesh, solve),
         "perpendicularity_violations": len(perp.violations),

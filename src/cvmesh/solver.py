@@ -5,8 +5,6 @@ mode logic assembling the final radius vector.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -119,6 +117,7 @@ class SolveResult:
     converged: bool
     status: str
     clamped_points: list[int] = field(default_factory=list)
+    trace: list[float] = field(default_factory=list)   # best objective per ES generation
 
 
 def _coords(p, dim):
@@ -304,20 +303,16 @@ def bounds_arrays(nm: NeighborMap, pts: np.ndarray,
     return lo, hi, clamped
 
 
-def worker_count() -> int:
-    """Worker cap from CVMESH_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CVMESH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class TriangleSystems2:
-    """Vectorized radical-center evaluation for every triangle of a triangulation."""
+    """Vectorized radical-center evaluation for every triangle of a triangulation.
 
-    def __init__(self, pts: np.ndarray, triangles: np.ndarray, threads: int | None = None):
+    `vertices`, `powers` and `objective` take radii r of shape (N,) or a stack
+    of radius vectors of shape (L, N); every row of a stack gives bit for bit
+    the value that row gives on its own.
+    """
+
+    def __init__(self, pts: np.ndarray, triangles: np.ndarray):
         self.indices = np.asarray(triangles, dtype=np.int64)
-        self.threads = worker_count() if threads is None else max(1, threads)
         i1, i2, i3 = self.indices.T
         a1, b1 = pts[i1].T
         a2, b2 = pts[i2].T
@@ -341,34 +336,39 @@ class TriangleSystems2:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def vertices(self, r: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
+    def vertices(self, r: np.ndarray) -> np.ndarray:
         r2 = np.asarray(r) ** 2
-        rt = r2[self.indices[sl]]  # (T, 3)
-        x = (np.einsum("tk,tk->t", self.kx[sl], rt) + self.cx[sl]) / self.den[sl]
-        y = (np.einsum("tk,tk->t", self.ky[sl], rt) + self.cy[sl]) / self.den[sl]
-        return np.stack([x, y], axis=1)
+        # A gather from a stack comes back with transposed strides, on which
+        # einsum sums in another order; contiguous rows keep results bit-identical.
+        rt = np.ascontiguousarray(r2[..., self.indices])  # (..., T, 3)
+        x = (np.einsum("tk,...tk->...t", self.kx, rt) + self.cx) / self.den
+        y = (np.einsum("tk,...tk->...t", self.ky, rt) + self.cy) / self.den
+        return np.stack([x, y], axis=-1)
 
-    def powers(self, r: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
+    def powers(self, r: np.ndarray) -> np.ndarray:
         """Power of each radical center with respect to its first circle."""
-        q = self.vertices(r, sl)
+        q = self.vertices(r)
         r2 = np.asarray(r) ** 2
         return (
-            (q[:, 0] - self._a1[sl]) ** 2
-            + (q[:, 1] - self._b1[sl]) ** 2
-            - r2[self.indices[sl, 0]]
+            (q[..., 0] - self._a1) ** 2
+            + (q[..., 1] - self._b1) ** 2
+            - r2[..., self.indices[:, 0]]
         )
 
-    def objective(self, r: np.ndarray) -> float:
-        p = _chunked(self.powers, r, len(self), self.threads)
-        return float(np.sum(self.weights * p * p))
+    def objective(self, r: np.ndarray) -> float | np.ndarray:
+        """Weighted sum of squared powers: a float for r of shape (N,), an
+        (L,) array for a stack of shape (L, N)."""
+        return _weighted_sum(self.weights, self.powers(r))
 
 
 class TetraSystems3:
-    """Vectorized radical-center evaluation for every tetrahedron (Cramer form)."""
+    """Vectorized radical-center evaluation for every tetrahedron (Cramer form).
 
-    def __init__(self, pts: np.ndarray, tets: np.ndarray, threads: int | None = None):
+    Takes r of shape (N,) or (L, N), like TriangleSystems2.
+    """
+
+    def __init__(self, pts: np.ndarray, tets: np.ndarray):
         self.indices = np.asarray(tets, dtype=np.int64)
-        self.threads = worker_count() if threads is None else max(1, threads)
         p = pts[self.indices]  # (T, 4, 3)
         self._p1 = p[:, 0, :]
         rows = 2.0 * (p[:, [0, 0, 0], :] - p[:, [1, 2, 3], :])  # (T, 3row, 3col)
@@ -403,53 +403,40 @@ class TetraSystems3:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def _deltas(self, r2: np.ndarray, sl: slice) -> np.ndarray:
-        rt = r2[self.indices[sl]]  # (T, 4)
-        return rt[:, 1:] - rt[:, [0, 0, 0]] + self.kd[sl]
+    def _deltas(self, r2: np.ndarray) -> np.ndarray:
+        rt = r2[..., self.indices]  # (..., T, 4)
+        # Contiguous for the same reason as in TriangleSystems2.vertices.
+        return np.ascontiguousarray(rt[..., 1:] - rt[..., [0, 0, 0]] + self.kd)
 
-    def vertices(self, r: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
+    def vertices(self, r: np.ndarray) -> np.ndarray:
         r2 = np.asarray(r) ** 2
-        d = self._deltas(r2, sl)  # (T, 3)
+        d = self._deltas(r2)  # (..., T, 3)
         sign = np.array([1.0, -1.0, 1.0])
-        wx = np.einsum("tk,tk,k->t", d, self.cof_bc[sl], sign)
-        wy = -np.einsum("tk,tk,k->t", d, self.cof_ac[sl], sign)
-        wz = np.einsum("tk,tk,k->t", d, self.cof_ab[sl], sign)
-        return np.stack([wx, wy, wz], axis=1) / self.w[sl, None]
+        wx = np.einsum("...tk,tk,k->...t", d, self.cof_bc, sign)
+        wy = -np.einsum("...tk,tk,k->...t", d, self.cof_ac, sign)
+        wz = np.einsum("...tk,tk,k->...t", d, self.cof_ab, sign)
+        return np.stack([wx, wy, wz], axis=-1) / self.w[:, None]
 
-    def powers(self, r: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
-        q = self.vertices(r, sl)
+    def powers(self, r: np.ndarray) -> np.ndarray:
+        q = self.vertices(r)
         r2 = np.asarray(r) ** 2
-        return np.sum((q - self._p1[sl]) ** 2, axis=1) - r2[self.indices[sl, 0]]
+        return np.sum((q - self._p1) ** 2, axis=-1) - r2[..., self.indices[:, 0]]
 
-    def objective(self, r: np.ndarray) -> float:
-        p = _chunked(self.powers, r, len(self), self.threads)
-        return float(np.sum(self.weights * p * p))
-
-
-def _chunked(powers_fn, r, total: int, threads: int) -> np.ndarray:
-    """Fan per-simplex power evaluation out over worker threads.
-
-    Each worker fills a disjoint index slice of one preallocated array, and the
-    caller reduces that array in index order, so the value is identical for any
-    worker count or scheduling."""
-    if threads <= 1 or total < 4 * threads:
-        return powers_fn(r)
-    out = np.empty(total)
-    cuts = np.linspace(0, total, threads + 1).astype(int)
-
-    def fill(k: int):
-        sl = slice(cuts[k], cuts[k + 1])
-        out[sl] = powers_fn(r, sl)
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(fill, range(threads)))
-    return out
+    def objective(self, r: np.ndarray) -> float | np.ndarray:
+        """Float for r of shape (N,), (L,) array for a stack of shape (L, N)."""
+        return _weighted_sum(self.weights, self.powers(r))
 
 
-def simplex_systems(tri: Triangulation2 | Triangulation3, threads: int | None = None):
+def _weighted_sum(weights: np.ndarray, p: np.ndarray) -> float | np.ndarray:
+    """Row sums of weights * p**2, each in the order a single (T,) row sums in."""
+    sums = np.sum(np.ascontiguousarray(weights * p * p), axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
+
+
+def simplex_systems(tri: Triangulation2 | Triangulation3):
     if isinstance(tri, Triangulation2):
-        return TriangleSystems2(tri.points, tri.triangles, threads)
-    return TetraSystems3(tri.points, tri.tetrahedra, threads)
+        return TriangleSystems2(tri.points, tri.triangles)
+    return TetraSystems3(tri.points, tri.tetrahedra)
 
 
 def objective(r, tri, nm: NeighborMap | None = None, pts: np.ndarray | None = None) -> float:
@@ -549,4 +536,5 @@ def solve_radii(
         converged=result.converged,
         status=result.status,
         clamped_points=clamped,
+        trace=result.trace,
     )

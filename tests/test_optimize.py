@@ -61,7 +61,7 @@ def test_rosenbrock_max_evals_flagged():
 
 def test_soft_selection_sphere_10d():
     def sphere(x):
-        return float(np.sum(x * x))
+        return np.sum(x * x, axis=-1)
 
     res = soft_selection_minimize(sphere, (np.full(10, -2.0), np.full(10, 3.0)), seed=1,
                                   params=SoftSelectionParams(generations=60))
@@ -70,7 +70,7 @@ def test_soft_selection_sphere_10d():
 
 def test_soft_selection_trace_monotone():
     def rastrigin(x):
-        return float(10 * len(x) + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+        return 10 * x.shape[-1] + np.sum(x * x - 10 * np.cos(2 * np.pi * x), axis=-1)
 
     res = soft_selection_minimize(rastrigin, ([-5.12, -5.12], [5.12, 5.12]), seed=3,
                                   params=SoftSelectionParams(generations=50))
@@ -94,7 +94,7 @@ def test_rosenbrock_polishes_exact_instance_radii():
 
 def test_soft_selection_deterministic():
     def sphere(x):
-        return float(np.sum(x * x))
+        return np.sum(x * x, axis=-1)
 
     p = SoftSelectionParams(generations=20)
     a = soft_selection_minimize(sphere, ([-1, -1, -1], [2, 2, 2]), seed=7, params=p)
@@ -102,3 +102,12 @@ def test_soft_selection_deterministic():
     assert np.array_equal(a.x, b.x)
     assert a.fun == b.fun
     assert a.trace == b.trace
+
+
+def test_soft_selection_rejects_scalar_fitness_for_population():
+    def flat_sum(x):
+        return float(np.sum(x * x))   # one value for the whole (lam, n) batch
+
+    with pytest.raises(ValueError, match="population"):
+        soft_selection_minimize(flat_sum, ([-1, -1], [2, 2]), seed=0,
+                                params=SoftSelectionParams(generations=2))

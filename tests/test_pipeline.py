@@ -27,6 +27,11 @@ def test_exit_code_follows_residual_threshold(tmp_path):
     assert strict.summary["residual"] == loose.summary["residual"] > 1e-12
     assert strict.exit_code == 3
     assert loose.exit_code == 0
+    summary = read_json(strict.artifacts["summary.json"])
+    trace = summary["solver_trace"]
+    assert len(trace) == 8 and trace == sorted(trace, reverse=True)
+    assert trace[-1] >= summary["residual"]
+    assert summary["solver_n_eval"] > 8 * 140
 
 
 def test_radii_artifact_carries_overlap_counts(tmp_path):
@@ -53,5 +58,6 @@ def test_summary_names_stages(tmp_path):
     cfg = RunConfig(dimension=2, n=10, seed=2, equal_radii=True, probes=500,
                     out_dir=str(tmp_path))
     res = run_pipeline(cfg)
-    for stage in ("gen", "tri", "solve", "build", "validate", "export", "render"):
+    for stage in ("gen", "tri", "neighbors", "solve", "overlap", "build", "validate",
+                  "validate_global", "export", "render"):
         assert stage in res.summary["timings"], stage

@@ -6,6 +6,7 @@ import pytest
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import DegenerateTetrahedron, DegenerateTriangle, EmptyInterval
 from cvmesh.geometry import tetra_height
+from cvmesh.optimize import SoftSelectionParams, soft_selection_minimize
 from cvmesh.solver import (
     OverlapKind,
     VolumeMode,
@@ -300,28 +301,46 @@ def test_solver_outputs_respect_strict_bounds():
     assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
 
 
-def test_objective_identical_across_thread_counts(monkeypatch):
-    pts = hexagon_patch(3, seed=7)
-    tri = triangulate2(pts)
-    r = 0.3 + 0.2 * np.random.default_rng(0).random(len(pts))
-    monkeypatch.delenv("CVMESH_THREADS", raising=False)
-    single = simplex_systems(tri).objective(r)
-    monkeypatch.setenv("CVMESH_THREADS", "4")
-    threaded = simplex_systems(tri).objective(r)
-    assert threaded == single  # fixed-order reduction: bit-identical
+def _row_by_row(obj, X):
+    return obj(X) if X.ndim == 1 else np.array([obj(x) for x in X])
 
 
-def test_chunked_threaded_powers_match():
-    from cvmesh.solver import TriangleSystems2
+@pytest.mark.parametrize("build", [
+    lambda: exact_instance(5)[1],
+    lambda: exact_instance(6)[1],
+    lambda: exact_instance(7)[1],
+    lambda: triangulate2(hexagon_patch(3, seed=7)),
+    lambda: triangulate2(uniform_points(2, 40, seed=3)),
+    lambda: tetrahedralize3(bcc_cell(seed=0)),
+    lambda: tetrahedralize3(uniform_points(3, 30, seed=4)),
+], ids=["exact5", "exact6", "exact7", "hex3", "uniform2d", "bcc", "uniform3d"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_batched_objective_equals_row_by_row(build, order):
+    tri = build()
+    systems = simplex_systems(tri)
+    pop = np.asarray(0.2 + 0.4 * np.random.default_rng(0).random((140, len(tri.points))),
+                     order=order)
+    batch = systems.objective(pop)
+    assert batch.shape == (len(pop),)
+    assert np.array_equal(batch, _row_by_row(systems.objective, pop))
+    assert isinstance(systems.objective(pop[0]), float)
+    powers = systems.powers(pop)
+    vertices = systems.vertices(pop)
+    for k in (0, 57, len(pop) - 1):
+        row = np.ascontiguousarray(pop[k])
+        assert np.array_equal(powers[k], systems.powers(row))
+        assert np.array_equal(vertices[k], systems.vertices(row))
 
-    pts = hexagon_patch(3, seed=8)
-    tri = triangulate2(pts)
-    r = 0.3 * np.ones(len(pts))
-    sys1 = TriangleSystems2(tri.points, tri.triangles, threads=1)
-    sys4 = TriangleSystems2(tri.points, tri.triangles, threads=4)
-    # force the fan-out path regardless of problem size
-    from cvmesh.solver import _chunked
 
-    a = _chunked(sys1.powers, r, len(sys1), 1)
-    b = _chunked(sys4.powers, r, len(sys4), 4)
-    assert np.array_equal(a, b)
+def test_soft_selection_batched_matches_row_by_row():
+    pts, tri, nm, r_star, lo, hi = exact_instance(6)
+    obj = simplex_systems(tri).objective
+    params = SoftSelectionParams(generations=30)
+    x0 = lo + 0.62 * (hi - lo)
+    a = soft_selection_minimize(obj, (lo, hi), seed=5, params=params, x0=x0)
+    b = soft_selection_minimize(lambda X: _row_by_row(obj, X), (lo, hi), seed=5,
+                                params=params, x0=x0)
+    assert np.array_equal(a.x, b.x)
+    assert a.fun == b.fun
+    assert a.n_eval == b.n_eval
+    assert a.trace == b.trace
