@@ -157,7 +157,7 @@ class RunConfig:
         lo, hi = self.box_bounds()
         if np.any(hi <= lo):
             raise ValueError("box upper corner must exceed lower corner")
-        for name in ("tol_perp", "residual_threshold", "min_sep_factor"):
+        for name in ("tol_perp", "residual_threshold", "min_sep_factor", "inflate"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if isinstance(self.optimizer, dict):
@@ -263,27 +263,29 @@ def generate_points(config: RunConfig) -> list[Point]:
     min_sep = config.min_sep_factor * side / config.n ** (1.0 / d)
     rng = np.random.default_rng(config.seed)
 
-    accepted: list[np.ndarray] = []
+    pts = np.empty((config.n, d))
+    k = 0                                # points placed so far, in pts[:k]
     if config.boundary:
         border = _border_samples(lo, hi, 1.25 * min_sep, rng)
         if len(border) < config.n:
-            accepted = border
+            k = len(border)
+            pts[:k] = border
 
     budget = 1000 + 500 * config.n
     attempts = 0
-    while len(accepted) < config.n:
+    while k < config.n:
         if attempts >= budget:
             raise RejectionBudgetExceeded(
-                f"placed {len(accepted)}/{config.n} points after {attempts} attempts "
+                f"placed {k}/{config.n} points after {attempts} attempts "
                 f"(min separation {min_sep:.3g})"
             )
         cand = lo + (hi - lo) * rng.random(d)
         attempts += 1
-        if accepted and float(np.min(np.linalg.norm(np.asarray(accepted) - cand, axis=1))) < min_sep:
+        if k and float(np.min(np.linalg.norm(pts[:k] - cand, axis=1))) < min_sep:
             continue
-        accepted.append(cand)
+        pts[k] = cand
+        k += 1
 
-    pts = np.asarray(accepted[: config.n])
     if d == 2:
         return [Point(a=float(p[0]), b=float(p[1]), id=i) for i, p in enumerate(pts)]
     return [Point(a=float(p[0]), b=float(p[1]), c=float(p[2]), id=i) for i, p in enumerate(pts)]

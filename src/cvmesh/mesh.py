@@ -510,11 +510,51 @@ class GlobalReport:
         )
 
 
+def _faces_close(faces: list[CellFace], eps: float) -> bool:
+    """True when the face loops form a closed surface: once vertices within
+    eps of each other are merged, every edge is walked exactly once in each
+    direction. Cut points are computed separately for each face, so exact
+    coordinates rarely match."""
+    v = np.vstack([f.verts for f in faces])
+    near = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2) <= eps
+    label = np.argmax(near, axis=1)
+    sizes = np.array([len(f.verts) for f in faces])
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - sizes
+    a, b = label, label[nxt]
+    keep = a != b
+    edges = a[keep] * len(v) + b[keep]
+    reverse = b[keep] * len(v) + a[keep]
+    return len(np.unique(edges)) == len(edges) and bool(np.all(np.isin(reverse, edges)))
+
+
+def _containment_box(cell: ControlVolume, tol: float, eps: float):
+    """(lo, hi) holding every point that cell.contains_many(..., margin=-tol)
+    accepts, or None when no such box is known.
+
+    A point strictly inside every wall of a closed loop (2D) or closed
+    surface (3D) has winding number >= 1 around it, so it lies in the hull
+    of the cell's vertices and hence in their bounding box. The box is
+    widened by the merge tolerance eps used to decide that 3D walls close.
+    """
+    if tol <= 0.0 or (cell.faces is not None and not _faces_close(cell.faces, eps)):
+        return None
+    v = cell.all_vertices()
+    return v.min(axis=0) - eps, v.max(axis=0) + eps
+
+
 def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0,
                     tol: float | None = None) -> GlobalReport:
     """Global mesh conditions: identical shared walls seen from both owners,
     sampled pairwise interior disjointness, each owner inside its own cell,
-    and no foreign generator inside any cell."""
+    and no foreign generator inside any cell.
+
+    Each cell tests only the probes and generators inside its vertex bounding
+    box (`_containment_box`); the points outside it cannot pass the strict
+    containment test, so the report equals that of testing every point
+    against every cell. A cell without a known box tests every point.
+    """
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
     pts = mesh.points
@@ -533,20 +573,17 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     lo = dverts.min(axis=0)
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
+    # probes first, then generators, swept by x
+    targets = np.vstack([samples, pts])
+    by_x = np.argsort(targets[:, 0], kind="stable")
+    swept = targets[by_x]
+    xs = np.ascontiguousarray(swept[:, 0])
+    everything = np.arange(len(targets))
+    merge_eps = 1e-9 * scale
+
     hit = np.zeros(probes, dtype=np.int64)
     first_owner = np.full(probes, -1, dtype=np.int64)
     overlaps = []
-    for cell in mesh.volumes:
-        if cell.empty:
-            continue
-        inside = cell.contains_many(samples, margin=-tol)
-        fresh = inside & (hit == 0)
-        first_owner[fresh] = cell.owner
-        clash = np.nonzero(inside & (hit > 0))[0]
-        for m in clash:
-            overlaps.append((int(m), int(first_owner[m]), cell.owner))
-        hit[inside] += 1
-
     owners_outside = []
     foreign = []
     for cell in mesh.volumes:
@@ -555,8 +592,24 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
             continue
         if not cell.contains(pts[cell.owner], margin=-tol):
             owners_outside.append(cell.owner)
-        inside = cell.contains_many(pts, margin=-tol)
-        for j in np.nonzero(inside)[0]:
+        box = _containment_box(cell, tol, merge_eps)
+        if box is None:
+            cand = everything
+        else:
+            blo, bhi = box
+            a = np.searchsorted(xs, blo[0], side="left")
+            b = np.searchsorted(xs, bhi[0], side="right")
+            rest = swept[a:b, 1:]
+            in_box = np.all((rest >= blo[1:]) & (rest <= bhi[1:]), axis=1)
+            cand = np.sort(by_x[a:b][in_box])
+        inside = cand[cell.contains_many(targets[cand], margin=-tol)]
+
+        m = inside[inside < probes]
+        first_owner[m[hit[m] == 0]] = cell.owner
+        for k in m[hit[m] > 0]:
+            overlaps.append((int(k), int(first_owner[k]), cell.owner))
+        hit[m] += 1
+        for j in inside[inside >= probes] - probes:
             if int(j) != cell.owner:
                 foreign.append((cell.owner, int(j)))
 

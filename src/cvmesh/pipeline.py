@@ -27,6 +27,8 @@ from .io import (
 from .mesh import (
     GlobalReport,
     PerpendicularityReport,
+    bounding_domain2,
+    bounding_domain3,
     build_volumes2,
     build_volumes3,
     validate_global,
@@ -88,9 +90,11 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         return value
 
     def emit(name: str, doc: dict):
+        t0 = perf_counter()
         path = os.path.join(config.out_dir, name)
         write_json(doc, path)
         artifacts[name] = path
+        timings["emit"] = timings.get("emit", 0.0) + perf_counter() - t0
 
     if points is None:
         points = stage("gen", lambda: generate_points(config))
@@ -120,8 +124,12 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     }
     emit("radii.json", rdoc)
 
-    build = build_volumes2 if config.dimension == 2 else build_volumes3
-    mesh = stage("build", lambda: build(tri, nm, pts, solve.radii))
+    if config.dimension == 2:
+        build, bounding = build_volumes2, bounding_domain2
+    else:
+        build, bounding = build_volumes3, bounding_domain3
+    mesh = stage("build", lambda: build(tri, nm, pts, solve.radii,
+                                        domain=bounding(pts, config.inflate)))
     mesh.mode = config.mode
 
     perp = stage("validate", lambda: validate_perpendicularity(mesh, tol=config.tol_perp))

@@ -286,3 +286,63 @@ def gauss_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
     return x
+
+
+def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
+    """The GlobalReport fields of cvmesh's validate_global, computed by testing
+    every probe and every generator against every cell. Uses only the mesh's
+    own methods (shared_walls, contains, contains_many, measures)."""
+    scale = mesh.scale()
+    tol = 1e-9 * scale if tol is None else tol
+    pts = mesh.points
+
+    mismatches = []
+    for (i, j), sides in mesh.shared_walls().items():
+        if len(sides) != 2:
+            mismatches.append((i, j, "missing side"))
+            continue
+        a, b = sides[i], sides[j]
+        if len(a) != len(b) or not vertex_sets_match(a, b, tol):
+            mismatches.append((i, j, "wall geometry differs"))
+
+    rng = np.random.default_rng(seed)
+    dverts = mesh.domain.verts if mesh.dim == 2 else mesh.domain.vertices()
+    lo = dverts.min(axis=0)
+    hi = dverts.max(axis=0)
+    samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
+    hit = np.zeros(probes, dtype=np.int64)
+    first_owner = np.full(probes, -1, dtype=np.int64)
+    overlaps = []
+    for cell in mesh.volumes:
+        if cell.empty:
+            continue
+        inside = cell.contains_many(samples, margin=-tol)
+        fresh = inside & (hit == 0)
+        first_owner[fresh] = cell.owner
+        clash = np.nonzero(inside & (hit > 0))[0]
+        for m in clash:
+            overlaps.append((int(m), int(first_owner[m]), cell.owner))
+        hit[inside] += 1
+
+    owners_outside = []
+    foreign = []
+    for cell in mesh.volumes:
+        if cell.empty:
+            owners_outside.append(cell.owner)
+            continue
+        if not cell.contains(pts[cell.owner], margin=-tol):
+            owners_outside.append(cell.owner)
+        inside = cell.contains_many(pts, margin=-tol)
+        for j in np.nonzero(inside)[0]:
+            if int(j) != cell.owner:
+                foreign.append((cell.owner, int(j)))
+
+    return dict(
+        shared_wall_mismatches=mismatches,
+        overlaps=overlaps,
+        owners_outside=owners_outside,
+        foreign_points=foreign,
+        total_measure=mesh.total_measure(),
+        domain_measure=mesh.domain_measure(),
+        probes=probes,
+    )

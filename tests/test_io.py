@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -50,6 +51,8 @@ def test_runconfig_validation():
         RunConfig(tol_perp=-1.0)
     with pytest.raises(ValueError):
         RunConfig(bounds_policy="loose")
+    with pytest.raises(ValueError, match="inflate"):
+        RunConfig(inflate=0.0)
     cfg = RunConfig(dimension=3, n=9)
     assert cfg.box == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
 
@@ -90,6 +93,20 @@ def test_generate_points_interior_only_mode():
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= min_sep
+
+
+@pytest.mark.parametrize("config, digest", [
+    (dict(dimension=2, n=400, seed=1),
+     "6cd6c54084ed64dae235476e7591943a21fc3d6c35b97b58c7895a1ab7349dfb"),
+    (dict(dimension=3, n=60, seed=1),
+     "cf9de033c67d16d60eea60b25cbd5c86619d8ffbbc78e312164f33fcad1e4cc8"),
+])
+def test_generate_points_pinned_output(config, digest):
+    """The generated coordinates are part of every artifact's identity: any
+    change to the RNG draws or the acceptance arithmetic shows here."""
+    pts = np.asarray([p.coords for p in generate_points(RunConfig(**config))], dtype="<f8")
+    assert pts.shape == (config["n"], config["dimension"])
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
 def test_generate_points_budget_exceeded():

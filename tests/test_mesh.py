@@ -1,9 +1,14 @@
+import copy
+from dataclasses import asdict
+from functools import cache
+
 import numpy as np
 import pytest
 
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell
 from cvmesh.mesh import (
+    _containment_box,
     build_volumes2,
     build_volumes3,
     validate_global,
@@ -12,7 +17,13 @@ from cvmesh.mesh import (
 from cvmesh.solver import VolumeMode, solve_radii
 
 from conftest import hexagon_patch, uniform_points
-from oracles import dedup_vertices, vertex_sets_match, voronoi_cell_2d, voronoi_cell_3d
+from oracles import (
+    dedup_vertices,
+    validate_global_brute_force,
+    vertex_sets_match,
+    voronoi_cell_2d,
+    voronoi_cell_3d,
+)
 
 
 def _square_center_mesh(r=0.3):
@@ -215,3 +226,142 @@ def test_validation_reports_are_reproducible(hex50):
     r1 = validate_global(mesh, probes=2000, seed=5)
     r2 = validate_global(mesh, probes=2000, seed=5)
     assert r1 == r2
+
+
+def _central(pts) -> int:
+    return int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
+
+
+def _square_instance():
+    pts, mesh = _square_center_mesh()
+    return mesh, 4
+
+
+def _hex50_instance():
+    pts = uniform_points(2, 50, 43)
+    tri = triangulate2(pts)
+    nm = neighbor_map(tri)
+    sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
+    return build_volumes2(tri, nm, pts, sol.radii), _central(pts)
+
+
+def _uniform_equal_radii_instance(dim, n, seed):
+    pts = uniform_points(dim, n, seed)
+    if dim == 2:
+        tri = triangulate2(pts)
+        build = build_volumes2
+    else:
+        tri = tetrahedralize3(pts)
+        build = build_volumes3
+    nm = neighbor_map(tri)
+    return build(tri, nm, pts, np.full(len(pts), 0.05)), _central(pts)
+
+
+@cache
+def _instance(name):
+    """Built once per session; each test edits a deep copy."""
+    return INSTANCES[name]()
+
+
+INSTANCES = {
+    "square": _square_instance,
+    "hex50": _hex50_instance,
+    "uni400": lambda: _uniform_equal_radii_instance(2, 400, 1),
+    "uni60_3d": lambda: _uniform_equal_radii_instance(3, 60, 1),
+}
+
+
+def _map_vertices(cell, fn):
+    if cell.verts is not None:
+        cell.verts = fn(cell.verts)
+    else:
+        for f in cell.faces:
+            f.verts = fn(f.verts)
+
+
+def _translate(mesh, i):
+    cell = mesh.cell(i)
+    v = cell.all_vertices()
+    shift = np.zeros(v.shape[1])
+    shift[0] = 0.5 * float(np.ptp(v[:, 0]))
+    _map_vertices(cell, lambda w: w + shift)
+
+
+def _scale3(mesh, i):
+    cell = mesh.cell(i)
+    c = cell.all_vertices().mean(axis=0)
+    _map_vertices(cell, lambda w: c + 3.0 * (w - c))
+
+
+def _empty(mesh, i):
+    cell = mesh.cell(i)
+    if cell.verts is not None:
+        cell.verts = np.empty((0, 2))
+        cell.edge_neighbors = []
+        cell.vertex_simplices = []
+    else:
+        cell.faces = []
+
+
+def _drop_face(mesh, i):
+    """Remove the first wall whose removal lets the cell swallow the
+    generator on the other side of it."""
+    cell = mesh.cell(i)
+    tol = 1e-9 * mesh.scale()
+    faces = cell.faces
+    for k, f in enumerate(faces):
+        cell.faces = faces[:k] + faces[k + 1:]
+        if f.neighbor is not None and cell.contains(mesh.points[f.neighbor], -tol):
+            return
+    raise AssertionError(f"no wall of cell {i} guards a neighbor alone")
+
+
+# corruption -> (edit of the chosen cell, GlobalReport field it must fill)
+CORRUPTIONS = {
+    None: (None, None),
+    "translate": (_translate, "overlaps"),
+    "scale3": (_scale3, "foreign_points"),
+    "empty": (_empty, "owners_outside"),
+    "drop_face": (_drop_face, "foreign_points"),
+}
+
+
+@pytest.mark.parametrize("instance, corruption", [
+    ("square", None), ("square", "translate"), ("square", "scale3"),
+    ("hex50", None), ("hex50", "translate"),
+    ("uni400", None), ("uni400", "translate"), ("uni400", "scale3"), ("uni400", "empty"),
+    ("uni60_3d", None), ("uni60_3d", "translate"), ("uni60_3d", "scale3"),
+    ("uni60_3d", "empty"), ("uni60_3d", "drop_face"),
+])
+def test_validate_global_equals_brute_force(instance, corruption):
+    """The bounding-box sweep reports exactly what testing every probe and
+    every generator against every cell reports, on valid and broken meshes."""
+    mesh, i = copy.deepcopy(_instance(instance))
+    edit, field = CORRUPTIONS[corruption]
+    if edit is not None:
+        edit(mesh, i)
+    report = validate_global(mesh)
+    assert asdict(report) == validate_global_brute_force(mesh)
+    assert report.ok == (corruption is None)
+    if field is not None:
+        assert getattr(report, field), field
+
+    tol = 1e-9 * mesh.scale()
+    if corruption == "drop_face":
+        # an open surface bounds nothing: that cell must test every point
+        assert _containment_box(mesh.cell(i), tol, tol) is None
+    else:
+        assert all(_containment_box(c, tol, tol) is not None
+                   for c in mesh.volumes if not c.empty)
+
+
+def test_validate_global_without_margin_scans_every_point():
+    """At tol=0 a degenerate loop accepts points on its line beyond its
+    vertices, so no bounding box is sound and every cell tests every point."""
+    mesh, _ = copy.deepcopy(_instance("square"))
+    cell = mesh.cell(0)
+    cell.verts = np.array([[0.0, 0.5], [0.2, 0.5], [0.1, 0.5]])
+    cell.edge_neighbors = [None, None, None]
+    report = validate_global(mesh, probes=500, tol=0.0)
+    assert asdict(report) == validate_global_brute_force(mesh, probes=500, tol=0.0)
+    assert (0, 4) in report.foreign_points
