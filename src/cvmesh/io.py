@@ -131,7 +131,6 @@ class RunConfig:
     boundary: bool = True                # sample the domain border as well
     min_sep_factor: float = 0.75
     bounds_policy: str = "clamp"         # or "strict" (raise on empty intervals)
-    inflate: float = 0.05
     tol_perp: float = 1e-6
     residual_threshold: float = 1e-8
     probes: int = 10_000
@@ -157,7 +156,7 @@ class RunConfig:
         lo, hi = self.box_bounds()
         if np.any(hi <= lo):
             raise ValueError("box upper corner must exceed lower corner")
-        for name in ("tol_perp", "residual_threshold", "min_sep_factor", "inflate"):
+        for name in ("tol_perp", "residual_threshold", "min_sep_factor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if isinstance(self.optimizer, dict):

@@ -510,38 +510,20 @@ class GlobalReport:
         )
 
 
-def _faces_close(faces: list[CellFace], eps: float) -> bool:
-    """True when the face loops form a closed surface: once vertices within
-    eps of each other are merged, every edge is walked exactly once in each
-    direction. Cut points are computed separately for each face, so exact
-    coordinates rarely match."""
-    v = np.vstack([f.verts for f in faces])
-    near = np.linalg.norm(v[:, None, :] - v[None, :, :], axis=2) <= eps
-    label = np.argmax(near, axis=1)
-    sizes = np.array([len(f.verts) for f in faces])
-    ends = np.cumsum(sizes)
-    nxt = np.arange(1, len(v) + 1)
-    nxt[ends - 1] = ends - sizes
-    a, b = label, label[nxt]
-    keep = a != b
-    edges = a[keep] * len(v) + b[keep]
-    reverse = b[keep] * len(v) + a[keep]
-    return len(np.unique(edges)) == len(edges) and bool(np.all(np.isin(reverse, edges)))
-
-
-def _containment_box(cell: ControlVolume, tol: float, eps: float):
+def _containment_box(cell: ControlVolume, tol: float, pad: float):
     """(lo, hi) holding every point that cell.contains_many(..., margin=-tol)
     accepts, or None when no such box is known.
 
-    A point strictly inside every wall of a closed loop (2D) or closed
-    surface (3D) has winding number >= 1 around it, so it lies in the hull
-    of the cell's vertices and hence in their bounding box. The box is
-    widened by the merge tolerance eps used to decide that 3D walls close.
+    A point strictly left of every edge line of a closed loop has winding
+    number >= 1 around it, so it lies in the hull of the loop's vertices and
+    hence in their bounding box, widened here by pad against rounding. In 3D,
+    contains_many tests each face against one plane and skips faces with no
+    normal, so the same argument would need planar faces that close; 3D cells
+    therefore get no box.
     """
-    if tol <= 0.0 or (cell.faces is not None and not _faces_close(cell.faces, eps)):
+    if tol <= 0.0 or cell.faces is not None:
         return None
-    v = cell.all_vertices()
-    return v.min(axis=0) - eps, v.max(axis=0) + eps
+    return cell.verts.min(axis=0) - pad, cell.verts.max(axis=0) + pad
 
 
 def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0,
@@ -553,7 +535,8 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     Each cell tests only the probes and generators inside its vertex bounding
     box (`_containment_box`); the points outside it cannot pass the strict
     containment test, so the report equals that of testing every point
-    against every cell. A cell without a known box tests every point.
+    against every cell. A cell without a known box (every 3D cell, and every
+    cell when tol <= 0) tests every point.
     """
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
@@ -579,7 +562,6 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     swept = targets[by_x]
     xs = np.ascontiguousarray(swept[:, 0])
     everything = np.arange(len(targets))
-    merge_eps = 1e-9 * scale
 
     hit = np.zeros(probes, dtype=np.int64)
     first_owner = np.full(probes, -1, dtype=np.int64)
@@ -592,7 +574,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
             continue
         if not cell.contains(pts[cell.owner], margin=-tol):
             owners_outside.append(cell.owner)
-        box = _containment_box(cell, tol, merge_eps)
+        box = _containment_box(cell, tol, 1e-9 * scale)
         if box is None:
             cand = everything
         else:

@@ -27,8 +27,6 @@ from .io import (
 from .mesh import (
     GlobalReport,
     PerpendicularityReport,
-    bounding_domain2,
-    bounding_domain3,
     build_volumes2,
     build_volumes3,
     validate_global,
@@ -124,12 +122,8 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     }
     emit("radii.json", rdoc)
 
-    if config.dimension == 2:
-        build, bounding = build_volumes2, bounding_domain2
-    else:
-        build, bounding = build_volumes3, bounding_domain3
-    mesh = stage("build", lambda: build(tri, nm, pts, solve.radii,
-                                        domain=bounding(pts, config.inflate)))
+    build = build_volumes2 if config.dimension == 2 else build_volumes3
+    mesh = stage("build", lambda: build(tri, nm, pts, solve.radii))
     mesh.mode = config.mode
 
     perp = stage("validate", lambda: validate_perpendicularity(mesh, tol=config.tol_perp))

@@ -51,8 +51,6 @@ def test_runconfig_validation():
         RunConfig(tol_perp=-1.0)
     with pytest.raises(ValueError):
         RunConfig(bounds_policy="loose")
-    with pytest.raises(ValueError, match="inflate"):
-        RunConfig(inflate=0.0)
     cfg = RunConfig(dimension=3, n=9)
     assert cfg.box == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
 

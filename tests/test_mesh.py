@@ -346,13 +346,10 @@ def test_validate_global_equals_brute_force(instance, corruption):
     if field is not None:
         assert getattr(report, field), field
 
+    # 2D cells take the bounding-box path; 3D cells test every point
     tol = 1e-9 * mesh.scale()
-    if corruption == "drop_face":
-        # an open surface bounds nothing: that cell must test every point
-        assert _containment_box(mesh.cell(i), tol, tol) is None
-    else:
-        assert all(_containment_box(c, tol, tol) is not None
-                   for c in mesh.volumes if not c.empty)
+    boxed = {_containment_box(c, tol, tol) is not None for c in mesh.volumes if not c.empty}
+    assert boxed == {mesh.dim == 2}
 
 
 def test_validate_global_without_margin_scans_every_point():

@@ -1,11 +1,7 @@
 import numpy as np
-import pytest
 
-from cvmesh.delaunay import neighbor_map, triangulate2
-from cvmesh.io import OptimizerConfig, RunConfig, export_mesh, read_json
-from cvmesh.mesh import build_volumes2
+from cvmesh.io import OptimizerConfig, RunConfig, read_json
 from cvmesh.pipeline import run_pipeline
-from cvmesh.solver import solve_radii
 
 from conftest import hexagon_patch
 
@@ -65,28 +61,3 @@ def test_summary_names_stages(tmp_path):
     for stage in ("gen", "tri", "neighbors", "solve", "overlap", "build", "validate",
                   "validate_global", "export", "render", "emit"):
         assert stage in res.summary["timings"], stage
-
-
-def test_inflate_widens_the_domain(tmp_path):
-    base = dict(dimension=2, n=12, seed=3, equal_radii=True, probes=500)
-    default = run_pipeline(RunConfig(out_dir=str(tmp_path / "a"), **base))
-    wide = run_pipeline(RunConfig(out_dir=str(tmp_path / "b"), inflate=0.2, **base))
-    assert wide.exit_code == default.exit_code == 0
-    assert wide.summary["domain_measure"] > default.summary["domain_measure"]
-    assert wide.summary["total_measure"] == pytest.approx(wide.summary["domain_measure"])
-
-
-def test_default_inflate_is_the_library_domain(tmp_path):
-    """run_pipeline passes config.inflate; its default builds the same mesh as
-    build_volumes2 on its own default domain, down to the mesh.json bytes."""
-    cfg = RunConfig(dimension=2, n=12, seed=3, equal_radii=True, probes=500,
-                    out_dir=str(tmp_path))
-    res = run_pipeline(cfg)
-    pts = res.mesh.points
-    tri = triangulate2(pts)
-    nm = neighbor_map(tri)
-    mesh = build_volumes2(tri, nm, pts, solve_radii(tri, nm, pts, equal_radii=True).radii)
-    mesh.mode = cfg.mode
-    path = tmp_path / "library.json"
-    export_mesh(mesh, str(path), "json", validation=res.mesh.diagnostics)
-    assert path.read_bytes() == (tmp_path / "mesh.json").read_bytes()
