@@ -14,13 +14,17 @@ import numpy as np
 from .errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
 from .geometry import as_point_array
 
-# Near-cocircular/cospherical margin: determinant ties count as "outside", so
-# the first-inserted simplices win and construction stays deterministic.
+# Near-cocircular margin of the 2D kernel: determinant ties count as "outside",
+# so the first-inserted triangles win and construction stays deterministic.
 TIE_EPS = 1e-12
-# Cached-circumcenter in-circle tests lose accuracy for sliver simplices (the
-# center solve is ill-conditioned); results inside this band are recomputed
-# with the translated determinant predicate.
+# Cached circumcircle/circumsphere (and, in 3D, hull-face plane) tests decide
+# only outside this relative band; inside it the 2D kernel recomputes with the
+# translated determinant and the 3D kernel decides exactly.
 BAND_EPS = 1e-5
+# A 3D circumcentre solve whose condition-number bound exceeds this is not
+# trusted to BAND_EPS; every conflict test of that tetrahedron is exact.
+COND_MAX = 1e8
+GHOST = -1  # the vertex at infinity shared by every hull face's ghost tetrahedron
 DUP_EPS = 1e-12  # duplicate detection, relative to the bounding-box diagonal
 
 
@@ -177,18 +181,6 @@ def _circumcircle(a, b, c):
     return cc, r2
 
 
-def _circumsphere(a, b, c, d):
-    """Center and squared radius of the sphere through four 3D points."""
-    m = 2.0 * np.vstack([b - a, c - a, d - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a, d @ d - a @ a])
-    try:
-        cc = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return np.full(3, np.inf), np.inf
-    r2 = float(np.sum((a - cc) ** 2))
-    return cc, r2
-
-
 def _orient2(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
@@ -207,23 +199,6 @@ def _incircle_det(a, b, c, p) -> float:
         - ay * (bx * c2 - b2 * cx)
         + a2 * (bx * cy - by * cx)
     )
-
-
-def _insphere_det(a, b, c, d, p) -> float:
-    """Translated 4x4 in-sphere determinant: positive iff p lies inside the
-    circumsphere of the positively oriented (a, b, c, d)."""
-    m = np.empty((4, 4))
-    for row, v in enumerate((a, b, c, d)):
-        m[row, 0] = v[0] - p[0]
-        m[row, 1] = v[1] - p[1]
-        m[row, 2] = v[2] - p[2]
-        m[row, 3] = m[row, 0] ** 2 + m[row, 1] ** 2 + m[row, 2] ** 2
-    return -float(np.linalg.det(m))
-
-
-def _orient3(a, b, c, d) -> float:
-    m = np.vstack([b - a, c - a, d - a])
-    return float(np.linalg.det(m))
 
 
 def _canonical_rows_2(tris: np.ndarray) -> np.ndarray:
@@ -443,176 +418,203 @@ def _adjacency2(triangles: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _exact_coords(pts: np.ndarray) -> list[tuple[int, ...]]:
+    """The points scaled by the least power of two that makes every coordinate
+    an integer: exact, so the predicates below have no rounding."""
+    ratios = [x.as_integer_ratio() for x in pts.ravel().tolist()]
+    shift = max(den.bit_length() for _, den in ratios)
+    flat = [num << (shift - den.bit_length()) for num, den in ratios]
+    d = pts.shape[1]
+    return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _orient3_exact(a, b, c, d) -> int:
+    """det[b - a, c - a, d - a] on integer points: positive when d lies on the
+    side of plane(a, b, c) that (b - a) x (c - a) points to."""
+    return _dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a))
+
+
+def _insphere_exact(a, b, c, d, p) -> int:
+    """Positive iff p lies strictly inside the sphere through the positively
+    oriented (a, b, c, d); zero on it. The lifted 4x4 determinant, expanded
+    along the lifted column, on integer points."""
+    a, b, c, d = (_sub(v, p) for v in (a, b, c, d))
+    la, lb, lc, ld = (_dot(v, v) for v in (a, b, c, d))
+    det3 = lambda u, v, w: _dot(u, _cross(v, w))
+    return la * det3(b, c, d) - lb * det3(a, c, d) + lc * det3(a, b, d) - ld * det3(a, b, c)
+
+
+def _conflict_exact(xp: list, tet, p: int) -> bool:
+    """Exact conflict of point p with a tetrahedron or a ghost tetrahedron.
+
+    A ghost (a, b, c, GHOST) conflicts when p lies strictly outside hull face
+    (a, b, c), or in its plane and strictly inside its circumcircle: the
+    degenerate circumsphere of a tetrahedron whose fourth vertex is at infinity.
+    """
+    a, b, c, d = tet
+    if d != GHOST:
+        return _insphere_exact(xp[a], xp[b], xp[c], xp[d], xp[p]) > 0
+    side = _orient3_exact(xp[a], xp[b], xp[c], xp[p])
+    if side:
+        return side > 0
+    # In plane: the sphere through a, b, c and a point off the plane meets the
+    # plane in the circumcircle of (a, b, c).
+    normal = _cross(_sub(xp[b], xp[a]), _sub(xp[c], xp[a]))
+    off = tuple(xp[a][k] + normal[k] for k in range(3))
+    return _insphere_exact(xp[a], xp[b], xp[c], off, xp[p]) > 0
+
+
+def _first_simplex(xp: list) -> list[int]:
+    """The first four affinely independent points in index order, positively oriented."""
+    a, b = 0, 1
+    c = next(k for k in range(2, len(xp))
+             if any(_cross(_sub(xp[b], xp[a]), _sub(xp[k], xp[a]))))
+    d = next(k for k in range(c + 1, len(xp)) if _orient3_exact(xp[a], xp[b], xp[c], xp[k]))
+    if _orient3_exact(xp[a], xp[b], xp[c], xp[d]) < 0:
+        c, d = d, c
+    return [a, b, c, d]
+
+
+# FACES[k]: the face opposite corner k of a positively oriented tetrahedron,
+# ordered so that (face, corner k) is positively oriented too.
+_FACES = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _cached_tests(pts: np.ndarray, rows: np.ndarray, reach: float):
+    """Float conflict tests of new tetrahedra, as (ghost, ctr, off, band).
+
+    Point p conflicts with a tetrahedron when off - |p - ctr|^2 > band (ctr
+    the circumcentre, off the squared circumradius) and with a ghost when
+    ctr . p - off > band (ctr the outward normal of its hull face, off the
+    normal's product with the face's first corner); within +-band the test is
+    left to `_conflict_exact`. A ghost's band bounds the rounding of its plane
+    test; a tetrahedron's is BAND_EPS of r^2, or infinite when the bound on the
+    condition number of its circumcentre solve exceeds COND_MAX.
+    """
+    ghost = rows[:, 3] == GHOST
+    a = pts[rows[:, 0]]
+    u, v = pts[rows[:, 1]] - a, pts[rows[:, 2]] - a
+    w = pts[rows[:, 3]] - a     # meaningless on ghost rows, and not used there
+    normal = np.cross(u, v)
+    det = _rowdot(normal, w)
+    uu, vv, ww = _rowdot(u, u), _rowdot(v, v), _rowdot(w, w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Circumcentre minus a, by Cramer's rule on [u; v; w] x = (uu, vv, ww) / 2.
+        x = 0.5 * (uu[:, None] * np.cross(v, w) + vv[:, None] * np.cross(w, u)
+                   + ww[:, None] * normal) / det[:, None]
+        r2 = _rowdot(x, x)
+        trusted = (uu + vv + ww) ** 1.5 <= COND_MAX * np.abs(det)
+    # An untrusted tetrahedron gets a finite dummy sphere; its band is infinite.
+    ctr = np.where(ghost[:, None], normal, np.where(trusted[:, None], a + x, a))
+    off = np.where(ghost, _rowdot(normal, a), np.where(trusted, r2, 0.0))
+    band = np.where(ghost, BAND_EPS * np.sqrt(uu * vv) * reach,
+                    np.where(trusted, BAND_EPS * r2, np.inf))
+    return ghost, ctr, off, band
+
+
 def tetrahedralize3(points) -> Triangulation3:
-    """Delaunay-tetrahedralize 3D points by incremental Bowyer-Watson."""
+    """Delaunay-tetrahedralize 3D points by incremental Bowyer-Watson.
+
+    The first four affinely independent points (in index order) start one
+    tetrahedron plus a ghost tetrahedron (a, b, c, GHOST) on each hull face;
+    the other points follow in index order. A point's cavity is every
+    tetrahedron whose circumsphere holds it strictly, with the ghosts' rule of
+    `_conflict_exact`. Cached circumspheres and face planes decide outside a
+    BAND_EPS band, integer arithmetic decides inside it, so each cavity is
+    exactly star-shaped and its boundary faces coned to the point are the new
+    tetrahedra; no repair pass follows. Cospherical ties count as outside, so
+    earlier tetrahedra win and the output is deterministic.
+    """
     pts = _validate_input(points, 3)
     n = len(pts)
+    xp = _exact_coords(pts)
+    # With |b - a| |c - a|, bounds the rounding of a ghost's plane test.
+    diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    reach = diameter + 2.0 * float(np.abs(pts).max())
 
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    span = max(float((hi - lo).max()), 1e-12)
-    m = 64.0 * span
-    sup = center + m * np.array([
-        [0.02, 0.03, 1.11],
-        [0.05, 0.97, -0.73],
-        [0.93, -0.55, -0.67],
-        [-1.01, -0.51, -0.62],
-    ])
-    allp = np.vstack([pts, sup])
-
-    cap = 8 * n + 64
-    tet = np.empty((cap, 4), dtype=np.int64)
-    ccs = np.empty((cap, 3))
-    rr2 = np.empty(cap)
-    alive = np.zeros(cap, dtype=bool)
+    # Rows [0, count) of the tetrahedra and their cached tests; dead rows are
+    # dropped whenever the arrays fill up.
+    tet = np.empty((0, 4), dtype=np.int64)
+    ghost, ctr, off, band, alive = (np.empty(0, dtype=bool), np.empty((0, 3)),
+                                    np.empty(0), np.empty(0), np.empty(0, dtype=bool))
     count = 0
 
-    def add(a: int, b: int, c: int, d: int):
-        nonlocal count, cap, tet, ccs, rr2, alive
-        if _orient3(allp[a], allp[b], allp[c], allp[d]) < 0.0:
-            c, d = d, c
-        if count == cap:
-            cap *= 2
-            tet = np.vstack([tet, np.empty_like(tet)])
-            ccs = np.vstack([ccs, np.empty_like(ccs)])
-            rr2 = np.concatenate([rr2, np.empty_like(rr2)])
-            alive = np.concatenate([alive, np.zeros_like(alive)])
-        tet[count] = (a, b, c, d)
-        ccs[count], rr2[count] = _circumsphere(allp[a], allp[b], allp[c], allp[d])
-        alive[count] = True
-        count += 1
+    def add(rows: list[tuple]):
+        nonlocal count, tet, ghost, ctr, off, band, alive
+        rows = np.asarray(rows, dtype=np.int64)
+        if count + len(rows) > len(tet):
+            live = np.nonzero(alive[:count])[0]
+            cap = 2 * (len(live) + len(rows))
+            arrays = []
+            for old in (tet, ghost, ctr, off, band, alive):
+                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:len(live)] = old[live]
+                arrays.append(new)
+            tet, ghost, ctr, off, band, alive = arrays
+            count = len(live)
+        k = slice(count, count + len(rows))
+        tet[k] = rows
+        ghost[k], ctr[k], off[k], band[k] = _cached_tests(pts, rows, reach)
+        alive[k] = True
+        count += len(rows)
 
-    add(n, n + 1, n + 2, n + 3)
+    first = _first_simplex(xp)
+    add([tuple(first)] + [(first[f[0]], first[f[2]], first[f[1]], GHOST) for f in _FACES])
+    rest = np.ones(n, dtype=bool)
+    rest[first] = False
 
-    for p in range(n):
-        d2 = np.sum((ccs[:count] - allp[p]) ** 2, axis=1)
-        margin = rr2[:count] - d2
-        sure = alive[:count] & (margin > BAND_EPS * rr2[:count])
-        band = alive[:count] & (np.abs(margin) <= BAND_EPS * rr2[:count])
-        bad = set(int(t) for t in np.nonzero(sure)[0])
-        pp = allp[p]
-        for t in np.nonzero(band)[0]:
-            corners = [allp[v] for v in tet[t]]
-            det = _insphere_det(*corners, pp)
-            scale = max(float((v - pp) @ (v - pp)) for v in corners)
-            if det > TIE_EPS * scale**2.5:
-                bad.add(int(t))
-        if not bad:
-            continue
-        cavity = _star_shaped_cavity_3(bad, tet, allp, p)
-        face_count: dict[tuple, int] = {}
-        face_dir: dict[tuple, tuple] = {}
+    for p in np.nonzero(rest)[0].tolist():
+        pp = pts[p]
+        c = ctr[:count]
+        margin = np.where(ghost[:count], c @ pp - off[:count],
+                          off[:count] - np.sum((c - pp) ** 2, axis=1))
+        sure = alive[:count] & (margin > band[:count])
+        unsure = alive[:count] & ~sure & (margin >= -band[:count])
+        cavity = np.nonzero(sure)[0].tolist()
+        cavity += [t for t in np.nonzero(unsure)[0].tolist()
+                   if _conflict_exact(xp, tet[t].tolist(), p)]
+        faces: dict[frozenset, tuple] = {}
         for t in cavity:
-            a, b, c, d = tet[t]
-            # Outward-consistent faces of a positively oriented tet.
-            for u, v, w in ((a, c, b), (a, b, d), (a, d, c), (b, c, d)):
-                key = tuple(sorted((u, v, w)))
-                face_count[key] = face_count.get(key, 0) + 1
-                face_dir[key] = (u, v, w)
+            row = tet[t].tolist()
+            for f in _FACES:
+                tri = (row[f[0]], row[f[1]], row[f[2]])
+                key = frozenset(tri)
+                if key in faces:
+                    del faces[key]  # shared by two cavity tetrahedra: interior
+                else:
+                    faces[key] = tri
             alive[t] = False
-        for key, cnt in face_count.items():
-            if cnt == 1:
-                u, v, w = face_dir[key]
-                add(u, v, w, p)
+        new = []
+        for tri in faces.values():
+            row = [*tri, p]
+            if GHOST in tri:
+                # Move GHOST last; a second swap keeps the orientation.
+                j = row.index(GHOST)
+                row[j], row[3] = row[3], row[j]
+                row[0], row[1] = row[1], row[0]
+            new.append(tuple(row))
+        add(new)
 
-    keep = [t for t in range(count) if alive[t] and tet[t].max() < n]
-    rows = _fill_hull_pockets_3(pts, [tuple(int(v) for v in tet[t]) for t in keep])
-    tets = _canonical_rows_3(np.asarray(rows, dtype=np.int64))
+    keep = alive[:count] & ~ghost[:count]
+    tets = _canonical_rows_3(tet[:count][keep])
     adjacency = _adjacency3(tets)
     return Triangulation3(points=pts, tetrahedra=tets, adjacency=adjacency)
-
-
-def _fill_hull_pockets_3(pts: np.ndarray, rows: list[tuple]) -> list[tuple]:
-    """Fill pockets left by the finite super-simplex.
-
-    A flat hull sliver has a huge circumsphere that can swallow a super vertex,
-    so it is (correctly) absent from the augmented triangulation and removing
-    the super tets leaves a pocket: boundary faces that are not on the convex
-    hull. Pair such faces across their shared edges and insert the missing tets
-    until the boundary is the hull again.
-    """
-    for _ in range(64):  # pockets are tiny; this never runs deep
-        face_count: dict[tuple, int] = {}
-        for row in rows:
-            for k in range(4):
-                face = tuple(sorted(row[:k] + row[k + 1:]))
-                face_count[face] = face_count.get(face, 0) + 1
-        internal = [f for f, c in face_count.items() if c == 1 and not _face_on_hull(pts, f)]
-        if not internal:
-            return rows
-        by_edge: dict[tuple, list[tuple]] = {}
-        for f in internal:
-            for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-                by_edge.setdefault(e, []).append(f)
-        added = False
-        for e, faces in by_edge.items():
-            if len(faces) < 2:
-                continue
-            f1, f2 = faces[0], faces[1]
-            x = next(v for v in f1 if v not in e)
-            y = next(v for v in f2 if v not in e)
-            if x == y:
-                continue
-            a, b = e
-            if _orient3(pts[a], pts[b], pts[x], pts[y]) < 0.0:
-                x, y = y, x
-            if _orient3(pts[a], pts[b], pts[x], pts[y]) <= 0.0:
-                continue
-            rows.append((a, b, x, y))
-            added = True
-            break
-        if not added:
-            return rows  # irreducible pocket: leave it to the validation oracle
-    return rows
-
-
-def _face_on_hull(pts: np.ndarray, face: tuple) -> bool:
-    a, b, c = pts[face[0]], pts[face[1]], pts[face[2]]
-    normal = np.cross(b - a, c - a)
-    side = (pts - a) @ normal
-    tol = 1e-9 * max(float(np.abs(side).max()), 1e-300)
-    return bool(np.all(side <= tol) or np.all(side >= -tol))
-
-
-def _star_shaped_cavity_3(bad: set[int], tet: np.ndarray, allp: np.ndarray, p: int) -> set[int]:
-    """3D cavity repair: outward cavity boundary faces must have the new point
-    strictly on their interior (negative) side."""
-    pp = allp[p]
-    initial = set(bad)
-    while bad:
-        owner: dict[tuple, list] = {}
-        for t in bad:
-            a, b, c, d = tet[t]
-            for u, v, w in ((a, c, b), (a, b, d), (a, d, c), (b, c, d)):
-                key = tuple(sorted((u, v, w)))
-                owner.setdefault(key, []).append((t, u, v, w))
-        drop = None
-        for entries in owner.values():
-            if len(entries) != 1:
-                continue
-            t, u, v, w = entries[0]
-            normal = np.cross(allp[v] - allp[u], allp[w] - allp[u])
-            side = float(normal @ (pp - allp[u]))
-            scale = float(np.linalg.norm(normal)) * (float(np.linalg.norm(pp - allp[u])) + 1e-300)
-            if side >= -1e-13 * scale:
-                drop = t
-                break
-        if drop is None:
-            return bad
-        bad.remove(drop)
-    best = None
-    best_val = -np.inf
-    for t in initial:
-        a, b, c, d = tet[t]
-        val = np.inf
-        for u, v, w in ((a, c, b), (a, b, d), (a, d, c), (b, c, d)):
-            normal = np.cross(allp[v] - allp[u], allp[w] - allp[u])
-            val = min(val, -float(normal @ (pp - allp[u])))
-        if val > best_val:
-            best_val = val
-            best = t
-    return {best}
 
 
 def _adjacency3(tets: np.ndarray) -> np.ndarray:

@@ -26,7 +26,9 @@ __all__ = [
     "point_line_distance3",
     "neighbor_height2",
     "neighbor_height3",
+    "neighbor_heights",
     "tetra_height",
+    "tetra_heights",
     "as_point_array",
 ]
 
@@ -192,16 +194,98 @@ def point_line_distance3(p, a, b) -> float:
     return _point_line_distance(p, a, b, 3)
 
 
-def _neighbor_height(i, jk, jk1, dim: int) -> HeightValue:
-    shape = classify_triangle(i, jk, jk1)
-    if shape.kind is TriangleKind.ACUTE:
-        return HeightValue(_point_line_distance(i, jk, jk1, dim), HeightSource.PERPENDICULAR_FOOT)
-    ii = _vec(i, dim)
-    value = min(
-        float(np.linalg.norm(ii - _vec(jk, dim))),
-        float(np.linalg.norm(ii - _vec(jk1, dim))),
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _cross_norms(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    if u.shape[1] == 2:
+        return np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    return _norms(np.cross(u, v))
+
+
+def neighbor_heights(i, jk, jk1) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible-radius heights of the triangles (i[r], jk[r], jk1[r]).
+
+    The three arguments are (R, d) arrays, d = 2 or 3. Returns (heights, foot).
+    An acute row (every angle cosine above EPS_RIGHT) has foot True and the
+    perpendicular distance from i to the line (jk, jk1) as its height; a row
+    with a right or obtuse corner falls back to the shorter of the two edges
+    at i. The first degenerate row raises DegenerateTriangle.
+    """
+    i, jk, jk1 = (np.asarray(x, dtype=float) for x in (i, jk, jk1))
+    to_j, to_j1, base = jk - i, jk1 - i, jk1 - jk
+    l_j, l_j1, l_base = _norms(to_j), _norms(to_j1), _norms(base)
+    longest = np.maximum(np.maximum(l_j, l_base), l_j1)
+    bad = _cross_norms(to_j, to_j1) <= 2.0 * EPS_AREA * longest * longest
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise DegenerateTriangle(f"collinear corners: {i[r]}, {jk[r]}, {jk1[r]}")
+    foot = (
+        (_dots(to_j, to_j1) / (l_j * l_j1) > EPS_RIGHT)
+        & (_dots(base, -to_j) / (l_base * l_j) > EPS_RIGHT)
+        & (_dots(-to_j1, -base) / (l_j1 * l_base) > EPS_RIGHT)
     )
-    return HeightValue(value, HeightSource.EDGE_LENGTH_FALLBACK)
+    short = l_base <= EPS_LEN * np.maximum(longest, 1.0)
+    if (foot & short).any():
+        r = int(np.argmax(foot & short))
+        raise DegenerateSegment(f"segment endpoints coincide: {jk[r]}, {jk1[r]}")
+    perpendicular = _cross_norms(-to_j, base) / l_base
+    return np.where(foot, perpendicular, np.minimum(l_j, l_j1)), foot
+
+
+def tetra_heights(i, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible-radius heights of the tetrahedra (i[r], a[r], b[r], c[r]).
+
+    The arguments are (R, 3) arrays. Returns (heights, foot). Where the
+    perpendicular foot of i on plane(a, b, c) falls inside that triangle
+    (boundary inclusive, within EPS_LEN in barycentric coordinates) foot is
+    True and the height is the plane distance; elsewhere it is the minimum of
+    the three wall-triangle heights at i (neighbor_heights). The first
+    degenerate row raises DegenerateTetrahedron.
+    """
+    i, a, b, c = (np.asarray(x, dtype=float) for x in (i, a, b, c))
+    u = b - a
+    v = c - a
+    w = i - a
+    normal = np.cross(u, v)
+    longest = np.max(np.stack([_norms(e) for e in (w, i - b, i - c, u, v, c - b)]), axis=0)
+    volume6 = np.abs(_dots(normal, w))  # 6 * volume
+    bad = volume6 <= 6.0 * EPS_VOL * longest**3
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise DegenerateTetrahedron(f"coplanar corners: {i[r]}, {a[r]}, {b[r]}, {c[r]}")
+
+    # Barycentric coordinates of the perpendicular foot in the base plane.
+    uu, uv, vv = _dots(u, u), _dots(u, v), _dots(v, v)
+    wu, wv = _dots(w, u), _dots(w, v)
+    den = uu * vv - uv * uv
+    s = (vv * wu - uv * wv) / den
+    t = (uu * wv - uv * wu) / den
+    foot = (s >= -EPS_LEN) & (t >= -EPS_LEN) & (s + t <= 1.0 + EPS_LEN)
+    heights = volume6 / _norms(normal)
+
+    out = ~foot
+    if out.any():
+        # Wall rows interleaved per tetrahedron: (a, b), (b, c), (c, a).
+        ends = np.stack([a[out], b[out], c[out]], axis=1)
+        walls, _ = neighbor_heights(
+            np.repeat(i[out], 3, axis=0),
+            ends.reshape(-1, 3),
+            ends[:, [1, 2, 0]].reshape(-1, 3),
+        )
+        heights[out] = walls.reshape(-1, 3).min(axis=1)
+    return heights, foot
+
+
+def _height_value(heights, points, dim: int) -> HeightValue:
+    value, foot = heights(*(_vec(p, dim)[None, :] for p in points))
+    source = HeightSource.PERPENDICULAR_FOOT if foot[0] else HeightSource.EDGE_LENGTH_FALLBACK
+    return HeightValue(float(value[0]), source)
 
 
 def neighbor_height2(i, jk, jk1) -> HeightValue:
@@ -210,12 +294,12 @@ def neighbor_height2(i, jk, jk1) -> HeightValue:
     Acute triangles use the perpendicular distance from i to the opposite edge;
     right and obtuse triangles fall back to the shorter of the two edges at i.
     """
-    return _neighbor_height(i, jk, jk1, 2)
+    return _height_value(neighbor_heights, (i, jk, jk1), 2)
 
 
 def neighbor_height3(i, jk, jk1) -> HeightValue:
     """3D analog of neighbor_height2 for a tetrahedron wall triangle."""
-    return _neighbor_height(i, jk, jk1, 3)
+    return _height_value(neighbor_heights, (i, jk, jk1), 3)
 
 
 def tetra_height(i, j1, j2, j3) -> HeightValue:
@@ -225,37 +309,4 @@ def tetra_height(i, j1, j2, j3) -> HeightValue:
     triangle (boundary inclusive) the plane distance is returned; otherwise the
     minimum of the three wall-triangle heights at i.
     """
-    ii = _vec(i, 3)
-    a = _vec(j1, 3)
-    b = _vec(j2, 3)
-    c = _vec(j3, 3)
-
-    u = b - a
-    v = c - a
-    normal = np.cross(u, v)
-    nn = float(np.linalg.norm(normal))
-    edges = [ii - a, ii - b, ii - c, u, v, c - b]
-    longest = max(float(np.linalg.norm(e)) for e in edges)
-    volume6 = abs(float(np.dot(normal, ii - a)))  # 6 * volume
-    if volume6 <= 6.0 * EPS_VOL * longest**3:
-        raise DegenerateTetrahedron(f"coplanar corners: {ii}, {a}, {b}, {c}")
-
-    # Barycentric coordinates of the perpendicular foot in the base plane.
-    w = ii - a
-    uu = float(np.dot(u, u))
-    uv = float(np.dot(u, v))
-    vv = float(np.dot(v, v))
-    wu = float(np.dot(w, u))
-    wv = float(np.dot(w, v))
-    den = uu * vv - uv * uv
-    s = (vv * wu - uv * wv) / den
-    t = (uu * wv - uv * wu) / den
-    if s >= -EPS_LEN and t >= -EPS_LEN and s + t <= 1.0 + EPS_LEN:
-        return HeightValue(volume6 / nn, HeightSource.PERPENDICULAR_FOOT)
-
-    walls = (
-        _neighbor_height(ii, a, b, 3).value,
-        _neighbor_height(ii, b, c, 3).value,
-        _neighbor_height(ii, c, a, 3).value,
-    )
-    return HeightValue(min(walls), HeightSource.EDGE_LENGTH_FALLBACK)
+    return _height_value(tetra_heights, (i, j1, j2, j3), 3)

@@ -12,13 +12,7 @@ import numpy as np
 
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import DegenerateTetrahedron, DegenerateTriangle, EmptyInterval
-from .geometry import (
-    EPS_AREA,
-    EPS_VOL,
-    neighbor_height2,
-    neighbor_height3,
-    tetra_height,
-)
+from .geometry import EPS_AREA, EPS_VOL, neighbor_heights, tetra_heights
 from .optimize import SoftSelectionParams, soft_selection_minimize
 
 __all__ = [
@@ -207,25 +201,84 @@ def vertex3(c1, c2, c3, c4, r1: float, r2: float, r3: float, r4: float,
     return CandidateVertex(x=x, y=y, z=z, simplex=simplex, residual=residual)
 
 
+def _upper_rows(nm: NeighborMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point, height) for every incident simplex of every point: in 2D the
+    triangle (i, ring[k], ring[k+1]) of each ring pair, in 3D each star row."""
+    if nm.dim == 2:
+        pairs = np.array([len(s) for s in nm.ring_simplices], dtype=np.int64)
+        sizes = np.array([len(r) for r in nm.rings], dtype=np.int64)
+        owner = np.repeat(np.arange(len(pairs)), pairs)
+        ring = np.concatenate(nm.rings)
+        # Row k of point i pairs ring[k] with ring[(k + 1) % len(ring)].
+        start = np.repeat(np.cumsum(sizes) - sizes, pairs)
+        k = np.arange(len(owner)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        u = ring[start + k]
+        v = ring[start + (k + 1) % sizes[owner]]
+        return owner, neighbor_heights(pts[owner], pts[u], pts[v])[0]
+    owner = np.repeat(np.arange(len(nm.stars)), [len(s) for s in nm.stars])
+    t = np.concatenate(nm.stars)
+    return owner, tetra_heights(pts[owner], pts[t[:, 0]], pts[t[:, 1]], pts[t[:, 2]])[0]
+
+
+def _lower_rows(nm: NeighborMap, pts: np.ndarray,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(point, neighbour, reach) rows of the lower-bound rule for `points`, in
+    the order radius_bounds2/3 visit them. Reach is the neighbour distance in
+    2D and the wall-triangle height towards the neighbour in 3D."""
+    if nm.dim == 2:
+        rows = [nm.rings[i] for i in points]
+        owner = np.repeat(points, [len(r) for r in rows])
+        nbr = np.concatenate(rows)
+        d = pts[owner] - pts[nbr]
+        return owner, nbr, np.sqrt(np.einsum("ij,ij->i", d, d))
+    stars = [nm.stars[i] for i in points]
+    owner = np.repeat(points, [3 * len(s) for s in stars])
+    t = np.concatenate(stars)
+    # Row (i, triple) gives walls (triple[l], triple[l + 1]) for l = 0, 1, 2.
+    nbr = t.reshape(-1)
+    nxt = t[:, [1, 2, 0]].reshape(-1)
+    return owner, nbr, neighbor_heights(pts[owner], pts[nbr], pts[nxt])[0]
+
+
+def _lower_bounds(nm: NeighborMap, pts: np.ndarray, r_max: np.ndarray,
+                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo and blocking neighbour (-1 for none) of each of `points`.
+
+    lo is the largest reach minus that neighbour's max radius, floored at zero;
+    the blocking neighbour is the first row in visiting order that attains it.
+    """
+    owner, nbr, reach = _lower_rows(nm, pts, points)
+    slot = np.searchsorted(points, owner)
+    value = reach - r_max[nbr]
+    lo = np.zeros(len(points))
+    np.maximum.at(lo, slot, value)
+    blocking = np.full(len(points), -1, dtype=np.int64)
+    hit = np.nonzero((value > 0.0) & (value == lo[slot]))[0]
+    first_slot, first = np.unique(slot[hit], return_index=True)
+    blocking[first_slot] = nbr[hit[first]]
+    return lo, blocking
+
+
 def max_radii(nm: NeighborMap, pts: np.ndarray) -> np.ndarray:
     """Largest admissible radius per point: the minimum incident height."""
-    n = len(pts)
-    out = np.full(n, np.inf)
-    if nm.dim == 2:
-        for i in range(n):
-            ring = nm.rings[i]
-            pairs = len(nm.ring_simplices[i])
-            for k in range(pairs):
-                u = ring[k]
-                v = ring[(k + 1) % len(ring)]
-                h = neighbor_height2(pts[i], pts[u], pts[v]).value
-                out[i] = min(out[i], h)
-    else:
-        for i in range(n):
-            for triple in nm.stars[i]:
-                h = tetra_height(pts[i], pts[triple[0]], pts[triple[1]], pts[triple[2]]).value
-                out[i] = min(out[i], h)
+    out = np.full(len(pts), np.inf)
+    owner, heights = _upper_rows(nm, pts)
+    np.minimum.at(out, owner, heights)
     return out
+
+
+def _empty_interval(i, lo, hi, blocking) -> EmptyInterval:
+    return EmptyInterval(int(i), float(lo), float(hi), int(blocking) if blocking >= 0 else None)
+
+
+def _radius_bounds(i: int, nm: NeighborMap, pts: np.ndarray,
+                   r_max: np.ndarray | None) -> RadiusBounds:
+    if r_max is None:
+        r_max = max_radii(nm, pts)
+    lo, blocking = _lower_bounds(nm, pts, r_max, np.array([i]))
+    if lo[0] >= r_max[i]:
+        raise _empty_interval(i, lo[0], r_max[i], blocking[0])
+    return RadiusBounds(lo=float(lo[0]), hi=float(r_max[i]))
 
 
 def radius_bounds2(i: int, nm: NeighborMap, pts: np.ndarray,
@@ -235,19 +288,7 @@ def radius_bounds2(i: int, nm: NeighborMap, pts: np.ndarray,
     hi is the minimum incident-triangle height; lo is the largest neighbor
     distance minus that neighbor's own max radius, floored at zero.
     """
-    if r_max is None:
-        r_max = max_radii(nm, pts)
-    hi = float(r_max[i])
-    lo = 0.0
-    blocking = None
-    for u in nm.rings[i]:
-        v = float(np.linalg.norm(pts[i] - pts[u])) - float(r_max[u])
-        if v > lo:
-            lo = v
-            blocking = int(u)
-    if lo >= hi:
-        raise EmptyInterval(i, lo, hi, blocking)
-    return RadiusBounds(lo=lo, hi=hi)
+    return _radius_bounds(i, nm, pts, r_max)
 
 
 def radius_bounds3(i: int, nm: NeighborMap, pts: np.ndarray,
@@ -257,50 +298,27 @@ def radius_bounds3(i: int, nm: NeighborMap, pts: np.ndarray,
     hi is the minimum incident-tetra height; lo pairs each wall-triangle height
     with the max radius of the neighbor it is measured to, floored at zero.
     """
-    if r_max is None:
-        r_max = max_radii(nm, pts)
-    hi = float(r_max[i])
-    lo = 0.0
-    blocking = None
-    for triple in nm.stars[i]:
-        for l in range(3):
-            j = int(triple[l])
-            j1 = int(triple[(l + 1) % 3])
-            h = neighbor_height3(pts[i], pts[j], pts[j1]).value
-            v = h - float(r_max[j])
-            if v > lo:
-                lo = v
-                blocking = j
-    if lo >= hi:
-        raise EmptyInterval(i, lo, hi, blocking)
-    return RadiusBounds(lo=lo, hi=hi)
+    return _radius_bounds(i, nm, pts, r_max)
 
 
 def bounds_arrays(nm: NeighborMap, pts: np.ndarray,
                   policy: str = "strict") -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Stack per-point radius bounds into (lo, hi) arrays; one r_max pass.
 
-    policy "strict" propagates EmptyInterval; "clamp" floors an empty interval
-    to (0, hi) and records the point index. Returns (lo, hi, clamped_points).
+    policy "strict" raises EmptyInterval for the first point with an empty
+    interval; "clamp" floors each empty interval to (0, hi) and records the
+    point index. Returns (lo, hi, clamped_points).
     """
     r_max = max_radii(nm, pts)
     n = len(pts)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    clamped: list[int] = []
-    bound = radius_bounds2 if nm.dim == 2 else radius_bounds3
-    for i in range(n):
-        try:
-            b = bound(i, nm, pts, r_max)
-            lo[i] = b.lo
-            hi[i] = b.hi
-        except EmptyInterval:
-            if policy != "clamp":
-                raise
-            lo[i] = 0.0
-            hi[i] = float(r_max[i])
-            clamped.append(i)
-    return lo, hi, clamped
+    lo, blocking = _lower_bounds(nm, pts, r_max, np.arange(n))
+    hi = r_max.copy()
+    empty = np.nonzero(lo >= hi)[0]
+    if len(empty) and policy != "clamp":
+        i = empty[0]
+        raise _empty_interval(i, lo[i], hi[i], blocking[i])
+    lo[empty] = 0.0
+    return lo, hi, [int(i) for i in empty]
 
 
 class TriangleSystems2:

@@ -91,24 +91,132 @@ def _cross(o, a, b):
 
 
 def convex_hull_volume(pts) -> float:
-    """Hull volume via signed tetrahedra against every hull face; the hull is
-    found by brute force: a face is a point triple with all points on one side."""
+    """Hull volume as a sum of pyramids from the centroid over the hull planes.
+
+    The hull planes are found by brute force: a plane through a point triple
+    with every point on one side. All triples of one plane (a flat face holding
+    more than three points) give one plane, identified by the points on it, and
+    count once with the area of the 2D hull of those points."""
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
     center = pts.mean(axis=0)
+    planes: dict[frozenset, np.ndarray] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            ks = np.arange(j + 1, n)
+            nrm = np.cross(pts[j] - pts[i], pts[ks] - pts[i])      # one row per k
+            side = (pts - pts[i]) @ nrm.T                          # (n, len(ks))
+            tol = 1e-10 * np.abs(side).max(axis=0, initial=0.0)
+            hull = (np.linalg.norm(nrm, axis=1) >= 1e-14) & (
+                np.all(side <= tol, axis=0) | np.all(side >= -tol, axis=0))
+            for col in np.nonzero(hull)[0]:
+                on = frozenset(np.nonzero(np.abs(side[:, col]) <= tol[col])[0].tolist())
+                planes.setdefault(on, nrm[col])
     vol = 0.0
-    from itertools import combinations
-    for i, j, k in combinations(range(n), 3):
-        nrm = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        if np.linalg.norm(nrm) < 1e-14:
-            continue
-        side = (pts - pts[i]) @ nrm
-        tol = 1e-10 * np.abs(side).max()
-        if np.all(side <= tol) or np.all(side >= -tol):
-            hgt = abs(float((center - pts[i]) @ nrm)) / np.linalg.norm(nrm)
-            area = 0.5 * np.linalg.norm(nrm)
-            vol += area * hgt / 3.0
+    for on, nrm in planes.items():
+        q = pts[sorted(on)]
+        unit = nrm / np.linalg.norm(nrm)
+        e1 = (q[1] - q[0]) / np.linalg.norm(q[1] - q[0])
+        e2 = np.cross(unit, e1)
+        area = convex_hull_area(np.stack([(q - q[0]) @ e1, (q - q[0]) @ e2], axis=1))
+        vol += area * abs(float((center - q[0]) @ unit)) / 3.0
     return vol
+
+
+# Radius-height rules of the paper, one triangle or tetrahedron at a time: the
+# scalar reference for cvmesh.geometry.neighbor_heights/tetra_heights and the
+# radius bounds built on them. Thresholds as in cvmesh.geometry.
+EPS_RIGHT = 1e-9
+EPS_AREA = 1e-12
+EPS_VOL = 1e-12
+EPS_LEN = 1e-12
+
+
+def _cross_norm(u, v) -> float:
+    if u.shape[0] == 2:
+        return abs(u[0] * v[1] - u[1] * v[0])
+    return float(np.linalg.norm(np.cross(u, v)))
+
+
+def neighbor_height(i, jk, jk1) -> float:
+    """Height of the triangle (i, jk, jk1), 2D or 3D: the distance from i to
+    the line (jk, jk1) when the triangle is acute, else the shorter edge at i."""
+    a, b, c = (np.asarray(x, dtype=float) for x in (i, jk, jk1))
+    corners = (a, b, c)
+    longest = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
+    if _cross_norm(b - a, c - a) <= 2.0 * EPS_AREA * longest * longest:
+        raise ValueError("collinear corners")
+    acute = True
+    for k in range(3):
+        u = corners[(k + 1) % 3] - corners[k]
+        v = corners[(k + 2) % 3] - corners[k]
+        cos_k = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+        if abs(cos_k) <= EPS_RIGHT or cos_k < 0.0:
+            acute = False
+    if acute:
+        ab = c - b
+        seg = float(np.linalg.norm(ab))
+        return _cross_norm(a - b, ab) / seg
+    return min(float(np.linalg.norm(a - b)), float(np.linalg.norm(a - c)))
+
+
+def tetra_height(i, j1, j2, j3) -> float:
+    """Height of the tetrahedron (i, j1, j2, j3): the plane distance when the
+    foot of i falls inside the base triangle, else the smallest wall height."""
+    ii, a, b, c = (np.asarray(x, dtype=float) for x in (i, j1, j2, j3))
+    u = b - a
+    v = c - a
+    normal = np.cross(u, v)
+    nn = float(np.linalg.norm(normal))
+    edges = [ii - a, ii - b, ii - c, u, v, c - b]
+    longest = max(float(np.linalg.norm(e)) for e in edges)
+    volume6 = abs(float(np.dot(normal, ii - a)))
+    if volume6 <= 6.0 * EPS_VOL * longest**3:
+        raise ValueError("coplanar corners")
+    w = ii - a
+    uu = float(np.dot(u, u))
+    uv = float(np.dot(u, v))
+    vv = float(np.dot(v, v))
+    wu = float(np.dot(w, u))
+    wv = float(np.dot(w, v))
+    den = uu * vv - uv * uv
+    s = (vv * wu - uv * wv) / den
+    t = (uu * wv - uv * wu) / den
+    if s >= -EPS_LEN and t >= -EPS_LEN and s + t <= 1.0 + EPS_LEN:
+        return volume6 / nn
+    return min(neighbor_height(ii, a, b), neighbor_height(ii, b, c), neighbor_height(ii, c, a))
+
+
+def radius_bounds_loop(nm, pts):
+    """Per-point loop over the height rules: (r_max, lo, hi, blocking) with
+    blocking[i] the first neighbour attaining lo (None when lo is 0). Reads
+    only the rings/stars of the neighbour map."""
+    pts = np.asarray(pts, dtype=float)
+    n = len(pts)
+    r_max = np.full(n, np.inf)
+    for i in range(n):
+        if nm.dim == 2:
+            ring = nm.rings[i]
+            for k in range(len(nm.ring_simplices[i])):
+                u, v = ring[k], ring[(k + 1) % len(ring)]
+                r_max[i] = min(r_max[i], neighbor_height(pts[i], pts[u], pts[v]))
+        else:
+            for t0, t1, t2 in nm.stars[i]:
+                r_max[i] = min(r_max[i], tetra_height(pts[i], pts[t0], pts[t1], pts[t2]))
+    lo = np.zeros(n)
+    blocking = [None] * n
+    for i in range(n):
+        if nm.dim == 2:
+            rows = [(int(u), float(np.linalg.norm(pts[i] - pts[u]))) for u in nm.rings[i]]
+        else:
+            rows = [(int(t[l]), neighbor_height(pts[i], pts[t[l]], pts[t[(l + 1) % 3]]))
+                    for t in nm.stars[i] for l in range(3)]
+        for j, reach in rows:
+            value = reach - float(r_max[j])
+            if value > lo[i]:
+                lo[i] = value
+                blocking[i] = j
+    return r_max, lo, r_max.copy(), blocking
 
 
 def clip_poly_halfplane(verts, n, c):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -200,7 +202,8 @@ def test_interior_only_cloud_covers_hull():
 
 
 def test_tet_boundary_faces_all_on_hull():
-    # seed 12 used to leave a sliver pocket behind (two internal boundary faces)
+    # a flat hull sliver on this cloud once went missing, leaving two boundary
+    # faces inside the hull
     from collections import Counter
 
     pts = uniform_points(3, 60, 12)
@@ -229,3 +232,64 @@ def test_star_triples_positively_oriented():
                 pts[t0] - pts[i], pts[t1] - pts[i], pts[t2] - pts[i]
             ]))
             assert det > 0
+
+
+# Default-generator 3D n=60 clouds on which a super-tetrahedron kernel with a
+# hull-pocket repair built a wrong tetrahedralization (15 of the 720 clouds of
+# seeds 1-30 with 24 clouds each, cloud seed = 1000 * seed + cloud index).
+KERNEL_SEEDS = (1006, 7005, 12005, 13005, 14004, 14013, 15002, 15009,
+                18002, 18015, 19004, 22007, 26002, 27005, 28016)
+GENERIC_CLOUDS = [(60, s) for s in KERNEL_SEEDS] + [(300, 1)]
+
+
+def _kernel_cloud(case):
+    if case == "lattice":
+        return np.array(list(product(range(3), repeat=3)), dtype=float)
+    n, seed = case
+    return uniform_points(3, n, seed)
+
+
+def _hull_volume(pts):
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    corners = {(x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])}
+    if corners <= set(map(tuple, pts.tolist())):
+        return float(np.prod(hi - lo))  # the cloud holds its box's corners: the hull is the box
+    return convex_hull_volume(pts)
+
+
+@pytest.mark.parametrize("case", GENERIC_CLOUDS + ["lattice"], ids=str)
+def test_tetrahedralization_kernel_regressions(case):
+    from collections import Counter
+
+    pts = _kernel_cloud(case)
+    tet = tetrahedralize3(pts)
+    ok, witness = empty_circumspheres(pts, tet.tetrahedra, eps=1e-9)
+    assert ok, f"circumsphere violated: {witness}"
+    uses = Counter(tuple(sorted(np.delete(row, k))) for row in tet.tetrahedra for k in range(4))
+    assert max(uses.values()) <= 2
+    total = sum(tetra_volume(pts[a], pts[b], pts[c], pts[d]) for a, b, c, d in tet.tetrahedra)
+    assert total == pytest.approx(_hull_volume(pts), rel=1e-9)
+
+
+@pytest.mark.parametrize("case", GENERIC_CLOUDS, ids=str)
+def test_tetrahedralization_equals_qhull(case):
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = _kernel_cloud(case)
+    mine = {tuple(sorted(row)) for row in tetrahedralize3(pts).tetrahedra.tolist()}
+    qhull = {tuple(sorted(row)) for row in spatial.Delaunay(pts).simplices.tolist()}
+    assert mine == qhull
+
+
+def test_convex_hull_volume_counts_flat_faces_once():
+    # unit cube corners, points on its faces (many coplanar hull triples) and inside
+    rng = np.random.default_rng(3)
+    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float)
+    face = rng.random((30, 3))
+    face[np.arange(30), rng.integers(0, 3, 30)] = rng.integers(0, 2, 30)
+    pts = np.vstack([corners, face, 0.1 + 0.8 * rng.random((10, 3))])
+    assert convex_hull_volume(pts) == pytest.approx(1.0, rel=1e-12)
+    tet = tetrahedralize3(pts)
+    total = sum(tetra_volume(pts[a], pts[b], pts[c], pts[d]) for a, b, c, d in tet.tetrahedra)
+    assert total == pytest.approx(1.0, rel=1e-12)
+    ok, witness = empty_circumspheres(pts, tet.tetrahedra, eps=1e-9)
+    assert ok, witness

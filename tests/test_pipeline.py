@@ -61,3 +61,12 @@ def test_summary_names_stages(tmp_path):
     for stage in ("gen", "tri", "neighbors", "solve", "overlap", "build", "validate",
                   "validate_global", "export", "render", "emit"):
         assert stage in res.summary["timings"], stage
+
+
+def test_default_3d_cloud_with_hull_sliver_builds(tmp_path):
+    # cloud 6 of perfbench voronoi3d seed 1: a hull-pocket repair once left a
+    # wrong tetrahedralization here and build raised NonConvexCell
+    cfg = RunConfig(dimension=3, n=60, seed=1006, equal_radii=True, out_dir=str(tmp_path))
+    res = run_pipeline(cfg)
+    assert res.exit_code == 0
+    assert res.summary["global_ok"]

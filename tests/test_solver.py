@@ -24,7 +24,7 @@ from cvmesh.solver import (
 )
 
 from conftest import bcc_cell, exact_instance, hexagon_patch, uniform_points
-from oracles import gauss_solve, newton_equal_power_2d
+from oracles import gauss_solve, newton_equal_power_2d, radius_bounds_loop
 
 
 def test_vertex2_common_point_of_three_circles():
@@ -197,6 +197,47 @@ def test_empty_interval_reports_blocker():
     assert err.value.blocking_neighbor is not None
     lo, hi, clamped = bounds_arrays(nm, tri.points, policy="clamp")
     assert clamped and np.all(hi > lo)
+
+
+BOUNDS_SWEEP = (
+    [(2, n, s) for n in (20, 50) for s in (1, 2, 3)] + [(2, 400, 1), (2, 400, 2)]
+    + [(3, 30, s) for s in (1, 2, 3)] + [(3, 60, 1), (3, 60, 2), (3, 200, 1)]
+)
+
+
+@pytest.mark.parametrize("dim,n,seed", BOUNDS_SWEEP)
+def test_bounds_match_per_point_reference(dim, n, seed):
+    # The array code sums in another order than the scalar loop: 1e-13 relative.
+    pts = uniform_points(dim, n, seed)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    r_max, lo_ref, hi_ref, blocking = radius_bounds_loop(nm, tri.points)
+    got = max_radii(nm, tri.points)
+    np.testing.assert_allclose(got, r_max, rtol=1e-13, atol=0.0)
+    empty = [i for i in range(n) if lo_ref[i] >= hi_ref[i]]
+
+    lo, hi, clamped = bounds_arrays(nm, tri.points, policy="clamp")
+    assert clamped == empty
+    np.testing.assert_allclose(hi, hi_ref, rtol=1e-13, atol=0.0)
+    lo_ref[empty] = 0.0
+    assert np.all(np.abs(lo - lo_ref) <= 1e-13 * np.maximum(lo_ref, hi_ref))
+
+    bound = radius_bounds2 if dim == 2 else radius_bounds3
+    for i in range(n):
+        if i in empty:
+            with pytest.raises(EmptyInterval) as err:
+                bound(i, nm, tri.points, got)
+            assert err.value.blocking_neighbor == blocking[i]
+        else:
+            b = bound(i, nm, tri.points, got)
+            assert (b.lo, b.hi) == (lo[i], hi[i])
+    if empty:
+        with pytest.raises(EmptyInterval) as err:
+            bounds_arrays(nm, tri.points, policy="strict")
+        assert (err.value.point, err.value.blocking_neighbor) == (empty[0], blocking[empty[0]])
+    else:
+        strict = bounds_arrays(nm, tri.points, policy="strict")
+        assert np.array_equal(strict[0], lo) and np.array_equal(strict[1], hi)
 
 
 def test_objective_zero_on_constructed_instance():
