@@ -38,12 +38,7 @@ class TaggedPolyhedron:
 
     def volume(self) -> float:
         """Divergence-theorem volume; faces must be outward-oriented."""
-        total = 0.0
-        for f in self.faces:
-            v = f.verts
-            for k in range(1, len(v) - 1):
-                total += float(np.dot(v[0], np.cross(v[k], v[k + 1])))
-        return total / 6.0
+        return _loops_volume([f.verts for f in self.faces])
 
 
 def clip_polygon(poly: TaggedPolygon, normal, offset: float, tag, eps: float) -> TaggedPolygon | None:
@@ -231,12 +226,58 @@ def _cap_face(points: list[np.ndarray], n: np.ndarray, eps: float) -> np.ndarray
 
 def _newell_normal(verts: np.ndarray) -> np.ndarray:
     v = verts
-    w = np.roll(v, -1, axis=0)
+    w = np.concatenate((v[1:], v[:1]))
     return np.array([
         float(np.sum((v[:, 1] - w[:, 1]) * (v[:, 2] + w[:, 2]))),
         float(np.sum((v[:, 2] - w[:, 2]) * (v[:, 0] + w[:, 0]))),
         float(np.sum((v[:, 0] - w[:, 0]) * (v[:, 1] + w[:, 1]))),
     ])
+
+
+def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack non-empty vertex loops into one array.
+
+    Returns the (N, 3) vertices, the row where each loop starts (F,) and, per
+    row, the row of the next vertex around its loop (N,).
+    """
+    sizes = np.array([len(v) for v in loops], dtype=np.intp)
+    starts = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    succ = np.arange(1, int(sizes.sum()) + 1)
+    succ[starts + sizes - 1] = starts
+    return np.concatenate(loops), starts, succ
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k of two (N, d) arrays. np.matmul takes each
+    through the dot kernel of a 1-D `a[k] @ b[k]`, so every value equals the
+    one-row product bit for bit (np.einsum rounds in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _loops_volume(loops) -> float:
+    """Divergence-theorem volume bounded by outward-oriented vertex loops:
+    v[0] . (v[k] x v[k + 1]) / 6 summed over the fan triangles of every loop,
+    as a running total in fan order (so it equals that loop bit for bit)."""
+    if not loops:
+        return 0.0
+    v, starts, succ = _stack_loops(loops)
+    rows = np.arange(len(v))
+    mid = succ > rows        # neither the last row of its loop ...
+    mid[starts] = False      # ... nor the first
+    b = rows[mid]
+    a = starts[np.searchsorted(starts, b, side="right") - 1]
+    return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
+
+
+def _face_normals(v: np.ndarray, starts: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Newell normal of every loop of a `_stack_loops` stack in one pass, (F, 3).
+
+    Row f equals `_newell_normal` of loop f up to summation order (each sum
+    runs in loop order here, pairwise in np.sum from eight vertices on).
+    """
+    w = v[succ]
+    return np.add.reduceat((v - w)[:, [1, 2, 0]] * (v + w)[:, [2, 0, 1]], starts, axis=0)
 
 
 def box_polyhedron(lo, hi) -> TaggedPolyhedron:

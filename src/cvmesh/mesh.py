@@ -23,7 +23,11 @@ from .clipping import (
     clip_polyhedron,
     polygon_halfplanes,
     polyhedron_halfspaces,
+    _face_normals,
+    _loops_volume,
     _newell_normal,
+    _rowdot,
+    _stack_loops,
 )
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import NonConvexCell, NonPlanarFace, OrphanVertex
@@ -78,12 +82,14 @@ class ControlVolume:
             return 0.5 * float(
                 np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
             )
-        total = 0.0
-        for f in self.faces or []:
-            v = f.verts
-            for k in range(1, len(v) - 1):
-                total += float(np.dot(v[0], np.cross(v[k], v[k + 1])))
-        return total / 6.0
+        return _loops_volume([f.verts for f in self.faces or []])
+
+    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, c) of the non-degenerate faces (`_face_planes`), computed from
+        the current face loops on every call."""
+        stack = _stack_loops([f.verts for f in self.faces])
+        _, u, c = _face_planes(stack, _face_normals(*stack))
+        return u, c
 
     def contains(self, p, margin: float = 0.0) -> bool:
         """Point-in-cell test; negative margin demands strict interiority."""
@@ -97,14 +103,10 @@ class ControlVolume:
             ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
             cross = (e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])) / ln
             return bool(np.all(cross >= -margin))
-        for f in self.faces or []:
-            n = _newell_normal(f.verts)
-            nn = float(np.linalg.norm(n))
-            if nn == 0.0:
-                continue
-            if float(np.dot(n, p - f.verts[0])) / nn > margin:
-                return False
-        return bool(self.faces)
+        if not self.faces:
+            return False
+        u, c = self._planes()
+        return not np.any(u @ p - c > margin)
 
     def contains_many(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Vectorized contains() over an (M, dim) probe array."""
@@ -123,13 +125,8 @@ class ControlVolume:
         if not self.faces:
             return np.zeros(len(pts), dtype=bool)
         ok = np.ones(len(pts), dtype=bool)
-        for f in self.faces:
-            n = _newell_normal(f.verts)
-            nn = float(np.linalg.norm(n))
-            if nn == 0.0:
-                continue
-            d = (pts - f.verts[0]) @ (n / nn)
-            ok &= d <= margin
+        for n, c in zip(*self._planes()):
+            ok &= pts @ n - c <= margin
         return ok
 
 
@@ -225,15 +222,14 @@ def _check_convex2(owner: int, verts: np.ndarray, scale: float):
 
 
 def _match_simplex_ids(verts: np.ndarray, q: np.ndarray, candidates, eps: float) -> list:
-    ids = []
-    for v in verts:
-        found = None
-        for t in candidates:
-            if np.linalg.norm(q[t] - v) <= eps:
-                found = int(t)
-                break
-        ids.append(found)
-    return ids
+    """Per vertex, the first candidate simplex, in the given order, whose
+    candidate vertex q[t] lies within eps of it; None where none does."""
+    cand = np.asarray(candidates, dtype=np.intp)
+    if len(cand) == 0:
+        return [None] * len(verts)
+    near = np.linalg.norm(q[cand][None, :, :] - verts[:, None, :], axis=2) <= eps
+    first = np.where(near.any(axis=1), cand[near.argmax(axis=1)], -1)
+    return [None if t < 0 else t for t in first.tolist()]
 
 
 def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
@@ -338,28 +334,43 @@ def _face_loop_around_edge(i: int, j: int, q: np.ndarray, tet_ids, pts, eps: flo
     return np.asarray(keep_v), keep_i
 
 
-def _check_face_planarity(owner: int, face: CellFace, scale: float):
-    v = face.verts
-    n = _newell_normal(v)
-    nn = float(np.linalg.norm(n))
-    edge_scale = max(float(np.linalg.norm(v[k] - v[k - 1])) for k in range(len(v)))
-    if nn == 0.0 or edge_scale == 0.0:
-        return
-    dev = float(np.max(np.abs((v - v[0]) @ (n / nn))))
-    if dev > EPS_FACE * edge_scale:
-        raise NonPlanarFace(owner, face.neighbor, dev)
+def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planes of the loops of a `_stack_loops` stack with Newell normals
+    `normals`: the mask of loops with a nonzero normal, and for those the unit
+    normal u (F', 3) and offset c (F',), u . x = c through the first vertex."""
+    v, starts, _ = stack
+    nn = np.sqrt(_rowdot(normals, normals))
+    keep = nn != 0.0
+    u = normals[keep] / nn[keep, None]
+    return keep, u, _rowdot(u, v[starts[keep]])
 
 
-def _check_convex3(owner: int, faces: list[CellFace], scale: float):
-    allv = np.vstack([f.verts for f in faces])
-    for f in faces:
-        n = _newell_normal(f.verts)
-        nn = float(np.linalg.norm(n))
-        if nn == 0.0:
-            continue
-        d = (allv - f.verts[0]) @ (n / nn)
-        if float(d.max()) > 1e-9 * scale:
-            raise NonConvexCell(owner, f"vertex {d.max():.3g} outside face plane")
+def _check_face_planarity(owner: int, neighbors: list, stack, normals):
+    """Raise NonPlanarFace for the first face whose vertices leave the plane
+    through its first vertex by more than EPS_FACE times its longest edge;
+    faces with no normal or no edge length pass."""
+    v, starts, succ = stack
+    keep, u, _ = _face_planes(stack, normals)
+    face = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(v)))
+    unit = np.zeros_like(normals)
+    unit[keep] = u
+    dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], unit[face])), starts)
+    e = v[succ] - v
+    edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
+    bad = np.nonzero(keep & (edge != 0.0) & (dev > EPS_FACE * edge))[0]
+    if len(bad):
+        f = int(bad[0])
+        raise NonPlanarFace(owner, neighbors[f], float(dev[f]))
+
+
+def _check_convex3(owner: int, stack, normals, scale: float):
+    """Raise NonConvexCell for the first face with a cell vertex more than
+    1e-9 * scale outside its plane."""
+    _, u, c = _face_planes(stack, normals)
+    out = (stack[0] @ u.T - c).max(axis=0)
+    bad = np.nonzero(out > 1e-9 * scale)[0]
+    if len(bad):
+        raise NonConvexCell(owner, f"vertex {out[bad[0]]:.3g} outside face plane")
 
 
 def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
@@ -415,15 +426,16 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
         if poly is None:
             volumes.append(ControlVolume(owner=i, closed=False, faces=[]))
             continue
-        cell_faces = []
-        incident = list(star_ids)
-        for f in poly.faces:
-            face = CellFace(verts=f.verts, neighbor=f.tag,
-                            vertex_simplices=_match_simplex_ids(f.verts, q, incident, match_eps))
-            _check_face_planarity(i, face, scale)
-            cell_faces.append(face)
-            matched.update(t for t in face.vertex_simplices if t is not None)
-        _check_convex3(i, cell_faces, scale)
+        stack = _stack_loops([f.verts for f in poly.faces])
+        normals = _face_normals(*stack)
+        _check_face_planarity(i, [f.tag for f in poly.faces], stack, normals)
+        ids = _match_simplex_ids(stack[0], q, star_ids, match_eps)
+        matched.update(t for t in ids if t is not None)
+        cell_faces = [
+            CellFace(verts=f.verts, neighbor=f.tag, vertex_simplices=ids[s:s + len(f.verts)])
+            for f, s in zip(poly.faces, stack[1].tolist())
+        ]
+        _check_convex3(i, stack, normals, scale)
         volumes.append(ControlVolume(owner=i, closed=True, faces=cell_faces))
 
     _check_orphans(q, matched, domain_planes, eps_inside=match_eps)
@@ -472,23 +484,27 @@ def validate_perpendicularity(mesh: ControlVolumeMesh, pts: np.ndarray | None = 
                 if dev > tol:
                     violations.append((i, int(j), dev))
         else:
-            for f in cell.faces or []:
-                if f.neighbor is None:
-                    continue
-                axis = pts[f.neighbor] - pts[i]
-                axis = axis / np.linalg.norm(axis)
-                v = f.verts
-                worst = 0.0
-                for k in range(len(v)):
-                    e = v[(k + 1) % len(v)] - v[k]
-                    ln = float(np.linalg.norm(e))
-                    if ln <= 1e-12 * scale:
-                        continue
-                    worst = max(worst, abs(float(e @ axis)) / ln)
+            walls = [f for f in cell.faces or [] if f.neighbor is not None]
+            if not walls:
+                continue
+            nbr = [int(f.neighbor) for f in walls]
+            axis = pts[nbr] - pts[i]
+            axis = axis / np.sqrt(_rowdot(axis, axis))[:, None]
+            # per face, the largest |cos| between an edge of length above
+            # 1e-12 * scale and the axis (0.0 when it has no such edge)
+            v, starts, succ = _stack_loops([f.verts for f in walls])
+            e = v[succ] - v
+            ln = np.sqrt(_rowdot(e, e))
+            face = np.repeat(np.arange(len(walls)), np.diff(starts, append=len(v)))
+            dot = np.abs(_rowdot(e, axis[face]))
+            long = ln > 1e-12 * scale
+            cos = np.zeros(len(v))
+            cos[long] = dot[long] / ln[long]
+            for j, worst in zip(nbr, np.maximum.reduceat(cos, starts).tolist()):
                 dev = math.asin(min(1.0, worst))
                 checked += 1
                 if dev > tol:
-                    violations.append((i, int(f.neighbor), dev))
+                    violations.append((i, j, dev))
     return PerpendicularityReport(tol=tol, checked=checked, violations=violations)
 
 
@@ -576,7 +592,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
             owners_outside.append(cell.owner)
         box = _containment_box(cell, tol, 1e-9 * scale)
         if box is None:
-            cand = everything
+            inside = everything[cell.contains_many(targets, margin=-tol)]
         else:
             blo, bhi = box
             a = np.searchsorted(xs, blo[0], side="left")
@@ -584,7 +600,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
             rest = swept[a:b, 1:]
             in_box = np.all((rest >= blo[1:]) & (rest <= bhi[1:]), axis=1)
             cand = np.sort(by_x[a:b][in_box])
-        inside = cand[cell.contains_many(targets[cand], margin=-tol)]
+            inside = cand[cell.contains_many(targets[cand], margin=-tol)]
 
         m = inside[inside < probes]
         first_owner[m[hit[m] == 0]] = cell.owner
@@ -607,12 +623,12 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
 
 
 def _vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    used = np.zeros(len(b), dtype=bool)
-    for v in a:
-        d = np.linalg.norm(b - v, axis=1)
-        d[used] = np.inf
-        k = int(np.argmin(d))
-        if d[k] > tol:
+    """Greedy matching: each vertex of a, in order, takes the nearest unused
+    vertex of b, which must lie within tol."""
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    for row in d:
+        k = int(np.argmin(row))
+        if row[k] > tol:
             return False
-        used[k] = True
+        d[:, k] = np.inf
     return True

@@ -3,10 +3,14 @@
 Everything here is deliberately written from scratch (no imports from cvmesh
 beyond plain numpy) so the checks stay independent of the code paths they
 verify: direct circumcircle/circumsphere scans, half-plane-intersection
-Voronoi cells, a two-variable Newton solve for equal-power points, and a
-hand-rolled Gaussian elimination.
+Voronoi cells, a two-variable Newton solve for equal-power points, a
+hand-rolled Gaussian elimination, and one-face, one-vertex-at-a-time loops
+for the 3D cell containment, volume, simplex matching and perpendicularity
+that cvmesh computes as array code over whole cells.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -353,6 +357,103 @@ def vertex_sets_match(a, b, tol) -> bool:
             return False
         used[k] = True
     return True
+
+
+def newell_normal(verts) -> np.ndarray:
+    """Newell normal of one vertex loop, summed with np.sum per component."""
+    v = verts
+    w = np.roll(v, -1, axis=0)
+    return np.array([
+        float(np.sum((v[:, 1] - w[:, 1]) * (v[:, 2] + w[:, 2]))),
+        float(np.sum((v[:, 2] - w[:, 2]) * (v[:, 0] + w[:, 0]))),
+        float(np.sum((v[:, 0] - w[:, 0]) * (v[:, 1] + w[:, 1]))),
+    ])
+
+
+def cell_contains3(cell, p, margin: float = 0.0) -> bool:
+    """Point-in-cell test for a 3D cell, one face at a time: p must lie within
+    margin of the inner side of the plane through each face's first vertex;
+    faces with a zero normal are skipped."""
+    p = np.asarray(p, dtype=float)
+    for f in cell.faces or []:
+        n = newell_normal(f.verts)
+        nn = float(np.linalg.norm(n))
+        if nn == 0.0:
+            continue
+        if float(np.dot(n, p - f.verts[0])) / nn > margin:
+            return False
+    return bool(cell.faces)
+
+
+def cell_contains_many3(cell, pts, margin: float = 0.0) -> np.ndarray:
+    """cell_contains3 over an (M, 3) array, one face at a time."""
+    if not cell.faces:
+        return np.zeros(len(pts), dtype=bool)
+    ok = np.ones(len(pts), dtype=bool)
+    for f in cell.faces:
+        n = newell_normal(f.verts)
+        nn = float(np.linalg.norm(n))
+        if nn == 0.0:
+            continue
+        d = (pts - f.verts[0]) @ (n / nn)
+        ok &= d <= margin
+    return ok
+
+
+def cell_volume3(cell) -> float:
+    """Divergence-theorem volume of a 3D cell, summed over each face's fan
+    triangles one at a time."""
+    total = 0.0
+    for f in cell.faces or []:
+        v = f.verts
+        for k in range(1, len(v) - 1):
+            total += float(np.dot(v[0], np.cross(v[k], v[k + 1])))
+    return total / 6.0
+
+
+def match_simplex_ids(verts, q, candidates, eps) -> list:
+    """Per vertex, the first candidate t in order with |q[t] - v| <= eps, else None."""
+    ids = []
+    for v in verts:
+        found = None
+        for t in candidates:
+            if np.linalg.norm(q[t] - v) <= eps:
+                found = int(t)
+                break
+        ids.append(found)
+    return ids
+
+
+def perpendicularity_loop3(mesh, tol: float = 1e-6) -> tuple[int, list]:
+    """(checked, violations) of the wall-perpendicularity check of a 3D mesh,
+    one wall and one edge at a time: per wall, the arcsine of the largest
+    |cos| between an edge longer than 1e-12 * scale and the segment joining
+    the two generators."""
+    pts = mesh.points
+    dv = mesh.domain.vertices()
+    scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
+    checked = 0
+    violations = []
+    for cell in mesh.volumes:
+        i = cell.owner
+        for f in cell.faces or []:
+            if f.neighbor is None:
+                continue
+            axis = pts[f.neighbor] - pts[i]
+            axis = axis / np.linalg.norm(axis)
+            v = f.verts
+            worst = 0.0
+            for k in range(len(v)):
+                e = v[(k + 1) % len(v)] - v[k]
+                ln = float(np.linalg.norm(e))
+                if ln <= 1e-12 * scale:
+                    continue
+                worst = max(worst, abs(float(e @ axis)) / ln)
+            dev = math.asin(min(1.0, worst))
+            checked += 1
+            if dev > tol:
+                violations.append((i, int(f.neighbor), dev))
+    return checked, violations
 
 
 def dedup_vertices(verts, tol):

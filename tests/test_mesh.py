@@ -5,10 +5,15 @@ from functools import cache
 import numpy as np
 import pytest
 
+from cvmesh.clipping import _face_normals, _newell_normal, _stack_loops
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
-from cvmesh.errors import NonConvexCell
+from cvmesh.errors import NonConvexCell, NonPlanarFace
 from cvmesh.mesh import (
+    _check_convex3,
+    _check_face_planarity,
     _containment_box,
+    _match_simplex_ids,
+    _vertex_sets_match,
     build_volumes2,
     build_volumes3,
     validate_global,
@@ -18,7 +23,12 @@ from cvmesh.solver import VolumeMode, solve_radii
 
 from conftest import hexagon_patch, uniform_points
 from oracles import (
+    cell_contains3,
+    cell_contains_many3,
+    cell_volume3,
     dedup_vertices,
+    match_simplex_ids,
+    perpendicularity_loop3,
     validate_global_brute_force,
     vertex_sets_match,
     voronoi_cell_2d,
@@ -362,3 +372,154 @@ def test_validate_global_without_margin_scans_every_point():
     report = validate_global(mesh, probes=500, tol=0.0)
     assert asdict(report) == validate_global_brute_force(mesh, probes=500, tol=0.0)
     assert (0, 4) in report.foreign_points
+
+
+def _cell_stack(faces):
+    stack = _stack_loops([f.verts for f in faces])
+    return stack, _face_normals(*stack)
+
+
+def _cube_center_faces():
+    pts = np.array(
+        [[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)] + [[0.5, 0.5, 0.5]]
+    )
+    tet = tetrahedralize3(pts)
+    mesh = build_volumes3(tet, neighbor_map(tet), pts, np.full(9, 0.3))
+    return copy.deepcopy(mesh.cell(8).faces)
+
+
+def test_face_normals_equal_per_loop_newell():
+    """One reduceat pass gives each loop's Newell normal; loops of eight or
+    more vertices sum in another order than np.sum, hence the tolerance."""
+    rng = np.random.default_rng(7)
+    loops = []
+    for k in range(3, 13):
+        ang = np.sort(rng.random(k)) * 2.0 * np.pi
+        frame = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        flat = np.column_stack([np.cos(ang), np.sin(ang), 1e-3 * rng.standard_normal(k)])
+        loops.append(0.5 + 0.4 * flat @ frame)
+    loops.append(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))  # zero area
+    assert max(len(v) for v in loops) >= 8
+    got = _face_normals(*_stack_loops(loops))
+    ref = np.array([_newell_normal(v) for v in loops])
+    scale = max(float(np.ptp(v, axis=0).max()) for v in loops)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * scale)
+    assert not got[-1].any()
+
+
+def test_match_simplex_ids_takes_first_candidate_in_order():
+    q = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])  # last: a clip point
+    for cand, want in (([2, 1, 3], [2, 3, None]), ([1, 2, 3], [1, 3, None]),
+                       (np.array([3, 2, 1]), [2, 3, None]), ([], [None] * 3),
+                       (np.empty(0, dtype=np.int64), [None] * 3)):
+        got = _match_simplex_ids(verts, q, cand, 1e-9)
+        assert got == want == match_simplex_ids(verts, q, cand, 1e-9)
+        assert all(type(t) is int for t in got if t is not None)
+
+
+def test_vertex_sets_match_uses_each_vertex_once():
+    p, q = [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]
+    near = [1e-12, 0.0, 0.0]
+    for a, b, want in (([p, q], [q, p], True), ([p, near], [near, p], True),
+                       ([p, p], [p, q], False), ([p, q], [p, [1.0, 1e-3, 0.0]], False)):
+        a, b = np.array(a), np.array(b)
+        assert _vertex_sets_match(a, b, 1e-9) is want
+        assert vertex_sets_match(a, b, 1e-9) is want
+
+
+def test_displaced_face_vertex_raises_nonplanar_3d():
+    faces = _cube_center_faces()
+    neighbors = [f.neighbor for f in faces]
+    _check_face_planarity(8, neighbors, *_cell_stack(faces))
+    k = next(k for k, f in enumerate(faces) if len(f.verts) >= 4 and f.neighbor is not None)
+    n = _newell_normal(faces[k].verts)
+    faces[k].verts = faces[k].verts.copy()
+    faces[k].verts[1] += 1e-3 * n / np.linalg.norm(n)
+    with pytest.raises(NonPlanarFace) as err:
+        _check_face_planarity(8, neighbors, *_cell_stack(faces))
+    assert (err.value.owner, err.value.neighbor) == (8, faces[k].neighbor)
+    assert err.value.deviation > 1e-4
+
+
+def test_outside_vertex_raises_nonconvex_3d():
+    faces = _cube_center_faces()
+    _check_convex3(8, *_cell_stack(faces), scale=1.0)
+    n = _newell_normal(faces[0].verts)
+    faces[0].verts = faces[0].verts + 0.05 * n / np.linalg.norm(n)  # still planar
+    stack, normals = _cell_stack(faces)
+    _check_face_planarity(8, [f.neighbor for f in faces], stack, normals)
+    with pytest.raises(NonConvexCell) as err:
+        _check_convex3(8, stack, normals, scale=1.0)
+    assert err.value.owner == 8
+
+
+def test_nonconvex_cell_reported_not_repaired_3d():
+    pts = uniform_points(3, 30, 1)  # clamped radical-center radii bend a cell here
+    tet = tetrahedralize3(pts)
+    nm = neighbor_map(tet)
+    sol = solve_radii(tet, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
+    with pytest.raises(NonConvexCell) as err:
+        build_volumes3(tet, nm, pts, sol.radii)
+    assert err.value.owner == 0
+
+
+@cache
+def _sweep_mesh(dim, n, seed):
+    pts = uniform_points(dim, n, seed)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    build = build_volumes2 if dim == 2 else build_volumes3
+    return nm, build(tri, nm, pts, np.full(len(pts), 0.05))
+
+
+KERNEL_SWEEP = (
+    [(3, n, seed) for n in (30, 60) for seed in range(1, 6)]
+    + [(3, 200, 1), (2, 400, 1), (2, 400, 2)]
+)
+
+
+@pytest.mark.parametrize("dim, n, seed", KERNEL_SWEEP)
+def test_cell_kernels_equal_loop_references(dim, n, seed):
+    """The stacked-loop kernels against the one-face, one-vertex loops of
+    tests/oracles.py: identical simplex ids and containment masks, equal
+    perpendicularity reports, volumes to 1e-13."""
+    nm, mesh = _sweep_mesh(dim, n, seed)
+    q = mesh.simplex_vertices
+    scale = mesh.scale()
+    for cell in mesh.volumes:
+        i = cell.owner
+        if dim == 2:
+            want = match_simplex_ids(cell.verts, q, nm.ring_simplices[i], 1e-9 * scale)
+            assert cell.vertex_simplices == want
+        else:
+            got = [t for f in cell.faces for t in f.vertex_simplices]
+            want = match_simplex_ids(cell.all_vertices(), q, nm.star_simplices[i], 1e-9 * scale)
+            assert got == want
+    if dim == 2:
+        return
+
+    rng = np.random.default_rng(seed)
+    dv = mesh.domain.vertices()
+    lo, hi = dv.min(axis=0), dv.max(axis=0)
+    targets = np.vstack([lo + (hi - lo) * rng.random((10_000, 3)), mesh.points])
+    tol = 1e-9 * scale
+    for cell in mesh.volumes:
+        got = cell.contains_many(targets, -tol)
+        assert np.array_equal(got, cell_contains_many3(cell, targets, -tol))
+        near = [cell.owner] + [f.neighbor for f in cell.faces if f.neighbor is not None]
+        for j in near:
+            assert cell.contains(mesh.points[j], -tol) == cell_contains3(cell, mesh.points[j], -tol)
+        assert cell.measure() == pytest.approx(cell_volume3(cell), rel=1e-13, abs=0.0)
+    report = validate_perpendicularity(mesh)
+    assert (report.checked, report.violations) == perpendicularity_loop3(mesh)
+
+
+def test_perpendicularity_3d_flags_displaced_vertex_as_loop_reference():
+    mesh, i = copy.deepcopy(_instance("uni60_3d"))
+    f = next(f for f in mesh.cell(i).faces if f.neighbor is not None)
+    f.verts = f.verts.copy()
+    f.verts[0] += np.array([1e-3, 2e-3, -1e-3])
+    report = validate_perpendicularity(mesh, tol=1e-6)
+    assert (i, f.neighbor) in {(a, b) for a, b, _ in report.violations}
+    assert (report.checked, report.violations) == perpendicularity_loop3(mesh, tol=1e-6)
