@@ -16,21 +16,6 @@ from .delaunay import (
     triangulate2,
 )
 from .errors import CvMeshError
-from .geometry import (
-    HeightSource,
-    HeightValue,
-    Point,
-    TriangleKind,
-    TriangleShape,
-    classify_triangle,
-    distance2,
-    distance3,
-    neighbor_height2,
-    neighbor_height3,
-    point_line_distance2,
-    point_line_distance3,
-    tetra_height,
-)
 from .io import RunConfig, export_mesh, generate_points, mesh_from_doc, read_json
 from .mesh import (
     ControlVolume,
@@ -49,22 +34,13 @@ from .optimize import (
 )
 from .pipeline import run_pipeline
 from .solver import (
-    CandidateVertex,
-    CramerDeterminants,
     OverlapKind,
     OverlapMode,
-    RadiusBounds,
     RadiusVector,
     VolumeMode,
     classify_overlap,
-    cramer3,
     max_radii,
-    objective,
-    radius_bounds2,
-    radius_bounds3,
     solve_radii,
-    vertex2,
-    vertex3,
 )
 from .svg import SvgOptions, render_svg
 

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .delaunay import Triangulation2, Triangulation3, _adjacency2, _adjacency3, neighbor_map, \
-    tetrahedralize3, triangulate2
+from .delaunay import Triangulation2, Triangulation3, _adjacency, neighbor_map, tetrahedralize3, \
+    triangulate2
 from .errors import CvMeshError, PipelineError
 from .io import (
     RunConfig,
@@ -60,16 +60,15 @@ def _load_triangulation(path: str):
     pts = np.asarray(doc["points"], dtype=float)
     simplices = np.asarray(doc["simplices"], dtype=np.int64)
     if doc["dimension"] == 2:
-        return Triangulation2(points=pts, triangles=simplices, adjacency=_adjacency2(simplices))
-    return Triangulation3(points=pts, tetrahedra=simplices, adjacency=_adjacency3(simplices))
+        return Triangulation2(points=pts, triangles=simplices, adjacency=_adjacency(simplices))
+    return Triangulation3(points=pts, tetrahedra=simplices, adjacency=_adjacency(simplices))
 
 
 def cmd_gen(args) -> int:
     config = _config_from_args(args)
-    points = generate_points(config)
-    pts = np.asarray([p.coords for p in points])
+    pts = generate_points(config)
     write_json(points_doc(pts, config), args.out)
-    print(f"wrote {len(points)} points to {args.out}")
+    print(f"wrote {len(pts)} points to {args.out}")
     return EXIT_OK
 
 

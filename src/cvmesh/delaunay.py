@@ -34,7 +34,7 @@ class Triangulation2:
 
     points: np.ndarray                 # (N, 2)
     triangles: np.ndarray              # (T, 3) int, CCW
-    adjacency: np.ndarray = field(repr=False, default=None)  # (T, 3); entry k faces edge (v_k, v_{k+1})
+    adjacency: np.ndarray = field(repr=False, default=None)  # (T, 3); entry k faces the edge opposite v_k
 
     @property
     def dim(self) -> int:
@@ -99,18 +99,6 @@ class NeighborMap:
     @property
     def n_points(self) -> int:
         return len(self.rings) if self.dim == 2 else len(self.stars)
-
-    def ring(self, i: int) -> np.ndarray:
-        return self.rings[i]
-
-    def M(self, i: int) -> int:
-        return len(self.rings[i])
-
-    def star(self, i: int) -> np.ndarray:
-        return self.stars[i]
-
-    def N(self, i: int) -> int:
-        return len(self.stars[i])
 
     def neighbors(self, i: int) -> np.ndarray:
         """All Delaunay neighbors of i (sorted unique ids in 3D, ring order in 2D)."""
@@ -201,31 +189,26 @@ def _incircle_det(a, b, c, p) -> float:
     )
 
 
-def _canonical_rows_2(tris: np.ndarray) -> np.ndarray:
-    """Rotate each CCW triple so its smallest id is first, then sort rows."""
-    out = np.empty_like(tris)
-    for r, (a, b, c) in enumerate(tris):
-        rots = [(a, b, c), (b, c, a), (c, a, b)]
-        out[r] = min(rots)
-    order = np.lexsort((out[:, 2], out[:, 1], out[:, 0]))
-    return out[order]
+# Even permutations of a row's corners: they keep its orientation.
+_EVEN_PERMS = {
+    3: [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
+    4: [
+        (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
+        (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
+        (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1),
+        (3, 0, 2, 1), (3, 1, 0, 2), (3, 2, 1, 0),
+    ],
+}
 
 
-_EVEN_PERMS_4 = [
-    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
-    (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
-    (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1),
-    (3, 0, 2, 1), (3, 1, 0, 2), (3, 2, 1, 0),
-]
-
-
-def _canonical_rows_3(tets: np.ndarray) -> np.ndarray:
-    """Apply the smallest even permutation per tet (orientation preserved), sort rows."""
-    out = np.empty_like(tets)
-    for r, row in enumerate(tets):
-        out[r] = min(tuple(row[list(p)]) for p in _EVEN_PERMS_4)
-    order = np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))
-    return out[order]
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Apply the lexicographically smallest even permutation to each row
+    (orientation preserved; in 2D, the rotation starting at the smallest id),
+    then sort the rows."""
+    perms = _EVEN_PERMS[rows.shape[1]]
+    out = np.asarray([min(tuple(row[k] for k in p) for p in perms) for row in rows.tolist()],
+                     dtype=np.int64).reshape(rows.shape)
+    return out[np.lexsort(out.T[::-1])]
 
 
 def triangulate2(points) -> Triangulation2:
@@ -310,8 +293,8 @@ def triangulate2(points) -> Triangulation2:
 
     keep = [t for t in range(count) if alive[t] and tri[t].max() < n]
     rows = _fill_hull_pockets_2(pts, [tuple(int(v) for v in tri[t]) for t in keep])
-    triangles = _canonical_rows_2(np.asarray(rows, dtype=np.int64))
-    adjacency = _adjacency2(triangles)
+    triangles = _canonical_rows(np.asarray(rows, dtype=np.int64))
+    adjacency = _adjacency(triangles)
     return Triangulation2(points=pts, triangles=triangles, adjacency=adjacency)
 
 
@@ -403,13 +386,14 @@ def _star_shaped_cavity_2(bad: set[int], tri: np.ndarray, allp: np.ndarray, p: i
     return {best}
 
 
-def _adjacency2(triangles: np.ndarray) -> np.ndarray:
-    owner: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            key = (u, v) if u < v else (v, u)
-            owner.setdefault(key, []).append((t, k))
-    adj = np.full((len(triangles), 3), -1, dtype=np.int64)
+def _adjacency(simplices: np.ndarray) -> np.ndarray:
+    """Entry [t, k] is the simplex across the facet opposite corner k of
+    simplex t, or -1 when that facet is on the hull."""
+    owner: dict[tuple, list[tuple[int, int]]] = {}
+    for t, row in enumerate(simplices.tolist()):
+        for k in range(len(row)):
+            owner.setdefault(tuple(sorted(row[:k] + row[k + 1:])), []).append((t, k))
+    adj = np.full(simplices.shape, -1, dtype=np.int64)
     for entries in owner.values():
         if len(entries) == 2:
             (t1, k1), (t2, k2) = entries
@@ -612,24 +596,9 @@ def tetrahedralize3(points) -> Triangulation3:
         add(new)
 
     keep = alive[:count] & ~ghost[:count]
-    tets = _canonical_rows_3(tet[:count][keep])
-    adjacency = _adjacency3(tets)
+    tets = _canonical_rows(tet[:count][keep])
+    adjacency = _adjacency(tets)
     return Triangulation3(points=pts, tetrahedra=tets, adjacency=adjacency)
-
-
-def _adjacency3(tets: np.ndarray) -> np.ndarray:
-    owner: dict[tuple, list[tuple[int, int]]] = {}
-    for t, row in enumerate(tets):
-        for k in range(4):
-            face = tuple(sorted(np.delete(row, k)))
-            owner.setdefault(face, []).append((t, k))
-    adj = np.full((len(tets), 4), -1, dtype=np.int64)
-    for entries in owner.values():
-        if len(entries) == 2:
-            (t1, k1), (t2, k2) = entries
-            adj[t1, k1] = t2
-            adj[t2, k2] = t1
-    return adj
 
 
 def neighbor_map(tri: Triangulation2 | Triangulation3) -> NeighborMap:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .clipping import TaggedFace, TaggedPolygon, TaggedPolyhedron
 from .errors import IoFailure, RejectionBudgetExceeded, UnsupportedFormat
-from .geometry import Point
 from .mesh import CellFace, ControlVolume, ControlVolumeMesh
 from .optimize import RosenbrockParams, SoftSelectionParams
 
@@ -247,9 +246,9 @@ def _border_samples(lo, hi, spacing: float, rng) -> list[np.ndarray]:
     return pts
 
 
-def generate_points(config: RunConfig) -> list[Point]:
-    """N seeded points in the box, thinned by rejection to a minimum pairwise
-    separation of min_sep_factor * side / N^(1/dim).
+def generate_points(config: RunConfig) -> np.ndarray:
+    """N seeded points in the box as an (N, dim) array, thinned by rejection to
+    a minimum pairwise separation of min_sep_factor * side / N^(1/dim).
 
     With boundary sampling on (the default), the box corners and a jittered
     border layer are placed first and the interior is filled by uniform
@@ -284,10 +283,7 @@ def generate_points(config: RunConfig) -> list[Point]:
             continue
         pts[k] = cand
         k += 1
-
-    if d == 2:
-        return [Point(a=float(p[0]), b=float(p[1]), id=i) for i, p in enumerate(pts)]
-    return [Point(a=float(p[0]), b=float(p[1]), c=float(p[2]), id=i) for i, p in enumerate(pts)]
+    return pts
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from .solver import RadiusVector, simplex_systems
 
 EPS_FACE = 1e-6       # face planarity, relative to the face edge scale
-DEFAULT_INFLATE = 0.05
+DOMAIN_PAD = 0.05     # domain box padding, relative to the points' largest extent
 
 
 @dataclass
@@ -181,18 +181,19 @@ class ControlVolumeMesh:
         return walls
 
 
-def bounding_domain2(pts: np.ndarray, inflate: float = DEFAULT_INFLATE) -> TaggedPolygon:
+def _padded_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    pad = inflate * max(float((hi - lo).max()), 1e-12)
-    return box_polygon(lo - pad, hi + pad)
+    pad = DOMAIN_PAD * max(float((hi - lo).max()), 1e-12)
+    return lo - pad, hi + pad
 
 
-def bounding_domain3(pts: np.ndarray, inflate: float = DEFAULT_INFLATE) -> TaggedPolyhedron:
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    pad = inflate * max(float((hi - lo).max()), 1e-12)
-    return box_polyhedron(lo - pad, hi + pad)
+def bounding_domain2(pts: np.ndarray) -> TaggedPolygon:
+    return box_polygon(*_padded_box(pts))
+
+
+def bounding_domain3(pts: np.ndarray) -> TaggedPolyhedron:
+    return box_polyhedron(*_padded_box(pts))
 
 
 def _power_bisector(pi, pj, ri, rj):
@@ -552,7 +553,8 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     box (`_containment_box`); the points outside it cannot pass the strict
     containment test, so the report equals that of testing every point
     against every cell. A cell without a known box (every 3D cell, and every
-    cell when tol <= 0) tests every point.
+    cell when tol <= 0) tests every point. The owner is inside its cell when
+    its own generator row passes that same test.
     """
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
@@ -588,8 +590,6 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
         if cell.empty:
             owners_outside.append(cell.owner)
             continue
-        if not cell.contains(pts[cell.owner], margin=-tol):
-            owners_outside.append(cell.owner)
         box = _containment_box(cell, tol, 1e-9 * scale)
         if box is None:
             inside = everything[cell.contains_many(targets, margin=-tol)]
@@ -607,9 +607,10 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
         for k in m[hit[m] > 0]:
             overlaps.append((int(k), int(first_owner[k]), cell.owner))
         hit[m] += 1
-        for j in inside[inside >= probes] - probes:
-            if int(j) != cell.owner:
-                foreign.append((cell.owner, int(j)))
+        generators = (inside[inside >= probes] - probes).tolist()
+        if cell.owner not in generators:
+            owners_outside.append(cell.owner)
+        foreign += [(cell.owner, j) for j in generators if j != cell.owner]
 
     return GlobalReport(
         shared_wall_mismatches=mismatches,

@@ -4,34 +4,24 @@ mode logic assembling the final radius vector.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
-from .errors import DegenerateTetrahedron, DegenerateTriangle, EmptyInterval
-from .geometry import EPS_AREA, EPS_VOL, neighbor_heights, tetra_heights
+from .errors import EmptyInterval
+from .geometry import neighbor_heights, tetra_heights
 from .optimize import SoftSelectionParams, soft_selection_minimize
 
 __all__ = [
     "VolumeMode",
     "RadiusVector",
-    "RadiusBounds",
-    "CandidateVertex",
-    "CramerDeterminants",
     "OverlapKind",
     "OverlapMode",
     "SolveResult",
-    "vertex2",
-    "vertex3",
-    "cramer3",
     "max_radii",
-    "radius_bounds2",
-    "radius_bounds3",
     "bounds_arrays",
-    "objective",
     "classify_overlap",
     "solve_radii",
     "simplex_systems",
@@ -52,43 +42,6 @@ class OverlapKind(Enum):
 class RadiusVector:
     r: np.ndarray
     mode: VolumeMode
-
-
-@dataclass(frozen=True)
-class RadiusBounds:
-    lo: float
-    hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class CandidateVertex:
-    """Radical center of one simplex's circles/spheres; residual is the
-    absolute power mismatch (zero exactly when the circles meet at a point)."""
-
-    x: float
-    y: float
-    z: float | None
-    simplex: int
-    residual: float
-
-    @property
-    def coords(self) -> tuple[float, ...]:
-        return (self.x, self.y) if self.z is None else (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class CramerDeterminants:
-    w: float
-    wx: float
-    wy: float
-    wz: float
-    d1: float
-    d2: float
-    d3: float
 
 
 @dataclass(frozen=True)
@@ -114,93 +67,6 @@ class SolveResult:
     trace: list[float] = field(default_factory=list)   # best objective per ES generation
 
 
-def _coords(p, dim):
-    arr = np.asarray(getattr(p, "coords", p), dtype=float).reshape(-1)
-    if arr.size != dim:
-        raise ValueError(f"expected {dim}D center, got {arr}")
-    return arr
-
-
-def vertex2(c1, c2, c3, r1: float, r2: float, r3: float, simplex: int = -1) -> CandidateVertex:
-    """Radical center of three circles: the unique point with equal power to all
-    three. When the circles share a common point, that point is returned and the
-    residual vanishes. Closed form, rational in the squared radii."""
-    a1, b1 = _coords(c1, 2)
-    a2, b2 = _coords(c2, 2)
-    a3, b3 = _coords(c3, 2)
-    den = 2.0 * ((a1 - a2) * (b1 - b3) - (a1 - a3) * (b1 - b2))
-    longest = max(
-        math.hypot(a1 - a2, b1 - b2),
-        math.hypot(a2 - a3, b2 - b3),
-        math.hypot(a1 - a3, b1 - b3),
-    )
-    if abs(den) <= 4.0 * EPS_AREA * longest * longest:
-        raise DegenerateTriangle("collinear circle centers")
-    q1 = a1 * a1 + b1 * b1
-    q2 = a2 * a2 + b2 * b2
-    q3 = a3 * a3 + b3 * b3
-    num_x = (
-        -(b2 - b3) * r1 * r1 + (b1 - b3) * r2 * r2 - (b1 - b2) * r3 * r3
-        + q1 * (b2 - b3) - q2 * (b1 - b3) + q3 * (b1 - b2)
-    )
-    num_y = (
-        (a2 - a3) * r1 * r1 - (a1 - a3) * r2 * r2 + (a1 - a2) * r3 * r3
-        - q1 * (a2 - a3) + q2 * (a1 - a3) - q3 * (a1 - a2)
-    )
-    x = num_x / den
-    y = num_y / den
-    residual = abs((x - a1) ** 2 + (y - b1) ** 2 - r1 * r1)
-    return CandidateVertex(x=x, y=y, z=None, simplex=simplex, residual=residual)
-
-
-def _det3(m) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def cramer3(c1, c2, c3, c4, r1: float, r2: float, r3: float, r4: float) -> CramerDeterminants:
-    """Cramer determinants of the pairwise-difference sphere system."""
-    p1 = _coords(c1, 3)
-    p2 = _coords(c2, 3)
-    p3 = _coords(c3, 3)
-    p4 = _coords(c4, 3)
-    rows = [2.0 * (p1 - p) for p in (p2, p3, p4)]
-    d = [
-        r2 * r2 - r1 * r1 + float(p1 @ p1 - p2 @ p2),
-        r3 * r3 - r1 * r1 + float(p1 @ p1 - p3 @ p3),
-        r4 * r4 - r1 * r1 + float(p1 @ p1 - p4 @ p4),
-    ]
-    w = _det3(rows)
-    wx = _det3([[d[k], rows[k][1], rows[k][2]] for k in range(3)])
-    wy = _det3([[rows[k][0], d[k], rows[k][2]] for k in range(3)])
-    wz = _det3([[rows[k][0], rows[k][1], d[k]] for k in range(3)])
-    return CramerDeterminants(w=w, wx=wx, wy=wy, wz=wz, d1=d[0], d2=d[1], d3=d[2])
-
-
-def vertex3(c1, c2, c3, c4, r1: float, r2: float, r3: float, r4: float,
-            simplex: int = -1) -> CandidateVertex:
-    """Radical center of four spheres, solved by Cramer's rule."""
-    cd = cramer3(c1, c2, c3, c4, r1, r2, r3, r4)
-    p1 = _coords(c1, 3)
-    p2 = _coords(c2, 3)
-    p3 = _coords(c3, 3)
-    p4 = _coords(c4, 3)
-    longest = max(
-        float(np.linalg.norm(u - v))
-        for u, v in ((p1, p2), (p1, p3), (p1, p4), (p2, p3), (p2, p4), (p3, p4))
-    )
-    if abs(cd.w) <= 48.0 * EPS_VOL * longest**3:
-        raise DegenerateTetrahedron("coplanar sphere centers")
-    x = cd.wx / cd.w
-    y = cd.wy / cd.w
-    z = cd.wz / cd.w
-    residual = abs((x - p1[0]) ** 2 + (y - p1[1]) ** 2 + (z - p1[2]) ** 2 - r1 * r1)
-    return CandidateVertex(x=x, y=y, z=z, simplex=simplex, residual=residual)
-
-
 def _upper_rows(nm: NeighborMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(point, height) for every incident simplex of every point: in 2D the
     triangle (i, ring[k], ring[k+1]) of each ring pair, in 3D each star row."""
@@ -223,7 +89,7 @@ def _upper_rows(nm: NeighborMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _lower_rows(nm: NeighborMap, pts: np.ndarray,
                 points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(point, neighbour, reach) rows of the lower-bound rule for `points`, in
-    the order radius_bounds2/3 visit them. Reach is the neighbour distance in
+    ring order (2D) or star-row order (3D). Reach is the neighbour distance in
     2D and the wall-triangle height towards the neighbour in 3D."""
     if nm.dim == 2:
         rows = [nm.rings[i] for i in points]
@@ -269,36 +135,6 @@ def max_radii(nm: NeighborMap, pts: np.ndarray) -> np.ndarray:
 
 def _empty_interval(i, lo, hi, blocking) -> EmptyInterval:
     return EmptyInterval(int(i), float(lo), float(hi), int(blocking) if blocking >= 0 else None)
-
-
-def _radius_bounds(i: int, nm: NeighborMap, pts: np.ndarray,
-                   r_max: np.ndarray | None) -> RadiusBounds:
-    if r_max is None:
-        r_max = max_radii(nm, pts)
-    lo, blocking = _lower_bounds(nm, pts, r_max, np.array([i]))
-    if lo[0] >= r_max[i]:
-        raise _empty_interval(i, lo[0], r_max[i], blocking[0])
-    return RadiusBounds(lo=float(lo[0]), hi=float(r_max[i]))
-
-
-def radius_bounds2(i: int, nm: NeighborMap, pts: np.ndarray,
-                   r_max: np.ndarray | None = None) -> RadiusBounds:
-    """Open admissible interval for the radius at point i (2D).
-
-    hi is the minimum incident-triangle height; lo is the largest neighbor
-    distance minus that neighbor's own max radius, floored at zero.
-    """
-    return _radius_bounds(i, nm, pts, r_max)
-
-
-def radius_bounds3(i: int, nm: NeighborMap, pts: np.ndarray,
-                   r_max: np.ndarray | None = None) -> RadiusBounds:
-    """Open admissible interval for the radius at point i (3D).
-
-    hi is the minimum incident-tetra height; lo pairs each wall-triangle height
-    with the max radius of the neighbor it is measured to, floored at zero.
-    """
-    return _radius_bounds(i, nm, pts, r_max)
 
 
 def bounds_arrays(nm: NeighborMap, pts: np.ndarray,
@@ -457,16 +293,6 @@ def simplex_systems(tri: Triangulation2 | Triangulation3):
     return TetraSystems3(tri.points, tri.tetrahedra)
 
 
-def objective(r, tri, nm: NeighborMap | None = None, pts: np.ndarray | None = None) -> float:
-    """Scale-invariant power-mismatch objective over all simplices.
-
-    Sum of w_s * power(Q_s, first circle)^2 with w_s = 1 / mean-edge^4; zero
-    exactly when every simplex's circles/spheres meet at a single point.
-    """
-    rr = r.r if isinstance(r, RadiusVector) else np.asarray(r, dtype=float)
-    return simplex_systems(tri).objective(rr)
-
-
 def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     """Label every Delaunay-neighbor pair as overlapping (L - (r_i + r_j) <= 0,
     tangency included) or non-overlapping (strictly positive gap)."""
@@ -494,7 +320,6 @@ def solve_radii(
     r0: np.ndarray | None = None,
     params: SoftSelectionParams | None = None,
     equal_radii: bool = False,
-    equal_radius: float | None = None,
     bounds_policy: str = "strict",
 ) -> SolveResult:
     """Produce the radius vector for a triangulation.
@@ -502,8 +327,9 @@ def solve_radii(
     RADICAL_CENTER mode sets each radius to its interval midpoint and takes
     vertices directly as radical centers (no optimization). EXACT_INTERSECTION
     mode minimizes the power-mismatch objective inside the strict bounds box
-    (soft selection plus a rotating-direction polish). equal_radius bypasses
-    both and assigns one shared radius (the Voronoi-equivalence override).
+    (soft selection plus a rotating-direction polish). equal_radii bypasses
+    both and assigns every point half the smallest max radius (the
+    Voronoi-equivalence override).
     bounds_policy "clamp" floors empty radius intervals to (0, r_max) instead
     of raising EmptyInterval; affected points are reported on the result.
     """
@@ -511,10 +337,8 @@ def solve_radii(
         pts = tri.points
     systems = simplex_systems(tri)
 
-    if equal_radii and equal_radius is None:
-        equal_radius = 0.5 * float(np.min(max_radii(nm, pts)))
-    if equal_radius is not None:
-        r = np.full(len(pts), float(equal_radius))
+    if equal_radii:
+        r = np.full(len(pts), 0.5 * float(np.min(max_radii(nm, pts))))
         lo = np.zeros(len(pts))
         hi = np.full(len(pts), np.inf)
         return SolveResult(

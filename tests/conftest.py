@@ -18,14 +18,25 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cvmesh.delaunay import neighbor_map, triangulate2
-from cvmesh.geometry import as_point_array
 from cvmesh.io import RunConfig, generate_points
-from cvmesh.solver import bounds_arrays, simplex_systems
+from cvmesh.solver import TetraSystems3, TriangleSystems2, bounds_arrays, simplex_systems
 
 
 def uniform_points(dim: int, n: int, seed: int, **cfg) -> np.ndarray:
-    config = RunConfig(dimension=dim, n=n, seed=seed, **cfg)
-    return as_point_array(generate_points(config), dim)
+    return generate_points(RunConfig(dimension=dim, n=n, seed=seed, **cfg))
+
+
+def radical_centers(centers, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Radical centres of K triangles (K, 3, 2) or tetrahedra (K, 4, 3) of
+    circles/spheres with radii (K, 3|4), by the simplex systems the solver
+    runs. Returns the (K, d) centres and each one's power with respect to
+    its simplex's first circle (zero when all the circles meet there)."""
+    c = np.asarray(centers, dtype=float)
+    k, m, d = c.shape
+    systems = (TriangleSystems2 if d == 2 else TetraSystems3)(
+        c.reshape(-1, d), np.arange(k * m).reshape(k, m))
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    return systems.vertices(r), systems.powers(r)
 
 
 def hexagon_patch(rings: int, seed: int, jitter: float = 0.10) -> np.ndarray:

@@ -14,16 +14,16 @@ import pytest
 
 from cvmesh.cli import main
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
-from cvmesh.errors import DegenerateTetrahedron, DegenerateTriangle
 from cvmesh.io import RunConfig, read_json
 from cvmesh.mesh import build_volumes2, build_volumes3, validate_global, validate_perpendicularity
 from cvmesh.pipeline import run_pipeline
-from cvmesh.solver import VolumeMode, solve_radii, vertex2, vertex3
+from cvmesh.solver import VolumeMode, solve_radii
 
 from conftest import (
     bcc_cell,
     exact_instance,
     hexagon_patch,
+    radical_centers,
     uniform_points,
 )
 from oracles import (
@@ -48,39 +48,26 @@ def _report(num: int, detail: str):
 def test_criterion_1_radical_center_correctness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
+    draws = [(rng.standard_normal((3, 2)) * 2, 0.2 + rng.random(3)) for _ in range(1000)]
+    q2, _ = radical_centers([c for c, _ in draws], [r for _, r in draws])
     worst2 = 0.0
-    done = 0
-    while done < 1000:
-        c = rng.standard_normal((3, 2)) * 2
-        r = 0.2 + rng.random(3)
-        try:
-            v = vertex2(c[0], c[1], c[2], *r)
-        except DegenerateTriangle:
-            continue
-        q = np.array([v.x, v.y])
+    for (c, r), q in zip(draws, q2):
         powers = np.sum((q - c) ** 2, axis=1) - r**2
         scale = max(np.linalg.norm(c[i] - c[j]) for i in range(3) for j in range(i))
         mism = np.max(np.abs(powers - powers[0])) / scale**2
         assert mism <= 1e-9
         worst2 = max(worst2, mism)
-        done += 1
 
+    draws = [(rng.standard_normal((4, 3)) * 2, 0.2 + rng.random(4)) for _ in range(1000)]
+    q3, _ = radical_centers([c for c, _ in draws], [r for _, r in draws])
     worst3 = 0.0
-    done = 0
-    while done < 1000:
-        c = rng.standard_normal((4, 3)) * 2
-        r = 0.2 + rng.random(4)
-        try:
-            v = vertex3(*c, *r)
-        except DegenerateTetrahedron:
-            continue
+    for (c, r), q in zip(draws, q3):
         a = 2.0 * (c[0] - c[1:])
         b = np.array([r[k] ** 2 - r[0] ** 2 + float(c[0] @ c[0] - c[k] @ c[k]) for k in (1, 2, 3)])
         expected = gauss_solve(a, b)
-        rel = np.linalg.norm(np.asarray(v.coords) - expected) / max(np.linalg.norm(expected), 1e-30)
+        rel = np.linalg.norm(q - expected) / max(np.linalg.norm(expected), 1e-30)
         assert rel <= 1e-10
         worst3 = max(worst3, rel)
-        done += 1
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -59,6 +59,16 @@ def test_run_rejects_bad_input(tmp_path):
                  "--out", str(tmp_path / "t.json")]) == 4
 
 
+def test_tri_rejects_non_finite_points(tmp_path, capsys):
+    # json reads the bare NaN token; the writer never emits one.
+    doc = {"schema": "cvmesh/1", "kind": "points", "dimension": 2,
+           "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [float("nan"), 0.5], [1.0, 1.0]]}
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps(doc))
+    assert main(["tri", "--points", str(pts), "--out", str(tmp_path / "t.json")]) == 4
+    assert "non-finite coordinates in point 3" in capsys.readouterr().err
+
+
 def test_pipeline_errors_name_the_stage(tmp_path, capsys):
     # strict bounds on a rough cloud die in the solve stage, and the CLI says so
     cfg = _cfg(tmp_path, equal_radii=False, bounds_policy="strict", n=30,

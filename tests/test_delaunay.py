@@ -126,13 +126,13 @@ def test_ring_square_center():
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)
     tri = triangulate2(pts)
     nm = neighbor_map(tri)
-    assert nm.M(4) == 4
+    assert len(nm.rings[4]) == 4
     assert bool(nm.closed[4])
     # oracle: incidence scan says the ring is exactly the four corners
     incident = {v for t in tri.triangles if 4 in t for v in t if v != 4}
-    assert set(nm.ring(4).tolist()) == incident == {0, 1, 2, 3}
+    assert set(nm.rings[4].tolist()) == incident == {0, 1, 2, 3}
     # CCW order around the center
-    ring = nm.ring(4)
+    ring = nm.rings[4]
     ang = np.arctan2(pts[ring][:, 1] - 0.5, pts[ring][:, 0] - 0.5)
     assert np.all(np.diff(np.unwrap(ang)) > 0)
 
@@ -141,7 +141,7 @@ def test_ring_single_triangle():
     tri = triangulate2([(0, 0), (2, 0), (0.4, 1.3)])
     nm = neighbor_map(tri)
     for i in range(3):
-        assert nm.M(i) == 2
+        assert len(nm.rings[i]) == 2
         assert not nm.closed[i]
 
 
@@ -152,9 +152,9 @@ def test_hull_ring_is_open_fan():
     for i in range(len(pts)):
         incident = [t for t in tri.triangles if i in t]
         if nm.on_hull[i]:
-            assert nm.M(i) == len(incident) + 1
+            assert len(nm.rings[i]) == len(incident) + 1
         else:
-            assert nm.M(i) == len(incident)
+            assert len(nm.rings[i]) == len(incident)
 
 
 def test_ring_roundtrip_reconstructs_triangulation():
@@ -164,7 +164,7 @@ def test_ring_roundtrip_reconstructs_triangulation():
     tri_set = {tuple(sorted(t)) for t in tri.triangles}
     rebuilt = set()
     for i in range(len(pts)):
-        ring = nm.ring(i)
+        ring = nm.rings[i]
         pairs = len(nm.ring_simplices[i])
         for k in range(pairs):
             u = ring[k]
@@ -174,7 +174,7 @@ def test_ring_roundtrip_reconstructs_triangulation():
             rebuilt.add(key)
     assert rebuilt == tri_set
     for i in range(len(pts)):
-        assert i not in nm.ring(i)
+        assert i not in nm.rings[i]
 
 
 def test_star_covers_incident_tets_once():
@@ -184,8 +184,8 @@ def test_star_covers_incident_tets_once():
     for i in range(len(pts)):
         incident = [t for t, row in enumerate(tet.tetrahedra) if i in row]
         assert sorted(nm.star_simplices[i].tolist()) == sorted(incident)
-        assert nm.N(i) == len(incident)
-        for triple in nm.star(i):
+        assert len(nm.stars[i]) == len(incident)
+        for triple in nm.stars[i]:
             assert i not in triple
 
 
@@ -227,7 +227,7 @@ def test_star_triples_positively_oriented():
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     for i in range(len(pts)):
-        for t0, t1, t2 in nm.star(i):
+        for t0, t1, t2 in nm.stars[i]:
             det = np.linalg.det(np.vstack([
                 pts[t0] - pts[i], pts[t1] - pts[i], pts[t2] - pts[i]
             ]))

@@ -3,64 +3,57 @@ import math
 import numpy as np
 import pytest
 
+from cvmesh.delaunay import triangulate2
 from cvmesh.errors import DegenerateSegment, DegenerateTetrahedron, DegenerateTriangle
-from cvmesh.geometry import (
-    HeightSource,
-    Point,
-    TriangleKind,
-    classify_triangle,
-    distance2,
-    distance3,
-    neighbor_height2,
-    neighbor_height3,
-    point_line_distance2,
-    point_line_distance3,
-    tetra_height,
-)
+from cvmesh.geometry import as_point_array, neighbor_heights, tetra_heights
+
+from oracles import neighbor_height
+
+
+def _rows(*corners):
+    """One (1, d) row per corner, as the array kernels take them."""
+    return [np.asarray(c, dtype=float)[None, :] for c in corners]
+
+
+def triangle(i, jk, jk1):
+    """(height, foot) of the single triangle row (i, jk, jk1)."""
+    h, foot = neighbor_heights(*_rows(i, jk, jk1))
+    return float(h[0]), bool(foot[0])
+
+
+def tetra(i, j1, j2, j3):
+    """(height, foot) of the single tetrahedron row (i, j1, j2, j3)."""
+    h, foot = tetra_heights(*_rows(i, j1, j2, j3))
+    return float(h[0]), bool(foot[0])
 
 
 def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point(a=float("nan"), b=0.0)
-    with pytest.raises(ValueError):
-        Point(a=0.0, b=float("inf"), c=1.0)
+    with pytest.raises(ValueError, match="point 2"):
+        as_point_array([(0.0, 0.0), (1.0, 0.0), (float("nan"), 0.0)], 2)
+    with pytest.raises(ValueError, match="point 1"):
+        as_point_array([(0.0, 0.0, 0.0), (0.0, float("inf"), 1.0)], 3)
+    # Rejected before the duplicate scan, which would name finite pairs.
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [math.inf, 0.5], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite coordinates in point 3"):
+        triangulate2(cloud)
 
 
-def test_distance2_known_values():
-    assert distance2((0, 0), (3, 4)) == pytest.approx(5.0)
-    assert distance2((1, 1), (1, 1)) == 0.0
-    assert distance2((2, 0), (-1, 0)) == pytest.approx(3.0)
-
-
-def test_distance3_known_values():
-    assert distance3((0, 0, 0), (1, 2, 2)) == pytest.approx(3.0)
-    assert distance3((5, 5, 5), (5, 5, 5)) == 0.0
-    assert distance3((0, 0, 0), (0, 0, -4)) == pytest.approx(4.0)
-
-
-def test_distance_metric_properties():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        p, q, s = rng.standard_normal((3, 2)) * 10
-        assert distance2(p, q) == pytest.approx(distance2(q, p))
-        assert distance2(p, q) >= 0
-        assert distance2(p, s) <= distance2(p, q) + distance2(q, s) + 1e-12
-    for _ in range(200):
-        p, q, s = rng.standard_normal((3, 3)) * 10
-        assert distance3(p, q) == pytest.approx(distance3(q, p))
-        assert distance3(p, s) <= distance3(p, q) + distance3(q, s) + 1e-12
+def test_as_point_array_checks_shape():
+    assert as_point_array([], 3).shape == (0, 3)
+    assert as_point_array([(0, 1), (2, 3)], 2).dtype == float
+    with pytest.raises(ValueError, match="expected 3D points"):
+        as_point_array([(0.0, 1.0), (2.0, 3.0)], 3)
 
 
 def test_classify_right_at_corner():
-    shape = classify_triangle((0, 0), (1, 0), (0, 1))
-    assert shape.kind is TriangleKind.RIGHT
-    assert shape.at_vertex == 0
+    h, foot = triangle((0, 0), (1, 0), (0, 1))
+    assert not foot
+    assert h == pytest.approx(1.0)  # the shorter leg at the right corner
 
 
 def test_classify_equilateral_acute():
-    shape = classify_triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-    assert shape.kind is TriangleKind.ACUTE
-    assert shape.at_vertex is None
+    _, foot = triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
+    assert foot
 
 
 def test_classify_obtuse_derived_by_dot_product():
@@ -72,160 +65,137 @@ def test_classify_obtuse_derived_by_dot_product():
         float(np.dot(a - c, b - c)),
     ]
     assert dots[1] < 0 and dots[0] > 0 and dots[2] > 0
-    shape = classify_triangle(a, b, c)
-    assert shape.kind is TriangleKind.OBTUSE
-    assert shape.at_vertex == 1
+    # Every rotation of the row sees the same obtuse triangle.
+    for row in ((a, b, c), (b, c, a), (c, a, b)):
+        assert not triangle(*row)[1]
 
 
 def test_classify_degenerate_raises():
     with pytest.raises(DegenerateTriangle):
-        classify_triangle((0, 0), (1, 1), (2, 2))
+        triangle((0, 0), (1, 1), (2, 2))
 
 
 def test_classify_invariant_under_rigid_motion_and_scaling():
     rng = np.random.default_rng(7)
+    tris, moved, scales = [], [], []
     for _ in range(100):
         tri = rng.standard_normal((3, 2))
-        try:
-            ref = classify_triangle(*tri)
-        except DegenerateTriangle:
-            continue
         theta = rng.random() * 2 * math.pi
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         scale = 10.0 ** rng.uniform(-3, 3)
         shift = rng.standard_normal(2) * 5
-        moved = tri @ rot.T * scale + shift
-        got = classify_triangle(*moved)
-        assert got.kind is ref.kind
-        assert got.at_vertex == ref.at_vertex
-
-
-def test_point_line_distance2_known_values():
-    assert point_line_distance2((0, 1), (0, 0), (1, 0)) == pytest.approx(1.0)
-    assert point_line_distance2((0.5, 0), (0, 0), (1, 0)) == 0.0
-    assert point_line_distance2((3, 4), (0, 0), (5, 0)) == pytest.approx(4.0)
+        tris.append(tri)
+        moved.append(tri @ rot.T * scale + shift)
+        scales.append(scale)
+    tris, moved = np.asarray(tris), np.asarray(moved)
+    ref_h, ref_foot = neighbor_heights(tris[:, 0], tris[:, 1], tris[:, 2])
+    h, foot = neighbor_heights(moved[:, 0], moved[:, 1], moved[:, 2])
+    assert np.array_equal(foot, ref_foot)
+    np.testing.assert_allclose(h, ref_h * np.asarray(scales), rtol=1e-9)
 
 
 def test_point_line_distance2_degenerate_segment():
+    # A base shorter than EPS_LEN (absolute below unit scale) under an acute
+    # apex: the perpendicular-foot rule has no line to measure against.
     with pytest.raises(DegenerateSegment):
-        point_line_distance2((1, 1), (2, 2), (2, 2))
-
-
-def test_point_line_distance3_known_values():
-    assert point_line_distance3((0, 0, 1), (0, 0, 0), (1, 0, 0)) == pytest.approx(1.0)
-    assert point_line_distance3((2, 0, 0), (0, 0, 0), (1, 0, 0)) == pytest.approx(0.0)
-    # distance from (0,3,4) to the z-axis is sqrt(0^2 + 3^2) of the xy part
-    assert point_line_distance3((0, 3, 4), (0, 0, 0), (0, 0, 1)) == pytest.approx(3.0)
-
-
-def test_point_line_distance3_reduces_to_2d():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        p, a, b = rng.standard_normal((3, 2)) * 4
-        if np.linalg.norm(b - a) < 1e-6:
-            continue
-        d2 = point_line_distance2(p, a, b)
-        d3 = point_line_distance3((*p, 0.0), (*a, 0.0), (*b, 0.0))
-        assert d3 == pytest.approx(d2, rel=1e-12, abs=1e-15)
+        triangle((0.0, 1e-5), (-0.5e-13, 0.0), (0.5e-13, 0.0))
 
 
 def test_neighbor_height2_equilateral():
-    h = neighbor_height2((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-    assert h.source is HeightSource.PERPENDICULAR_FOOT
-    assert h.value == pytest.approx(math.sqrt(3) / 2)
+    h, foot = triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
+    assert foot
+    assert h == pytest.approx(math.sqrt(3) / 2)
 
 
 def test_neighbor_height2_right_triangle_fallback():
-    h = neighbor_height2((0, 0), (1, 0), (0, 1))
-    assert h.source is HeightSource.EDGE_LENGTH_FALLBACK
-    assert h.value == pytest.approx(min(1.0, 1.0))
+    h, foot = triangle((0, 0), (1, 0), (0, 1))
+    assert not foot
+    assert h == pytest.approx(min(1.0, 1.0))
 
 
 def test_neighbor_height2_obtuse_fallback():
     # oracle: min of the two edge lengths at the apex
-    expected = min(distance2((0, 0), (2, 0)), distance2((0, 0), (3, 1)))
-    h = neighbor_height2((0, 0), (2, 0), (3, 1))
-    assert h.source is HeightSource.EDGE_LENGTH_FALLBACK
-    assert h.value == pytest.approx(expected)
-    assert h.value == pytest.approx(2.0)
+    expected = min(math.hypot(2, 0), math.hypot(3, 1))
+    h, foot = triangle((0, 0), (2, 0), (3, 1))
+    assert not foot
+    assert h == pytest.approx(expected)
+    assert h == pytest.approx(2.0)
 
 
 def test_neighbor_height2_acute_matches_area_formula():
-    rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 100:
-        i, jk, jk1 = rng.standard_normal((3, 2)) * 3
-        try:
-            shape = classify_triangle(i, jk, jk1)
-        except DegenerateTriangle:
-            continue
-        if shape.kind is not TriangleKind.ACUTE:
-            continue
-        area2 = abs((jk[0] - i[0]) * (jk1[1] - i[1]) - (jk[1] - i[1]) * (jk1[0] - i[0]))
-        expected = area2 / np.linalg.norm(jk1 - jk)
-        h = neighbor_height2(i, jk, jk1)
-        assert h.value == pytest.approx(expected, rel=1e-12)
-        checked += 1
+    # The first 100 acute rows of one stream of (3, 2) draws.
+    rows = np.random.default_rng(11).standard_normal((1000, 3, 2)) * 3
+    h, foot = neighbor_heights(rows[:, 0], rows[:, 1], rows[:, 2])
+    take = np.nonzero(foot)[0][:100]
+    assert len(take) == 100
+    i, jk, jk1 = rows[take, 0], rows[take, 1], rows[take, 2]
+    area2 = np.abs((jk[:, 0] - i[:, 0]) * (jk1[:, 1] - i[:, 1])
+                   - (jk[:, 1] - i[:, 1]) * (jk1[:, 0] - i[:, 0]))
+    expected = area2 / np.linalg.norm(jk1 - jk, axis=1)
+    np.testing.assert_allclose(h[take], expected, rtol=1e-12)
 
 
 def test_neighbor_height3_matches_2d_in_plane():
-    h3 = neighbor_height3((0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0))
-    h2 = neighbor_height2((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
-    assert h3.value == pytest.approx(h2.value, rel=1e-12)
-    assert h3.source is h2.source
+    h3 = triangle((0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0))
+    h2 = triangle((0, 0), (1, 0), (0.5, math.sqrt(3) / 2))
+    assert h3[0] == pytest.approx(h2[0], rel=1e-12)
+    assert h3[1] is h2[1]
+
+
+def test_point_line_distance3_reduces_to_2d():
+    # Random rows embedded in the plane z = 0 give the 2D heights; where the
+    # perpendicular foot is used, that height is the apex-to-base-line distance.
+    rows = np.random.default_rng(3).standard_normal((300, 3, 2)) * 4
+    lifted = np.concatenate([rows, np.zeros((300, 3, 1))], axis=2)
+    got3, foot3 = neighbor_heights(lifted[:, 0], lifted[:, 1], lifted[:, 2])
+    got2, foot2 = neighbor_heights(rows[:, 0], rows[:, 1], rows[:, 2])
+    assert np.array_equal(foot3, foot2)
+    np.testing.assert_allclose(got3, got2, rtol=1e-12, atol=1e-15)
+    p, a, b = rows[foot2, 0], rows[foot2, 1], rows[foot2, 2]
+    ab, ap = b - a, p - a
+    line = np.abs(ab[:, 0] * ap[:, 1] - ab[:, 1] * ap[:, 0]) / np.linalg.norm(ab, axis=1)
+    np.testing.assert_allclose(got3[foot2], line, rtol=1e-12, atol=1e-15)
 
 
 def test_tetra_height_foot_on_boundary_counts_inside():
-    h = tetra_height((0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 0))
-    assert h.source is HeightSource.PERPENDICULAR_FOOT
-    assert h.value == pytest.approx(1.0)
+    h, foot = tetra((0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 0))
+    assert foot
+    assert h == pytest.approx(1.0)
 
 
 def test_tetra_height_foot_at_centroid():
-    h = tetra_height((1 / 3, 1 / 3, 5), (0, 0, 0), (1, 0, 0), (0, 1, 0))
-    assert h.source is HeightSource.PERPENDICULAR_FOOT
-    assert h.value == pytest.approx(5.0)
+    h, foot = tetra((1 / 3, 1 / 3, 5), (0, 0, 0), (1, 0, 0), (0, 1, 0))
+    assert foot
+    assert h == pytest.approx(5.0)
 
 
 def test_tetra_height_outside_foot_falls_back_to_wall_heights():
     i = np.array([10.0, 10.0, 1.0])
     base = [np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-
-    # oracle: wall heights computed directly from the classification rule
-    def wall_height(p, a, b):
-        shape = classify_triangle(p, a, b)
-        if shape.kind is TriangleKind.ACUTE:
-            return float(np.linalg.norm(np.cross(p - a, b - a))) / float(np.linalg.norm(b - a))
-        return min(float(np.linalg.norm(p - a)), float(np.linalg.norm(p - b)))
-
+    # oracle: wall heights from the scalar classification rule
     expected = min(
-        wall_height(i, base[0], base[1]),
-        wall_height(i, base[1], base[2]),
-        wall_height(i, base[2], base[0]),
+        neighbor_height(i, base[0], base[1]),
+        neighbor_height(i, base[1], base[2]),
+        neighbor_height(i, base[2], base[0]),
     )
-    h = tetra_height(i, *base)
-    assert h.source is HeightSource.EDGE_LENGTH_FALLBACK
-    assert h.value == pytest.approx(expected, rel=1e-12)
+    h, foot = tetra(i, *base)
+    assert not foot
+    assert h == pytest.approx(expected, rel=1e-12)
 
 
 def test_tetra_height_matches_volume_formula():
-    rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 100:
-        i, a, b, c = rng.standard_normal((4, 3)) * 2
-        try:
-            h = tetra_height(i, a, b, c)
-        except DegenerateTetrahedron:
-            continue
-        if h.source is not HeightSource.PERPENDICULAR_FOOT:
-            continue
-        vol6 = abs(float(np.dot(np.cross(b - a, c - a), i - a)))
-        area2 = float(np.linalg.norm(np.cross(b - a, c - a)))
-        assert h.value == pytest.approx(vol6 / area2, rel=1e-10)
-        checked += 1
+    # The first 100 foot rows of one stream of (4, 3) draws.
+    rows = np.random.default_rng(5).standard_normal((2000, 4, 3)) * 2
+    h, foot = tetra_heights(*(rows[:, k] for k in range(4)))
+    take = np.nonzero(foot)[0][:100]
+    assert len(take) == 100
+    i, a, b, c = (rows[take, k] for k in range(4))
+    normal = np.cross(b - a, c - a)
+    vol6 = np.abs(np.einsum("ij,ij->i", normal, i - a))
+    np.testing.assert_allclose(h[take], vol6 / np.linalg.norm(normal, axis=1), rtol=1e-10)
 
 
 def test_tetra_height_degenerate_raises():
     with pytest.raises(DegenerateTetrahedron):
-        tetra_height((3, 3, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0))
+        tetra((3, 3, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0))

@@ -3,79 +3,73 @@ import math
 import numpy as np
 import pytest
 
-from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
-from cvmesh.errors import DegenerateTetrahedron, DegenerateTriangle, EmptyInterval
-from cvmesh.geometry import tetra_height
+from cvmesh.delaunay import Triangulation2, _adjacency, neighbor_map, tetrahedralize3, triangulate2
+from cvmesh.errors import DegenerateTriangle, EmptyInterval
 from cvmesh.optimize import SoftSelectionParams, soft_selection_minimize
 from cvmesh.solver import (
     OverlapKind,
     VolumeMode,
+    _lower_bounds,
     bounds_arrays,
     classify_overlap,
-    cramer3,
     max_radii,
-    objective,
-    radius_bounds2,
-    radius_bounds3,
     simplex_systems,
     solve_radii,
-    vertex2,
-    vertex3,
 )
 
-from conftest import bcc_cell, exact_instance, hexagon_patch, uniform_points
-from oracles import gauss_solve, newton_equal_power_2d, radius_bounds_loop
+from conftest import bcc_cell, exact_instance, hexagon_patch, radical_centers, uniform_points
+from oracles import gauss_solve, newton_equal_power_2d, radius_bounds_loop, tetra_height
 
 
 def test_vertex2_common_point_of_three_circles():
-    v = vertex2((1, 0), (0, 2), (-3, -4), 1, 2, 5)
-    assert v.x == pytest.approx(0.0, abs=1e-14)
-    assert v.y == pytest.approx(0.0, abs=1e-14)
-    assert v.residual == pytest.approx(0.0, abs=1e-14)
+    q, power = radical_centers([[(1, 0), (0, 2), (-3, -4)]], [[1, 2, 5]])
+    assert q[0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert q[0, 1] == pytest.approx(0.0, abs=1e-14)
+    assert abs(power[0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_vertex2_equal_radii_is_circumcenter():
     for r in (0.1, 1.0, 17.3):
-        v = vertex2((0, 0), (1, 0), (0, 1), r, r, r)
-        assert v.x == pytest.approx(0.5, abs=1e-12)
-        assert v.y == pytest.approx(0.5, abs=1e-12)
+        q, _ = radical_centers([[(0, 0), (1, 0), (0, 1)]], [[r, r, r]])
+        assert q[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert q[0, 1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_vertex2_matches_newton_oracle():
     centers = [(0, 0), (2, 0), (1, 2)]
     radii = [1.2, 1.2, 1.0]
     expected = newton_equal_power_2d(centers, radii, x0=(1.0, 0.5))
-    v = vertex2(*centers, *radii)
-    assert v.x == pytest.approx(expected[0], abs=1e-10)
-    assert v.y == pytest.approx(expected[1], abs=1e-10)
+    q, _ = radical_centers([centers], [radii])
+    assert q[0, 0] == pytest.approx(expected[0], abs=1e-10)
+    assert q[0, 1] == pytest.approx(expected[1], abs=1e-10)
 
 
 def test_vertex2_degenerate_centers():
+    # Collinear centres never reach the radical-centre formula: the radius
+    # bounds the solver computes first reject their triangle.
+    pts = np.array([(0, 0), (1, 1), (2, 2)], dtype=float)
+    triangles = np.array([[0, 1, 2]])
+    tri = Triangulation2(points=pts, triangles=triangles, adjacency=_adjacency(triangles))
     with pytest.raises(DegenerateTriangle):
-        vertex2((0, 0), (1, 1), (2, 2), 1, 1, 1)
+        solve_radii(tri, neighbor_map(tri), equal_radii=True)
 
 
 def test_vertex2_equal_power_property():
     rng = np.random.default_rng(1)
-    checked = 0
-    while checked < 300:
-        c = rng.standard_normal((3, 2)) * 3
-        r = 0.2 + rng.random(3)
-        try:
-            v = vertex2(c[0], c[1], c[2], *r)
-        except DegenerateTriangle:
-            continue
-        q = np.array([v.x, v.y])
-        powers = np.sum((q - c) ** 2, axis=1) - r**2
-        scale = max(np.linalg.norm(c[i] - c[j]) for i in range(3) for j in range(i))
+    draws = [(rng.standard_normal((3, 2)) * 3, 0.2 + rng.random(3)) for _ in range(300)]
+    c = np.asarray([d[0] for d in draws])
+    r = np.asarray([d[1] for d in draws])
+    q, _ = radical_centers(c, r)
+    for k in range(300):
+        powers = np.sum((q[k] - c[k]) ** 2, axis=1) - r[k] ** 2
+        scale = max(np.linalg.norm(c[k, i] - c[k, j]) for i in range(3) for j in range(i))
         assert np.max(np.abs(powers - powers[0])) <= 1e-9 * scale**2
-        checked += 1
 
 
 def test_vertex3_symmetric_centers():
-    v = vertex3((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), 1, 1, 1, 1)
-    assert np.allclose(v.coords, (0, 0, 0), atol=1e-12)
-    assert v.residual == pytest.approx(0.0, abs=1e-12)
+    q, power = radical_centers([[(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]], [[1, 1, 1, 1]])
+    assert np.allclose(q[0], (0, 0, 0), atol=1e-12)
+    assert abs(power[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vertex3_probe_construction():
@@ -86,42 +80,36 @@ def test_vertex3_probe_construction():
             continue
         probe = rng.standard_normal(3)
         r = np.linalg.norm(c - probe, axis=1)
-        v = vertex3(*c, *r)
-        assert np.allclose(v.coords, probe, atol=1e-8)
-        assert v.residual < 1e-8
+        q, power = radical_centers([c], [r])
+        assert np.allclose(q[0], probe, atol=1e-8)
+        assert abs(power[0]) < 1e-8
 
 
 def test_vertex3_matches_gauss_oracle():
     rng = np.random.default_rng(3)
-    checked = 0
-    while checked < 300:
-        c = rng.standard_normal((4, 3)) * 2
-        r = 0.2 + rng.random(4)
-        try:
-            v = vertex3(*c, *r)
-        except DegenerateTetrahedron:
-            continue
+    draws = [(rng.standard_normal((4, 3)) * 2, 0.2 + rng.random(4)) for _ in range(300)]
+    q, _ = radical_centers([d[0] for d in draws], [d[1] for d in draws])
+    for (c, r), got in zip(draws, q):
         a = 2.0 * (c[0] - c[1:])
         b = np.array([
             r[k] ** 2 - r[0] ** 2 + float(c[0] @ c[0] - c[k] @ c[k]) for k in (1, 2, 3)
         ])
         expected = gauss_solve(a, b)
-        assert np.allclose(v.coords, expected, rtol=1e-10, atol=1e-12)
-        checked += 1
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_cramer_determinants_solve_the_system():
+    # The Cramer form of TetraSystems3 solves the pairwise-difference system.
     rng = np.random.default_rng(4)
     for _ in range(100):
         c = rng.standard_normal((4, 3)) * 2
         if abs(np.linalg.det(np.vstack([c[1] - c[0], c[2] - c[0], c[3] - c[0]]))) < 1e-2:
             continue
         r = 0.3 + rng.random(4)
-        cd = cramer3(*c, *r)
-        sol = np.array([cd.wx, cd.wy, cd.wz]) / cd.w
+        q, _ = radical_centers([c], [r])
         rows = 2.0 * (c[0] - c[1:])
-        d = np.array([cd.d1, cd.d2, cd.d3])
-        assert np.allclose(rows @ sol, d, rtol=1e-10, atol=1e-10)
+        d = np.array([r[k] ** 2 - r[0] ** 2 + float(c[0] @ c[0] - c[k] @ c[k]) for k in (1, 2, 3)])
+        assert np.allclose(rows @ q[0], d, rtol=1e-10, atol=1e-10)
 
 
 def _hexagon_with_center():
@@ -131,48 +119,50 @@ def _hexagon_with_center():
     return np.asarray(pts)
 
 
+def _bounds(tri, i):
+    """(lo, hi) of point i from the pipeline's bounds pass; i's interval must
+    not be empty."""
+    lo, hi, clamped = bounds_arrays(neighbor_map(tri), tri.points, policy="clamp")
+    assert i not in clamped
+    return lo[i], hi[i]
+
+
 def test_radius_bounds2_hexagon():
     pts = _hexagon_with_center()
     tri = triangulate2(pts)
-    nm = neighbor_map(tri)
-    b = radius_bounds2(0, nm, tri.points)
-    assert b.hi == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
-    assert b.lo == pytest.approx(1 - math.sqrt(3) / 2, rel=1e-12)
+    lo, hi = _bounds(tri, 0)
+    assert hi == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert lo == pytest.approx(1 - math.sqrt(3) / 2, rel=1e-12)
 
 
 def test_radius_bounds2_right_triangle():
     tri = triangulate2([(0, 0), (1, 0), (0, 1)])
-    nm = neighbor_map(tri)
-    b = radius_bounds2(0, nm, tri.points)
-    assert b.hi == pytest.approx(1.0)  # min of the two legs at the right angle
+    _, hi = _bounds(tri, 0)
+    assert hi == pytest.approx(1.0)  # min of the two legs at the right angle
 
 
 def test_radius_bounds2_needs_full_rmax_field():
     pts = _hexagon_with_center()
     tri = triangulate2(pts)
-    nm = neighbor_map(tri)
-    rmax = max_radii(nm, tri.points)
     # corner r_max equals the equilateral height, so lo = L - h at every corner
     for i in range(1, 7):
-        b = radius_bounds2(i, nm, tri.points, rmax)
-        assert b.lo == pytest.approx(1 - math.sqrt(3) / 2, rel=1e-12)
+        lo, _ = _bounds(tri, i)
+        assert lo == pytest.approx(1 - math.sqrt(3) / 2, rel=1e-12)
 
 
 def test_radius_bounds3_corner_tetra():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     tet = tetrahedralize3(pts)
-    nm = neighbor_map(tet)
-    b = radius_bounds3(0, nm, tet.points)
-    assert b.hi == pytest.approx(1 / math.sqrt(3), rel=1e-12)
-    assert b.lo == 0.0
+    lo, hi = _bounds(tet, 0)
+    assert hi == pytest.approx(1 / math.sqrt(3), rel=1e-12)
+    assert lo == 0.0
 
 
 def test_radius_bounds3_regular_simplex_symmetry():
     s = 1 / math.sqrt(2)
     pts = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) * s
     tet = tetrahedralize3(pts)
-    nm = neighbor_map(tet)
-    his = [radius_bounds3(i, nm, tet.points).hi for i in range(4)]
+    his = [_bounds(tet, i)[1] for i in range(4)]
     assert np.allclose(his, his[0], rtol=1e-12)
 
 
@@ -183,9 +173,9 @@ def test_radius_bounds3_stacked_tets_take_min_height():
     assert len(tet.tetrahedra) == 2
     nm = neighbor_map(tet)
     for i in range(3):  # shared-face vertices sit in both tets
-        h1 = tetra_height(pts[i], *[pts[v] for v in nm.star(i)[0]]).value
-        h2 = tetra_height(pts[i], *[pts[v] for v in nm.star(i)[1]]).value
-        assert radius_bounds3(i, nm, tet.points).hi == pytest.approx(min(h1, h2), rel=1e-12)
+        h1 = tetra_height(pts[i], *[pts[v] for v in nm.stars[i][0]])
+        h2 = tetra_height(pts[i], *[pts[v] for v in nm.stars[i][1]])
+        assert _bounds(tet, i)[1] == pytest.approx(min(h1, h2), rel=1e-12)
 
 
 def test_empty_interval_reports_blocker():
@@ -222,15 +212,9 @@ def test_bounds_match_per_point_reference(dim, n, seed):
     lo_ref[empty] = 0.0
     assert np.all(np.abs(lo - lo_ref) <= 1e-13 * np.maximum(lo_ref, hi_ref))
 
-    bound = radius_bounds2 if dim == 2 else radius_bounds3
-    for i in range(n):
-        if i in empty:
-            with pytest.raises(EmptyInterval) as err:
-                bound(i, nm, tri.points, got)
-            assert err.value.blocking_neighbor == blocking[i]
-        else:
-            b = bound(i, nm, tri.points, got)
-            assert (b.lo, b.hi) == (lo[i], hi[i])
+    # Every empty interval names the neighbour the reference names.
+    _, got_blocking = _lower_bounds(nm, tri.points, got, np.arange(n))
+    assert [int(got_blocking[i]) for i in empty] == [blocking[i] for i in empty]
     if empty:
         with pytest.raises(EmptyInterval) as err:
             bounds_arrays(nm, tri.points, policy="strict")
@@ -242,7 +226,7 @@ def test_bounds_match_per_point_reference(dim, n, seed):
 
 def test_objective_zero_on_constructed_instance():
     pts, tri, nm, r_star, lo, hi = exact_instance(5)
-    assert objective(r_star, tri, nm, pts) < 1e-20
+    assert simplex_systems(tri).objective(r_star) < 1e-20
 
 
 def test_objective_equal_radii_matches_circumradius_formula():
@@ -260,7 +244,7 @@ def test_objective_equal_radii_matches_circumradius_formula():
         circumradius = la * lb * lc / (4 * area)
         w = ((la + lb + lc) / 3.0) ** -4
         expected += w * (circumradius**2 - r**2) ** 2
-    got = objective(np.full(len(pts), r), tri)
+    got = simplex_systems(tri).objective(np.full(len(pts), r))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -268,10 +252,10 @@ def test_objective_scale_invariant():
     pts = hexagon_patch(2, seed=3)
     tri = triangulate2(pts)
     r = 0.3 + 0.1 * np.random.default_rng(5).random(len(pts))
-    base = objective(r, tri)
+    base = simplex_systems(tri).objective(r)
     for lam in (0.01, 3.7, 250.0):
         tri_scaled = triangulate2(pts * lam)
-        assert objective(r * lam, tri_scaled) == pytest.approx(base, rel=1e-9)
+        assert simplex_systems(tri_scaled).objective(r * lam) == pytest.approx(base, rel=1e-9)
 
 
 def test_classify_overlap_boundary_and_strict():
