@@ -3,6 +3,13 @@
 Polygons carry one tag per edge and polyhedra one tag per face (the neighbor
 point a cut came from, or None for domain boundary), so assembled cells know
 which neighbor each wall separates them from.
+
+Polyhedra are clipped in stacked form (`PolyStack`): the face loops of many
+cells lie one after another in one (N, 3) vertex array, with the row where
+each face starts, the row of each vertex's successor around its loop, one
+tag per face (-1 for the domain) and one cell id per face, faces grouped by
+cell. `clip_stack` clips every cell of a stack by its own plane in one array
+pass; `clip_polyhedron` is its one-cell case on a TaggedPolyhedron.
 """
 from __future__ import annotations
 
@@ -124,104 +131,298 @@ def clip_polyhedron(poly: TaggedPolyhedron, normal, offset: float, tag, eps: flo
     """Keep the part of the polyhedron with normal . x <= offset.
 
     The section polygon becomes one new face labelled `tag`, oriented with its
-    outward normal along +normal.
+    outward normal along +normal. This is the one-cell case of `clip_stack`.
     """
     n = np.asarray(normal, dtype=float)
-    all_v = poly.vertices()
-    d_all = all_v @ n - offset
-    if np.all(d_all <= eps):
-        return poly
-    if np.all(d_all >= -eps):
-        return None
-
-    new_faces: list[TaggedFace] = []
-    cut_points: list[np.ndarray] = []
-    for f in poly.faces:
-        v = f.verts
-        d = v @ n - offset
-        if np.all(d >= -eps):
-            continue
-        if np.all(d <= eps):
-            new_faces.append(f)
-            # boundary-touching vertices still seed the cap polygon
-            for k in range(len(v)):
-                if abs(d[k]) <= eps:
-                    cut_points.append(v[k])
-            continue
-        loop: list[np.ndarray] = []
-        k = len(v)
-        for a in range(k):
-            b = (a + 1) % k
-            da, db = d[a], d[b]
-            if da <= eps:
-                loop.append(v[a])
-                if abs(da) <= eps:
-                    cut_points.append(v[a])
-                if db > eps:
-                    s = da / (da - db)
-                    x = v[a] + s * (v[b] - v[a])
-                    loop.append(x)
-                    cut_points.append(x)
-            elif db <= eps:
-                s = da / (da - db)
-                x = v[a] + s * (v[b] - v[a])
-                loop.append(x)
-                cut_points.append(x)
-        loop_arr = _dedup_loop(np.asarray(loop), eps)
-        if loop_arr is not None:
-            new_faces.append(TaggedFace(verts=loop_arr, tag=f.tag))
-
-    cap = _cap_face(cut_points, n, eps)
-    if cap is not None:
-        new_faces.append(TaggedFace(verts=cap, tag=tag))
-    if not new_faces:
-        return None
-    return TaggedPolyhedron(faces=new_faces)
+    stack = PolyStack.of([poly])
+    out = clip_stack(stack, stack.verts @ n - offset, n[None, :], [tag], eps)
+    return out.polyhedron(0)
 
 
-def _dedup_loop(verts: np.ndarray, eps: float) -> np.ndarray | None:
-    if len(verts) == 0:
-        return None
-    keep = [verts[0]]
-    for v in verts[1:]:
-        if np.linalg.norm(v - keep[-1]) > eps:
-            keep.append(v)
-    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= eps:
-        keep.pop()
-    if len(keep) < 3:
-        return None
-    return np.asarray(keep)
+@dataclass
+class PolyStack:
+    """Convex polyhedra stacked into arrays.
+
+    Face loops lie one after another in `verts`; face f starts at row
+    starts[f], belongs to cell cells[f] (nondecreasing) and is labelled
+    tags[f] (a neighbor id, or -1 for the domain boundary). succ[r] is the
+    row of the vertex after row r around its loop.
+    """
+
+    verts: np.ndarray    # (N, 3)
+    starts: np.ndarray   # (F,)
+    succ: np.ndarray     # (N,)
+    tags: np.ndarray     # (F,)
+    cells: np.ndarray    # (F,)
+
+    @classmethod
+    def from_loops(cls, verts, starts, tags, cells) -> "PolyStack":
+        verts = np.asarray(verts, dtype=float).reshape(-1, 3)
+        starts = np.asarray(starts, dtype=np.intp)
+        return cls(verts, starts, _successors(starts, len(verts)),
+                   np.asarray(tags, dtype=np.int64), np.asarray(cells, dtype=np.intp))
+
+    @classmethod
+    def empty(cls) -> "PolyStack":
+        return cls.from_loops(np.empty((0, 3)), [], [], [])
+
+    @classmethod
+    def of(cls, polys) -> "PolyStack":
+        """Stack of TaggedPolyhedron list entries; cell c is polys[c]."""
+        loops = [f.verts for p in polys for f in p.faces]
+        if not loops:
+            return cls.empty()
+        verts, starts, succ = _stack_loops(loops)
+        tags = [-1 if f.tag is None else f.tag for p in polys for f in p.faces]
+        cells = np.repeat(np.arange(len(polys)), [len(p.faces) for p in polys])
+        return cls(verts, starts, succ, np.asarray(tags, dtype=np.int64), cells)
+
+    def lengths(self) -> np.ndarray:
+        """Rows per face loop, (F,)."""
+        return _lengths(self.starts, len(self.verts))
+
+    def row_cells(self) -> np.ndarray:
+        """Cell id per vertex row, (N,)."""
+        return np.repeat(self.cells, self.lengths())
+
+    def take(self, faces: np.ndarray) -> "PolyStack":
+        """The faces with the given indices, in that order."""
+        lens = self.lengths()[faces]
+        starts = np.cumsum(lens) - lens
+        rows = np.arange(int(lens.sum())) + np.repeat(self.starts[faces] - starts, lens)
+        return PolyStack.from_loops(self.verts[rows], starts, self.tags[faces], self.cells[faces])
+
+    def split(self, c: int) -> tuple["PolyStack", "PolyStack"]:
+        """The faces of the cells below c, and the rest."""
+        f = int(np.searchsorted(self.cells, c))
+        r = int(self.starts[f]) if f < len(self.starts) else len(self.verts)
+        return (PolyStack(self.verts[:r], self.starts[:f], self.succ[:r],
+                          self.tags[:f], self.cells[:f]),
+                PolyStack(self.verts[r:], self.starts[f:] - r, self.succ[r:] - r,
+                          self.tags[f:], self.cells[f:]))
+
+    def polyhedron(self, c: int) -> TaggedPolyhedron | None:
+        """Cell c as a TaggedPolyhedron, or None when it has no faces."""
+        f0, f1 = np.searchsorted(self.cells, [c, c + 1]).tolist()
+        if f0 == f1:
+            return None
+        ends = np.concatenate((self.starts, [len(self.verts)]))
+        return TaggedPolyhedron(faces=[
+            TaggedFace(verts=self.verts[ends[f]:ends[f + 1]],
+                       tag=None if t < 0 else t)
+            for f, t in zip(range(f0, f1), self.tags[f0:f1].tolist())
+        ])
 
 
-def _cap_face(points: list[np.ndarray], n: np.ndarray, eps: float) -> np.ndarray | None:
-    """Order section points CCW around +n so the cap's outward normal is +n."""
-    if len(points) < 3:
-        return None
-    pts = np.asarray(points)
-    # unique within eps
-    uniq: list[np.ndarray] = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > eps for q in uniq):
-            uniq.append(p)
-    if len(uniq) < 3:
-        return None
-    pts = np.asarray(uniq)
-    center = pts.mean(axis=0)
-    nn = n / np.linalg.norm(n)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(nn[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(nn, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nn, e1)  # (e1, e2, nn) right-handed => CCW angles wind around +nn
-    rel = pts - center
-    ang = np.arctan2(rel @ e2, rel @ e1)
-    order = np.argsort(ang, kind="stable")
-    loop = pts[order]
-    # (e1, e2) chosen so increasing angle winds CCW when viewed from +n;
-    # flip if the realized normal disagrees (degenerate seeds).
-    realized = _newell_normal(loop)
-    if np.dot(realized, nn) < 0.0:
-        loop = loop[::-1]
-    return loop
+def concat_stacks(stacks) -> PolyStack:
+    """One stack of all faces of `stacks`, ordered by cell; the faces of a
+    cell keep their order."""
+    offsets = np.cumsum([0] + [len(s.verts) for s in stacks[:-1]])
+    whole = PolyStack.from_loops(
+        np.concatenate([s.verts for s in stacks]),
+        np.concatenate([s.starts + o for s, o in zip(stacks, offsets)]),
+        np.concatenate([s.tags for s in stacks]),
+        np.concatenate([s.cells for s in stacks]),
+    )
+    if np.all(whole.cells[1:] >= whole.cells[:-1]):
+        return whole
+    return whole.take(np.argsort(whole.cells, kind="stable"))
+
+
+def _lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Rows per loop of loops starting at `starts`, n rows in all."""
+    return np.concatenate((starts[1:], [n])) - starts
+
+
+def _successors(starts: np.ndarray, n: int) -> np.ndarray:
+    """Per row of loops starting at `starts` (n rows in all), the row of the
+    next vertex around its loop."""
+    succ = np.arange(1, n + 1)
+    succ[starts + _lengths(starts, n) - 1] = starts
+    return succ
+
+
+def _group_starts(groups: np.ndarray) -> np.ndarray:
+    """First row of each run of equal values in a sorted id array."""
+    new = np.ones(len(groups), dtype=bool)
+    np.not_equal(groups[1:], groups[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of two (N, 3) arrays, rounded as np.cross."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _dedup_loops(p: np.ndarray, starts: np.ndarray, eps: float) -> np.ndarray:
+    """Keep mask that removes near-duplicate vertices from every loop.
+
+    Along each loop a vertex stays when it lies more than eps from the last
+    vertex kept before it (the first always stays); then the last kept vertex
+    goes when it lies within eps of the first. The rule compares with the last
+    kept vertex, not the previous one, so it is solved by repeated passes: a
+    pass fixes at least the next undecided vertex of every loop, and near
+    duplicates are rare, so two passes usually settle it.
+    """
+    n = len(p)
+    if n == 0:
+        return np.ones(0, dtype=bool)
+    rows = np.arange(n)
+    first = np.zeros(n, dtype=bool)
+    first[starts] = True
+    keep = np.ones(n, dtype=bool)
+    while True:
+        last = np.maximum.accumulate(np.where(keep, rows, 0))
+        prev = np.concatenate(([0], last[:-1]))
+        gap = p - p[prev]
+        again = first | (np.sqrt(_rowdot(gap, gap)) > eps)
+        if np.array_equal(again, keep):
+            break
+        keep = again
+    tail = np.maximum.reduceat(np.where(keep, rows, 0), starts)
+    gap = p[tail] - p[starts]
+    close = (tail != starts) & (np.sqrt(_rowdot(gap, gap)) <= eps)
+    keep[tail[close]] = False
+    return keep
+
+
+def _first_unique(p: np.ndarray, groups: np.ndarray, eps: float) -> np.ndarray:
+    """Keep mask of the points, in order, that lie more than eps from every
+    earlier kept point of their group (groups sorted)."""
+    rows = np.arange(len(p))
+    starts = _group_starts(groups)
+    first = np.repeat(starts, _lengths(starts, len(p)))
+    local = rows - first
+    # every pair (later, earlier) of rows of one group, earlier < later
+    later = np.repeat(rows, local)
+    earlier = np.arange(len(later)) + np.repeat(first - (np.cumsum(local) - local), local)
+    gap = p[later] - p[earlier]
+    near = np.sqrt(_rowdot(gap, gap)) <= eps
+    later, earlier = later[near], earlier[near]
+    keep = np.ones(len(p), dtype=bool)
+    while True:
+        again = np.ones(len(p), dtype=bool)
+        again[later[keep[earlier]]] = False
+        if np.array_equal(again, keep):
+            return keep
+        keep = again
+
+
+def _frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of (G, 3) axes: the unit axis a and unit e1, e2 with (e1, e2, a)
+    right-handed, so increasing atan2(. e2, . e1) winds CCW seen from +a."""
+    a = axis / np.sqrt(_rowdot(axis, axis))[:, None]
+    seed = np.eye(3)[np.where(np.abs(a[:, 0]) < 0.9, 0, 1)]
+    e1 = _cross(a, seed)
+    e1 /= np.sqrt(_rowdot(e1, e1))[:, None]
+    return a, e1, _cross(a, e1)
+
+
+def _angular_order(p: np.ndarray, groups: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Row order that sorts every group of points (groups sorted) by angle
+    around its centroid in the plane normal to the group's row of axis,
+    stable on ties."""
+    starts = _group_starts(groups)
+    counts = _lengths(starts, len(p))
+    g = np.repeat(np.arange(len(starts)), counts)
+    _, e1, e2 = _frames(axis)
+    rel = p - (np.add.reduceat(p, starts, axis=0) / counts[:, None])[g]
+    ang = np.arctan2(_rowdot(rel, e2[g]), _rowdot(rel, e1[g]))
+    return np.lexsort((ang, g))
+
+
+def _reverse_within(starts: np.ndarray, n: int, flip: np.ndarray) -> np.ndarray:
+    """Row order that reverses the loops where `flip` holds."""
+    lens = _lengths(starts, n)
+    rows = np.arange(n)
+    face = np.repeat(np.arange(len(starts)), lens)
+    mirrored = 2 * starts[face] + lens[face] - 1 - rows
+    return np.where(flip[face], mirrored, rows)
+
+
+def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: float) -> PolyStack:
+    """Clip every cell of the stack by its own plane in one array pass.
+
+    d[r] is the signed distance of vertex row r from its cell's plane (positive
+    outside), normals[c] the plane normal of cell c and tags[c] the tag of the
+    section face it adds (None or -1 for the domain). Per cell, as for one
+    polyhedron: a cell with every d <= eps is kept whole, one with every
+    d >= -eps vanishes. Otherwise a face with every d >= -eps goes, a face
+    with every d <= eps stays whole, and every other face is cut: each vertex
+    inside stays, each edge that crosses the plane adds its crossing point,
+    and near-duplicate vertices of the cut loop are removed (`_dedup_loops`;
+    under three left, the face goes). The crossing points and the vertices
+    within eps of the plane, taken in face and loop order, minus those within
+    eps of an earlier one, make the section face when there are three or
+    more: ordered by angle around their centroid, oriented along +normal and
+    appended after the cell's other faces. A cell with no face left vanishes.
+    """
+    v, starts, succ = stack.verts, stack.starts, stack.succ
+    nface = len(starts)
+    if nface == 0:
+        return stack
+    row_face = np.repeat(np.arange(nface), stack.lengths())
+    ncell = len(normals)
+    below = np.logical_or.reduceat(d < -eps, starts)
+    above = np.logical_or.reduceat(d > eps, starts)
+    cell_below = np.bincount(stack.cells[below], minlength=ncell) > 0
+    cell_above = np.bincount(stack.cells[above], minlength=ncell) > 0
+    cut_cell = cell_below & cell_above
+    keep_face = ~cell_above[stack.cells] | (cut_cell[stack.cells] & below)
+    cut_face = cut_cell[stack.cells] & below & above
+
+    # Emit per kept row its vertex when inside, then the crossing point of
+    # its outgoing edge when that edge crosses the plane.
+    rows = np.flatnonzero(keep_face[row_face])
+    inside = d <= eps
+    emit = np.empty((len(rows), 2), dtype=bool)
+    emit[:, 0] = inside[rows]
+    emit[:, 1] = inside[rows] != inside[succ[rows]]
+    pts = np.empty((len(rows), 2, 3))
+    pts[:, 0] = v[rows]
+    a = rows[emit[:, 1]]
+    b = succ[a]
+    s = d[a] / (d[a] - d[b])
+    pts[emit[:, 1], 1] = v[a] + s[:, None] * (v[b] - v[a])
+    on_plane = np.empty_like(emit)
+    on_plane[:, 0] = np.abs(d[rows]) <= eps
+    on_plane[:, 1] = True
+    emit = emit.ravel()
+    pts = pts.reshape(-1, 3)[emit]
+    face = np.repeat(row_face[rows], 2)[emit]
+    on_plane = on_plane.ravel()[emit] & cut_cell[stack.cells[face]]
+
+    # Cut loops lose their near-duplicate vertices; loops under three go.
+    loop_starts = _group_starts(face)
+    stay = _dedup_loops(pts, loop_starts, eps) | ~cut_face[face]
+    count = np.bincount(face[stay], minlength=nface)
+    stay &= count[face] >= 3
+    loop_starts = _group_starts(face[stay])
+    kept = face[stay][loop_starts]
+    faces = PolyStack.from_loops(pts[stay], loop_starts, stack.tags[kept], stack.cells[kept])
+
+    caps = _section_faces(pts[on_plane], stack.cells[face[on_plane]], normals, tags, eps)
+    return concat_stacks([faces, caps])
+
+
+def _section_faces(p: np.ndarray, cells: np.ndarray, normals: np.ndarray, tags, eps: float) -> PolyStack:
+    """The section face of every cell from its points on the plane (cells
+    sorted): distinct within eps, three or more, CCW around +normals[c]."""
+    uniq = _first_unique(p, cells, eps)
+    p, cells = p[uniq], cells[uniq]
+    big = (np.bincount(cells, minlength=len(normals)) >= 3)[cells]
+    p, cells = p[big], cells[big]
+    if not len(p):
+        return PolyStack.empty()
+    starts = _group_starts(cells)
+    owner = cells[starts]
+    n = normals[owner]
+    loops = p[_angular_order(p, cells, n)]
+    realized = _face_normals(loops, starts, _successors(starts, len(loops)))
+    flip = _rowdot(realized, n / np.sqrt(_rowdot(n, n))[:, None]) < 0.0
+    tag = np.array([-1 if t is None else t for t in tags], dtype=np.int64)
+    return PolyStack.from_loops(loops[_reverse_within(starts, len(loops), flip)], starts,
+                                tag[owner], owner)
 
 
 def _newell_normal(verts: np.ndarray) -> np.ndarray:
@@ -243,9 +444,7 @@ def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.array([len(v) for v in loops], dtype=np.intp)
     starts = np.zeros(len(sizes), dtype=np.intp)
     np.cumsum(sizes[:-1], out=starts[1:])
-    succ = np.arange(1, int(sizes.sum()) + 1)
-    succ[starts + sizes - 1] = starts
-    return np.concatenate(loops), starts, succ
+    return np.concatenate(loops), starts, _successors(starts, int(sizes.sum()))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,7 +59,9 @@ def neighbor_heights(i, jk, jk1) -> tuple[np.ndarray, np.ndarray]:
     An acute row (every angle cosine above EPS_RIGHT) has foot True and the
     perpendicular distance from i to the line (jk, jk1) as its height; a row
     with a right or obtuse corner falls back to the shorter of the two edges
-    at i. The first degenerate row raises DegenerateTriangle.
+    at i. The first degenerate row raises DegenerateTriangle, and the first
+    acute row whose base is no longer than EPS_LEN times its longest edge
+    DegenerateSegment.
     """
     i, jk, jk1 = (np.asarray(x, dtype=float) for x in (i, jk, jk1))
     to_j, to_j1, base = jk - i, jk1 - i, jk1 - jk
@@ -74,7 +76,7 @@ def neighbor_heights(i, jk, jk1) -> tuple[np.ndarray, np.ndarray]:
         & (_dots(base, -to_j) / (l_base * l_j) > EPS_RIGHT)
         & (_dots(-to_j1, -base) / (l_j1 * l_base) > EPS_RIGHT)
     )
-    short = l_base <= EPS_LEN * np.maximum(longest, 1.0)
+    short = l_base <= EPS_LEN * longest
     if (foot & short).any():
         r = int(np.argmax(foot & short))
         raise DegenerateSegment(f"segment endpoints coincide: {jk[r]}, {jk1[r]}")

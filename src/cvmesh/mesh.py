@@ -3,31 +3,39 @@ closure by domain clipping, and the global/local mesh validations.
 
 Interior cells take their vertices directly from the incident simplices in
 ring/star order; hull-point cells are cut out of the domain by the power
-bisectors toward their neighbors. Every wall knows which neighbor it separates
-its owner from, which makes the perpendicularity and shared-wall checks exact.
+bisectors toward their neighbors. In 3D each of the two runs as array code
+over all cells at once, on polyhedra stacked by `clipping.PolyStack`. Every
+wall knows which neighbor it separates its owner from, which makes the
+perpendicularity and shared-wall checks exact.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .clipping import (
-    TaggedFace,
+    PolyStack,
     TaggedPolygon,
     TaggedPolyhedron,
     box_polygon,
     box_polyhedron,
     clip_polygon,
     clip_polyhedron,
+    clip_stack,
+    concat_stacks,
     polygon_halfplanes,
     polyhedron_halfspaces,
+    _angular_order,
+    _dedup_loops,
     _face_normals,
+    _group_starts,
     _loops_volume,
-    _newell_normal,
+    _reverse_within,
     _rowdot,
     _stack_loops,
+    _successors,
 )
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import NonConvexCell, NonPlanarFace, OrphanVertex
@@ -304,37 +312,6 @@ def _check_orphans(q: np.ndarray, matched: set[int], planes, eps_inside: float):
             raise OrphanVertex(t)
 
 
-def _face_loop_around_edge(i: int, j: int, q: np.ndarray, tet_ids, pts, eps: float):
-    """Order the candidate vertices of all tetrahedra on edge (i, j) cyclically
-    in the plane perpendicular to the edge; returns (loop, simplex ids)."""
-    axis = pts[j] - pts[i]
-    axis = axis / np.linalg.norm(axis)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    # sort around the vertex centroid: it is interior to the convex face loop,
-    # unlike the edge midpoint, so angular order equals boundary order
-    rel = q[tet_ids] - np.mean(q[tet_ids], axis=0)
-    ang = np.arctan2(rel @ e2, rel @ e1)
-    order = np.argsort(ang, kind="stable")
-    loop = q[np.asarray(tet_ids)[order]]
-    ids = [int(np.asarray(tet_ids)[k]) for k in order]
-    keep_v: list[np.ndarray] = []
-    keep_i: list[int] = []
-    for v, t in zip(loop, ids):
-        if keep_v and np.linalg.norm(v - keep_v[-1]) <= eps:
-            continue
-        keep_v.append(v)
-        keep_i.append(t)
-    if len(keep_v) > 1 and np.linalg.norm(keep_v[0] - keep_v[-1]) <= eps:
-        keep_v.pop()
-        keep_i.pop()
-    if len(keep_v) < 3:
-        return None, None
-    return np.asarray(keep_v), keep_i
-
-
 def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planes of the loops of a `_stack_loops` stack with Newell normals
     `normals`: the mask of loops with a nonzero normal, and for those the unit
@@ -374,6 +351,95 @@ def _check_convex3(owner: int, stack, normals, scale: float):
         raise NonConvexCell(owner, f"vertex {out[bad[0]]:.3g} outside face plane")
 
 
+def _hull_cells(cells: np.ndarray, pts, r, domain: TaggedPolyhedron, eps: float,
+                neighbors: list) -> PolyStack:
+    """Hull-point cells: each starts as the domain box and is clipped by the
+    power bisector toward its k-th neighbor at step k, every cell that has a
+    k-th neighbor in one `clip_stack` pass per step."""
+    # most neighbors first, so the cells clipped at step k lead the stack
+    order = np.argsort([-len(nb) for nb in neighbors], kind="stable")
+    cells = cells[order]
+    counts = np.array([len(neighbors[c]) for c in order], dtype=np.intp)
+    table = np.zeros((len(cells), counts.max(initial=0)), dtype=np.int64)
+    for row, c in enumerate(order.tolist()):
+        table[row, :counts[row]] = neighbors[c]
+    stack = PolyStack.of([domain] * len(cells))
+    for k in range(table.shape[1]):
+        live = int(np.count_nonzero(counts > k))
+        head, tail = stack.split(live)
+        pi, pj = pts[cells[:live]], pts[table[:live, k]]
+        ri, rj = r[cells[:live]], r[table[:live, k]]
+        normal = 2.0 * (pj - pi)
+        offset = _rowdot(pj, pj) - _rowdot(pi, pi) + ri * ri - rj * rj
+        rc = head.row_cells()
+        d = _rowdot(head.verts, normal[rc]) - offset[rc]
+        stack = concat_stacks([clip_stack(head, d, normal, table[:live, k], eps), tail])
+    return replace(stack, cells=cells[stack.cells])
+
+
+def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
+                    eps: float) -> PolyStack:
+    """Interior-point cells: the wall toward neighbor j collects the candidate
+    vertices of every tetrahedron on edge (i, j), in star order, sorted by
+    angle around their centroid in the plane normal to the edge (the
+    centroid lies inside the convex wall, unlike the edge midpoint, so
+    angular order is boundary order), with near duplicates removed
+    (`_dedup_loops`) and oriented toward j; walls under three vertices are
+    left out. All walls of all cells in one pass."""
+    if not len(cells):
+        return PolyStack.empty()
+    star = np.concatenate([nm.stars[i] for i in cells])
+    tets = np.concatenate([nm.star_simplices[i] for i in cells])
+    sizes = [len(nm.stars[i]) for i in cells]
+    # one row per (owner, neighbor, tetrahedron), by owner, neighbor, star order
+    owner = np.repeat(np.repeat(cells, sizes), 3)
+    other = star.ravel()
+    row = np.repeat(np.arange(len(star)), 3)
+    order = np.lexsort((row, other, owner))
+    owner, other, tet = owner[order], other[order], tets[row[order]]
+    new = np.ones(len(owner), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (other[1:] != other[:-1])
+    group = np.cumsum(new) - 1
+    gi, gj = owner[new], other[new]
+    axis = pts[gj] - pts[gi]
+    p = q[tet]
+    loops = p[_angular_order(p, group, axis)]
+    keep = _dedup_loops(loops, np.flatnonzero(new), eps)
+    keep &= (np.bincount(group[keep], minlength=len(gi)) >= 3)[group]
+    loops, group = loops[keep], group[keep]
+    starts = _group_starts(group)
+    walls = group[starts]
+    realized = _face_normals(loops, starts, _successors(starts, len(loops)))
+    flip = _rowdot(realized, axis[walls]) < 0.0
+    return PolyStack.from_loops(loops[_reverse_within(starts, len(loops), flip)], starts,
+                                gj[walls], gi[walls])
+
+
+def _clip_to_domain(stack: PolyStack, domain_planes, eps: float) -> PolyStack:
+    """Clip the cells with a vertex beyond a domain plane (by more than eps
+    relative to its normal) by each such plane in turn, one cell at a time."""
+    beyond = np.zeros(len(stack.verts), dtype=bool)
+    for n, c in domain_planes:
+        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
+    crossing = np.unique(stack.row_cells()[beyond])
+    if not len(crossing):
+        return stack
+    parts = [stack.take(np.flatnonzero(~np.isin(stack.cells, crossing)))]
+    for i in crossing.tolist():
+        poly = stack.polyhedron(i)
+        allv = poly.vertices()
+        for n, c in domain_planes:
+            if np.any(allv @ n - c > eps * np.linalg.norm(n)):
+                poly = clip_polyhedron(poly, n, c, None, eps)
+                if poly is None:
+                    break
+                allv = poly.vertices()
+        if poly is not None:
+            part = PolyStack.of([poly])
+            parts.append(replace(part, cells=np.full(len(part.starts), i)))
+    return concat_stacks(parts)
+
+
 def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
                    domain: TaggedPolyhedron | None = None) -> ControlVolumeMesh:
     """3D analog of build_volumes2: the face toward neighbor j collects the
@@ -390,53 +456,36 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
     match_eps = 1e-9 * scale
     domain_planes = polyhedron_halfspaces(domain)
 
+    hull = np.flatnonzero(nm.on_hull)
+    interior = np.flatnonzero(~nm.on_hull)
+    stack = concat_stacks([
+        _hull_cells(hull, pts, r, domain, eps, [np.unique(nm.stars[i]) for i in hull]),
+        _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), domain_planes, eps),
+    ])
+    normals = _face_normals(stack.verts, stack.starts, stack.succ)
+    bounds = np.searchsorted(stack.cells, np.arange(len(pts) + 1))
+    ends = np.concatenate((stack.starts, [len(stack.verts)]))
+
     volumes: list[ControlVolume] = []
     matched: set[int] = set()
     for i in range(len(pts)):
-        star = nm.stars[i]
-        star_ids = nm.star_simplices[i]
-        neighbor_ids = np.unique(star) if len(star) else np.empty(0, dtype=np.int64)
-        if not nm.on_hull[i]:
-            faces = []
-            for j in neighbor_ids:
-                rows = np.nonzero(np.any(star == j, axis=1))[0]
-                loop, ids = _face_loop_around_edge(i, int(j), q, star_ids[rows], pts, eps)
-                if loop is None:
-                    continue
-                n = _newell_normal(loop)
-                if float(np.dot(n, pts[int(j)] - pts[i])) < 0.0:
-                    loop = loop[::-1]
-                    ids = ids[::-1]
-                faces.append(CellFace(verts=loop, neighbor=int(j), vertex_simplices=ids))
-            poly = TaggedPolyhedron(faces=[TaggedFace(f.verts, f.neighbor) for f in faces])
-            allv = poly.vertices()
-            for n, c in domain_planes:
-                if poly is not None and np.any(allv @ n - c > eps * np.linalg.norm(n)):
-                    poly = clip_polyhedron(poly, n, c, None, eps)
-                    if poly is None:
-                        break
-                    allv = poly.vertices()
-        else:
-            poly = domain
-            for j in neighbor_ids:
-                if poly is None:
-                    break
-                n, c = _power_bisector(pts[i], pts[int(j)], r[i], r[int(j)])
-                poly = clip_polyhedron(poly, n, c, int(j), eps)
-
-        if poly is None:
+        f0, f1 = int(bounds[i]), int(bounds[i + 1])
+        if f0 == f1:
             volumes.append(ControlVolume(owner=i, closed=False, faces=[]))
             continue
-        stack = _stack_loops([f.verts for f in poly.faces])
-        normals = _face_normals(*stack)
-        _check_face_planarity(i, [f.tag for f in poly.faces], stack, normals)
-        ids = _match_simplex_ids(stack[0], q, star_ids, match_eps)
+        r0, r1 = int(ends[f0]), int(ends[f1])
+        v = stack.verts[r0:r1]
+        cell = (v, stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0)
+        tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
+        _check_face_planarity(i, tags, cell, normals[f0:f1])
+        ids = _match_simplex_ids(v, q, nm.star_simplices[i], match_eps)
         matched.update(t for t in ids if t is not None)
+        cuts = (ends[f0:f1 + 1] - r0).tolist()
         cell_faces = [
-            CellFace(verts=f.verts, neighbor=f.tag, vertex_simplices=ids[s:s + len(f.verts)])
-            for f, s in zip(poly.faces, stack[1].tolist())
+            CellFace(verts=v[a:b], neighbor=t, vertex_simplices=ids[a:b])
+            for a, b, t in zip(cuts[:-1], cuts[1:], tags)
         ]
-        _check_convex3(i, stack, normals, scale)
+        _check_convex3(i, cell, normals[f0:f1], scale)
         volumes.append(ControlVolume(owner=i, closed=True, faces=cell_faces))
 
     _check_orphans(q, matched, domain_planes, eps_inside=match_eps)

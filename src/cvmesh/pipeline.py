@@ -174,6 +174,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "solver_n_eval": solve.n_eval,
         "solver_trace": solve.trace,
         "clamped_points": len(solve.clamped_points),
+        "domain_clipped_cells": _domain_clipped_cells(mesh),
         "max_simplex_residual": _max_simplex_residual(mesh, solve),
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,
@@ -187,6 +188,13 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     write_json(summary, spath)
     artifacts["summary.json"] = spath
     return PipelineResult(exit_code=exit_code, summary=summary, artifacts=artifacts, mesh=mesh)
+
+
+def _domain_clipped_cells(mesh) -> int:
+    """Cells with at least one wall on the domain boundary (tagged None)."""
+    if mesh.dim == 2:
+        return sum(1 for c in mesh.volumes if None in (c.edge_neighbors or []))
+    return sum(1 for c in mesh.volumes if any(f.neighbor is None for f in c.faces or []))
 
 
 def _max_simplex_residual(mesh, solve) -> float:

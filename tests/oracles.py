@@ -5,8 +5,9 @@ beyond plain numpy) so the checks stay independent of the code paths they
 verify: direct circumcircle/circumsphere scans, half-plane-intersection
 Voronoi cells, a two-variable Newton solve for equal-power points, a
 hand-rolled Gaussian elimination, and one-face, one-vertex-at-a-time loops
-for the 3D cell containment, volume, simplex matching and perpendicularity
-that cvmesh computes as array code over whole cells.
+for the 3D cell clipping, face-loop ordering, containment, volume, simplex
+matching and perpendicularity that cvmesh computes as array code over whole
+cells.
 """
 from __future__ import annotations
 
@@ -454,6 +455,143 @@ def perpendicularity_loop3(mesh, tol: float = 1e-6) -> tuple[int, list]:
             if dev > tol:
                 violations.append((i, int(f.neighbor), dev))
     return checked, violations
+
+
+def clip_polyhedron_loop(faces, normal, offset: float, tag, eps: float):
+    """Keep the part of the polyhedron with normal . x <= offset, one face and
+    one vertex at a time: the loop code cvmesh ran before its stacked clip
+    kernel. faces are (verts, tag) pairs; returns the clipped list or None.
+    The section polygon becomes one new face labelled `tag`, oriented with its
+    outward normal along +normal."""
+    n = np.asarray(normal, dtype=float)
+    all_v = np.vstack([v for v, _ in faces])
+    d_all = all_v @ n - offset
+    if np.all(d_all <= eps):
+        return faces
+    if np.all(d_all >= -eps):
+        return None
+
+    new_faces = []
+    cut_points = []
+    for f in faces:
+        v = f[0]
+        d = v @ n - offset
+        if np.all(d >= -eps):
+            continue
+        if np.all(d <= eps):
+            new_faces.append(f)
+            # boundary-touching vertices still seed the cap polygon
+            for k in range(len(v)):
+                if abs(d[k]) <= eps:
+                    cut_points.append(v[k])
+            continue
+        loop = []
+        k = len(v)
+        for a in range(k):
+            b = (a + 1) % k
+            da, db = d[a], d[b]
+            if da <= eps:
+                loop.append(v[a])
+                if abs(da) <= eps:
+                    cut_points.append(v[a])
+                if db > eps:
+                    s = da / (da - db)
+                    x = v[a] + s * (v[b] - v[a])
+                    loop.append(x)
+                    cut_points.append(x)
+            elif db <= eps:
+                s = da / (da - db)
+                x = v[a] + s * (v[b] - v[a])
+                loop.append(x)
+                cut_points.append(x)
+        loop_arr = dedup_loop(np.asarray(loop), eps)
+        if loop_arr is not None:
+            new_faces.append((loop_arr, f[1]))
+
+    cap = cap_face(cut_points, n, eps)
+    if cap is not None:
+        new_faces.append((cap, tag))
+    if not new_faces:
+        return None
+    return new_faces
+
+
+def dedup_loop(verts, eps):
+    """Drop each vertex within eps of the last one kept, then the last kept
+    one when it lies within eps of the first; None under three left."""
+    if len(verts) == 0:
+        return None
+    keep = [verts[0]]
+    for v in verts[1:]:
+        if np.linalg.norm(v - keep[-1]) > eps:
+            keep.append(v)
+    if len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= eps:
+        keep.pop()
+    if len(keep) < 3:
+        return None
+    return np.asarray(keep)
+
+
+def cap_face(points, n, eps):
+    """Order section points CCW around +n so the cap's outward normal is +n."""
+    if len(points) < 3:
+        return None
+    pts = np.asarray(points)
+    # unique within eps
+    uniq = []
+    for p in pts:
+        if all(np.linalg.norm(p - q) > eps for q in uniq):
+            uniq.append(p)
+    if len(uniq) < 3:
+        return None
+    pts = np.asarray(uniq)
+    center = pts.mean(axis=0)
+    nn = n / np.linalg.norm(n)
+    seed = np.array([1.0, 0.0, 0.0]) if abs(nn[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(nn, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(nn, e1)  # (e1, e2, nn) right-handed => CCW angles wind around +nn
+    rel = pts - center
+    ang = np.arctan2(rel @ e2, rel @ e1)
+    order = np.argsort(ang, kind="stable")
+    loop = pts[order]
+    # (e1, e2) chosen so increasing angle winds CCW when viewed from +n;
+    # flip if the realized normal disagrees (degenerate seeds).
+    realized = newell_normal(loop)
+    if np.dot(realized, nn) < 0.0:
+        loop = loop[::-1]
+    return loop
+
+
+def face_loop_around_edge(i: int, j: int, q, tet_ids, pts, eps: float):
+    """Order the candidate vertices of all tetrahedra on edge (i, j) cyclically
+    in the plane perpendicular to the edge; returns (loop, simplex ids)."""
+    axis = pts[j] - pts[i]
+    axis = axis / np.linalg.norm(axis)
+    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(axis, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    # sort around the vertex centroid: it is interior to the convex face loop,
+    # unlike the edge midpoint, so angular order equals boundary order
+    rel = q[tet_ids] - np.mean(q[tet_ids], axis=0)
+    ang = np.arctan2(rel @ e2, rel @ e1)
+    order = np.argsort(ang, kind="stable")
+    loop = q[np.asarray(tet_ids)[order]]
+    ids = [int(np.asarray(tet_ids)[k]) for k in order]
+    keep_v = []
+    keep_i = []
+    for v, t in zip(loop, ids):
+        if keep_v and np.linalg.norm(v - keep_v[-1]) <= eps:
+            continue
+        keep_v.append(v)
+        keep_i.append(t)
+    if len(keep_v) > 1 and np.linalg.norm(keep_v[0] - keep_v[-1]) <= eps:
+        keep_v.pop()
+        keep_i.pop()
+    if len(keep_v) < 3:
+        return None, None
+    return np.asarray(keep_v), keep_i
 
 
 def dedup_vertices(verts, tol):

@@ -96,10 +96,56 @@ def test_classify_invariant_under_rigid_motion_and_scaling():
 
 
 def test_point_line_distance2_degenerate_segment():
-    # A base shorter than EPS_LEN (absolute below unit scale) under an acute
-    # apex: the perpendicular-foot rule has no line to measure against.
-    with pytest.raises(DegenerateSegment):
-        triangle((0.0, 1e-5), (-0.5e-13, 0.0), (0.5e-13, 0.0))
+    # The segment test is relative to the longest edge: a base of 1e-13 under
+    # an apex 1e-5 away is 1e-8 of it, an ordinary acute row at every scale.
+    # A base of zero length makes the corners collinear, which the area test
+    # rejects before the segment test.
+    for s in (1e-8, 1.0, 1e8):
+        h, foot = triangle((0.0, 1e-5 * s), (-0.5e-13 * s, 0.0), (0.5e-13 * s, 0.0))
+        assert foot
+        assert h == pytest.approx(1e-5 * s, rel=1e-12)
+        with pytest.raises(DegenerateTriangle):
+            triangle((0.0, 1e-5 * s), (0.0, 0.0), (0.0, 0.0))
+
+
+def _heights_outcome(rows, s):
+    """(error type or None, heights / s, foot) of neighbor_heights on rows * s."""
+    try:
+        h, foot = neighbor_heights(*(r * s for r in rows))
+    except (DegenerateSegment, DegenerateTriangle) as exc:
+        return type(exc), None, None
+    return None, h / s, foot
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_neighbor_heights_scale_invariant(dim):
+    """Raise or not, foot rule and heights / scale agree at scales 1e-8, 1
+    and 1e8: every tolerance of the height rules is relative."""
+    rng = np.random.default_rng(41 + dim)
+    pad = np.zeros((1, dim - 2))
+    cases = [
+        # base 1e-8 of the longest edge under an acute apex
+        [np.hstack([np.array([[0.0, 1e-5]]), pad]),
+         np.hstack([np.array([[-0.5e-13, 0.0]]), pad]),
+         np.hstack([np.array([[0.5e-13, 0.0]]), pad])],
+        # collinear corners
+        [np.zeros((1, dim)), np.eye(dim)[:1], 2.0 * np.eye(dim)[:1]],
+    ]
+    acute = [rng.normal(size=(200, dim)) for _ in range(3)]
+    _, foot = neighbor_heights(*acute)
+    cases.append([a[foot] for a in acute])
+    cases.append(acute)
+    for rows in cases:
+        want = _heights_outcome(rows, 1.0)
+        for s in (1e-8, 1e8):
+            got = _heights_outcome(rows, s)
+            assert got[0] == want[0]
+            if want[0] is None:
+                assert np.array_equal(got[2], want[2])
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+    assert _heights_outcome(cases[0], 1.0)[0] is None
+    assert _heights_outcome(cases[1], 1.0)[0] is DegenerateTriangle
+    assert len(cases[2][0]) > 20
 
 
 def test_neighbor_height2_equilateral():

@@ -523,3 +523,20 @@ def test_perpendicularity_3d_flags_displaced_vertex_as_loop_reference():
     report = validate_perpendicularity(mesh, tol=1e-6)
     assert (i, f.neighbor) in {(a, b) for a, b, _ in report.violations}
     assert (report.checked, report.violations) == perpendicularity_loop3(mesh, tol=1e-6)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+@pytest.mark.parametrize("seed", range(10))
+def test_equal_radii_3d_sweep_builds_valid_meshes(n, seed):
+    """Default-generator 3D clouds with equal radii, over seeds and sizes:
+    the build succeeds, every wall is perpendicular, the global checks pass
+    and the cells fill the domain."""
+    pts = uniform_points(3, n, seed)
+    tet = tetrahedralize3(pts)
+    nm = neighbor_map(tet)
+    sol = solve_radii(tet, nm, pts, equal_radii=True)
+    mesh = build_volumes3(tet, nm, pts, sol.radii)
+    assert validate_perpendicularity(mesh, tol=1e-9).ok
+    report = validate_global(mesh)
+    assert report.ok
+    assert report.total_measure == pytest.approx(report.domain_measure, rel=1e-9, abs=0.0)

@@ -70,3 +70,17 @@ def test_default_3d_cloud_with_hull_sliver_builds(tmp_path):
     res = run_pipeline(cfg)
     assert res.exit_code == 0
     assert res.summary["global_ok"]
+
+
+def test_summary_counts_domain_clipped_cells(tmp_path):
+    for dim, n in ((2, 30), (3, 30)):
+        cfg = RunConfig(dimension=dim, n=n, seed=4, equal_radii=True, probes=500,
+                        out_dir=str(tmp_path / f"d{dim}"))
+        res = run_pipeline(cfg)
+        summary = read_json(res.artifacts["summary.json"])
+        mesh = read_json(res.artifacts["mesh.json"])
+        walls = ([c["edge_neighbors"] for c in mesh["cells"]] if dim == 2 else
+                 [[f["neighbor"] for f in c["faces"]] for c in mesh["cells"]])
+        want = sum(1 for tags in walls if None in tags)
+        assert summary["domain_clipped_cells"] == res.summary["domain_clipped_cells"] == want
+        assert 0 < want < len(mesh["cells"])
