@@ -6,10 +6,6 @@ class CvMeshError(Exception):
     """Base class for all cvmesh errors."""
 
 
-class DegenerateSegment(CvMeshError):
-    """Two segment endpoints coincide within tolerance."""
-
-
 class DegenerateTriangle(CvMeshError):
     """Triangle is collinear within tolerance (area ~ 0)."""
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSegment, DegenerateTetrahedron, DegenerateTriangle
+from .errors import DegenerateTetrahedron, DegenerateTriangle
 
 __all__ = [
     "neighbor_heights",
@@ -59,9 +59,7 @@ def neighbor_heights(i, jk, jk1) -> tuple[np.ndarray, np.ndarray]:
     An acute row (every angle cosine above EPS_RIGHT) has foot True and the
     perpendicular distance from i to the line (jk, jk1) as its height; a row
     with a right or obtuse corner falls back to the shorter of the two edges
-    at i. The first degenerate row raises DegenerateTriangle, and the first
-    acute row whose base is no longer than EPS_LEN times its longest edge
-    DegenerateSegment.
+    at i. The first degenerate row raises DegenerateTriangle.
     """
     i, jk, jk1 = (np.asarray(x, dtype=float) for x in (i, jk, jk1))
     to_j, to_j1, base = jk - i, jk1 - i, jk1 - jk
@@ -76,10 +74,6 @@ def neighbor_heights(i, jk, jk1) -> tuple[np.ndarray, np.ndarray]:
         & (_dots(base, -to_j) / (l_base * l_j) > EPS_RIGHT)
         & (_dots(-to_j1, -base) / (l_j1 * l_base) > EPS_RIGHT)
     )
-    short = l_base <= EPS_LEN * longest
-    if (foot & short).any():
-        r = int(np.argmax(foot & short))
-        raise DegenerateSegment(f"segment endpoints coincide: {jk[r]}, {jk1[r]}")
     perpendicular = _cross_norms(-to_j, base) / l_base
     return np.where(foot, perpendicular, np.minimum(l_j, l_j1)), foot
 

@@ -196,29 +196,29 @@ class RunConfig:
 # point generation
 
 
-def _border_samples(lo, hi, spacing: float, rng) -> list[np.ndarray]:
-    """Corner + jittered edge (and face, in 3D) points on the box border."""
+def _along(a, b, spacing: float, rng) -> np.ndarray:
+    """Jittered points strictly inside the edge a -> b, about `spacing` apart."""
+    length = float(np.linalg.norm(b - a))
+    k = int(round(length / spacing)) - 1
+    if k < 1:
+        return np.empty((0, len(a)))
+    ts = (np.arange(1, k + 1) + 0.15 * (rng.random(k) - 0.5)) / (k + 1)
+    return a + ts[:, None] * (b - a)
+
+
+def _border_samples(lo, hi, spacing: float, rng) -> np.ndarray:
+    """Corner + jittered edge (and face, in 3D) points on the box border, as
+    one (B, d) array. The draws are one rng.random(k) per edge and, per 3D
+    face, two draws per grid point (u then v) in (iu, iv) order."""
     d = len(lo)
-    pts: list[np.ndarray] = []
-    for corner in product(*zip(lo, hi)):
-        pts.append(np.asarray(corner, dtype=float))
-
-    def along(a, b):
-        length = float(np.linalg.norm(b - a))
-        k = int(round(length / spacing)) - 1
-        if k < 1:
-            return
-        ts = (np.arange(1, k + 1) + 0.15 * (rng.random(k) - 0.5)) / (k + 1)
-        for t in ts:
-            pts.append(a + t * (b - a))
-
+    parts = [np.array(list(product(*zip(lo, hi))), dtype=float)]
     if d == 2:
         c = np.array
-        along(c([lo[0], lo[1]]), c([hi[0], lo[1]]))
-        along(c([hi[0], lo[1]]), c([hi[0], hi[1]]))
-        along(c([hi[0], hi[1]]), c([lo[0], hi[1]]))
-        along(c([lo[0], hi[1]]), c([lo[0], lo[1]]))
-        return pts
+        parts.append(_along(c([lo[0], lo[1]]), c([hi[0], lo[1]]), spacing, rng))
+        parts.append(_along(c([hi[0], lo[1]]), c([hi[0], hi[1]]), spacing, rng))
+        parts.append(_along(c([hi[0], hi[1]]), c([lo[0], hi[1]]), spacing, rng))
+        parts.append(_along(c([lo[0], hi[1]]), c([lo[0], lo[1]]), spacing, rng))
+        return np.concatenate(parts)
 
     # 3D: the 12 box edges, then a jittered grid per face
     for axis in range(3):
@@ -230,20 +230,81 @@ def _border_samples(lo, hi, spacing: float, rng) -> list[np.ndarray]:
                 a[axis], b[axis] = lo[axis], hi[axis]
                 a[u] = b[u] = cu
                 a[v] = b[v] = cv
-                along(a, b)
+                parts.append(_along(a, b, spacing, rng))
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
         ku = max(1, int(round((hi[u] - lo[u]) / spacing)) - 1)
         kv = max(1, int(round((hi[v] - lo[v]) / spacing)) - 1)
+        iu, iv = (g.ravel() for g in np.meshgrid(
+            np.arange(1, ku + 1), np.arange(1, kv + 1), indexing="ij"))
         for w in (lo[axis], hi[axis]):
-            for iu in range(1, ku + 1):
-                for iv in range(1, kv + 1):
-                    p = np.empty(3)
-                    p[axis] = w
-                    p[u] = lo[u] + (iu + 0.15 * (rng.random() - 0.5)) / (ku + 1) * (hi[u] - lo[u])
-                    p[v] = lo[v] + (iv + 0.15 * (rng.random() - 0.5)) / (kv + 1) * (hi[v] - lo[v])
-                    pts.append(p)
-    return pts
+            r = rng.random(2 * ku * kv).reshape(-1, 2)
+            p = np.empty((ku * kv, 3))
+            p[:, axis] = w
+            p[:, u] = lo[u] + (iu + 0.15 * (r[:, 0] - 0.5)) / (ku + 1) * (hi[u] - lo[u])
+            p[:, v] = lo[v] + (iv + 0.15 * (r[:, 1] - 0.5)) / (kv + 1) * (hi[v] - lo[v])
+            parts.append(p)
+    return np.concatenate(parts)
+
+
+class _BackgroundGrid:
+    """Uniform cells over the box, each side at least min_sep, so every point
+    closer than min_sep to a query lies in the 3^d cells around the query's
+    cell (Bridson 2007, "Fast Poisson disk sampling in arbitrary dimensions").
+
+    The sides carry a margin of 1e-6 over min_sep: rounding in the cell
+    coordinate is a few ulps times the cells per axis, so it cannot move two
+    points closer than min_sep more than one cell apart. Long axes get wider
+    cells until there are at most 4n + 64 of them, which keeps the grid O(n)
+    whatever the box's aspect ratio.
+    """
+
+    def __init__(self, lo, hi, min_sep: float, n: int):
+        extent = hi - lo
+        shape = np.maximum(np.floor(extent / (min_sep * (1.0 + 1e-6))), 1.0)
+        while np.prod(shape) > 4 * n + 64:
+            i = int(np.argmax(shape))
+            shape[i] = max(1.0, np.floor(shape[i] / 2.0))
+        d = len(lo)
+        self.lo = lo
+        self.min_sep = min_sep
+        self.width = extent / shape
+        self.shape = shape.astype(np.int64)
+        self.size = int(np.prod(self.shape))
+        self.strides = np.cumprod(np.r_[1, self.shape[:-1]])
+        self.offsets = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
+
+    def cells(self, x: np.ndarray) -> np.ndarray:
+        """Per-axis cell coordinates (m, d) of the points x (m, d)."""
+        c = np.floor((x - self.lo) / self.width).astype(np.int64)
+        return np.clip(c, 0, self.shape - 1)
+
+    def flat(self, cells: np.ndarray) -> np.ndarray:
+        return cells @ self.strides
+
+    def conflicts(self, x, xcells, pts, pflat) -> tuple[np.ndarray, np.ndarray]:
+        """(q, p) index pairs, ordered by q, with |pts[p] - x[q]| < min_sep:
+        only the points p in the 3^d cells around x[q] are measured (x[q] in
+        per-axis cells xcells[q], pts[p] in flat cell pflat[p]). The distance
+        is the expression of a check against every point,
+        np.linalg.norm(pts - x) (sqrt of the sum of squared differences), so
+        every decision is the same to the last bit; squared distances would
+        differ there."""
+        order = np.argsort(pflat, kind="stable")
+        count = np.bincount(pflat, minlength=self.size)
+        start = np.cumsum(count) - count
+        nb = xcells[:, None, :] + self.offsets
+        q, o = np.nonzero(np.all((nb >= 0) & (nb < self.shape), axis=2))
+        cell = self.flat(nb[q, o])
+        c = count[cell]
+        run = np.cumsum(c) - c
+        q = np.repeat(q, c)
+        p = order[np.arange(int(c.sum())) + np.repeat(start[cell] - run, c)]
+        hit = np.linalg.norm(pts[p] - x[q], axis=1) < self.min_sep
+        return q[hit], p[hit]
+
+
+_MAX_BLOCK = 8192                        # candidates per block; bounds its memory
 
 
 def generate_points(config: RunConfig) -> np.ndarray:
@@ -254,35 +315,74 @@ def generate_points(config: RunConfig) -> np.ndarray:
     border layer are placed first and the interior is filled by uniform
     rejection; the border layer keeps hull simplices well-shaped, which the
     radius bounds need. boundary=False gives the plain i.i.d.-uniform cloud.
+
+    The output is byte for byte that of drawing one candidate at a time with
+    rng.random(dim) and accepting it when no placed point lies within the
+    separation, but a candidate costs the same whatever N: candidates are
+    drawn in blocks (the same stream), sized from the acceptance rate of the
+    last block. A background grid checks a block against the placed points
+    in the 3^dim cells around each candidate only, and a candidate that
+    passes is accepted unless an earlier accepted candidate of its own block
+    lies within the separation. Attempts count up to the candidate that
+    places point N; after 1000 + 500 N of them without N points,
+    RejectionBudgetExceeded is raised.
     """
     d = config.dimension
+    n = config.n
     lo, hi = config.box_bounds()
     side = float((hi - lo).min())
-    min_sep = config.min_sep_factor * side / config.n ** (1.0 / d)
+    min_sep = config.min_sep_factor * side / n ** (1.0 / d)
     rng = np.random.default_rng(config.seed)
 
-    pts = np.empty((config.n, d))
+    pts = np.empty((n, d))
     k = 0                                # points placed so far, in pts[:k]
     if config.boundary:
         border = _border_samples(lo, hi, 1.25 * min_sep, rng)
-        if len(border) < config.n:
+        if len(border) < n:
             k = len(border)
             pts[:k] = border
 
-    budget = 1000 + 500 * config.n
+    grid = _BackgroundGrid(lo, hi, min_sep, n)
+    pflat = np.empty(n, dtype=np.int64)  # flat grid cell of each placed point
+    pflat[:k] = grid.flat(grid.cells(pts[:k]))
+    budget = 1000 + 500 * n
     attempts = 0
-    while k < config.n:
+    # Conflicts inside a block grow as the square of its size over n and are
+    # resolved in a Python loop; aiming at n/8 acceptances per block keeps
+    # them few and the number of blocks small.
+    per_block = max(16, n // 8)
+    rate = 1.0                           # acceptance rate of the last block
+    while k < n:
         if attempts >= budget:
             raise RejectionBudgetExceeded(
-                f"placed {k}/{config.n} points after {attempts} attempts "
+                f"placed {k}/{n} points after {attempts} attempts "
                 f"(min separation {min_sep:.3g})"
             )
-        cand = lo + (hi - lo) * rng.random(d)
-        attempts += 1
-        if k and float(np.min(np.linalg.norm(pts[:k] - cand, axis=1))) < min_sep:
-            continue
-        pts[k] = cand
-        k += 1
+        m = math.ceil(1.25 * min(n - k, per_block) / rate)
+        m = min(m, _MAX_BLOCK, budget - attempts)
+        cand = lo + (hi - lo) * rng.random((m, d))
+        ccells = grid.cells(cand)
+
+        # candidates with no placed point within min_sep, in draw order
+        rejected = np.zeros(m, dtype=bool)
+        rejected[grid.conflicts(cand, ccells, pts, pflat[:k])[0]] = True
+        live = np.flatnonzero(~rejected)
+        # a live candidate is accepted unless an earlier accepted one of
+        # this block is within min_sep
+        q, p = grid.conflicts(cand[live], ccells[live], cand[live],
+                              grid.flat(ccells[live]))
+        earlier = p < q
+        accepted = [True] * len(live)
+        for i, j in zip(q[earlier].tolist(), p[earlier].tolist()):  # ordered by i
+            if accepted[j]:
+                accepted[i] = False
+        placed = live[np.array(accepted, dtype=bool)][: n - k]
+
+        rate = max(len(placed), 1) / m
+        attempts += int(placed[-1]) + 1 if k + len(placed) == n else m
+        pts[k:k + len(placed)] = cand[placed]
+        pflat[k:k + len(placed)] = grid.flat(ccells[placed])
+        k += len(placed)
     return pts
 
 

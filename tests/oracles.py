@@ -4,14 +4,16 @@ Everything here is deliberately written from scratch (no imports from cvmesh
 beyond plain numpy) so the checks stay independent of the code paths they
 verify: direct circumcircle/circumsphere scans, half-plane-intersection
 Voronoi cells, a two-variable Newton solve for equal-power points, a
-hand-rolled Gaussian elimination, and one-face, one-vertex-at-a-time loops
+hand-rolled Gaussian elimination, one-face, one-vertex-at-a-time loops
 for the 3D cell clipping, face-loop ordering, containment, volume, simplex
 matching and perpendicularity that cvmesh computes as array code over whole
-cells.
+cells, and the one-candidate-at-a-time rejection loop that cvmesh's point
+generator runs in blocks over a background grid.
 """
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -693,3 +695,97 @@ def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
         domain_measure=mesh.domain_measure(),
         probes=probes,
     )
+
+
+# ---------------------------------------------------------------------------
+# point generation, one draw and one candidate at a time
+
+
+class GenerationBudgetExceeded(RuntimeError):
+    """reference_points ran out of attempts; the message is cvmesh's."""
+
+
+def border_samples_loop(lo, hi, spacing: float, rng) -> list:
+    """Box corners, then jittered points on every edge and (in 3D) a
+    jittered grid on every face, one scalar draw at a time."""
+    d = len(lo)
+    pts = []
+    for corner in product(*zip(lo, hi)):
+        pts.append(np.asarray(corner, dtype=float))
+
+    def along(a, b):
+        length = float(np.linalg.norm(b - a))
+        k = int(round(length / spacing)) - 1
+        if k < 1:
+            return
+        ts = (np.arange(1, k + 1) + 0.15 * (rng.random(k) - 0.5)) / (k + 1)
+        for t in ts:
+            pts.append(a + t * (b - a))
+
+    if d == 2:
+        c = np.array
+        along(c([lo[0], lo[1]]), c([hi[0], lo[1]]))
+        along(c([hi[0], lo[1]]), c([hi[0], hi[1]]))
+        along(c([hi[0], hi[1]]), c([lo[0], hi[1]]))
+        along(c([lo[0], hi[1]]), c([lo[0], lo[1]]))
+        return pts
+
+    for axis in range(3):
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        for cu in (lo[u], hi[u]):
+            for cv in (lo[v], hi[v]):
+                a = np.empty(3)
+                b = np.empty(3)
+                a[axis], b[axis] = lo[axis], hi[axis]
+                a[u] = b[u] = cu
+                a[v] = b[v] = cv
+                along(a, b)
+    for axis in range(3):
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        ku = max(1, int(round((hi[u] - lo[u]) / spacing)) - 1)
+        kv = max(1, int(round((hi[v] - lo[v]) / spacing)) - 1)
+        for w in (lo[axis], hi[axis]):
+            for iu in range(1, ku + 1):
+                for iv in range(1, kv + 1):
+                    p = np.empty(3)
+                    p[axis] = w
+                    p[u] = lo[u] + (iu + 0.15 * (rng.random() - 0.5)) / (ku + 1) * (hi[u] - lo[u])
+                    p[v] = lo[v] + (iv + 0.15 * (rng.random() - 0.5)) / (kv + 1) * (hi[v] - lo[v])
+                    pts.append(p)
+    return pts
+
+
+def reference_points(lo, hi, n: int, seed: int, min_sep_factor: float = 0.75,
+                     boundary: bool = True) -> np.ndarray:
+    """cvmesh.io.generate_points as a scalar loop: each candidate is one
+    rng.random(d) call, checked against every point placed so far."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    d = len(lo)
+    side = float((hi - lo).min())
+    min_sep = min_sep_factor * side / n ** (1.0 / d)
+    rng = np.random.default_rng(seed)
+
+    pts = np.empty((n, d))
+    k = 0
+    if boundary:
+        border = border_samples_loop(lo, hi, 1.25 * min_sep, rng)
+        if len(border) < n:
+            k = len(border)
+            pts[:k] = border
+
+    budget = 1000 + 500 * n
+    attempts = 0
+    while k < n:
+        if attempts >= budget:
+            raise GenerationBudgetExceeded(
+                f"placed {k}/{n} points after {attempts} attempts "
+                f"(min separation {min_sep:.3g})"
+            )
+        cand = lo + (hi - lo) * rng.random(d)
+        attempts += 1
+        if k and float(np.min(np.linalg.norm(pts[:k] - cand, axis=1))) < min_sep:
+            continue
+        pts[k] = cand
+        k += 1
+    return pts

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cvmesh.mesh import build_volumes2, build_volumes3
 from cvmesh.svg import SvgOptions, render_svg
 
 from conftest import bcc_cell, uniform_points
+from oracles import GenerationBudgetExceeded, reference_points
 
 
 def test_json_floats_roundtrip_exactly():
@@ -107,9 +109,56 @@ def test_generate_points_pinned_output(config, digest):
     assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
 
+def _reference(cfg: RunConfig) -> np.ndarray:
+    lo, hi = cfg.box_bounds()
+    return reference_points(lo, hi, cfg.n, cfg.seed, cfg.min_sep_factor, cfg.boundary)
+
+
+@pytest.mark.parametrize("dim, n", [
+    (2, 3), (2, 10), (2, 50), (2, 200), (2, 1000),
+    (3, 4), (3, 20), (3, 60), (3, 300),
+])
+def test_generate_points_matches_scalar_loop(dim, n):
+    """Block-drawn candidates over the background grid place the same points,
+    byte for byte, as one candidate at a time against every placed point."""
+    offset_box = (0.5, -2.0, 1.0)[:dim] + (1.7, 0.5, 4.0)[:dim]
+    for seed in (0, 1):
+        for boundary in (True, False):
+            for box in (None, offset_box):
+                cfg = RunConfig(dimension=dim, n=n, seed=seed, boundary=boundary, box=box)
+                assert generate_points(cfg).tobytes() == _reference(cfg).tobytes(), cfg
+
+
 def test_generate_points_budget_exceeded():
+    """The budget runs out at the same attempt with the same points placed
+    as in the scalar loop, with or without a border layer, in 2D and 3D."""
     with pytest.raises(RejectionBudgetExceeded):
         generate_points(RunConfig(dimension=2, n=200, seed=1, min_sep_factor=2.5))
+    for config in (
+        dict(dimension=2, n=30, seed=1, min_sep_factor=2.5),
+        dict(dimension=3, n=20, seed=2, min_sep_factor=2.0, boundary=False),
+        dict(dimension=3, n=30, seed=2, min_sep_factor=2.5),
+    ):
+        cfg = RunConfig(**config)
+        with pytest.raises(GenerationBudgetExceeded) as ref:
+            _reference(cfg)
+        with pytest.raises(RejectionBudgetExceeded) as got:
+            generate_points(cfg)
+        assert str(got.value) == str(ref.value)
+
+
+def test_generate_points_grid_memory_on_elongated_box():
+    """A 1 x 10^4 box at n=400: a grid with one cell per min_sep would have
+    about 7e6 cells; cells widened along the long axis keep the run small."""
+    cfg = RunConfig(dimension=2, n=400, seed=1, box=(0.0, 0.0, 1e4, 1.0))
+    tracemalloc.start()
+    try:
+        pts = generate_points(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    assert pts.tobytes() == _reference(cfg).tobytes()
 
 
 def _mesh2(seed=3, n=12):
