@@ -1,4 +1,5 @@
-"""Incremental Bowyer-Watson Delaunay triangulation (2D) / tetrahedralization (3D)
+"""Delaunay triangulation (2D) and tetrahedralization (3D) by one incremental
+Bowyer-Watson kernel with a ghost vertex at infinity and exact predicates,
 and the per-point neighbor indexing (rings in 2D, incident-tetra stars in 3D).
 
 Construction is single-threaded; finished triangulations and neighbor maps are
@@ -8,23 +9,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import factorial
 
 import numpy as np
 
 from .errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
-from .geometry import as_point_array
+from .geometry import EPS_AREA, EPS_VOL, as_point_array
 
-# Near-cocircular margin of the 2D kernel: determinant ties count as "outside",
-# so the first-inserted triangles win and construction stays deterministic.
-TIE_EPS = 1e-12
-# Cached circumcircle/circumsphere (and, in 3D, hull-face plane) tests decide
-# only outside this relative band; inside it the 2D kernel recomputes with the
-# translated determinant and the 3D kernel decides exactly.
+# Cached circumcircle/circumsphere and hull-facet tests decide a conflict only
+# outside this relative band; inside it the kernel decides exactly.
 BAND_EPS = 1e-5
-# A 3D circumcentre solve whose condition-number bound exceeds this is not
-# trusted to BAND_EPS; every conflict test of that tetrahedron is exact.
+# A circumcentre solve whose condition-number bound exceeds this is not
+# trusted to BAND_EPS; every conflict test of that simplex is exact.
 COND_MAX = 1e8
-GHOST = -1  # the vertex at infinity shared by every hull face's ghost tetrahedron
+# Bound on the relative rounding of a cached simplex test, as a share of the
+# square of its largest length (centre, circumradius and point magnitudes).
+ROUND_EPS = 1e-14
+GHOST = -1  # the vertex at infinity shared by every hull facet's ghost simplex
 DUP_EPS = 1e-12  # duplicate detection, relative to the bounding-box diagonal
 
 
@@ -35,6 +36,7 @@ class Triangulation2:
     points: np.ndarray                 # (N, 2)
     triangles: np.ndarray              # (T, 3) int, CCW
     adjacency: np.ndarray = field(repr=False, default=None)  # (T, 3); entry k faces the edge opposite v_k
+    hull_slivers_dropped: int = 0      # flat hull triangles the kernel removed
 
     @property
     def dim(self) -> int:
@@ -59,6 +61,7 @@ class Triangulation3:
     points: np.ndarray                 # (N, 3)
     tetrahedra: np.ndarray             # (T, 4) int, positive orientation
     adjacency: np.ndarray = field(repr=False, default=None)  # (T, 4); entry k faces the face opposite v_k
+    hull_slivers_dropped: int = 0      # flat hull tetrahedra the kernel removed
 
     @property
     def dim(self) -> int:
@@ -112,7 +115,7 @@ def _duplicate_pairs(pts: np.ndarray, eps: float) -> list[tuple[int, int]]:
     if eps <= 0.0:
         return []
     cells: dict[tuple, list[int]] = {}
-    keys = np.floor(pts / eps).astype(np.int64)
+    keys = np.floor((pts - pts.min(axis=0)) / eps).astype(np.int64)
     pairs = []
     dim = pts.shape[1]
     offsets = list(product((-1, 0, 1), repeat=dim))
@@ -154,50 +157,15 @@ def _validate_input(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _circumcircle(a, b, c):
-    """Center and squared radius of the circle through three 2D points."""
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0.0:
-        return np.array([np.inf, np.inf]), np.inf
-    a2 = a[0] * a[0] + a[1] * a[1]
-    b2 = b[0] * b[0] + b[1] * b[1]
-    c2 = c[0] * c[0] + c[1] * c[1]
-    ux = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
-    uy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    cc = np.array([ux, uy])
-    r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-    return cc, r2
-
-
-def _orient2(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _incircle_det(a, b, c, p) -> float:
-    """Translated 3x3 in-circle determinant: positive iff p lies inside the
-    circumcircle of CCW (a, b, c). Stable where the cached-center test is not."""
-    ax, ay = a[0] - p[0], a[1] - p[1]
-    bx, by = b[0] - p[0], b[1] - p[1]
-    cx, cy = c[0] - p[0], c[1] - p[1]
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    return (
-        ax * (by * c2 - b2 * cy)
-        - ay * (bx * c2 - b2 * cx)
-        + a2 * (bx * cy - by * cx)
-    )
-
-
 # Even permutations of a row's corners: they keep its orientation.
 _EVEN_PERMS = {
-    3: [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
-    4: [
+    3: np.array([(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    4: np.array([
         (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
         (1, 0, 3, 2), (1, 2, 0, 3), (1, 3, 2, 0),
         (2, 0, 1, 3), (2, 1, 3, 0), (2, 3, 0, 1),
         (3, 0, 2, 1), (3, 1, 0, 2), (3, 2, 1, 0),
-    ],
+    ]),
 }
 
 
@@ -205,185 +173,14 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Apply the lexicographically smallest even permutation to each row
     (orientation preserved; in 2D, the rotation starting at the smallest id),
     then sort the rows."""
-    perms = _EVEN_PERMS[rows.shape[1]]
-    out = np.asarray([min(tuple(row[k] for k in p) for p in perms) for row in rows.tolist()],
-                     dtype=np.int64).reshape(rows.shape)
+    cand = rows[:, _EVEN_PERMS[rows.shape[1]]]  # (rows, perms, corners)
+    # Narrow the candidates to the least first corner, then second, ...
+    best = np.ones(cand.shape[:2], dtype=bool)
+    for k in range(rows.shape[1]):
+        col = np.where(best, cand[:, :, k], np.iinfo(np.int64).max)
+        best &= col == col.min(axis=1, keepdims=True)
+    out = cand[np.arange(len(rows)), best.argmax(axis=1)]
     return out[np.lexsort(out.T[::-1])]
-
-
-def triangulate2(points) -> Triangulation2:
-    """Delaunay-triangulate 2D points by incremental Bowyer-Watson.
-
-    Deterministic for a fixed input order; near-cocircular ties are broken in
-    favor of earlier-inserted triangles.
-    """
-    pts = _validate_input(points, 2)
-    n = len(pts)
-
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    center = (lo + hi) / 2.0
-    span = max(float((hi - lo).max()), 1e-12)
-    m = 64.0 * span
-    # Scalene super-triangle: generic placement dodges exact ties with inputs.
-    sup = np.array([
-        [center[0] - 1.03 * m, center[1] - 0.57 * m],
-        [center[0] + 0.99 * m, center[1] - 0.61 * m],
-        [center[0] + 0.04 * m, center[1] + 1.07 * m],
-    ])
-    allp = np.vstack([pts, sup])
-
-    cap = 4 * n + 32
-    tri = np.empty((cap, 3), dtype=np.int64)
-    ccs = np.empty((cap, 2))
-    rr2 = np.empty(cap)
-    alive = np.zeros(cap, dtype=bool)
-    count = 0
-
-    def add(a: int, b: int, c: int):
-        nonlocal count, cap, tri, ccs, rr2, alive
-        if _orient2(allp[a], allp[b], allp[c]) < 0.0:
-            b, c = c, b
-        if count == cap:
-            cap *= 2
-            tri = np.vstack([tri, np.empty_like(tri)])
-            ccs = np.vstack([ccs, np.empty_like(ccs)])
-            rr2 = np.concatenate([rr2, np.empty_like(rr2)])
-            alive = np.concatenate([alive, np.zeros_like(alive)])
-        tri[count] = (a, b, c)
-        ccs[count], rr2[count] = _circumcircle(allp[a], allp[b], allp[c])
-        alive[count] = True
-        count += 1
-
-    add(n, n + 1, n + 2)
-
-    for p in range(n):
-        x, y = allp[p]
-        d2 = (ccs[:count, 0] - x) ** 2 + (ccs[:count, 1] - y) ** 2
-        margin = rr2[:count] - d2
-        sure = alive[:count] & (margin > BAND_EPS * rr2[:count])
-        band = alive[:count] & (np.abs(margin) <= BAND_EPS * rr2[:count])
-        bad = set(int(t) for t in np.nonzero(sure)[0])
-        for t in np.nonzero(band)[0]:
-            a, b, c = (allp[v] for v in tri[t])
-            det = _incircle_det(a, b, c, allp[p])
-            scale = max(
-                (a[0] - x) ** 2 + (a[1] - y) ** 2,
-                (b[0] - x) ** 2 + (b[1] - y) ** 2,
-                (c[0] - x) ** 2 + (c[1] - y) ** 2,
-            )
-            if det > TIE_EPS * scale * scale:
-                bad.add(int(t))
-        if not bad:
-            continue  # tie-snapped onto an existing circumcircle boundary
-        cavity = _star_shaped_cavity_2(bad, tri, allp, p)
-        edge_count: dict[tuple[int, int], int] = {}
-        edge_dir: dict[tuple[int, int], tuple[int, int]] = {}
-        for t in cavity:
-            a, b, c = tri[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-                edge_dir[key] = (u, v)
-            alive[t] = False
-        for key, cnt in edge_count.items():
-            if cnt == 1:
-                u, v = edge_dir[key]
-                add(u, v, p)
-
-    keep = [t for t in range(count) if alive[t] and tri[t].max() < n]
-    rows = _fill_hull_pockets_2(pts, [tuple(int(v) for v in tri[t]) for t in keep])
-    triangles = _canonical_rows(np.asarray(rows, dtype=np.int64))
-    adjacency = _adjacency(triangles)
-    return Triangulation2(points=pts, triangles=triangles, adjacency=adjacency)
-
-
-def _fill_hull_pockets_2(pts: np.ndarray, rows: list[tuple]) -> list[tuple]:
-    """2D analog of the hull-pocket repair: a near-collinear hull sliver whose
-    circumcircle reaches a super vertex goes missing, leaving boundary edges
-    that are not on the convex hull. Ear-clip those chains back in."""
-    for _ in range(128):
-        edge_count: dict[tuple, int] = {}
-        edge_dir: dict[tuple, tuple] = {}
-        for row in rows:
-            a, b, c = row
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_count[key] = edge_count.get(key, 0) + 1
-                edge_dir[key] = (u, v)
-        internal = [
-            edge_dir[k] for k, c in edge_count.items()
-            if c == 1 and not _edge_on_hull(pts, k)
-        ]
-        if not internal:
-            return rows
-        # owner triangles are CCW, so the pocket is to the right of each
-        # directed edge; two edges chained through a vertex close an ear
-        succ = {u: v for u, v in internal}
-        added = False
-        for u, v in internal:
-            w = succ.get(v)
-            if w is None or w == u:
-                continue
-            if _orient2(pts[w], pts[v], pts[u]) > 0.0:
-                rows.append((w, v, u))
-                added = True
-                break
-        if not added:
-            return rows  # irreducible pocket: leave it to the validation oracle
-    return rows
-
-
-def _edge_on_hull(pts: np.ndarray, edge: tuple) -> bool:
-    a, b = pts[edge[0]], pts[edge[1]]
-    e = b - a
-    side = (pts - a) @ np.array([-e[1], e[0]])
-    tol = 1e-9 * max(float(np.abs(side).max()), 1e-300)
-    return bool(np.all(side <= tol) or np.all(side >= -tol))
-
-
-def _star_shaped_cavity_2(bad: set[int], tri: np.ndarray, allp: np.ndarray, p: int) -> set[int]:
-    """Erode the bad-triangle set until every cavity boundary edge sees the new
-    point strictly from the interior side; refilling a non-star-shaped cavity
-    would leave holes or inverted triangles."""
-    pp = allp[p]
-    initial = set(bad)
-    while bad:
-        owner: dict[tuple[int, int], list] = {}
-        for t in bad:
-            a, b, c = tri[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                owner.setdefault(key, []).append((t, u, v))
-        drop = None
-        for entries in owner.values():
-            if len(entries) != 1:
-                continue
-            t, u, v = entries[0]
-            # boundary edge of a CCW triangle: interior (and p) must be to the left
-            e = allp[v] - allp[u]
-            cross = e[0] * (pp[1] - allp[u][1]) - e[1] * (pp[0] - allp[u][0])
-            if cross <= 1e-13 * np.linalg.norm(e) * (np.linalg.norm(pp - allp[u]) + 1e-300):
-                drop = t
-                break
-        if drop is None:
-            return bad
-        bad.remove(drop)
-    # fully eroded: p sits numerically on a cavity edge; keep the triangle that
-    # contains it best so the point is still inserted
-    best = None
-    best_val = -np.inf
-    for t in initial:
-        a, b, c = (allp[v] for v in tri[t])
-        val = min(
-            (b - a)[0] * (pp - a)[1] - (b - a)[1] * (pp - a)[0],
-            (c - b)[0] * (pp - b)[1] - (c - b)[1] * (pp - b)[0],
-            (a - c)[0] * (pp - c)[1] - (a - c)[1] * (pp - c)[0],
-        )
-        if val > best_val:
-            best_val = val
-            best = t
-    return {best}
 
 
 def _adjacency(simplices: np.ndarray) -> np.ndarray:
@@ -412,194 +209,294 @@ def _exact_coords(pts: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
 
 
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+# Exact predicates on integer points, one closed form per dimension. orient is
+# positive when the simplex is positively oriented (CCW in 2D); insphere is
+# positive iff p lies strictly inside the circumcircle (circumsphere) of a
+# positively oriented simplex, zero on it; on_facet decides a point on a hull
+# facet's line (plane): strictly inside the facet's segment (circumcircle).
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+def _orient2_exact(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _incircle_exact(a, b, c, p) -> int:
+    """The lifted 3x3 determinant of a, b, c translated by -p."""
+    ax, ay, bx, by, cx, cy = a[0] - p[0], a[1] - p[1], b[0] - p[0], b[1] - p[1], c[0] - p[0], c[1] - p[1]
+    return ((ax * ax + ay * ay) * (bx * cy - cx * by) + (bx * bx + by * by) * (cx * ay - ax * cy)
+            + (cx * cx + cy * cy) * (ax * by - bx * ay))
+
+
+def _in_segment_exact(a, b, p) -> bool:
+    return (a[0] - p[0]) * (b[0] - p[0]) + (a[1] - p[1]) * (b[1] - p[1]) < 0
+
+
+def _normal3_exact(a, b, c) -> tuple[int, int, int]:
+    """(b - a) x (c - a)."""
+    ux, uy, uz, vx, vy, vz = b[0] - a[0], b[1] - a[1], b[2] - a[2], c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    return (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
 
 
 def _orient3_exact(a, b, c, d) -> int:
-    """det[b - a, c - a, d - a] on integer points: positive when d lies on the
-    side of plane(a, b, c) that (b - a) x (c - a) points to."""
-    return _dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a))
+    """det[b - a, c - a, d - a]."""
+    nx, ny, nz = _normal3_exact(a, b, c)
+    return nx * (d[0] - a[0]) + ny * (d[1] - a[1]) + nz * (d[2] - a[2])
 
 
 def _insphere_exact(a, b, c, d, p) -> int:
-    """Positive iff p lies strictly inside the sphere through the positively
-    oriented (a, b, c, d); zero on it. The lifted 4x4 determinant, expanded
-    along the lifted column, on integer points."""
-    a, b, c, d = (_sub(v, p) for v in (a, b, c, d))
-    la, lb, lc, ld = (_dot(v, v) for v in (a, b, c, d))
-    det3 = lambda u, v, w: _dot(u, _cross(v, w))
-    return la * det3(b, c, d) - lb * det3(a, c, d) + lc * det3(a, b, d) - ld * det3(a, b, c)
+    """The lifted 4x4 determinant of a, b, c, d translated by -p, expanded
+    along the lifted column over the 2x2 minors of the x and y columns."""
+    ax, ay, az = a[0] - p[0], a[1] - p[1], a[2] - p[2]
+    bx, by, bz = b[0] - p[0], b[1] - p[1], b[2] - p[2]
+    cx, cy, cz = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    dx, dy, dz = d[0] - p[0], d[1] - p[1], d[2] - p[2]
+    ab, bc, cd = ax * by - bx * ay, bx * cy - cx * by, cx * dy - dx * cy
+    da, ac, bd = dx * ay - ax * dy, ax * cy - cx * ay, bx * dy - dx * by
+    return ((ax * ax + ay * ay + az * az) * (bz * cd - cz * bd + dz * bc)
+            - (bx * bx + by * by + bz * bz) * (az * cd + cz * da + dz * ac)
+            + (cx * cx + cy * cy + cz * cz) * (az * bd + bz * da + dz * ab)
+            - (dx * dx + dy * dy + dz * dz) * (az * bc - bz * ac + cz * ab))
 
 
-def _conflict_exact(xp: list, tet, p: int) -> bool:
-    """Exact conflict of point p with a tetrahedron or a ghost tetrahedron.
+def _in_circumcircle_exact(a, b, c, p) -> bool:
+    # The sphere through a, b, c and a point off their plane meets the plane
+    # in their circumcircle.
+    off = tuple(x + y for x, y in zip(a, _normal3_exact(a, b, c)))
+    return _insphere_exact(a, b, c, off, p) > 0
 
-    A ghost (a, b, c, GHOST) conflicts when p lies strictly outside hull face
-    (a, b, c), or in its plane and strictly inside its circumcircle: the
-    degenerate circumsphere of a tetrahedron whose fourth vertex is at infinity.
+
+_ORIENT = {2: _orient2_exact, 3: _orient3_exact}
+_INSPHERE = {2: _incircle_exact, 3: _insphere_exact}
+_ON_FACET = {2: _in_segment_exact, 3: _in_circumcircle_exact}
+
+
+def _conflict_exact(xp: list, row, p: int) -> bool:
+    """Exact conflict of point p with a simplex or a ghost simplex.
+
+    A ghost (facet..., GHOST) conflicts when p lies strictly outside its hull
+    facet, or on the facet's line (plane) and strictly inside the facet's
+    segment (circumcircle): the degenerate circumcircle (circumsphere) of a
+    simplex whose last vertex is at infinity.
     """
-    a, b, c, d = tet
-    if d != GHOST:
-        return _insphere_exact(xp[a], xp[b], xp[c], xp[d], xp[p]) > 0
-    side = _orient3_exact(xp[a], xp[b], xp[c], xp[p])
-    if side:
-        return side > 0
-    # In plane: the sphere through a, b, c and a point off the plane meets the
-    # plane in the circumcircle of (a, b, c).
-    normal = _cross(_sub(xp[b], xp[a]), _sub(xp[c], xp[a]))
-    off = tuple(xp[a][k] + normal[k] for k in range(3))
-    return _insphere_exact(xp[a], xp[b], xp[c], off, xp[p]) > 0
+    d = len(row) - 1
+    q = xp[p]
+    if row[d] != GHOST:
+        return _INSPHERE[d](*(xp[v] for v in row), q) > 0
+    facet = [xp[v] for v in row[:d]]
+    side = _ORIENT[d](*facet, q)
+    return side > 0 if side else _ON_FACET[d](*facet, q)
 
 
 def _first_simplex(xp: list) -> list[int]:
-    """The first four affinely independent points in index order, positively oriented."""
-    a, b = 0, 1
-    c = next(k for k in range(2, len(xp))
-             if any(_cross(_sub(xp[b], xp[a]), _sub(xp[k], xp[a]))))
-    d = next(k for k in range(c + 1, len(xp)) if _orient3_exact(xp[a], xp[b], xp[c], xp[k]))
-    if _orient3_exact(xp[a], xp[b], xp[c], xp[d]) < 0:
-        c, d = d, c
-    return [a, b, c, d]
+    """The first d + 1 affinely independent points in index order, positively oriented."""
+    d = len(xp[0])
+    first = [0, 1]
+    if d == 3:  # the first point off the line through points 0 and 1
+        first.append(next(k for k in range(2, len(xp)) if any(_normal3_exact(xp[0], xp[1], xp[k]))))
+    orient, corners = _ORIENT[d], [xp[v] for v in first]
+    last = next(k for k in range(first[-1] + 1, len(xp)) if orient(*corners, xp[k]))
+    if orient(*corners, xp[last]) > 0:
+        return first + [last]
+    return first[:-1] + [last, first[-1]]
 
 
-# FACES[k]: the face opposite corner k of a positively oriented tetrahedron,
-# ordered so that (face, corner k) is positively oriented too.
-_FACES = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))
+# FACETS[d][k]: the facet opposite corner k of a positively oriented simplex,
+# ordered so that (facet, corner k) is positively oriented too.
+_FACETS = {
+    2: np.array([(1, 2), (2, 0), (0, 1)]),
+    3: np.array([(1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)]),
+}
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", u, v)
 
 
+def _rownormal(*edges: np.ndarray) -> np.ndarray:
+    """Row-wise n with n . x = det[edges; x] for d - 1 (R, d) edge arrays: in
+    2D the edge turned a quarter counterclockwise, in 3D the cross product
+    (without np.cross's per-call overhead on short arrays)."""
+    if len(edges) == 1:
+        (u,) = edges
+        return np.stack([-u[:, 1], u[:, 0]], axis=1)
+    u, v = edges
+    return np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                     u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                     u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1)
+
+
 def _cached_tests(pts: np.ndarray, rows: np.ndarray, reach: float):
-    """Float conflict tests of new tetrahedra, as (ghost, ctr, off, band).
+    """Float conflict tests of new simplices, as (lin, off, band).
 
-    Point p conflicts with a tetrahedron when off - |p - ctr|^2 > band (ctr
-    the circumcentre, off the squared circumradius) and with a ghost when
-    ctr . p - off > band (ctr the outward normal of its hull face, off the
-    normal's product with the face's first corner); within +-band the test is
-    left to `_conflict_exact`. A ghost's band bounds the rounding of its plane
-    test; a tetrahedron's is BAND_EPS of r^2, or infinite when the bound on the
-    condition number of its circumcentre solve exceeds COND_MAX.
+    The margin of point p is lin . (p, |p|^2) + off: for a simplex with
+    circumcentre c and squared circumradius r^2 it is r^2 - |p - c|^2, for a
+    ghost the product of p - a with the outward normal of its hull facet (a
+    the facet's first corner). p conflicts when the margin exceeds band and
+    not when it is below -band; in between the test is left to
+    `_conflict_exact`. A ghost's band bounds the rounding of its facet test; a
+    simplex's is BAND_EPS of r^2 plus the rounding of the lifted product, or
+    infinite when the bound on the condition number of its circumcentre solve
+    exceeds COND_MAX.
     """
-    ghost = rows[:, 3] == GHOST
+    d = pts.shape[1]
+    ghost = rows[:, d] == GHOST
     a = pts[rows[:, 0]]
-    u, v = pts[rows[:, 1]] - a, pts[rows[:, 2]] - a
-    w = pts[rows[:, 3]] - a     # meaningless on ghost rows, and not used there
-    normal = np.cross(u, v)
-    det = _rowdot(normal, w)
-    uu, vv, ww = _rowdot(u, u), _rowdot(v, v), _rowdot(w, w)
+    # The last edge is meaningless on ghost rows, and not used there.
+    edges = [pts[rows[:, k]] - a for k in range(1, d + 1)]
+    sq = [_rowdot(e, e) for e in edges]
+    normal = _rownormal(*edges[:-1])
+    det = _rowdot(normal, edges[-1])
+    # Circumcentre minus a, by Cramer's rule on [edges] x = sq / 2: column k
+    # of the adjugate is (-1)^(d-1-k) times the normal of the other edges.
+    x = sum((-1) ** (d - 1 - k) * sq[k][:, None] * _rownormal(*edges[:k], *edges[k + 1:])
+            for k in range(d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Circumcentre minus a, by Cramer's rule on [u; v; w] x = (uu, vv, ww) / 2.
-        x = 0.5 * (uu[:, None] * np.cross(v, w) + vv[:, None] * np.cross(w, u)
-                   + ww[:, None] * normal) / det[:, None]
-        r2 = _rowdot(x, x)
-        trusted = (uu + vv + ww) ** 1.5 <= COND_MAX * np.abs(det)
-    # An untrusted tetrahedron gets a finite dummy sphere; its band is infinite.
-    ctr = np.where(ghost[:, None], normal, np.where(trusted[:, None], a + x, a))
-    off = np.where(ghost, _rowdot(normal, a), np.where(trusted, r2, 0.0))
-    band = np.where(ghost, BAND_EPS * np.sqrt(uu * vv) * reach,
-                    np.where(trusted, BAND_EPS * r2, np.inf))
-    return ghost, ctr, off, band
+        x = 0.5 * x / det[:, None]
+        trusted = ~ghost & (sum(sq) ** (d / 2) <= COND_MAX * np.abs(det))
+    # An untrusted simplex gets the dummy circle of radius 0 around a; its
+    # band is infinite.
+    x[~trusted] = 0.0
+    r2 = _rowdot(x, x)
+    lin = np.empty((len(rows), d + 1))
+    lin[:, :d] = np.where(ghost[:, None], normal, 2.0 * (a + x))
+    lin[:, d] = np.where(ghost, 0.0, -1.0)
+    off = np.where(ghost, -_rowdot(normal, a), -_rowdot(a, a + 2.0 * x))
+    rounding = ROUND_EPS * (np.sqrt(_rowdot(a, a)) + 2.0 * np.sqrt(r2) + reach) ** 2
+    band = np.where(ghost, BAND_EPS * np.sqrt(np.prod(sq[:-1], axis=0)) * reach,
+                    np.where(trusted, BAND_EPS * r2 + rounding, np.inf))
+    return lin, off, band
 
 
-def tetrahedralize3(points) -> Triangulation3:
-    """Delaunay-tetrahedralize 3D points by incremental Bowyer-Watson.
+def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Delaunay simplices of validated (N, d) points, d = 2 or 3, as
+    (simplices, adjacency, hull slivers dropped).
 
-    The first four affinely independent points (in index order) start one
-    tetrahedron plus a ghost tetrahedron (a, b, c, GHOST) on each hull face;
-    the other points follow in index order. A point's cavity is every
-    tetrahedron whose circumsphere holds it strictly, with the ghosts' rule of
-    `_conflict_exact`. Cached circumspheres and face planes decide outside a
-    BAND_EPS band, integer arithmetic decides inside it, so each cavity is
-    exactly star-shaped and its boundary faces coned to the point are the new
-    tetrahedra; no repair pass follows. Cospherical ties count as outside, so
-    earlier tetrahedra win and the output is deterministic.
+    The first d + 1 affinely independent points (in index order) start one
+    simplex plus a ghost simplex (facet..., GHOST) on each of its facets; the
+    other points follow in index order. A point's cavity is every simplex
+    whose circumcircle (circumsphere) holds it strictly, with the ghosts' rule
+    of `_conflict_exact`. Cached float tests decide outside a band, integer
+    arithmetic decides inside it, so each cavity is exactly star-shaped and
+    its boundary facets coned to the point are the new simplices; no repair
+    pass follows. Cocircular (cospherical) ties count as outside, so earlier
+    simplices win and the output is deterministic. Last, `_drop_hull_slivers`
+    removes the flat hull simplices.
     """
-    pts = _validate_input(points, 3)
-    n = len(pts)
+    n, d = pts.shape
+    facets = _FACETS[d]
     xp = _exact_coords(pts)
-    # With |b - a| |c - a|, bounds the rounding of a ghost's plane test.
+    lifted = np.hstack([pts, _rowdot(pts, pts)[:, None]])
+    # With the facet's edge lengths, bounds the rounding of a ghost's facet test.
     diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     reach = diameter + 2.0 * float(np.abs(pts).max())
 
-    # Rows [0, count) of the tetrahedra and their cached tests; dead rows are
-    # dropped whenever the arrays fill up.
-    tet = np.empty((0, 4), dtype=np.int64)
-    ghost, ctr, off, band, alive = (np.empty(0, dtype=bool), np.empty((0, 3)),
-                                    np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+    # Rows [0, count) of the simplices and their cached tests; a dead row's
+    # off is NaN, which no test selects, and dead rows are dropped whenever
+    # the arrays fill up.
+    simp, lin, off, band = (np.empty((0, d + 1), dtype=np.int64), np.empty((0, d + 1)),
+                            np.empty(0), np.empty(0))
     count = 0
 
     def add(rows: list[tuple]):
-        nonlocal count, tet, ghost, ctr, off, band, alive
+        nonlocal count, simp, lin, off, band
         rows = np.asarray(rows, dtype=np.int64)
-        if count + len(rows) > len(tet):
-            live = np.nonzero(alive[:count])[0]
+        if count + len(rows) > len(simp):
+            live = np.nonzero(~np.isnan(off[:count]))[0]
             cap = 2 * (len(live) + len(rows))
             arrays = []
-            for old in (tet, ghost, ctr, off, band, alive):
+            for old in (simp, lin, off, band):
                 new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
                 new[:len(live)] = old[live]
                 arrays.append(new)
-            tet, ghost, ctr, off, band, alive = arrays
+            simp, lin, off, band = arrays
             count = len(live)
         k = slice(count, count + len(rows))
-        tet[k] = rows
-        ghost[k], ctr[k], off[k], band[k] = _cached_tests(pts, rows, reach)
-        alive[k] = True
+        simp[k] = rows
+        lin[k], off[k], band[k] = _cached_tests(pts, rows, reach)
         count += len(rows)
 
     first = _first_simplex(xp)
-    add([tuple(first)] + [(first[f[0]], first[f[2]], first[f[1]], GHOST) for f in _FACES])
+    # Each facet reversed (its first two corners swapped) faces away from the simplex.
+    ghosts = np.asarray(first)[facets][:, [1, 0, *range(2, d)]]
+    add([first] + [(*facet, GHOST) for facet in ghosts.tolist()])
     rest = np.ones(n, dtype=bool)
     rest[first] = False
 
     for p in np.nonzero(rest)[0].tolist():
-        pp = pts[p]
-        c = ctr[:count]
-        margin = np.where(ghost[:count], c @ pp - off[:count],
-                          off[:count] - np.sum((c - pp) ** 2, axis=1))
-        sure = alive[:count] & (margin > band[:count])
-        unsure = alive[:count] & ~sure & (margin >= -band[:count])
-        cavity = np.nonzero(sure)[0].tolist()
-        cavity += [t for t in np.nonzero(unsure)[0].tolist()
-                   if _conflict_exact(xp, tet[t].tolist(), p)]
-        faces: dict[frozenset, tuple] = {}
-        for t in cavity:
-            row = tet[t].tolist()
-            for f in _FACES:
-                tri = (row[f[0]], row[f[1]], row[f[2]])
-                key = frozenset(tri)
-                if key in faces:
-                    del faces[key]  # shared by two cavity tetrahedra: interior
-                else:
-                    faces[key] = tri
-            alive[t] = False
+        margin = lin[:count] @ lifted[p] + off[:count]
+        near = np.nonzero(margin >= -band[:count])[0]
+        sure = margin[near] > band[near]
+        cavity = near[sure].tolist()
+        cavity += [t for t in near[~sure].tolist() if _conflict_exact(xp, simp[t].tolist(), p)]
+        boundary: dict[frozenset, list] = {}
+        for facet in simp[cavity][:, facets].reshape(-1, d).tolist():
+            key = frozenset(facet)
+            if key in boundary:
+                del boundary[key]  # shared by two cavity simplices: interior
+            else:
+                boundary[key] = facet
+        off[cavity] = np.nan
         new = []
-        for tri in faces.values():
-            row = [*tri, p]
-            if GHOST in tri:
+        for facet in boundary.values():
+            row = [*facet, p]
+            if GHOST in facet:
                 # Move GHOST last; a second swap keeps the orientation.
                 j = row.index(GHOST)
-                row[j], row[3] = row[3], row[j]
+                row[j], row[d] = row[d], row[j]
                 row[0], row[1] = row[1], row[0]
             new.append(tuple(row))
         add(new)
 
-    keep = alive[:count] & ~ghost[:count]
-    tets = _canonical_rows(tet[:count][keep])
-    adjacency = _adjacency(tets)
-    return Triangulation3(points=pts, tetrahedra=tets, adjacency=adjacency)
+    rows = simp[:count][~np.isnan(off[:count])]
+    ghost = rows[:, d] == GHOST
+    simplices, dropped = _drop_hull_slivers(pts, rows[~ghost], rows[ghost, :d])
+    simplices = _canonical_rows(simplices)
+    return simplices, _adjacency(simplices), dropped
 
+
+def _drop_hull_slivers(pts: np.ndarray, simplices: np.ndarray, hull: np.ndarray):
+    """Remove hull simplices with |det| <= d! EPS (longest edge)^d, with EPS the
+    EPS_AREA (EPS_VOL) at which `neighbor_heights` (`tetra_heights`) call a
+    triangle (tetrahedron) degenerate, until no hull simplex is that flat.
+    Returns the kept simplices and the number dropped."""
+    d = pts.shape[1]
+    corners = pts[simplices]
+    edges = [corners[:, k] - corners[:, 0] for k in range(1, d + 1)]
+    det = np.abs(_rowdot(_rownormal(*edges[:-1]), edges[-1]))
+    longest2 = np.max(np.sum((corners[:, :, None] - corners[:, None]) ** 2, axis=3), axis=(1, 2))
+    eps = EPS_AREA if d == 2 else EPS_VOL
+    flat = set(np.nonzero(det <= factorial(d) * eps * longest2 ** (d / 2))[0].tolist())
+
+    def facets_of(t: int) -> set[frozenset]:
+        row = simplices[t].tolist()
+        return {frozenset(row[:k] + row[k + 1:]) for k in range(d + 1)}
+
+    # The facets of the hull, as the ghosts left them; each dropped simplex
+    # trades its hull facets for the facets it shared with its neighbours.
+    open_facets = {frozenset(row) for row in hull.tolist()}
+    dropped = []
+    while drop := [t for t in sorted(flat) if facets_of(t) & open_facets]:
+        for t in drop:
+            flat.discard(t)
+            dropped.append(t)
+            open_facets ^= facets_of(t)
+    return np.delete(simplices, dropped, axis=0), len(dropped)
+
+
+def triangulate2(points) -> Triangulation2:
+    """Delaunay-triangulate 2D points with `_bowyer_watson`."""
+    pts = _validate_input(points, 2)
+    triangles, adjacency, dropped = _bowyer_watson(pts)
+    return Triangulation2(points=pts, triangles=triangles, adjacency=adjacency,
+                          hull_slivers_dropped=dropped)
+
+
+def tetrahedralize3(points) -> Triangulation3:
+    """Delaunay-tetrahedralize 3D points with `_bowyer_watson`."""
+    pts = _validate_input(points, 3)
+    tets, adjacency, dropped = _bowyer_watson(pts)
+    return Triangulation3(points=pts, tetrahedra=tets, adjacency=adjacency,
+                          hull_slivers_dropped=dropped)
 
 def neighbor_map(tri: Triangulation2 | Triangulation3) -> NeighborMap:
     """Build the neighbor indexing (rings or stars) from a triangulation."""

@@ -175,6 +175,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "solver_trace": solve.trace,
         "clamped_points": len(solve.clamped_points),
         "domain_clipped_cells": _domain_clipped_cells(mesh),
+        "hull_slivers_dropped": tri.hull_slivers_dropped,
         "max_simplex_residual": _max_simplex_residual(mesh, solve),
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,

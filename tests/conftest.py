@@ -56,6 +56,16 @@ def hexagon_patch(rings: int, seed: int, jitter: float = 0.10) -> np.ndarray:
     return pts + jit
 
 
+def flat_faced_box() -> np.ndarray:
+    """Unit cube corners, 30 points on its faces (many coplanar hull triples)
+    and 10 inside: the cloud of test_convex_hull_volume_counts_flat_faces_once."""
+    rng = np.random.default_rng(3)
+    corners = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=float)
+    face = rng.random((30, 3))
+    face[np.arange(30), rng.integers(0, 3, 30)] = rng.integers(0, 2, 30)
+    return np.vstack([corners, face, 0.1 + 0.8 * rng.random((10, 3))])
+
+
 def bcc_cell(seed: int, jitter: float = 0.08) -> np.ndarray:
     """Unit cube corners plus body center, fully jittered (9 points)."""
     pts = [[i, j, k] for i in (0.0, 1.0) for j in (0.0, 1.0) for k in (0.0, 1.0)]

@@ -6,7 +6,7 @@ import pytest
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
 
-from conftest import uniform_points
+from conftest import flat_faced_box, hexagon_patch, uniform_points
 from oracles import (
     convex_hull_area,
     convex_hull_volume,
@@ -190,8 +190,9 @@ def test_star_covers_incident_tets_once():
 
 
 def test_interior_only_cloud_covers_hull():
-    # sliver-prone clouds: flat hull triangles have circumcircles big enough to
-    # reach the super vertices and need the pocket repair
+    # sliver-prone clouds: with no border layer the hull has long, nearly flat
+    # triangles, whose circumcircles are huge and whose ghost edges are
+    # almost collinear
     for seed in (12, 20, 27, 31):
         pts = uniform_points(2, 150, seed, boundary=False, min_sep_factor=0.2)
         tri = triangulate2(pts)
@@ -278,6 +279,90 @@ def test_tetrahedralization_equals_qhull(case):
     mine = {tuple(sorted(row)) for row in tetrahedralize3(pts).tetrahedra.tolist()}
     qhull = {tuple(sorted(row)) for row in spatial.Delaunay(pts).simplices.tolist()}
     assert mine == qhull
+
+
+# 2D twins of the clouds above: default-generator clouds, the interior-only
+# clouds of test_interior_only_cloud_covers_hull, an exactly cocircular square
+# lattice, and scaled hexagon patches whose straight borders round into hull
+# slivers that the kernel drops.
+GENERIC_CLOUDS_2D = ([(n, s) for n in (20, 50, 400) for s in range(5)]
+                     + [("interior", s) for s in (12, 20, 27, 31)])
+CLOUDS_2D = GENERIC_CLOUDS_2D + ["lattice", "lattice corners first"] + [("hexagon", s) for s in range(4)]
+
+
+def _corners_first(pts):
+    corner = np.all((pts == pts.min(axis=0)) | (pts == pts.max(axis=0)), axis=1)
+    return np.vstack([pts[corner], pts[~corner][::-1]])
+
+
+def _kernel_cloud_2d(case):
+    if case == "lattice":
+        return np.array(list(product(range(5), repeat=2)), dtype=float)
+    if case == "lattice corners first":
+        # later border points land strictly inside hull edges, on their lines
+        return _corners_first(np.array(list(product(range(5), repeat=2)), dtype=float))
+    kind, seed = case
+    if kind == "interior":
+        return uniform_points(2, 150, seed, boundary=False, min_sep_factor=0.2)
+    if kind == "hexagon":
+        return hexagon_patch(3, seed) * 3.7
+    return uniform_points(2, kind, seed)
+
+
+@pytest.mark.parametrize("case", CLOUDS_2D, ids=str)
+def test_triangulation_kernel_regressions(case):
+    from collections import Counter
+
+    pts = _kernel_cloud_2d(case)
+    tri = triangulate2(pts)
+    ok, witness = empty_circumcircles(pts, tri.triangles, eps=1e-9)
+    assert ok, f"circumcircle violated: {witness}"
+    uses = Counter(tuple(sorted(np.delete(row, k))) for row in tri.triangles for k in range(3))
+    assert max(uses.values()) <= 2
+    total = sum(triangle_area(pts[a], pts[b], pts[c]) for a, b, c in tri.triangles)
+    assert total == pytest.approx(convex_hull_area(pts), rel=1e-9)
+    if "lattice" in case:
+        assert len(tri.triangles) == 32 and tri.hull_slivers_dropped == 0
+    if case[0] == "hexagon":
+        assert tri.hull_slivers_dropped > 0
+
+
+@pytest.mark.parametrize("case", GENERIC_CLOUDS_2D, ids=str)
+def test_triangulation_equals_qhull(case):
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = _kernel_cloud_2d(case)
+    mine = {tuple(sorted(row)) for row in triangulate2(pts).triangles.tolist()}
+    qhull = {tuple(sorted(row)) for row in spatial.Delaunay(pts).simplices.tolist()}
+    assert mine == qhull
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_far_from_origin_cloud_triangulates_the_same(dim):
+    # Coordinates on a 2^-20 grid, shifted by 2^24 without rounding: exact
+    # predicates give the same simplices, and the cached float tests must
+    # hand every case their rounding can decide wrongly to them.
+    pts = np.round(uniform_points(dim, 60 if dim == 2 else 30, 5) * 2.0**20) / 2.0**20
+    kernel = triangulate2 if dim == 2 else tetrahedralize3
+    assert np.array_equal(kernel(pts + 2.0**24).simplices, kernel(pts).simplices)
+
+
+@pytest.mark.parametrize("case", ["lattice", "flat-faced box"])
+def test_exactly_flat_hull_drops_no_sliver(case):
+    # Points exactly on a hull face, inserted after the face's corners, fall
+    # strictly inside the face's circumcircle: the ghost rule takes them in
+    # without a flat tetrahedron to drop.
+    from collections import Counter
+
+    pts = _corners_first(np.array(list(product(range(3), repeat=3)), dtype=float)
+                         if case == "lattice" else flat_faced_box())
+    tet = tetrahedralize3(pts)
+    assert tet.hull_slivers_dropped == 0
+    ok, witness = empty_circumspheres(pts, tet.tetrahedra, eps=1e-9)
+    assert ok, witness
+    uses = Counter(tuple(sorted(np.delete(row, k))) for row in tet.tetrahedra for k in range(4))
+    assert max(uses.values()) <= 2
+    total = sum(tetra_volume(pts[a], pts[b], pts[c], pts[d]) for a, b, c, d in tet.tetrahedra)
+    assert total == pytest.approx(np.prod(pts.max(axis=0) - pts.min(axis=0)), rel=1e-12)
 
 
 def test_convex_hull_volume_counts_flat_faces_once():

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from cvmesh.io import OptimizerConfig, RunConfig, read_json
 from cvmesh.pipeline import run_pipeline
 
-from conftest import hexagon_patch
+from conftest import flat_faced_box, hexagon_patch
 
 
 def test_minimal_3d_single_tet(tmp_path):
@@ -70,6 +71,26 @@ def test_default_3d_cloud_with_hull_sliver_builds(tmp_path):
     res = run_pipeline(cfg)
     assert res.exit_code == 0
     assert res.summary["global_ok"]
+
+
+def _rotated_box(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return flat_faced_box() @ q
+
+
+@pytest.mark.parametrize("dim,seed", [(3, s) for s in range(4)] + [(2, s) for s in range(4)])
+def test_hull_slivers_are_dropped_and_counted(tmp_path, dim, seed):
+    # Rotating the box rounds its face points off their planes, and scaling a
+    # hexagon patch rounds its border off straight lines: nearly flat hull
+    # simplices, on which the radius heights would raise, unless the kernel
+    # drops them.
+    pts = _rotated_box(seed) if dim == 3 else hexagon_patch(3, seed) * 3.7
+    cfg = RunConfig(dimension=dim, n=len(pts), seed=seed, equal_radii=True, out_dir=str(tmp_path))
+    res = run_pipeline(cfg, points=pts)
+    assert res.exit_code == 0
+    assert res.summary["global_ok"]
+    summary = read_json(res.artifacts["summary.json"])
+    assert summary["hull_slivers_dropped"] == res.summary["hull_slivers_dropped"] >= 1
 
 
 def test_summary_counts_domain_clipped_cells(tmp_path):
