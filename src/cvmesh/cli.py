@@ -50,7 +50,7 @@ def _config_from_args(args) -> RunConfig:
         overrides["formats"] = tuple(fmt.split(","))
     if args.config:
         return RunConfig.from_file(args.config, **overrides)
-    return RunConfig().replace(**overrides)
+    return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _load_triangulation(path: str):

@@ -111,24 +111,33 @@ class NeighborMap:
 
 
 def _duplicate_pairs(pts: np.ndarray, eps: float) -> list[tuple[int, int]]:
-    """Grid-hash scan for point pairs closer than eps."""
+    """Point pairs (j, i), j < i, with squared distance below eps**2, found
+    on a grid of side eps: each point is measured against the earlier points
+    in the 3^d cells around its own. Pairs are ordered by i, then by the
+    neighbour cell's offset in product((-1, 0, 1), repeat=d) order, then
+    by j."""
     if eps <= 0.0:
         return []
-    cells: dict[tuple, list[int]] = {}
+    n, dim = pts.shape
     keys = np.floor((pts - pts.min(axis=0)) / eps).astype(np.int64)
-    pairs = []
-    dim = pts.shape[1]
-    offsets = list(product((-1, 0, 1), repeat=dim))
-    for i in range(len(pts)):
-        k = tuple(keys[i])
-        for off in offsets:
-            bucket = cells.get(tuple(k[d] + off[d] for d in range(dim)))
-            if bucket:
-                for j in bucket:
-                    if np.sum((pts[i] - pts[j]) ** 2) < eps * eps:
-                        pairs.append((j, i))
-        cells.setdefault(k, []).append(i)
-    return pairs
+    # Occupied cells are numbered through the per-axis ranks of their keys;
+    # a neighbour cell that no point occupies gets no candidates.
+    axes = [np.unique(keys[:, a]) for a in range(dim)]
+    shape = [len(v) for v in axes]
+    nb = (keys[:, None, :] + np.array(list(product((-1, 0, 1), repeat=dim)))).reshape(-1, dim)
+    rank = [np.minimum(np.searchsorted(v, nb[:, a]), len(v) - 1) for a, v in enumerate(axes)]
+    occupied = np.all([v[r] == nb[:, a] for a, (v, r) in enumerate(zip(axes, rank))], axis=0)
+    code = np.ravel_multi_index([np.searchsorted(v, keys[:, a]) for a, v in enumerate(axes)], shape)
+    order = np.argsort(code, kind="stable")
+    sorted_code = code[order]
+    cell = np.ravel_multi_index(rank, shape)
+    lo = np.searchsorted(sorted_code, cell, "left")
+    count = np.where(occupied, np.searchsorted(sorted_code, cell, "right") - lo, 0)
+    run = np.cumsum(count) - count
+    q = np.repeat(np.arange(len(nb)) // 3 ** dim, count)
+    p = order[np.arange(int(count.sum())) + np.repeat(lo - run, count)]
+    near = (p < q) & (np.sum((pts[q] - pts[p]) ** 2, axis=1) < eps * eps)
+    return list(zip(p[near].tolist(), q[near].tolist()))
 
 
 def _affine_rank(pts: np.ndarray) -> int:
@@ -185,18 +194,20 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
 
 def _adjacency(simplices: np.ndarray) -> np.ndarray:
     """Entry [t, k] is the simplex across the facet opposite corner k of
-    simplex t, or -1 when that facet is on the hull."""
-    owner: dict[tuple, list[tuple[int, int]]] = {}
-    for t, row in enumerate(simplices.tolist()):
-        for k in range(len(row)):
-            owner.setdefault(tuple(sorted(row[:k] + row[k + 1:])), []).append((t, k))
-    adj = np.full(simplices.shape, -1, dtype=np.int64)
-    for entries in owner.values():
-        if len(entries) == 2:
-            (t1, k1), (t2, k2) = entries
-            adj[t1, k1] = t2
-            adj[t2, k2] = t1
-    return adj
+    simplex t, or -1 when that facet is on the hull (or, not in a valid
+    triangulation, shared by more than two simplices)."""
+    t, m = simplices.shape
+    opposite = np.array([[c for c in range(m) if c != k] for k in range(m)])
+    facets = np.sort(simplices[:, opposite], axis=2).reshape(t * m, m - 1)
+    order = np.lexsort(facets.T[::-1])
+    f = facets[order]
+    start = np.flatnonzero(np.r_[True, np.any(f[1:] != f[:-1], axis=1)])[:len(f)]
+    pair = start[np.diff(np.r_[start, len(f)]) == 2]
+    a, b = order[pair], order[pair + 1]
+    adj = np.full(t * m, -1, dtype=np.int64)
+    adj[a] = b // m
+    adj[b] = a // m
+    return adj.reshape(t, m)
 
 
 def _exact_coords(pts: np.ndarray) -> list[tuple[int, ...]]:

@@ -2,14 +2,17 @@
 
 JSON is the canonical round-trip format. Numbers are emitted with 17
 significant digits so doubles survive export -> import bit-exactly; the
-writer is a small recursive emitter because the stdlib encoder cannot be
-told how to format floats.
+stdlib encoder cannot be told how to format floats, so `dumps_json` is an
+emitter of its own that formats whole number arrays with one `%` template.
+The mesh writers (`mesh_doc`, the VTK writers) pool the vertices of all
+loops in one array pass and write the cell blocks straight from the pooled
+ids.
 """
 from __future__ import annotations
 
 import json
 import math
-from itertools import product
+from itertools import chain, product
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -38,16 +41,40 @@ def _fmt_number(x) -> str:
     return format(v, ".17g")
 
 
+class RawJson(str):
+    """JSON text that `dumps_json` emits as it is."""
+
+
+def _dumps_array(a: np.ndarray) -> str:
+    """A 1-D or 2-D int or float array as JSON lists, the bytes of dumping
+    a.tolist(): one `%` call for all rows ("%.17g" % x is format(x, ".17g"));
+    a row with a non-finite value goes number by number, so that value
+    prints as null."""
+    rows = a.reshape(-1, a.shape[-1])
+    row = "[" + ", ".join(["%.17g" if a.dtype.kind == "f" else "%d"] * rows.shape[1]) + "]"
+    if a.dtype.kind == "f" and not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=1).tolist()
+        text = ", ".join(row % tuple(r) if ok else dumps_json(r)
+                         for r, ok in zip(rows.tolist(), finite))
+    else:
+        text = ", ".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+    return text if a.ndim == 1 else "[" + text + "]"
+
+
 def dumps_json(obj, indent: int = 0) -> str:
     """Serialize dict/list/number/str/None with 17-significant-digit floats."""
     pad = " " * indent
     if obj is None:
         return "null"
+    if isinstance(obj, RawJson):
+        return obj
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return _fmt_number(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iuf" and obj.ndim in (1, 2) and obj.size:
+            return _dumps_array(obj)
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -430,45 +457,80 @@ def radii_doc(solve_result, dimension: int) -> dict:
     }
 
 
-def _pool_vertices(dim: int):
-    pool: dict[tuple, int] = {}
-    coords: list[list[float]] = []
+def _pool_vertices(loops: list, dim: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Pool the vertices of a list of (k, dim) loops: (coords, ids, lengths).
 
-    def vid(v) -> int:
-        key = tuple(format(float(c), ".17g") for c in v)
-        if key not in pool:
-            pool[key] = len(coords)
-            coords.append([float(c) for c in v])
-        return pool[key]
+    coords holds the distinct vertices in order of first appearance, ids the
+    index into coords of every loop vertex in turn, lengths the loops' sizes.
+    Two vertices are one when their float64 bytes are: for finite doubles that
+    is when their ".17g" texts are (so -0.0 and 0.0 stay apart), and every NaN
+    is mapped to one NaN first, as all share the text "nan"."""
+    lengths = [len(v) for v in loops]
+    verts = (np.concatenate(loops) if loops else np.empty(0)).astype(float).reshape(-1, dim)
+    key = np.where(np.isnan(verts), np.nan, verts)
+    key = key.view(np.dtype((np.void, key.itemsize * dim))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return verts[first[order]], np.argsort(order)[inverse.ravel()], lengths
 
-    return vid, coords
+
+def _runs(tokens: list[str], lengths) -> list[str]:
+    """", "-joined consecutive runs of tokens, one run per length."""
+    out = []
+    a = 0
+    for k in lengths:
+        out.append(", ".join(tokens[a:a + k]))
+        a += k
+    return out
+
+
+def _ints(values) -> list[str]:
+    """JSON text of ints or None (null), one per value."""
+    return ["null" if t is None else str(int(t)) for t in values]
+
+
+_CELL2 = ('{\n    "owner": %d,\n    "closed": %s,\n    "loop": [%s],\n'
+          '    "edge_neighbors": [%s],\n    "vertex_simplices": [%s]\n  }')
+_CELL3 = '{\n    "owner": %d,\n    "closed": %s,\n    "faces": [%s]\n  }'
+_FACE3 = ('{\n      "loop": [%s],\n      "neighbor": %s,\n'
+          '      "vertex_simplices": [%s]\n    }')
+
+
+def _cells_json(mesh: ControlVolumeMesh) -> tuple[np.ndarray, RawJson]:
+    """The pooled vertices and the JSON text of the "cells" list, as the
+    recursive emitter would print one dict per cell (and face) at indent 2."""
+    cells = mesh.volumes
+    closed = ["true" if c.closed else "false" for c in cells]
+    if mesh.dim == 2:
+        coords, ids, lengths = _pool_vertices(
+            [c.verts if c.verts is not None else np.empty((0, 2)) for c in cells], 2)
+        edge = [c.edge_neighbors or [] for c in cells]
+        simp = [c.vertex_simplices or [] for c in cells]
+        text = [_CELL2 % row for row in zip(
+            [c.owner for c in cells], closed,
+            _runs(list(map(str, ids.tolist())), lengths),
+            _runs(_ints(chain.from_iterable(edge)), map(len, edge)),
+            _runs(_ints(chain.from_iterable(simp)), map(len, simp)))]
+    else:
+        faces = [c.faces or [] for c in cells]
+        flat = list(chain.from_iterable(faces))
+        coords, ids, lengths = _pool_vertices([f.verts for f in flat], 3)
+        simp = [f.vertex_simplices for f in flat]
+        face_text = [_FACE3 % row for row in zip(
+            _runs(list(map(str, ids.tolist())), lengths),
+            _ints(f.neighbor for f in flat),
+            _runs(_ints(chain.from_iterable(simp)), map(len, simp)))]
+        text = [_CELL3 % row for row in zip(
+            [c.owner for c in cells], closed, _runs(face_text, map(len, faces)))]
+    return coords, RawJson("[" + ", ".join(text) + "]")
 
 
 def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None) -> dict:
-    vid, coords = _pool_vertices(mesh.dim)
-    cells = []
-    for cell in mesh.volumes:
-        if mesh.dim == 2:
-            cells.append({
-                "owner": cell.owner,
-                "closed": cell.closed,
-                "loop": [vid(v) for v in (cell.verts if cell.verts is not None else [])],
-                "edge_neighbors": [None if t is None else int(t) for t in (cell.edge_neighbors or [])],
-                "vertex_simplices": [None if t is None else int(t) for t in (cell.vertex_simplices or [])],
-            })
-        else:
-            cells.append({
-                "owner": cell.owner,
-                "closed": cell.closed,
-                "faces": [
-                    {
-                        "loop": [vid(v) for v in f.verts],
-                        "neighbor": None if f.neighbor is None else int(f.neighbor),
-                        "vertex_simplices": [None if t is None else int(t) for t in f.vertex_simplices],
-                    }
-                    for f in (cell.faces or [])
-                ],
-            })
+    """The mesh.json document. Its "cells" entry is the finished JSON text
+    of the cell list (a `RawJson`), laid out for the top level of the
+    document: write it with `write_json`/`dumps_json`, and read a mesh back
+    with `mesh_from_doc` on the parsed file."""
+    coords, cells = _cells_json(mesh)
     if mesh.dim == 2:
         domain = {"vertices": mesh.domain.verts}
     else:
@@ -489,6 +551,14 @@ def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None) -> dict:
     }
 
 
+def _gather(verts: np.ndarray, loop, where: str) -> np.ndarray:
+    """verts[loop], after checking every index of the loop against verts."""
+    idx = np.asarray(loop)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(verts)):
+        raise IoFailure(f"{where}: loop holds a vertex index outside [0, {len(verts)})")
+    return verts[idx.astype(np.int64)]
+
+
 def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
     check_schema(doc)
     if doc.get("kind") != "mesh":
@@ -496,22 +566,22 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
     dim = int(doc["dimension"])
     verts = np.asarray(doc["vertices"], dtype=float) if doc["vertices"] else np.empty((0, dim))
     volumes = []
-    for c in doc["cells"]:
+    for k, c in enumerate(doc["cells"]):
         if dim == 2:
-            loop = np.asarray([verts[k] for k in c["loop"]], dtype=float).reshape(-1, 2)
             volumes.append(ControlVolume(
-                owner=int(c["owner"]), closed=bool(c["closed"]), verts=loop,
+                owner=int(c["owner"]), closed=bool(c["closed"]),
+                verts=_gather(verts, c["loop"], f"cell {k}").reshape(-1, 2),
                 edge_neighbors=[None if t is None else int(t) for t in c["edge_neighbors"]],
                 vertex_simplices=[None if t is None else int(t) for t in c["vertex_simplices"]],
             ))
         else:
             faces = [
                 CellFace(
-                    verts=np.asarray([verts[k] for k in f["loop"]], dtype=float).reshape(-1, 3),
+                    verts=_gather(verts, f["loop"], f"cell {k}, face {m}").reshape(-1, 3),
                     neighbor=None if f["neighbor"] is None else int(f["neighbor"]),
                     vertex_simplices=[None if t is None else int(t) for t in f["vertex_simplices"]],
                 )
-                for f in c["faces"]
+                for m, f in enumerate(c["faces"])
             ]
             volumes.append(ControlVolume(owner=int(c["owner"]), closed=bool(c["closed"]), faces=faces))
     if dim == 2:
@@ -540,51 +610,52 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
 # VTK legacy ASCII
 
 
-def _vtk_header(title: str, dataset: str) -> list[str]:
-    return ["# vtk DataFile Version 3.0", title, "ASCII", f"DATASET {dataset}"]
+def _vtk_header(title: str, dataset: str) -> str:
+    return f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET {dataset}\n"
+
+
+def _text_lines(spec: str, values: np.ndarray, counts, head: str = "", tail: str = "") -> str:
+    """One text line per entry of counts: head, then that many items joined
+    by single spaces, then tail and a newline. Item k is spec % values[k] (a
+    row of values, or one value); a single `%` call formats them all."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    seps = np.full(int(ends[-1]) if len(ends) else 0, " ", dtype=object)
+    seps[ends - 1] = tail + "\n" + head
+    template = head + spec.join(["", *seps.tolist()])
+    return template[:len(template) - len(head)] % tuple(np.ravel(values).tolist())
+
+
+def _vtk_points(coords: np.ndarray, row: str) -> str:
+    return f"POINTS {len(coords)} double\n" + (row * len(coords)) % tuple(coords.ravel().tolist())
 
 
 def vtk_polydata(mesh: ControlVolumeMesh) -> str:
-    vid, coords = _pool_vertices(2)
-    loops = []
-    for cell in mesh.volumes:
-        if cell.empty:
-            continue
-        loops.append([vid(v) for v in cell.verts])
-    lines = _vtk_header("cvmesh control volumes", "POLYDATA")
-    lines.append(f"POINTS {len(coords)} double")
-    for x, y in coords:
-        lines.append(f"{format(x, '.17g')} {format(y, '.17g')} 0")
-    size = sum(len(l) + 1 for l in loops)
-    lines.append(f"POLYGONS {len(loops)} {size}")
-    for l in loops:
-        lines.append(" ".join([str(len(l))] + [str(k) for k in l]))
-    return "\n".join(lines) + "\n"
+    coords, ids, lengths = _pool_vertices([c.verts for c in mesh.volumes if not c.empty], 2)
+    k = np.asarray(lengths, dtype=np.int64)
+    stream = np.insert(ids, np.cumsum(k) - k, k)
+    return (_vtk_header("cvmesh control volumes", "POLYDATA")
+            + _vtk_points(coords, "%.17g %.17g 0\n")
+            + f"POLYGONS {len(k)} {len(stream)}\n"
+            + _text_lines("%d", stream, k + 1))
 
 
 def vtk_unstructured(mesh: ControlVolumeMesh) -> str:
-    vid, coords = _pool_vertices(3)
-    records = []
-    for cell in mesh.volumes:
-        if cell.empty:
-            continue
-        faces = [[vid(v) for v in f.verts] for f in cell.faces]
-        stream = [len(faces)]
-        for f in faces:
-            stream.append(len(f))
-            stream.extend(f)
-        records.append(stream)
-    lines = _vtk_header("cvmesh control volumes", "UNSTRUCTURED_GRID")
-    lines.append(f"POINTS {len(coords)} double")
-    for x, y, z in coords:
-        lines.append(f"{format(x, '.17g')} {format(y, '.17g')} {format(z, '.17g')}")
-    total = sum(len(s) + 1 for s in records)
-    lines.append(f"CELLS {len(records)} {total}")
-    for s in records:
-        lines.append(" ".join(str(v) for v in [len(s)] + s))
-    lines.append(f"CELL_TYPES {len(records)}")
-    lines.extend(["42"] * len(records))
-    return "\n".join(lines) + "\n"
+    cells = [c.faces for c in mesh.volumes if not c.empty]
+    coords, ids, lengths = _pool_vertices([f.verts for faces in cells for f in faces], 3)
+    k = np.asarray(lengths, dtype=np.int64)
+    nfaces = np.asarray([len(faces) for faces in cells], dtype=np.int64)
+    first = np.cumsum(nfaces) - nfaces                 # each cell's first face
+    size = np.add.reduceat(k + 1, first) + 1           # record length after its prefix
+    # each face as (k, ids...), then (size, face count) before each cell's faces
+    faces = np.insert(ids, np.cumsum(k) - k, k)
+    start = (np.cumsum(k + 1) - (k + 1))[first]
+    stream = np.insert(faces, np.repeat(start, 2), np.column_stack([size, nfaces]).ravel())
+    return (_vtk_header("cvmesh control volumes", "UNSTRUCTURED_GRID")
+            + _vtk_points(coords, "%.17g %.17g %.17g\n")
+            + f"CELLS {len(cells)} {len(stream)}\n"
+            + _text_lines("%d", stream, size + 1)
+            + f"CELL_TYPES {len(cells)}\n"
+            + "42\n" * len(cells))
 
 
 def export_mesh(mesh: ControlVolumeMesh, path: str, fmt: str = "json",

@@ -32,7 +32,7 @@ from .mesh import (
     validate_global,
     validate_perpendicularity,
 )
-from .solver import OverlapKind, VolumeMode, classify_overlap, solve_radii
+from .solver import VolumeMode, classify_overlap, solve_radii
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -114,11 +114,11 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         bounds_policy=config.bounds_policy,
     ))
     overlap = stage("overlap", lambda: classify_overlap(solve.radii, nm, pts))
-    n_overlapping = sum(1 for k in overlap.pairs.values() if k is OverlapKind.OVERLAPPING)
+    n_overlapping = int(np.count_nonzero(overlap.overlapping))
     rdoc = radii_doc(solve, config.dimension)
     rdoc["overlap"] = {
         "overlapping": n_overlapping,
-        "non_overlapping": len(overlap.pairs) - n_overlapping,
+        "non_overlapping": len(overlap.edges) - n_overlapping,
     }
     emit("radii.json", rdoc)
 

@@ -9,6 +9,7 @@ from enum import Enum
 
 import numpy as np
 
+from .clipping import _rowdot
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import EmptyInterval
 from .geometry import neighbor_heights, tetra_heights
@@ -46,12 +47,25 @@ class RadiusVector:
 
 @dataclass(frozen=True)
 class OverlapMode:
-    """Per-neighbor-pair overlap labels keyed by (i, j) with i < j."""
+    """Overlap labels of the Delaunay-neighbor pairs: row k of `edges` is a
+    pair (i, j) with i < j, rows in lexicographic order, and overlapping[k]
+    says whether that pair overlaps."""
 
-    pairs: dict[tuple[int, int], OverlapKind]
+    edges: np.ndarray           # (E, 2) int
+    overlapping: np.ndarray     # (E,) bool
+
+    @property
+    def pairs(self) -> dict[tuple[int, int], OverlapKind]:
+        """The labels keyed by (i, j) with i < j."""
+        kinds = [OverlapKind.OVERLAPPING if o else OverlapKind.NON_OVERLAPPING
+                 for o in self.overlapping.tolist()]
+        return dict(zip(map(tuple, self.edges.tolist()), kinds))
 
     def kind(self, i: int, j: int) -> OverlapKind:
-        return self.pairs[(i, j) if i < j else (j, i)]
+        hit = self.overlapping[np.all(self.edges == sorted((i, j)), axis=1)]
+        if not len(hit):
+            raise KeyError((i, j))
+        return OverlapKind.OVERLAPPING if hit[0] else OverlapKind.NON_OVERLAPPING
 
 
 @dataclass
@@ -297,18 +311,18 @@ def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     """Label every Delaunay-neighbor pair as overlapping (L - (r_i + r_j) <= 0,
     tangency included) or non-overlapping (strictly positive gap)."""
     rr = r.r if isinstance(r, RadiusVector) else np.asarray(r, dtype=float)
-    pairs: dict[tuple[int, int], OverlapKind] = {}
+    pts = np.asarray(pts, dtype=float)
     n = nm.n_points
-    for i in range(n):
-        for j in nm.neighbors(i):
-            j = int(j)
-            key = (i, j) if i < j else (j, i)
-            if key in pairs:
-                continue
-            L = float(np.linalg.norm(pts[i] - pts[j]))
-            gap = L - (rr[i] + rr[j])
-            pairs[key] = OverlapKind.NON_OVERLAPPING if gap > 0.0 else OverlapKind.OVERLAPPING
-    return OverlapMode(pairs=pairs)
+    # the neighbour ids of each point, repeats allowed: np.unique drops them
+    nbrs = nm.rings if nm.dim == 2 else [star.ravel() for star in nm.stars]
+    i = np.repeat(np.arange(n, dtype=np.int64), [len(v) for v in nbrs])
+    j = np.concatenate(nbrs).astype(np.int64)
+    key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    edges = np.column_stack(np.divmod(key, n))
+    d = pts[edges[:, 0]] - pts[edges[:, 1]]
+    # the row-wise sqrt(d . d) is np.linalg.norm of each row, bit for bit
+    gap = np.sqrt(_rowdot(d, d)) - (rr[edges[:, 0]] + rr[edges[:, 1]])
+    return OverlapMode(edges=edges, overlapping=~(gap > 0.0))
 
 
 def solve_radii(

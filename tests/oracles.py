@@ -7,11 +7,14 @@ Voronoi cells, a two-variable Newton solve for equal-power points, a
 hand-rolled Gaussian elimination, one-face, one-vertex-at-a-time loops
 for the 3D cell clipping, face-loop ordering, containment, volume, simplex
 matching and perpendicularity that cvmesh computes as array code over whole
-cells, and the one-candidate-at-a-time rejection loop that cvmesh's point
-generator runs in blocks over a background grid.
+cells, the one-candidate-at-a-time rejection loop that cvmesh's point
+generator runs in blocks over a background grid, the artifact writers with
+one Python call per number, and the point-, facet- and pair-at-a-time loops
+behind duplicate detection, simplex adjacency and overlap labels.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 
@@ -789,3 +792,297 @@ def reference_points(lo, hi, n: int, seed: int, min_sep_factor: float = 0.75,
         pts[k] = cand
         k += 1
     return pts
+
+
+# ---------------------------------------------------------------------------
+# artifact writers, one Python call per number: the reference bytes of
+# cvmesh's mesh.json, mesh.vtk and mesh.svg. The functions of
+# cvmesh.io/cvmesh.svg as they were before those wrote whole arrays, with
+# only the cvmesh imports taken out (render_svg checks no dimension and takes
+# its options from the caller).
+
+SCHEMA = "cvmesh/1"
+
+
+def _fmt_number(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    v = float(x)
+    if not math.isfinite(v):
+        return "null"
+    return format(v, ".17g")
+
+
+def dumps_json(obj, indent: int = 0) -> str:
+    """Serialize dict/list/number/str/None with 17-significant-digit floats."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
+        return _fmt_number(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ", ".join(dumps_json(v, indent) for v in obj)
+        return f"[{inner}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = []
+        for k, v in obj.items():
+            rows.append(f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 2)}')
+        body = ",\n".join(rows)
+        return "{\n" + body + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _pool_vertices(dim: int):
+    pool: dict[tuple, int] = {}
+    coords: list[list[float]] = []
+
+    def vid(v) -> int:
+        key = tuple(format(float(c), ".17g") for c in v)
+        if key not in pool:
+            pool[key] = len(coords)
+            coords.append([float(c) for c in v])
+        return pool[key]
+
+    return vid, coords
+
+
+def mesh_doc(mesh, validation: dict | None = None) -> dict:
+    vid, coords = _pool_vertices(mesh.dim)
+    cells = []
+    for cell in mesh.volumes:
+        if mesh.dim == 2:
+            cells.append({
+                "owner": cell.owner,
+                "closed": cell.closed,
+                "loop": [vid(v) for v in (cell.verts if cell.verts is not None else [])],
+                "edge_neighbors": [None if t is None else int(t) for t in (cell.edge_neighbors or [])],
+                "vertex_simplices": [None if t is None else int(t) for t in (cell.vertex_simplices or [])],
+            })
+        else:
+            cells.append({
+                "owner": cell.owner,
+                "closed": cell.closed,
+                "faces": [
+                    {
+                        "loop": [vid(v) for v in f.verts],
+                        "neighbor": None if f.neighbor is None else int(f.neighbor),
+                        "vertex_simplices": [None if t is None else int(t) for t in f.vertex_simplices],
+                    }
+                    for f in (cell.faces or [])
+                ],
+            })
+    if mesh.dim == 2:
+        domain = {"vertices": mesh.domain.verts}
+    else:
+        domain = {"faces": [f.verts for f in mesh.domain.faces]}
+    return {
+        "schema": SCHEMA,
+        "kind": "mesh",
+        "dimension": mesh.dim,
+        "mode": mesh.mode,
+        "points": mesh.points,
+        "radii": mesh.radii,
+        "domain": domain,
+        "vertices": coords,
+        "cells": cells,
+        "simplices": mesh.simplices,
+        "simplex_vertices": mesh.simplex_vertices,
+        "validation": validation,
+    }
+
+
+def _vtk_header(title: str, dataset: str) -> list[str]:
+    return ["# vtk DataFile Version 3.0", title, "ASCII", f"DATASET {dataset}"]
+
+
+def vtk_polydata(mesh) -> str:
+    vid, coords = _pool_vertices(2)
+    loops = []
+    for cell in mesh.volumes:
+        if cell.empty:
+            continue
+        loops.append([vid(v) for v in cell.verts])
+    lines = _vtk_header("cvmesh control volumes", "POLYDATA")
+    lines.append(f"POINTS {len(coords)} double")
+    for x, y in coords:
+        lines.append(f"{format(x, '.17g')} {format(y, '.17g')} 0")
+    size = sum(len(l) + 1 for l in loops)
+    lines.append(f"POLYGONS {len(loops)} {size}")
+    for l in loops:
+        lines.append(" ".join([str(len(l))] + [str(k) for k in l]))
+    return "\n".join(lines) + "\n"
+
+
+def vtk_unstructured(mesh) -> str:
+    vid, coords = _pool_vertices(3)
+    records = []
+    for cell in mesh.volumes:
+        if cell.empty:
+            continue
+        faces = [[vid(v) for v in f.verts] for f in cell.faces]
+        stream = [len(faces)]
+        for f in faces:
+            stream.append(len(f))
+            stream.extend(f)
+        records.append(stream)
+    lines = _vtk_header("cvmesh control volumes", "UNSTRUCTURED_GRID")
+    lines.append(f"POINTS {len(coords)} double")
+    for x, y, z in coords:
+        lines.append(f"{format(x, '.17g')} {format(y, '.17g')} {format(z, '.17g')}")
+    total = sum(len(s) + 1 for s in records)
+    lines.append(f"CELLS {len(records)} {total}")
+    for s in records:
+        lines.append(" ".join(str(v) for v in [len(s)] + s))
+    lines.append(f"CELL_TYPES {len(records)}")
+    lines.extend(["42"] * len(records))
+    return "\n".join(lines) + "\n"
+
+
+
+
+def _fmt(v: float) -> str:
+    return format(v, ".6f")
+
+
+def render_svg(mesh, pts=None, radii=None, options=None) -> str:
+    """cvmesh.svg.render_svg, one element and one number at a time; options
+    is a cvmesh.svg.SvgOptions (the caller passes the default)."""
+    opt = options
+    pts = mesh.points if pts is None else np.asarray(pts, dtype=float)
+    radii = mesh.radii if radii is None else radii
+
+    dv = mesh.domain.verts
+    lo = dv.min(axis=0)
+    hi = dv.max(axis=0)
+    span = float(max(hi - lo))
+    pad = 0.02 * span
+    x0, y0 = lo - pad
+    w, h = (hi - lo) + 2 * pad
+    flip = y0 + (y0 + h)  # y -> flip - y maps world up to svg up
+
+    def fy(y: float) -> str:
+        return _fmt(flip - y)
+
+    sw = _fmt(0.0015 * span)
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{opt.size}" height="{opt.size}" '
+        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">'
+    )
+    out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="white"/>')
+
+    if "cells" in opt.layers:
+        out.append(f'<g id="cells" fill="none" stroke="#1a6faf" stroke-width="{sw}">')
+        for cell in mesh.volumes:
+            if cell.empty:
+                continue
+            coords = " ".join(f"{_fmt(v[0])},{fy(v[1])}" for v in cell.verts)
+            out.append(f'<polygon points="{coords}"/>')
+        out.append("</g>")
+
+    if "delaunay" in opt.layers and mesh.simplices is not None:
+        t = mesh.simplices
+        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        e.sort(axis=1)
+        e = np.unique(e, axis=0)
+        out.append(f'<g id="delaunay" stroke="#bbbbbb" stroke-width="{sw}">')
+        for u, v in e:
+            a, b = pts[u], pts[v]
+            out.append(
+                f'<line x1="{_fmt(a[0])}" y1="{fy(a[1])}" x2="{_fmt(b[0])}" y2="{fy(b[1])}"/>'
+            )
+        out.append("</g>")
+
+    if "circles" in opt.layers and radii is not None:
+        out.append(f'<g id="circles" fill="none" stroke="#d88a2d" stroke-width="{sw}">')
+        for p, r in zip(pts, radii):
+            out.append(f'<circle cx="{_fmt(p[0])}" cy="{fy(p[1])}" r="{_fmt(float(r))}"/>')
+        out.append("</g>")
+
+    if "points" in opt.layers:
+        s = opt.point_size * span
+        out.append('<g id="points" fill="#c0392b">')
+        for p in pts:
+            out.append(
+                f'<rect x="{_fmt(p[0] - s)}" y="{_fmt(flip - p[1] - s)}" '
+                f'width="{_fmt(2 * s)}" height="{_fmt(2 * s)}"/>'
+            )
+        out.append("</g>")
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def mesh_json(mesh, validation: dict | None = None) -> str:
+    """The bytes cvmesh.io.export_mesh writes to mesh.json."""
+    return dumps_json(mesh_doc(mesh, validation)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# duplicate points, simplex adjacency and overlap labels, one point, facet
+# or neighbour pair at a time: cvmesh's array passes as they were written
+# before, kept as their references.
+
+
+def duplicate_pairs_loop(pts: np.ndarray, eps: float) -> list:
+    """Grid-hash scan for point pairs closer than eps."""
+    if eps <= 0.0:
+        return []
+    cells: dict[tuple, list[int]] = {}
+    keys = np.floor((pts - pts.min(axis=0)) / eps).astype(np.int64)
+    pairs = []
+    dim = pts.shape[1]
+    offsets = list(product((-1, 0, 1), repeat=dim))
+    for i in range(len(pts)):
+        k = tuple(keys[i])
+        for off in offsets:
+            bucket = cells.get(tuple(k[d] + off[d] for d in range(dim)))
+            if bucket:
+                for j in bucket:
+                    if np.sum((pts[i] - pts[j]) ** 2) < eps * eps:
+                        pairs.append((j, i))
+        cells.setdefault(k, []).append(i)
+    return pairs
+
+
+def adjacency_loop(simplices: np.ndarray) -> np.ndarray:
+    """Entry [t, k] is the simplex across the facet opposite corner k of
+    simplex t, or -1 when that facet is on the hull."""
+    owner: dict[tuple, list[tuple[int, int]]] = {}
+    for t, row in enumerate(simplices.tolist()):
+        for k in range(len(row)):
+            owner.setdefault(tuple(sorted(row[:k] + row[k + 1:])), []).append((t, k))
+    adj = np.full(simplices.shape, -1, dtype=np.int64)
+    for entries in owner.values():
+        if len(entries) == 2:
+            (t1, k1), (t2, k2) = entries
+            adj[t1, k1] = t2
+            adj[t2, k2] = t1
+    return adj
+
+
+def overlap_loop(rr: np.ndarray, nm, pts: np.ndarray) -> dict:
+    """cvmesh.solver.classify_overlap one neighbour pair at a time: (i, j),
+    i < j, maps to True when the pair overlaps (gap <= 0)."""
+    pairs: dict[tuple[int, int], bool] = {}
+    n = nm.n_points
+    for i in range(n):
+        for j in nm.neighbors(i):
+            j = int(j)
+            key = (i, j) if i < j else (j, i)
+            if key in pairs:
+                continue
+            L = float(np.linalg.norm(pts[i] - pts[j]))
+            gap = L - (rr[i] + rr[j])
+            pairs[key] = not gap > 0.0
+    return pairs

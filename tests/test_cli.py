@@ -107,3 +107,18 @@ def test_render_layer_selection(tmp_path):
 
 def test_unknown_mode_rejected(tmp_path):
     assert main(["run", "--mode", "exact-intersection", "--n", "2"]) == 4
+
+
+def test_3d_run_and_gen_from_flags(tmp_path):
+    """`--dim 3` without a config file takes the 3D unit box (it used to
+    keep the 2D default box and exit 4), and `export` of the run's mesh.json
+    gives the run's mesh.vtk byte for byte."""
+    out = tmp_path / "out3d"
+    assert main(["run", "--dim", "3", "--n", "30", "--equal-radii", "--format", "json,vtk",
+                 "--out", str(out)]) == 0
+    assert read_json(str(out / "summary.json"))["config"]["box"] == [0, 0, 0, 1, 1, 1]
+    assert main(["export", "--mesh", str(out / "mesh.json"), "--format", "vtk",
+                 "--out", str(tmp_path / "again.vtk")]) == 0
+    assert (tmp_path / "again.vtk").read_bytes() == (out / "mesh.vtk").read_bytes()
+    assert main(["gen", "--dim", "3", "--n", "20", "--out", str(tmp_path / "p.json")]) == 0
+    assert len(read_json(str(tmp_path / "p.json"))["points"][0]) == 3

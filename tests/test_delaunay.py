@@ -3,13 +3,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
+from cvmesh.delaunay import _adjacency, _duplicate_pairs, neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
 
 from conftest import flat_faced_box, hexagon_patch, uniform_points
 from oracles import (
+    adjacency_loop,
     convex_hull_area,
     convex_hull_volume,
+    duplicate_pairs_loop,
     empty_circumcircles,
     empty_circumspheres,
     tetra_volume,
@@ -78,6 +80,38 @@ def test_adjacency_symmetric():
             t2 = tri.adjacency[t, k]
             if t2 != -1:
                 assert t in tri.adjacency[t2]
+
+
+def _lattice_with_duplicates(dim: int, seed: int) -> np.ndarray:
+    """Points snapped to a quarter-unit lattice (exact duplicates), plus two
+    copies of one point moved by 1e-13 and 3e-13."""
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.random((60, dim)) * 4) / 4
+    return np.vstack([pts, pts[7] + 1e-13, pts[7] + 3e-13])
+
+
+def test_duplicate_pairs_match_grid_loop():
+    """The sorted-array pass finds the pairs of the grid-hash loop, in its
+    order: by later point, then neighbour cell, then earlier point."""
+    clouds = [uniform_points(2, 400, 1), uniform_points(3, 60, 2), hexagon_patch(3, 1),
+              flat_faced_box()]
+    clouds += [_lattice_with_duplicates(d, s) for d in (2, 3) for s in (0, 1)]
+    for pts in clouds:
+        for eps in (1e-12, 2e-13, 1e-3, 0.1, 0.3, 0.0):
+            got = _duplicate_pairs(pts, eps)
+            assert got == duplicate_pairs_loop(pts, eps), (len(pts), eps)
+    assert len(_duplicate_pairs(clouds[-1], 1e-12)) > 10
+
+
+def test_adjacency_matches_facet_loop():
+    sims = [triangulate2(uniform_points(2, 400, 3)).simplices,
+            tetrahedralize3(uniform_points(3, 60, 4)).simplices,
+            tetrahedralize3(flat_faced_box()).simplices,
+            # facet (0, 1, 2) shared by three tetrahedra: linked to none
+            np.array([[0, 1, 2, 3], [0, 2, 1, 4], [1, 0, 2, 5], [3, 4, 5, 6]])]
+    for s in sims:
+        got = _adjacency(s)
+        assert got.dtype == np.int64 and np.array_equal(got, adjacency_loop(s))
 
 
 def test_permutation_invariance_as_sets():

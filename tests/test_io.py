@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,13 +21,17 @@ from cvmesh.io import (
     generate_points,
     mesh_doc,
     mesh_from_doc,
+    radii_doc,
     vtk_polydata,
     vtk_unstructured,
 )
 from cvmesh.mesh import build_volumes2, build_volumes3
+from cvmesh.pipeline import run_pipeline
+from cvmesh.solver import solve_radii
 from cvmesh.svg import SvgOptions, render_svg
 
-from conftest import bcc_cell, uniform_points
+import oracles
+from conftest import bcc_cell, hexagon_patch, uniform_points
 from oracles import GenerationBudgetExceeded, reference_points
 
 
@@ -282,3 +287,143 @@ def test_svg_deterministic_bytes():
 def test_svg_rejects_3d():
     with pytest.raises(DimensionMismatch):
         render_svg(_mesh3())
+
+
+# ---------------------------------------------------------------------------
+# the writers against the number-at-a-time reference writers in oracles.py
+
+
+def test_percent_templates_format_like_format_on_random_bits():
+    """The writers format whole arrays with one "%.17g" or "%.6f" template;
+    on every double that gives the text of format(x, ".17g"/".6f")."""
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    values = x.tolist() + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    for spec in (".17g", ".6f"):
+        assert (f"%{spec}\n" * len(values)) % tuple(values) == "".join(
+            format(v, spec) + "\n" for v in values), spec
+
+
+def test_dumps_json_arrays_match_reference():
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    docs = [
+        np.array([[0.1, -0.0], [np.nan, 1e308], [np.inf, 5e-324], [-np.inf, 2.0]]),
+        nan_payload,
+        np.arange(24, dtype=np.int64).reshape(2, 3, 4) - 7,
+        np.arange(5, dtype=np.uint8),
+        np.array([1.5, np.nan]).reshape(1, 2, 1),
+        np.linspace(0, 1, 7, dtype=np.float32),
+        np.array([True, False]),
+        np.empty((0,)), np.empty((0, 3)), np.empty((3, 0)), np.empty((2, 0, 2)),
+        np.float64(np.nan), np.int32(-3),
+        {"a": [np.arange(3), (np.ones((2, 2)), None)], "b": {"c": np.array([-0.0])}},
+    ]
+    for doc in docs:
+        assert dumps_json(doc) == oracles.dumps_json(doc), doc
+
+
+def test_radii_doc_with_non_finite_bounds_matches_reference():
+    pts = hexagon_patch(2, seed=1)
+    tri = triangulate2(pts)
+    sol = solve_radii(tri, neighbor_map(tri), pts, bounds_policy="clamp")
+    lo = sol.lo.copy()
+    hi = sol.hi.copy()
+    lo[:3] = [-np.inf, np.nan, np.inf]
+    hi[-2:] = [np.inf, np.nan]
+    doc = radii_doc(dataclasses.replace(sol, lo=lo, hi=hi), 2)
+    text = dumps_json(doc)
+    assert text == oracles.dumps_json(doc)
+    assert json.loads(text)["lo"][:3] == [None, None, None]
+
+
+def _assert_reference_bytes(result):
+    """mesh.json, mesh.vtk and mesh.svg of a run are the reference writers'
+    bytes for the run's mesh and validation report."""
+    mesh = result.mesh
+    expected = {
+        "mesh.json": oracles.mesh_json(mesh, mesh.diagnostics),
+        "mesh.vtk": (oracles.vtk_polydata if mesh.dim == 2 else oracles.vtk_unstructured)(mesh),
+    }
+    if mesh.dim == 2:
+        expected["mesh.svg"] = oracles.render_svg(mesh, options=SvgOptions())
+    for name, text in expected.items():
+        with open(result.artifacts[name]) as fh:
+            assert fh.read() == text, name
+
+
+@pytest.mark.parametrize("dim, n, seeds", [(2, 400, (1, 2, 3)), (3, 60, (1, 2, 3)), (3, 300, (1, 2))])
+def test_artifact_bytes_match_reference_writers(tmp_path, dim, n, seeds):
+    for seed in seeds:
+        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True, probes=500,
+                        out_dir=str(tmp_path / str(seed)))
+        result = run_pipeline(cfg)
+        assert result.exit_code == 0
+        _assert_reference_bytes(result)
+
+
+def test_artifact_bytes_match_reference_writers_on_hex_lattice(tmp_path):
+    """The paper's exact-intersection mode on a jittered hexagonal patch."""
+    for seed in (1, 2):
+        pts = hexagon_patch(2, seed=seed)
+        cfg = RunConfig(dimension=2, n=len(pts), seed=seed, mode="exact-intersection",
+                        probes=500, out_dir=str(tmp_path / str(seed)))
+        _assert_reference_bytes(run_pipeline(cfg, points=pts))
+
+
+def _odd_coordinates(loops: list, dim: int):
+    """Write -0.0, 0.0, a subnormal, +-1e308 and NaNs of three bit patterns
+    into the first rows of the given (k, dim) loops."""
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    rows = [(-0.0, 5e-324), (0.0, 5e-324), (1e308, -1e308), (nans[0], -0.0),
+            (nans[1], -0.0), (nans[2], 1e308), (-5e-324, -0.0)]
+    for v, row in zip(loops, rows):
+        v[0, :2] = row
+        v[0, 2:] = row[0]
+
+
+def test_mesh_bytes_match_reference_on_odd_coordinates(tmp_path):
+    mesh = _mesh2(seed=4, n=20)
+    cells = [c for c in mesh.volumes if not c.empty]
+    _odd_coordinates([c.verts for c in cells], 2)
+    cells[-1].verts = cells[-1].verts[:2]      # a degenerate cell: in mesh.json only
+    mesh3 = _mesh3()
+    _odd_coordinates([f.verts for c in mesh3.volumes for f in c.faces or []][::3], 3)
+    for m in (mesh, mesh3):
+        export_mesh(m, str(tmp_path / "m.json"), "json", validation={"ok": False})
+        export_mesh(m, str(tmp_path / "m.vtk"), "vtk")
+        assert (tmp_path / "m.json").read_text() == oracles.mesh_json(m, {"ok": False})
+        vtk = oracles.vtk_polydata if m.dim == 2 else oracles.vtk_unstructured
+        assert (tmp_path / "m.vtk").read_text() == vtk(m)
+    assert render_svg(mesh) == oracles.render_svg(mesh, options=SvgOptions())
+    doc = json.loads((tmp_path / "m.json").read_text())
+    # NaN rows of two bit patterns pool into one vertex, a third row is apart
+    assert sum(None in v for v in doc["vertices"]) == 2
+
+
+def test_svg_bytes_match_reference_with_options():
+    mesh = _mesh2(seed=9, n=30)
+    pts = mesh.points + 0.25
+    radii = np.linspace(0.01, 0.2, 25)       # fewer radii than points: circles stop at 25
+    for layers in (("points",), ("delaunay", "circles"), ("cells", "points")):
+        opt = SvgOptions(layers=layers, size=300, point_size=0.01)
+        assert render_svg(mesh, pts, radii, opt) == oracles.render_svg(mesh, pts, radii, opt)
+
+
+@pytest.mark.parametrize("index", ["-1", "len"])
+def test_mesh_from_doc_rejects_loop_index_out_of_range(index):
+    """A loop index below 0 used to wrap to the last vertex, and one past the
+    end raised a bare IndexError."""
+    for mesh in (_mesh2(), _mesh3()):
+        doc = json.loads(dumps_json(mesh_doc(mesh)))
+        bad = -1 if index == "-1" else len(doc["vertices"])
+        k = next(k for k, c in enumerate(mesh.volumes) if not c.empty and k > 0)
+        if mesh.dim == 2:
+            doc["cells"][k]["loop"][1] = bad
+            where = f"cell {k}:"
+        else:
+            doc["cells"][k]["faces"][2]["loop"][0] = bad
+            where = f"cell {k}, face 2:"
+        with pytest.raises(IoFailure, match=where):
+            mesh_from_doc(doc)

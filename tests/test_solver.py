@@ -18,7 +18,7 @@ from cvmesh.solver import (
 )
 
 from conftest import bcc_cell, exact_instance, hexagon_patch, radical_centers, uniform_points
-from oracles import gauss_solve, newton_equal_power_2d, radius_bounds_loop, tetra_height
+from oracles import gauss_solve, newton_equal_power_2d, overlap_loop, radius_bounds_loop, tetra_height
 
 
 def test_vertex2_common_point_of_three_circles():
@@ -280,6 +280,30 @@ def test_classify_overlap_partitions_all_neighbor_pairs():
     mode = classify_overlap(r, nm, pts)
     expected_pairs = {tuple(sorted(e)) for e in tri.edges().tolist()}
     assert set(mode.pairs.keys()) == expected_pairs
+
+
+def test_classify_overlap_matches_pair_loop():
+    """One distance pass over the unique neighbour pairs labels every pair
+    as the pair-at-a-time loop does, tangency bits included."""
+    for dim, n, seed in ((2, 400, 1), (3, 60, 2), (3, 200, 3)):
+        pts = uniform_points(dim, n, seed)
+        tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+        nm = neighbor_map(tri)
+        base = 0.5 * np.median(np.linalg.norm(pts[tri.edges()[:, 0]] - pts[tri.edges()[:, 1]], axis=1))
+        # tangent pairs: r_i = r_j = |p_i - p_j| / 2 on disjoint edges, so
+        # the label rests on the last bit of the distance
+        tangent = np.full(n, base)
+        for i, j in tri.edges().tolist():
+            if tangent[i] == base and tangent[j] == base:
+                tangent[i] = tangent[j] = np.linalg.norm(pts[i] - pts[j]) / 2
+        rng = np.random.default_rng(seed)
+        for r in [tangent] + [s * base * rng.uniform(0.7, 1.3, n) for s in (0.8, 1.0, 1.2)]:
+            mode = classify_overlap(r, nm, pts)
+            expected = overlap_loop(r, nm, pts)
+            got = {k: v is OverlapKind.OVERLAPPING for k, v in mode.pairs.items()}
+            assert got == expected
+            assert 0 < sum(expected.values()) < len(expected)
+            assert np.array_equal(mode.edges, np.array(sorted(expected)))
 
 
 def test_solve_radii_single_triangle_exact():
