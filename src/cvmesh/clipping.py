@@ -10,6 +10,11 @@ each face starts, the row of each vertex's successor around its loop, one
 tag per face (-1 for the domain) and one cell id per face, faces grouped by
 cell. `clip_stack` clips every cell of a stack by its own plane in one array
 pass; `clip_polyhedron` is its one-cell case on a TaggedPolyhedron.
+
+Polygons have the same in 2D (`RingStack`): one ring per cell in one (V, 2)
+vertex array, one tag per edge and one simplex id per vertex. `clip_rings`
+clips every ring by its own line in one pass; `clip_polygon` is its one-cell
+case on a TaggedPolygon.
 """
 from __future__ import annotations
 
@@ -51,60 +56,176 @@ class TaggedPolyhedron:
 def clip_polygon(poly: TaggedPolygon, normal, offset: float, tag, eps: float) -> TaggedPolygon | None:
     """Keep the part of the polygon with normal . x <= offset.
 
-    New edges created by the cut carry `tag`. Returns None when nothing is left.
+    New edges created by the cut carry `tag`. Returns None when nothing is
+    left. This is the one-cell case of `clip_rings`.
     """
-    v = poly.verts
-    k = len(v)
-    if k == 0:
-        return None
-    n = np.asarray(normal, dtype=float)
-    d = v @ n - offset
-    if np.all(d <= eps):
-        return poly
-    if np.all(d >= -eps):
-        return None
-
-    out_v: list[np.ndarray] = []
-    out_t: list = []
-    for a in range(k):
-        b = (a + 1) % k
-        da, db = d[a], d[b]
-        if da <= eps:
-            out_v.append(v[a])
-            if db <= eps:
-                out_t.append(poly.tags[a])
-            else:
-                # leaving the half-plane: truncated edge, then the cut edge
-                s = da / (da - db)
-                out_v.append(v[a] + s * (v[b] - v[a]))
-                out_t.append(poly.tags[a])
-                out_t.append(tag)
-        elif db <= eps:
-            s = da / (da - db)
-            out_v.append(v[a] + s * (v[b] - v[a]))
-            out_t.append(poly.tags[a])
-    return _dedup_polygon(np.asarray(out_v), out_t, eps)
+    stack = RingStack.of([poly])
+    d = poly.verts @ np.asarray(normal, dtype=float) - offset if len(poly.verts) else np.empty(0)
+    return clip_rings(stack, d, [tag], eps).polygon(0)
 
 
-def _dedup_polygon(verts: np.ndarray, tags: list, eps: float) -> TaggedPolygon | None:
-    """Merge consecutive near-coincident vertices, keeping the outgoing edge tag."""
-    if len(verts) == 0:
-        return None
-    keep_v: list[np.ndarray] = []
-    keep_t: list = []
-    for k in range(len(verts)):
-        if keep_v and np.linalg.norm(verts[k] - keep_v[-1]) <= eps:
-            keep_t[-1] = tags[k]  # zero-length edge collapses onto its successor
-            continue
-        keep_v.append(verts[k])
-        keep_t.append(tags[k])
-    if len(keep_v) > 1 and np.linalg.norm(keep_v[0] - keep_v[-1]) <= eps:
-        # last vertex merges into the first: its zero-length closing edge goes
-        keep_v.pop()
-        keep_t.pop()
-    if len(keep_v) < 3:
-        return None
-    return TaggedPolygon(verts=np.asarray(keep_v), tags=keep_t)
+@dataclass
+class RingStack:
+    """Convex polygons stacked into arrays, the 2D twin of `PolyStack`.
+
+    Ring c is rows starts[c] up to starts[c + 1] of `verts` (no rows: the cell
+    is empty). tags[r] labels the edge from row r to the next row around its
+    ring (a neighbor id, or -1 for the domain boundary); simplices[r] is the
+    simplex whose candidate vertex row r is (-1 for a clip point or unknown).
+    """
+
+    verts: np.ndarray       # (V, 2)
+    starts: np.ndarray      # (C,)
+    tags: np.ndarray        # (V,)
+    simplices: np.ndarray   # (V,)
+
+    @classmethod
+    def from_rings(cls, verts, starts, tags) -> "RingStack":
+        """Rings of the given rows, starts and tags; no simplex ids yet."""
+        verts = np.asarray(verts, dtype=float).reshape(-1, 2)
+        return cls(verts, np.asarray(starts, dtype=np.intp), np.asarray(tags, dtype=np.int64),
+                   np.full(len(verts), -1, dtype=np.int64))
+
+    @classmethod
+    def of(cls, polys) -> "RingStack":
+        """Stack of TaggedPolygon list entries (None: an empty ring); ring c
+        is polys[c]."""
+        loops = [p.verts for p in polys if p is not None]
+        sizes = np.array([0 if p is None else len(p.verts) for p in polys], dtype=np.intp)
+        tags = [-1 if t is None else t for p in polys if p is not None for t in p.tags]
+        verts = np.concatenate(loops) if loops else np.empty((0, 2))
+        return cls.from_rings(verts, np.cumsum(sizes) - sizes, tags)
+
+    def lengths(self) -> np.ndarray:
+        """Rows per ring, (C,)."""
+        return _lengths(self.starts, len(self.verts))
+
+    def row_rings(self) -> np.ndarray:
+        """Ring id per vertex row, (V,)."""
+        return np.repeat(np.arange(len(self.starts)), self.lengths())
+
+    def succ(self) -> np.ndarray:
+        """Row of the next vertex around its ring, per row (V,)."""
+        lens = self.lengths()
+        full = lens > 0
+        return _successors(self.starts[full], len(self.verts))
+
+    def polygon(self, c: int) -> TaggedPolygon | None:
+        """Ring c as a TaggedPolygon, or None when it has no rows."""
+        a = int(self.starts[c])
+        b = int(self.starts[c + 1]) if c + 1 < len(self.starts) else len(self.verts)
+        if a == b:
+            return None
+        return TaggedPolygon(verts=self.verts[a:b],
+                             tags=[None if t < 0 else t for t in self.tags[a:b].tolist()])
+
+
+def grouped_matvec(verts: np.ndarray, group: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Per row r, verts[r] @ normals[group[r]] (groups sorted, rows of a
+    group contiguous), each group rounded as the one-group product
+    `group_rows @ normal`: a BLAS matrix-vector product, whose rounding
+    differs from a row-wise dot. The groups, padded with zero rows to one
+    length, go through one stacked matmul, which makes one matrix-vector
+    product per group."""
+    normals = np.asarray(normals, dtype=float)
+    if not len(verts):
+        return np.empty(0)
+    first = np.searchsorted(group, np.arange(len(normals)))
+    local = np.arange(len(verts)) - first[group]
+    pad = np.zeros((len(normals), max(int(local.max()) + 1, 2), verts.shape[1]))
+    pad[group, local] = verts
+    return np.matmul(pad, normals[:, :, None])[group, local, 0]
+
+
+def ring_distances(stack: RingStack, normals: np.ndarray, offsets: np.ndarray,
+                   live: np.ndarray | None = None) -> np.ndarray:
+    """Per row, verts[r] @ normals[c] - offsets[c] for its ring c, rounded as
+    `ring_verts @ normal - offset` for each ring alone (`grouped_matvec`).
+    Rows of the rings where `live` is False get -inf: no cut reaches them."""
+    ring = stack.row_rings()
+    live = np.ones(len(stack.starts), dtype=bool) if live is None else live
+    rows = live[ring]
+    group = (np.cumsum(live) - 1)[ring[rows]]
+    d = np.full(len(stack.verts), -np.inf)
+    d[rows] = (grouped_matvec(stack.verts[rows], group, np.asarray(normals, dtype=float)[live])
+               - np.asarray(offsets, dtype=float)[live][group])
+    return d
+
+
+def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
+    """Clip every ring of the stack by its own line in one array pass.
+
+    d[r] is the signed distance of row r from its ring's line (positive
+    outside) and tags[c] the tag of the edge a cut adds to ring c (None or -1
+    for the domain). Per ring, as for one polygon: a ring with every d <= eps
+    is kept whole, one with every d >= -eps vanishes. Otherwise each vertex
+    with d <= eps stays, followed by the crossing point of its outgoing edge
+    when that edge crosses the line. The cut edge carries the new tag and a
+    truncated edge keeps its own. Then consecutive vertices within eps merge,
+    the merged vertex's edge taking the tag of the last one merged, and the
+    last vertex goes when it lies within eps of the first; a ring left with
+    under three vertices vanishes. Simplex ids of kept rows stay; new rows
+    get -1.
+    """
+    v = stack.verts
+    nring = len(stack.starts)
+    ring = stack.row_rings()
+    succ = stack.succ()
+    new_tag = np.array([-1 if t is None else t for t in tags], dtype=np.int64)
+    inside = d <= eps
+    outside = np.bincount(ring[~inside], minlength=nring) > 0
+    below = np.bincount(ring[d < -eps], minlength=nring) > 0
+    cut = outside & below
+    whole_rows = np.flatnonzero(~outside[ring])
+
+    # Emit per row of a cut ring its vertex when inside, then the crossing
+    # point of its outgoing edge when that edge crosses the line.
+    rows = np.flatnonzero(cut[ring])
+    emit = np.empty((len(rows), 2), dtype=bool)
+    emit[:, 0] = inside[rows]
+    emit[:, 1] = inside[rows] != inside[succ[rows]]
+    pts = np.empty((len(rows), 2, 2))
+    pts[:, 0] = v[rows]
+    a = rows[emit[:, 1]]
+    b = succ[a]
+    s = d[a] / (d[a] - d[b])
+    pts[emit[:, 1], 1] = v[a] + s[:, None] * (v[b] - v[a])
+    tag = np.empty((len(rows), 2), dtype=np.int64)
+    tag[:, 0] = stack.tags[rows]
+    tag[:, 1] = np.where(inside[rows], new_tag[ring[rows]], stack.tags[rows])
+    sid = np.empty((len(rows), 2), dtype=np.int64)
+    sid[:, 0] = stack.simplices[rows]
+    sid[:, 1] = -1
+    emit = emit.ravel()
+    pts = pts.reshape(-1, 2)[emit]
+    tag = tag.ravel()[emit]
+    sid = sid.ravel()[emit]
+    owner = np.repeat(ring[rows], 2)[emit]
+
+    # Merge runs of near-coincident vertices: a kept vertex's edge takes the
+    # tag of the last row before the next kept one (before the closing merge).
+    loop_starts = _group_starts(owner)
+    runs = _dedup_runs(pts, loop_starts, eps)
+    kept = np.flatnonzero(runs)
+    if len(kept):
+        nxt = np.append(kept[1:], len(pts))
+        last = np.append(owner[kept[1:]] != owner[kept[:-1]], True)
+        loop = np.searchsorted(loop_starts, kept[last], side="right") - 1
+        nxt[last] = np.append(loop_starts[1:], len(pts))[loop]
+        tag[kept] = tag[nxt - 1]
+    stay = _drop_closing(pts, loop_starts, runs, eps)
+    stay &= (np.bincount(owner[stay], minlength=nring) >= 3)[owner]
+
+    # Whole rings keep their rows; cut rings take their stayed points.
+    src_ring = np.concatenate((ring[whole_rows], owner[stay]))
+    order = np.argsort(src_ring, kind="stable")
+    lens = np.bincount(src_ring, minlength=nring)
+    return RingStack(
+        np.concatenate((v[whole_rows], pts[stay]))[order],
+        np.cumsum(lens) - lens,
+        np.concatenate((stack.tags[whole_rows], tag[stay]))[order],
+        np.concatenate((stack.simplices[whole_rows], sid[stay]))[order],
+    )
 
 
 def box_polygon(lo, hi) -> TaggedPolygon:
@@ -259,11 +380,18 @@ def _dedup_loops(p: np.ndarray, starts: np.ndarray, eps: float) -> np.ndarray:
 
     Along each loop a vertex stays when it lies more than eps from the last
     vertex kept before it (the first always stays); then the last kept vertex
-    goes when it lies within eps of the first. The rule compares with the last
-    kept vertex, not the previous one, so it is solved by repeated passes: a
-    pass fixes at least the next undecided vertex of every loop, and near
-    duplicates are rare, so two passes usually settle it.
+    goes when it lies within eps of the first.
     """
+    return _drop_closing(p, starts, _dedup_runs(p, starts, eps), eps)
+
+
+def _dedup_runs(p: np.ndarray, starts: np.ndarray, eps: float) -> np.ndarray:
+    """The first step of `_dedup_loops`: the mask of the vertices that lie
+    more than eps from the last vertex kept before them (the first of each
+    loop always stays). The rule compares with the last kept vertex, not the
+    previous one, so it is solved by repeated passes: a pass fixes at least
+    the next undecided vertex of every loop, and near duplicates are rare, so
+    two passes usually settle it."""
     n = len(p)
     if n == 0:
         return np.ones(0, dtype=bool)
@@ -277,9 +405,17 @@ def _dedup_loops(p: np.ndarray, starts: np.ndarray, eps: float) -> np.ndarray:
         gap = p - p[prev]
         again = first | (np.sqrt(_rowdot(gap, gap)) > eps)
         if np.array_equal(again, keep):
-            break
+            return keep
         keep = again
-    tail = np.maximum.reduceat(np.where(keep, rows, 0), starts)
+
+
+def _drop_closing(p: np.ndarray, starts: np.ndarray, keep: np.ndarray, eps: float) -> np.ndarray:
+    """`keep` without the last kept vertex of each loop that lies within eps
+    of the loop's first vertex (and is not that vertex)."""
+    keep = keep.copy()
+    if not len(p):
+        return keep
+    tail = np.maximum.reduceat(np.where(keep, np.arange(len(p)), 0), starts)
     gap = p[tail] - p[starts]
     close = (tail != starts) & (np.sqrt(_rowdot(gap, gap)) <= eps)
     keep[tail[close]] = False

@@ -3,10 +3,13 @@ closure by domain clipping, and the global/local mesh validations.
 
 Interior cells take their vertices directly from the incident simplices in
 ring/star order; hull-point cells are cut out of the domain by the power
-bisectors toward their neighbors. In 3D each of the two runs as array code
-over all cells at once, on polyhedra stacked by `clipping.PolyStack`. Every
-wall knows which neighbor it separates its owner from, which makes the
-perpendicularity and shared-wall checks exact.
+bisectors toward their neighbors. Both run as array code over all cells at
+once, on polygons stacked by `clipping.RingStack` (2D) and polyhedra stacked
+by `clipping.PolyStack` (3D); the per-cell checks run once over the whole
+stack and raise for the first failing cell. Every wall knows which neighbor
+it separates its owner from, which makes the perpendicularity and
+shared-wall checks exact; those and the global checks are whole-mesh array
+passes too, with the same report as checking one cell at a time.
 """
 from __future__ import annotations
 
@@ -15,22 +18,27 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clipping import (
+from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhedron here)
     PolyStack,
+    RingStack,
     TaggedPolygon,
     TaggedPolyhedron,
     box_polygon,
     box_polyhedron,
     clip_polygon,
     clip_polyhedron,
+    clip_rings,
     clip_stack,
     concat_stacks,
+    grouped_matvec,
     polygon_halfplanes,
     polyhedron_halfspaces,
+    ring_distances,
     _angular_order,
     _dedup_loops,
     _face_normals,
     _group_starts,
+    _lengths,
     _loops_volume,
     _reverse_within,
     _rowdot,
@@ -154,7 +162,9 @@ class ControlVolumeMesh:
         return self.volumes[i]
 
     def total_measure(self) -> float:
-        return float(sum(v.measure() for v in self.volumes))
+        """Sum of the cell measures in cell order, each with the bits of
+        ControlVolume.measure, from one pass over all cells."""
+        return float(sum(_cell_measures(_cell_stack(self.volumes), len(self.volumes)).tolist()))
 
     def domain_measure(self) -> float:
         return self.domain.area() if self.dim == 2 else self.domain.volume()
@@ -189,6 +199,25 @@ class ControlVolumeMesh:
         return walls
 
 
+def _cell_measures(stack, n: int) -> np.ndarray:
+    """ControlVolume.measure of every cell: 2D areas by `_ring_areas`; 3D
+    volumes from the fan terms of every face loop of every cell at once,
+    each cell's terms summed in order from 0 (a Python sum, as
+    `_loops_volume` sums them) and divided by 6. `stack` is the
+    `_cell_stack` of the n cells."""
+    if isinstance(stack, RingStack):
+        return _ring_areas(stack.verts, stack.starts)
+    v, starts, succ = stack.verts, stack.starts, stack.succ
+    rows = np.arange(len(v))
+    mid = succ > rows        # neither the last row of its loop ...
+    mid[starts] = False      # ... nor the first
+    b = rows[mid]
+    f = np.searchsorted(starts, b, side="right") - 1
+    terms = _rowdot(v[starts[f]], np.cross(v[b], v[b + 1])).tolist()
+    cuts = np.searchsorted(stack.cells[f], np.arange(n + 1)).tolist()
+    return np.array([sum(terms[i:j]) / 6.0 for i, j in zip(cuts, cuts[1:])])
+
+
 def _padded_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -204,41 +233,139 @@ def bounding_domain3(pts: np.ndarray) -> TaggedPolyhedron:
     return box_polyhedron(*_padded_box(pts))
 
 
-def _power_bisector(pi, pj, ri, rj):
-    """Half-space toward i: n . x <= c keeps power_i(x) <= power_j(x)."""
-    n = 2.0 * (pj - pi)
-    c = float(pj @ pj - pi @ pi) + ri * ri - rj * rj
-    return n, c
+def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Signed area of every ring of a `RingStack`, each with the bits of
+    `TaggedPolygon.area` (0.0 for rings under three rows): the shoelace
+    terms of the rings of one length go through one np.sum along rows, which
+    sums each row as np.sum sums that ring alone (pairwise from eight on)."""
+    lens = _lengths(starts, len(verts))
+    nxt = _successors(starts[lens > 0], len(verts))
+    t = verts[:, 0] * verts[nxt, 1] - verts[nxt, 0] * verts[:, 1]
+    area = np.zeros(len(starts))
+    for k in np.unique(lens[lens >= 3]).tolist():
+        rings = np.flatnonzero(lens == k)
+        area[rings] = 0.5 * np.sum(t[starts[rings, None] + np.arange(k)], axis=1)
+    return area
 
 
-def _reverse_polygon(poly: TaggedPolygon) -> TaggedPolygon:
-    k = len(poly.verts)
-    verts = poly.verts[::-1].copy()
-    tags = [poly.tags[(k - 2 - m) % k] for m in range(k)]
-    return TaggedPolygon(verts=verts, tags=tags)
+def _initial_rings(nm: NeighborMap, q: np.ndarray, domain: TaggedPolygon) -> RingStack:
+    """One ring per point, in point order. An interior point's ring lists
+    the candidate vertices of its incident triangles in ring order, the edge
+    after vertex k tagged with ring neighbor k + 1, reversed where its
+    signed area is negative (the tags rotate with it: edge m of the reversed
+    ring is edge k - 2 - m of the original). A hull point's ring is the
+    domain polygon."""
+    closed = np.asarray(nm.closed, dtype=bool)
+    box = RingStack.of([domain])
+    tids = [nm.ring_simplices[i] if c else np.arange(len(box.verts))
+            for i, c in enumerate(closed.tolist())]
+    rings = [nm.rings[i] if c else box.tags for i, c in enumerate(closed.tolist())]
+    lens = np.array([len(t) for t in tids], dtype=np.intp)
+    sizes = np.array([len(r) for r in rings], dtype=np.intp)
+    starts = np.cumsum(lens) - lens
+    local = np.arange(int(lens.sum())) - np.repeat(starts, lens)
+    inner = np.repeat(closed, lens)
+    tid = np.concatenate(tids).astype(np.intp)
+    verts = np.empty((len(tid), 2))
+    verts[inner] = q[tid[inner]]
+    verts[~inner] = box.verts[tid[~inner]]
+    flat = np.concatenate(rings).astype(np.int64)
+    after = (local + inner) % np.repeat(sizes, lens)     # interior: the next neighbor
+    tags = flat[np.repeat(np.cumsum(sizes) - sizes, lens) + after]
+
+    flip = np.repeat(closed & (_ring_areas(verts, starts) < 0.0), lens)
+    k = np.repeat(lens, lens)
+    first = np.repeat(starts, lens)
+    rows = np.where(flip, first + k - 1 - local, first + local)
+    tag_rows = np.where(flip, first + (k - 2 - local) % k, first + local)
+    return RingStack.from_rings(verts[rows], starts, tags[tag_rows])
 
 
-def _check_convex2(owner: int, verts: np.ndarray, scale: float):
-    k = len(verts)
-    if k < 3:
-        return
-    w = np.roll(verts, -1, axis=0)
-    e = w - verts
+def _check_convex2(stack: RingStack):
+    """Raise NonConvexCell for the first ring (its index the owner) with a
+    corner whose sine (edge cross product over both lengths) is below -1e-9."""
+    v = stack.verts
+    nxt = stack.succ()
+    e = v[nxt] - v
     ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
-    cross = (e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)) / (ln * np.roll(ln, -1))
-    if np.any(cross < -1e-9):
-        raise NonConvexCell(owner, f"reflex corner, sin={cross.min():.3g}")
+    cross = (e[:, 0] * e[nxt, 1] - e[:, 1] * e[nxt, 0]) / (ln * ln[nxt])
+    ring = stack.row_rings()
+    bad = np.flatnonzero((cross < -1e-9) & (stack.lengths() >= 3)[ring])
+    if len(bad):
+        c = int(ring[bad[0]])
+        rows = cross[ring == c]
+        raise NonConvexCell(c, f"reflex corner, sin={rows.min():.3g}")
+
+
+BLOCK = 1 << 15   # padded entries per block of cells in the per-cell passes
+
+
+def _blocks(a: np.ndarray, b: np.ndarray):
+    """Blocks of cells for passes that pad every cell of a block to the
+    block's largest a and b (two counts per cell): cells sorted by a * b,
+    each block as long as cells * max a * max b stays within BLOCK (one
+    cell at least). Yields (cells, max a, max b)."""
+    order = np.argsort(-(a * b), kind="stable")
+    a, b = a[order].tolist(), b[order].tolist()
+    lo = 0
+    while lo < len(order):
+        ma, mb, hi = a[lo], b[lo], lo + 1
+        while hi < len(order) and (hi + 1 - lo) * max(ma, a[hi]) * max(mb, b[hi]) <= BLOCK:
+            ma, mb, hi = max(ma, a[hi]), max(mb, b[hi]), hi + 1
+        yield order[lo:hi], max(ma, 1), max(mb, 1)
+        lo = hi
+
+
+def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: int):
+    """Row indices (len(cells), width) of each cell's run of counts[c] rows
+    from starts[c], and the mask of real ones (padding points at row 0)."""
+    real = np.arange(width) < counts[cells, None]
+    return np.where(real, starts[cells, None] + np.arange(width), 0), real
+
+
+def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: np.ndarray,
+                cand_starts: np.ndarray, eps: float) -> np.ndarray:
+    """Per vertex row, the first candidate simplex of its cell, in the given
+    order, whose candidate vertex q[t] lies within eps of it; -1 where none
+    does. Cell c owns rows row_starts[c] up to row_starts[c + 1] and the
+    candidates cand[cand_starts[c]:cand_starts[c + 1]]. Each block of cells
+    (`_blocks`) takes the distances of all its rows to all its candidates as
+    one cell at a time would, (q[t] - v) under np.linalg.norm, whose sum of
+    squares runs over the coordinates in order."""
+    out = np.full(len(verts), -1, dtype=np.int64)
+    nrow = _lengths(row_starts, len(verts))
+    ncand = _lengths(cand_starts, len(cand))
+    if not len(cand) or not len(verts):
+        return out
+    for cells, mr, mc in _blocks(nrow, ncand):
+        rows, real_row = _padded(row_starts, nrow, cells, mr)
+        slots, real_cand = _padded(cand_starts, ncand, cells, mc)
+        t = cand[slots]
+        square = 0.0
+        for k in range(verts.shape[1]):
+            gap = q[t, k][:, None, :] - verts[rows, k][:, :, None]
+            square = square + gap * gap
+        near = (np.sqrt(square) <= eps) & real_cand[:, None, :]
+        hit = near.any(axis=2) & real_row
+        first = np.take_along_axis(t[:, None, :], near.argmax(axis=2)[:, :, None], axis=2)
+        out[rows[hit]] = first[:, :, 0][hit]
+    return out
 
 
 def _match_simplex_ids(verts: np.ndarray, q: np.ndarray, candidates, eps: float) -> list:
     """Per vertex, the first candidate simplex, in the given order, whose
-    candidate vertex q[t] lies within eps of it; None where none does."""
+    candidate vertex q[t] lies within eps of it; None where none does. The
+    one-cell case of `_match_rows`."""
     cand = np.asarray(candidates, dtype=np.intp)
-    if len(cand) == 0:
-        return [None] * len(verts)
-    near = np.linalg.norm(q[cand][None, :, :] - verts[:, None, :], axis=2) <= eps
-    first = np.where(near.any(axis=1), cand[near.argmax(axis=1)], -1)
-    return [None if t < 0 else t for t in first.tolist()]
+    ids = _match_rows(verts, np.zeros(1, np.intp), q, cand, np.zeros(1, np.intp), eps)
+    return [None if t < 0 else t for t in ids.tolist()]
+
+
+def _candidates(lists) -> tuple[np.ndarray, np.ndarray]:
+    """The per-cell simplex id arrays as one flat array and per-cell starts."""
+    sizes = np.array([len(t) for t in lists], dtype=np.intp)
+    flat = np.concatenate(lists).astype(np.intp) if len(lists) else np.empty(0, dtype=np.intp)
+    return flat, np.cumsum(sizes) - sizes
 
 
 def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
@@ -247,7 +374,8 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
 
     Interior cells list the candidate vertex of each incident triangle in ring
     order; hull cells are the domain polygon cut by the power bisectors toward
-    the ring neighbors. Every cell is clipped to the domain.
+    the ring neighbors. Every cell is clipped to the domain. All cells go
+    through each step together, stacked in one `RingStack`.
     """
     pts = tri.points if pts is None else pts
     r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
@@ -260,56 +388,60 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     match_eps = 1e-9 * scale
     domain_planes = polygon_halfplanes(dverts)
 
-    volumes: list[ControlVolume] = []
-    matched: set[int] = set()
-    for i in range(len(pts)):
-        ring = nm.rings[i]
-        tids = nm.ring_simplices[i]
-        if nm.closed[i]:
-            verts = q[tids]
-            m = len(ring)
-            tags = [int(ring[(k + 1) % m]) for k in range(len(tids))]
-            poly = TaggedPolygon(verts=verts.copy(), tags=tags)
-            if poly.area() < 0.0:
-                poly = _reverse_polygon(poly)
-            # only clip cells that actually poke out of the domain
-            for n, c in domain_planes:
-                if poly is not None and np.any(poly.verts @ n - c > eps):
-                    poly = clip_polygon(poly, n, c, None, eps)
+    # Hull cells are clipped by the power bisector toward their k-th ring
+    # neighbor at step k, then interior cells by each domain line that a
+    # vertex lies beyond: every ring that takes a cut in one pass per step.
+    stack = _initial_rings(nm, q, domain)
+    closed = np.asarray(nm.closed, dtype=bool)
+    counts = np.where(closed, 0, [len(ring) for ring in nm.rings])
+    table = np.zeros((len(pts), counts.max(initial=0)), dtype=np.int64)
+    for i in np.flatnonzero(~closed).tolist():
+        table[i, :counts[i]] = nm.rings[i]
+    for k in range(table.shape[1]):
+        pj, rj = pts[table[:, k]], r[table[:, k]]
+        normal = 2.0 * (pj - pts)
+        offset = _rowdot(pj, pj) - _rowdot(pts, pts) + r * r - rj * rj
+        d = ring_distances(stack, normal, offset, counts > k)
+        stack = clip_rings(stack, d, table[:, k], eps)
+    for n, c in domain_planes:
+        d = ring_distances(stack, np.tile(n, (len(pts), 1)), np.full(len(pts), c), closed)
+        if np.any(d > eps):
+            stack = clip_rings(stack, d, [None] * len(pts), eps)
+
+    _check_convex2(stack)
+    cand, cand_starts = _candidates(nm.ring_simplices)
+    stack = replace(stack, simplices=_match_rows(stack.verts, stack.starts, q, cand,
+                                                 cand_starts, match_eps))
+    _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
+
+    tags = [None if t < 0 else t for t in stack.tags.tolist()]
+    sids = [None if t < 0 else t for t in stack.simplices.tolist()]
+    cuts = np.append(stack.starts, len(stack.verts)).tolist()
+    volumes = []
+    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if a == b:
+            volumes.append(ControlVolume(owner=i, closed=False, verts=np.empty((0, 2)),
+                                         edge_neighbors=[], vertex_simplices=[]))
         else:
-            poly = TaggedPolygon(verts=dverts.copy(), tags=list(domain.tags))
-            for u in ring:
-                if poly is None:
-                    break
-                n, c = _power_bisector(pts[i], pts[int(u)], r[i], r[int(u)])
-                poly = clip_polygon(poly, n, c, int(u), eps)
-
-        if poly is None:
-            volumes.append(ControlVolume(owner=i, closed=False,
-                                         verts=np.empty((0, 2)), edge_neighbors=[],
-                                         vertex_simplices=[]))
-            continue
-        _check_convex2(i, poly.verts, scale)
-        ids = _match_simplex_ids(poly.verts, q, tids, match_eps)
-        matched.update(t for t in ids if t is not None)
-        volumes.append(ControlVolume(owner=i, closed=True, verts=poly.verts,
-                                     edge_neighbors=list(poly.tags),
-                                     vertex_simplices=ids))
-
-    _check_orphans(q, matched, domain_planes, eps_inside=match_eps)
+            volumes.append(ControlVolume(owner=i, closed=True, verts=stack.verts[a:b],
+                                         edge_neighbors=tags[a:b], vertex_simplices=sids[a:b]))
     return ControlVolumeMesh(
         dim=2, points=pts, radii=r, volumes=volumes, domain=domain,
         simplices=tri.triangles, simplex_vertices=q,
     )
 
 
-def _check_orphans(q: np.ndarray, matched: set[int], planes, eps_inside: float):
-    for t in range(len(q)):
-        if t in matched:
-            continue
-        inside = all(float(q[t] @ n - c) < -eps_inside * np.linalg.norm(n) for n, c in planes)
-        if inside:
-            raise OrphanVertex(t)
+def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float):
+    """Raise OrphanVertex for the first candidate vertex that no cell vertex
+    matched (`matched` holds the matched simplex ids, -1 ignored) and that
+    lies inside every domain plane by more than eps_inside."""
+    inside = np.ones(len(q), dtype=bool)
+    inside[matched[matched >= 0]] = False
+    for n, c in planes:
+        inside &= _rowdot(q, np.broadcast_to(n, q.shape)) - c < -eps_inside * np.linalg.norm(n)
+    bad = np.flatnonzero(inside)
+    if len(bad):
+        raise OrphanVertex(int(bad[0]))
 
 
 def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,10 +455,10 @@ def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keep, u, _rowdot(u, v[starts[keep]])
 
 
-def _check_face_planarity(owner: int, neighbors: list, stack, normals):
-    """Raise NonPlanarFace for the first face whose vertices leave the plane
-    through its first vertex by more than EPS_FACE times its longest edge;
-    faces with no normal or no edge length pass."""
+def _face_planarity(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per loop of a `_stack_loops` stack: whether it has a nonzero normal,
+    the largest distance of its vertices from the plane through its first
+    vertex (0.0 without a normal) and its longest edge."""
     v, starts, succ = stack
     keep, u, _ = _face_planes(stack, normals)
     face = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(v)))
@@ -335,9 +467,24 @@ def _check_face_planarity(owner: int, neighbors: list, stack, normals):
     dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], unit[face])), starts)
     e = v[succ] - v
     edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
-    bad = np.nonzero(keep & (edge != 0.0) & (dev > EPS_FACE * edge))[0]
+    return keep, dev, edge
+
+
+def _nonplanar_faces(stack, normals) -> np.ndarray:
+    """Mask of the loops whose vertices leave the plane through their first
+    vertex by more than EPS_FACE times their longest edge; loops with no
+    normal or no edge length pass."""
+    keep, dev, edge = _face_planarity(stack, normals)
+    return keep & (edge != 0.0) & (dev > EPS_FACE * edge)
+
+
+def _check_face_planarity(owner: int, neighbors: list, stack, normals):
+    """Raise NonPlanarFace for the first face of one cell that
+    `_nonplanar_faces` flags."""
+    bad = np.flatnonzero(_nonplanar_faces(stack, normals))
     if len(bad):
         f = int(bad[0])
+        dev = _face_planarity(stack, normals)[1]
         raise NonPlanarFace(owner, neighbors[f], float(dev[f]))
 
 
@@ -349,6 +496,59 @@ def _check_convex3(owner: int, stack, normals, scale: float):
     bad = np.nonzero(out > 1e-9 * scale)[0]
     if len(bad):
         raise NonConvexCell(owner, f"vertex {out[bad[0]]:.3g} outside face plane")
+
+
+def _convex_suspects(stack: PolyStack, normals: np.ndarray, scale: float) -> np.ndarray:
+    """Sorted ids of the cells of a stack that `_check_convex3` might reject:
+    every cell whose largest vertex offset outside one of its face planes
+    comes within a rounding margin of 1e-9 * scale. The offsets come from one
+    stacked matmul per block of cells (`_blocks`: padded vertex rows times
+    face normals), which rounds unlike the cell-by-cell product, hence the
+    margin; the suspects are decided by `_check_convex3` itself."""
+    v = stack.verts
+    keep, u, c = _face_planes((v, stack.starts, stack.succ), normals)
+    ncell = int(stack.cells.max(initial=-1)) + 1
+    rcell = stack.row_cells()
+    row_starts = np.searchsorted(rcell, np.arange(ncell))
+    face_starts = np.searchsorted(stack.cells[keep], np.arange(ncell))
+    nrow = _lengths(row_starts, len(v))
+    nface = _lengths(face_starts, len(u))
+    if not len(u):
+        return np.zeros(0, dtype=np.int64)
+    margin = 1e-12 * (float(np.abs(v).max(initial=0.0)) + float(np.abs(c).max()))
+    worst = np.full(ncell, -np.inf)
+    for cells, mr, mf in _blocks(nrow, nface):
+        rows, real_row = _padded(row_starts, nrow, cells, mr)
+        faces, real_face = _padded(face_starts, nface, cells, mf)
+        out = np.matmul(v[rows], u[faces].transpose(0, 2, 1)) - c[faces][:, None, :]
+        out[~(real_row[:, :, None] & real_face[:, None, :])] = -np.inf
+        worst[cells] = out.max(axis=(1, 2))
+    return np.flatnonzero(worst > 1e-9 * scale - margin)
+
+
+def _check_cells3(stack: PolyStack, normals: np.ndarray, scale: float):
+    """The face-planarity and convexity checks of every cell of a stack, in
+    one pass each. Raise for the first failing cell in cell order: its first
+    nonplanar face (NonPlanarFace) or, when its faces are planar,
+    NonConvexCell as `_check_convex3` words it."""
+    nonplanar = stack.cells[_nonplanar_faces((stack.verts, stack.starts, stack.succ), normals)]
+    first = int(nonplanar[0]) if len(nonplanar) else None
+    ends = np.append(stack.starts, len(stack.verts))
+
+    def cell(i):
+        f0, f1 = np.searchsorted(stack.cells, [i, i + 1]).tolist()
+        r0, r1 = int(ends[f0]), int(ends[f1])
+        return (stack.verts[r0:r1], stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0), f0, f1
+
+    for i in _convex_suspects(stack, normals, scale).tolist():
+        if first is not None and i >= first:
+            break
+        loops, f0, f1 = cell(i)
+        _check_convex3(i, loops, normals[f0:f1], scale)
+    if first is not None:
+        loops, f0, f1 = cell(first)
+        tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
+        _check_face_planarity(first, tags, loops, normals[f0:f1])
 
 
 def _hull_cells(cells: np.ndarray, pts, r, domain: TaggedPolyhedron, eps: float,
@@ -417,34 +617,30 @@ def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
 
 def _clip_to_domain(stack: PolyStack, domain_planes, eps: float) -> PolyStack:
     """Clip the cells with a vertex beyond a domain plane (by more than eps
-    relative to its normal) by each such plane in turn, one cell at a time."""
-    beyond = np.zeros(len(stack.verts), dtype=bool)
+    relative to its normal) by each such plane in turn: one `clip_stack`
+    pass per plane over every cell that crosses it."""
     for n, c in domain_planes:
-        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
-    crossing = np.unique(stack.row_cells()[beyond])
-    if not len(crossing):
-        return stack
-    parts = [stack.take(np.flatnonzero(~np.isin(stack.cells, crossing)))]
-    for i in crossing.tolist():
-        poly = stack.polyhedron(i)
-        allv = poly.vertices()
-        for n, c in domain_planes:
-            if np.any(allv @ n - c > eps * np.linalg.norm(n)):
-                poly = clip_polyhedron(poly, n, c, None, eps)
-                if poly is None:
-                    break
-                allv = poly.vertices()
-        if poly is not None:
-            part = PolyStack.of([poly])
-            parts.append(replace(part, cells=np.full(len(part.starts), i)))
-    return concat_stacks(parts)
+        rows = stack.row_cells()
+        d = grouped_matvec(stack.verts, rows, np.tile(n, (int(rows.max(initial=-1)) + 1, 1))) - c
+        crossing = np.unique(rows[d > eps * np.linalg.norm(n)])
+        if not len(crossing):
+            continue
+        inside = np.isin(stack.cells, crossing)
+        part = stack.take(np.flatnonzero(inside))
+        part = replace(part, cells=np.searchsorted(crossing, part.cells))
+        cut = clip_stack(part, d[np.isin(rows, crossing)], np.tile(n, (len(crossing), 1)),
+                         [None] * len(crossing), eps)
+        stack = concat_stacks([stack.take(np.flatnonzero(~inside)),
+                               replace(cut, cells=crossing[cut.cells])])
+    return stack
 
 
 def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
                    domain: TaggedPolyhedron | None = None) -> ControlVolumeMesh:
     """3D analog of build_volumes2: the face toward neighbor j collects the
     candidate vertices of every tetrahedron on edge (i, j), ordered around the
-    edge; hull cells are cut from the domain by power bisectors."""
+    edge; hull cells are cut from the domain by power bisectors. The checks
+    run once over the whole stack, raising for the first failing cell."""
     pts = tet.points if pts is None else pts
     r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
     systems = simplex_systems(tet)
@@ -463,32 +659,24 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
         _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), domain_planes, eps),
     ])
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
-    bounds = np.searchsorted(stack.cells, np.arange(len(pts) + 1))
-    ends = np.concatenate((stack.starts, [len(stack.verts)]))
+    _check_cells3(stack, normals, scale)
+    cand, cand_starts = _candidates(nm.star_simplices)
+    row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
+    ids = _match_rows(stack.verts, row_starts, q, cand, cand_starts, match_eps)
+    _check_orphans(q, ids, domain_planes, eps_inside=match_eps)
 
+    bounds = np.searchsorted(stack.cells, np.arange(len(pts) + 1)).tolist()
+    ends = np.append(stack.starts, len(stack.verts)).tolist()
+    tags = [None if t < 0 else t for t in stack.tags.tolist()]
+    sids = [None if t < 0 else t for t in ids.tolist()]
     volumes: list[ControlVolume] = []
-    matched: set[int] = set()
     for i in range(len(pts)):
-        f0, f1 = int(bounds[i]), int(bounds[i + 1])
-        if f0 == f1:
-            volumes.append(ControlVolume(owner=i, closed=False, faces=[]))
-            continue
-        r0, r1 = int(ends[f0]), int(ends[f1])
-        v = stack.verts[r0:r1]
-        cell = (v, stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0)
-        tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
-        _check_face_planarity(i, tags, cell, normals[f0:f1])
-        ids = _match_simplex_ids(v, q, nm.star_simplices[i], match_eps)
-        matched.update(t for t in ids if t is not None)
-        cuts = (ends[f0:f1 + 1] - r0).tolist()
-        cell_faces = [
-            CellFace(verts=v[a:b], neighbor=t, vertex_simplices=ids[a:b])
-            for a, b, t in zip(cuts[:-1], cuts[1:], tags)
-        ]
-        _check_convex3(i, cell, normals[f0:f1], scale)
-        volumes.append(ControlVolume(owner=i, closed=True, faces=cell_faces))
-
-    _check_orphans(q, matched, domain_planes, eps_inside=match_eps)
+        f0, f1 = bounds[i], bounds[i + 1]
+        volumes.append(ControlVolume(owner=i, closed=f0 != f1, faces=[
+            CellFace(verts=stack.verts[ends[f]:ends[f + 1]], neighbor=tags[f],
+                     vertex_simplices=sids[ends[f]:ends[f + 1]])
+            for f in range(f0, f1)
+        ]))
     return ControlVolumeMesh(
         dim=3, points=pts, radii=r, volumes=volumes, domain=domain,
         simplices=tet.tetrahedra, simplex_vertices=q,
@@ -506,56 +694,78 @@ class PerpendicularityReport:
         return not self.violations
 
 
+def _mesh_rings(cells: list[ControlVolume]) -> RingStack:
+    """The 2D cells as one ring stack, ring c = cells[c]; a cell under three
+    vertices is an empty ring. Edges without a neighbor are tagged -1."""
+    polys = [TaggedPolygon(c.verts, c.edge_neighbors) if c.verts is not None and not c.empty
+             else None for c in cells]
+    return RingStack.of(polys)
+
+
+def _cell_stack(cells: list[ControlVolume]) -> RingStack | PolyStack:
+    """The cells as one stack, cell c = cells[c]: a `_mesh_rings` ring
+    stack in 2D, a `_mesh_faces` face stack in 3D."""
+    return _mesh_rings(cells) if cells and cells[0].dim == 2 else _mesh_faces(cells)
+
+
+def _mesh_faces(cells: list[ControlVolume]) -> PolyStack:
+    """The 3D cells as one face stack, faces of cells[c] labelled cell c;
+    faces without a neighbor are tagged -1."""
+    faces = [f for c in cells for f in c.faces or []]
+    if not faces:
+        return PolyStack.empty()
+    verts, starts, succ = _stack_loops([f.verts for f in faces])
+    tags = np.array([-1 if f.neighbor is None else f.neighbor for f in faces], dtype=np.int64)
+    owner = np.repeat(np.arange(len(cells)), [len(c.faces or []) for c in cells])
+    return PolyStack(verts, starts, succ, tags, owner)
+
+
 def validate_perpendicularity(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
                               tol: float = 1e-6) -> PerpendicularityReport:
     """Check every tagged wall against the local orthogonality condition: the
-    wall must be perpendicular to the segment joining its two cell centers."""
+    wall must be perpendicular to the segment joining its two cell centers.
+
+    A 2D wall is one edge, skipped when no longer than 1e-12 * scale; a 3D
+    wall is a face, judged by its edge longer than 1e-12 * scale with the
+    largest |cos| against the segment (0.0 when it has none). All walls of
+    the mesh go through one array pass; the deviation is the arcsine of that
+    |cos|, capped at 1, taken with math.asin for every wall that np.arcsin
+    puts near or above tol."""
     pts = mesh.points if pts is None else pts
     scale = mesh.scale()
-    checked = 0
+    owners = np.array([c.owner for c in mesh.volumes], dtype=np.int64)
+    if mesh.dim == 2:
+        rings = _cell_stack(mesh.volumes)
+        v = rings.verts
+        e = v[rings.succ()] - v
+        ln = np.sqrt(_rowdot(e, e))
+        wall = (rings.tags >= 0) & ~(ln <= 1e-12 * scale)
+        i, j = owners[rings.row_rings()[wall]], rings.tags[wall]
+        axis = pts[j] - pts[i]
+        cos = np.abs(_rowdot(e[wall], axis)) / (ln[wall] * np.sqrt(_rowdot(axis, axis)))
+    else:
+        faces = _cell_stack(mesh.volumes)
+        walls = faces.take(np.flatnonzero(faces.tags >= 0))
+        i, j = owners[walls.cells], walls.tags
+        axis = pts[j] - pts[i]
+        axis = axis / np.sqrt(_rowdot(axis, axis))[:, None]
+        v = walls.verts
+        e = v[walls.succ] - v
+        ln = np.sqrt(_rowdot(e, e))
+        face = np.repeat(np.arange(len(walls.starts)), walls.lengths())
+        dot = np.abs(_rowdot(e, axis[face]))
+        long = ln > 1e-12 * scale
+        row_cos = np.zeros(len(v))
+        row_cos[long] = dot[long] / ln[long]
+        cos = np.maximum.reduceat(row_cos, walls.starts) if len(v) else np.zeros(0)
+    capped = np.where(cos < 1.0, cos, 1.0)
+    near = np.flatnonzero(np.arcsin(capped) >= tol - 1e-9 * abs(tol))
     violations = []
-    for cell in mesh.volumes:
-        i = cell.owner
-        if mesh.dim == 2:
-            if cell.verts is None or cell.empty:
-                continue
-            v = cell.verts
-            for k, j in enumerate(cell.edge_neighbors):
-                if j is None:
-                    continue
-                e = v[(k + 1) % len(v)] - v[k]
-                ln = float(np.linalg.norm(e))
-                if ln <= 1e-12 * scale:
-                    continue
-                axis = pts[j] - pts[i]
-                cosang = abs(float(e @ axis)) / (ln * float(np.linalg.norm(axis)))
-                dev = math.asin(min(1.0, cosang))
-                checked += 1
-                if dev > tol:
-                    violations.append((i, int(j), dev))
-        else:
-            walls = [f for f in cell.faces or [] if f.neighbor is not None]
-            if not walls:
-                continue
-            nbr = [int(f.neighbor) for f in walls]
-            axis = pts[nbr] - pts[i]
-            axis = axis / np.sqrt(_rowdot(axis, axis))[:, None]
-            # per face, the largest |cos| between an edge of length above
-            # 1e-12 * scale and the axis (0.0 when it has no such edge)
-            v, starts, succ = _stack_loops([f.verts for f in walls])
-            e = v[succ] - v
-            ln = np.sqrt(_rowdot(e, e))
-            face = np.repeat(np.arange(len(walls)), np.diff(starts, append=len(v)))
-            dot = np.abs(_rowdot(e, axis[face]))
-            long = ln > 1e-12 * scale
-            cos = np.zeros(len(v))
-            cos[long] = dot[long] / ln[long]
-            for j, worst in zip(nbr, np.maximum.reduceat(cos, starts).tolist()):
-                dev = math.asin(min(1.0, worst))
-                checked += 1
-                if dev > tol:
-                    violations.append((i, j, dev))
-    return PerpendicularityReport(tol=tol, checked=checked, violations=violations)
+    for k, x in zip(near.tolist(), capped[near].tolist()):
+        dev = math.asin(x)
+        if dev > tol:
+            violations.append((int(i[k]), int(j[k]), dev))
+    return PerpendicularityReport(tol=tol, checked=len(cos), violations=violations)
 
 
 @dataclass
@@ -576,20 +786,258 @@ class GlobalReport:
         )
 
 
-def _containment_box(cell: ControlVolume, tol: float, pad: float):
-    """(lo, hi) holding every point that cell.contains_many(..., margin=-tol)
-    accepts, or None when no such box is known.
+def _containment_boxes(stack, n: int, tol: float, pad: float):
+    """Per cell of the `_cell_stack` of n cells, whether a box holding every
+    point that cell.contains_many(..., margin=-tol) accepts is known, and
+    the box (lo, hi), as arrays over the cells.
 
     A point strictly left of every edge line of a closed loop has winding
     number >= 1 around it, so it lies in the hull of the loop's vertices and
     hence in their bounding box, widened here by pad against rounding. In 3D,
-    contains_many tests each face against one plane and skips faces with no
-    normal, so the same argument would need planar faces that close; 3D cells
-    therefore get no box.
+    contains_many tests each face against the plane through its first vertex
+    and skips faces with no normal, so the same argument needs more of the
+    cell: every face has a normal and lies within tol / 2 of its plane, and
+    the faces close, each directed edge running back along exactly one edge
+    of another face (`_closed_cells`). Then a point inside every plane by tol
+    sees every face at a positive solid angle, and the solid angles of a
+    closed surface sum to a whole number of spheres. Such cells get the box
+    of their vertices; other 3D cells, and every cell when tol <= 0, get
+    none. Empty cells get none either.
     """
-    if tol <= 0.0 or cell.faces is not None:
-        return None
-    return cell.verts.min(axis=0) - pad, cell.verts.max(axis=0) + pad
+    has = np.zeros(n, dtype=bool)
+    lo = np.zeros((n, stack.verts.shape[1]))
+    hi = np.zeros_like(lo)
+    if tol <= 0.0 or n == 0:
+        return has, lo, hi
+    if isinstance(stack, RingStack):
+        full = stack.lengths() > 0
+        starts = stack.starts[full]
+        lo[full] = np.minimum.reduceat(stack.verts, starts, axis=0) - pad
+        hi[full] = np.maximum.reduceat(stack.verts, starts, axis=0) + pad
+        has[full] = True
+        return has, lo, hi
+    faces = stack
+    if not len(faces.starts):
+        return has, lo, hi
+    loops = (faces.verts, faces.starts, faces.succ)
+    keep, dev, _ = _face_planarity(loops, _face_normals(*loops))
+    flat = keep & (dev <= 0.5 * tol)
+    good = np.bincount(faces.cells[~flat], minlength=n) == 0
+    good &= _closed_cells(faces, n, tol)
+    ids = np.unique(faces.cells)
+    rows = np.searchsorted(faces.row_cells(), ids)
+    lo[ids] = np.minimum.reduceat(faces.verts, rows, axis=0) - pad
+    hi[ids] = np.maximum.reduceat(faces.verts, rows, axis=0) + pad
+    has[ids] = good[ids]
+    return has, lo, hi
+
+
+def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
+    """Per cell (n cells), whether its face loops close: every directed edge
+    a -> b has exactly one reverse b -> a in the cell, none is repeated and
+    none joins a vertex to itself. Vertices of a cell are the same when their
+    coordinates fall in the same cube of a grid of side `grid`; the faces of
+    one cell compute a shared corner separately, so it differs by rounding.
+    A cell with a non-finite coordinate does not close."""
+    rcell = faces.row_cells()
+    finite = np.all(np.isfinite(faces.verts), axis=1)
+    snapped = np.floor(np.where(finite[:, None], faces.verts, 0.0) / grid).astype(np.int64)
+    _, vid = np.unique(np.column_stack((rcell, snapped)), axis=0, return_inverse=True)
+    a = vid.ravel()
+    b = a[faces.succ]
+    nv = int(a.max(initial=0)) + 1
+    fwd = a * nv + b
+    srt = np.sort(fwd)
+    once = np.ones(len(fwd), dtype=bool)
+    once[np.isin(fwd, srt[1:][srt[1:] == srt[:-1]])] = False
+    ok = once & finite & (a != b) & np.isin(b * nv + a, srt)
+    return np.bincount(rcell[~ok], minlength=n) == 0
+
+
+def _containment_box(cell: ControlVolume, tol: float, pad: float):
+    """(lo, hi) holding every point that cell.contains_many(..., margin=-tol)
+    accepts, or None when no such box is known: the one-cell case of
+    `_containment_boxes`."""
+    has, lo, hi = _containment_boxes(_cell_stack([cell]), 1, tol, pad)
+    return (lo[0], hi[0]) if has[0] else None
+
+
+PAIR_CHUNK = 1 << 12   # candidate (box, target) pairs per chunk
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
+    """Yield (box, target) index arrays of every target inside a box (lo <= x
+    <= hi on every axis), grouped by box in box order, in chunks of boxes with
+    about PAIR_CHUNK candidates each. Candidates come from a grid of buckets
+    over the targets, a quarter as wide as the median box: bucket indices
+    grow with each coordinate, so a box's bucket range holds all its
+    targets."""
+    dim = lo.shape[1]
+    live = np.flatnonzero(~np.any(np.isnan(lo) | np.isnan(hi), axis=1))
+    if not len(live) or not len(targets):
+        return
+    tlo, thi = targets.min(axis=0), targets.max(axis=0)
+    extent = thi - tlo
+    width = np.median(np.minimum(hi[live], thi) - np.maximum(lo[live], tlo), axis=0)
+    cap = int(np.ceil((4 * len(targets)) ** (1.0 / dim)))
+    m = np.ones(dim, dtype=np.int64)
+    ok = (extent > 0) & (width > 0)
+    m[ok] = np.clip(np.round(4 * extent[ok] / width[ok]), 1, cap).astype(np.int64)
+    h = np.where(extent > 0, extent / m, 1.0)
+
+    def bucket(x):
+        return np.clip(np.floor((x - tlo) / h), 0, m - 1).astype(np.int64)
+
+    stride = np.append(np.cumprod(m[::-1])[::-1][1:], 1)
+    tkey = bucket(targets) @ stride
+    by_key = np.argsort(tkey, kind="stable")
+    first = np.searchsorted(tkey[by_key], np.arange(int(np.prod(m)) + 1))
+    blo, bhi = bucket(lo[live]), bucket(hi[live])
+    cnt = bhi - blo + 1
+    nstrip = np.prod(cnt[:, :-1], axis=1)
+    box = np.repeat(np.arange(len(live)), nstrip)
+    rest = np.arange(int(nstrip.sum())) - np.repeat(np.cumsum(nstrip) - nstrip, nstrip)
+    prefix = np.zeros(len(box), dtype=np.int64)
+    for k in range(dim - 2, -1, -1):
+        prefix += (blo[box, k] + rest % cnt[box, k]) * stride[k]
+        rest //= cnt[box, k]
+    s0 = first[prefix + blo[box, -1]]
+    s1 = first[prefix + bhi[box, -1] + 1]
+    per_box = np.bincount(box, weights=s1 - s0, minlength=len(live)).astype(np.int64)
+    total = np.cumsum(per_box)
+    strip_of = np.cumsum(nstrip) - nstrip
+    b0 = 0
+    while b0 < len(live):
+        b1 = max(int(np.searchsorted(total, total[b0] - per_box[b0] + PAIR_CHUNK, side="right")),
+                 b0 + 1)
+        sl = slice(int(strip_of[b0]), int(strip_of[b1 - 1] + nstrip[b1 - 1]))
+        n = s1[sl] - s0[sl]
+        pb = np.repeat(box[sl], n)
+        pos = np.arange(int(n.sum())) + np.repeat(s0[sl] - (np.cumsum(n) - n), n)
+        pt = by_key[pos]
+        pb = live[pb]
+        inside = np.ones(len(pt), dtype=bool)
+        for k in range(dim):
+            x = targets[pt, k]
+            inside &= (x >= lo[pb, k]) & (x <= hi[pb, k])
+        yield pb[inside], pt[inside]
+        b0 = b1
+
+
+def _inside_pairs(cells: list[ControlVolume], stack, targets: np.ndarray, tol: float,
+                  pad: float):
+    """(cell position, target) of every target that its cell accepts under
+    contains_many(..., margin=-tol), sorted by cell then target; `stack` is
+    the `_cell_stack` of the cells. Cells with a
+    containment box test only the targets in it, as (cell, target) pairs in
+    one array pass per chunk; the others test every target."""
+    margin = -tol
+    has, lo, hi = _containment_boxes(stack, len(cells), tol, pad)
+    has &= ~np.array([c.empty for c in cells], dtype=bool)
+    pos, tgt = [], []
+    flat = isinstance(stack, RingStack)
+    if flat:
+        # per cell (column) its vertices, edge vectors and lengths, padded
+        # to one height; padding rows pass every test
+        rings = stack
+        v = rings.verts
+        e = v[rings.succ()] - v
+        ring = rings.row_rings()
+        at = (np.arange(len(v)) - rings.starts[ring], ring)
+        width = (max(int(rings.lengths().max(initial=0)), 1), len(cells))
+        vx, vy, ex, ey = (np.zeros(width) for _ in range(4))
+        ln = np.ones(width)
+        pad = np.ones(width, dtype=bool)
+        vx[at], vy[at], ex[at], ey[at] = v[:, 0], v[:, 1], e[:, 0], e[:, 1]
+        ln[at] = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+        pad[at] = False
+    else:
+        loops = (stack.verts, stack.starts, stack.succ)
+        keep, u, c = _face_planes(loops, _face_normals(*loops))
+        fcell = stack.cells[keep]
+        fstart = np.searchsorted(fcell, np.arange(len(cells) + 1))
+    boxed = np.flatnonzero(has)
+    for pb, pt in _box_pairs(lo[boxed], hi[boxed], targets):
+        pc = boxed[pb]
+        if flat:
+            # contains_many's cross products, one column of edges per pair
+            px, py = targets[pt, 0], targets[pt, 1]
+            cross = (ex[:, pc] * (py - vy[:, pc]) - ey[:, pc] * (px - vx[:, pc])) / ln[:, pc]
+            ok = np.logical_and.reduce((cross >= -margin) | pad[:, pc], axis=0)
+        else:
+            # each face's plane over its cell's targets, one matrix-vector
+            # product per face as in contains_many (two rows at least: a
+            # one-row product rounds as a dot, unlike a longer one)
+            cut = np.flatnonzero(np.append(True, pc[1:] != pc[:-1]))
+            ok = np.ones(len(pc), dtype=bool)
+            for a, b in zip(cut.tolist(), np.append(cut[1:], len(pc)).tolist()):
+                p = targets[pt[a:b]] if b - a > 1 else targets[pt[[a, a]]]
+                inside = np.ones(len(p), dtype=bool)
+                cell = int(pc[a])
+                for f in range(fstart[cell], fstart[cell + 1]):
+                    inside &= p @ u[f] - c[f] <= margin
+                ok[a:b] = inside[:b - a]
+        pos.append(pc[ok])
+        tgt.append(pt[ok])
+    for p in np.flatnonzero(~has).tolist():
+        if not cells[p].empty:
+            inside = np.flatnonzero(cells[p].contains_many(targets, margin=margin))
+            pos.append(np.full(len(inside), p))
+            tgt.append(inside)
+    if not pos:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    key = np.sort(np.concatenate(pos).astype(np.int64) * len(targets) + np.concatenate(tgt))
+    return np.divmod(key, len(targets))
+
+
+def _wall_mismatches(owners: np.ndarray, stack, tol: float) -> list:
+    """The shared_walls() check as array passes: walls keyed (min, max) of
+    owner and neighbor, in order of first appearance, each side taking its
+    owner's last wall under that key; a key without both sides is
+    "missing side", two sides whose vertices do not pair up within tol
+    (`_vertex_sets_match`, for all walls of one size at once) are "wall
+    geometry differs"; `stack` is the `_cell_stack` of the cells, owners
+    their owners."""
+    if isinstance(stack, RingStack):
+        # each wall a loop of its edge's two endpoints
+        rings = stack
+        rows = np.flatnonzero(rings.tags >= 0)
+        o, j = owners[rings.row_rings()[rows]], rings.tags[rows]
+        verts = np.stack((rings.verts[rows], rings.verts[rings.succ()[rows]]), axis=1)
+        verts = verts.reshape(-1, 2)
+        starts, lens = 2 * np.arange(len(rows)), np.full(len(rows), 2)
+    else:
+        walls = stack.take(np.flatnonzero(stack.tags >= 0))
+        o, j = owners[walls.cells], walls.tags
+        verts, starts, lens = walls.verts, walls.starts, walls.lengths()
+    if not len(o):
+        return []
+    lo, hi = np.minimum(o, j), np.maximum(o, j)
+    base = int(hi.max()) + 1
+    _, first, key = np.unique(lo * base + hi, return_index=True, return_inverse=True)
+    key = key.ravel()
+    side = (o == hi) & (lo != hi)
+    code = 2 * key + side
+    uniq, back = np.unique(code[::-1], return_index=True)
+    last = np.full(2 * len(first), -1)
+    last[uniq] = len(code) - 1 - back
+    a, b = last[0::2], last[1::2]
+    both = (a >= 0) & (b >= 0)
+    differs = np.zeros(len(first), dtype=bool)
+    pairs = np.flatnonzero(both)
+    differs[pairs] = lens[a[pairs]] != lens[b[pairs]]
+    same = pairs[~differs[pairs]]
+    for k in np.unique(lens[a[same]]).tolist():
+        grp = same[lens[a[same]] == k]
+        loops = verts[starts[np.stack((a[grp], b[grp]))][..., None] + np.arange(k)]
+        differs[grp] = ~_vertex_sets_match_many(loops[0], loops[1], tol)
+    out = []
+    for w in np.argsort(first).tolist():
+        if not both[w]:
+            out.append((int(lo[first[w]]), int(hi[first[w]]), "missing side"))
+        elif differs[w]:
+            out.append((int(lo[first[w]]), int(hi[first[w]]), "wall geometry differs"))
+    return out
 
 
 def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0,
@@ -598,75 +1046,49 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     sampled pairwise interior disjointness, each owner inside its own cell,
     and no foreign generator inside any cell.
 
-    Each cell tests only the probes and generators inside its vertex bounding
-    box (`_containment_box`); the points outside it cannot pass the strict
-    containment test, so the report equals that of testing every point
-    against every cell. A cell without a known box (every 3D cell, and every
-    cell when tol <= 0) tests every point. The owner is inside its cell when
-    its own generator row passes that same test.
+    Each cell with a containment box (`_containment_boxes`) tests only the
+    probes and generators inside it; the points outside cannot pass the
+    strict containment test, so the report equals that of testing every
+    point against every cell. A cell without a known box tests every point.
+    The owner is inside its cell when its own generator row passes that same
+    test. Overlaps, owners outside and foreign points are listed in cell
+    order, then probe or generator order.
     """
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
     pts = mesh.points
-
-    mismatches = []
-    for (i, j), sides in mesh.shared_walls().items():
-        if len(sides) != 2:
-            mismatches.append((i, j, "missing side"))
-            continue
-        a, b = sides[i], sides[j]
-        if len(a) != len(b) or not _vertex_sets_match(a, b, tol):
-            mismatches.append((i, j, "wall geometry differs"))
+    owner = np.array([c.owner for c in mesh.volumes], dtype=np.int64)
+    stack = _cell_stack(mesh.volumes)
+    mismatches = _wall_mismatches(owner, stack, tol)
 
     rng = np.random.default_rng(seed)
     dverts = mesh.domain.verts if mesh.dim == 2 else mesh.domain.vertices()
     lo = dverts.min(axis=0)
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
-    # probes first, then generators, swept by x
     targets = np.vstack([samples, pts])
-    by_x = np.argsort(targets[:, 0], kind="stable")
-    swept = targets[by_x]
-    xs = np.ascontiguousarray(swept[:, 0])
-    everything = np.arange(len(targets))
+    pos, tgt = _inside_pairs(mesh.volumes, stack, targets, tol, 1e-9 * scale)
 
-    hit = np.zeros(probes, dtype=np.int64)
-    first_owner = np.full(probes, -1, dtype=np.int64)
-    overlaps = []
-    owners_outside = []
-    foreign = []
-    for cell in mesh.volumes:
-        if cell.empty:
-            owners_outside.append(cell.owner)
-            continue
-        box = _containment_box(cell, tol, 1e-9 * scale)
-        if box is None:
-            inside = everything[cell.contains_many(targets, margin=-tol)]
-        else:
-            blo, bhi = box
-            a = np.searchsorted(xs, blo[0], side="left")
-            b = np.searchsorted(xs, bhi[0], side="right")
-            rest = swept[a:b, 1:]
-            in_box = np.all((rest >= blo[1:]) & (rest <= bhi[1:]), axis=1)
-            cand = np.sort(by_x[a:b][in_box])
-            inside = cand[cell.contains_many(targets[cand], margin=-tol)]
+    # a probe's first cell (in cell order) owns it; every later one overlaps
+    probe = tgt < probes
+    ppos, pk = pos[probe], tgt[probe]
+    first = np.full(probes, len(owner), dtype=np.int64)
+    np.minimum.at(first, pk, ppos)
+    later = ppos != first[pk]
+    overlaps = list(zip(pk[later].tolist(), owner[first[pk[later]]].tolist(),
+                        owner[ppos[later]].tolist()))
 
-        m = inside[inside < probes]
-        first_owner[m[hit[m] == 0]] = cell.owner
-        for k in m[hit[m] > 0]:
-            overlaps.append((int(k), int(first_owner[k]), cell.owner))
-        hit[m] += 1
-        generators = (inside[inside >= probes] - probes).tolist()
-        if cell.owner not in generators:
-            owners_outside.append(cell.owner)
-        foreign += [(cell.owner, j) for j in generators if j != cell.owner]
-
+    gpos, gj = pos[~probe], tgt[~probe] - probes
+    own = gj == owner[gpos]
+    home = np.zeros(len(owner), dtype=bool)
+    home[gpos[own]] = True
+    empty = np.array([c.empty for c in mesh.volumes], dtype=bool)
     return GlobalReport(
         shared_wall_mismatches=mismatches,
         overlaps=overlaps,
-        owners_outside=owners_outside,
-        foreign_points=foreign,
-        total_measure=mesh.total_measure(),
+        owners_outside=owner[empty | ~home].tolist(),
+        foreign_points=list(zip(owner[gpos[~own]].tolist(), gj[~own].tolist())),
+        total_measure=float(sum(_cell_measures(stack, len(owner)).tolist())),
         domain_measure=mesh.domain_measure(),
         probes=probes,
     )
@@ -675,10 +1097,17 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
 def _vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """Greedy matching: each vertex of a, in order, takes the nearest unused
     vertex of b, which must lie within tol."""
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    for row in d:
-        k = int(np.argmin(row))
-        if row[k] > tol:
-            return False
-        d[:, k] = np.inf
-    return True
+    return bool(_vertex_sets_match_many(a[None], b[None], tol)[0])
+
+
+def _vertex_sets_match_many(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """`_vertex_sets_match` of every pair (a[w], b[w]) of (W, K, dim) loops,
+    one greedy step for all pairs at a time."""
+    d = np.linalg.norm(a[:, :, None, :] - b[:, None, :, :], axis=3)
+    ok = np.ones(len(a), dtype=bool)
+    rows = np.arange(len(a))
+    for m in range(a.shape[1]):
+        k = np.argmin(d[:, m, :], axis=1)
+        ok &= ~(d[rows, m, k] > tol)
+        d[rows, :, k] = np.inf
+    return ok

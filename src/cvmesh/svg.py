@@ -71,9 +71,11 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
 
     if "delaunay" in opt.layers and mesh.simplices is not None:
         t = mesh.simplices
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).astype(np.int64)
         e.sort(axis=1)
-        e = np.unique(e, axis=0)
+        # one key i * n + j per edge (i < j < n): sorted keys are sorted rows
+        n = int(e.max(initial=-1)) + 1
+        e = np.column_stack(np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n))
         out.append(f'<g id="delaunay" stroke="#bbbbbb" stroke-width="{sw}">\n')
         out.append(('<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>\n' * len(e))
                    % tuple(np.hstack([xy(pts[e[:, 0]]), xy(pts[e[:, 1]])]).ravel().tolist()))

@@ -7,7 +7,9 @@ Voronoi cells, a two-variable Newton solve for equal-power points, a
 hand-rolled Gaussian elimination, one-face, one-vertex-at-a-time loops
 for the 3D cell clipping, face-loop ordering, containment, volume, simplex
 matching and perpendicularity that cvmesh computes as array code over whole
-cells, the one-candidate-at-a-time rejection loop that cvmesh's point
+cells, the one-cell-at-a-time 2D cell assembly and perpendicularity loop
+that cvmesh runs over one stack of rings, the one-candidate-at-a-time
+rejection loop that cvmesh's point
 generator runs in blocks over a background grid, the artifact writers with
 one Python call per number, and the point-, facet- and pair-at-a-time loops
 behind duplicate detection, simplex adjacency and overlap labels.
@@ -260,6 +262,167 @@ def voronoi_cell_2d(pts, i, domain_verts, radii=None):
         c = float(pts[j] @ pts[j] - pts[i] @ pts[i]) + r[i] ** 2 - r[j] ** 2
         cell = clip_poly_halfplane(cell, n, c)
     return cell
+
+
+# ---------------------------------------------------------------------------
+# 2D cells one at a time: cvmesh's cell assembly before its ring stack, kept
+# as the byte reference (same operations in the same order, so the same bits)
+
+
+class CellError(Exception):
+    """A failure of build_cells2_loop: kind is "NonConvexCell" or
+    "OrphanVertex", key the owner or the simplex id, text cvmesh's detail."""
+
+    def __init__(self, kind: str, key: int, text: str = ""):
+        super().__init__(kind, key, text)
+        self.kind, self.key, self.text = kind, key, text
+
+
+def clip_polygon_loop(verts, tags, normal, offset: float, tag, eps: float):
+    """Keep the part of a tagged polygon with normal . x <= offset, one edge
+    at a time; new edges carry `tag`. Returns (verts, tags) or None."""
+    v = np.asarray(verts, dtype=float)
+    k = len(v)
+    if k == 0:
+        return None
+    n = np.asarray(normal, dtype=float)
+    d = v @ n - offset
+    if np.all(d <= eps):
+        return v, list(tags)
+    if np.all(d >= -eps):
+        return None
+    out_v, out_t = [], []
+    for a in range(k):
+        b = (a + 1) % k
+        da, db = d[a], d[b]
+        if da <= eps:
+            out_v.append(v[a])
+            if db <= eps:
+                out_t.append(tags[a])
+            else:
+                s = da / (da - db)
+                out_v.append(v[a] + s * (v[b] - v[a]))
+                out_t.append(tags[a])
+                out_t.append(tag)
+        elif db <= eps:
+            s = da / (da - db)
+            out_v.append(v[a] + s * (v[b] - v[a]))
+            out_t.append(tags[a])
+    keep_v, keep_t = [], []
+    for k in range(len(out_v)):
+        if keep_v and np.linalg.norm(out_v[k] - keep_v[-1]) <= eps:
+            keep_t[-1] = out_t[k]  # zero-length edge collapses onto its successor
+            continue
+        keep_v.append(out_v[k])
+        keep_t.append(out_t[k])
+    if len(keep_v) > 1 and np.linalg.norm(keep_v[0] - keep_v[-1]) <= eps:
+        keep_v.pop()
+        keep_t.pop()
+    if len(keep_v) < 3:
+        return None
+    return np.asarray(keep_v), keep_t
+
+
+def _polygon_area(v) -> float:
+    return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+
+
+def _halfplanes(verts):
+    out = []
+    for a in range(len(verts)):
+        e = verts[(a + 1) % len(verts)] - verts[a]
+        n = np.array([e[1], -e[0]])
+        out.append((n, float(n @ verts[a])))
+    return out
+
+
+def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, domain_tags):
+    """One 2D cell per point, one cell and one clip at a time: interior cells
+    are the candidate vertices q of their ring triangles (reversed with the
+    tags when clockwise) clipped by each domain line some vertex crosses;
+    hull cells are the domain clipped by the power bisector toward each ring
+    neighbor in ring order. Returns per point (verts, tags, simplex ids) or
+    None, tags and ids None where cvmesh has None; raises CellError for the
+    first reflex cell, then the first unmatched candidate vertex inside."""
+    dverts = np.asarray(domain_verts, dtype=float)
+    scale = float(np.linalg.norm(dverts.max(axis=0) - dverts.min(axis=0)))
+    eps = 1e-10 * scale
+    match_eps = 1e-9 * scale
+    planes = _halfplanes(dverts)
+    cells, matched = [], set()
+    for i in range(len(pts)):
+        ring, tids = rings[i], ring_simplices[i]
+        if closed[i]:
+            m = len(ring)
+            poly = (q[tids].copy(), [int(ring[(k + 1) % m]) for k in range(len(tids))])
+            if _polygon_area(poly[0]) < 0.0:
+                k = len(poly[0])
+                poly = (poly[0][::-1].copy(), [poly[1][(k - 2 - j) % k] for j in range(k)])
+            for n, c in planes:
+                if poly is not None and np.any(poly[0] @ n - c > eps):
+                    poly = clip_polygon_loop(*poly, n, c, None, eps)
+        else:
+            poly = (dverts.copy(), list(domain_tags))
+            for u in ring:
+                if poly is None:
+                    break
+                pj, rj = pts[int(u)], r[int(u)]
+                n = 2.0 * (pj - pts[i])
+                c = float(pj @ pj - pts[i] @ pts[i]) + r[i] * r[i] - rj * rj
+                poly = clip_polygon_loop(*poly, n, c, int(u), eps)
+        if poly is None:
+            cells.append(None)
+            continue
+        v = poly[0]
+        if len(v) >= 3:
+            e = np.roll(v, -1, axis=0) - v
+            ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+            cross = ((e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1))
+                     / (ln * np.roll(ln, -1)))
+            if np.any(cross < -1e-9):
+                raise CellError("NonConvexCell", i, f"reflex corner, sin={cross.min():.3g}")
+        cand = np.asarray(tids, dtype=np.intp)
+        ids = [None] * len(v)
+        if len(cand):
+            near = np.linalg.norm(q[cand][None, :, :] - v[:, None, :], axis=2) <= match_eps
+            first = np.where(near.any(axis=1), cand[near.argmax(axis=1)], -1)
+            ids = [None if t < 0 else int(t) for t in first.tolist()]
+        matched.update(t for t in ids if t is not None)
+        cells.append((v, poly[1], ids))
+    for t in range(len(q)):
+        if t not in matched and all(float(q[t] @ n - c) < -match_eps * np.linalg.norm(n)
+                                    for n, c in planes):
+            raise CellError("OrphanVertex", t)
+    return cells
+
+
+def perpendicularity_loop2(mesh, tol: float = 1e-6) -> tuple[int, list]:
+    """(checked, violations) of the wall-perpendicularity check of a 2D mesh,
+    one edge at a time: every tagged edge longer than 1e-12 * scale, with the
+    arcsine of its |cos| against the segment joining the two generators."""
+    pts = mesh.points
+    dv = mesh.domain.verts
+    scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
+    checked = 0
+    violations = []
+    for cell in mesh.volumes:
+        if cell.verts is None or len(cell.verts) < 3:
+            continue
+        v = cell.verts
+        for k, j in enumerate(cell.edge_neighbors):
+            if j is None:
+                continue
+            e = v[(k + 1) % len(v)] - v[k]
+            ln = float(np.linalg.norm(e))
+            if ln <= 1e-12 * scale:
+                continue
+            axis = pts[j] - pts[cell.owner]
+            cosang = abs(float(e @ axis)) / (ln * float(np.linalg.norm(axis)))
+            dev = math.asin(min(1.0, cosang))
+            checked += 1
+            if dev > tol:
+                violations.append((cell.owner, int(j), dev))
+    return checked, violations
 
 
 def clip_polyhedron_halfspace(faces, n, c, eps=1e-12):

@@ -9,20 +9,31 @@ import pytest
 
 from cvmesh.clipping import (
     PolyStack,
+    RingStack,
     TaggedFace,
+    TaggedPolygon,
     TaggedPolyhedron,
     _dedup_loops,
     _first_unique,
     box_polyhedron,
+    clip_polygon,
     clip_polyhedron,
+    clip_rings,
     clip_stack,
+    ring_distances,
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3
 from cvmesh.mesh import _interior_cells, build_volumes3
 from cvmesh.solver import simplex_systems
 
 from conftest import uniform_points
-from oracles import clip_polyhedron_loop, dedup_loop, face_loop_around_edge, newell_normal
+from oracles import (
+    clip_polygon_loop,
+    clip_polyhedron_loop,
+    dedup_loop,
+    face_loop_around_edge,
+    newell_normal,
+)
 
 EPS = 1e-10
 
@@ -273,3 +284,51 @@ def test_hull_cells_match_loop_reference(n, seed):
                 break
         got = [(f.verts, f.neighbor) for f in mesh.cell(i).faces] or None
         _assert_same(got, faces, mesh.scale())
+
+
+def _random_polygon(rng, k):
+    """A convex k-gon around a random center, sometimes with a vertex
+    repeated within eps (as coinciding radical centers give)."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    v = rng.normal(size=2) + rng.uniform(0.5, 2.0) * np.column_stack([np.cos(ang), np.sin(ang)])
+    if rng.random() < 0.3:
+        j = int(rng.integers(k))
+        v = np.insert(v, j + 1, v[j] + 0.3 * EPS * rng.normal(size=2), axis=0)
+    return v
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clip_rings_match_polygon_loop(seed):
+    """Many rings clipped at once, each by its own line, against the one-edge
+    loop reference: the same vertices bit for bit and the same tags; lines
+    through vertices and within eps of an edge included."""
+    rng = np.random.default_rng(seed)
+    polys, normals, offsets, tags = [], [], [], []
+    for c in range(60):
+        v = _random_polygon(rng, int(rng.integers(3, 12)))
+        polys.append(TaggedPolygon(v, [int(t) for t in rng.integers(0, 50, len(v))]))
+        n = rng.normal(size=2)
+        how = c % 4
+        if how == 0:       # through a vertex
+            offset = float(v[int(rng.integers(len(v)))] @ n)
+        elif how == 1:     # within eps of a whole edge
+            a = int(rng.integers(len(v)))
+            e = v[(a + 1) % len(v)] - v[a]
+            n = np.array([e[1], -e[0]])
+            offset = float(v[a] @ n) + 0.5 * EPS * float(np.linalg.norm(n)) * rng.uniform(-1, 1)
+        else:
+            offset = float(rng.uniform(-1.5, 1.5) * np.linalg.norm(n) + v.mean(axis=0) @ n)
+        normals.append(n)
+        offsets.append(offset)
+        tags.append(None if c % 5 == 0 else 100 + c)
+    stack = RingStack.of(polys)
+    d = ring_distances(stack, np.array(normals), np.array(offsets))
+    out = clip_rings(stack, d, tags, EPS)
+    for c, poly in enumerate(polys):
+        want = clip_polygon_loop(poly.verts, poly.tags, normals[c], offsets[c], tags[c], EPS)
+        for got in (out.polygon(c), clip_polygon(poly, normals[c], offsets[c], tags[c], EPS)):
+            if want is None:
+                assert got is None
+                continue
+            assert got.verts.tobytes() == want[0].tobytes()
+            assert got.tags == want[1]

@@ -1,33 +1,55 @@
 import copy
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cache
 
 import numpy as np
 import pytest
 
-from cvmesh.clipping import _face_normals, _newell_normal, _stack_loops
+from cvmesh.clipping import (
+    PolyStack,
+    RingStack,
+    TaggedPolygon,
+    _face_normals,
+    _newell_normal,
+    _stack_loops,
+    clip_polyhedron,
+    concat_stacks,
+    polyhedron_halfspaces,
+)
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
-from cvmesh.errors import NonConvexCell, NonPlanarFace
+from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh.mesh import (
+    _candidates,
+    _check_cells3,
     _check_convex3,
     _check_face_planarity,
+    _clip_to_domain,
     _containment_box,
+    _hull_cells,
+    _interior_cells,
+    _match_rows,
     _match_simplex_ids,
+    _ring_areas,
     _vertex_sets_match,
+    bounding_domain2,
+    bounding_domain3,
     build_volumes2,
     build_volumes3,
     validate_global,
     validate_perpendicularity,
 )
-from cvmesh.solver import VolumeMode, solve_radii
+from cvmesh.solver import VolumeMode, simplex_systems, solve_radii
 
-from conftest import hexagon_patch, uniform_points
+from conftest import exact_instance, hexagon_patch, uniform_points
 from oracles import (
+    CellError,
+    build_cells2_loop,
     cell_contains3,
     cell_contains_many3,
     cell_volume3,
     dedup_vertices,
     match_simplex_ids,
+    perpendicularity_loop2,
     perpendicularity_loop3,
     validate_global_brute_force,
     vertex_sets_match,
@@ -356,10 +378,13 @@ def test_validate_global_equals_brute_force(instance, corruption):
     if field is not None:
         assert getattr(report, field), field
 
-    # 2D cells take the bounding-box path; 3D cells test every point
+    # clean cells take the bounding-box path in 2D and 3D; a 3D cell that
+    # lost a face no longer closes and tests every point
     tol = 1e-9 * mesh.scale()
-    boxed = {_containment_box(c, tol, tol) is not None for c in mesh.volumes if not c.empty}
-    assert boxed == {mesh.dim == 2}
+    if corruption is None:
+        assert all(_containment_box(c, tol, tol) is not None for c in mesh.volumes)
+    if corruption == "drop_face":
+        assert _containment_box(mesh.cell(i), tol, tol) is None
 
 
 def test_validate_global_without_margin_scans_every_point():
@@ -540,3 +565,275 @@ def test_equal_radii_3d_sweep_builds_valid_meshes(n, seed):
     report = validate_global(mesh)
     assert report.ok
     assert report.total_measure == pytest.approx(report.domain_measure, rel=1e-9, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the ring-stack 2D build and the whole-stack 3D checks against one-cell loops
+
+
+def _square_grid(k: int) -> np.ndarray:
+    """k x k unit grid: every square's four corners are co-circular, so the
+    two triangles of a square share one radical center under equal radii."""
+    return np.array([[i, j] for i in range(k) for j in range(k)], dtype=float)
+
+
+def _sweep2(kind, n, seed):
+    """(pts, tri, nm, radii) of one 2D sweep case."""
+    if kind == "hex":
+        pts = hexagon_patch(n, seed, jitter=0.1 if seed else 0.0)
+    elif kind == "grid":
+        pts = _square_grid(n)
+    elif kind == "exact":
+        pts, tri, nm, r_star, _, _ = exact_instance(n)
+        return pts, tri, nm, r_star
+    else:
+        pts = uniform_points(2, n, seed)
+    tri = triangulate2(pts)
+    nm = neighbor_map(tri)
+    if kind == "default":
+        sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
+    else:
+        sol = solve_radii(tri, nm, pts, equal_radii=True)
+    return pts, tri, nm, sol.radii.r
+
+
+SWEEP2 = (
+    [(kind, n, seed) for kind in ("equal", "default") for n in (20, 100, 400)
+     for seed in range(10)]
+    + [("hex", rings, seed) for rings in (2, 4) for seed in range(3)]
+    + [("grid", k, 0) for k in (3, 6)]
+    + [("exact", n, 0) for n in (5, 6, 7)]
+)
+
+
+@pytest.mark.parametrize("kind, n, seed", SWEEP2)
+def test_build_volumes2_equals_cell_loop(kind, n, seed):
+    """The ring-stack build against the one-cell loop it replaced: the same
+    cells bit for bit (vertices, edge tags, simplex ids), or the same error
+    with the same owner and text; the 2D perpendicularity pass against its
+    one-edge loop on every mesh that builds."""
+    pts, tri, nm, r = _sweep2(kind, n, seed)
+    q = simplex_systems(tri).vertices(r)
+    domain = bounding_domain2(pts)
+    try:
+        want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
+                                 domain.verts, domain.tags)
+    except CellError as exc:
+        error = {"NonConvexCell": NonConvexCell, "OrphanVertex": OrphanVertex}[exc.kind]
+        with pytest.raises(error) as err:
+            build_volumes2(tri, nm, pts, r)
+        key = err.value.owner if exc.kind == "NonConvexCell" else err.value.simplex
+        assert key == exc.key
+        assert exc.text in str(err.value)
+        return
+    mesh = build_volumes2(tri, nm, pts, r)
+    for cell, ref in zip(mesh.volumes, want):
+        if ref is None:
+            assert not cell.closed and len(cell.verts) == 0
+            continue
+        v, tags, ids = ref
+        assert cell.closed
+        assert cell.verts.shape == v.shape and cell.verts.tobytes() == v.tobytes()
+        assert cell.edge_neighbors == tags
+        assert cell.vertex_simplices == ids
+    for tol in (1e-6, 1e-9, 0.0):
+        report = validate_perpendicularity(mesh, tol=tol)
+        assert (report.checked, report.violations) == perpendicularity_loop2(mesh, tol=tol)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
+    """Interior rings listed clockwise (each ring and its triangles reversed)
+    take the reversal path, tags rotating with the vertices, as the loop
+    does it."""
+    pts, tri, nm, r = _sweep2("equal", 100, seed)
+    rings, tids = list(nm.rings), list(nm.ring_simplices)
+    for i in np.flatnonzero(nm.closed).tolist():
+        m = len(rings[i])
+        rings[i] = rings[i][::-1].copy()
+        tids[i] = tids[i][(m - 2 - np.arange(m)) % m].copy()
+    nm = replace(nm, rings=rings, ring_simplices=tids)
+    q = simplex_systems(tri).vertices(r)
+    domain = bounding_domain2(pts)
+    want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
+                             domain.verts, domain.tags)
+    mesh = build_volumes2(tri, nm, pts, r)
+    for cell, (v, tags, ids) in zip(mesh.volumes, want):
+        assert cell.verts.tobytes() == v.tobytes()
+        assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
+
+
+def test_ring_areas_equal_polygon_area():
+    """One area per ring with the bits of TaggedPolygon.area (np.sum, which
+    sums pairwise from eight terms on), rings of 3 to 20 vertices."""
+    rng = np.random.default_rng(3)
+    polys = []
+    for k in list(range(3, 21)) * 3:
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        rad = rng.uniform(0.5, 2.0, k)
+        polys.append(TaggedPolygon(rng.normal(size=2) + np.column_stack(
+            [rad * np.cos(ang), rad * np.sin(ang)]), [None] * k))
+    stack = RingStack.of(polys)
+    got = _ring_areas(stack.verts, stack.starts)
+    assert got.tolist() == [p.area() for p in polys]
+
+
+def test_nonconvex_2d_default_mode_sweep_reports_owner():
+    """The default mode fails on most generator clouds (ROADMAP item 1); the
+    sweep above must include such failures, or it does not test the error
+    path."""
+    failing = 0
+    for n in (20, 100):
+        for seed in range(10):
+            pts, tri, nm, r = _sweep2("default", n, seed)
+            try:
+                build_volumes2(tri, nm, pts, r)
+            except NonConvexCell:
+                failing += 1
+    assert failing >= 5
+
+
+def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
+    mesh, i = copy.deepcopy(_instance("uni400"))
+    cell = mesh.cell(i)
+    cell.verts = cell.verts.copy()
+    cell.verts[0] += np.array([1e-3, -2e-3])
+    report = validate_perpendicularity(mesh, tol=1e-6)
+    assert i in {a for a, _, _ in report.violations}
+    assert (report.checked, report.violations) == perpendicularity_loop2(mesh, tol=1e-6)
+
+
+def _clip_to_domain_loop(stack, domain_planes, eps):
+    """The one-cell-at-a-time domain clip that `_clip_to_domain` replaced."""
+    beyond = np.zeros(len(stack.verts), dtype=bool)
+    for n, c in domain_planes:
+        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
+    crossing = np.unique(stack.row_cells()[beyond])
+    parts = [stack.take(np.flatnonzero(~np.isin(stack.cells, crossing)))]
+    for i in crossing.tolist():
+        poly = stack.polyhedron(i)
+        for n, c in domain_planes:
+            if np.any(poly.vertices() @ n - c > eps * np.linalg.norm(n)):
+                poly = clip_polyhedron(poly, n, c, None, eps)
+                if poly is None:
+                    break
+        if poly is not None:
+            part = PolyStack.of([poly])
+            parts.append(replace(part, cells=np.full(len(part.starts), i)))
+    return concat_stacks(parts)
+
+
+def _check_cells3_loop(stack, normals, scale, q, nm, match_eps):
+    """The one-cell-at-a-time checks and simplex matching `build_volumes3`
+    ran before its whole-stack passes; returns the matched ids per row."""
+    ends = np.append(stack.starts, len(stack.verts))
+    ids = []
+    for i in np.unique(stack.cells).tolist():
+        f0, f1 = np.searchsorted(stack.cells, [i, i + 1]).tolist()
+        r0, r1 = int(ends[f0]), int(ends[f1])
+        v = stack.verts[r0:r1]
+        cell = (v, stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0)
+        tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
+        _check_face_planarity(i, tags, cell, normals[f0:f1])
+        ids += match_simplex_ids(v, q, nm.star_simplices[i], match_eps)
+        _check_convex3(i, cell, normals[f0:f1], scale)
+    return [-1 if t is None else t for t in ids]
+
+
+def _stack3(n, seed, default):
+    pts = uniform_points(3, n, seed)
+    tet = tetrahedralize3(pts)
+    nm = neighbor_map(tet)
+    if default:
+        r = solve_radii(tet, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp").radii.r
+    else:
+        r = solve_radii(tet, nm, pts, equal_radii=True).radii.r
+    q = simplex_systems(tet).vertices(r)
+    domain = bounding_domain3(pts)
+    dv = domain.vertices()
+    scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
+    eps = 1e-10 * scale
+    planes = polyhedron_halfspaces(domain)
+    hull = np.flatnonzero(nm.on_hull)
+    interior = _interior_cells(np.flatnonzero(~nm.on_hull), nm, q, pts, eps)
+    hulls = _hull_cells(hull, pts, r, domain, eps, [np.unique(nm.stars[i]) for i in hull])
+    return nm, q, planes, scale, eps, interior, hulls
+
+
+def _same_stack(a, b):
+    for name in ("verts", "starts", "succ", "tags", "cells"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args), None
+    except (NonConvexCell, NonPlanarFace) as exc:
+        return None, (type(exc), exc.owner, str(exc))
+
+
+@pytest.mark.parametrize("default", [False, True])
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (20, 40, 80) for seed in range(4)])
+def test_3d_stack_passes_equal_cell_loops(n, seed, default):
+    """The per-plane domain clip, the whole-stack planarity and convexity
+    checks and the whole-stack simplex matching against the one-cell loops
+    they replaced, in equal-radii and default mode (where cells fail)."""
+    nm, q, planes, scale, eps, interior, hulls = _stack3(n, seed, default)
+    clipped = _clip_to_domain(interior, planes, eps)
+    _same_stack(clipped, _clip_to_domain_loop(interior, planes, eps))
+    stack = concat_stacks([hulls, clipped])
+    normals = _face_normals(stack.verts, stack.starts, stack.succ)
+    want, error = _raised(_check_cells3_loop, stack, normals, scale, q, nm, 1e-9 * scale)
+    assert _raised(_check_cells3, stack, normals, scale)[1] == error
+    if error is None:
+        cand, starts = _candidates(nm.star_simplices)
+        row_starts = np.searchsorted(stack.row_cells(), np.arange(len(nm.stars)))
+        got = _match_rows(stack.verts, row_starts, q, cand, starts, 1e-9 * scale)
+        assert got.tolist() == want
+
+
+def test_3d_stack_checks_report_first_failing_cell():
+    """Break a late cell's planarity and an earlier cell's convexity: the
+    earlier cell is reported, as the cell loop reports it; then only the
+    planarity break, reported as NonPlanarFace."""
+    nm, q, planes, scale, eps, interior, hulls = _stack3(60, 1, False)
+    stack = concat_stacks([hulls, _clip_to_domain(interior, planes, eps)])
+    cells = np.unique(stack.cells)
+    late, early = int(cells[-3]), int(cells[5])
+    ends = np.append(stack.starts, len(stack.verts))
+    verts = stack.verts.copy()
+    f = int(np.searchsorted(stack.cells, late))
+    verts[int(ends[f]) + 1] += 1e-3 * scale          # one vertex off its face plane
+    bent = replace(stack, verts=verts)
+    normals = _face_normals(bent.verts, bent.starts, bent.succ)
+    _, error = _raised(_check_cells3_loop, bent, normals, scale, q, nm, 1e-9 * scale)
+    assert error[:2] == (NonPlanarFace, late)
+    assert _raised(_check_cells3, bent, normals, scale)[1] == error
+    g = int(np.searchsorted(stack.cells, early))
+    # one face pushed inward, still planar: its neighbors' corners stick out
+    verts[int(ends[g]):int(ends[g + 1])] -= 0.05 * scale * normals[g] / np.linalg.norm(normals[g])
+    both = replace(stack, verts=verts)
+    normals = _face_normals(both.verts, both.starts, both.succ)
+    _, error = _raised(_check_cells3_loop, both, normals, scale, q, nm, 1e-9 * scale)
+    assert error[:2] == (NonConvexCell, early)
+    assert _raised(_check_cells3, both, normals, scale)[1] == error
+
+
+def test_total_measure_keeps_each_cell_measure():
+    """The one-pass total equals the sum of ControlVolume.measure in cell
+    order bit for bit, in 2D (rings of eight and more vertices sum pairwise)
+    and 3D."""
+    for name in ("uni400", "uni60_3d", "hex50"):
+        mesh, _ = _instance(name)
+        assert mesh.total_measure() == float(sum(c.measure() for c in mesh.volumes))
+    pts = hexagon_patch(2, 0, jitter=0.0)
+    mesh = build_volumes2(triangulate2(pts), neighbor_map(triangulate2(pts)), pts,
+                          np.full(len(pts), 0.3))
+    cell = mesh.cell(0)
+    k = len(cell.verts)
+    ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    cell.verts = np.column_stack([np.cos(ang), np.sin(ang)]) * 1e-3 + 0.1
+    cell.edge_neighbors = [None] * 12
+    assert k != 12
+    assert mesh.total_measure() == float(sum(c.measure() for c in mesh.volumes))
