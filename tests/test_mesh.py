@@ -663,6 +663,24 @@ def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
         assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
+    """A rotated hexagonal domain: its edge lines are not axis-aligned, so
+    the per-ring matrix-vector rounding of the domain clips shows."""
+    pts, tri, nm, r = _sweep2("equal", 60, seed)
+    ang = np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3
+    verts = pts.mean(axis=0) + 1.2 * np.column_stack([np.cos(ang), np.sin(ang)])
+    domain = TaggedPolygon(verts, [None] * 6)
+    q = simplex_systems(tri).vertices(r)
+    want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
+                             domain.verts, domain.tags)
+    mesh = build_volumes2(tri, nm, pts, r, domain=domain)
+    for cell, (v, tags, ids) in zip(mesh.volumes, want):
+        assert cell.verts.tobytes() == v.tobytes()
+        assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
+    assert validate_global(mesh).ok
+
+
 def test_ring_areas_equal_polygon_area():
     """One area per ring with the bits of TaggedPolygon.area (np.sum, which
     sums pairwise from eight terms on), rings of 3 to 20 vertices."""
