@@ -18,7 +18,6 @@ from .delaunay import (
 from .errors import CvMeshError
 from .io import RunConfig, export_mesh, generate_points, mesh_from_doc, read_json
 from .mesh import (
-    ControlVolume,
     ControlVolumeMesh,
     build_volumes2,
     build_volumes3,

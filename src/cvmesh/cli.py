@@ -106,7 +106,7 @@ def cmd_build(args) -> int:
     mesh = build(tri, nm, None, radii)
     mesh.mode = rdoc.get("mode")
     write_json(mesh_doc(mesh), args.out)
-    print(f"built {len(mesh.volumes)} cells into {args.out}")
+    print(f"built {len(mesh.points)} cells into {args.out}")
     return EXIT_OK
 
 

@@ -7,9 +7,10 @@ which neighbor each wall separates them from.
 Polyhedra are clipped in stacked form (`PolyStack`): the face loops of many
 cells lie one after another in one (N, 3) vertex array, with the row where
 each face starts, the row of each vertex's successor around its loop, one
-tag per face (-1 for the domain) and one cell id per face, faces grouped by
-cell. `clip_stack` clips every cell of a stack by its own plane in one array
-pass; `clip_polyhedron` is its one-cell case on a TaggedPolyhedron.
+tag per face (-1 for the domain), one cell id per face, faces grouped by
+cell, and one simplex id per vertex. `clip_stack` clips every cell of a
+stack by its own plane in one array pass; `clip_polyhedron` is its one-cell
+case on a TaggedPolyhedron.
 
 Polygons have the same in 2D (`RingStack`): one ring per cell in one (V, 2)
 vertex array, one tag per edge and one simplex id per vertex. `clip_rings`
@@ -267,21 +268,27 @@ class PolyStack:
     Face loops lie one after another in `verts`; face f starts at row
     starts[f], belongs to cell cells[f] (nondecreasing) and is labelled
     tags[f] (a neighbor id, or -1 for the domain boundary). succ[r] is the
-    row of the vertex after row r around its loop.
+    row of the vertex after row r around its loop; simplices[r] is the
+    simplex whose candidate vertex row r is (-1 for a clip point or unknown).
     """
 
-    verts: np.ndarray    # (N, 3)
-    starts: np.ndarray   # (F,)
-    succ: np.ndarray     # (N,)
-    tags: np.ndarray     # (F,)
-    cells: np.ndarray    # (F,)
+    verts: np.ndarray      # (N, 3)
+    starts: np.ndarray     # (F,)
+    succ: np.ndarray       # (N,)
+    tags: np.ndarray       # (F,)
+    cells: np.ndarray      # (F,)
+    simplices: np.ndarray  # (N,)
 
     @classmethod
-    def from_loops(cls, verts, starts, tags, cells) -> "PolyStack":
+    def from_loops(cls, verts, starts, tags, cells, simplices=None) -> "PolyStack":
+        """Loops of the given rows, starts, tags and cells; simplex ids -1
+        unless given."""
         verts = np.asarray(verts, dtype=float).reshape(-1, 3)
         starts = np.asarray(starts, dtype=np.intp)
+        sids = np.full(len(verts), -1) if simplices is None else simplices
         return cls(verts, starts, _successors(starts, len(verts)),
-                   np.asarray(tags, dtype=np.int64), np.asarray(cells, dtype=np.intp))
+                   np.asarray(tags, dtype=np.int64), np.asarray(cells, dtype=np.intp),
+                   np.asarray(sids, dtype=np.int64))
 
     @classmethod
     def empty(cls) -> "PolyStack":
@@ -296,7 +303,8 @@ class PolyStack:
         verts, starts, succ = _stack_loops(loops)
         tags = [-1 if f.tag is None else f.tag for p in polys for f in p.faces]
         cells = np.repeat(np.arange(len(polys)), [len(p.faces) for p in polys])
-        return cls(verts, starts, succ, np.asarray(tags, dtype=np.int64), cells)
+        return cls(verts, starts, succ, np.asarray(tags, dtype=np.int64), cells,
+                   np.full(len(verts), -1, dtype=np.int64))
 
     def lengths(self) -> np.ndarray:
         """Rows per face loop, (F,)."""
@@ -311,16 +319,17 @@ class PolyStack:
         lens = self.lengths()[faces]
         starts = np.cumsum(lens) - lens
         rows = np.arange(int(lens.sum())) + np.repeat(self.starts[faces] - starts, lens)
-        return PolyStack.from_loops(self.verts[rows], starts, self.tags[faces], self.cells[faces])
+        return PolyStack.from_loops(self.verts[rows], starts, self.tags[faces], self.cells[faces],
+                                    self.simplices[rows])
 
     def split(self, c: int) -> tuple["PolyStack", "PolyStack"]:
         """The faces of the cells below c, and the rest."""
         f = int(np.searchsorted(self.cells, c))
         r = int(self.starts[f]) if f < len(self.starts) else len(self.verts)
         return (PolyStack(self.verts[:r], self.starts[:f], self.succ[:r],
-                          self.tags[:f], self.cells[:f]),
+                          self.tags[:f], self.cells[:f], self.simplices[:r]),
                 PolyStack(self.verts[r:], self.starts[f:] - r, self.succ[r:] - r,
-                          self.tags[f:], self.cells[f:]))
+                          self.tags[f:], self.cells[f:], self.simplices[r:]))
 
     def polyhedron(self, c: int) -> TaggedPolyhedron | None:
         """Cell c as a TaggedPolyhedron, or None when it has no faces."""
@@ -344,6 +353,7 @@ def concat_stacks(stacks) -> PolyStack:
         np.concatenate([s.starts + o for s, o in zip(stacks, offsets)]),
         np.concatenate([s.tags for s in stacks]),
         np.concatenate([s.cells for s in stacks]),
+        np.concatenate([s.simplices for s in stacks]),
     )
     if np.all(whole.cells[1:] >= whole.cells[:-1]):
         return whole
@@ -487,7 +497,8 @@ def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: 
     with every d <= eps stays whole, and every other face is cut: each vertex
     inside stays, each edge that crosses the plane adds its crossing point,
     and near-duplicate vertices of the cut loop are removed (`_dedup_loops`;
-    under three left, the face goes). The crossing points and the vertices
+    under three left, the face goes). Kept rows keep their simplex ids; new
+    rows get -1. The crossing points and the vertices
     within eps of the plane, taken in face and loop order, minus those within
     eps of an earlier one, make the section face when there are three or
     more: ordered by angle around their centroid, oriented along +normal and
@@ -520,11 +531,14 @@ def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: 
     b = succ[a]
     s = d[a] / (d[a] - d[b])
     pts[emit[:, 1], 1] = v[a] + s[:, None] * (v[b] - v[a])
+    sid = np.full((len(rows), 2), -1, dtype=np.int64)
+    sid[:, 0] = stack.simplices[rows]
     on_plane = np.empty_like(emit)
     on_plane[:, 0] = np.abs(d[rows]) <= eps
     on_plane[:, 1] = True
     emit = emit.ravel()
     pts = pts.reshape(-1, 3)[emit]
+    sid = sid.ravel()[emit]
     face = np.repeat(row_face[rows], 2)[emit]
     on_plane = on_plane.ravel()[emit] & cut_cell[stack.cells[face]]
 
@@ -535,7 +549,8 @@ def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: 
     stay &= count[face] >= 3
     loop_starts = _group_starts(face[stay])
     kept = face[stay][loop_starts]
-    faces = PolyStack.from_loops(pts[stay], loop_starts, stack.tags[kept], stack.cells[kept])
+    faces = PolyStack.from_loops(pts[stay], loop_starts, stack.tags[kept], stack.cells[kept],
+                                 sid[stay])
 
     caps = _section_faces(pts[on_plane], stack.cells[face[on_plane]], normals, tags, eps)
     return concat_stacks([faces, caps])

@@ -4,22 +4,24 @@ JSON is the canonical round-trip format. Numbers are emitted with 17
 significant digits so doubles survive export -> import bit-exactly; the
 stdlib encoder cannot be told how to format floats, so `dumps_json` is an
 emitter of its own that formats whole number arrays with one `%` template.
-The mesh writers (`mesh_doc`, the VTK writers) pool the vertices of all
-loops in one array pass and write the cell blocks straight from the pooled
-ids.
+The mesh writers (`mesh_doc`, the VTK writers) read the mesh's cell stack
+(`ControlVolumeMesh.cells`): they pool its vertex rows in one array pass and
+write the cell blocks straight from the pooled ids, the stack's tags and its
+simplex ids. `mesh_from_doc` builds that stack straight from the document
+and rejects a document whose cells disagree with what the stack implies.
 """
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, product
+from itertools import product
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .clipping import TaggedFace, TaggedPolygon, TaggedPolyhedron
+from .clipping import PolyStack, RingStack, TaggedFace, TaggedPolygon, TaggedPolyhedron
 from .errors import IoFailure, RejectionBudgetExceeded, UnsupportedFormat
-from .mesh import CellFace, ControlVolume, ControlVolumeMesh
+from .mesh import ControlVolumeMesh
 from .optimize import RosenbrockParams, SoftSelectionParams
 
 SCHEMA = "cvmesh/1"
@@ -457,36 +459,30 @@ def radii_doc(solve_result, dimension: int) -> dict:
     }
 
 
-def _pool_vertices(loops: list, dim: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Pool the vertices of a list of (k, dim) loops: (coords, ids, lengths).
+def _pool_vertices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pool the (V, dim) vertex rows: (coords, ids).
 
     coords holds the distinct vertices in order of first appearance, ids the
-    index into coords of every loop vertex in turn, lengths the loops' sizes.
-    Two vertices are one when their float64 bytes are: for finite doubles that
-    is when their ".17g" texts are (so -0.0 and 0.0 stay apart), and every NaN
-    is mapped to one NaN first, as all share the text "nan"."""
-    lengths = [len(v) for v in loops]
-    verts = (np.concatenate(loops) if loops else np.empty(0)).astype(float).reshape(-1, dim)
+    index into coords of every row in turn. Two vertices are one when their
+    float64 bytes are: for finite doubles that is when their ".17g" texts are
+    (so -0.0 and 0.0 stay apart), and every NaN is mapped to one NaN first,
+    as all share the text "nan"."""
     key = np.where(np.isnan(verts), np.nan, verts)
-    key = key.view(np.dtype((np.void, key.itemsize * dim))).ravel()
+    key = key.view(np.dtype((np.void, key.itemsize * verts.shape[1]))).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    return verts[first[order]], np.argsort(order)[inverse.ravel()], lengths
+    return verts[first[order]], np.argsort(order)[inverse.ravel()]
 
 
-def _runs(tokens: list[str], lengths) -> list[str]:
+def _runs(tokens: list[str], lengths: np.ndarray) -> list[str]:
     """", "-joined consecutive runs of tokens, one run per length."""
-    out = []
-    a = 0
-    for k in lengths:
-        out.append(", ".join(tokens[a:a + k]))
-        a += k
-    return out
+    cuts = np.cumsum(lengths).tolist()
+    return [", ".join(tokens[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 
-def _ints(values) -> list[str]:
-    """JSON text of ints or None (null), one per value."""
-    return ["null" if t is None else str(int(t)) for t in values]
+def _ints(values: np.ndarray) -> list[str]:
+    """JSON text of ids, null for -1, one per value."""
+    return ["null" if t < 0 else str(t) for t in values.tolist()]
 
 
 _CELL2 = ('{\n    "owner": %d,\n    "closed": %s,\n    "loop": [%s],\n'
@@ -498,30 +494,22 @@ _FACE3 = ('{\n      "loop": [%s],\n      "neighbor": %s,\n'
 
 def _cells_json(mesh: ControlVolumeMesh) -> tuple[np.ndarray, RawJson]:
     """The pooled vertices and the JSON text of the "cells" list, as the
-    recursive emitter would print one dict per cell (and face) at indent 2."""
-    cells = mesh.volumes
-    closed = ["true" if c.closed else "false" for c in cells]
+    recursive emitter would print one dict per cell (and face) at indent 2.
+    Cell i's owner is i; it is closed when it has rows (2D) or faces (3D)."""
+    stack = mesh.cells
+    coords, ids = _pool_vertices(stack.verts)
+    lens = stack.lengths()
+    loops = _runs(list(map(str, ids.tolist())), lens)
+    sids = _runs(_ints(stack.simplices), lens)
     if mesh.dim == 2:
-        coords, ids, lengths = _pool_vertices(
-            [c.verts if c.verts is not None else np.empty((0, 2)) for c in cells], 2)
-        edge = [c.edge_neighbors or [] for c in cells]
-        simp = [c.vertex_simplices or [] for c in cells]
-        text = [_CELL2 % row for row in zip(
-            [c.owner for c in cells], closed,
-            _runs(list(map(str, ids.tolist())), lengths),
-            _runs(_ints(chain.from_iterable(edge)), map(len, edge)),
-            _runs(_ints(chain.from_iterable(simp)), map(len, simp)))]
+        closed = np.where(lens > 0, "true", "false").tolist()
+        text = [_CELL2 % row for row in zip(range(len(lens)), closed, loops,
+                                            _runs(_ints(stack.tags), lens), sids)]
     else:
-        faces = [c.faces or [] for c in cells]
-        flat = list(chain.from_iterable(faces))
-        coords, ids, lengths = _pool_vertices([f.verts for f in flat], 3)
-        simp = [f.vertex_simplices for f in flat]
-        face_text = [_FACE3 % row for row in zip(
-            _runs(list(map(str, ids.tolist())), lengths),
-            _ints(f.neighbor for f in flat),
-            _runs(_ints(chain.from_iterable(simp)), map(len, simp)))]
-        text = [_CELL3 % row for row in zip(
-            [c.owner for c in cells], closed, _runs(face_text, map(len, faces)))]
+        faces = [_FACE3 % row for row in zip(loops, _ints(stack.tags), sids)]
+        nfaces = np.bincount(stack.cells, minlength=len(mesh.points))
+        closed = np.where(nfaces > 0, "true", "false").tolist()
+        text = [_CELL3 % row for row in zip(range(len(nfaces)), closed, _runs(faces, nfaces))]
     return coords, RawJson("[" + ", ".join(text) + "]")
 
 
@@ -559,31 +547,54 @@ def _gather(verts: np.ndarray, loop, where: str) -> np.ndarray:
     return verts[idx.astype(np.int64)]
 
 
+def _id_array(values) -> np.ndarray:
+    """Neighbor or simplex ids with null as -1."""
+    return np.array([-1 if t is None else int(t) for t in values], dtype=np.int64)
+
+
 def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
+    """The mesh of a parsed mesh.json, its cell stack built straight from the
+    "cells" list. Cell k must be point k's (one cell per point, owner k),
+    closed exactly when it has rows (2D) or faces (3D), with one neighbor
+    (2D) and one simplex id per loop index; a document that breaks these
+    rules, or whose loops index outside "vertices", raises IoFailure naming
+    the cell."""
     check_schema(doc)
     if doc.get("kind") != "mesh":
         raise IoFailure(f"expected a mesh document, got kind={doc.get('kind')!r}")
     dim = int(doc["dimension"])
     verts = np.asarray(doc["vertices"], dtype=float) if doc["vertices"] else np.empty((0, dim))
-    volumes = []
-    for k, c in enumerate(doc["cells"]):
-        if dim == 2:
-            volumes.append(ControlVolume(
-                owner=int(c["owner"]), closed=bool(c["closed"]),
-                verts=_gather(verts, c["loop"], f"cell {k}").reshape(-1, 2),
-                edge_neighbors=[None if t is None else int(t) for t in c["edge_neighbors"]],
-                vertex_simplices=[None if t is None else int(t) for t in c["vertex_simplices"]],
-            ))
-        else:
-            faces = [
-                CellFace(
-                    verts=_gather(verts, f["loop"], f"cell {k}, face {m}").reshape(-1, 3),
-                    neighbor=None if f["neighbor"] is None else int(f["neighbor"]),
-                    vertex_simplices=[None if t is None else int(t) for t in f["vertex_simplices"]],
-                )
-                for m, f in enumerate(c["faces"])
-            ]
-            volumes.append(ControlVolume(owner=int(c["owner"]), closed=bool(c["closed"]), faces=faces))
+    points = np.asarray(doc["points"], dtype=float)
+    cells = doc["cells"]
+    if len(cells) != len(points):
+        raise IoFailure(f"cell {min(len(cells), len(points))}: the document has "
+                        f"{len(cells)} cells for {len(points)} points")
+    loops, tags, sids, owner = [], [], [], []
+    for k, c in enumerate(cells):
+        if c["owner"] != k:
+            raise IoFailure(f"cell {k}: owner {c['owner']!r} is not the cell's position")
+        walls = [c] if dim == 2 else c["faces"]
+        size = len(c["loop"]) if dim == 2 else len(walls)
+        if bool(c["closed"]) != (size > 0):
+            raise IoFailure(f"cell {k}: closed is {bool(c['closed'])} with {size} "
+                            + ("vertices" if dim == 2 else "faces"))
+        for m, w in enumerate(walls):
+            where = f"cell {k}" if dim == 2 else f"cell {k}, face {m}"
+            loop = _gather(verts, w["loop"], where)
+            nb = w["edge_neighbors"] if dim == 2 else [w["neighbor"]]
+            if len(w["vertex_simplices"]) != len(loop) or (dim == 2 and len(nb) != len(loop)):
+                raise IoFailure(f"{where}: loop, neighbors and vertex_simplices differ in length")
+            loops.append(loop)
+            tags += nb
+            sids += w["vertex_simplices"]
+            owner.append(k)
+    lens = np.array([len(v) for v in loops], dtype=np.intp)
+    rows = np.concatenate(loops) if loops else np.empty((0, dim))
+    if dim == 2:
+        stack = RingStack(rows, np.cumsum(lens) - lens, _id_array(tags), _id_array(sids))
+    else:
+        stack = PolyStack.from_loops(rows, np.cumsum(lens) - lens, _id_array(tags), owner,
+                                     _id_array(sids))
     if dim == 2:
         domain = TaggedPolygon(
             verts=np.asarray(doc["domain"]["vertices"], dtype=float),
@@ -595,9 +606,9 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
         ])
     return ControlVolumeMesh(
         dim=dim,
-        points=np.asarray(doc["points"], dtype=float),
+        points=points,
         radii=None if doc["radii"] is None else np.asarray(doc["radii"], dtype=float),
-        volumes=volumes,
+        cells=stack,
         domain=domain,
         simplices=None if doc["simplices"] is None else np.asarray(doc["simplices"], dtype=np.int64),
         simplex_vertices=None if doc["simplex_vertices"] is None
@@ -630,8 +641,11 @@ def _vtk_points(coords: np.ndarray, row: str) -> str:
 
 
 def vtk_polydata(mesh: ControlVolumeMesh) -> str:
-    coords, ids, lengths = _pool_vertices([c.verts for c in mesh.volumes if not c.empty], 2)
-    k = np.asarray(lengths, dtype=np.int64)
+    """One polygon per ring that is not empty."""
+    rings = mesh.cells
+    full = ~mesh.empty_cells()
+    coords, ids = _pool_vertices(rings.verts[full[rings.row_rings()]])
+    k = rings.lengths()[full]
     stream = np.insert(ids, np.cumsum(k) - k, k)
     return (_vtk_header("cvmesh control volumes", "POLYDATA")
             + _vtk_points(coords, "%.17g %.17g 0\n")
@@ -640,10 +654,12 @@ def vtk_polydata(mesh: ControlVolumeMesh) -> str:
 
 
 def vtk_unstructured(mesh: ControlVolumeMesh) -> str:
-    cells = [c.faces for c in mesh.volumes if not c.empty]
-    coords, ids, lengths = _pool_vertices([f.verts for faces in cells for f in faces], 3)
-    k = np.asarray(lengths, dtype=np.int64)
-    nfaces = np.asarray([len(faces) for faces in cells], dtype=np.int64)
+    """One polyhedron (VTK type 42) per cell with faces."""
+    stack = mesh.cells
+    coords, ids = _pool_vertices(stack.verts)
+    k = stack.lengths()
+    nfaces = np.bincount(stack.cells)
+    nfaces = nfaces[nfaces > 0]
     first = np.cumsum(nfaces) - nfaces                 # each cell's first face
     size = np.add.reduceat(k + 1, first) + 1           # record length after its prefix
     # each face as (k, ids...), then (size, face count) before each cell's faces
@@ -652,16 +668,16 @@ def vtk_unstructured(mesh: ControlVolumeMesh) -> str:
     stream = np.insert(faces, np.repeat(start, 2), np.column_stack([size, nfaces]).ravel())
     return (_vtk_header("cvmesh control volumes", "UNSTRUCTURED_GRID")
             + _vtk_points(coords, "%.17g %.17g %.17g\n")
-            + f"CELLS {len(cells)} {len(stream)}\n"
+            + f"CELLS {len(nfaces)} {len(stream)}\n"
             + _text_lines("%d", stream, size + 1)
-            + f"CELL_TYPES {len(cells)}\n"
-            + "42\n" * len(cells))
+            + f"CELL_TYPES {len(nfaces)}\n"
+            + "42\n" * len(nfaces))
 
 
 def export_mesh(mesh: ControlVolumeMesh, path: str, fmt: str = "json",
                 validation: dict | None = None):
     """Write the mesh as canonical JSON or legacy ASCII VTK."""
-    if all(v.empty for v in mesh.volumes):
+    if mesh.empty_cells().all():
         raise IoFailure("refusing to export an empty mesh")
     if fmt == "json":
         write_json(mesh_doc(mesh, validation), path)

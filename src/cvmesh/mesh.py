@@ -6,15 +6,19 @@ ring/star order; hull-point cells are cut out of the domain by the power
 bisectors toward their neighbors. Both run as array code over all cells at
 once, on polygons stacked by `clipping.RingStack` (2D) and polyhedra stacked
 by `clipping.PolyStack` (3D); the per-cell checks run once over the whole
-stack and raise for the first failing cell. Every wall knows which neighbor
-it separates its owner from, which makes the perpendicularity and
-shared-wall checks exact; those and the global checks are whole-mesh array
-passes too, with the same report as checking one cell at a time.
+stack and raise for the first failing cell. That stack is the mesh's one
+cell representation (`ControlVolumeMesh.cells`): cell i belongs to point i,
+the validators and writers read its arrays, and nothing unpacks it into
+per-cell objects. Every wall knows which neighbor it separates its owner
+from, which makes the perpendicularity and shared-wall checks exact; those
+and the global checks are whole-mesh array passes too, with the same report
+as checking one cell at a time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -39,10 +43,8 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     _face_normals,
     _group_starts,
     _lengths,
-    _loops_volume,
     _reverse_within,
     _rowdot,
-    _stack_loops,
     _successors,
 )
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
@@ -54,117 +56,34 @@ DOMAIN_PAD = 0.05     # domain box padding, relative to the points' largest exte
 
 
 @dataclass
-class CellFace:
-    """One wall of a 3D cell: outward-oriented loop, separating neighbor (None
-    for domain boundary), and the owning simplex id per vertex where known."""
-
-    verts: np.ndarray
-    neighbor: int | None
-    vertex_simplices: list = field(default_factory=list)
-
-
-@dataclass
-class ControlVolume:
-    owner: int
-    closed: bool = True
-    verts: np.ndarray | None = None          # 2D: (K, 2) CCW polygon
-    edge_neighbors: list | None = None       # 2D: neighbor id per edge (None = domain)
-    vertex_simplices: list | None = None     # 2D: simplex id per vertex (None = clip point)
-    faces: list[CellFace] | None = None      # 3D
-
-    @property
-    def dim(self) -> int:
-        return 2 if self.verts is not None else 3
-
-    @property
-    def empty(self) -> bool:
-        if self.verts is not None:
-            return len(self.verts) < 3
-        return not self.faces
-
-    def all_vertices(self) -> np.ndarray:
-        if self.verts is not None:
-            return self.verts
-        if not self.faces:
-            return np.empty((0, 3))
-        return np.vstack([f.verts for f in self.faces])
-
-    def measure(self) -> float:
-        """Polygon area (2D) or polyhedron volume (3D)."""
-        if self.verts is not None:
-            v = self.verts
-            if len(v) < 3:
-                return 0.0
-            return 0.5 * float(
-                np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-            )
-        return _loops_volume([f.verts for f in self.faces or []])
-
-    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(u, c) of the non-degenerate faces (`_face_planes`), computed from
-        the current face loops on every call."""
-        stack = _stack_loops([f.verts for f in self.faces])
-        _, u, c = _face_planes(stack, _face_normals(*stack))
-        return u, c
-
-    def contains(self, p, margin: float = 0.0) -> bool:
-        """Point-in-cell test; negative margin demands strict interiority."""
-        p = np.asarray(p, dtype=float)
-        if self.verts is not None:
-            v = self.verts
-            if len(v) < 3:
-                return False
-            w = np.roll(v, -1, axis=0)
-            e = w - v
-            ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
-            cross = (e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])) / ln
-            return bool(np.all(cross >= -margin))
-        if not self.faces:
-            return False
-        u, c = self._planes()
-        return not np.any(u @ p - c > margin)
-
-    def contains_many(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Vectorized contains() over an (M, dim) probe array."""
-        if self.verts is not None:
-            v = self.verts
-            if len(v) < 3:
-                return np.zeros(len(pts), dtype=bool)
-            w = np.roll(v, -1, axis=0)
-            e = w - v
-            ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
-            cross = (
-                e[None, :, 0] * (pts[:, None, 1] - v[None, :, 1])
-                - e[None, :, 1] * (pts[:, None, 0] - v[None, :, 0])
-            ) / ln[None, :]
-            return np.all(cross >= -margin, axis=1)
-        if not self.faces:
-            return np.zeros(len(pts), dtype=bool)
-        ok = np.ones(len(pts), dtype=bool)
-        for n, c in zip(*self._planes()):
-            ok &= pts @ n - c <= margin
-        return ok
-
-
-@dataclass
 class ControlVolumeMesh:
+    """One control volume per point, all of them in one stack: `cells` is a
+    `RingStack` (2D) whose ring i is the polygon of points[i], or a
+    `PolyStack` (3D) whose faces labelled i bound the polyhedron of
+    points[i]. Walls carry the neighbor they face (-1 on the domain boundary)
+    and vertex rows the simplex they came from (-1 for clip points). A ring
+    under three rows, or a cell without faces, is empty."""
+
     dim: int
     points: np.ndarray
     radii: np.ndarray | None
-    volumes: list[ControlVolume]
+    cells: RingStack | PolyStack
     domain: TaggedPolygon | TaggedPolyhedron
     simplices: np.ndarray | None = None
     simplex_vertices: np.ndarray | None = None   # (T, dim) candidate-vertex coords
     mode: str | None = None
     diagnostics: dict | None = None
 
-    def cell(self, i: int) -> ControlVolume:
-        return self.volumes[i]
+    def empty_cells(self) -> np.ndarray:
+        """Per point, whether its cell is empty."""
+        if isinstance(self.cells, RingStack):
+            return self.cells.lengths() < 3
+        return np.bincount(self.cells.cells, minlength=len(self.points)) == 0
 
     def total_measure(self) -> float:
-        """Sum of the cell measures in cell order, each with the bits of
-        ControlVolume.measure, from one pass over all cells."""
-        return float(sum(_cell_measures(_cell_stack(self.volumes), len(self.volumes)).tolist()))
+        """Sum of the cell measures in cell order, from one pass over all
+        cells."""
+        return float(sum(_cell_measures(self.cells, len(self.points)).tolist()))
 
     def domain_measure(self) -> float:
         return self.domain.area() if self.dim == 2 else self.domain.volume()
@@ -173,38 +92,12 @@ class ControlVolumeMesh:
         verts = self.domain.verts if self.dim == 2 else self.domain.vertices()
         return float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
 
-    def shared_walls(self) -> dict[tuple[int, int], dict[int, np.ndarray]]:
-        """Map (i, j), i < j, to each side's wall geometry (edge endpoints or
-        face loop), taken from the wall tags."""
-        walls: dict[tuple[int, int], dict[int, np.ndarray]] = {}
-        for cell in self.volumes:
-            i = cell.owner
-            if self.dim == 2:
-                if cell.verts is None or cell.empty:
-                    continue
-                v = cell.verts
-                for k, j in enumerate(cell.edge_neighbors):
-                    if j is None:
-                        continue
-                    key = (i, j) if i < j else (j, i)
-                    seg = np.vstack([v[k], v[(k + 1) % len(v)]])
-                    walls.setdefault(key, {})[i] = seg
-            else:
-                for f in cell.faces or []:
-                    if f.neighbor is None:
-                        continue
-                    j = f.neighbor
-                    key = (i, j) if i < j else (j, i)
-                    walls.setdefault(key, {})[i] = f.verts
-        return walls
-
 
 def _cell_measures(stack, n: int) -> np.ndarray:
-    """ControlVolume.measure of every cell: 2D areas by `_ring_areas`; 3D
-    volumes from the fan terms of every face loop of every cell at once,
-    each cell's terms summed in order from 0 (a Python sum, as
-    `_loops_volume` sums them) and divided by 6. `stack` is the
-    `_cell_stack` of the n cells."""
+    """The measure of every cell of a stack of n cells: 2D areas by
+    `_ring_areas`; 3D volumes from the fan terms of every face loop of every
+    cell at once, each cell's terms summed in order from 0 (a Python sum, as
+    `_loops_volume` sums them) and divided by 6."""
     if isinstance(stack, RingStack):
         return _ring_areas(stack.verts, stack.starts)
     v, starts, succ = stack.verts, stack.starts, stack.succ
@@ -352,15 +245,6 @@ def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: 
     return out
 
 
-def _match_simplex_ids(verts: np.ndarray, q: np.ndarray, candidates, eps: float) -> list:
-    """Per vertex, the first candidate simplex, in the given order, whose
-    candidate vertex q[t] lies within eps of it; None where none does. The
-    one-cell case of `_match_rows`."""
-    cand = np.asarray(candidates, dtype=np.intp)
-    ids = _match_rows(verts, np.zeros(1, np.intp), q, cand, np.zeros(1, np.intp), eps)
-    return [None if t < 0 else t for t in ids.tolist()]
-
-
 def _candidates(lists) -> tuple[np.ndarray, np.ndarray]:
     """The per-cell simplex id arrays as one flat array and per-cell starts."""
     sizes = np.array([len(t) for t in lists], dtype=np.intp)
@@ -375,7 +259,8 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     Interior cells list the candidate vertex of each incident triangle in ring
     order; hull cells are the domain polygon cut by the power bisectors toward
     the ring neighbors. Every cell is clipped to the domain. All cells go
-    through each step together, stacked in one `RingStack`.
+    through each step together, stacked in one `RingStack`, which the mesh
+    keeps as its cells.
     """
     pts = tri.points if pts is None else pts
     r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
@@ -413,22 +298,8 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     stack = replace(stack, simplices=_match_rows(stack.verts, stack.starts, q, cand,
                                                  cand_starts, match_eps))
     _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
-
-    tags = [None if t < 0 else t for t in stack.tags.tolist()]
-    sids = [None if t < 0 else t for t in stack.simplices.tolist()]
-    cuts = np.append(stack.starts, len(stack.verts)).tolist()
-    volumes = []
-    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if a == b:
-            volumes.append(ControlVolume(owner=i, closed=False, verts=np.empty((0, 2)),
-                                         edge_neighbors=[], vertex_simplices=[]))
-        else:
-            volumes.append(ControlVolume(owner=i, closed=True, verts=stack.verts[a:b],
-                                         edge_neighbors=tags[a:b], vertex_simplices=sids[a:b]))
-    return ControlVolumeMesh(
-        dim=2, points=pts, radii=r, volumes=volumes, domain=domain,
-        simplices=tri.triangles, simplex_vertices=q,
-    )
+    return ControlVolumeMesh(dim=2, points=pts, radii=r, cells=stack, domain=domain,
+                             simplices=tri.triangles, simplex_vertices=q)
 
 
 def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float):
@@ -640,7 +511,8 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
     """3D analog of build_volumes2: the face toward neighbor j collects the
     candidate vertices of every tetrahedron on edge (i, j), ordered around the
     edge; hull cells are cut from the domain by power bisectors. The checks
-    run once over the whole stack, raising for the first failing cell."""
+    run once over the whole `PolyStack`, raising for the first failing cell,
+    and the mesh keeps that stack as its cells."""
     pts = tet.points if pts is None else pts
     r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
     systems = simplex_systems(tet)
@@ -662,25 +534,11 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
     _check_cells3(stack, normals, scale)
     cand, cand_starts = _candidates(nm.star_simplices)
     row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
-    ids = _match_rows(stack.verts, row_starts, q, cand, cand_starts, match_eps)
-    _check_orphans(q, ids, domain_planes, eps_inside=match_eps)
-
-    bounds = np.searchsorted(stack.cells, np.arange(len(pts) + 1)).tolist()
-    ends = np.append(stack.starts, len(stack.verts)).tolist()
-    tags = [None if t < 0 else t for t in stack.tags.tolist()]
-    sids = [None if t < 0 else t for t in ids.tolist()]
-    volumes: list[ControlVolume] = []
-    for i in range(len(pts)):
-        f0, f1 = bounds[i], bounds[i + 1]
-        volumes.append(ControlVolume(owner=i, closed=f0 != f1, faces=[
-            CellFace(verts=stack.verts[ends[f]:ends[f + 1]], neighbor=tags[f],
-                     vertex_simplices=sids[ends[f]:ends[f + 1]])
-            for f in range(f0, f1)
-        ]))
-    return ControlVolumeMesh(
-        dim=3, points=pts, radii=r, volumes=volumes, domain=domain,
-        simplices=tet.tetrahedra, simplex_vertices=q,
-    )
+    stack = replace(stack, simplices=_match_rows(stack.verts, row_starts, q, cand, cand_starts,
+                                                 match_eps))
+    _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
+    return ControlVolumeMesh(dim=3, points=pts, radii=r, cells=stack, domain=domain,
+                             simplices=tet.tetrahedra, simplex_vertices=q)
 
 
 @dataclass
@@ -694,59 +552,33 @@ class PerpendicularityReport:
         return not self.violations
 
 
-def _mesh_rings(cells: list[ControlVolume]) -> RingStack:
-    """The 2D cells as one ring stack, ring c = cells[c]; a cell under three
-    vertices is an empty ring. Edges without a neighbor are tagged -1."""
-    polys = [TaggedPolygon(c.verts, c.edge_neighbors) if c.verts is not None and not c.empty
-             else None for c in cells]
-    return RingStack.of(polys)
-
-
-def _cell_stack(cells: list[ControlVolume]) -> RingStack | PolyStack:
-    """The cells as one stack, cell c = cells[c]: a `_mesh_rings` ring
-    stack in 2D, a `_mesh_faces` face stack in 3D."""
-    return _mesh_rings(cells) if cells and cells[0].dim == 2 else _mesh_faces(cells)
-
-
-def _mesh_faces(cells: list[ControlVolume]) -> PolyStack:
-    """The 3D cells as one face stack, faces of cells[c] labelled cell c;
-    faces without a neighbor are tagged -1."""
-    faces = [f for c in cells for f in c.faces or []]
-    if not faces:
-        return PolyStack.empty()
-    verts, starts, succ = _stack_loops([f.verts for f in faces])
-    tags = np.array([-1 if f.neighbor is None else f.neighbor for f in faces], dtype=np.int64)
-    owner = np.repeat(np.arange(len(cells)), [len(c.faces or []) for c in cells])
-    return PolyStack(verts, starts, succ, tags, owner)
-
-
 def validate_perpendicularity(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
                               tol: float = 1e-6) -> PerpendicularityReport:
     """Check every tagged wall against the local orthogonality condition: the
     wall must be perpendicular to the segment joining its two cell centers.
 
-    A 2D wall is one edge, skipped when no longer than 1e-12 * scale; a 3D
-    wall is a face, judged by its edge longer than 1e-12 * scale with the
-    largest |cos| against the segment (0.0 when it has none). All walls of
-    the mesh go through one array pass; the deviation is the arcsine of that
-    |cos|, capped at 1, taken with math.asin for every wall that np.arcsin
-    puts near or above tol."""
+    A 2D wall is one edge of a ring of three rows or more, skipped when no
+    longer than 1e-12 * scale; a 3D wall is a face, judged by its edge
+    longer than 1e-12 * scale with the largest |cos| against the segment
+    (0.0 when it has none). All walls of the mesh go through one array pass;
+    the deviation is the arcsine of that |cos|, capped at 1, taken with
+    math.asin for every wall that np.arcsin puts near or above tol."""
     pts = mesh.points if pts is None else pts
     scale = mesh.scale()
-    owners = np.array([c.owner for c in mesh.volumes], dtype=np.int64)
     if mesh.dim == 2:
-        rings = _cell_stack(mesh.volumes)
+        rings = mesh.cells
+        ring = rings.row_rings()
         v = rings.verts
         e = v[rings.succ()] - v
         ln = np.sqrt(_rowdot(e, e))
-        wall = (rings.tags >= 0) & ~(ln <= 1e-12 * scale)
-        i, j = owners[rings.row_rings()[wall]], rings.tags[wall]
+        wall = _wall_rows(mesh) & ~(ln <= 1e-12 * scale)
+        i, j = ring[wall], rings.tags[wall]
         axis = pts[j] - pts[i]
         cos = np.abs(_rowdot(e[wall], axis)) / (ln[wall] * np.sqrt(_rowdot(axis, axis)))
     else:
-        faces = _cell_stack(mesh.volumes)
+        faces = mesh.cells
         walls = faces.take(np.flatnonzero(faces.tags >= 0))
-        i, j = owners[walls.cells], walls.tags
+        i, j = walls.cells, walls.tags
         axis = pts[j] - pts[i]
         axis = axis / np.sqrt(_rowdot(axis, axis))[:, None]
         v = walls.verts
@@ -768,6 +600,13 @@ def validate_perpendicularity(mesh: ControlVolumeMesh, pts: np.ndarray | None = 
     return PerpendicularityReport(tol=tol, checked=len(cos), violations=violations)
 
 
+def _wall_rows(mesh: ControlVolumeMesh) -> np.ndarray:
+    """Mask of the rows of a 2D mesh's rings that start a wall: a tagged edge
+    of a ring that is not empty."""
+    rings = mesh.cells
+    return (rings.tags >= 0) & ~mesh.empty_cells()[rings.row_rings()]
+
+
 @dataclass
 class GlobalReport:
     shared_wall_mismatches: list
@@ -787,15 +626,15 @@ class GlobalReport:
 
 
 def _containment_boxes(stack, n: int, tol: float, pad: float):
-    """Per cell of the `_cell_stack` of n cells, whether a box holding every
-    point that cell.contains_many(..., margin=-tol) accepts is known, and
-    the box (lo, hi), as arrays over the cells.
+    """Per cell of a stack of n cells, whether a box holding every point
+    that `_inside_pairs` accepts in it at tolerance tol is known, and the box
+    (lo, hi), as arrays over the cells.
 
     A point strictly left of every edge line of a closed loop has winding
     number >= 1 around it, so it lies in the hull of the loop's vertices and
     hence in their bounding box, widened here by pad against rounding. In 3D,
-    contains_many tests each face against the plane through its first vertex
-    and skips faces with no normal, so the same argument needs more of the
+    the test takes each face against the plane through its first vertex and
+    skips faces with no normal, so the same argument needs more of the
     cell: every face has a normal and lies within tol / 2 of its plane, and
     the faces close, each directed edge running back along exactly one edge
     of another face (`_closed_cells`). Then a point inside every plane by tol
@@ -852,14 +691,6 @@ def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
     once[np.isin(fwd, srt[1:][srt[1:] == srt[:-1]])] = False
     ok = once & finite & (a != b) & np.isin(b * nv + a, srt)
     return np.bincount(rcell[~ok], minlength=n) == 0
-
-
-def _containment_box(cell: ControlVolume, tol: float, pad: float):
-    """(lo, hi) holding every point that cell.contains_many(..., margin=-tol)
-    accepts, or None when no such box is known: the one-cell case of
-    `_containment_boxes`."""
-    has, lo, hi = _containment_boxes(_cell_stack([cell]), 1, tol, pad)
-    return (lo[0], hi[0]) if has[0] else None
 
 
 PAIR_CHUNK = 1 << 12   # candidate (box, target) pairs per chunk
@@ -924,16 +755,20 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
         b0 = b1
 
 
-def _inside_pairs(cells: list[ControlVolume], stack, targets: np.ndarray, tol: float,
-                  pad: float):
-    """(cell position, target) of every target that its cell accepts under
-    contains_many(..., margin=-tol), sorted by cell then target; `stack` is
-    the `_cell_stack` of the cells. Cells with a
-    containment box test only the targets in it, as (cell, target) pairs in
-    one array pass per chunk; the others test every target."""
+def _inside_pairs(mesh: ControlVolumeMesh, targets: np.ndarray, tol: float, pad: float):
+    """(cell, target) of every target that lies inside its cell by more than
+    tol, sorted by cell then target. In 2D a target is inside when its
+    distance left of every edge line exceeds tol; in 3D when it lies more than
+    tol inside the plane through the first vertex of every face with a
+    normal. A cell with a containment box (`_containment_boxes`) pairs with
+    the targets in it, every other non-empty cell with every target; the
+    pairs go through one array test per chunk."""
+    stack = mesh.cells
+    n = len(mesh.points)
     margin = -tol
-    has, lo, hi = _containment_boxes(stack, len(cells), tol, pad)
-    has &= ~np.array([c.empty for c in cells], dtype=bool)
+    empty = mesh.empty_cells()
+    has, lo, hi = _containment_boxes(stack, n, tol, pad)
+    has &= ~empty
     pos, tgt = [], []
     flat = isinstance(stack, RingStack)
     if flat:
@@ -944,7 +779,7 @@ def _inside_pairs(cells: list[ControlVolume], stack, targets: np.ndarray, tol: f
         e = v[rings.succ()] - v
         ring = rings.row_rings()
         at = (np.arange(len(v)) - rings.starts[ring], ring)
-        width = (max(int(rings.lengths().max(initial=0)), 1), len(cells))
+        width = (max(int(rings.lengths().max(initial=0)), 1), n)
         vx, vy, ex, ey = (np.zeros(width) for _ in range(4))
         ln = np.ones(width)
         pad = np.ones(width, dtype=bool)
@@ -955,19 +790,27 @@ def _inside_pairs(cells: list[ControlVolume], stack, targets: np.ndarray, tol: f
         loops = (stack.verts, stack.starts, stack.succ)
         keep, u, c = _face_planes(loops, _face_normals(*loops))
         fcell = stack.cells[keep]
-        fstart = np.searchsorted(fcell, np.arange(len(cells) + 1))
+        fstart = np.searchsorted(fcell, np.arange(n + 1))
+
+    def unboxed():
+        rest = np.flatnonzero(~has & ~empty)
+        step = max(PAIR_CHUNK // len(targets), 1)
+        for a in range(0, len(rest), step):
+            cells = rest[a:a + step]
+            yield np.repeat(cells, len(targets)), np.tile(np.arange(len(targets)), len(cells))
+
     boxed = np.flatnonzero(has)
-    for pb, pt in _box_pairs(lo[boxed], hi[boxed], targets):
-        pc = boxed[pb]
+    for pc, pt in chain(((boxed[pb], pt) for pb, pt in _box_pairs(lo[boxed], hi[boxed], targets)),
+                        unboxed()):
         if flat:
-            # contains_many's cross products, one column of edges per pair
+            # the cross products, one column of edges per pair
             px, py = targets[pt, 0], targets[pt, 1]
             cross = (ex[:, pc] * (py - vy[:, pc]) - ey[:, pc] * (px - vx[:, pc])) / ln[:, pc]
             ok = np.logical_and.reduce((cross >= -margin) | pad[:, pc], axis=0)
         else:
             # each face's plane over its cell's targets, one matrix-vector
-            # product per face as in contains_many (two rows at least: a
-            # one-row product rounds as a dot, unlike a longer one)
+            # product per face (two rows at least: a one-row product rounds
+            # as a dot, unlike a longer one)
             cut = np.flatnonzero(np.append(True, pc[1:] != pc[:-1]))
             ok = np.ones(len(pc), dtype=bool)
             for a, b in zip(cut.tolist(), np.append(cut[1:], len(pc)).tolist()):
@@ -979,36 +822,29 @@ def _inside_pairs(cells: list[ControlVolume], stack, targets: np.ndarray, tol: f
                 ok[a:b] = inside[:b - a]
         pos.append(pc[ok])
         tgt.append(pt[ok])
-    for p in np.flatnonzero(~has).tolist():
-        if not cells[p].empty:
-            inside = np.flatnonzero(cells[p].contains_many(targets, margin=margin))
-            pos.append(np.full(len(inside), p))
-            tgt.append(inside)
     if not pos:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     key = np.sort(np.concatenate(pos).astype(np.int64) * len(targets) + np.concatenate(tgt))
     return np.divmod(key, len(targets))
 
 
-def _wall_mismatches(owners: np.ndarray, stack, tol: float) -> list:
-    """The shared_walls() check as array passes: walls keyed (min, max) of
-    owner and neighbor, in order of first appearance, each side taking its
-    owner's last wall under that key; a key without both sides is
-    "missing side", two sides whose vertices do not pair up within tol
-    (`_vertex_sets_match`, for all walls of one size at once) are "wall
-    geometry differs"; `stack` is the `_cell_stack` of the cells, owners
-    their owners."""
-    if isinstance(stack, RingStack):
+def _wall_mismatches(mesh: ControlVolumeMesh, tol: float) -> list:
+    """The shared-wall check: walls keyed (min, max) of owner and neighbor,
+    in order of first appearance, each side taking its owner's last wall
+    under that key; a key without both sides is "missing side", two sides
+    whose vertices do not pair up within tol (`_vertex_sets_match_many`, for
+    all walls of one size at once) are "wall geometry differs"."""
+    if mesh.dim == 2:
         # each wall a loop of its edge's two endpoints
-        rings = stack
-        rows = np.flatnonzero(rings.tags >= 0)
-        o, j = owners[rings.row_rings()[rows]], rings.tags[rows]
+        rings = mesh.cells
+        rows = np.flatnonzero(_wall_rows(mesh))
+        o, j = rings.row_rings()[rows], rings.tags[rows]
         verts = np.stack((rings.verts[rows], rings.verts[rings.succ()[rows]]), axis=1)
         verts = verts.reshape(-1, 2)
         starts, lens = 2 * np.arange(len(rows)), np.full(len(rows), 2)
     else:
-        walls = stack.take(np.flatnonzero(stack.tags >= 0))
-        o, j = owners[walls.cells], walls.tags
+        walls = mesh.cells.take(np.flatnonzero(mesh.cells.tags >= 0))
+        o, j = walls.cells, walls.tags
         verts, starts, lens = walls.verts, walls.starts, walls.lengths()
     if not len(o):
         return []
@@ -1051,15 +887,15 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     strict containment test, so the report equals that of testing every
     point against every cell. A cell without a known box tests every point.
     The owner is inside its cell when its own generator row passes that same
-    test. Overlaps, owners outside and foreign points are listed in cell
-    order, then probe or generator order.
+    test; an empty cell holds nothing, so its owner is outside. Overlaps,
+    owners outside and foreign points are listed in cell order, then probe
+    or generator order.
     """
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
     pts = mesh.points
-    owner = np.array([c.owner for c in mesh.volumes], dtype=np.int64)
-    stack = _cell_stack(mesh.volumes)
-    mismatches = _wall_mismatches(owner, stack, tol)
+    n = len(pts)
+    mismatches = _wall_mismatches(mesh, tol)
 
     rng = np.random.default_rng(seed)
     dverts = mesh.domain.verts if mesh.dim == 2 else mesh.domain.vertices()
@@ -1067,42 +903,35 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
     targets = np.vstack([samples, pts])
-    pos, tgt = _inside_pairs(mesh.volumes, stack, targets, tol, 1e-9 * scale)
+    pos, tgt = _inside_pairs(mesh, targets, tol, 1e-9 * scale)
 
     # a probe's first cell (in cell order) owns it; every later one overlaps
     probe = tgt < probes
     ppos, pk = pos[probe], tgt[probe]
-    first = np.full(probes, len(owner), dtype=np.int64)
+    first = np.full(probes, n, dtype=np.int64)
     np.minimum.at(first, pk, ppos)
     later = ppos != first[pk]
-    overlaps = list(zip(pk[later].tolist(), owner[first[pk[later]]].tolist(),
-                        owner[ppos[later]].tolist()))
+    overlaps = list(zip(pk[later].tolist(), first[pk[later]].tolist(), ppos[later].tolist()))
 
     gpos, gj = pos[~probe], tgt[~probe] - probes
-    own = gj == owner[gpos]
-    home = np.zeros(len(owner), dtype=bool)
+    own = gj == gpos
+    home = np.zeros(n, dtype=bool)
     home[gpos[own]] = True
-    empty = np.array([c.empty for c in mesh.volumes], dtype=bool)
     return GlobalReport(
         shared_wall_mismatches=mismatches,
         overlaps=overlaps,
-        owners_outside=owner[empty | ~home].tolist(),
-        foreign_points=list(zip(owner[gpos[~own]].tolist(), gj[~own].tolist())),
-        total_measure=float(sum(_cell_measures(stack, len(owner)).tolist())),
+        owners_outside=np.flatnonzero(mesh.empty_cells() | ~home).tolist(),
+        foreign_points=list(zip(gpos[~own].tolist(), gj[~own].tolist())),
+        total_measure=mesh.total_measure(),
         domain_measure=mesh.domain_measure(),
         probes=probes,
     )
 
 
-def _vertex_sets_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Greedy matching: each vertex of a, in order, takes the nearest unused
-    vertex of b, which must lie within tol."""
-    return bool(_vertex_sets_match_many(a[None], b[None], tol)[0])
-
-
 def _vertex_sets_match_many(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """`_vertex_sets_match` of every pair (a[w], b[w]) of (W, K, dim) loops,
-    one greedy step for all pairs at a time."""
+    """Greedy matching of every pair (a[w], b[w]) of (W, K, dim) loops: each
+    vertex of a[w], in order, takes the nearest unused vertex of b[w], which
+    must lie within tol; one greedy step for all pairs at a time."""
     d = np.linalg.norm(a[:, :, None, :] - b[:, None, :, :], axis=3)
     ok = np.ones(len(a), dtype=bool)
     rows = np.arange(len(a))

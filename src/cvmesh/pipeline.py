@@ -192,10 +192,10 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
 
 
 def _domain_clipped_cells(mesh) -> int:
-    """Cells with at least one wall on the domain boundary (tagged None)."""
-    if mesh.dim == 2:
-        return sum(1 for c in mesh.volumes if None in (c.edge_neighbors or []))
-    return sum(1 for c in mesh.volumes if any(f.neighbor is None for f in c.faces or []))
+    """Cells with at least one wall on the domain boundary (tagged -1)."""
+    stack = mesh.cells
+    owner = stack.row_rings() if mesh.dim == 2 else stack.cells
+    return len(np.unique(owner[stack.tags < 0]))
 
 
 def _max_simplex_residual(mesh, solve) -> float:

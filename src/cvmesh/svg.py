@@ -62,10 +62,11 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
     ]
 
     if "cells" in opt.layers:
-        loops = [cell.verts for cell in mesh.volumes if not cell.empty]
-        v = np.concatenate(loops) if loops else np.empty((0, 2))
+        rings = mesh.cells
+        full = ~mesh.empty_cells()
+        v = rings.verts[full[rings.row_rings()]]
         out.append(f'<g id="cells" fill="none" stroke="#1a6faf" stroke-width="{sw}">\n')
-        out.append(_text_lines("%.6f,%.6f", xy(v), [len(l) for l in loops],
+        out.append(_text_lines("%.6f,%.6f", xy(v), rings.lengths()[full],
                                head='<polygon points="', tail='"/>'))
         out.append("</g>\n")
 

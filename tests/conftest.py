@@ -9,6 +9,7 @@ tests stick to equal radii, triangulation, or clamped bounds.
 """
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cvmesh.clipping import RingStack
 from cvmesh.delaunay import neighbor_map, triangulate2
 from cvmesh.io import RunConfig, generate_points
 from cvmesh.solver import TetraSystems3, TriangleSystems2, bounds_arrays, simplex_systems
@@ -24,6 +26,22 @@ from cvmesh.solver import TetraSystems3, TriangleSystems2, bounds_arrays, simple
 
 def uniform_points(dim: int, n: int, seed: int, **cfg) -> np.ndarray:
     return generate_points(RunConfig(dimension=dim, n=n, seed=seed, **cfg))
+
+
+def with_ring(mesh, i: int, verts, tags, simplices=None):
+    """The 2D mesh with ring i of its cell stack replaced by the given rows,
+    edge tags (-1: domain) and simplex ids (-1 unless given)."""
+    s = mesh.cells
+    a = int(s.starts[i])
+    b = a + int(s.lengths()[i])
+    verts = np.asarray(verts, dtype=float).reshape(-1, 2)
+    sids = np.full(len(verts), -1) if simplices is None else simplices
+    shift = np.where(np.arange(len(s.starts)) > i, len(verts) - (b - a), 0)
+    cells = RingStack(np.concatenate([s.verts[:a], verts, s.verts[b:]]), s.starts + shift,
+                      np.concatenate([s.tags[:a], np.asarray(tags, dtype=np.int64), s.tags[b:]]),
+                      np.concatenate([s.simplices[:a], np.asarray(sids, dtype=np.int64),
+                                      s.simplices[b:]]))
+    return dataclasses.replace(mesh, cells=cells)
 
 
 def radical_centers(centers, radii) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,17 @@ rejection loop that cvmesh's point
 generator runs in blocks over a background grid, the artifact writers with
 one Python call per number, and the point-, facet- and pair-at-a-time loops
 behind duplicate detection, simplex adjacency and overlap labels.
+
+The references that walk a mesh cell by cell read per-cell records
+(`cell_records`), unpacked from the mesh's one cell stack. The records keep
+the one-cell containment, measure and shared-wall code that cvmesh ran per
+cell object before it validated the whole stack at once.
 """
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -396,6 +402,179 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
     return cells
 
 
+# ---------------------------------------------------------------------------
+# per-cell records of a mesh's cell stack
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loops' rows in one array, each loop's first row, and per row the
+    row of the next vertex around its loop."""
+    sizes = np.array([len(v) for v in loops], dtype=np.intp)
+    starts = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    succ = np.arange(1, int(sizes.sum()) + 1)
+    succ[starts + sizes - 1] = starts
+    return np.concatenate(loops), starts, succ
+
+
+@dataclass
+class Face:
+    """One wall of a 3D cell: outward-oriented loop, the neighbor it faces
+    (None on the domain boundary) and the simplex id per vertex (None for a
+    clip point)."""
+
+    verts: np.ndarray
+    neighbor: int | None
+    vertex_simplices: list
+
+
+@dataclass
+class Cell:
+    """The cell of point `owner`: a CCW polygon with one neighbor per edge
+    and one simplex id per vertex (2D), or its faces (3D)."""
+
+    owner: int
+    closed: bool
+    verts: np.ndarray | None = None          # 2D: (K, 2) CCW polygon
+    edge_neighbors: list | None = None       # 2D: neighbor id per edge (None = domain)
+    vertex_simplices: list | None = None     # 2D: simplex id per vertex (None = clip point)
+    faces: list | None = None                # 3D
+
+    @property
+    def empty(self) -> bool:
+        if self.verts is not None:
+            return len(self.verts) < 3
+        return not self.faces
+
+    def all_vertices(self) -> np.ndarray:
+        if self.verts is not None:
+            return self.verts
+        if not self.faces:
+            return np.empty((0, 3))
+        return np.vstack([f.verts for f in self.faces])
+
+    def measure(self) -> float:
+        """Polygon area (2D) or divergence-theorem volume (3D), the fan terms
+        of every face summed in order."""
+        if self.verts is not None:
+            v = self.verts
+            if len(v) < 3:
+                return 0.0
+            return 0.5 * float(
+                np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+            )
+        if not self.faces:
+            return 0.0
+        v, starts, succ = _stack_loops([f.verts for f in self.faces])
+        rows = np.arange(len(v))
+        mid = succ > rows
+        mid[starts] = False
+        b = rows[mid]
+        a = starts[np.searchsorted(starts, b, side="right") - 1]
+        return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
+
+    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit normal u and offset c (u . x = c through the first vertex) of
+        every face with a nonzero Newell normal, each normal summed along
+        its loop in order."""
+        v, starts, succ = _stack_loops([f.verts for f in self.faces])
+        w = v[succ]
+        normals = np.add.reduceat((v - w)[:, [1, 2, 0]] * (v + w)[:, [2, 0, 1]], starts, axis=0)
+        nn = np.sqrt(_rowdot(normals, normals))
+        keep = nn != 0.0
+        u = normals[keep] / nn[keep, None]
+        return u, _rowdot(u, v[starts[keep]])
+
+    def contains(self, p, margin: float = 0.0) -> bool:
+        """Point-in-cell test; negative margin demands strict interiority."""
+        p = np.asarray(p, dtype=float)
+        if self.verts is not None:
+            v = self.verts
+            if len(v) < 3:
+                return False
+            w = np.roll(v, -1, axis=0)
+            e = w - v
+            ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+            cross = (e[:, 0] * (p[1] - v[:, 1]) - e[:, 1] * (p[0] - v[:, 0])) / ln
+            return bool(np.all(cross >= -margin))
+        if not self.faces:
+            return False
+        u, c = self._planes()
+        return not np.any(u @ p - c > margin)
+
+    def contains_many(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """contains() over an (M, dim) probe array."""
+        if self.verts is not None:
+            v = self.verts
+            if len(v) < 3:
+                return np.zeros(len(pts), dtype=bool)
+            w = np.roll(v, -1, axis=0)
+            e = w - v
+            ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+            cross = (
+                e[None, :, 0] * (pts[:, None, 1] - v[None, :, 1])
+                - e[None, :, 1] * (pts[:, None, 0] - v[None, :, 0])
+            ) / ln[None, :]
+            return np.all(cross >= -margin, axis=1)
+        if not self.faces:
+            return np.zeros(len(pts), dtype=bool)
+        ok = np.ones(len(pts), dtype=bool)
+        for n, c in zip(*self._planes()):
+            ok &= pts @ n - c <= margin
+        return ok
+
+
+def cell_records(mesh) -> list:
+    """One Cell per point, unpacked from mesh.cells: ring i's rows (2D) or
+    the faces labelled i (3D), ids of -1 as None."""
+    stack = mesh.cells
+    ends = stack.starts.tolist()[1:] + [len(stack.verts)]
+
+    def ids(a) -> list:
+        return [None if t < 0 else t for t in a.tolist()]
+
+    if mesh.dim == 2:
+        return [Cell(owner=i, closed=b > a, verts=stack.verts[a:b],
+                     edge_neighbors=ids(stack.tags[a:b]),
+                     vertex_simplices=ids(stack.simplices[a:b]))
+                for i, (a, b) in enumerate(zip(stack.starts.tolist(), ends))]
+    faces = [[] for _ in mesh.points]
+    for (a, b), c, t in zip(zip(stack.starts.tolist(), ends), stack.cells.tolist(),
+                            ids(stack.tags)):
+        faces[c].append(Face(stack.verts[a:b], t, ids(stack.simplices[a:b])))
+    return [Cell(owner=i, closed=bool(f), faces=f) for i, f in enumerate(faces)]
+
+
+def shared_walls(cells: list) -> dict[tuple[int, int], dict[int, np.ndarray]]:
+    """Map (i, j), i < j, to each side's wall geometry (edge endpoints or
+    face loop), taken from the wall tags of the cell records."""
+    walls: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+    for cell in cells:
+        i = cell.owner
+        if cell.verts is not None:
+            if cell.empty:
+                continue
+            v = cell.verts
+            for k, j in enumerate(cell.edge_neighbors):
+                if j is None:
+                    continue
+                key = (i, j) if i < j else (j, i)
+                seg = np.vstack([v[k], v[(k + 1) % len(v)]])
+                walls.setdefault(key, {})[i] = seg
+        else:
+            for f in cell.faces or []:
+                if f.neighbor is None:
+                    continue
+                j = f.neighbor
+                key = (i, j) if i < j else (j, i)
+                walls.setdefault(key, {})[i] = f.verts
+    return walls
+
+
 def perpendicularity_loop2(mesh, tol: float = 1e-6) -> tuple[int, list]:
     """(checked, violations) of the wall-perpendicularity check of a 2D mesh,
     one edge at a time: every tagged edge longer than 1e-12 * scale, with the
@@ -405,7 +584,7 @@ def perpendicularity_loop2(mesh, tol: float = 1e-6) -> tuple[int, list]:
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     checked = 0
     violations = []
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         if cell.verts is None or len(cell.verts) < 3:
             continue
         v = cell.verts
@@ -603,7 +782,7 @@ def perpendicularity_loop3(mesh, tol: float = 1e-6) -> tuple[int, list]:
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     checked = 0
     violations = []
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         i = cell.owner
         for f in cell.faces or []:
             if f.neighbor is None:
@@ -805,14 +984,15 @@ def gauss_solve(a, b):
 
 def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
     """The GlobalReport fields of cvmesh's validate_global, computed by testing
-    every probe and every generator against every cell. Uses only the mesh's
-    own methods (shared_walls, contains, contains_many, measures)."""
+    every probe and every generator against every cell: the cell records'
+    shared walls, contains and contains_many, and the mesh's own measures."""
     scale = mesh.scale()
     tol = 1e-9 * scale if tol is None else tol
     pts = mesh.points
+    cells = cell_records(mesh)
 
     mismatches = []
-    for (i, j), sides in mesh.shared_walls().items():
+    for (i, j), sides in shared_walls(cells).items():
         if len(sides) != 2:
             mismatches.append((i, j, "missing side"))
             continue
@@ -828,7 +1008,7 @@ def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
     hit = np.zeros(probes, dtype=np.int64)
     first_owner = np.full(probes, -1, dtype=np.int64)
     overlaps = []
-    for cell in mesh.volumes:
+    for cell in cells:
         if cell.empty:
             continue
         inside = cell.contains_many(samples, margin=-tol)
@@ -841,7 +1021,7 @@ def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
 
     owners_outside = []
     foreign = []
-    for cell in mesh.volumes:
+    for cell in cells:
         if cell.empty:
             owners_outside.append(cell.owner)
             continue
@@ -1022,7 +1202,7 @@ def _pool_vertices(dim: int):
 def mesh_doc(mesh, validation: dict | None = None) -> dict:
     vid, coords = _pool_vertices(mesh.dim)
     cells = []
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         if mesh.dim == 2:
             cells.append({
                 "owner": cell.owner,
@@ -1071,7 +1251,7 @@ def _vtk_header(title: str, dataset: str) -> list[str]:
 def vtk_polydata(mesh) -> str:
     vid, coords = _pool_vertices(2)
     loops = []
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         if cell.empty:
             continue
         loops.append([vid(v) for v in cell.verts])
@@ -1089,7 +1269,7 @@ def vtk_polydata(mesh) -> str:
 def vtk_unstructured(mesh) -> str:
     vid, coords = _pool_vertices(3)
     records = []
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         if cell.empty:
             continue
         faces = [[vid(v) for v in f.verts] for f in cell.faces]
@@ -1146,7 +1326,7 @@ def render_svg(mesh, pts=None, radii=None, options=None) -> str:
 
     if "cells" in opt.layers:
         out.append(f'<g id="cells" fill="none" stroke="#1a6faf" stroke-width="{sw}">')
-        for cell in mesh.volumes:
+        for cell in cell_records(mesh):
             if cell.empty:
                 continue
             coords = " ".join(f"{_fmt(v[0])},{fy(v[1])}" for v in cell.verts)

@@ -27,6 +27,7 @@ from conftest import (
     uniform_points,
 )
 from oracles import (
+    cell_records,
     convex_hull_area,
     convex_hull_volume,
     dedup_vertices,
@@ -75,7 +76,7 @@ def test_criterion_1_radical_center_correctness():
 
 
 def _cells_match_voronoi_2d(pts, mesh, tol):
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         oracle = voronoi_cell_2d(pts, cell.owner, mesh.domain.verts)
         a = dedup_vertices(cell.verts, tol / 10)
         b = dedup_vertices(oracle, tol / 10)
@@ -85,7 +86,7 @@ def _cells_match_voronoi_2d(pts, mesh, tol):
 def _cells_match_voronoi_3d(pts, mesh, tol):
     dv = mesh.domain.vertices()
     lo, hi = dv.min(axis=0), dv.max(axis=0)
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         oracle = voronoi_cell_3d(pts, cell.owner, lo, hi)
         a = dedup_vertices(cell.all_vertices(), tol / 10)
         b = dedup_vertices(np.vstack(oracle), tol / 10)

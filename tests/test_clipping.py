@@ -282,7 +282,7 @@ def test_hull_cells_match_loop_reference(n, seed):
                                          float(pts[j] @ pts[j] - pts[i] @ pts[i]), j, eps)
             if faces is None:
                 break
-        got = [(f.verts, f.neighbor) for f in mesh.cell(i).faces] or None
+        got = _faces(mesh.cells.polyhedron(i))
         _assert_same(got, faces, mesh.scale())
 
 

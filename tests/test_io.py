@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvmesh.clipping import RingStack
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import (
     DimensionMismatch,
@@ -22,17 +23,18 @@ from cvmesh.io import (
     mesh_doc,
     mesh_from_doc,
     radii_doc,
+    read_json,
     vtk_polydata,
     vtk_unstructured,
 )
-from cvmesh.mesh import build_volumes2, build_volumes3
-from cvmesh.pipeline import run_pipeline
+from cvmesh.mesh import build_volumes2, build_volumes3, validate_global, validate_perpendicularity
+from cvmesh.pipeline import report_doc, run_pipeline
 from cvmesh.solver import solve_radii
 from cvmesh.svg import SvgOptions, render_svg
 
 import oracles
-from conftest import bcc_cell, hexagon_patch, uniform_points
-from oracles import GenerationBudgetExceeded, reference_points
+from conftest import bcc_cell, hexagon_patch, uniform_points, with_ring
+from oracles import GenerationBudgetExceeded, cell_records, reference_points
 
 
 def test_json_floats_roundtrip_exactly():
@@ -190,9 +192,10 @@ def test_mesh_json_roundtrip_bit_exact(tmp_path):
         text = dumps_json(doc)
         back = mesh_from_doc(json.loads(text))
         assert dumps_json(mesh_doc(back)) == text
-        for a, b in zip(mesh.volumes, back.volumes):
-            assert a.owner == b.owner
-            assert np.array_equal(a.all_vertices(), b.all_vertices())
+        assert type(back.cells) is type(mesh.cells)
+        for f in dataclasses.fields(mesh.cells):
+            a, b = getattr(mesh.cells, f.name), getattr(back.cells, f.name)
+            assert a.shape == b.shape and np.array_equal(a, b), f.name
 
 
 def test_mesh_doc_schema_rejected_on_major_mismatch():
@@ -209,8 +212,7 @@ def test_export_errors(tmp_path):
     mesh = _mesh2()
     with pytest.raises(UnsupportedFormat):
         export_mesh(mesh, str(tmp_path / "m.xyz"), "xyz")
-    for cell in mesh.volumes:
-        cell.verts = np.empty((0, 2))
+    mesh.cells = RingStack.from_rings(np.empty((0, 2)), np.zeros(len(mesh.points)), [])
     with pytest.raises(IoFailure):
         export_mesh(mesh, str(tmp_path / "m.json"), "json")
     assert not (tmp_path / "m.json").exists()
@@ -236,7 +238,7 @@ def test_vtk_polydata_structure():
     k = [i for i, l in enumerate(lines) if l.startswith("POLYGONS")][0]
     ncells, size = (int(v) for v in lines[k].split()[1:])
     rows = lines[k + 1: k + 1 + ncells]
-    assert len(rows) == ncells == sum(1 for c in mesh.volumes if not c.empty)
+    assert len(rows) == ncells == sum(1 for c in cell_records(mesh) if not c.empty)
     total = 0
     for row in rows:
         vals = [int(v) for v in row.split()]
@@ -272,7 +274,7 @@ def test_svg_structure_and_layers():
     mesh = _mesh2(seed=6, n=15)
     svg = render_svg(mesh)
     assert svg.count("<circle") == 15
-    assert svg.count("<polygon") == sum(1 for c in mesh.volumes if not c.empty)
+    assert svg.count("<polygon") == sum(1 for c in cell_records(mesh) if not c.empty)
     assert svg.count("<rect") == 15 + 1  # markers plus background
     only_points = render_svg(mesh, options=SvgOptions(layers=("points",)))
     assert "<polygon" not in only_points
@@ -385,11 +387,13 @@ def _odd_coordinates(loops: list, dim: int):
 
 def test_mesh_bytes_match_reference_on_odd_coordinates(tmp_path):
     mesh = _mesh2(seed=4, n=20)
-    cells = [c for c in mesh.volumes if not c.empty]
-    _odd_coordinates([c.verts for c in cells], 2)
-    cells[-1].verts = cells[-1].verts[:2]      # a degenerate cell: in mesh.json only
+    cells = [c for c in cell_records(mesh) if not c.empty]
+    _odd_coordinates([c.verts for c in cells], 2)     # the records' loops view the stack
+    a = int(mesh.cells.starts[cells[-1].owner])        # a degenerate cell: in mesh.json only
+    mesh = with_ring(mesh, cells[-1].owner, mesh.cells.verts[a:a + 2], mesh.cells.tags[a:a + 2],
+                     mesh.cells.simplices[a:a + 2])
     mesh3 = _mesh3()
-    _odd_coordinates([f.verts for c in mesh3.volumes for f in c.faces or []][::3], 3)
+    _odd_coordinates([f.verts for c in cell_records(mesh3) for f in c.faces or []][::3], 3)
     for m in (mesh, mesh3):
         export_mesh(m, str(tmp_path / "m.json"), "json", validation={"ok": False})
         export_mesh(m, str(tmp_path / "m.vtk"), "vtk")
@@ -418,7 +422,7 @@ def test_mesh_from_doc_rejects_loop_index_out_of_range(index):
     for mesh in (_mesh2(), _mesh3()):
         doc = json.loads(dumps_json(mesh_doc(mesh)))
         bad = -1 if index == "-1" else len(doc["vertices"])
-        k = next(k for k, c in enumerate(mesh.volumes) if not c.empty and k > 0)
+        k = next(k for k, c in enumerate(cell_records(mesh)) if not c.empty and k > 0)
         if mesh.dim == 2:
             doc["cells"][k]["loop"][1] = bad
             where = f"cell {k}:"
@@ -427,3 +431,75 @@ def test_mesh_from_doc_rejects_loop_index_out_of_range(index):
             where = f"cell {k}, face 2:"
         with pytest.raises(IoFailure, match=where):
             mesh_from_doc(doc)
+
+
+@pytest.mark.parametrize("case", ["count", "owner", "closed", "open", "length"])
+def test_mesh_from_doc_rejects_cells_that_disagree_with_the_stack(case):
+    """Cell k is point k's, it is closed exactly when it has rows (2D) or
+    faces (3D), and its loops have one neighbor (2D) and one simplex id per
+    vertex: a document with another cell count, owner, closed flag or list
+    length is bad input, named by its cell."""
+    for mesh in (_mesh2(), _mesh3()):
+        doc = json.loads(dumps_json(mesh_doc(mesh)))
+        k = 3
+        cell = doc["cells"][k]
+        if case == "count":
+            doc["cells"].pop()
+            k = len(doc["cells"])
+        elif case == "owner":
+            cell["owner"] = k + 1
+        elif case == "closed":
+            cell["closed"] = False
+        elif case == "open" and mesh.dim == 2:
+            cell.update(loop=[], edge_neighbors=[], vertex_simplices=[])
+        elif case == "open":
+            cell["faces"] = []
+        else:
+            (cell if mesh.dim == 2 else cell["faces"][2])["vertex_simplices"].pop()
+        with pytest.raises(IoFailure, match=f"cell {k}[:,]"):
+            mesh_from_doc(doc)
+    if case == "length":
+        doc = json.loads(dumps_json(mesh_doc(_mesh2())))
+        doc["cells"][k]["edge_neighbors"].pop()
+        with pytest.raises(IoFailure, match=f"cell {k}:"):
+            mesh_from_doc(doc)
+
+
+def test_ring_under_three_rows_is_an_empty_cell():
+    """A 2D ring of one or two rows (a document can hold one) is an empty
+    cell: it has no walls to check, its owner is outside it, the VTK and SVG
+    writers skip it, and mesh.json keeps it as it is."""
+    mesh = _mesh2(seed=4, n=20)
+    k = 5
+    a = int(mesh.cells.starts[k])
+    empty = with_ring(mesh, k, np.empty((0, 2)), [])
+    for rows in (1, 2):
+        cut = slice(a, a + rows)
+        deg = with_ring(mesh, k, mesh.cells.verts[cut], mesh.cells.tags[cut],
+                        mesh.cells.simplices[cut])
+        assert validate_perpendicularity(deg) == validate_perpendicularity(empty)
+        report = validate_global(deg, probes=500)
+        assert report == validate_global(empty, probes=500)
+        assert k in report.owners_outside
+        assert dataclasses.asdict(report) == oracles.validate_global_brute_force(deg, probes=500)
+        assert vtk_polydata(deg) == vtk_polydata(empty)
+        assert render_svg(deg) == render_svg(empty)
+        text = dumps_json(mesh_doc(deg))
+        cell = json.loads(text)["cells"][k]
+        assert cell["closed"] and len(cell["loop"]) == len(cell["edge_neighbors"]) == rows
+        assert dumps_json(mesh_doc(mesh_from_doc(json.loads(text)))) == text
+
+
+@pytest.mark.parametrize("dim, n", [(2, 400), (3, 60)])
+def test_validators_on_read_mesh_give_the_runs_report(tmp_path, dim, n):
+    """mesh.json -> stack -> validators, the path of `cvmesh validate`, gives
+    the report of the run that wrote the file."""
+    for seed in (1, 2, 3):
+        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True, probes=2000,
+                        formats=("json",), out_dir=str(tmp_path / str(seed)))
+        result = run_pipeline(cfg)
+        doc = read_json(result.artifacts["mesh.json"])
+        mesh = mesh_from_doc(doc)
+        perp = validate_perpendicularity(mesh, tol=cfg.tol_perp)
+        glob = validate_global(mesh, probes=cfg.probes, seed=cfg.seed)
+        assert json.loads(dumps_json(report_doc(perp, glob))) == doc["validation"]

@@ -20,17 +20,18 @@ from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh.mesh import (
     _candidates,
+    _cell_measures,
     _check_cells3,
     _check_convex3,
     _check_face_planarity,
     _clip_to_domain,
-    _containment_box,
+    _containment_boxes,
     _hull_cells,
+    _inside_pairs,
     _interior_cells,
     _match_rows,
-    _match_simplex_ids,
     _ring_areas,
-    _vertex_sets_match,
+    _vertex_sets_match_many,
     bounding_domain2,
     bounding_domain3,
     build_volumes2,
@@ -40,12 +41,13 @@ from cvmesh.mesh import (
 )
 from cvmesh.solver import VolumeMode, simplex_systems, solve_radii
 
-from conftest import exact_instance, hexagon_patch, uniform_points
+from conftest import exact_instance, hexagon_patch, uniform_points, with_ring
 from oracles import (
     CellError,
     build_cells2_loop,
     cell_contains3,
     cell_contains_many3,
+    cell_records,
     cell_volume3,
     dedup_vertices,
     match_simplex_ids,
@@ -66,12 +68,19 @@ def _square_center_mesh(r=0.3):
     return pts, build_volumes2(tri, nm, pts, radii)
 
 
+def _rows(mesh, i) -> np.ndarray:
+    """The vertex rows of cell i in the mesh's cell stack."""
+    if mesh.dim == 2:
+        return mesh.cells.starts[i] + np.arange(mesh.cells.lengths()[i])
+    return np.flatnonzero(mesh.cells.row_cells() == i)
+
+
 def test_square_center_cell_is_voronoi_diamond():
     pts, mesh = _square_center_mesh()
-    cell = mesh.cell(4)
+    cell = cell_records(mesh)[4]
     expected = np.array([[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
     assert vertex_sets_match(cell.verts, expected, tol=1e-12)
-    assert cell.measure() == pytest.approx(0.5, rel=1e-12)
+    assert _cell_measures(mesh.cells, 5)[4] == pytest.approx(0.5, rel=1e-12)
     # and against the brute-force half-plane oracle on the same domain
     oracle = voronoi_cell_2d(pts, 4, mesh.domain.verts)
     assert vertex_sets_match(cell.verts, dedup_vertices(oracle, 1e-9), tol=1e-9)
@@ -79,7 +88,7 @@ def test_square_center_cell_is_voronoi_diamond():
 
 def test_every_cell_matches_voronoi_oracle_equal_radii():
     pts, mesh = _square_center_mesh()
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         oracle = voronoi_cell_2d(pts, cell.owner, mesh.domain.verts)
         assert vertex_sets_match(
             dedup_vertices(cell.verts, 1e-10), dedup_vertices(oracle, 1e-10), tol=1e-9
@@ -92,7 +101,7 @@ def test_three_point_mesh_clipped_wedges():
     nm = neighbor_map(tri)
     mesh = build_volumes2(tri, nm, pts, np.full(3, 0.3))
     q = mesh.simplex_vertices[0]
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         interior = [k for k, t in enumerate(cell.vertex_simplices) if t == 0]
         assert len(interior) == 1  # exactly one interior vertex: the radical center
         assert np.allclose(cell.verts[interior[0]], q, atol=1e-9)
@@ -106,7 +115,7 @@ def test_seeded_radical_center_cells_convex_and_own(hex50):
     sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
     mesh = build_volumes2(tri, nm, pts, sol.radii)  # raises NonConvexCell on failure
     scale = mesh.scale()
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         assert not cell.empty
         assert cell.contains(pts[cell.owner], margin=-1e-12 * scale)
 
@@ -129,7 +138,7 @@ def test_interior_candidate_vertex_in_three_cells():
     mesh = build_volumes2(tri, nm, pts, sol.radii)
     interior_pt = ~nm.on_hull
     counts = {}
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         for t in set(x for x in cell.vertex_simplices if x is not None):
             counts[t] = counts.get(t, 0) + 1
     for t, row in enumerate(tri.triangles):
@@ -144,7 +153,8 @@ def test_cube_center_cell_matches_3d_voronoi_oracle():
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     mesh = build_volumes3(tet, nm, pts, np.full(9, 0.3))
-    cell = mesh.cell(8)
+    cell = cell_records(mesh)[8]
+    volume = _cell_measures(mesh.cells, 9)[8]
     dv = mesh.domain.vertices()
     oracle = voronoi_cell_3d(pts, 8, dv.min(axis=0), dv.max(axis=0))
     cell_v = dedup_vertices(cell.all_vertices(), 1e-9)
@@ -154,7 +164,7 @@ def test_cube_center_cell_matches_3d_voronoi_oracle():
     # tips clipped off by the inflated domain box
     a, t = 0.75, 0.75 - 0.55
     expected = (4.0 / 3.0) * a**3 - 6.0 * (2.0 * t**3 / 3.0)
-    assert cell.measure() == pytest.approx(expected, rel=1e-9)
+    assert volume == pytest.approx(expected, rel=1e-9)
     # oracle volume: pyramids from the centroid to each (convex) face
     centroid = oracle_v.mean(axis=0)
     vol_oracle = sum(
@@ -162,7 +172,7 @@ def test_cube_center_cell_matches_3d_voronoi_oracle():
                 for k in range(1, len(f) - 1))) / 6.0
         for f in oracle
     )
-    assert cell.measure() == pytest.approx(vol_oracle, rel=1e-9)
+    assert volume == pytest.approx(vol_oracle, rel=1e-9)
 
 
 def test_single_tet_cells_have_one_interior_vertex():
@@ -171,7 +181,7 @@ def test_single_tet_cells_have_one_interior_vertex():
     nm = neighbor_map(tet)
     mesh = build_volumes3(tet, nm, pts, np.full(4, 0.3))
     q = mesh.simplex_vertices[0]
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         matched = [
             v for f in cell.faces for v, t in zip(f.verts, f.vertex_simplices) if t == 0
         ]
@@ -187,7 +197,7 @@ def test_equal_radii_faces_planar_3d():
     mesh = build_volumes3(tet, nm, pts, np.full(len(pts), 0.05))
     from cvmesh.clipping import _newell_normal
 
-    for cell in mesh.volumes:
+    for cell in cell_records(mesh):
         for f in cell.faces or []:
             n = _newell_normal(f.verts)
             nn = np.linalg.norm(n)
@@ -217,9 +227,7 @@ def test_perpendicularity_zero_for_radical_center(hex50):
 
 def test_perpendicularity_flags_displaced_vertex():
     pts, mesh = _square_center_mesh()
-    cell = mesh.cell(4)
-    cell.verts = cell.verts.copy()
-    cell.verts[0] += np.array([1e-3, 0.0])
+    mesh.cells.verts[_rows(mesh, 4)[0]] += np.array([1e-3, 0.0])
     report = validate_perpendicularity(mesh, tol=1e-6)
     pairs = {(i, j) for i, j, _ in report.violations}
     assert any(4 in p for p in pairs)
@@ -234,17 +242,14 @@ def test_global_checks_pass_on_voronoi_mesh():
 
 def test_global_flags_mismatched_shared_wall():
     pts, mesh = _square_center_mesh()
-    cell = mesh.cell(4)
-    cell.verts = cell.verts.copy()
-    cell.verts[0] += np.array([2e-3, 1e-3])
+    mesh.cells.verts[_rows(mesh, 4)[0]] += np.array([2e-3, 1e-3])
     report = validate_global(mesh, probes=500, seed=0)
     assert report.shared_wall_mismatches
 
 
 def test_global_flags_translated_cell_overlap():
     pts, mesh = _square_center_mesh()
-    cell = mesh.cell(4)
-    cell.verts = cell.verts + np.array([0.18, 0.0])
+    mesh.cells.verts[_rows(mesh, 4)] += np.array([0.18, 0.0])
     report = validate_global(mesh, probes=10_000, seed=0)
     assert report.overlaps
 
@@ -303,47 +308,38 @@ INSTANCES = {
 }
 
 
-def _map_vertices(cell, fn):
-    if cell.verts is not None:
-        cell.verts = fn(cell.verts)
-    else:
-        for f in cell.faces:
-            f.verts = fn(f.verts)
-
-
 def _translate(mesh, i):
-    cell = mesh.cell(i)
-    v = cell.all_vertices()
+    rows = _rows(mesh, i)
+    v = mesh.cells.verts
     shift = np.zeros(v.shape[1])
-    shift[0] = 0.5 * float(np.ptp(v[:, 0]))
-    _map_vertices(cell, lambda w: w + shift)
+    shift[0] = 0.5 * float(np.ptp(v[rows, 0]))
+    v[rows] += shift
 
 
 def _scale3(mesh, i):
-    cell = mesh.cell(i)
-    c = cell.all_vertices().mean(axis=0)
-    _map_vertices(cell, lambda w: c + 3.0 * (w - c))
+    rows = _rows(mesh, i)
+    v = mesh.cells.verts
+    c = v[rows].mean(axis=0)
+    v[rows] = c + 3.0 * (v[rows] - c)
 
 
 def _empty(mesh, i):
-    cell = mesh.cell(i)
-    if cell.verts is not None:
-        cell.verts = np.empty((0, 2))
-        cell.edge_neighbors = []
-        cell.vertex_simplices = []
+    if mesh.dim == 2:
+        mesh.cells = with_ring(mesh, i, np.empty((0, 2)), []).cells
     else:
-        cell.faces = []
+        mesh.cells = mesh.cells.take(np.flatnonzero(mesh.cells.cells != i))
 
 
 def _drop_face(mesh, i):
     """Remove the first wall whose removal lets the cell swallow the
     generator on the other side of it."""
-    cell = mesh.cell(i)
+    cell = cell_records(mesh)[i]
     tol = 1e-9 * mesh.scale()
-    faces = cell.faces
-    for k, f in enumerate(faces):
-        cell.faces = faces[:k] + faces[k + 1:]
-        if f.neighbor is not None and cell.contains(mesh.points[f.neighbor], -tol):
+    first = int(np.searchsorted(mesh.cells.cells, i))
+    for k, f in enumerate(cell.faces):
+        rest = replace(cell, faces=cell.faces[:k] + cell.faces[k + 1:])
+        if f.neighbor is not None and rest.contains(mesh.points[f.neighbor], -tol):
+            mesh.cells = mesh.cells.take(np.delete(np.arange(len(mesh.cells.starts)), first + k))
             return
     raise AssertionError(f"no wall of cell {i} guards a neighbor alone")
 
@@ -381,19 +377,18 @@ def test_validate_global_equals_brute_force(instance, corruption):
     # clean cells take the bounding-box path in 2D and 3D; a 3D cell that
     # lost a face no longer closes and tests every point
     tol = 1e-9 * mesh.scale()
+    boxed = _containment_boxes(mesh.cells, len(mesh.points), tol, tol)[0]
     if corruption is None:
-        assert all(_containment_box(c, tol, tol) is not None for c in mesh.volumes)
+        assert boxed.all()
     if corruption == "drop_face":
-        assert _containment_box(mesh.cell(i), tol, tol) is None
+        assert not boxed[i]
 
 
 def test_validate_global_without_margin_scans_every_point():
     """At tol=0 a degenerate loop accepts points on its line beyond its
     vertices, so no bounding box is sound and every cell tests every point."""
     mesh, _ = copy.deepcopy(_instance("square"))
-    cell = mesh.cell(0)
-    cell.verts = np.array([[0.0, 0.5], [0.2, 0.5], [0.1, 0.5]])
-    cell.edge_neighbors = [None, None, None]
+    mesh = with_ring(mesh, 0, [[0.0, 0.5], [0.2, 0.5], [0.1, 0.5]], [-1, -1, -1])
     report = validate_global(mesh, probes=500, tol=0.0)
     assert asdict(report) == validate_global_brute_force(mesh, probes=500, tol=0.0)
     assert (0, 4) in report.foreign_points
@@ -410,7 +405,7 @@ def _cube_center_faces():
     )
     tet = tetrahedralize3(pts)
     mesh = build_volumes3(tet, neighbor_map(tet), pts, np.full(9, 0.3))
-    return copy.deepcopy(mesh.cell(8).faces)
+    return copy.deepcopy(cell_records(mesh)[8].faces)
 
 
 def test_face_normals_equal_per_loop_newell():
@@ -435,12 +430,13 @@ def test_face_normals_equal_per_loop_newell():
 def test_match_simplex_ids_takes_first_candidate_in_order():
     q = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])  # last: a clip point
+    one = np.zeros(1, dtype=np.intp)
     for cand, want in (([2, 1, 3], [2, 3, None]), ([1, 2, 3], [1, 3, None]),
                        (np.array([3, 2, 1]), [2, 3, None]), ([], [None] * 3),
                        (np.empty(0, dtype=np.int64), [None] * 3)):
-        got = _match_simplex_ids(verts, q, cand, 1e-9)
+        ids = _match_rows(verts, one, q, np.asarray(cand, dtype=np.intp), one, 1e-9)
+        got = [None if t < 0 else t for t in ids.tolist()]
         assert got == want == match_simplex_ids(verts, q, cand, 1e-9)
-        assert all(type(t) is int for t in got if t is not None)
 
 
 def test_vertex_sets_match_uses_each_vertex_once():
@@ -449,7 +445,7 @@ def test_vertex_sets_match_uses_each_vertex_once():
     for a, b, want in (([p, q], [q, p], True), ([p, near], [near, p], True),
                        ([p, p], [p, q], False), ([p, q], [p, [1.0, 1e-3, 0.0]], False)):
         a, b = np.array(a), np.array(b)
-        assert _vertex_sets_match(a, b, 1e-9) is want
+        assert bool(_vertex_sets_match_many(a[None], b[None], 1e-9)[0]) is want
         assert vertex_sets_match(a, b, 1e-9) is want
 
 
@@ -512,7 +508,8 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
     nm, mesh = _sweep_mesh(dim, n, seed)
     q = mesh.simplex_vertices
     scale = mesh.scale()
-    for cell in mesh.volumes:
+    cells = cell_records(mesh)
+    for cell in cells:
         i = cell.owner
         if dim == 2:
             want = match_simplex_ids(cell.verts, q, nm.ring_simplices[i], 1e-9 * scale)
@@ -529,24 +526,27 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
     lo, hi = dv.min(axis=0), dv.max(axis=0)
     targets = np.vstack([lo + (hi - lo) * rng.random((10_000, 3)), mesh.points])
     tol = 1e-9 * scale
-    for cell in mesh.volumes:
-        got = cell.contains_many(targets, -tol)
+    pos, tgt = _inside_pairs(mesh, targets, tol, tol)
+    measures = _cell_measures(mesh.cells, len(mesh.points))
+    for cell in cells:
+        got = np.zeros(len(targets), dtype=bool)
+        got[tgt[pos == cell.owner]] = True
         assert np.array_equal(got, cell_contains_many3(cell, targets, -tol))
         near = [cell.owner] + [f.neighbor for f in cell.faces if f.neighbor is not None]
         for j in near:
-            assert cell.contains(mesh.points[j], -tol) == cell_contains3(cell, mesh.points[j], -tol)
-        assert cell.measure() == pytest.approx(cell_volume3(cell), rel=1e-13, abs=0.0)
+            assert got[10_000 + j] == cell_contains3(cell, mesh.points[j], -tol)
+        assert measures[cell.owner] == pytest.approx(cell_volume3(cell), rel=1e-13, abs=0.0)
     report = validate_perpendicularity(mesh)
     assert (report.checked, report.violations) == perpendicularity_loop3(mesh)
 
 
 def test_perpendicularity_3d_flags_displaced_vertex_as_loop_reference():
     mesh, i = copy.deepcopy(_instance("uni60_3d"))
-    f = next(f for f in mesh.cell(i).faces if f.neighbor is not None)
-    f.verts = f.verts.copy()
-    f.verts[0] += np.array([1e-3, 2e-3, -1e-3])
+    stack = mesh.cells
+    f = np.flatnonzero((stack.cells == i) & (stack.tags >= 0))[0]
+    stack.verts[stack.starts[f]] += np.array([1e-3, 2e-3, -1e-3])
     report = validate_perpendicularity(mesh, tol=1e-6)
-    assert (i, f.neighbor) in {(a, b) for a, b, _ in report.violations}
+    assert (i, stack.tags[f]) in {(a, b) for a, b, _ in report.violations}
     assert (report.checked, report.violations) == perpendicularity_loop3(mesh, tol=1e-6)
 
 
@@ -627,7 +627,7 @@ def test_build_volumes2_equals_cell_loop(kind, n, seed):
         assert exc.text in str(err.value)
         return
     mesh = build_volumes2(tri, nm, pts, r)
-    for cell, ref in zip(mesh.volumes, want):
+    for cell, ref in zip(cell_records(mesh), want):
         if ref is None:
             assert not cell.closed and len(cell.verts) == 0
             continue
@@ -658,7 +658,7 @@ def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
     want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
                              domain.verts, domain.tags)
     mesh = build_volumes2(tri, nm, pts, r)
-    for cell, (v, tags, ids) in zip(mesh.volumes, want):
+    for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
         assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
 
@@ -675,7 +675,7 @@ def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
     want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
                              domain.verts, domain.tags)
     mesh = build_volumes2(tri, nm, pts, r, domain=domain)
-    for cell, (v, tags, ids) in zip(mesh.volumes, want):
+    for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
         assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
     assert validate_global(mesh).ok
@@ -713,9 +713,7 @@ def test_nonconvex_2d_default_mode_sweep_reports_owner():
 
 def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
     mesh, i = copy.deepcopy(_instance("uni400"))
-    cell = mesh.cell(i)
-    cell.verts = cell.verts.copy()
-    cell.verts[0] += np.array([1e-3, -2e-3])
+    mesh.cells.verts[_rows(mesh, i)[0]] += np.array([1e-3, -2e-3])
     report = validate_perpendicularity(mesh, tol=1e-6)
     assert i in {a for a, _, _ in report.violations}
     assert (report.checked, report.violations) == perpendicularity_loop2(mesh, tol=1e-6)
@@ -839,19 +837,17 @@ def test_3d_stack_checks_report_first_failing_cell():
 
 
 def test_total_measure_keeps_each_cell_measure():
-    """The one-pass total equals the sum of ControlVolume.measure in cell
-    order bit for bit, in 2D (rings of eight and more vertices sum pairwise)
-    and 3D."""
+    """The one-pass total equals the sum of the one-cell measures of the
+    reference cell records in cell order bit for bit, in 2D (rings of eight
+    and more vertices sum pairwise) and 3D."""
     for name in ("uni400", "uni60_3d", "hex50"):
         mesh, _ = _instance(name)
-        assert mesh.total_measure() == float(sum(c.measure() for c in mesh.volumes))
+        assert mesh.total_measure() == float(sum(c.measure() for c in cell_records(mesh)))
     pts = hexagon_patch(2, 0, jitter=0.0)
     mesh = build_volumes2(triangulate2(pts), neighbor_map(triangulate2(pts)), pts,
                           np.full(len(pts), 0.3))
-    cell = mesh.cell(0)
-    k = len(cell.verts)
+    k = int(mesh.cells.lengths()[0])
     ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
-    cell.verts = np.column_stack([np.cos(ang), np.sin(ang)]) * 1e-3 + 0.1
-    cell.edge_neighbors = [None] * 12
+    mesh = with_ring(mesh, 0, np.column_stack([np.cos(ang), np.sin(ang)]) * 1e-3 + 0.1, [-1] * 12)
     assert k != 12
-    assert mesh.total_measure() == float(sum(c.measure() for c in mesh.volumes))
+    assert mesh.total_measure() == float(sum(c.measure() for c in cell_records(mesh)))
