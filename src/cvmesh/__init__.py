@@ -26,8 +26,7 @@ from .mesh import (
 )
 from .optimize import (
     OptimizeResult,
-    RosenbrockParams,
-    SoftSelectionParams,
+    OptimizerParams,
     rosenbrock_minimize,
     soft_selection_minimize,
 )

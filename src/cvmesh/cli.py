@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
     nm = neighbor_map(tri)
     result = solve_radii(
         tri, nm, mode=VolumeMode(config.mode), seed=config.seed,
-        params=config.optimizer.soft_selection_params(), equal_radii=config.equal_radii,
+        params=config.optimizer, equal_radii=config.equal_radii,
         bounds_policy=config.bounds_policy,
     )
     write_json(radii_doc(result, tri.dim), args.out)

@@ -1,6 +1,8 @@
 """Delaunay triangulation (2D) and tetrahedralization (3D) by one incremental
 Bowyer-Watson kernel with a ghost vertex at infinity and exact predicates,
-and the per-point neighbor indexing (rings in 2D, incident-tetra stars in 3D).
+and the neighbourhood of every point (its CCW ring in 2D, its star of
+incident tetrahedra in 3D) as one flat row table, `NeighborMap`, built from
+the simplices in whole-array passes.
 
 Construction is single-threaded; finished triangulations and neighbor maps are
 immutable and safe to share across threads.
@@ -13,6 +15,7 @@ from math import factorial
 
 import numpy as np
 
+from .clipping import _lengths, _successors
 from .errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
 from .geometry import EPS_AREA, EPS_VOL, as_point_array
 
@@ -81,33 +84,45 @@ class Triangulation3:
 
 @dataclass(frozen=True)
 class NeighborMap:
-    """Per-point neighborhood indexing over a triangulation.
+    """The Delaunay neighbourhood of every point as one row table.
 
-    2D: rings[i] lists the neighbors of i in CCW order; closed[i] says whether
-    the ring wraps (interior point) or is an open fan (hull point), and
-    ring_simplices[i][k] is the triangle (i, ring[k], ring[k+1]).
-    3D: stars[i] is a (K, 3) array of incident-tetra vertex triples, each
-    ordered so (i, t0, t1, t2) is positively oriented; star_simplices[i][k]
-    is the tetrahedron id of row k.
+    Point i owns rows starts[i] up to starts[i + 1]; owner[k] is the point of
+    row k. In 2D nbr[k] is a ring neighbour, the rows of a point listing its
+    neighbours in CCW order: a closed ring (interior point) from its least
+    neighbour, an open fan (hull point) from its head. simplex[k] is the
+    triangle (i, nbr[k], nbr[k + 1]), wrapping on a closed ring, or -1 on the
+    last row of an open fan. In 3D row k is one incident tetrahedron
+    simplex[k], and nbr[k] its other three corners, least id first and
+    ordered so (i, *nbr[k]) is positively oriented; a point's rows are
+    sorted by that triple. on_hull marks the hull points (in 2D, the points
+    without a closed ring).
     """
 
     dim: int
-    on_hull: np.ndarray
-    rings: list[np.ndarray] | None = None
-    closed: np.ndarray | None = None
-    ring_simplices: list[np.ndarray] | None = None
-    stars: list[np.ndarray] | None = None
-    star_simplices: list[np.ndarray] | None = None
+    on_hull: np.ndarray    # (N,) bool
+    starts: np.ndarray     # (N,) first row of each point
+    owner: np.ndarray      # (R,) point of each row
+    nbr: np.ndarray        # (R,) ring neighbour (2D) or (R, 3) star triple (3D)
+    simplex: np.ndarray    # (R,) triangle or tetrahedron of each row, -1 for none
 
     @property
     def n_points(self) -> int:
-        return len(self.rings) if self.dim == 2 else len(self.stars)
+        return len(self.starts)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """All Delaunay neighbors of i (sorted unique ids in 3D, ring order in 2D)."""
+    def lengths(self) -> np.ndarray:
+        """Rows per point, (N,)."""
+        return _lengths(self.starts, len(self.owner))
+
+    def succ(self) -> np.ndarray:
+        """Per row, the next row of its point, the last row wrapping to the first."""
+        return _successors(self.starts[self.lengths() > 0], len(self.owner))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(point, neighbour) ids in row order: one pair per row in 2D, one
+        per triple entry in 3D. Each neighbour pair appears both ways."""
         if self.dim == 2:
-            return self.rings[i]
-        return np.unique(self.stars[i])
+            return self.owner, self.nbr
+        return np.repeat(self.owner, 3), self.nbr.ravel()
 
 
 def _duplicate_pairs(pts: np.ndarray, eps: float) -> list[tuple[int, int]]:
@@ -510,99 +525,80 @@ def tetrahedralize3(points) -> Triangulation3:
                           hull_slivers_dropped=dropped)
 
 def neighbor_map(tri: Triangulation2 | Triangulation3) -> NeighborMap:
-    """Build the neighbor indexing (rings or stars) from a triangulation."""
+    """The neighbourhood row table (rings or stars) of a triangulation."""
     if isinstance(tri, Triangulation2):
-        return _neighbor_map2(tri)
+        return _ring_table(len(tri.points), np.asarray(tri.triangles, dtype=np.int64))
     if isinstance(tri, Triangulation3):
-        return _neighbor_map3(tri)
+        return _star_table(len(tri.points), np.asarray(tri.tetrahedra, dtype=np.int64),
+                           np.asarray(tri.adjacency))
     raise TypeError(f"expected Triangulation2 or Triangulation3, got {type(tri)!r}")
 
 
-def _neighbor_map2(tri: Triangulation2) -> NeighborMap:
-    n = len(tri.points)
-    # succ[i][u] = (v, t) when triangle t = (i, u, v) sweeps CCW around i.
-    succ: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n)]
-    for t, (a, b, c) in enumerate(tri.triangles):
-        succ[a][b] = (c, t)
-        succ[b][c] = (a, t)
-        succ[c][a] = (b, t)
+def _ring_table(n: int, triangles: np.ndarray) -> NeighborMap:
+    """Rings from the corners (i, u, v, t) of the triangles t = (i, u, v),
+    each sweeping CCW around i from u to v. A corner continues at the corner
+    of i whose u is its v. Each point's walk starts at its head of least u
+    (a corner nothing continues at: open fan) or, without heads, at its
+    corner of least u (closed ring), and takes one row per corner until it
+    closes or stops; one that stops adds a row for its last v, with no
+    triangle. Every point's walk takes one step per pass."""
+    i = triangles.ravel()
+    u = triangles[:, [1, 2, 0]].ravel()
+    v = triangles[:, [2, 0, 1]].ravel()
+    t = np.repeat(np.arange(len(triangles)), 3)
+    key = i * n + u
+    order = np.argsort(key)
+    key, i, u, v, t = key[order], i[order], u[order], v[order], t[order]
+    at = np.minimum(np.searchsorted(key, i * n + v), len(key) - 1)
+    nxt = np.where(key[at] == i * n + v, at, -1)
 
-    rings: list[np.ndarray] = []
-    ring_simplices: list[np.ndarray] = []
-    closed = np.zeros(n, dtype=bool)
-    for i in range(n):
-        s = succ[i]
-        if not s:
-            rings.append(np.empty(0, dtype=np.int64))
-            ring_simplices.append(np.empty(0, dtype=np.int64))
-            continue
-        heads = set(s.keys()) - {v for v, _ in s.values()}
-        if heads:
-            start = min(heads)  # hull point: open fan
-        else:
-            start = min(s.keys())  # interior point: cycle, normalized start
-            closed[i] = True
-        chain = [start]
-        tris = []
-        u = start
-        while u in s:
-            v, t = s[u]
-            tris.append(t)
-            if v == start:
-                break
-            chain.append(v)
-            u = v
-        rings.append(np.asarray(chain, dtype=np.int64))
-        ring_simplices.append(np.asarray(tris, dtype=np.int64))
+    head = np.ones(len(key), dtype=bool)
+    head[nxt[nxt >= 0]] = False
+    count = np.bincount(i, minlength=n)
+    start = np.searchsorted(i, np.arange(n))
+    fans, first = np.unique(i[head], return_index=True)
+    start[fans] = np.flatnonzero(head)[first]
+    closed = count > 0
+    closed[fans] = False
 
-    return NeighborMap(
-        dim=2,
-        on_hull=~closed,
-        rings=rings,
-        closed=closed,
-        ring_simplices=ring_simplices,
-    )
+    pos = np.full(len(key), -1)    # each corner's step on its point's walk
+    p = np.flatnonzero(count > 0)
+    c = start[p]
+    for step in range(int(count.max(initial=0))):
+        pos[c] = step
+        c = nxt[c]
+        go = (c >= 0) & (c != start[p])
+        p, c = p[go], c[go]
+    walked = pos >= 0
+    stop = walked & (nxt < 0)
+    lens = np.bincount(i[walked], minlength=n) + np.bincount(i[stop], minlength=n)
+    starts = np.cumsum(lens) - lens
+    nbr = np.empty(int(lens.sum()), dtype=np.int64)
+    simplex = np.full(len(nbr), -1)
+    nbr[starts[i[walked]] + pos[walked]] = u[walked]
+    simplex[starts[i[walked]] + pos[walked]] = t[walked]
+    nbr[starts[i[stop]] + pos[stop] + 1] = v[stop]
+    return NeighborMap(dim=2, on_hull=~closed, starts=starts, owner=np.repeat(np.arange(n), lens),
+                       nbr=nbr, simplex=simplex)
 
 
 # Remaining-corner orderings keeping (corner, t0, t1, t2) positively oriented.
-_STAR_ORDER = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)}
+_STAR_ORDER = np.array([(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])
 
 
-def _neighbor_map3(tri: Triangulation3) -> NeighborMap:
-    n = len(tri.points)
-    stars: list[list[tuple]] = [[] for _ in range(n)]
-    star_ids: list[list[int]] = [[] for _ in range(n)]
-    for t, row in enumerate(tri.tetrahedra):
-        for m in range(4):
-            i = row[m]
-            triple = tuple(row[k] for k in _STAR_ORDER[m])
-            # Rotate so the smallest id leads; rotation preserves orientation.
-            j = triple.index(min(triple))
-            triple = triple[j:] + triple[:j]
-            stars[i].append(triple)
-            star_ids[i].append(t)
-
+def _star_table(n: int, tets: np.ndarray, adjacency: np.ndarray) -> NeighborMap:
+    """Stars: one row per corner of every tetrahedron, its other corners
+    rotated so the least id leads (a rotation keeps the orientation), the
+    rows of each point sorted by triple (ties in tetrahedron order). The
+    corners of every hull facet (adjacency -1) are hull points."""
+    owner = tets.ravel()
+    triple = tets[:, _STAR_ORDER].reshape(-1, 3)
+    lead = np.argmin(triple, axis=1)
+    triple = np.take_along_axis(triple, (lead[:, None] + np.arange(3)) % 3, axis=1)
+    rows = np.lexsort((triple[:, 2], triple[:, 1], triple[:, 0], owner))
     on_hull = np.zeros(n, dtype=bool)
-    for t, row in enumerate(tri.tetrahedra):
-        for k in range(4):
-            if tri.adjacency[t, k] == -1:
-                for v in np.delete(row, k):
-                    on_hull[v] = True
-
-    star_arrays: list[np.ndarray] = []
-    star_simplices: list[np.ndarray] = []
-    for i in range(n):
-        if stars[i]:
-            order = sorted(range(len(stars[i])), key=lambda k: stars[i][k])
-            star_arrays.append(np.asarray([stars[i][k] for k in order], dtype=np.int64))
-            star_simplices.append(np.asarray([star_ids[i][k] for k in order], dtype=np.int64))
-        else:
-            star_arrays.append(np.empty((0, 3), dtype=np.int64))
-            star_simplices.append(np.empty(0, dtype=np.int64))
-
-    return NeighborMap(
-        dim=3,
-        on_hull=on_hull,
-        stars=star_arrays,
-        star_simplices=star_simplices,
-    )
+    t, k = np.nonzero(adjacency == -1)
+    on_hull[tets[t][np.arange(4) != k[:, None]]] = True
+    return NeighborMap(dim=3, on_hull=on_hull, starts=np.searchsorted(owner[rows], np.arange(n)),
+                       owner=owner[rows], nbr=triple[rows],
+                       simplex=np.repeat(np.arange(len(tets)), 4)[rows])

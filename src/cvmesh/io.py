@@ -22,7 +22,7 @@ import numpy as np
 from .clipping import PolyStack, RingStack, TaggedFace, TaggedPolygon, TaggedPolyhedron
 from .errors import IoFailure, RejectionBudgetExceeded, UnsupportedFormat
 from .mesh import ControlVolumeMesh
-from .optimize import RosenbrockParams, SoftSelectionParams
+from .optimize import OptimizerParams
 
 SCHEMA = "cvmesh/1"
 SCHEMA_MAJOR = 1
@@ -123,32 +123,6 @@ def check_schema(doc: dict):
 
 
 @dataclass
-class OptimizerConfig:
-    mu: int = 20
-    lam: int = 140
-    generations: int = 200
-    sigma0: float = 0.1
-    sigma_decay: float = 0.99
-    expansion: float = 3.0
-    contraction: float = -0.5
-    initial_step: float = 0.1
-    tol_step: float = 1e-10
-    tol_f: float = 1e-14
-    max_evals: int = 0
-
-    def soft_selection_params(self) -> SoftSelectionParams:
-        return SoftSelectionParams(
-            mu=self.mu, lam=self.lam, generations=self.generations,
-            sigma0=self.sigma0, sigma_decay=self.sigma_decay,
-            polish=RosenbrockParams(
-                expansion=self.expansion, contraction=self.contraction,
-                initial_step=self.initial_step, tol_step=self.tol_step,
-                tol_f=self.tol_f, max_evals=self.max_evals,
-            ),
-        )
-
-
-@dataclass
 class RunConfig:
     dimension: int = 2
     n: int = 50
@@ -165,7 +139,7 @@ class RunConfig:
     allow_invalid: bool = False
     out_dir: str = "out"
     formats: tuple = ("json", "vtk", "svg")
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    optimizer: OptimizerParams = field(default_factory=OptimizerParams)
 
     def __post_init__(self):
         if self.dimension not in (2, 3):
@@ -188,7 +162,7 @@ class RunConfig:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if isinstance(self.optimizer, dict):
-            self.optimizer = OptimizerConfig(**self.optimizer)
+            self.optimizer = OptimizerParams(**self.optimizer)
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         d = self.dimension
@@ -556,9 +530,10 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
     """The mesh of a parsed mesh.json, its cell stack built straight from the
     "cells" list. Cell k must be point k's (one cell per point, owner k),
     closed exactly when it has rows (2D) or faces (3D), with one neighbor
-    (2D) and one simplex id per loop index; a document that breaks these
+    (2D) and one simplex id per loop index, and every loop (a closed ring,
+    or a face) of three vertices or more; a document that breaks these
     rules, or whose loops index outside "vertices", raises IoFailure naming
-    the cell."""
+    the cell (and the face)."""
     check_schema(doc)
     if doc.get("kind") != "mesh":
         raise IoFailure(f"expected a mesh document, got kind={doc.get('kind')!r}")
@@ -581,6 +556,8 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
         for m, w in enumerate(walls):
             where = f"cell {k}" if dim == 2 else f"cell {k}, face {m}"
             loop = _gather(verts, w["loop"], where)
+            if len(loop) < 3 and (dim == 3 or len(loop)):
+                raise IoFailure(f"{where}: a loop of {len(loop)} vertices, under three")
             nb = w["edge_neighbors"] if dim == 2 else [w["neighbor"]]
             if len(w["vertex_simplices"]) != len(loop) or (dim == 2 and len(nb) != len(loop)):
                 raise IoFailure(f"{where}: loop, neighbors and vertex_simplices differ in length")

@@ -143,30 +143,25 @@ def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _initial_rings(nm: NeighborMap, q: np.ndarray, domain: TaggedPolygon) -> RingStack:
     """One ring per point, in point order. An interior point's ring lists
-    the candidate vertices of its incident triangles in ring order, the edge
-    after vertex k tagged with ring neighbor k + 1, reversed where its
+    the candidate vertices of its rows' triangles in ring order, the edge
+    after vertex k tagged with the next row's neighbor, reversed where its
     signed area is negative (the tags rotate with it: edge m of the reversed
     ring is edge k - 2 - m of the original). A hull point's ring is the
     domain polygon."""
-    closed = np.asarray(nm.closed, dtype=bool)
     box = RingStack.of([domain])
-    tids = [nm.ring_simplices[i] if c else np.arange(len(box.verts))
-            for i, c in enumerate(closed.tolist())]
-    rings = [nm.rings[i] if c else box.tags for i, c in enumerate(closed.tolist())]
-    lens = np.array([len(t) for t in tids], dtype=np.intp)
-    sizes = np.array([len(r) for r in rings], dtype=np.intp)
+    inner = ~nm.on_hull
+    lens = np.where(inner, nm.lengths(), len(box.verts))
     starts = np.cumsum(lens) - lens
     local = np.arange(int(lens.sum())) - np.repeat(starts, lens)
-    inner = np.repeat(closed, lens)
-    tid = np.concatenate(tids).astype(np.intp)
-    verts = np.empty((len(tid), 2))
-    verts[inner] = q[tid[inner]]
-    verts[~inner] = box.verts[tid[~inner]]
-    flat = np.concatenate(rings).astype(np.int64)
-    after = (local + inner) % np.repeat(sizes, lens)     # interior: the next neighbor
-    tags = flat[np.repeat(np.cumsum(sizes) - sizes, lens) + after]
+    inside = np.repeat(inner, lens)
+    row = (np.repeat(nm.starts, lens) + local)[inside]
+    outer = local[~inside]
+    verts = np.empty((len(local), 2))
+    tags = np.empty(len(local), dtype=np.int64)
+    verts[inside], tags[inside] = q[nm.simplex[row]], nm.nbr[nm.succ()[row]]
+    verts[~inside], tags[~inside] = box.verts[outer], box.tags[outer]
 
-    flip = np.repeat(closed & (_ring_areas(verts, starts) < 0.0), lens)
+    flip = np.repeat(inner & (_ring_areas(verts, starts) < 0.0), lens)
     k = np.repeat(lens, lens)
     first = np.repeat(starts, lens)
     rows = np.where(flip, first + k - 1 - local, first + local)
@@ -245,11 +240,20 @@ def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: 
     return out
 
 
-def _candidates(lists) -> tuple[np.ndarray, np.ndarray]:
-    """The per-cell simplex id arrays as one flat array and per-cell starts."""
-    sizes = np.array([len(t) for t in lists], dtype=np.intp)
-    flat = np.concatenate(lists).astype(np.intp) if len(lists) else np.empty(0, dtype=np.intp)
-    return flat, np.cumsum(sizes) - sizes
+def _candidates(nm: NeighborMap) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's simplices in row order (rows without one left out) as
+    one flat array, and per-point starts."""
+    has = nm.simplex >= 0
+    return nm.simplex[has], np.searchsorted(nm.owner[has], np.arange(nm.n_points))
+
+
+def _neighbor_table(owner: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of n, its count of (owner, nbr) pairs (sorted by owner) and
+    an (n, largest count) table of its neighbors in pair order, zero-padded."""
+    counts = np.bincount(owner, minlength=n)
+    table = np.zeros((n, counts.max(initial=0)), dtype=np.int64)
+    table[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = nbr
+    return counts, table
 
 
 def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
@@ -277,11 +281,8 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     # neighbor at step k, then interior cells by each domain line that a
     # vertex lies beyond: every ring that takes a cut in one pass per step.
     stack = _initial_rings(nm, q, domain)
-    closed = np.asarray(nm.closed, dtype=bool)
-    counts = np.where(closed, 0, [len(ring) for ring in nm.rings])
-    table = np.zeros((len(pts), counts.max(initial=0)), dtype=np.int64)
-    for i in np.flatnonzero(~closed).tolist():
-        table[i, :counts[i]] = nm.rings[i]
+    hull = nm.on_hull[nm.owner]
+    counts, table = _neighbor_table(nm.owner[hull], nm.nbr[hull], len(pts))
     for k in range(table.shape[1]):
         pj, rj = pts[table[:, k]], r[table[:, k]]
         normal = 2.0 * (pj - pts)
@@ -289,12 +290,12 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
         d = ring_distances(stack, normal, offset, counts > k)
         stack = clip_rings(stack, d, table[:, k], eps)
     for n, c in domain_planes:
-        d = ring_distances(stack, np.tile(n, (len(pts), 1)), np.full(len(pts), c), closed)
+        d = ring_distances(stack, np.tile(n, (len(pts), 1)), np.full(len(pts), c), ~nm.on_hull)
         if np.any(d > eps):
             stack = clip_rings(stack, d, [None] * len(pts), eps)
 
     _check_convex2(stack)
-    cand, cand_starts = _candidates(nm.ring_simplices)
+    cand, cand_starts = _candidates(nm)
     stack = replace(stack, simplices=_match_rows(stack.verts, stack.starts, q, cand,
                                                  cand_starts, match_eps))
     _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
@@ -423,17 +424,14 @@ def _check_cells3(stack: PolyStack, normals: np.ndarray, scale: float):
 
 
 def _hull_cells(cells: np.ndarray, pts, r, domain: TaggedPolyhedron, eps: float,
-                neighbors: list) -> PolyStack:
+                counts: np.ndarray, table: np.ndarray) -> PolyStack:
     """Hull-point cells: each starts as the domain box and is clipped by the
-    power bisector toward its k-th neighbor at step k, every cell that has a
-    k-th neighbor in one `clip_stack` pass per step."""
+    power bisector toward its k-th neighbor (table[i, k], k < counts[i]) at
+    step k, every cell that has a k-th neighbor in one `clip_stack` pass per
+    step."""
     # most neighbors first, so the cells clipped at step k lead the stack
-    order = np.argsort([-len(nb) for nb in neighbors], kind="stable")
-    cells = cells[order]
-    counts = np.array([len(neighbors[c]) for c in order], dtype=np.intp)
-    table = np.zeros((len(cells), counts.max(initial=0)), dtype=np.int64)
-    for row, c in enumerate(order.tolist()):
-        table[row, :counts[row]] = neighbors[c]
+    cells = cells[np.argsort(-counts[cells], kind="stable")]
+    counts, table = counts[cells], table[cells]
     stack = PolyStack.of([domain] * len(cells))
     for k in range(table.shape[1]):
         live = int(np.count_nonzero(counts > k))
@@ -459,13 +457,12 @@ def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
     left out. All walls of all cells in one pass."""
     if not len(cells):
         return PolyStack.empty()
-    star = np.concatenate([nm.stars[i] for i in cells])
-    tets = np.concatenate([nm.star_simplices[i] for i in cells])
-    sizes = [len(nm.stars[i]) for i in cells]
+    rows = np.flatnonzero(np.isin(nm.owner, cells))
     # one row per (owner, neighbor, tetrahedron), by owner, neighbor, star order
-    owner = np.repeat(np.repeat(cells, sizes), 3)
-    other = star.ravel()
-    row = np.repeat(np.arange(len(star)), 3)
+    owner = np.repeat(nm.owner[rows], 3)
+    other = nm.nbr[rows].ravel()
+    tets = nm.simplex[rows]
+    row = np.repeat(np.arange(len(rows)), 3)
     order = np.lexsort((row, other, owner))
     owner, other, tet = owner[order], other[order], tets[row[order]]
     new = np.ones(len(owner), dtype=bool)
@@ -526,13 +523,17 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
 
     hull = np.flatnonzero(nm.on_hull)
     interior = np.flatnonzero(~nm.on_hull)
+    i, j = nm.pairs()
+    owner, nbr = np.divmod(np.unique(i * len(pts) + j), len(pts))   # each point's neighbors, sorted
+    hull_pairs = nm.on_hull[owner]
     stack = concat_stacks([
-        _hull_cells(hull, pts, r, domain, eps, [np.unique(nm.stars[i]) for i in hull]),
+        _hull_cells(hull, pts, r, domain, eps,
+                    *_neighbor_table(owner[hull_pairs], nbr[hull_pairs], len(pts))),
         _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), domain_planes, eps),
     ])
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
     _check_cells3(stack, normals, scale)
-    cand, cand_starts = _candidates(nm.star_simplices)
+    cand, cand_starts = _candidates(nm)
     row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
     stack = replace(stack, simplices=_match_rows(stack.verts, row_starts, q, cand, cand_starts,
                                                  match_eps))

@@ -4,13 +4,12 @@ and a (mu, lambda) evolutionary global stage with fitness-proportional
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RosenbrockParams",
-    "SoftSelectionParams",
+    "OptimizerParams",
     "OptimizeResult",
     "rosenbrock_minimize",
     "soft_selection_minimize",
@@ -18,23 +17,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RosenbrockParams:
+class OptimizerParams:
+    """The evolution strategy of `soft_selection_minimize` (mu to
+    sigma_decay) and the `rosenbrock_minimize` polish (expansion to
+    max_evals); a run's config holds one under "optimizer"."""
+
+    mu: int = 20
+    lam: int = 140
+    generations: int = 200
+    sigma0: float = 0.1            # initial mutation scale, fraction of box width
+    sigma_decay: float = 0.99
     expansion: float = 3.0
     contraction: float = -0.5
     initial_step: float = 0.1      # fraction of the box width per coordinate
     tol_step: float = 1e-10
     tol_f: float = 1e-14
     max_evals: int = 0             # 0 -> 10^5 * dimension
-
-
-@dataclass(frozen=True)
-class SoftSelectionParams:
-    mu: int = 20
-    lam: int = 140
-    generations: int = 200
-    sigma0: float = 0.1            # initial mutation scale, fraction of box width
-    sigma_decay: float = 0.99
-    polish: RosenbrockParams = field(default_factory=RosenbrockParams)
 
 
 @dataclass
@@ -59,7 +57,7 @@ def _as_bounds(bounds, n: int | None = None):
     return lo, hi
 
 
-def rosenbrock_minimize(f, x0, bounds, params: RosenbrockParams | None = None) -> OptimizeResult:
+def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) -> OptimizeResult:
     """Rosenbrock's rotating-direction minimization of f inside a box.
 
     Trial points outside the box are rejected and count as failed steps, so
@@ -68,7 +66,7 @@ def rosenbrock_minimize(f, x0, bounds, params: RosenbrockParams | None = None) -
     across one rotation stage falls below tol_f, or at max_evals (returning
     best-so-far flagged as non-converged).
     """
-    p = params or RosenbrockParams()
+    p = params or OptimizerParams()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     lo, hi = _as_bounds(bounds, n)
@@ -155,7 +153,7 @@ def soft_selection_minimize(
     f,
     bounds,
     seed: int = 0,
-    params: SoftSelectionParams | None = None,
+    params: OptimizerParams | None = None,
     x0=None,
 ) -> OptimizeResult:
     """Global minimization by a (mu, lambda) evolution strategy with soft selection.
@@ -172,7 +170,7 @@ def soft_selection_minimize(
     return lam values (ValueError otherwise), and the polish calls f on single
     (n,) points. trace holds the best value after each generation.
     """
-    p = params or SoftSelectionParams()
+    p = params or OptimizerParams()
     rng = np.random.default_rng(seed)
     lo, hi = _as_bounds(bounds)
     n = lo.size
@@ -217,7 +215,7 @@ def soft_selection_minimize(
         np.clip(pop, lo + margin, hi - margin, out=pop)
         sigma *= p.sigma_decay
 
-    polish = rosenbrock_minimize(f, best_x, (lo, hi), p.polish)
+    polish = rosenbrock_minimize(f, best_x, (lo, hi), p)
     if polish.fun <= best_f:
         best_x, best_f = polish.x, polish.fun
     return OptimizeResult(

@@ -32,7 +32,7 @@ from .mesh import (
     validate_global,
     validate_perpendicularity,
 )
-from .solver import VolumeMode, classify_overlap, solve_radii
+from .solver import VolumeMode, classify_overlap, simplex_systems, solve_radii
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     mode = VolumeMode(config.mode)
     solve = stage("solve", lambda: solve_radii(
         tri, nm, pts, mode=mode, seed=config.seed,
-        params=config.optimizer.soft_selection_params(),
+        params=config.optimizer,
         equal_radii=config.equal_radii,
         bounds_policy=config.bounds_policy,
     ))
@@ -176,7 +176,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "clamped_points": len(solve.clamped_points),
         "domain_clipped_cells": _domain_clipped_cells(mesh),
         "hull_slivers_dropped": tri.hull_slivers_dropped,
-        "max_simplex_residual": _max_simplex_residual(mesh, solve),
+        "max_simplex_residual": _max_simplex_residual(tri, solve),
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,
         "global_ok": glob.ok,
@@ -198,16 +198,8 @@ def _domain_clipped_cells(mesh) -> int:
     return len(np.unique(owner[stack.tags < 0]))
 
 
-def _max_simplex_residual(mesh, solve) -> float:
-    from .solver import simplex_systems
-
-    if mesh.simplices is None:
-        return 0.0
-    if mesh.dim == 2:
-        from .delaunay import Triangulation2
-        tri = Triangulation2(points=mesh.points, triangles=mesh.simplices)
-    else:
-        from .delaunay import Triangulation3
-        tri = Triangulation3(points=mesh.points, tetrahedra=mesh.simplices)
+def _max_simplex_residual(tri, solve) -> float:
+    """Largest power mismatch |residual| over the simplices of the run's
+    triangulation at the solved radii."""
     powers = simplex_systems(tri).powers(solve.radii.r)
     return float(np.max(np.abs(powers))) if len(powers) else 0.0

@@ -13,7 +13,7 @@ from .clipping import _rowdot
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import EmptyInterval
 from .geometry import neighbor_heights, tetra_heights
-from .optimize import SoftSelectionParams, soft_selection_minimize
+from .optimize import OptimizerParams, soft_selection_minimize
 
 __all__ = [
     "VolumeMode",
@@ -81,68 +81,45 @@ class SolveResult:
     trace: list[float] = field(default_factory=list)   # best objective per ES generation
 
 
-def _upper_rows(nm: NeighborMap, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(point, height) for every incident simplex of every point: in 2D the
-    triangle (i, ring[k], ring[k+1]) of each ring pair, in 3D each star row."""
-    if nm.dim == 2:
-        pairs = np.array([len(s) for s in nm.ring_simplices], dtype=np.int64)
-        sizes = np.array([len(r) for r in nm.rings], dtype=np.int64)
-        owner = np.repeat(np.arange(len(pairs)), pairs)
-        ring = np.concatenate(nm.rings)
-        # Row k of point i pairs ring[k] with ring[(k + 1) % len(ring)].
-        start = np.repeat(np.cumsum(sizes) - sizes, pairs)
-        k = np.arange(len(owner)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        u = ring[start + k]
-        v = ring[start + (k + 1) % sizes[owner]]
-        return owner, neighbor_heights(pts[owner], pts[u], pts[v])[0]
-    owner = np.repeat(np.arange(len(nm.stars)), [len(s) for s in nm.stars])
-    t = np.concatenate(nm.stars)
-    return owner, tetra_heights(pts[owner], pts[t[:, 0]], pts[t[:, 1]], pts[t[:, 2]])[0]
+def _lower_bounds(nm: NeighborMap, pts: np.ndarray,
+                  r_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lo and blocking neighbour (-1 for none) of every point.
 
-
-def _lower_rows(nm: NeighborMap, pts: np.ndarray,
-                points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(point, neighbour, reach) rows of the lower-bound rule for `points`, in
-    ring order (2D) or star-row order (3D). Reach is the neighbour distance in
-    2D and the wall-triangle height towards the neighbour in 3D."""
-    if nm.dim == 2:
-        rows = [nm.rings[i] for i in points]
-        owner = np.repeat(points, [len(r) for r in rows])
-        nbr = np.concatenate(rows)
-        d = pts[owner] - pts[nbr]
-        return owner, nbr, np.sqrt(np.einsum("ij,ij->i", d, d))
-    stars = [nm.stars[i] for i in points]
-    owner = np.repeat(points, [3 * len(s) for s in stars])
-    t = np.concatenate(stars)
-    # Row (i, triple) gives walls (triple[l], triple[l + 1]) for l = 0, 1, 2.
-    nbr = t.reshape(-1)
-    nxt = t[:, [1, 2, 0]].reshape(-1)
-    return owner, nbr, neighbor_heights(pts[owner], pts[nbr], pts[nxt])[0]
-
-
-def _lower_bounds(nm: NeighborMap, pts: np.ndarray, r_max: np.ndarray,
-                  points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lo and blocking neighbour (-1 for none) of each of `points`.
-
-    lo is the largest reach minus that neighbour's max radius, floored at zero;
-    the blocking neighbour is the first row in visiting order that attains it.
+    Each (point, neighbour) pair of the table, in row order, has a reach:
+    the neighbour distance in 2D, the wall-triangle height towards the
+    neighbour in 3D (row (i, triple) gives walls (triple[l], triple[l + 1])
+    for l = 0, 1, 2). lo is the largest reach minus that neighbour's max
+    radius, floored at zero; the blocking neighbour is the first row in
+    visiting order that attains it.
     """
-    owner, nbr, reach = _lower_rows(nm, pts, points)
-    slot = np.searchsorted(points, owner)
+    owner, nbr = nm.pairs()
+    if nm.dim == 2:
+        d = pts[owner] - pts[nbr]
+        reach = np.sqrt(np.einsum("ij,ij->i", d, d))
+    else:
+        reach = neighbor_heights(pts[owner], pts[nbr], pts[nm.nbr[:, [1, 2, 0]].reshape(-1)])[0]
     value = reach - r_max[nbr]
-    lo = np.zeros(len(points))
-    np.maximum.at(lo, slot, value)
-    blocking = np.full(len(points), -1, dtype=np.int64)
-    hit = np.nonzero((value > 0.0) & (value == lo[slot]))[0]
-    first_slot, first = np.unique(slot[hit], return_index=True)
-    blocking[first_slot] = nbr[hit[first]]
+    lo = np.zeros(len(pts))
+    np.maximum.at(lo, owner, value)
+    blocking = np.full(len(pts), -1, dtype=np.int64)
+    hit = np.nonzero((value > 0.0) & (value == lo[owner]))[0]
+    first_owner, first = np.unique(owner[hit], return_index=True)
+    blocking[first_owner] = nbr[hit[first]]
     return lo, blocking
 
 
 def max_radii(nm: NeighborMap, pts: np.ndarray) -> np.ndarray:
-    """Largest admissible radius per point: the minimum incident height."""
+    """Largest admissible radius per point: the minimum height of its
+    incident simplices, in 2D the triangle (i, nbr[k], nbr[k + 1]) of each
+    row with a triangle, in 3D each star row."""
+    if nm.dim == 2:
+        rows = np.flatnonzero(nm.simplex >= 0)
+        owner, u, v = nm.owner[rows], nm.nbr[rows], nm.nbr[nm.succ()[rows]]
+        heights = neighbor_heights(pts[owner], pts[u], pts[v])[0]
+    else:
+        owner, t = nm.owner, nm.nbr
+        heights = tetra_heights(pts[owner], pts[t[:, 0]], pts[t[:, 1]], pts[t[:, 2]])[0]
     out = np.full(len(pts), np.inf)
-    owner, heights = _upper_rows(nm, pts)
     np.minimum.at(out, owner, heights)
     return out
 
@@ -160,8 +137,7 @@ def bounds_arrays(nm: NeighborMap, pts: np.ndarray,
     point index. Returns (lo, hi, clamped_points).
     """
     r_max = max_radii(nm, pts)
-    n = len(pts)
-    lo, blocking = _lower_bounds(nm, pts, r_max, np.arange(n))
+    lo, blocking = _lower_bounds(nm, pts, r_max)
     hi = r_max.copy()
     empty = np.nonzero(lo >= hi)[0]
     if len(empty) and policy != "clamp":
@@ -313,10 +289,8 @@ def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     rr = r.r if isinstance(r, RadiusVector) else np.asarray(r, dtype=float)
     pts = np.asarray(pts, dtype=float)
     n = nm.n_points
-    # the neighbour ids of each point, repeats allowed: np.unique drops them
-    nbrs = nm.rings if nm.dim == 2 else [star.ravel() for star in nm.stars]
-    i = np.repeat(np.arange(n, dtype=np.int64), [len(v) for v in nbrs])
-    j = np.concatenate(nbrs).astype(np.int64)
+    # every neighbour pair, both ways and repeated: np.unique drops the repeats
+    i, j = nm.pairs()
     key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     edges = np.column_stack(np.divmod(key, n))
     d = pts[edges[:, 0]] - pts[edges[:, 1]]
@@ -332,7 +306,7 @@ def solve_radii(
     mode: VolumeMode = VolumeMode.RADICAL_CENTER,
     seed: int = 0,
     r0: np.ndarray | None = None,
-    params: SoftSelectionParams | None = None,
+    params: OptimizerParams | None = None,
     equal_radii: bool = False,
     bounds_policy: str = "strict",
 ) -> SolveResult:

@@ -28,6 +28,27 @@ def uniform_points(dim: int, n: int, seed: int, **cfg) -> np.ndarray:
     return generate_points(RunConfig(dimension=dim, n=n, seed=seed, **cfg))
 
 
+def assert_table_equals_lists(nm, ref):
+    """The row table `nm` holds, point for point, the rings or stars of the
+    reference lists `ref` (`oracles.neighbor_lists`): the same neighbours
+    and simplices in the same order, an open fan's last row without a
+    triangle (-1), and the same hull points."""
+    assert nm.dim == ref.dim and nm.n_points == ref.n_points
+    assert np.array_equal(nm.on_hull, ref.on_hull)
+    lens = nm.lengths()
+    assert np.array_equal(nm.starts, np.cumsum(lens) - lens)
+    assert np.array_equal(nm.owner, np.repeat(np.arange(nm.n_points), lens))
+    for i in range(nm.n_points):
+        rows = slice(nm.starts[i], nm.starts[i] + lens[i])
+        if nm.dim == 2:
+            ring, tids = ref.rings[i].tolist(), ref.ring_simplices[i].tolist()
+            assert nm.nbr[rows].tolist() == ring, i
+            assert nm.simplex[rows].tolist() == tids + [-1] * (len(ring) - len(tids)), i
+        else:
+            assert nm.nbr[rows].tolist() == ref.stars[i].tolist(), i
+            assert nm.simplex[rows].tolist() == ref.star_simplices[i].tolist(), i
+
+
 def with_ring(mesh, i: int, verts, tags, simplices=None):
     """The 2D mesh with ring i of its cell stack replaced by the given rows,
     edge tags (-1: domain) and simplex ids (-1 unless given)."""

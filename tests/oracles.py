@@ -14,6 +14,10 @@ generator runs in blocks over a background grid, the artifact writers with
 one Python call per number, and the point-, facet- and pair-at-a-time loops
 behind duplicate detection, simplex adjacency and overlap labels.
 
+`neighbor_lists` is the per-point dict walk that built each point's ring or
+star as its own array before cvmesh built them as one row table; the tests
+check the table row for row against it, and the loops here read its lists.
+
 The references that walk a mesh cell by cell read per-cell records
 (`cell_records`), unpacked from the mesh's one cell stack. The records keep
 the one-cell containment, measure and shared-wall code that cvmesh ran per
@@ -205,10 +209,136 @@ def tetra_height(i, j1, j2, j3) -> float:
     return min(neighbor_height(ii, a, b), neighbor_height(ii, b, c), neighbor_height(ii, c, a))
 
 
+@dataclass
+class NeighborLists:
+    """Per-point neighbourhood lists, the reference for cvmesh's row table
+    (`NeighborMap`). 2D: rings[i] lists the neighbors of i in CCW order;
+    closed[i] says whether the ring wraps (interior point) or is an open fan
+    (hull point), and ring_simplices[i][k] is the triangle (i, ring[k],
+    ring[k+1]). 3D: stars[i] is a (K, 3) array of incident-tetra vertex
+    triples, each ordered so (i, t0, t1, t2) is positively oriented;
+    star_simplices[i][k] is the tetrahedron id of row k."""
+
+    dim: int
+    on_hull: np.ndarray
+    rings: list | None = None
+    closed: np.ndarray | None = None
+    ring_simplices: list | None = None
+    stars: list | None = None
+    star_simplices: list | None = None
+
+    @property
+    def n_points(self) -> int:
+        return len(self.rings) if self.dim == 2 else len(self.stars)
+
+    def neighbors(self, i: int) -> np.ndarray:
+        """All Delaunay neighbors of i (sorted unique ids in 3D, ring order in 2D)."""
+        if self.dim == 2:
+            return self.rings[i]
+        return np.unique(self.stars[i])
+
+
+def neighbor_lists(tri) -> NeighborLists:
+    """The neighbourhood lists of a triangulation, one dict walk per point."""
+    if tri.dim == 2:
+        return _neighbor_lists2(tri)
+    return _neighbor_lists3(tri)
+
+
+def _neighbor_lists2(tri) -> NeighborLists:
+    n = len(tri.points)
+    # succ[i][u] = (v, t) when triangle t = (i, u, v) sweeps CCW around i.
+    succ: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n)]
+    for t, (a, b, c) in enumerate(tri.triangles):
+        succ[a][b] = (c, t)
+        succ[b][c] = (a, t)
+        succ[c][a] = (b, t)
+
+    rings: list[np.ndarray] = []
+    ring_simplices: list[np.ndarray] = []
+    closed = np.zeros(n, dtype=bool)
+    for i in range(n):
+        s = succ[i]
+        if not s:
+            rings.append(np.empty(0, dtype=np.int64))
+            ring_simplices.append(np.empty(0, dtype=np.int64))
+            continue
+        heads = set(s.keys()) - {v for v, _ in s.values()}
+        if heads:
+            start = min(heads)  # hull point: open fan
+        else:
+            start = min(s.keys())  # interior point: cycle, normalized start
+            closed[i] = True
+        chain = [start]
+        tris = []
+        u = start
+        while u in s:
+            v, t = s[u]
+            tris.append(t)
+            if v == start:
+                break
+            chain.append(v)
+            u = v
+        rings.append(np.asarray(chain, dtype=np.int64))
+        ring_simplices.append(np.asarray(tris, dtype=np.int64))
+
+    return NeighborLists(
+        dim=2,
+        on_hull=~closed,
+        rings=rings,
+        closed=closed,
+        ring_simplices=ring_simplices,
+    )
+
+
+# Remaining-corner orderings keeping (corner, t0, t1, t2) positively oriented.
+_STAR_ORDER = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)}
+
+
+def _neighbor_lists3(tri) -> NeighborLists:
+    n = len(tri.points)
+    stars: list[list[tuple]] = [[] for _ in range(n)]
+    star_ids: list[list[int]] = [[] for _ in range(n)]
+    for t, row in enumerate(tri.tetrahedra):
+        for m in range(4):
+            i = row[m]
+            triple = tuple(row[k] for k in _STAR_ORDER[m])
+            # Rotate so the smallest id leads; rotation preserves orientation.
+            j = triple.index(min(triple))
+            triple = triple[j:] + triple[:j]
+            stars[i].append(triple)
+            star_ids[i].append(t)
+
+    on_hull = np.zeros(n, dtype=bool)
+    for t, row in enumerate(tri.tetrahedra):
+        for k in range(4):
+            if tri.adjacency[t, k] == -1:
+                for v in np.delete(row, k):
+                    on_hull[v] = True
+
+    star_arrays: list[np.ndarray] = []
+    star_simplices: list[np.ndarray] = []
+    for i in range(n):
+        if stars[i]:
+            order = sorted(range(len(stars[i])), key=lambda k: stars[i][k])
+            star_arrays.append(np.asarray([stars[i][k] for k in order], dtype=np.int64))
+            star_simplices.append(np.asarray([star_ids[i][k] for k in order], dtype=np.int64))
+        else:
+            star_arrays.append(np.empty((0, 3), dtype=np.int64))
+            star_simplices.append(np.empty(0, dtype=np.int64))
+
+    return NeighborLists(
+        dim=3,
+        on_hull=on_hull,
+        stars=star_arrays,
+        star_simplices=star_simplices,
+    )
+
+
 def radius_bounds_loop(nm, pts):
     """Per-point loop over the height rules: (r_max, lo, hi, blocking) with
     blocking[i] the first neighbour attaining lo (None when lo is 0). Reads
-    only the rings/stars of the neighbour map."""
+    only the rings/stars of the `NeighborLists` nm."""
     pts = np.asarray(pts, dtype=float)
     n = len(pts)
     r_max = np.full(n, np.inf)

@@ -172,12 +172,12 @@ def test_criterion_5_bounds_compliance():
         assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
         checked += 1
     # optimizer outputs respect the box too
-    from cvmesh.optimize import SoftSelectionParams
+    from cvmesh.optimize import OptimizerParams
 
     for n in (5, 6, 7):
         pts, tri, nm, r_star, lo, hi = exact_instance(n)
         sol = solve_radii(tri, nm, pts, mode=VolumeMode.EXACT_INTERSECTION, seed=1,
-                          params=SoftSelectionParams(generations=30), bounds_policy="clamp")
+                          params=OptimizerParams(generations=30), bounds_policy="clamp")
         assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
         checked += 1
     assert checked >= 100

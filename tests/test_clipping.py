@@ -28,6 +28,7 @@ from cvmesh.solver import simplex_systems
 
 from conftest import uniform_points
 from oracles import (
+    neighbor_lists,
     clip_polygon_loop,
     clip_polyhedron_loop,
     dedup_loop,
@@ -251,11 +252,12 @@ def test_interior_walls_match_loop_reference(n, seed):
     interior = np.flatnonzero(~nm.on_hull)
     assert len(interior)
     stack = _interior_cells(interior, nm, q, pts, eps)
+    ref = neighbor_lists(tet)
     for i in interior.tolist():
         want = []
-        for j in np.unique(nm.stars[i]).tolist():
-            rows = np.nonzero(np.any(nm.stars[i] == j, axis=1))[0]
-            loop, _ = face_loop_around_edge(i, j, q, nm.star_simplices[i][rows], pts, eps)
+        for j in np.unique(ref.stars[i]).tolist():
+            rows = np.nonzero(np.any(ref.stars[i] == j, axis=1))[0]
+            loop, _ = face_loop_around_edge(i, j, q, ref.star_simplices[i][rows], pts, eps)
             if loop is None:
                 continue
             if float(np.dot(newell_normal(loop), pts[j] - pts[i])) < 0.0:
@@ -275,9 +277,10 @@ def test_hull_cells_match_loop_reference(n, seed):
     r = np.full(len(pts), 0.05)
     mesh = build_volumes3(tet, nm, pts, r)
     eps = 1e-10 * mesh.scale()
+    ref = neighbor_lists(tet)
     for i in np.flatnonzero(nm.on_hull).tolist():
         faces = _faces(mesh.domain)
-        for j in np.unique(nm.stars[i]).tolist():
+        for j in np.unique(ref.stars[i]).tolist():
             faces = clip_polyhedron_loop(faces, 2.0 * (pts[j] - pts[i]),
                                          float(pts[j] @ pts[j] - pts[i] @ pts[i]), j, eps)
             if faces is None:

@@ -6,7 +6,7 @@ import pytest
 from cvmesh.delaunay import _adjacency, _duplicate_pairs, neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
 
-from conftest import flat_faced_box, hexagon_patch, uniform_points
+from conftest import assert_table_equals_lists, flat_faced_box, hexagon_patch, uniform_points
 from oracles import (
     adjacency_loop,
     convex_hull_area,
@@ -14,6 +14,7 @@ from oracles import (
     duplicate_pairs_loop,
     empty_circumcircles,
     empty_circumspheres,
+    neighbor_lists,
     tetra_volume,
     triangle_area,
 )
@@ -159,7 +160,8 @@ def test_tets_positively_oriented():
 def test_ring_square_center():
     pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)
     tri = triangulate2(pts)
-    nm = neighbor_map(tri)
+    nm = neighbor_lists(tri)
+    assert_table_equals_lists(neighbor_map(tri), nm)
     assert len(nm.rings[4]) == 4
     assert bool(nm.closed[4])
     # oracle: incidence scan says the ring is exactly the four corners
@@ -173,7 +175,8 @@ def test_ring_square_center():
 
 def test_ring_single_triangle():
     tri = triangulate2([(0, 0), (2, 0), (0.4, 1.3)])
-    nm = neighbor_map(tri)
+    nm = neighbor_lists(tri)
+    assert_table_equals_lists(neighbor_map(tri), nm)
     for i in range(3):
         assert len(nm.rings[i]) == 2
         assert not nm.closed[i]
@@ -182,7 +185,8 @@ def test_ring_single_triangle():
 def test_hull_ring_is_open_fan():
     pts = uniform_points(2, 30, 2)
     tri = triangulate2(pts)
-    nm = neighbor_map(tri)
+    nm = neighbor_lists(tri)
+    assert_table_equals_lists(neighbor_map(tri), nm)
     for i in range(len(pts)):
         incident = [t for t in tri.triangles if i in t]
         if nm.on_hull[i]:
@@ -194,7 +198,8 @@ def test_hull_ring_is_open_fan():
 def test_ring_roundtrip_reconstructs_triangulation():
     pts = uniform_points(2, 40, 8)
     tri = triangulate2(pts)
-    nm = neighbor_map(tri)
+    nm = neighbor_lists(tri)
+    assert_table_equals_lists(neighbor_map(tri), nm)
     tri_set = {tuple(sorted(t)) for t in tri.triangles}
     rebuilt = set()
     for i in range(len(pts)):
@@ -214,7 +219,8 @@ def test_ring_roundtrip_reconstructs_triangulation():
 def test_star_covers_incident_tets_once():
     pts = uniform_points(3, 20, 5)
     tet = tetrahedralize3(pts)
-    nm = neighbor_map(tet)
+    nm = neighbor_lists(tet)
+    assert_table_equals_lists(neighbor_map(tet), nm)
     for i in range(len(pts)):
         incident = [t for t, row in enumerate(tet.tetrahedra) if i in row]
         assert sorted(nm.star_simplices[i].tolist()) == sorted(incident)
@@ -260,13 +266,52 @@ def test_tet_boundary_faces_all_on_hull():
 def test_star_triples_positively_oriented():
     pts = uniform_points(3, 15, 6)
     tet = tetrahedralize3(pts)
-    nm = neighbor_map(tet)
+    nm = neighbor_lists(tet)
+    assert_table_equals_lists(neighbor_map(tet), nm)
     for i in range(len(pts)):
         for t0, t1, t2 in nm.stars[i]:
             det = np.linalg.det(np.vstack([
                 pts[t0] - pts[i], pts[t1] - pts[i], pts[t2] - pts[i]
             ]))
             assert det > 0
+
+
+def _table_cloud(dim, kind, a, b):
+    if kind == "uniform":
+        return uniform_points(dim, a, b[0], boundary=b[1])
+    if kind == "hex":
+        return hexagon_patch(a, b, jitter=0.1 if b else 0.0)
+    if kind == "hexagon":
+        return hexagon_patch(3, a) * 3.7
+    if kind == "grid":
+        return np.array(list(product(range(a), repeat=dim)), dtype=float)
+    return np.vstack([np.zeros(dim), np.eye(dim)])    # one triangle or tetrahedron
+
+
+TABLE_CLOUDS = (
+    [(2, "uniform", n, (s, b)) for n in (20, 400) for s in range(5) for b in (True, False)]
+    + [(2, "hex", rings, s) for rings in (1, 2, 4) for s in (0, 1)]
+    + [(2, "grid", k, None) for k in (3, 5, 8)]
+    + [(2, "hexagon", s, None) for s in range(4)]
+    + [(2, "simplex", None, None)]
+    + [(3, "uniform", n, (s, True)) for n in (30, 300) for s in range(5)]
+    + [(3, "grid", k, None) for k in (2, 3, 4)]
+    + [(3, "simplex", None, None)]
+)
+
+
+@pytest.mark.parametrize("case", TABLE_CLOUDS, ids=str)
+def test_neighbor_table_equals_reference_lists(case):
+    """The row table row for row against the per-point dict walk: rings (2D)
+    on generator clouds with and without border points, hex lattices,
+    square grids with collinear borders and the sliver-dropping hexagon
+    patches; stars (3D) on generator clouds and grid lattices; and one
+    simplex in each."""
+    pts = _table_cloud(*case)
+    tri = triangulate2(pts) if case[0] == 2 else tetrahedralize3(pts)
+    if case[1] == "hexagon":
+        assert tri.hull_slivers_dropped > 0
+    assert_table_equals_lists(neighbor_map(tri), neighbor_lists(tri))
 
 
 # Default-generator 3D n=60 clouds on which a super-tetrahedron kernel with a

@@ -433,12 +433,14 @@ def test_mesh_from_doc_rejects_loop_index_out_of_range(index):
             mesh_from_doc(doc)
 
 
-@pytest.mark.parametrize("case", ["count", "owner", "closed", "open", "length"])
+@pytest.mark.parametrize("case", ["count", "owner", "closed", "open", "length",
+                                  "short0", "short1", "short2"])
 def test_mesh_from_doc_rejects_cells_that_disagree_with_the_stack(case):
     """Cell k is point k's, it is closed exactly when it has rows (2D) or
     faces (3D), and its loops have one neighbor (2D) and one simplex id per
-    vertex: a document with another cell count, owner, closed flag or list
-    length is bad input, named by its cell."""
+    vertex, three vertices at least: a document with another cell count,
+    owner, closed flag or list length, or a closed ring or face of 0, 1 or 2
+    vertices, is bad input, named by its cell."""
     for mesh in (_mesh2(), _mesh3()):
         doc = json.loads(dumps_json(mesh_doc(mesh)))
         k = 3
@@ -454,8 +456,14 @@ def test_mesh_from_doc_rejects_cells_that_disagree_with_the_stack(case):
             cell.update(loop=[], edge_neighbors=[], vertex_simplices=[])
         elif case == "open":
             cell["faces"] = []
-        else:
+        elif case == "length":
             (cell if mesh.dim == 2 else cell["faces"][2])["vertex_simplices"].pop()
+        else:
+            rows = int(case[-1])
+            wall = cell if mesh.dim == 2 else cell["faces"][2]
+            for key in ("loop", "edge_neighbors", "vertex_simplices"):
+                if key in wall:
+                    wall[key] = wall[key][:rows]
         with pytest.raises(IoFailure, match=f"cell {k}[:,]"):
             mesh_from_doc(doc)
     if case == "length":
@@ -468,7 +476,8 @@ def test_mesh_from_doc_rejects_cells_that_disagree_with_the_stack(case):
 def test_ring_under_three_rows_is_an_empty_cell():
     """A 2D ring of one or two rows (a document can hold one) is an empty
     cell: it has no walls to check, its owner is outside it, the VTK and SVG
-    writers skip it, and mesh.json keeps it as it is."""
+    writers skip it, and mesh.json keeps it as it is; `mesh_from_doc`
+    rejects it, naming the cell."""
     mesh = _mesh2(seed=4, n=20)
     k = 5
     a = int(mesh.cells.starts[k])
@@ -487,7 +496,8 @@ def test_ring_under_three_rows_is_an_empty_cell():
         text = dumps_json(mesh_doc(deg))
         cell = json.loads(text)["cells"][k]
         assert cell["closed"] and len(cell["loop"]) == len(cell["edge_neighbors"]) == rows
-        assert dumps_json(mesh_doc(mesh_from_doc(json.loads(text)))) == text
+        with pytest.raises(IoFailure, match=f"cell {k}: a loop of {rows} vertices, under three"):
+            mesh_from_doc(json.loads(text))
 
 
 @pytest.mark.parametrize("dim, n", [(2, 400), (3, 60)])

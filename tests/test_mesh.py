@@ -41,7 +41,7 @@ from cvmesh.mesh import (
 )
 from cvmesh.solver import VolumeMode, simplex_systems, solve_radii
 
-from conftest import exact_instance, hexagon_patch, uniform_points, with_ring
+from conftest import assert_table_equals_lists, exact_instance, hexagon_patch, uniform_points, with_ring
 from oracles import (
     CellError,
     build_cells2_loop,
@@ -51,6 +51,7 @@ from oracles import (
     cell_volume3,
     dedup_vertices,
     match_simplex_ids,
+    neighbor_lists,
     perpendicularity_loop2,
     perpendicularity_loop3,
     validate_global_brute_force,
@@ -489,9 +490,8 @@ def test_nonconvex_cell_reported_not_repaired_3d():
 def _sweep_mesh(dim, n, seed):
     pts = uniform_points(dim, n, seed)
     tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
-    nm = neighbor_map(tri)
     build = build_volumes2 if dim == 2 else build_volumes3
-    return nm, build(tri, nm, pts, np.full(len(pts), 0.05))
+    return neighbor_lists(tri), build(tri, neighbor_map(tri), pts, np.full(len(pts), 0.05))
 
 
 KERNEL_SWEEP = (
@@ -505,18 +505,18 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
     """The stacked-loop kernels against the one-face, one-vertex loops of
     tests/oracles.py: identical simplex ids and containment masks, equal
     perpendicularity reports, volumes to 1e-13."""
-    nm, mesh = _sweep_mesh(dim, n, seed)
+    ref, mesh = _sweep_mesh(dim, n, seed)
     q = mesh.simplex_vertices
     scale = mesh.scale()
     cells = cell_records(mesh)
     for cell in cells:
         i = cell.owner
         if dim == 2:
-            want = match_simplex_ids(cell.verts, q, nm.ring_simplices[i], 1e-9 * scale)
+            want = match_simplex_ids(cell.verts, q, ref.ring_simplices[i], 1e-9 * scale)
             assert cell.vertex_simplices == want
         else:
             got = [t for f in cell.faces for t in f.vertex_simplices]
-            want = match_simplex_ids(cell.all_vertices(), q, nm.star_simplices[i], 1e-9 * scale)
+            want = match_simplex_ids(cell.all_vertices(), q, ref.star_simplices[i], 1e-9 * scale)
             assert got == want
     if dim == 2:
         return
@@ -615,8 +615,9 @@ def test_build_volumes2_equals_cell_loop(kind, n, seed):
     pts, tri, nm, r = _sweep2(kind, n, seed)
     q = simplex_systems(tri).vertices(r)
     domain = bounding_domain2(pts)
+    ref = neighbor_lists(tri)
     try:
-        want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
+        want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
                                  domain.verts, domain.tags)
     except CellError as exc:
         error = {"NonConvexCell": NonConvexCell, "OrphanVertex": OrphanVertex}[exc.kind]
@@ -643,20 +644,27 @@ def test_build_volumes2_equals_cell_loop(kind, n, seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
-    """Interior rings listed clockwise (each ring and its triangles reversed)
-    take the reversal path, tags rotating with the vertices, as the loop
-    does it."""
+    """Interior rings listed clockwise (each ring and its triangles reversed,
+    in the lists and in the row table alike) take the reversal path, tags
+    rotating with the vertices, as the loop does it."""
     pts, tri, nm, r = _sweep2("equal", 100, seed)
-    rings, tids = list(nm.rings), list(nm.ring_simplices)
-    for i in np.flatnonzero(nm.closed).tolist():
+    ref = neighbor_lists(tri)
+    rings, tids = list(ref.rings), list(ref.ring_simplices)
+    for i in np.flatnonzero(ref.closed).tolist():
         m = len(rings[i])
         rings[i] = rings[i][::-1].copy()
         tids[i] = tids[i][(m - 2 - np.arange(m)) % m].copy()
-    nm = replace(nm, rings=rings, ring_simplices=tids)
+    rows = np.flatnonzero(~nm.on_hull[nm.owner])
+    first, m = nm.starts[nm.owner[rows]], nm.lengths()[nm.owner[rows]]
+    k = rows - first
+    nbr, simplex = nm.nbr.copy(), nm.simplex.copy()
+    nbr[rows] = nm.nbr[first + m - 1 - k]
+    simplex[rows] = nm.simplex[first + (m - 2 - k) % m]
+    nm = replace(nm, nbr=nbr, simplex=simplex)
+    assert_table_equals_lists(nm, replace(ref, rings=rings, ring_simplices=tids))
     q = simplex_systems(tri).vertices(r)
     domain = bounding_domain2(pts)
-    want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
-                             domain.verts, domain.tags)
+    want = build_cells2_loop(pts, r, q, rings, ref.closed, tids, domain.verts, domain.tags)
     mesh = build_volumes2(tri, nm, pts, r)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
@@ -672,7 +680,8 @@ def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
     verts = pts.mean(axis=0) + 1.2 * np.column_stack([np.cos(ang), np.sin(ang)])
     domain = TaggedPolygon(verts, [None] * 6)
     q = simplex_systems(tri).vertices(r)
-    want = build_cells2_loop(pts, r, q, nm.rings, nm.closed, nm.ring_simplices,
+    ref = neighbor_lists(tri)
+    want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
                              domain.verts, domain.tags)
     mesh = build_volumes2(tri, nm, pts, r, domain=domain)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
@@ -739,7 +748,7 @@ def _clip_to_domain_loop(stack, domain_planes, eps):
     return concat_stacks(parts)
 
 
-def _check_cells3_loop(stack, normals, scale, q, nm, match_eps):
+def _check_cells3_loop(stack, normals, scale, q, ref, match_eps):
     """The one-cell-at-a-time checks and simplex matching `build_volumes3`
     ran before its whole-stack passes; returns the matched ids per row."""
     ends = np.append(stack.starts, len(stack.verts))
@@ -751,7 +760,7 @@ def _check_cells3_loop(stack, normals, scale, q, nm, match_eps):
         cell = (v, stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0)
         tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
         _check_face_planarity(i, tags, cell, normals[f0:f1])
-        ids += match_simplex_ids(v, q, nm.star_simplices[i], match_eps)
+        ids += match_simplex_ids(v, q, ref.star_simplices[i], match_eps)
         _check_convex3(i, cell, normals[f0:f1], scale)
     return [-1 if t is None else t for t in ids]
 
@@ -772,8 +781,14 @@ def _stack3(n, seed, default):
     planes = polyhedron_halfspaces(domain)
     hull = np.flatnonzero(nm.on_hull)
     interior = _interior_cells(np.flatnonzero(~nm.on_hull), nm, q, pts, eps)
-    hulls = _hull_cells(hull, pts, r, domain, eps, [np.unique(nm.stars[i]) for i in hull])
-    return nm, q, planes, scale, eps, interior, hulls
+    ref = neighbor_lists(tet)
+    hood = [np.unique(ref.stars[i]) for i in range(len(pts))]
+    counts = np.array([len(h) for h in hood])
+    table = np.zeros((len(pts), counts[hull].max()), dtype=np.int64)
+    for i in hull.tolist():
+        table[i, :counts[i]] = hood[i]
+    hulls = _hull_cells(hull, pts, r, domain, eps, counts, table)
+    return nm, ref, q, planes, scale, eps, interior, hulls
 
 
 def _same_stack(a, b):
@@ -795,16 +810,16 @@ def test_3d_stack_passes_equal_cell_loops(n, seed, default):
     """The per-plane domain clip, the whole-stack planarity and convexity
     checks and the whole-stack simplex matching against the one-cell loops
     they replaced, in equal-radii and default mode (where cells fail)."""
-    nm, q, planes, scale, eps, interior, hulls = _stack3(n, seed, default)
+    nm, ref, q, planes, scale, eps, interior, hulls = _stack3(n, seed, default)
     clipped = _clip_to_domain(interior, planes, eps)
     _same_stack(clipped, _clip_to_domain_loop(interior, planes, eps))
     stack = concat_stacks([hulls, clipped])
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
-    want, error = _raised(_check_cells3_loop, stack, normals, scale, q, nm, 1e-9 * scale)
+    want, error = _raised(_check_cells3_loop, stack, normals, scale, q, ref, 1e-9 * scale)
     assert _raised(_check_cells3, stack, normals, scale)[1] == error
     if error is None:
-        cand, starts = _candidates(nm.star_simplices)
-        row_starts = np.searchsorted(stack.row_cells(), np.arange(len(nm.stars)))
+        cand, starts = _candidates(nm)
+        row_starts = np.searchsorted(stack.row_cells(), np.arange(nm.n_points))
         got = _match_rows(stack.verts, row_starts, q, cand, starts, 1e-9 * scale)
         assert got.tolist() == want
 
@@ -813,7 +828,7 @@ def test_3d_stack_checks_report_first_failing_cell():
     """Break a late cell's planarity and an earlier cell's convexity: the
     earlier cell is reported, as the cell loop reports it; then only the
     planarity break, reported as NonPlanarFace."""
-    nm, q, planes, scale, eps, interior, hulls = _stack3(60, 1, False)
+    nm, ref, q, planes, scale, eps, interior, hulls = _stack3(60, 1, False)
     stack = concat_stacks([hulls, _clip_to_domain(interior, planes, eps)])
     cells = np.unique(stack.cells)
     late, early = int(cells[-3]), int(cells[5])
@@ -823,7 +838,7 @@ def test_3d_stack_checks_report_first_failing_cell():
     verts[int(ends[f]) + 1] += 1e-3 * scale          # one vertex off its face plane
     bent = replace(stack, verts=verts)
     normals = _face_normals(bent.verts, bent.starts, bent.succ)
-    _, error = _raised(_check_cells3_loop, bent, normals, scale, q, nm, 1e-9 * scale)
+    _, error = _raised(_check_cells3_loop, bent, normals, scale, q, ref, 1e-9 * scale)
     assert error[:2] == (NonPlanarFace, late)
     assert _raised(_check_cells3, bent, normals, scale)[1] == error
     g = int(np.searchsorted(stack.cells, early))
@@ -831,7 +846,7 @@ def test_3d_stack_checks_report_first_failing_cell():
     verts[int(ends[g]):int(ends[g + 1])] -= 0.05 * scale * normals[g] / np.linalg.norm(normals[g])
     both = replace(stack, verts=verts)
     normals = _face_normals(both.verts, both.starts, both.succ)
-    _, error = _raised(_check_cells3_loop, both, normals, scale, q, nm, 1e-9 * scale)
+    _, error = _raised(_check_cells3_loop, both, normals, scale, q, ref, 1e-9 * scale)
     assert error[:2] == (NonConvexCell, early)
     assert _raised(_check_cells3, both, normals, scale)[1] == error
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cvmesh.optimize import (
-    RosenbrockParams,
-    SoftSelectionParams,
+    OptimizerParams,
     rosenbrock_minimize,
     soft_selection_minimize,
 )
@@ -52,7 +51,7 @@ def test_rosenbrock_requires_interior_start():
 
 def test_rosenbrock_max_evals_flagged():
     res = rosenbrock_minimize(banana, [-1.2, 1.0], ([-5, -5], [5, 5]),
-                              RosenbrockParams(max_evals=50))
+                              OptimizerParams(max_evals=50))
     assert not res.converged
     assert res.status == "max-evals"
     assert res.n_eval <= 50
@@ -64,7 +63,7 @@ def test_soft_selection_sphere_10d():
         return np.sum(x * x, axis=-1)
 
     res = soft_selection_minimize(sphere, (np.full(10, -2.0), np.full(10, 3.0)), seed=1,
-                                  params=SoftSelectionParams(generations=60))
+                                  params=OptimizerParams(generations=60))
     assert res.fun < 1e-6
 
 
@@ -73,7 +72,7 @@ def test_soft_selection_trace_monotone():
         return 10 * x.shape[-1] + np.sum(x * x - 10 * np.cos(2 * np.pi * x), axis=-1)
 
     res = soft_selection_minimize(rastrigin, ([-5.12, -5.12], [5.12, 5.12]), seed=3,
-                                  params=SoftSelectionParams(generations=50))
+                                  params=OptimizerParams(generations=50))
     trace = np.asarray(res.trace)
     assert len(trace) == 50
     assert np.all(np.diff(trace) <= 0.0)
@@ -96,7 +95,7 @@ def test_soft_selection_deterministic():
     def sphere(x):
         return np.sum(x * x, axis=-1)
 
-    p = SoftSelectionParams(generations=20)
+    p = OptimizerParams(generations=20)
     a = soft_selection_minimize(sphere, ([-1, -1, -1], [2, 2, 2]), seed=7, params=p)
     b = soft_selection_minimize(sphere, ([-1, -1, -1], [2, 2, 2]), seed=7, params=p)
     assert np.array_equal(a.x, b.x)
@@ -110,4 +109,4 @@ def test_soft_selection_rejects_scalar_fitness_for_population():
 
     with pytest.raises(ValueError, match="population"):
         soft_selection_minimize(flat_sum, ([-1, -1], [2, 2]), seed=0,
-                                params=SoftSelectionParams(generations=2))
+                                params=OptimizerParams(generations=2))

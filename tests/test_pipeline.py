@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cvmesh.io import OptimizerConfig, RunConfig, read_json
+from cvmesh.io import RunConfig, read_json
+from cvmesh.optimize import OptimizerParams
 from cvmesh.pipeline import run_pipeline
 
 from conftest import flat_faced_box, hexagon_patch
@@ -20,7 +21,7 @@ def test_minimal_3d_single_tet(tmp_path):
 
 def test_exit_code_follows_residual_threshold(tmp_path):
     base = dict(dimension=2, n=10, seed=1, mode="exact-intersection", probes=500,
-                optimizer=OptimizerConfig(generations=8))
+                optimizer=OptimizerParams(generations=8))
     strict = run_pipeline(RunConfig(out_dir=str(tmp_path / "strict"),
                                     residual_threshold=1e-12, **base))
     loose = run_pipeline(RunConfig(out_dir=str(tmp_path / "loose"),

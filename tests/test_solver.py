@@ -5,7 +5,7 @@ import pytest
 
 from cvmesh.delaunay import Triangulation2, _adjacency, neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import DegenerateTriangle, EmptyInterval
-from cvmesh.optimize import SoftSelectionParams, soft_selection_minimize
+from cvmesh.optimize import OptimizerParams, soft_selection_minimize
 from cvmesh.solver import (
     OverlapKind,
     VolumeMode,
@@ -18,7 +18,8 @@ from cvmesh.solver import (
 )
 
 from conftest import bcc_cell, exact_instance, hexagon_patch, radical_centers, uniform_points
-from oracles import gauss_solve, newton_equal_power_2d, overlap_loop, radius_bounds_loop, tetra_height
+from oracles import (gauss_solve, neighbor_lists, newton_equal_power_2d, overlap_loop,
+                     radius_bounds_loop, tetra_height)
 
 
 def test_vertex2_common_point_of_three_circles():
@@ -171,10 +172,10 @@ def test_radius_bounds3_stacked_tets_take_min_height():
     pts = np.array(base + [(0.5, 0.4, 0.9), (0.45, 0.35, -0.6)])
     tet = tetrahedralize3(pts)
     assert len(tet.tetrahedra) == 2
-    nm = neighbor_map(tet)
+    stars = neighbor_lists(tet).stars
     for i in range(3):  # shared-face vertices sit in both tets
-        h1 = tetra_height(pts[i], *[pts[v] for v in nm.stars[i][0]])
-        h2 = tetra_height(pts[i], *[pts[v] for v in nm.stars[i][1]])
+        h1 = tetra_height(pts[i], *[pts[v] for v in stars[i][0]])
+        h2 = tetra_height(pts[i], *[pts[v] for v in stars[i][1]])
         assert _bounds(tet, i)[1] == pytest.approx(min(h1, h2), rel=1e-12)
 
 
@@ -201,7 +202,7 @@ def test_bounds_match_per_point_reference(dim, n, seed):
     pts = uniform_points(dim, n, seed)
     tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
     nm = neighbor_map(tri)
-    r_max, lo_ref, hi_ref, blocking = radius_bounds_loop(nm, tri.points)
+    r_max, lo_ref, hi_ref, blocking = radius_bounds_loop(neighbor_lists(tri), tri.points)
     got = max_radii(nm, tri.points)
     np.testing.assert_allclose(got, r_max, rtol=1e-13, atol=0.0)
     empty = [i for i in range(n) if lo_ref[i] >= hi_ref[i]]
@@ -213,7 +214,7 @@ def test_bounds_match_per_point_reference(dim, n, seed):
     assert np.all(np.abs(lo - lo_ref) <= 1e-13 * np.maximum(lo_ref, hi_ref))
 
     # Every empty interval names the neighbour the reference names.
-    _, got_blocking = _lower_bounds(nm, tri.points, got, np.arange(n))
+    _, got_blocking = _lower_bounds(nm, tri.points, got)
     assert [int(got_blocking[i]) for i in empty] == [blocking[i] for i in empty]
     if empty:
         with pytest.raises(EmptyInterval) as err:
@@ -299,7 +300,7 @@ def test_classify_overlap_matches_pair_loop():
         rng = np.random.default_rng(seed)
         for r in [tangent] + [s * base * rng.uniform(0.7, 1.3, n) for s in (0.8, 1.0, 1.2)]:
             mode = classify_overlap(r, nm, pts)
-            expected = overlap_loop(r, nm, pts)
+            expected = overlap_loop(r, neighbor_lists(tri), pts)
             got = {k: v is OverlapKind.OVERLAPPING for k, v in mode.pairs.items()}
             assert got == expected
             assert 0 < sum(expected.values()) < len(expected)
@@ -384,7 +385,7 @@ def test_batched_objective_equals_row_by_row(build, order):
 def test_soft_selection_batched_matches_row_by_row():
     pts, tri, nm, r_star, lo, hi = exact_instance(6)
     obj = simplex_systems(tri).objective
-    params = SoftSelectionParams(generations=30)
+    params = OptimizerParams(generations=30)
     x0 = lo + 0.62 * (hi - lo)
     a = soft_selection_minimize(obj, (lo, hi), seed=5, params=params, x0=x0)
     b = soft_selection_minimize(lambda X: _row_by_row(obj, X), (lo, hi), seed=5,
