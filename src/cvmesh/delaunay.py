@@ -1,6 +1,8 @@
 """Delaunay triangulation (2D) and tetrahedralization (3D) by one incremental
-Bowyer-Watson kernel with a ghost vertex at infinity and exact predicates,
-and the neighbourhood of every point (its CCW ring in 2D, its star of
+Bowyer-Watson kernel with a ghost vertex at infinity, which locates each
+point by a walk and grows its cavity by breadth-first search, with float
+predicates that go exact inside Shewchuk's static error bounds; and the
+neighbourhood of every point (its CCW ring in 2D, its star of
 incident tetrahedra in 3D) as one flat row table, `NeighborMap`, built from
 the simplices in whole-array passes.
 
@@ -11,23 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import factorial
+from math import factorial, frexp
+from operator import itemgetter
 
 import numpy as np
 
 from .clipping import _lengths, _successors
-from .errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoints
+from .errors import AllCollinear, AllCoplanar, DuplicatePoints, PointLocationFailed, TooFewPoints
 from .geometry import EPS_AREA, EPS_VOL, as_point_array
 
-# Cached circumcircle/circumsphere and hull-facet tests decide a conflict only
-# outside this relative band; inside it the kernel decides exactly.
-BAND_EPS = 1e-5
-# A circumcentre solve whose condition-number bound exceeds this is not
-# trusted to BAND_EPS; every conflict test of that simplex is exact.
-COND_MAX = 1e8
-# Bound on the relative rounding of a cached simplex test, as a share of the
-# square of its largest length (centre, circumradius and point magnitudes).
-ROUND_EPS = 1e-14
 GHOST = -1  # the vertex at infinity shared by every hull facet's ghost simplex
 DUP_EPS = 1e-12  # duplicate detection, relative to the bounding-box diagonal
 
@@ -40,6 +34,8 @@ class Triangulation2:
     triangles: np.ndarray              # (T, 3) int, CCW
     adjacency: np.ndarray = field(repr=False, default=None)  # (T, 3); entry k faces the edge opposite v_k
     hull_slivers_dropped: int = 0      # flat hull triangles the kernel removed
+    exact_tests: int = 0               # kernel tests its float filters left to integer arithmetic
+    walk_steps: int = 0                # simplices the kernel's point-location walks crossed
 
     @property
     def dim(self) -> int:
@@ -65,6 +61,8 @@ class Triangulation3:
     tetrahedra: np.ndarray             # (T, 4) int, positive orientation
     adjacency: np.ndarray = field(repr=False, default=None)  # (T, 4); entry k faces the face opposite v_k
     hull_slivers_dropped: int = 0      # flat hull tetrahedra the kernel removed
+    exact_tests: int = 0               # kernel tests its float filters left to integer arithmetic
+    walk_steps: int = 0                # simplices the kernel's point-location walks crossed
 
     @property
     def dim(self) -> int:
@@ -163,22 +161,29 @@ def _affine_rank(pts: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(d / scale, tol=1e-9))
 
 
-def _validate_input(points, dim: int) -> np.ndarray:
+def _validate_input(points, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points as an (N, dim) array, and that array times the power of two
+    that brings its largest |coordinate| into [0.5, 1), the kernel's input.
+    The scaling is exact (unless it takes a coordinate below 2^-1022): on the
+    scaled points the checks here, with their tolerance scaled alike, every
+    predicate and the sliver rule decide as on the points themselves, and
+    none of their float arithmetic overflows."""
     pts = as_point_array(points, dim)
     n = len(pts)
     if n < dim + 1:
         raise TooFewPoints(f"need at least {dim + 1} points in {dim}D, got {n}")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    diag = float(np.linalg.norm(span))
-    dup = _duplicate_pairs(pts, DUP_EPS * max(diag, 1.0))
+    shift = frexp(float(np.abs(pts).max()))[1]
+    unit = np.ldexp(pts, -shift)
+    diag = float(np.linalg.norm(unit.max(axis=0) - unit.min(axis=0)))
+    dup = _duplicate_pairs(unit, DUP_EPS * max(diag, 2.0 ** -shift))
     if dup:
         raise DuplicatePoints(dup)
-    rank = _affine_rank(pts)
+    rank = _affine_rank(unit)
     if dim == 2 and rank < 2:
         raise AllCollinear("all points lie on one line")
     if dim == 3 and rank < 3:
         raise AllCoplanar("all points lie on one plane")
-    return pts
+    return pts, unit
 
 
 # Even permutations of a row's corners: they keep its orientation.
@@ -296,6 +301,111 @@ _INSPHERE = {2: _incircle_exact, 3: _insphere_exact}
 _ON_FACET = {2: _in_segment_exact, 3: _in_circumcircle_exact}
 
 
+# Float filters of the predicates above (Shewchuk 1997). Each evaluates its
+# determinant in floating point exactly as Shewchuk's orient2d, orient3d,
+# incircle or insphere does and returns its sign, +1 or -1, when the value
+# exceeds that evaluation's static error bound (a constant times the
+# permanent: the determinant with every product taken by absolute value), or
+# 0 to abstain and leave the case to the exact test. _TINY covers rounding
+# below the normal range, which the relative bounds leave out, for
+# coordinates of magnitude about 1 or less, as the kernel scales them.
+_EPS = 2.0 ** -53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_ISP_BOUND = (16.0 + 224.0 * _EPS) * _EPS
+_TINY = 2.0 ** -960
+
+
+def _orient2_filter(a, b, c) -> int:
+    """Sign of `_orient2_exact(a, b, c)`, or 0."""
+    left = (a[0] - c[0]) * (b[1] - c[1])
+    right = (a[1] - c[1]) * (b[0] - c[0])
+    det = left - right
+    err = _CCW_BOUND * (abs(left) + abs(right)) + _TINY
+    return 1 if det > err else -1 if det < -err else 0
+
+
+def _dot2_filter(a, b, p) -> int:
+    """Sign of (a - p) . (b - p), or 0: orient2's form with a sum for the
+    difference, so orient2's bound."""
+    left = (a[0] - p[0]) * (b[0] - p[0])
+    right = (a[1] - p[1]) * (b[1] - p[1])
+    dot = left + right
+    err = _CCW_BOUND * (abs(left) + abs(right)) + _TINY
+    return 1 if dot > err else -1 if dot < -err else 0
+
+
+def _incircle_filter(a, b, c, p) -> int:
+    """Sign of `_incircle_exact(a, b, c, p)`, or 0."""
+    adx, ady = a[0] - p[0], a[1] - p[1]
+    bdx, bdy = b[0] - p[0], b[1] - p[1]
+    cdx, cdy = c[0] - p[0], c[1] - p[1]
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift + (abs(cdxady) + abs(adxcdy)) * blift
+                 + (abs(adxbdy) + abs(bdxady)) * clift)
+    err = _ICC_BOUND * permanent + _TINY
+    return 1 if det > err else -1 if det < -err else 0
+
+
+def _orient3_filter(a, b, c, d) -> int:
+    """Sign of `_orient3_exact(a, b, c, d)`, or 0 (Shewchuk's orient3d has
+    the opposite sign)."""
+    adx, ady, adz = a[0] - d[0], a[1] - d[1], a[2] - d[2]
+    bdx, bdy, bdz = b[0] - d[0], b[1] - d[1], b[2] - d[2]
+    cdx, cdy, cdz = c[0] - d[0], c[1] - d[1], c[2] - d[2]
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    det = adz * (bdxcdy - cdxbdy) + bdz * (cdxady - adxcdy) + cdz * (adxbdy - bdxady)
+    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * abs(adz) + (abs(cdxady) + abs(adxcdy)) * abs(bdz)
+                 + (abs(adxbdy) + abs(bdxady)) * abs(cdz))
+    err = _O3D_BOUND * permanent + _TINY
+    return -1 if det > err else 1 if det < -err else 0
+
+
+def _insphere_filter(a, b, c, d, p) -> int:
+    """Sign of `_insphere_exact(a, b, c, d, p)`, or 0 (Shewchuk's insphere
+    has the opposite sign)."""
+    aex, aey, aez = a[0] - p[0], a[1] - p[1], a[2] - p[2]
+    bex, bey, bez = b[0] - p[0], b[1] - p[1], b[2] - p[2]
+    cex, cey, cez = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    dex, dey, dez = d[0] - p[0], d[1] - p[1], d[2] - p[2]
+    aexbey, bexaey = aex * bey, bex * aey
+    bexcey, cexbey = bex * cey, cex * bey
+    cexdey, dexcey = cex * dey, dex * cey
+    dexaey, aexdey = dex * aey, aex * dey
+    aexcey, cexaey = aex * cey, cex * aey
+    bexdey, dexbey = bex * dey, dex * bey
+    ab, bc, cd = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey
+    da, ac, bd = dexaey - aexdey, aexcey - cexaey, bexdey - dexbey
+    abc = aez * bc - bez * ac + cez * ab
+    bcd = bez * cd - cez * bd + dez * bc
+    cda = cez * da + dez * ac + aez * cd
+    dab = dez * ab + aez * bd + bez * da
+    alift = aex * aex + aey * aey + aez * aez
+    blift = bex * bex + bey * bey + bez * bez
+    clift = cex * cex + cey * cey + cez * cez
+    dlift = dex * dex + dey * dey + dez * dez
+    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
+    aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
+    cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
+    aexcey, cexaey, bexdey, dexbey = abs(aexcey), abs(cexaey), abs(bexdey), abs(dexbey)
+    permanent = (((cexdey + dexcey) * bez + (dexbey + bexdey) * cez + (bexcey + cexbey) * dez) * alift
+                 + ((dexaey + aexdey) * cez + (aexcey + cexaey) * dez + (cexdey + dexcey) * aez) * blift
+                 + ((aexbey + bexaey) * dez + (bexdey + dexbey) * aez + (dexaey + aexdey) * bez) * clift
+                 + ((bexcey + cexbey) * aez + (cexaey + aexcey) * bez + (aexbey + bexaey) * cez) * dlift)
+    err = _ISP_BOUND * permanent + _TINY
+    return -1 if det > err else 1 if det < -err else 0
+
+
 def _conflict_exact(xp: list, row, p: int) -> bool:
     """Exact conflict of point p with a simplex or a ghost simplex.
 
@@ -351,133 +461,254 @@ def _rownormal(*edges: np.ndarray) -> np.ndarray:
                      u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1)
 
 
-def _cached_tests(pts: np.ndarray, rows: np.ndarray, reach: float):
-    """Float conflict tests of new simplices, as (lin, off, band).
+class _Predicates:
+    """The kernel's orientation and conflict tests on its (scaled) points: the
+    float filter first, the exact integer test only where the filter
+    abstains. `exact` counts the exact tests."""
 
-    The margin of point p is lin . (p, |p|^2) + off: for a simplex with
-    circumcentre c and squared circumradius r^2 it is r^2 - |p - c|^2, for a
-    ghost the product of p - a with the outward normal of its hull facet (a
-    the facet's first corner). p conflicts when the margin exceeds band and
-    not when it is below -band; in between the test is left to
-    `_conflict_exact`. A ghost's band bounds the rounding of its facet test; a
-    simplex's is BAND_EPS of r^2 plus the rounding of the lifted product, or
-    infinite when the bound on the condition number of its circumcentre solve
-    exceeds COND_MAX.
-    """
-    d = pts.shape[1]
-    ghost = rows[:, d] == GHOST
-    a = pts[rows[:, 0]]
-    # The last edge is meaningless on ghost rows, and not used there.
-    edges = [pts[rows[:, k]] - a for k in range(1, d + 1)]
-    sq = [_rowdot(e, e) for e in edges]
-    normal = _rownormal(*edges[:-1])
-    det = _rowdot(normal, edges[-1])
-    # Circumcentre minus a, by Cramer's rule on [edges] x = sq / 2: column k
-    # of the adjugate is (-1)^(d-1-k) times the normal of the other edges.
-    x = sum((-1) ** (d - 1 - k) * sq[k][:, None] * _rownormal(*edges[:k], *edges[k + 1:])
-            for k in range(d))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = 0.5 * x / det[:, None]
-        trusted = ~ghost & (sum(sq) ** (d / 2) <= COND_MAX * np.abs(det))
-    # An untrusted simplex gets the dummy circle of radius 0 around a; its
-    # band is infinite.
-    x[~trusted] = 0.0
-    r2 = _rowdot(x, x)
-    lin = np.empty((len(rows), d + 1))
-    lin[:, :d] = np.where(ghost[:, None], normal, 2.0 * (a + x))
-    lin[:, d] = np.where(ghost, 0.0, -1.0)
-    off = np.where(ghost, -_rowdot(normal, a), -_rowdot(a, a + 2.0 * x))
-    rounding = ROUND_EPS * (np.sqrt(_rowdot(a, a)) + 2.0 * np.sqrt(r2) + reach) ** 2
-    band = np.where(ghost, BAND_EPS * np.sqrt(np.prod(sq[:-1], axis=0)) * reach,
-                    np.where(trusted, BAND_EPS * r2 + rounding, np.inf))
-    return lin, off, band
+    def __init__(self, pts: np.ndarray):
+        self.P = [tuple(row) for row in pts.tolist()]
+        self.xp = _exact_coords(pts)
+        self.exact = 0
+
+    def orient(self, f, p: int) -> int:
+        """Sign of the orientation of the d corners f and point p."""
+        P = self.P
+        if len(f) == 2:
+            s = _orient2_filter(P[f[0]], P[f[1]], P[p])
+        else:
+            s = _orient3_filter(P[f[0]], P[f[1]], P[f[2]], P[p])
+        if s:
+            return s
+        corners = [P[v] for v in f] + [P[p]]
+        if any(len({c[k] for c in corners}) == 1 for k in range(len(f))):
+            return 0    # on one axis-parallel line (plane)
+        self.exact += 1
+        xp = self.xp
+        s = _ORIENT[len(f)](*(xp[v] for v in f), xp[p])
+        return (s > 0) - (s < 0)
+
+    def conflict(self, row, p: int) -> bool:
+        """`_conflict_exact` of point p and a simplex or ghost row."""
+        d = len(row) - 1
+        P = self.P
+        if row[d] != GHOST:
+            if d == 2:
+                s = _incircle_filter(P[row[0]], P[row[1]], P[row[2]], P[p])
+            else:
+                s = _insphere_filter(P[row[0]], P[row[1]], P[row[2]], P[row[3]], P[p])
+            if s:
+                return s > 0
+            self.exact += 1
+            return _conflict_exact(self.xp, row, p)
+        f = row[:d]
+        s = self.orient(f, p)
+        return s > 0 if s else self._on_facet(f, p)
+
+    def _on_facet(self, f, p: int) -> bool:
+        """For p on the line (plane) of hull facet f: whether p lies strictly
+        inside f's segment (circumcircle)."""
+        P = self.P
+        a, b, q = P[f[0]], P[f[1]], P[p]
+        if len(f) == 2:
+            s = _dot2_filter(a, b, q)
+            if s:
+                return s < 0
+        else:
+            # Every sphere through a, b, c meets their plane in their
+            # circumcircle: any point off the plane, on its positive side for
+            # certain, closes one.
+            c = P[f[2]]
+            ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+            vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+            off = (a[0] + (uy * vz - uz * vy), a[1] + (uz * vx - ux * vz), a[2] + (ux * vy - uy * vx))
+            if _orient3_filter(a, b, c, off) > 0:
+                s = _insphere_filter(a, b, c, off, q)
+                if s:
+                    return s > 0
+        self.exact += 1
+        xp = self.xp
+        return _ON_FACET[len(f)](*(xp[v] for v in f), xp[p])
 
 
-def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Delaunay simplices of validated (N, d) points, d = 2 or 3, as
-    (simplices, adjacency, hull slivers dropped).
+def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Delaunay simplices of validated, scaled (N, d) points (the second array
+    of `_validate_input`), d = 2 or 3, as (simplices, adjacency, hull slivers
+    dropped, exact tests, walk steps).
 
     The first d + 1 affinely independent points (in index order) start one
     simplex plus a ghost simplex (facet..., GHOST) on each of its facets; the
     other points follow in index order. A point's cavity is every simplex
     whose circumcircle (circumsphere) holds it strictly, with the ghosts' rule
-    of `_conflict_exact`. Cached float tests decide outside a band, integer
-    arithmetic decides inside it, so each cavity is exactly star-shaped and
-    its boundary facets coned to the point are the new simplices; no repair
-    pass follows. Cocircular (cospherical) ties count as outside, so earlier
-    simplices win and the output is deterministic. Last, `_drop_hull_slivers`
-    removes the flat hull simplices.
+    of `_conflict_exact`. The kernel finds one such simplex by a visibility
+    walk (Devillers, Pion & Teillaud 2002) and grows the cavity from it by
+    breadth-first search across facets; the cavity's boundary facets coned to
+    the point are the new simplices. Each walk starts at a live simplex of
+    the point inserted last in the point's finest occupied cell of a
+    power-of-two grid hierarchy over the bounding box (at the last new
+    simplex when no cell is occupied). Each step tries the facets in a
+    rotation drawn at random and crosses the first the point lies strictly
+    beyond: the random draw keeps a walk through cocircular (cospherical)
+    simplices from cycling (Devillers et al.'s stochastic walk), and a walk
+    of more steps than there are live simplices raises `PointLocationFailed`.
+    Every test is a float filter with a static error bound, decided exactly
+    inside it (`_Predicates`), so each cavity is exactly star-shaped and no
+    repair pass follows. Cocircular
+    (cospherical) ties count as outside, so earlier simplices win and the
+    output is deterministic. Last, `_drop_hull_slivers` removes the flat
+    hull simplices.
     """
     n, d = pts.shape
-    facets = _FACETS[d]
-    xp = _exact_coords(pts)
-    lifted = np.hstack([pts, _rowdot(pts, pts)[:, None]])
-    # With the facet's edge lengths, bounds the rounding of a ghost's facet test.
-    diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    reach = diameter + 2.0 * float(np.abs(pts).max())
+    tests = _Predicates(pts)
+    P = tests.P + [None]    # P[GHOST] is None
+    orient = _orient2_filter if d == 2 else _orient3_filter
+    insphere = _incircle_filter if d == 2 else _insphere_filter
+    # The corners of the facet opposite corner k, ordered so that the facet
+    # followed by corner k is positively oriented.
+    facet = [itemgetter(*f) for f in _FACETS[d].tolist()]
+    # The facet orders a walk step draws from: r, r + 1, ... (mod d + 1).
+    turns = [[(r + i) % (d + 1) for i in range(d + 1)] for r in range(d + 1)]
+    # For a new simplex with its point at corner j: each other corner k and
+    # the corners other than j and k, which name the ridge (new point
+    # excluded) across the facet opposite k.
+    ridges = [[(k, [i for i in range(d + 1) if i not in (j, k)]) for k in range(d + 1) if k != j]
+              for j in range(d + 1)]
 
-    # Rows [0, count) of the simplices and their cached tests; a dead row's
-    # off is NaN, which no test selects, and dead rows are dropped whenever
-    # the arrays fill up.
-    simp, lin, off, band = (np.empty((0, d + 1), dtype=np.int64), np.empty((0, d + 1)),
-                            np.empty(0), np.empty(0))
-    count = 0
-
-    def add(rows: list[tuple]):
-        nonlocal count, simp, lin, off, band
-        rows = np.asarray(rows, dtype=np.int64)
-        if count + len(rows) > len(simp):
-            live = np.nonzero(~np.isnan(off[:count]))[0]
-            cap = 2 * (len(live) + len(rows))
-            arrays = []
-            for old in (simp, lin, off, band):
-                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:len(live)] = old[live]
-                arrays.append(new)
-            simp, lin, off, band = arrays
-            count = len(live)
-        k = slice(count, count + len(rows))
-        simp[k] = rows
-        lin[k], off[k], band[k] = _cached_tests(pts, rows, reach)
-        count += len(rows)
-
-    first = _first_simplex(xp)
-    # Each facet reversed (its first two corners swapped) faces away from the simplex.
-    ghosts = np.asarray(first)[facets][:, [1, 0, *range(2, d)]]
-    add([first] + [(*facet, GHOST) for facet in ghosts.tolist()])
-    rest = np.ones(n, dtype=bool)
-    rest[first] = False
-
-    for p in np.nonzero(rest)[0].tolist():
-        margin = lin[:count] @ lifted[p] + off[:count]
-        near = np.nonzero(margin >= -band[:count])[0]
-        sure = margin[near] > band[near]
-        cavity = near[sure].tolist()
-        cavity += [t for t in near[~sure].tolist() if _conflict_exact(xp, simp[t].tolist(), p)]
-        boundary: dict[frozenset, list] = {}
-        for facet in simp[cavity][:, facets].reshape(-1, d).tolist():
-            key = frozenset(facet)
-            if key in boundary:
-                del boundary[key]  # shared by two cavity simplices: interior
+    # Simplex t is S[t] (None once dead, its slot then on `free`), C[t] the
+    # coordinates of its corners, A[t][k] the simplex across its facet
+    # opposite corner k; star[v] is a live simplex of point v (star[GHOST] a
+    # spare slot).
+    first = _first_simplex(tests.xp)
+    S = [tuple(first)] + [(f[1], f[0], *f[2:], GHOST) for f in (g(first) for g in facet)]
+    C = [tuple(P[v] for v in row) for row in S]
+    A = [[-1] * (d + 1) for _ in S]
+    shared: dict[frozenset, tuple[int, int]] = {}
+    for t, row in enumerate(S):
+        for k in range(d + 1):
+            key = frozenset(row[:k] + row[k + 1:])
+            if key in shared:
+                u, j = shared.pop(key)
+                A[t][k], A[u][j] = u, t
             else:
-                boundary[key] = facet
-        off[cavity] = np.nan
-        new = []
-        for facet in boundary.values():
-            row = [*facet, p]
-            if GHOST in facet:
-                # Move GHOST last; a second swap keeps the orientation.
-                j = row.index(GHOST)
-                row[j], row[d] = row[d], row[j]
-                row[0], row[1] = row[1], row[0]
-            new.append(tuple(row))
-        add(new)
+                shared[key] = (t, k)
+    free: list[int] = []
+    star = [0] * (n + 1)
 
-    rows = simp[:count][~np.isnan(off[:count])]
+    # Cell codes of every point on grids of 2^L, 2^(L-1), ..., 2 cells a side,
+    # the finest with at most n cells (2^(dL) <= n), and per grid the point
+    # inserted last in each cell.
+    levels = max(1, (n.bit_length() - 1) // d)
+    lo = pts.min(axis=0)
+    cell = np.minimum((pts - lo) / (pts.max(axis=0) - lo) * 2 ** levels, 2 ** levels - 1).astype(np.int64)
+    keys = np.stack([sum((cell[:, a] >> s) << (a * levels) for a in range(d)) for s in range(levels)],
+                    axis=1).tolist()
+    grids: list[dict] = [{} for _ in range(levels)]
+    for p in first:
+        for grid, key in zip(grids, keys[p]):
+            grid[key] = p
+
+    state = 0    # of the linear congruential generator behind each walk's turns
+    walked = 0
+    last = 0
+
+    for p in sorted(set(range(n)) - set(first)):
+        q = P[p]
+        t = last
+        for grid, key in zip(grids, keys[p]):
+            v = grid.get(key)
+            if v is not None:
+                t = star[v]
+                break
+
+        # Walk to a simplex in conflict with p. A ghost start not in conflict
+        # hands over to the simplex across its hull facet. A walk that enters
+        # a ghost crossed its hull facet, which p lies strictly beyond; one
+        # that finds no facet p lies strictly beyond has p in the closed
+        # simplex, so strictly inside its circumsphere.
+        row = S[t]
+        if row[d] == GHOST and not tests.conflict(row, p):
+            t = A[t][d]
+            row = S[t]
+        prev, steps, live = -1, 0, len(S) - len(free)
+        while row[d] != GHOST:
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            adj, corners = A[t], C[t]
+            for k in turns[(state >> 16) % (d + 1)]:
+                o = adj[k]
+                if o != prev and (orient(*facet[k](corners), q) or tests.orient(facet[k](row), p)) < 0:
+                    break
+            else:
+                break
+            prev, t, row = t, o, S[o]
+            steps += 1
+            if steps > live:
+                raise PointLocationFailed(p, steps)
+        walked += steps
+
+        # Breadth-first over the cavity; each boundary facet, ordered so the
+        # cavity side is positive, gives a new row (facet..., p) and links to
+        # the simplex outside it at that simplex's corner `back`.
+        cavity = [t]
+        inside = {t: True}
+        new = []
+        for c in cavity:
+            row, adj = S[c], A[c]
+            for k in range(d + 1):
+                o = adj[k]
+                hit = inside.get(o)
+                if hit is None:
+                    out = S[o]
+                    s = insphere(*C[o], q) if out[d] != GHOST else 0
+                    hit = inside[o] = s > 0 if s else tests.conflict(out, p)
+                    if hit:
+                        cavity.append(o)
+                if not hit:
+                    f = [*facet[k](row), p]
+                    j = d
+                    if GHOST in f:
+                        # Move GHOST last; a second swap keeps the orientation.
+                        j = f.index(GHOST)
+                        f[j], f[d] = f[d], f[j]
+                        f[0], f[1] = f[1], f[0]
+                        j = j ^ 1 if j < 2 else j
+                    new.append((f, j, o, A[o].index(c)))
+        for c in cavity:
+            S[c] = None
+        free += cavity
+
+        # New simplices sharing a ridge (with p) are linked through one dict.
+        link: dict = {}
+        for f, j, o, back in new:
+            if free:
+                t = free.pop()
+            else:
+                t = len(S)
+                S.append(None)
+                C.append(None)
+                A.append(None)
+            adj = [-1] * (d + 1)
+            adj[j] = o
+            A[o][back] = t
+            S[t], C[t], A[t] = tuple(f), tuple(map(P.__getitem__, f)), adj
+            for k, r in ridges[j]:
+                key = f[r[0]] if d == 2 else (min(f[r[0]], f[r[1]]), max(f[r[0]], f[r[1]]))
+                other = link.pop(key, None)
+                if other is None:
+                    link[key] = (t, k)
+                else:
+                    adj[k] = other[0]
+                    A[other[0]][other[1]] = t
+            for v in f:
+                star[v] = t
+        last = t
+        for grid, key in zip(grids, keys[p]):
+            grid[key] = p
+
+    rows = np.array([row for row in S if row is not None], dtype=np.int64)
     ghost = rows[:, d] == GHOST
     simplices, dropped = _drop_hull_slivers(pts, rows[~ghost], rows[ghost, :d])
     simplices = _canonical_rows(simplices)
-    return simplices, _adjacency(simplices), dropped
+    return simplices, _adjacency(simplices), dropped, tests.exact, walked
 
 
 def _drop_hull_slivers(pts: np.ndarray, simplices: np.ndarray, hull: np.ndarray):
@@ -511,18 +742,18 @@ def _drop_hull_slivers(pts: np.ndarray, simplices: np.ndarray, hull: np.ndarray)
 
 def triangulate2(points) -> Triangulation2:
     """Delaunay-triangulate 2D points with `_bowyer_watson`."""
-    pts = _validate_input(points, 2)
-    triangles, adjacency, dropped = _bowyer_watson(pts)
+    pts, unit = _validate_input(points, 2)
+    triangles, adjacency, dropped, exact, walked = _bowyer_watson(unit)
     return Triangulation2(points=pts, triangles=triangles, adjacency=adjacency,
-                          hull_slivers_dropped=dropped)
+                          hull_slivers_dropped=dropped, exact_tests=exact, walk_steps=walked)
 
 
 def tetrahedralize3(points) -> Triangulation3:
     """Delaunay-tetrahedralize 3D points with `_bowyer_watson`."""
-    pts = _validate_input(points, 3)
-    tets, adjacency, dropped = _bowyer_watson(pts)
+    pts, unit = _validate_input(points, 3)
+    tets, adjacency, dropped, exact, walked = _bowyer_watson(unit)
     return Triangulation3(points=pts, tetrahedra=tets, adjacency=adjacency,
-                          hull_slivers_dropped=dropped)
+                          hull_slivers_dropped=dropped, exact_tests=exact, walk_steps=walked)
 
 def neighbor_map(tri: Triangulation2 | Triangulation3) -> NeighborMap:
     """The neighbourhood row table (rings or stars) of a triangulation."""

@@ -99,3 +99,13 @@ class PipelineError(CvMeshError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+class PointLocationFailed(CvMeshError):
+    """The Delaunay kernel's walk to a new point's first conflicting simplex
+    took more steps than there are simplices."""
+
+    def __init__(self, point, steps):
+        self.point = point
+        self.steps = steps
+        super().__init__(f"point location: the walk to point {point} did not end after {steps} steps")

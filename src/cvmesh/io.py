@@ -162,6 +162,9 @@ class RunConfig:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if isinstance(self.optimizer, dict):
+            unknown = set(self.optimizer) - {f.name for f in fields(OptimizerParams)}
+            if unknown:
+                raise ValueError(f"unknown optimizer config keys: {sorted(unknown)}")
             self.optimizer = OptimizerParams(**self.optimizer)
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:

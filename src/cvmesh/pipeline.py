@@ -176,6 +176,8 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "clamped_points": len(solve.clamped_points),
         "domain_clipped_cells": _domain_clipped_cells(mesh),
         "hull_slivers_dropped": tri.hull_slivers_dropped,
+        "tri_exact_tests": tri.exact_tests,
+        "tri_walk_steps": tri.walk_steps,
         "max_simplex_residual": _max_simplex_residual(tri, solve),
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,

@@ -14,6 +14,11 @@ generator runs in blocks over a background grid, the artifact writers with
 one Python call per number, and the point-, facet- and pair-at-a-time loops
 behind duplicate detection, simplex adjacency and overlap labels.
 
+`bowyer_watson_scan` is the Delaunay kernel that tested every live simplex
+for each new point before cvmesh walked to the point and searched its
+cavity; it is the one reference here that imports from cvmesh, sharing its
+exact integer predicates and finishing passes, which both kernels run.
+
 `neighbor_lists` is the per-point dict walk that built each point's ring or
 star as its own array before cvmesh built them as one row table; the tests
 check the table row for row against it, and the loops here read its lists.
@@ -1559,3 +1564,153 @@ def overlap_loop(rr: np.ndarray, nm, pts: np.ndarray) -> dict:
             gap = L - (rr[i] + rr[j])
             pairs[key] = not gap > 0.0
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# the Bowyer-Watson kernel that scans every live simplex per insertion:
+# cvmesh.delaunay's kernel before it walked to each point and grew the cavity
+# by breadth-first search, kept as the reference for its simplices,
+# adjacency and slivers. It shares cvmesh's exact integer predicates and its
+# finishing passes (sliver rule, canonical rows, adjacency), which both
+# kernels run unchanged; what differs is how the conflicts are found.
+
+# Cached circumcircle/circumsphere and hull-facet tests decide a conflict only
+# outside this relative band; inside it the kernel decides exactly.
+BAND_EPS = 1e-5
+# A circumcentre solve whose condition-number bound exceeds this is not
+# trusted to BAND_EPS; every conflict test of that simplex is exact.
+COND_MAX = 1e8
+# Bound on the relative rounding of a cached simplex test, as a share of the
+# square of its largest length (centre, circumradius and point magnitudes).
+ROUND_EPS = 1e-14
+
+
+def _scan_rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _cached_tests(pts: np.ndarray, rows: np.ndarray, reach: float):
+    """Float conflict tests of new simplices, as (lin, off, band).
+
+    The margin of point p is lin . (p, |p|^2) + off: for a simplex with
+    circumcentre c and squared circumradius r^2 it is r^2 - |p - c|^2, for a
+    ghost the product of p - a with the outward normal of its hull facet (a
+    the facet's first corner). p conflicts when the margin exceeds band and
+    not when it is below -band; in between the test is left to the exact
+    conflict test. A ghost's band bounds the rounding of its facet test; a
+    simplex's is BAND_EPS of r^2 plus the rounding of the lifted product, or
+    infinite when the bound on the condition number of its circumcentre solve
+    exceeds COND_MAX.
+    """
+    from cvmesh.delaunay import GHOST, _rownormal
+
+    d = pts.shape[1]
+    ghost = rows[:, d] == GHOST
+    a = pts[rows[:, 0]]
+    # The last edge is meaningless on ghost rows, and not used there.
+    edges = [pts[rows[:, k]] - a for k in range(1, d + 1)]
+    sq = [_scan_rowdot(e, e) for e in edges]
+    normal = _rownormal(*edges[:-1])
+    det = _scan_rowdot(normal, edges[-1])
+    # Circumcentre minus a, by Cramer's rule on [edges] x = sq / 2: column k
+    # of the adjugate is (-1)^(d-1-k) times the normal of the other edges.
+    x = sum((-1) ** (d - 1 - k) * sq[k][:, None] * _rownormal(*edges[:k], *edges[k + 1:])
+            for k in range(d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = 0.5 * x / det[:, None]
+        trusted = ~ghost & (sum(sq) ** (d / 2) <= COND_MAX * np.abs(det))
+    # An untrusted simplex gets the dummy circle of radius 0 around a; its
+    # band is infinite.
+    x[~trusted] = 0.0
+    r2 = _scan_rowdot(x, x)
+    lin = np.empty((len(rows), d + 1))
+    lin[:, :d] = np.where(ghost[:, None], normal, 2.0 * (a + x))
+    lin[:, d] = np.where(ghost, 0.0, -1.0)
+    off = np.where(ghost, -_scan_rowdot(normal, a), -_scan_rowdot(a, a + 2.0 * x))
+    rounding = ROUND_EPS * (np.sqrt(_scan_rowdot(a, a)) + 2.0 * np.sqrt(r2) + reach) ** 2
+    band = np.where(ghost, BAND_EPS * np.sqrt(np.prod(sq[:-1], axis=0)) * reach,
+                    np.where(trusted, BAND_EPS * r2 + rounding, np.inf))
+    return lin, off, band
+
+
+def bowyer_watson_scan(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Delaunay simplices of (N, d) points, d = 2 or 3, as (simplices,
+    adjacency, hull slivers dropped), finding each point's cavity by testing
+    it against every live simplex: one cached float test per simplex, the
+    exact test inside its band. The points must already pass
+    `triangulate2`'s (`tetrahedralize3`'s) input checks."""
+    from cvmesh.delaunay import (
+        _FACETS, GHOST, _adjacency, _canonical_rows, _conflict_exact, _drop_hull_slivers,
+        _exact_coords, _first_simplex,
+    )
+
+    n, d = pts.shape
+    facets = _FACETS[d]
+    xp = _exact_coords(pts)
+    lifted = np.hstack([pts, _scan_rowdot(pts, pts)[:, None]])
+    # With the facet's edge lengths, bounds the rounding of a ghost's facet test.
+    diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    reach = diameter + 2.0 * float(np.abs(pts).max())
+
+    # Rows [0, count) of the simplices and their cached tests; a dead row's
+    # off is NaN, which no test selects, and dead rows are dropped whenever
+    # the arrays fill up.
+    simp, lin, off, band = (np.empty((0, d + 1), dtype=np.int64), np.empty((0, d + 1)),
+                            np.empty(0), np.empty(0))
+    count = 0
+
+    def add(rows: list[tuple]):
+        nonlocal count, simp, lin, off, band
+        rows = np.asarray(rows, dtype=np.int64)
+        if count + len(rows) > len(simp):
+            live = np.nonzero(~np.isnan(off[:count]))[0]
+            cap = 2 * (len(live) + len(rows))
+            arrays = []
+            for old in (simp, lin, off, band):
+                new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:len(live)] = old[live]
+                arrays.append(new)
+            simp, lin, off, band = arrays
+            count = len(live)
+        k = slice(count, count + len(rows))
+        simp[k] = rows
+        lin[k], off[k], band[k] = _cached_tests(pts, rows, reach)
+        count += len(rows)
+
+    first = _first_simplex(xp)
+    # Each facet reversed (its first two corners swapped) faces away from the simplex.
+    ghosts = np.asarray(first)[facets][:, [1, 0, *range(2, d)]]
+    add([first] + [(*facet, GHOST) for facet in ghosts.tolist()])
+    rest = np.ones(n, dtype=bool)
+    rest[first] = False
+
+    for p in np.nonzero(rest)[0].tolist():
+        margin = lin[:count] @ lifted[p] + off[:count]
+        near = np.nonzero(margin >= -band[:count])[0]
+        sure = margin[near] > band[near]
+        cavity = near[sure].tolist()
+        cavity += [t for t in near[~sure].tolist() if _conflict_exact(xp, simp[t].tolist(), p)]
+        boundary: dict[frozenset, list] = {}
+        for facet in simp[cavity][:, facets].reshape(-1, d).tolist():
+            key = frozenset(facet)
+            if key in boundary:
+                del boundary[key]  # shared by two cavity simplices: interior
+            else:
+                boundary[key] = facet
+        off[cavity] = np.nan
+        new = []
+        for facet in boundary.values():
+            row = [*facet, p]
+            if GHOST in facet:
+                # Move GHOST last; a second swap keeps the orientation.
+                j = row.index(GHOST)
+                row[j], row[d] = row[d], row[j]
+                row[0], row[1] = row[1], row[0]
+            new.append(tuple(row))
+        add(new)
+
+    rows = simp[:count][~np.isnan(off[:count])]
+    ghost = rows[:, d] == GHOST
+    simplices, dropped = _drop_hull_slivers(pts, rows[~ghost], rows[ghost, :d])
+    simplices = _canonical_rows(simplices)
+    return simplices, _adjacency(simplices), dropped

@@ -122,3 +122,12 @@ def test_3d_run_and_gen_from_flags(tmp_path):
     assert (tmp_path / "again.vtk").read_bytes() == (out / "mesh.vtk").read_bytes()
     assert main(["gen", "--dim", "3", "--n", "20", "--out", str(tmp_path / "p.json")]) == 0
     assert len(read_json(str(tmp_path / "p.json"))["points"][0]) == 3
+
+
+def test_run_rejects_unknown_optimizer_keys(tmp_path, capsys):
+    # a misspelt key inside "optimizer" is an input error naming the key,
+    # as an unknown top-level key is
+    cfg = _cfg(tmp_path, optimizer={"generation": 5})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "z")]) == 4
+    err = capsys.readouterr().err
+    assert "unknown optimizer config keys: ['generation']" in err

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from cvmesh.errors import AllCollinear, AllCoplanar, DuplicatePoints, TooFewPoin
 from conftest import assert_table_equals_lists, flat_faced_box, hexagon_patch, uniform_points
 from oracles import (
     adjacency_loop,
+    bowyer_watson_scan,
     convex_hull_area,
     convex_hull_volume,
     duplicate_pairs_loop,
@@ -457,3 +458,187 @@ def test_convex_hull_volume_counts_flat_faces_once():
     assert total == pytest.approx(1.0, rel=1e-12)
     ok, witness = empty_circumspheres(pts, tet.tetrahedra, eps=1e-9)
     assert ok, witness
+
+
+# ---------------------------------------------------------------------------
+# The walking kernel against the scanning reference (oracles.bowyer_watson_scan):
+# the same simplices, adjacency and dropped slivers, on generator sweeps and
+# on degenerate sets.
+
+def _cocircular() -> np.ndarray:
+    """The 16 integer points on x^2 + y^2 = 65, and their centre."""
+    ring = {(s * x, t * y) for x, y in ((1, 8), (8, 1), (4, 7), (7, 4)) for s in (1, -1) for t in (1, -1)}
+    return np.array(sorted(ring) + [(0, 0)], dtype=float)
+
+
+def _cospherical() -> np.ndarray:
+    """The 30 integer points on x^2 + y^2 + z^2 = 9, and their centre."""
+    axes = [(3, 0, 0), (1, 2, 2)]
+    shell = {tuple(s * v for s, v in zip(signs, perm)) for base in axes
+             for perm in set(permutations(base)) for signs in product((1, -1), repeat=3)}
+    return np.array(sorted(shell) + [(0, 0, 0)], dtype=float)
+
+
+def _lattice(dim: int, k: int) -> np.ndarray:
+    return np.array(list(product(range(k), repeat=dim)), dtype=float)
+
+
+def _permuted(pts: np.ndarray, seed: int = 0) -> np.ndarray:
+    return pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
+SWEEP = [(2, n, s) for n in (20, 100, 400, 2000) for s in range(5)] + \
+        [(3, n, s) for n in (30, 60, 300) for s in range(5)]
+
+DEGENERATE = {
+    "hex patch 1": lambda: hexagon_patch(1, 0, jitter=0.0),
+    "hex patch 4": lambda: hexagon_patch(4, 0, jitter=0.0),
+    "hex patch 4 jittered": lambda: hexagon_patch(4, 1),
+    "hexagon 0": lambda: hexagon_patch(3, 0) * 3.7,
+    "hexagon 3": lambda: hexagon_patch(3, 3) * 3.7,
+    "square 8": lambda: _lattice(2, 8),
+    "square 8 permuted": lambda: _permuted(_lattice(2, 8)),
+    "square 5 corners first": lambda: _corners_first(_lattice(2, 5)),
+    "cube 4": lambda: _lattice(3, 4),
+    "cube 4 permuted": lambda: _permuted(_lattice(3, 4)),
+    "cube 3 corners first": lambda: _corners_first(_lattice(3, 3)),
+    "flat-faced box": flat_faced_box,
+    "cocircular": _cocircular,
+    "cocircular centre first": lambda: _cocircular()[::-1],
+    "cospherical": _cospherical,
+    "cospherical centre first": lambda: _cospherical()[::-1],
+    "2D cloud offset by 1e6": lambda: uniform_points(2, 400, 1) + 1e6,
+    "3D cloud offset by 1e6": lambda: uniform_points(3, 60, 1) + 1e6,
+}
+
+
+def _assert_same_as_scan(pts: np.ndarray):
+    tri = triangulate2(pts) if pts.shape[1] == 2 else tetrahedralize3(pts)
+    simplices, adjacency, dropped = bowyer_watson_scan(np.asarray(pts, dtype=float))
+    assert np.array_equal(tri.simplices, simplices)
+    assert np.array_equal(tri.adjacency, adjacency)
+    assert tri.hull_slivers_dropped == dropped
+    return tri
+
+
+@pytest.mark.parametrize("dim,n,seed", SWEEP)
+def test_kernel_equals_scan_on_generator_clouds(dim, n, seed):
+    tri = _assert_same_as_scan(uniform_points(dim, n, seed))
+    # The walks start near their points: a few steps each, not a scan.
+    assert tri.walk_steps < 8 * n
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_kernel_equals_scan_on_degenerate_sets(case):
+    _assert_same_as_scan(DEGENERATE[case]())
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_huge_coordinates_triangulate_as_unit_ones(dim):
+    # The kernel scales the points by a power of two: u * 2^600 is u to
+    # every predicate and to the sliver rule, and no float test overflows.
+    u = uniform_points(dim, 400 if dim == 2 else 60, 1)
+    kernel = triangulate2 if dim == 2 else tetrahedralize3
+    base = kernel(u)
+    for big in (u * 2.0**600, u * 1e200):
+        tri = kernel(big)
+        assert np.array_equal(tri.simplices, base.simplices)
+        assert np.array_equal(tri.adjacency, base.adjacency)
+        assert tri.hull_slivers_dropped == base.hull_slivers_dropped
+
+
+def test_box_face_points_take_few_exact_tests():
+    # Points on a box face lie exactly in the plane of the face's ghosts;
+    # the filters decide those in-plane tests in floating point.
+    tet = tetrahedralize3(uniform_points(3, 300, 1))
+    assert tet.exact_tests < 100
+
+
+def _nudged(pts: np.ndarray, seed: int) -> np.ndarray:
+    """pts with every coordinate moved by -1, 0 or +1 ulp at random."""
+    step = np.random.default_rng(seed).integers(-1, 2, pts.shape)
+    return np.where(step > 0, np.nextafter(pts, np.inf), np.where(step < 0, np.nextafter(pts, -np.inf), pts))
+
+
+def _box_faces(dim: int, seed: int) -> np.ndarray:
+    """Unit-box points, each on a face (one coordinate 0 or 1), and a few inside."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((40, dim))
+    pts[np.arange(32), rng.integers(0, dim, 32)] = rng.integers(0, 2, 32)
+    return pts
+
+
+PREDICATE_SETS = {
+    "cocircular": lambda s: _cocircular() / 8.0,
+    "cocircular nudged": lambda s: _nudged(_cocircular() / 8.0, s),
+    "square nudged": lambda s: _nudged(_lattice(2, 5) / 4.0, s),
+    "2D box faces": lambda s: _box_faces(2, s),
+    "cospherical": lambda s: _cospherical() / 4.0,
+    "cospherical nudged": lambda s: _nudged(_cospherical() / 4.0, s),
+    "cube nudged": lambda s: _nudged(_lattice(3, 3) / 2.0, s),
+    "3D box faces": lambda s: _box_faces(3, s),
+}
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("case", sorted(PREDICATE_SETS))
+def test_float_filters_abstain_or_agree_with_exact(case):
+    from cvmesh.delaunay import (
+        GHOST, _conflict_exact, _dot2_filter, _exact_coords, _incircle_exact, _incircle_filter,
+        _insphere_exact, _insphere_filter, _orient2_exact, _orient2_filter, _orient3_exact,
+        _orient3_filter, _Predicates,
+    )
+
+    for seed in range(3):
+        pts = PREDICATE_SETS[case](seed)
+        n, d = pts.shape
+        P = [tuple(p) for p in pts.tolist()]
+        xp = _exact_coords(pts)
+        tests = _Predicates(pts)
+        rng = np.random.default_rng(seed)
+        for _ in range(3000):
+            ids = rng.choice(n, d + 2, replace=False).tolist()
+            *row, p = ids
+            if d == 2:
+                pairs = [(_orient2_filter(*(P[v] for v in row)), _orient2_exact(*(xp[v] for v in row))),
+                         (_incircle_filter(*(P[v] for v in ids)), _incircle_exact(*(xp[v] for v in ids))),
+                         (_dot2_filter(P[row[0]], P[row[1]], P[p]),
+                          sum((a - c) * (b - c) for a, b, c in zip(xp[row[0]], xp[row[1]], xp[p])))]
+            else:
+                pairs = [(_orient3_filter(*(P[v] for v in row)), _orient3_exact(*(xp[v] for v in row))),
+                         (_insphere_filter(*(P[v] for v in ids)), _insphere_exact(*(xp[v] for v in ids)))]
+            for got, want in pairs:
+                assert got in (0, _sign(want)), (ids, got, want)
+            # The kernel's tests, filter and fallback together, are exact.
+            for r in (row, row[:d] + [GHOST]):
+                assert tests.conflict(r, p) == _conflict_exact(xp, r, p), (r, p)
+            assert tests.orient(row[:d], p) == _sign((_orient2_exact if d == 2 else _orient3_exact)(
+                *(xp[v] for v in row[:d]), xp[p]))
+
+
+def test_walk_that_does_not_end_raises(monkeypatch):
+    # An orientation filter that lies for the last point: from any triangle
+    # around the centre it sends the walk across the spoke ahead, so the walk
+    # circles the centre. The kernel stops it after as many steps as there
+    # are simplices and names the point instead of hanging.
+    import cvmesh.delaunay as delaunay
+    from cvmesh.errors import PointLocationFailed
+
+    ring = [(np.cos(a), np.sin(a)) for a in np.arange(6) * np.pi / 3]
+    pts = np.array(ring + [(0.0, 0.0), (0.1, 0.05)])
+    # The kernel sees the points scaled by 1/2, and the centre was inserted
+    # last in the last point's grid cell, so that walk starts next to it.
+    last, centre = (0.05, 0.025), (0.0, 0.0)
+    honest = delaunay._orient2_filter
+
+    def lying(a, b, c):
+        if c != last:
+            return honest(a, b, c)
+        return -1 if b == centre else 1
+
+    monkeypatch.setattr(delaunay, "_orient2_filter", lying)
+    with pytest.raises(PointLocationFailed, match="point 7"):
+        triangulate2(pts)

@@ -106,3 +106,18 @@ def test_summary_counts_domain_clipped_cells(tmp_path):
         want = sum(1 for tags in walls if None in tags)
         assert summary["domain_clipped_cells"] == res.summary["domain_clipped_cells"] == want
         assert 0 < want < len(mesh["cells"])
+
+
+def test_summary_counts_kernel_exact_tests_and_walk_steps(tmp_path):
+    # The kernel's counters go to summary.json only; triangulation.json keeps
+    # its keys, and so its bytes.
+    from cvmesh.delaunay import tetrahedralize3
+
+    cfg = RunConfig(dimension=3, n=60, seed=1, equal_radii=True, probes=500, out_dir=str(tmp_path))
+    res = run_pipeline(cfg)
+    summary = read_json(res.artifacts["summary.json"])
+    tri = tetrahedralize3(read_json(res.artifacts["points.json"])["points"])
+    assert summary["tri_exact_tests"] == tri.exact_tests >= 0
+    assert summary["tri_walk_steps"] == tri.walk_steps > 0
+    doc = read_json(res.artifacts["triangulation.json"])
+    assert sorted(doc) == ["dimension", "kind", "points", "schema", "simplices"]
