@@ -34,7 +34,6 @@ from .pipeline import run_pipeline
 from .solver import (
     OverlapKind,
     OverlapMode,
-    RadiusVector,
     VolumeMode,
     classify_overlap,
     max_radii,

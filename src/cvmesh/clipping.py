@@ -1,8 +1,8 @@
 """Convex clipping with provenance tags.
 
 Polygons carry one tag per edge and polyhedra one tag per face (the neighbor
-point a cut came from, or None for domain boundary), so assembled cells know
-which neighbor each wall separates them from.
+point a cut came from, or -1 for the domain boundary), so assembled cells
+know which neighbor each wall separates them from.
 
 Polyhedra are clipped in stacked form (`PolyStack`): the face loops of many
 cells lie one after another in one (N, 3) vertex array, with the row where
@@ -10,59 +10,32 @@ each face starts, the row of each vertex's successor around its loop, one
 tag per face (-1 for the domain), one cell id per face, faces grouped by
 cell, and one simplex id per vertex. `clip_stack` clips every cell of a
 stack by its own plane in one array pass; `clip_polyhedron` is its one-cell
-case on a TaggedPolyhedron.
+case.
 
 Polygons have the same in 2D (`RingStack`): one ring per cell in one (V, 2)
 vertex array, one tag per edge and one simplex id per vertex. `clip_rings`
 clips every ring by its own line in one pass; `clip_polygon` is its one-cell
-case on a TaggedPolygon.
+case.
+
+The domain a mesh is cut from is a one-cell stack of the same kind, every
+wall tagged -1 (`box_polygon`, `box_polyhedron`), and `domain_planes` gives
+its outward planes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 
-@dataclass
-class TaggedPolygon:
-    """Convex polygon: verts[k] -> verts[k+1] is edge k, labelled tags[k]."""
+def clip_polygon(poly: RingStack, normal, offset: float, tag, eps: float) -> RingStack:
+    """Keep the part of a one-ring stack with normal . x <= offset.
 
-    verts: np.ndarray            # (K, 2)
-    tags: list                   # length K
-
-    def area(self) -> float:
-        v = self.verts
-        return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-
-
-@dataclass
-class TaggedFace:
-    verts: np.ndarray            # (K, 3), outward-oriented loop
-    tag: object                  # neighbor id or None
-
-
-@dataclass
-class TaggedPolyhedron:
-    faces: list[TaggedFace]
-
-    def vertices(self) -> np.ndarray:
-        return np.vstack([f.verts for f in self.faces])
-
-    def volume(self) -> float:
-        """Divergence-theorem volume; faces must be outward-oriented."""
-        return _loops_volume([f.verts for f in self.faces])
-
-
-def clip_polygon(poly: TaggedPolygon, normal, offset: float, tag, eps: float) -> TaggedPolygon | None:
-    """Keep the part of the polygon with normal . x <= offset.
-
-    New edges created by the cut carry `tag`. Returns None when nothing is
-    left. This is the one-cell case of `clip_rings`.
+    New edges created by the cut carry `tag`; the ring has no rows when
+    nothing is left. This is the one-cell case of `clip_rings`.
     """
-    stack = RingStack.of([poly])
-    d = poly.verts @ np.asarray(normal, dtype=float) - offset if len(poly.verts) else np.empty(0)
-    return clip_rings(stack, d, [tag], eps).polygon(0)
+    return clip_rings(poly, poly.verts @ np.asarray(normal, dtype=float) - offset, [tag], eps)
 
 
 @dataclass
@@ -87,16 +60,6 @@ class RingStack:
         return cls(verts, np.asarray(starts, dtype=np.intp), np.asarray(tags, dtype=np.int64),
                    np.full(len(verts), -1, dtype=np.int64))
 
-    @classmethod
-    def of(cls, polys) -> "RingStack":
-        """Stack of TaggedPolygon list entries (None: an empty ring); ring c
-        is polys[c]."""
-        loops = [p.verts for p in polys if p is not None]
-        sizes = np.array([0 if p is None else len(p.verts) for p in polys], dtype=np.intp)
-        tags = [-1 if t is None else t for p in polys if p is not None for t in p.tags]
-        verts = np.concatenate(loops) if loops else np.empty((0, 2))
-        return cls.from_rings(verts, np.cumsum(sizes) - sizes, tags)
-
     def lengths(self) -> np.ndarray:
         """Rows per ring, (C,)."""
         return _lengths(self.starts, len(self.verts))
@@ -110,15 +73,6 @@ class RingStack:
         lens = self.lengths()
         full = lens > 0
         return _successors(self.starts[full], len(self.verts))
-
-    def polygon(self, c: int) -> TaggedPolygon | None:
-        """Ring c as a TaggedPolygon, or None when it has no rows."""
-        a = int(self.starts[c])
-        b = int(self.starts[c + 1]) if c + 1 < len(self.starts) else len(self.verts)
-        if a == b:
-            return None
-        return TaggedPolygon(verts=self.verts[a:b],
-                             tags=[None if t < 0 else t for t in self.tags[a:b].tolist()])
 
 
 def grouped_matvec(verts: np.ndarray, group: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -229,36 +183,23 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
     )
 
 
-def box_polygon(lo, hi) -> TaggedPolygon:
-    """CCW axis-aligned rectangle with untagged (domain) edges."""
+def box_polygon(lo, hi) -> RingStack:
+    """CCW axis-aligned rectangle as a one-ring stack with domain edges."""
     x0, y0 = lo
     x1, y1 = hi
     verts = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
-    return TaggedPolygon(verts=verts, tags=[None, None, None, None])
+    return RingStack.from_rings(verts, [0], [-1] * 4)
 
 
-def polygon_halfplanes(verts: np.ndarray):
-    """Outward half-plane form (n, c) per edge of a CCW convex polygon: n.x <= c inside."""
-    out = []
-    k = len(verts)
-    for a in range(k):
-        b = (a + 1) % k
-        e = verts[b] - verts[a]
-        n = np.array([e[1], -e[0]])  # outward for CCW
-        out.append((n, float(n @ verts[a])))
-    return out
-
-
-def clip_polyhedron(poly: TaggedPolyhedron, normal, offset: float, tag, eps: float) -> TaggedPolyhedron | None:
-    """Keep the part of the polyhedron with normal . x <= offset.
+def clip_polyhedron(poly: PolyStack, normal, offset: float, tag, eps: float) -> PolyStack:
+    """Keep the part of a one-cell stack with normal . x <= offset.
 
     The section polygon becomes one new face labelled `tag`, oriented with its
-    outward normal along +normal. This is the one-cell case of `clip_stack`.
+    outward normal along +normal; the stack has no faces when nothing is
+    left. This is the one-cell case of `clip_stack`.
     """
     n = np.asarray(normal, dtype=float)
-    stack = PolyStack.of([poly])
-    out = clip_stack(stack, stack.verts @ n - offset, n[None, :], [tag], eps)
-    return out.polyhedron(0)
+    return clip_stack(poly, poly.verts @ n - offset, n[None, :], [tag], eps)
 
 
 @dataclass
@@ -294,18 +235,6 @@ class PolyStack:
     def empty(cls) -> "PolyStack":
         return cls.from_loops(np.empty((0, 3)), [], [], [])
 
-    @classmethod
-    def of(cls, polys) -> "PolyStack":
-        """Stack of TaggedPolyhedron list entries; cell c is polys[c]."""
-        loops = [f.verts for p in polys for f in p.faces]
-        if not loops:
-            return cls.empty()
-        verts, starts, succ = _stack_loops(loops)
-        tags = [-1 if f.tag is None else f.tag for p in polys for f in p.faces]
-        cells = np.repeat(np.arange(len(polys)), [len(p.faces) for p in polys])
-        return cls(verts, starts, succ, np.asarray(tags, dtype=np.int64), cells,
-                   np.full(len(verts), -1, dtype=np.int64))
-
     def lengths(self) -> np.ndarray:
         """Rows per face loop, (F,)."""
         return _lengths(self.starts, len(self.verts))
@@ -331,17 +260,11 @@ class PolyStack:
                 PolyStack(self.verts[r:], self.starts[f:] - r, self.succ[r:] - r,
                           self.tags[f:], self.cells[f:], self.simplices[r:]))
 
-    def polyhedron(self, c: int) -> TaggedPolyhedron | None:
-        """Cell c as a TaggedPolyhedron, or None when it has no faces."""
-        f0, f1 = np.searchsorted(self.cells, [c, c + 1]).tolist()
-        if f0 == f1:
-            return None
-        ends = np.concatenate((self.starts, [len(self.verts)]))
-        return TaggedPolyhedron(faces=[
-            TaggedFace(verts=self.verts[ends[f]:ends[f + 1]],
-                       tag=None if t < 0 else t)
-            for f, t in zip(range(f0, f1), self.tags[f0:f1].tolist())
-        ])
+    def vertices(self) -> np.ndarray:
+        """Every vertex row, (N, 3). perfbench's clip kernel reads a 3D
+        domain's corners through this name (and a 2D domain's through
+        `verts`), so it stays while that benchmark code reads it."""
+        return self.verts
 
 
 def concat_stacks(stacks) -> PolyStack:
@@ -576,28 +499,6 @@ def _section_faces(p: np.ndarray, cells: np.ndarray, normals: np.ndarray, tags, 
                                 tag[owner], owner)
 
 
-def _newell_normal(verts: np.ndarray) -> np.ndarray:
-    v = verts
-    w = np.concatenate((v[1:], v[:1]))
-    return np.array([
-        float(np.sum((v[:, 1] - w[:, 1]) * (v[:, 2] + w[:, 2]))),
-        float(np.sum((v[:, 2] - w[:, 2]) * (v[:, 0] + w[:, 0]))),
-        float(np.sum((v[:, 0] - w[:, 0]) * (v[:, 1] + w[:, 1]))),
-    ])
-
-
-def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack non-empty vertex loops into one array.
-
-    Returns the (N, 3) vertices, the row where each loop starts (F,) and, per
-    row, the row of the next vertex around its loop (N,).
-    """
-    sizes = np.array([len(v) for v in loops], dtype=np.intp)
-    starts = np.zeros(len(sizes), dtype=np.intp)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return np.concatenate(loops), starts, _successors(starts, int(sizes.sum()))
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] @ b[k] for every row k of two (N, d) arrays. np.matmul takes each
     through the dot kernel of a 1-D `a[k] @ b[k]`, so every value equals the
@@ -605,51 +506,33 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _loops_volume(loops) -> float:
-    """Divergence-theorem volume bounded by outward-oriented vertex loops:
-    v[0] . (v[k] x v[k + 1]) / 6 summed over the fan triangles of every loop,
-    as a running total in fan order (so it equals that loop bit for bit)."""
-    if not loops:
-        return 0.0
-    v, starts, succ = _stack_loops(loops)
-    rows = np.arange(len(v))
-    mid = succ > rows        # neither the last row of its loop ...
-    mid[starts] = False      # ... nor the first
-    b = rows[mid]
-    a = starts[np.searchsorted(starts, b, side="right") - 1]
-    return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
-
-
 def _face_normals(v: np.ndarray, starts: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """Newell normal of every loop of a `_stack_loops` stack in one pass, (F, 3).
-
-    Row f equals `_newell_normal` of loop f up to summation order (each sum
-    runs in loop order here, pairwise in np.sum from eight vertices on).
-    """
+    """Newell normal of every loop of a stack of loops (rows, starts,
+    successors) in one pass, (F, 3), each component summed in loop order."""
     w = v[succ]
     return np.add.reduceat((v - w)[:, [1, 2, 0]] * (v + w)[:, [2, 0, 1]], starts, axis=0)
 
 
-def box_polyhedron(lo, hi) -> TaggedPolyhedron:
-    """Axis-aligned box with outward-oriented untagged faces."""
-    x0, y0, z0 = lo
-    x1, y1, z1 = hi
-    c = lambda x, y, z: np.array([x, y, z], dtype=float)
-    faces = [
-        [c(x0, y0, z0), c(x0, y1, z0), c(x1, y1, z0), c(x1, y0, z0)],  # z = z0, normal -z
-        [c(x0, y0, z1), c(x1, y0, z1), c(x1, y1, z1), c(x0, y1, z1)],  # z = z1, normal +z
-        [c(x0, y0, z0), c(x1, y0, z0), c(x1, y0, z1), c(x0, y0, z1)],  # y = y0, normal -y
-        [c(x0, y1, z0), c(x0, y1, z1), c(x1, y1, z1), c(x1, y1, z0)],  # y = y1, normal +y
-        [c(x0, y0, z0), c(x0, y0, z1), c(x0, y1, z1), c(x0, y1, z0)],  # x = x0, normal -x
-        [c(x1, y0, z0), c(x1, y1, z0), c(x1, y1, z1), c(x1, y0, z1)],  # x = x1, normal +x
-    ]
-    return TaggedPolyhedron(faces=[TaggedFace(verts=np.asarray(f), tag=None) for f in faces])
+# The corners of a box, numbered 4 * ix + 2 * iy + iz, and its faces as
+# outward loops of them: z = z0, z = z1, y = y0, y = y1, x = x0, x = x1.
+_BOX_FACES = [0, 2, 6, 4, 1, 5, 7, 3, 0, 4, 5, 1, 2, 3, 7, 6, 0, 1, 3, 2, 4, 6, 7, 5]
 
 
-def polyhedron_halfspaces(poly: TaggedPolyhedron):
-    """Outward (n, c) per face: n.x <= c inside. Normals are not normalized."""
-    out = []
-    for f in poly.faces:
-        n = _newell_normal(f.verts)
-        out.append((n, float(n @ f.verts[0])))
-    return out
+def box_polyhedron(lo, hi) -> PolyStack:
+    """Axis-aligned box as a one-cell stack with outward domain faces."""
+    corners = np.array(list(product(*zip(lo, hi))), dtype=float)
+    return PolyStack.from_loops(corners[_BOX_FACES], np.arange(0, 24, 4), [-1] * 6, [0] * 6)
+
+
+def domain_planes(domain: RingStack | PolyStack) -> tuple[np.ndarray, np.ndarray]:
+    """Outward planes n . x <= c of a one-cell domain stack, unnormalized:
+    one per edge of a CCW ring, n the edge vector turned clockwise, or one
+    per face, n its Newell normal; c places the plane through the first
+    vertex of the edge or face."""
+    v = domain.verts
+    if isinstance(domain, RingStack):
+        e = v[domain.succ()] - v
+        n = np.column_stack((e[:, 1], -e[:, 0]))
+        return n, _rowdot(n, v)
+    n = _face_normals(v, domain.starts, domain.succ)
+    return n, _rowdot(n, v[domain.starts])

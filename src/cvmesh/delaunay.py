@@ -175,7 +175,8 @@ def _validate_input(points, dim: int) -> tuple[np.ndarray, np.ndarray]:
     shift = frexp(float(np.abs(pts).max()))[1]
     unit = np.ldexp(pts, -shift)
     diag = float(np.linalg.norm(unit.max(axis=0) - unit.min(axis=0)))
-    dup = _duplicate_pairs(unit, DUP_EPS * max(diag, 2.0 ** -shift))
+    # points that all coincide have no diagonal; any tolerance pairs them all
+    dup = _duplicate_pairs(unit, DUP_EPS * diag if diag > 0.0 else 1.0)
     if dup:
         raise DuplicatePoints(dup)
     rank = _affine_rank(unit)

@@ -9,6 +9,8 @@ The mesh writers (`mesh_doc`, the VTK writers) read the mesh's cell stack
 write the cell blocks straight from the pooled ids, the stack's tags and its
 simplex ids. `mesh_from_doc` builds that stack straight from the document
 and rejects a document whose cells disagree with what the stack implies.
+The domain is written as its vertices (2D) or face loops (3D) and read back
+as the one-cell stack it was.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .clipping import PolyStack, RingStack, TaggedFace, TaggedPolygon, TaggedPolyhedron
+from .clipping import PolyStack, RingStack
 from .errors import IoFailure, RejectionBudgetExceeded, UnsupportedFormat
 from .mesh import ControlVolumeMesh
 from .optimize import OptimizerParams
@@ -424,8 +426,8 @@ def radii_doc(solve_result, dimension: int) -> dict:
         "schema": SCHEMA,
         "kind": "radii",
         "dimension": dimension,
-        "mode": solve_result.radii.mode.value,
-        "radii": solve_result.radii.r,
+        "mode": solve_result.mode.value,
+        "radii": solve_result.radii,
         "lo": lo,
         "hi": hi,
         "objective": solve_result.objective,
@@ -496,10 +498,9 @@ def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None) -> dict:
     document: write it with `write_json`/`dumps_json`, and read a mesh back
     with `mesh_from_doc` on the parsed file."""
     coords, cells = _cells_json(mesh)
-    if mesh.dim == 2:
-        domain = {"vertices": mesh.domain.verts}
-    else:
-        domain = {"faces": [f.verts for f in mesh.domain.faces]}
+    d = mesh.domain
+    domain = ({"vertices": d.verts} if mesh.dim == 2
+              else {"faces": np.split(d.verts, d.starts[1:])})
     return {
         "schema": SCHEMA,
         "kind": "mesh",
@@ -576,14 +577,13 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
         stack = PolyStack.from_loops(rows, np.cumsum(lens) - lens, _id_array(tags), owner,
                                      _id_array(sids))
     if dim == 2:
-        domain = TaggedPolygon(
-            verts=np.asarray(doc["domain"]["vertices"], dtype=float),
-            tags=[None] * len(doc["domain"]["vertices"]),
-        )
+        box = np.asarray(doc["domain"]["vertices"], dtype=float)
+        domain = RingStack.from_rings(box, [0], [-1] * len(box))
     else:
-        domain = TaggedPolyhedron(faces=[
-            TaggedFace(verts=np.asarray(f, dtype=float), tag=None) for f in doc["domain"]["faces"]
-        ])
+        faces = [np.asarray(f, dtype=float) for f in doc["domain"]["faces"]]
+        lens = np.array([len(f) for f in faces], dtype=np.intp)
+        domain = PolyStack.from_loops(np.concatenate(faces), np.cumsum(lens) - lens,
+                                      [-1] * len(faces), [0] * len(faces))
     return ControlVolumeMesh(
         dim=dim,
         points=points,

@@ -9,7 +9,9 @@ by `clipping.PolyStack` (3D); the per-cell checks run once over the whole
 stack and raise for the first failing cell. That stack is the mesh's one
 cell representation (`ControlVolumeMesh.cells`): cell i belongs to point i,
 the validators and writers read its arrays, and nothing unpacks it into
-per-cell objects. Every wall knows which neighbor it separates its owner
+per-cell objects. The domain every cell is cut from
+(`ControlVolumeMesh.domain`) is a one-cell stack of the same kind, its
+walls tagged -1. Every wall knows which neighbor it separates its owner
 from, which makes the perpendicularity and shared-wall checks exact; those
 and the global checks are whole-mesh array passes too, with the same report
 as checking one cell at a time.
@@ -25,8 +27,6 @@ import numpy as np
 from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhedron here)
     PolyStack,
     RingStack,
-    TaggedPolygon,
-    TaggedPolyhedron,
     box_polygon,
     box_polyhedron,
     clip_polygon,
@@ -34,9 +34,8 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     clip_rings,
     clip_stack,
     concat_stacks,
+    domain_planes,
     grouped_matvec,
-    polygon_halfplanes,
-    polyhedron_halfspaces,
     ring_distances,
     _angular_order,
     _dedup_loops,
@@ -49,7 +48,7 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
 )
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import NonConvexCell, NonPlanarFace, OrphanVertex
-from .solver import RadiusVector, simplex_systems
+from .solver import simplex_systems
 
 EPS_FACE = 1e-6       # face planarity, relative to the face edge scale
 DOMAIN_PAD = 0.05     # domain box padding, relative to the points' largest extent
@@ -68,7 +67,7 @@ class ControlVolumeMesh:
     points: np.ndarray
     radii: np.ndarray | None
     cells: RingStack | PolyStack
-    domain: TaggedPolygon | TaggedPolyhedron
+    domain: RingStack | PolyStack                # one cell, walls tagged -1
     simplices: np.ndarray | None = None
     simplex_vertices: np.ndarray | None = None   # (T, dim) candidate-vertex coords
     mode: str | None = None
@@ -86,18 +85,18 @@ class ControlVolumeMesh:
         return float(sum(_cell_measures(self.cells, len(self.points)).tolist()))
 
     def domain_measure(self) -> float:
-        return self.domain.area() if self.dim == 2 else self.domain.volume()
+        return float(_cell_measures(self.domain, 1)[0])
 
     def scale(self) -> float:
-        verts = self.domain.verts if self.dim == 2 else self.domain.vertices()
+        verts = self.domain.verts
         return float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
 
 
 def _cell_measures(stack, n: int) -> np.ndarray:
     """The measure of every cell of a stack of n cells: 2D areas by
     `_ring_areas`; 3D volumes from the fan terms of every face loop of every
-    cell at once, each cell's terms summed in order from 0 (a Python sum, as
-    `_loops_volume` sums them) and divided by 6."""
+    cell at once, each cell's terms summed in order from 0 (a Python sum)
+    and divided by 6."""
     if isinstance(stack, RingStack):
         return _ring_areas(stack.verts, stack.starts)
     v, starts, succ = stack.verts, stack.starts, stack.succ
@@ -118,19 +117,19 @@ def _padded_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo - pad, hi + pad
 
 
-def bounding_domain2(pts: np.ndarray) -> TaggedPolygon:
+def bounding_domain2(pts: np.ndarray) -> RingStack:
     return box_polygon(*_padded_box(pts))
 
 
-def bounding_domain3(pts: np.ndarray) -> TaggedPolyhedron:
+def bounding_domain3(pts: np.ndarray) -> PolyStack:
     return box_polyhedron(*_padded_box(pts))
 
 
 def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Signed area of every ring of a `RingStack`, each with the bits of
-    `TaggedPolygon.area` (0.0 for rings under three rows): the shoelace
-    terms of the rings of one length go through one np.sum along rows, which
-    sums each row as np.sum sums that ring alone (pairwise from eight on)."""
+    """Signed area of every ring of a `RingStack` (0.0 for rings under three
+    rows): half the np.sum of its shoelace terms. The terms of the rings of
+    one length go through one np.sum along rows, which sums each row as
+    np.sum sums that ring alone (pairwise from eight on)."""
     lens = _lengths(starts, len(verts))
     nxt = _successors(starts[lens > 0], len(verts))
     t = verts[:, 0] * verts[nxt, 1] - verts[nxt, 0] * verts[:, 1]
@@ -141,14 +140,13 @@ def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return area
 
 
-def _initial_rings(nm: NeighborMap, q: np.ndarray, domain: TaggedPolygon) -> RingStack:
+def _initial_rings(nm: NeighborMap, q: np.ndarray, box: RingStack) -> RingStack:
     """One ring per point, in point order. An interior point's ring lists
     the candidate vertices of its rows' triangles in ring order, the edge
     after vertex k tagged with the next row's neighbor, reversed where its
     signed area is negative (the tags rotate with it: edge m of the reversed
     ring is edge k - 2 - m of the original). A hull point's ring is the
-    domain polygon."""
-    box = RingStack.of([domain])
+    domain ring, `box`."""
     inner = ~nm.on_hull
     lens = np.where(inner, nm.lengths(), len(box.verts))
     starts = np.cumsum(lens) - lens
@@ -257,17 +255,17 @@ def _neighbor_table(owner: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndar
 
 
 def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
-                   domain: TaggedPolygon | None = None) -> ControlVolumeMesh:
+                   domain: RingStack | None = None) -> ControlVolumeMesh:
     """Assemble one convex cell per point from the triangle radical centers.
 
     Interior cells list the candidate vertex of each incident triangle in ring
-    order; hull cells are the domain polygon cut by the power bisectors toward
+    order; hull cells are the domain ring cut by the power bisectors toward
     the ring neighbors. Every cell is clipped to the domain. All cells go
     through each step together, stacked in one `RingStack`, which the mesh
     keeps as its cells.
     """
     pts = tri.points if pts is None else pts
-    r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
+    r = np.asarray(radii, dtype=float)
     systems = simplex_systems(tri)
     q = systems.vertices(r)
     domain = domain if domain is not None else bounding_domain2(pts)
@@ -275,7 +273,7 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     scale = float(np.linalg.norm(dverts.max(axis=0) - dverts.min(axis=0)))
     eps = 1e-10 * scale
     match_eps = 1e-9 * scale
-    domain_planes = polygon_halfplanes(dverts)
+    planes = domain_planes(domain)
 
     # Hull cells are clipped by the power bisector toward their k-th ring
     # neighbor at step k, then interior cells by each domain line that a
@@ -289,7 +287,7 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
         offset = _rowdot(pj, pj) - _rowdot(pts, pts) + r * r - rj * rj
         d = ring_distances(stack, normal, offset, counts > k)
         stack = clip_rings(stack, d, table[:, k], eps)
-    for n, c in domain_planes:
+    for n, c in zip(*planes):
         d = ring_distances(stack, np.tile(n, (len(pts), 1)), np.full(len(pts), c), ~nm.on_hull)
         if np.any(d > eps):
             stack = clip_rings(stack, d, [None] * len(pts), eps)
@@ -298,7 +296,7 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     cand, cand_starts = _candidates(nm)
     stack = replace(stack, simplices=_match_rows(stack.verts, stack.starts, q, cand,
                                                  cand_starts, match_eps))
-    _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
+    _check_orphans(q, stack.simplices, planes, eps_inside=match_eps)
     return ControlVolumeMesh(dim=2, points=pts, radii=r, cells=stack, domain=domain,
                              simplices=tri.triangles, simplex_vertices=q)
 
@@ -306,10 +304,11 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
 def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float):
     """Raise OrphanVertex for the first candidate vertex that no cell vertex
     matched (`matched` holds the matched simplex ids, -1 ignored) and that
-    lies inside every domain plane by more than eps_inside."""
+    lies inside every domain plane (`domain_planes`) by more than
+    eps_inside."""
     inside = np.ones(len(q), dtype=bool)
     inside[matched[matched >= 0]] = False
-    for n, c in planes:
+    for n, c in zip(*planes):
         inside &= _rowdot(q, np.broadcast_to(n, q.shape)) - c < -eps_inside * np.linalg.norm(n)
     bad = np.flatnonzero(inside)
     if len(bad):
@@ -317,9 +316,10 @@ def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float
 
 
 def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planes of the loops of a `_stack_loops` stack with Newell normals
-    `normals`: the mask of loops with a nonzero normal, and for those the unit
-    normal u (F', 3) and offset c (F',), u . x = c through the first vertex."""
+    """Planes of the loops of a stack (rows, starts, successors) with Newell
+    normals `normals`: the mask of loops with a nonzero normal, and for those
+    the unit normal u (F', 3) and offset c (F',), u . x = c through the first
+    vertex."""
     v, starts, _ = stack
     nn = np.sqrt(_rowdot(normals, normals))
     keep = nn != 0.0
@@ -328,9 +328,9 @@ def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _face_planarity(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per loop of a `_stack_loops` stack: whether it has a nonzero normal,
-    the largest distance of its vertices from the plane through its first
-    vertex (0.0 without a normal) and its longest edge."""
+    """Per loop of a stack (rows, starts, successors): whether it has a
+    nonzero normal, the largest distance of its vertices from the plane
+    through its first vertex (0.0 without a normal) and its longest edge."""
     v, starts, succ = stack
     keep, u, _ = _face_planes(stack, normals)
     face = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(v)))
@@ -423,16 +423,19 @@ def _check_cells3(stack: PolyStack, normals: np.ndarray, scale: float):
         _check_face_planarity(first, tags, loops, normals[f0:f1])
 
 
-def _hull_cells(cells: np.ndarray, pts, r, domain: TaggedPolyhedron, eps: float,
+def _hull_cells(cells: np.ndarray, pts, r, domain: PolyStack, eps: float,
                 counts: np.ndarray, table: np.ndarray) -> PolyStack:
-    """Hull-point cells: each starts as the domain box and is clipped by the
-    power bisector toward its k-th neighbor (table[i, k], k < counts[i]) at
-    step k, every cell that has a k-th neighbor in one `clip_stack` pass per
-    step."""
+    """Hull-point cells: each starts as a copy of the one-cell domain stack
+    and is clipped by the power bisector toward its k-th neighbor
+    (table[i, k], k < counts[i]) at step k, every cell that has a k-th
+    neighbor in one `clip_stack` pass per step."""
     # most neighbors first, so the cells clipped at step k lead the stack
     cells = cells[np.argsort(-counts[cells], kind="stable")]
     counts, table = counts[cells], table[cells]
-    stack = PolyStack.of([domain] * len(cells))
+    m, nv, nf = len(cells), len(domain.verts), len(domain.starts)
+    stack = PolyStack.from_loops(np.tile(domain.verts, (m, 1)),
+                                 (domain.starts + nv * np.arange(m)[:, None]).ravel(),
+                                 np.tile(domain.tags, m), np.repeat(np.arange(m), nf))
     for k in range(table.shape[1]):
         live = int(np.count_nonzero(counts > k))
         head, tail = stack.split(live)
@@ -483,11 +486,11 @@ def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
                                 gj[walls], gi[walls])
 
 
-def _clip_to_domain(stack: PolyStack, domain_planes, eps: float) -> PolyStack:
-    """Clip the cells with a vertex beyond a domain plane (by more than eps
-    relative to its normal) by each such plane in turn: one `clip_stack`
-    pass per plane over every cell that crosses it."""
-    for n, c in domain_planes:
+def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
+    """Clip the cells with a vertex beyond a domain plane (`domain_planes`,
+    by more than eps relative to its normal) by each such plane in turn: one
+    `clip_stack` pass per plane over every cell that crosses it."""
+    for n, c in zip(*planes):
         rows = stack.row_cells()
         d = grouped_matvec(stack.verts, rows, np.tile(n, (int(rows.max(initial=-1)) + 1, 1))) - c
         crossing = np.unique(rows[d > eps * np.linalg.norm(n)])
@@ -504,22 +507,22 @@ def _clip_to_domain(stack: PolyStack, domain_planes, eps: float) -> PolyStack:
 
 
 def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
-                   domain: TaggedPolyhedron | None = None) -> ControlVolumeMesh:
+                   domain: PolyStack | None = None) -> ControlVolumeMesh:
     """3D analog of build_volumes2: the face toward neighbor j collects the
     candidate vertices of every tetrahedron on edge (i, j), ordered around the
     edge; hull cells are cut from the domain by power bisectors. The checks
     run once over the whole `PolyStack`, raising for the first failing cell,
     and the mesh keeps that stack as its cells."""
     pts = tet.points if pts is None else pts
-    r = radii.r if isinstance(radii, RadiusVector) else np.asarray(radii, dtype=float)
+    r = np.asarray(radii, dtype=float)
     systems = simplex_systems(tet)
     q = systems.vertices(r)
     domain = domain if domain is not None else bounding_domain3(pts)
-    dv = domain.vertices()
+    dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
     match_eps = 1e-9 * scale
-    domain_planes = polyhedron_halfspaces(domain)
+    planes = domain_planes(domain)
 
     hull = np.flatnonzero(nm.on_hull)
     interior = np.flatnonzero(~nm.on_hull)
@@ -529,7 +532,7 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
     stack = concat_stacks([
         _hull_cells(hull, pts, r, domain, eps,
                     *_neighbor_table(owner[hull_pairs], nbr[hull_pairs], len(pts))),
-        _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), domain_planes, eps),
+        _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), planes, eps),
     ])
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
     _check_cells3(stack, normals, scale)
@@ -537,7 +540,7 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
     row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
     stack = replace(stack, simplices=_match_rows(stack.verts, row_starts, q, cand, cand_starts,
                                                  match_eps))
-    _check_orphans(q, stack.simplices, domain_planes, eps_inside=match_eps)
+    _check_orphans(q, stack.simplices, planes, eps_inside=match_eps)
     return ControlVolumeMesh(dim=3, points=pts, radii=r, cells=stack, domain=domain,
                              simplices=tet.tetrahedra, simplex_vertices=q)
 
@@ -899,7 +902,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     mismatches = _wall_mismatches(mesh, tol)
 
     rng = np.random.default_rng(seed)
-    dverts = mesh.domain.verts if mesh.dim == 2 else mesh.domain.vertices()
+    dverts = mesh.domain.verts
     lo = dverts.min(axis=0)
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))

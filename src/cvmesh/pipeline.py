@@ -203,5 +203,5 @@ def _domain_clipped_cells(mesh) -> int:
 def _max_simplex_residual(tri, solve) -> float:
     """Largest power mismatch |residual| over the simplices of the run's
     triangulation at the solved radii."""
-    powers = simplex_systems(tri).powers(solve.radii.r)
+    powers = simplex_systems(tri).powers(solve.radii)
     return float(np.max(np.abs(powers))) if len(powers) else 0.0

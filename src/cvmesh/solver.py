@@ -17,7 +17,6 @@ from .optimize import OptimizerParams, soft_selection_minimize
 
 __all__ = [
     "VolumeMode",
-    "RadiusVector",
     "OverlapKind",
     "OverlapMode",
     "SolveResult",
@@ -37,12 +36,6 @@ class VolumeMode(Enum):
 class OverlapKind(Enum):
     OVERLAPPING = "overlapping"
     NON_OVERLAPPING = "non-overlapping"
-
-
-@dataclass(frozen=True)
-class RadiusVector:
-    r: np.ndarray
-    mode: VolumeMode
 
 
 @dataclass(frozen=True)
@@ -70,7 +63,8 @@ class OverlapMode:
 
 @dataclass
 class SolveResult:
-    radii: RadiusVector
+    radii: np.ndarray           # (N,)
+    mode: VolumeMode
     lo: np.ndarray
     hi: np.ndarray
     objective: float
@@ -286,7 +280,7 @@ def simplex_systems(tri: Triangulation2 | Triangulation3):
 def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     """Label every Delaunay-neighbor pair as overlapping (L - (r_i + r_j) <= 0,
     tangency included) or non-overlapping (strictly positive gap)."""
-    rr = r.r if isinstance(r, RadiusVector) else np.asarray(r, dtype=float)
+    rr = np.asarray(r, dtype=float)
     pts = np.asarray(pts, dtype=float)
     n = nm.n_points
     # every neighbour pair, both ways and repeated: np.unique drops the repeats
@@ -330,7 +324,8 @@ def solve_radii(
         lo = np.zeros(len(pts))
         hi = np.full(len(pts), np.inf)
         return SolveResult(
-            radii=RadiusVector(r=r, mode=mode),
+            radii=r,
+            mode=mode,
             lo=lo,
             hi=hi,
             objective=systems.objective(r),
@@ -344,7 +339,8 @@ def solve_radii(
     if mode is VolumeMode.RADICAL_CENTER:
         r = 0.5 * (lo + hi)
         return SolveResult(
-            radii=RadiusVector(r=r, mode=mode),
+            radii=r,
+            mode=mode,
             lo=lo,
             hi=hi,
             objective=systems.objective(r),
@@ -358,7 +354,8 @@ def solve_radii(
     x0 = np.clip(x0, lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo))
     result = soft_selection_minimize(systems.objective, (lo, hi), seed=seed, params=params, x0=x0)
     return SolveResult(
-        radii=RadiusVector(r=result.x, mode=mode),
+        radii=result.x,
+        mode=mode,
         lo=lo,
         hi=hi,
         objective=result.fun,

@@ -18,7 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cvmesh.clipping import RingStack
+from cvmesh.clipping import PolyStack, RingStack
 from cvmesh.delaunay import neighbor_map, triangulate2
 from cvmesh.io import RunConfig, generate_points
 from cvmesh.solver import TetraSystems3, TriangleSystems2, bounds_arrays, simplex_systems
@@ -63,6 +63,51 @@ def with_ring(mesh, i: int, verts, tags, simplices=None):
                       np.concatenate([s.simplices[:a], np.asarray(sids, dtype=np.int64),
                                       s.simplices[b:]]))
     return dataclasses.replace(mesh, cells=cells)
+
+
+def rings_stack(polys) -> RingStack:
+    """One ring stack of (verts, tags) polygons, ring c = polys[c], edge
+    tags None on the domain."""
+    lens = np.array([len(v) for v, _ in polys], dtype=np.intp)
+    return RingStack.from_rings(np.concatenate([v for v, _ in polys]), np.cumsum(lens) - lens,
+                                [-1 if t is None else t for _, tags in polys for t in tags])
+
+
+def ring_of(stack: RingStack, c: int):
+    """Ring c of a stack as (verts, tags), tags None on the domain, or None
+    when it has no rows."""
+    a = int(stack.starts[c])
+    b = a + int(stack.lengths()[c])
+    if a == b:
+        return None
+    return stack.verts[a:b], [None if t < 0 else t for t in stack.tags[a:b].tolist()]
+
+
+def hexagonal_domain(pts) -> RingStack:
+    """A one-ring domain: the hexagon of radius 1.2 around the points'
+    centroid, turned so that no edge line is axis-aligned."""
+    ang = np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3
+    verts = pts.mean(axis=0) + 1.2 * np.column_stack([np.cos(ang), np.sin(ang)])
+    return RingStack.from_rings(verts, [0], [-1] * 6)
+
+
+def polyhedra_stack(polys) -> PolyStack:
+    """One face stack of polyhedra given as lists of (loop, tag) faces, cell
+    c = polys[c], tags None on the domain."""
+    faces = [f for p in polys for f in p]
+    lens = np.array([len(v) for v, _ in faces], dtype=np.intp)
+    return PolyStack.from_loops(np.concatenate([v for v, _ in faces]), np.cumsum(lens) - lens,
+                                [-1 if t is None else t for _, t in faces],
+                                np.repeat(np.arange(len(polys)), [len(p) for p in polys]))
+
+
+def faces_of(stack: PolyStack, c: int = 0):
+    """Cell c of a face stack as a list of (loop, tag) faces, tags None on
+    the domain, or None when it has no faces."""
+    ends = np.append(stack.starts, len(stack.verts))
+    faces = np.flatnonzero(stack.cells == c).tolist()
+    tags = [None if t < 0 else t for t in stack.tags.tolist()]
+    return [(stack.verts[ends[f]:ends[f + 1]], tags[f]) for f in faces] or None
 
 
 def radical_centers(centers, radii) -> tuple[np.ndarray, np.ndarray]:

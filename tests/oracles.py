@@ -464,11 +464,12 @@ def clip_polygon_loop(verts, tags, normal, offset: float, tag, eps: float):
     return np.asarray(keep_v), keep_t
 
 
-def _polygon_area(v) -> float:
+def polygon_area(v) -> float:
+    """Signed shoelace area of one vertex loop, its terms summed by np.sum."""
     return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
 
 
-def _halfplanes(verts):
+def halfplanes(verts):
     out = []
     for a in range(len(verts)):
         e = verts[(a + 1) % len(verts)] - verts[a]
@@ -489,14 +490,14 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
     scale = float(np.linalg.norm(dverts.max(axis=0) - dverts.min(axis=0)))
     eps = 1e-10 * scale
     match_eps = 1e-9 * scale
-    planes = _halfplanes(dverts)
+    planes = halfplanes(dverts)
     cells, matched = [], set()
     for i in range(len(pts)):
         ring, tids = rings[i], ring_simplices[i]
         if closed[i]:
             m = len(ring)
             poly = (q[tids].copy(), [int(ring[(k + 1) % m]) for k in range(len(tids))])
-            if _polygon_area(poly[0]) < 0.0:
+            if polygon_area(poly[0]) < 0.0:
                 k = len(poly[0])
                 poly = (poly[0][::-1].copy(), [poly[1][(k - 2 - j) % k] for j in range(k)])
             for n, c in planes:
@@ -545,7 +546,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The loops' rows in one array, each loop's first row, and per row the
     row of the next vertex around its loop."""
     sizes = np.array([len(v) for v in loops], dtype=np.intp)
@@ -554,6 +555,21 @@ def _stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     succ = np.arange(1, int(sizes.sum()) + 1)
     succ[starts + sizes - 1] = starts
     return np.concatenate(loops), starts, succ
+
+
+def loops_volume(loops) -> float:
+    """Divergence-theorem volume bounded by outward-oriented vertex loops:
+    v[0] . (v[k] x v[k + 1]) / 6 over the fan triangles of every loop, as a
+    running total in fan order."""
+    if not loops:
+        return 0.0
+    v, starts, succ = stack_loops(loops)
+    rows = np.arange(len(v))
+    mid = succ > rows
+    mid[starts] = False
+    b = rows[mid]
+    a = starts[np.searchsorted(starts, b, side="right") - 1]
+    return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
 
 
 @dataclass
@@ -596,27 +612,14 @@ class Cell:
         """Polygon area (2D) or divergence-theorem volume (3D), the fan terms
         of every face summed in order."""
         if self.verts is not None:
-            v = self.verts
-            if len(v) < 3:
-                return 0.0
-            return 0.5 * float(
-                np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-            )
-        if not self.faces:
-            return 0.0
-        v, starts, succ = _stack_loops([f.verts for f in self.faces])
-        rows = np.arange(len(v))
-        mid = succ > rows
-        mid[starts] = False
-        b = rows[mid]
-        a = starts[np.searchsorted(starts, b, side="right") - 1]
-        return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
+            return polygon_area(self.verts) if len(self.verts) >= 3 else 0.0
+        return loops_volume([f.verts for f in self.faces or []])
 
     def _planes(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normal u and offset c (u . x = c through the first vertex) of
         every face with a nonzero Newell normal, each normal summed along
         its loop in order."""
-        v, starts, succ = _stack_loops([f.verts for f in self.faces])
+        v, starts, succ = stack_loops([f.verts for f in self.faces])
         w = v[succ]
         normals = np.add.reduceat((v - w)[:, [1, 2, 0]] * (v + w)[:, [2, 0, 1]], starts, axis=0)
         nn = np.sqrt(_rowdot(normals, normals))
@@ -913,7 +916,7 @@ def perpendicularity_loop3(mesh, tol: float = 1e-6) -> tuple[int, list]:
     |cos| between an edge longer than 1e-12 * scale and the segment joining
     the two generators."""
     pts = mesh.points
-    dv = mesh.domain.vertices()
+    dv = mesh.domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     checked = 0
     violations = []
@@ -1136,7 +1139,7 @@ def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
             mismatches.append((i, j, "wall geometry differs"))
 
     rng = np.random.default_rng(seed)
-    dverts = mesh.domain.verts if mesh.dim == 2 else mesh.domain.vertices()
+    dverts = mesh.domain.verts
     lo = dverts.min(axis=0)
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
@@ -1359,10 +1362,12 @@ def mesh_doc(mesh, validation: dict | None = None) -> dict:
                     for f in (cell.faces or [])
                 ],
             })
+    d = mesh.domain
     if mesh.dim == 2:
-        domain = {"vertices": mesh.domain.verts}
+        domain = {"vertices": d.verts}
     else:
-        domain = {"faces": [f.verts for f in mesh.domain.faces]}
+        ends = d.starts.tolist()[1:] + [len(d.verts)]
+        domain = {"faces": [d.verts[a:b] for a, b in zip(d.starts.tolist(), ends)]}
     return {
         "schema": SCHEMA,
         "kind": "mesh",

@@ -84,7 +84,7 @@ def _cells_match_voronoi_2d(pts, mesh, tol):
 
 
 def _cells_match_voronoi_3d(pts, mesh, tol):
-    dv = mesh.domain.vertices()
+    dv = mesh.domain.verts
     lo, hi = dv.min(axis=0), dv.max(axis=0)
     for cell in cell_records(mesh):
         oracle = voronoi_cell_3d(pts, cell.owner, lo, hi)
@@ -161,7 +161,7 @@ def test_criterion_5_bounds_compliance():
             nm = neighbor_map(tri)
             sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER,
                               bounds_policy="strict")
-            assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
+            assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
             checked += 1
     for seed in range(50):
         pts = bcc_cell(seed)
@@ -169,7 +169,7 @@ def test_criterion_5_bounds_compliance():
         nm = neighbor_map(tet)
         sol = solve_radii(tet, nm, pts, mode=VolumeMode.RADICAL_CENTER,
                           bounds_policy="strict")
-        assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
+        assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
         checked += 1
     # optimizer outputs respect the box too
     from cvmesh.optimize import OptimizerParams
@@ -178,7 +178,7 @@ def test_criterion_5_bounds_compliance():
         pts, tri, nm, r_star, lo, hi = exact_instance(n)
         sol = solve_radii(tri, nm, pts, mode=VolumeMode.EXACT_INTERSECTION, seed=1,
                           params=OptimizerParams(generations=30), bounds_policy="clamp")
-        assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
+        assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
         checked += 1
     assert checked >= 100
     _report(5, f"{checked} seeded instances, every output strictly inside its bounds")

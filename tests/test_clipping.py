@@ -8,11 +8,6 @@ import numpy as np
 import pytest
 
 from cvmesh.clipping import (
-    PolyStack,
-    RingStack,
-    TaggedFace,
-    TaggedPolygon,
-    TaggedPolyhedron,
     _dedup_loops,
     _first_unique,
     box_polyhedron,
@@ -26,7 +21,7 @@ from cvmesh.delaunay import neighbor_map, tetrahedralize3
 from cvmesh.mesh import _interior_cells, build_volumes3
 from cvmesh.solver import simplex_systems
 
-from conftest import uniform_points
+from conftest import faces_of, polyhedra_stack, ring_of, rings_stack, uniform_points
 from oracles import (
     neighbor_lists,
     clip_polygon_loop,
@@ -39,12 +34,8 @@ from oracles import (
 EPS = 1e-10
 
 
-def _faces(poly):
-    return None if poly is None else [(f.verts, f.tag) for f in poly.faces]
-
-
 def _poly(faces):
-    return TaggedPolyhedron(faces=[TaggedFace(np.asarray(v, dtype=float), t) for v, t in faces])
+    return polyhedra_stack([faces])
 
 
 def _assert_same(got, want, scale=1.0):
@@ -61,7 +52,7 @@ def _assert_same(got, want, scale=1.0):
 def _random_polyhedron(rng, cuts=6):
     """The box [-1, 1]^3 cut by random planes 0.5-0.9 from the origin, by the
     loop reference; faces tagged by the cut that made them (None: box)."""
-    faces = _faces(box_polyhedron((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
+    faces = faces_of(box_polyhedron((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
     for k in range(cuts):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
@@ -81,7 +72,7 @@ def test_clip_matches_loop_reference_random_planes(seed):
         faces = _random_polyhedron(rng)
         n = _random_normal(rng) * rng.uniform(0.5, 3.0)
         c = float(n @ rng.uniform(-0.6, 0.6, size=3))
-        _assert_same(_faces(clip_polyhedron(_poly(faces), n, c, 99, EPS)),
+        _assert_same(faces_of(clip_polyhedron(_poly(faces), n, c, 99, EPS)),
                      clip_polyhedron_loop(faces, n, c, 99, EPS))
 
 
@@ -101,7 +92,7 @@ def test_clip_matches_loop_reference_through_vertex_or_edge(seed):
         d = np.vstack([v for v, _ in faces]) @ n - c
         touched += int(np.sum(np.abs(d) <= EPS) >= (2 if along_edge else 1))
         for tag in (7, None):
-            _assert_same(_faces(clip_polyhedron(_poly(faces), n, c, tag, EPS)),
+            _assert_same(faces_of(clip_polyhedron(_poly(faces), n, c, tag, EPS)),
                          clip_polyhedron_loop(faces, n, c, tag, EPS))
     assert touched >= 6
 
@@ -124,8 +115,8 @@ BOX_PLANES = [
 def test_clip_matches_loop_reference_box_corners(normal, offset):
     box = box_polyhedron((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     n = np.array(normal)
-    _assert_same(_faces(clip_polyhedron(box, n, offset, 5, EPS)),
-                 clip_polyhedron_loop(_faces(box), n, offset, 5, EPS))
+    _assert_same(faces_of(clip_polyhedron(box, n, offset, 5, EPS)),
+                 clip_polyhedron_loop(faces_of(box), n, offset, 5, EPS))
 
 
 def test_clip_matches_loop_reference_face_within_eps():
@@ -139,7 +130,7 @@ def test_clip_matches_loop_reference_face_within_eps():
              + [(np.array([eq[k], eq[(k + 1) % 4], top]), 4 + k) for k in range(4)])
     n = np.array([0.05, 0.0, 1.0])
     want = clip_polyhedron_loop(faces, n, 0.04, 9, 0.1)
-    _assert_same(_faces(clip_polyhedron(_poly(faces), n, 0.04, 9, 0.1)), want)
+    _assert_same(faces_of(clip_polyhedron(_poly(faces), n, 0.04, 9, 0.1)), want)
     assert want[-1][1] == 9
     np.testing.assert_array_equal(np.sort(want[-1][0], axis=0), np.sort(eq, axis=0))
 
@@ -168,13 +159,13 @@ def test_clip_matches_loop_reference_near_duplicate_chain():
     faces = _prism(base)
     n = np.array([0.0, 0.0, 1.0])
     want = clip_polyhedron_loop(faces, n, 0.5, 9, eps)
-    _assert_same(_faces(clip_polyhedron(_poly(faces), n, 0.5, 9, eps)), want)
+    _assert_same(faces_of(clip_polyhedron(_poly(faces), n, 0.5, 9, eps)), want)
     cap = want[-1][0]
     assert want[-1][1] == 9 and len(cap) == 4  # c, d, e and a
     # a tilted cut through the clustered corner as well
     n = np.array([1.0, 0.2, 0.3])
     c = float(n @ [1.0, 0.0, 0.5])
-    _assert_same(_faces(clip_polyhedron(_poly(faces), n, c, 9, eps)),
+    _assert_same(faces_of(clip_polyhedron(_poly(faces), n, c, 9, eps)),
                  clip_polyhedron_loop(faces, n, c, 9, eps))
 
 
@@ -229,12 +220,12 @@ def test_clip_stack_clips_each_cell_by_its_own_plane(seed):
     normals = np.array([_random_normal(rng) * rng.uniform(0.5, 2.0) for _ in polys])
     offsets = np.array([float(n @ rng.uniform(-1.2, 1.2, size=3)) for n in normals])
     tags = list(range(50, 75))
-    stack = PolyStack.of([_poly(f) for f in polys])
+    stack = polyhedra_stack(polys)
     rc = stack.row_cells()
     d = np.einsum("ij,ij->i", stack.verts, normals[rc]) - offsets[rc]
     out = clip_stack(stack, d, normals, tags, EPS)
     for c, faces in enumerate(polys):
-        _assert_same(_faces(out.polyhedron(c)),
+        _assert_same(faces_of(out, c),
                      clip_polyhedron_loop(faces, normals[c], offsets[c], tags[c], EPS))
 
 
@@ -263,7 +254,7 @@ def test_interior_walls_match_loop_reference(n, seed):
             if float(np.dot(newell_normal(loop), pts[j] - pts[i])) < 0.0:
                 loop = loop[::-1]
             want.append((loop, j))
-        _assert_same(_faces(stack.polyhedron(i)), want, scale)
+        _assert_same(faces_of(stack, i), want, scale)
 
 
 @pytest.mark.parametrize("n, seed", [(30, 1), (60, 2), (60, 3)])
@@ -279,13 +270,13 @@ def test_hull_cells_match_loop_reference(n, seed):
     eps = 1e-10 * mesh.scale()
     ref = neighbor_lists(tet)
     for i in np.flatnonzero(nm.on_hull).tolist():
-        faces = _faces(mesh.domain)
+        faces = faces_of(mesh.domain)
         for j in np.unique(ref.stars[i]).tolist():
             faces = clip_polyhedron_loop(faces, 2.0 * (pts[j] - pts[i]),
                                          float(pts[j] @ pts[j] - pts[i] @ pts[i]), j, eps)
             if faces is None:
                 break
-        got = _faces(mesh.cells.polyhedron(i))
+        got = faces_of(mesh.cells, i)
         _assert_same(got, faces, mesh.scale())
 
 
@@ -309,7 +300,7 @@ def test_clip_rings_match_polygon_loop(seed):
     polys, normals, offsets, tags = [], [], [], []
     for c in range(60):
         v = _random_polygon(rng, int(rng.integers(3, 12)))
-        polys.append(TaggedPolygon(v, [int(t) for t in rng.integers(0, 50, len(v))]))
+        polys.append((v, [int(t) for t in rng.integers(0, 50, len(v))]))
         n = rng.normal(size=2)
         how = c % 4
         if how == 0:       # through a vertex
@@ -324,14 +315,15 @@ def test_clip_rings_match_polygon_loop(seed):
         normals.append(n)
         offsets.append(offset)
         tags.append(None if c % 5 == 0 else 100 + c)
-    stack = RingStack.of(polys)
+    stack = rings_stack(polys)
     d = ring_distances(stack, np.array(normals), np.array(offsets))
     out = clip_rings(stack, d, tags, EPS)
     for c, poly in enumerate(polys):
-        want = clip_polygon_loop(poly.verts, poly.tags, normals[c], offsets[c], tags[c], EPS)
-        for got in (out.polygon(c), clip_polygon(poly, normals[c], offsets[c], tags[c], EPS)):
+        want = clip_polygon_loop(*poly, normals[c], offsets[c], tags[c], EPS)
+        one = clip_polygon(rings_stack([poly]), normals[c], offsets[c], tags[c], EPS)
+        for got in (ring_of(out, c), ring_of(one, 0)):
             if want is None:
                 assert got is None
                 continue
-            assert got.verts.tobytes() == want[0].tobytes()
-            assert got.tags == want[1]
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]

@@ -46,6 +46,11 @@ def test_input_validation_errors():
     with pytest.raises(DuplicatePoints) as err:
         triangulate2([(0, 0), (1, 0), (0, 1), (1e-15, 0)])
     assert (0, 3) in err.value.pairs
+    for dim, kernel in ((2, triangulate2), (3, tetrahedralize3)):
+        # one point repeated: the cloud has no diagonal to scale by
+        with pytest.raises(DuplicatePoints) as err:
+            kernel(np.full((4, dim), 0.3))
+        assert err.value.pairs == [(j, i) for i in range(4) for j in range(i)]
     with pytest.raises(TooFewPoints):
         tetrahedralize3([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
     with pytest.raises(AllCoplanar):
@@ -536,11 +541,12 @@ def test_kernel_equals_scan_on_degenerate_sets(case):
 @pytest.mark.parametrize("dim", (2, 3))
 def test_huge_coordinates_triangulate_as_unit_ones(dim):
     # The kernel scales the points by a power of two: u * 2^600 is u to
-    # every predicate and to the sliver rule, and no float test overflows.
+    # every predicate, to the sliver rule and to the duplicate tolerance
+    # (relative to the diagonal), and no float test overflows or underflows.
     u = uniform_points(dim, 400 if dim == 2 else 60, 1)
     kernel = triangulate2 if dim == 2 else tetrahedralize3
     base = kernel(u)
-    for big in (u * 2.0**600, u * 1e200):
+    for big in (u * 2.0**600, u * 1e200, u * 2.0**-600, u * 1e-200):
         tri = kernel(big)
         assert np.array_equal(tri.simplices, base.simplices)
         assert np.array_equal(tri.adjacency, base.adjacency)

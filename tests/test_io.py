@@ -33,7 +33,7 @@ from cvmesh.solver import solve_radii
 from cvmesh.svg import SvgOptions, render_svg
 
 import oracles
-from conftest import bcc_cell, hexagon_patch, uniform_points, with_ring
+from conftest import bcc_cell, hexagon_patch, hexagonal_domain, uniform_points, with_ring
 from oracles import GenerationBudgetExceeded, cell_records, reference_points
 
 
@@ -186,16 +186,32 @@ def _mesh3():
     return mesh
 
 
+def _hex_domain_mesh(seed=0):
+    """The mesh of 60 generator points in a turned hexagonal domain."""
+    pts = uniform_points(2, 60, seed)
+    tri = triangulate2(pts)
+    nm = neighbor_map(tri)
+    r = solve_radii(tri, nm, pts, equal_radii=True).radii
+    mesh = build_volumes2(tri, nm, pts, r, domain=hexagonal_domain(pts))
+    mesh.mode = "radical-center"
+    return mesh
+
+
 def test_mesh_json_roundtrip_bit_exact(tmp_path):
-    for mesh in (_mesh2(), _mesh3()):
+    """Written and read back, a mesh gives the same document, and its cell
+    stack and one-cell domain stack the same arrays, field for field."""
+    for mesh in (_mesh2(), _mesh3(), _hex_domain_mesh()):
         doc = mesh_doc(mesh)
         text = dumps_json(doc)
         back = mesh_from_doc(json.loads(text))
         assert dumps_json(mesh_doc(back)) == text
-        assert type(back.cells) is type(mesh.cells)
-        for f in dataclasses.fields(mesh.cells):
-            a, b = getattr(mesh.cells, f.name), getattr(back.cells, f.name)
-            assert a.shape == b.shape and np.array_equal(a, b), f.name
+        for stack in ("cells", "domain"):
+            built, read = getattr(mesh, stack), getattr(back, stack)
+            assert type(read) is type(built)
+            for f in dataclasses.fields(built):
+                a, b = getattr(built, f.name), getattr(read, f.name)
+                assert a.dtype == b.dtype, (stack, f.name)
+                assert a.shape == b.shape and np.array_equal(a, b), (stack, f.name)
 
 
 def test_mesh_doc_schema_rejected_on_major_mismatch():

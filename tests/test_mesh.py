@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from cvmesh.clipping import (
-    PolyStack,
     RingStack,
-    TaggedPolygon,
     _face_normals,
-    _newell_normal,
-    _stack_loops,
+    box_polygon,
+    box_polyhedron,
     clip_polyhedron,
     concat_stacks,
-    polyhedron_halfspaces,
+    domain_planes,
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh.mesh import (
+    ControlVolumeMesh,
     _candidates,
     _cell_measures,
     _check_cells3,
@@ -41,7 +40,17 @@ from cvmesh.mesh import (
 )
 from cvmesh.solver import VolumeMode, simplex_systems, solve_radii
 
-from conftest import assert_table_equals_lists, exact_instance, hexagon_patch, uniform_points, with_ring
+from conftest import (
+    assert_table_equals_lists,
+    exact_instance,
+    faces_of,
+    hexagon_patch,
+    hexagonal_domain,
+    polyhedra_stack,
+    rings_stack,
+    uniform_points,
+    with_ring,
+)
 from oracles import (
     CellError,
     build_cells2_loop,
@@ -50,10 +59,15 @@ from oracles import (
     cell_records,
     cell_volume3,
     dedup_vertices,
+    halfplanes,
+    loops_volume,
     match_simplex_ids,
     neighbor_lists,
+    newell_normal,
     perpendicularity_loop2,
     perpendicularity_loop3,
+    polygon_area,
+    stack_loops,
     validate_global_brute_force,
     vertex_sets_match,
     voronoi_cell_2d,
@@ -156,7 +170,7 @@ def test_cube_center_cell_matches_3d_voronoi_oracle():
     mesh = build_volumes3(tet, nm, pts, np.full(9, 0.3))
     cell = cell_records(mesh)[8]
     volume = _cell_measures(mesh.cells, 9)[8]
-    dv = mesh.domain.vertices()
+    dv = mesh.domain.verts
     oracle = voronoi_cell_3d(pts, 8, dv.min(axis=0), dv.max(axis=0))
     cell_v = dedup_vertices(cell.all_vertices(), 1e-9)
     oracle_v = dedup_vertices(np.vstack(oracle), 1e-9)
@@ -196,11 +210,9 @@ def test_equal_radii_faces_planar_3d():
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     mesh = build_volumes3(tet, nm, pts, np.full(len(pts), 0.05))
-    from cvmesh.clipping import _newell_normal
-
     for cell in cell_records(mesh):
         for f in cell.faces or []:
-            n = _newell_normal(f.verts)
+            n = newell_normal(f.verts)
             nn = np.linalg.norm(n)
             if nn == 0:
                 continue
@@ -396,7 +408,7 @@ def test_validate_global_without_margin_scans_every_point():
 
 
 def _cell_stack(faces):
-    stack = _stack_loops([f.verts for f in faces])
+    stack = stack_loops([f.verts for f in faces])
     return stack, _face_normals(*stack)
 
 
@@ -421,8 +433,8 @@ def test_face_normals_equal_per_loop_newell():
         loops.append(0.5 + 0.4 * flat @ frame)
     loops.append(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))  # zero area
     assert max(len(v) for v in loops) >= 8
-    got = _face_normals(*_stack_loops(loops))
-    ref = np.array([_newell_normal(v) for v in loops])
+    got = _face_normals(*stack_loops(loops))
+    ref = np.array([newell_normal(v) for v in loops])
     scale = max(float(np.ptp(v, axis=0).max()) for v in loops)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * scale)
     assert not got[-1].any()
@@ -455,7 +467,7 @@ def test_displaced_face_vertex_raises_nonplanar_3d():
     neighbors = [f.neighbor for f in faces]
     _check_face_planarity(8, neighbors, *_cell_stack(faces))
     k = next(k for k, f in enumerate(faces) if len(f.verts) >= 4 and f.neighbor is not None)
-    n = _newell_normal(faces[k].verts)
+    n = newell_normal(faces[k].verts)
     faces[k].verts = faces[k].verts.copy()
     faces[k].verts[1] += 1e-3 * n / np.linalg.norm(n)
     with pytest.raises(NonPlanarFace) as err:
@@ -467,7 +479,7 @@ def test_displaced_face_vertex_raises_nonplanar_3d():
 def test_outside_vertex_raises_nonconvex_3d():
     faces = _cube_center_faces()
     _check_convex3(8, *_cell_stack(faces), scale=1.0)
-    n = _newell_normal(faces[0].verts)
+    n = newell_normal(faces[0].verts)
     faces[0].verts = faces[0].verts + 0.05 * n / np.linalg.norm(n)  # still planar
     stack, normals = _cell_stack(faces)
     _check_face_planarity(8, [f.neighbor for f in faces], stack, normals)
@@ -522,7 +534,7 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
         return
 
     rng = np.random.default_rng(seed)
-    dv = mesh.domain.vertices()
+    dv = mesh.domain.verts
     lo, hi = dv.min(axis=0), dv.max(axis=0)
     targets = np.vstack([lo + (hi - lo) * rng.random((10_000, 3)), mesh.points])
     tol = 1e-9 * scale
@@ -594,7 +606,7 @@ def _sweep2(kind, n, seed):
         sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
     else:
         sol = solve_radii(tri, nm, pts, equal_radii=True)
-    return pts, tri, nm, sol.radii.r
+    return pts, tri, nm, sol.radii
 
 
 SWEEP2 = (
@@ -618,7 +630,7 @@ def test_build_volumes2_equals_cell_loop(kind, n, seed):
     ref = neighbor_lists(tri)
     try:
         want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
-                                 domain.verts, domain.tags)
+                                 domain.verts, [None] * 4)
     except CellError as exc:
         error = {"NonConvexCell": NonConvexCell, "OrphanVertex": OrphanVertex}[exc.kind]
         with pytest.raises(error) as err:
@@ -664,7 +676,7 @@ def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
     assert_table_equals_lists(nm, replace(ref, rings=rings, ring_simplices=tids))
     q = simplex_systems(tri).vertices(r)
     domain = bounding_domain2(pts)
-    want = build_cells2_loop(pts, r, q, rings, ref.closed, tids, domain.verts, domain.tags)
+    want = build_cells2_loop(pts, r, q, rings, ref.closed, tids, domain.verts, [None] * 4)
     mesh = build_volumes2(tri, nm, pts, r)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
@@ -676,13 +688,11 @@ def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
     """A rotated hexagonal domain: its edge lines are not axis-aligned, so
     the per-ring matrix-vector rounding of the domain clips shows."""
     pts, tri, nm, r = _sweep2("equal", 60, seed)
-    ang = np.linspace(0.0, 2.0 * np.pi, 7)[:-1] + 0.3
-    verts = pts.mean(axis=0) + 1.2 * np.column_stack([np.cos(ang), np.sin(ang)])
-    domain = TaggedPolygon(verts, [None] * 6)
+    domain = hexagonal_domain(pts)
     q = simplex_systems(tri).vertices(r)
     ref = neighbor_lists(tri)
     want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
-                             domain.verts, domain.tags)
+                             domain.verts, [None] * 6)
     mesh = build_volumes2(tri, nm, pts, r, domain=domain)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
@@ -691,18 +701,43 @@ def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
 
 
 def test_ring_areas_equal_polygon_area():
-    """One area per ring with the bits of TaggedPolygon.area (np.sum, which
+    """One area per ring with the bits of the one-polygon area (np.sum, which
     sums pairwise from eight terms on), rings of 3 to 20 vertices."""
     rng = np.random.default_rng(3)
     polys = []
     for k in list(range(3, 21)) * 3:
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
         rad = rng.uniform(0.5, 2.0, k)
-        polys.append(TaggedPolygon(rng.normal(size=2) + np.column_stack(
+        polys.append((rng.normal(size=2) + np.column_stack(
             [rad * np.cos(ang), rad * np.sin(ang)]), [None] * k))
-    stack = RingStack.of(polys)
+    stack = rings_stack(polys)
     got = _ring_areas(stack.verts, stack.starts)
-    assert got.tolist() == [p.area() for p in polys]
+    assert got.tolist() == [polygon_area(v) for v, _ in polys]
+
+
+def test_domain_planes_and_measure_equal_one_loop_references():
+    """The planes and measure of a one-cell domain stack, from its arrays,
+    against the one-edge half-planes, the one-face Newell normals and the
+    one-loop area and volume, bit for bit, on random boxes and turned
+    hexagons."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        lo = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
+        hi = lo + rng.random(3) * 10.0 ** rng.integers(-3, 4) + 1e-9
+        for domain in (box_polygon(lo[:2], hi[:2]), hexagonal_domain(lo[None, :2])):
+            n, c = domain_planes(domain)
+            want = halfplanes(domain.verts)
+            assert n.tolist() == [w.tolist() for w, _ in want]
+            assert c.tolist() == [w for _, w in want]
+            mesh = ControlVolumeMesh(2, lo[None, :2], None, domain, domain)
+            assert mesh.domain_measure() == polygon_area(domain.verts)
+        box = box_polyhedron(lo, hi)
+        loops = [v for v, _ in faces_of(box)]
+        n, c = domain_planes(box)
+        assert n.tolist() == [newell_normal(v).tolist() for v in loops]
+        assert c.tolist() == [float(newell_normal(v) @ v[0]) for v in loops]
+        mesh = ControlVolumeMesh(3, lo[None], None, box, box)
+        assert mesh.domain_measure() == loops_volume(loops)
 
 
 def test_nonconvex_2d_default_mode_sweep_reports_owner():
@@ -730,21 +765,20 @@ def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
 
 def _clip_to_domain_loop(stack, domain_planes, eps):
     """The one-cell-at-a-time domain clip that `_clip_to_domain` replaced."""
+    domain_planes = list(zip(*domain_planes))
     beyond = np.zeros(len(stack.verts), dtype=bool)
     for n, c in domain_planes:
         beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
     crossing = np.unique(stack.row_cells()[beyond])
     parts = [stack.take(np.flatnonzero(~np.isin(stack.cells, crossing)))]
     for i in crossing.tolist():
-        poly = stack.polyhedron(i)
+        poly = polyhedra_stack([faces_of(stack, i)])
         for n, c in domain_planes:
-            if np.any(poly.vertices() @ n - c > eps * np.linalg.norm(n)):
+            if np.any(poly.verts @ n - c > eps * np.linalg.norm(n)):
                 poly = clip_polyhedron(poly, n, c, None, eps)
-                if poly is None:
+                if not len(poly.starts):
                     break
-        if poly is not None:
-            part = PolyStack.of([poly])
-            parts.append(replace(part, cells=np.full(len(part.starts), i)))
+        parts.append(replace(poly, cells=np.full(len(poly.starts), i)))
     return concat_stacks(parts)
 
 
@@ -770,15 +804,15 @@ def _stack3(n, seed, default):
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     if default:
-        r = solve_radii(tet, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp").radii.r
+        r = solve_radii(tet, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp").radii
     else:
-        r = solve_radii(tet, nm, pts, equal_radii=True).radii.r
+        r = solve_radii(tet, nm, pts, equal_radii=True).radii
     q = simplex_systems(tet).vertices(r)
     domain = bounding_domain3(pts)
-    dv = domain.vertices()
+    dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
-    planes = polyhedron_halfspaces(domain)
+    planes = domain_planes(domain)
     hull = np.flatnonzero(nm.on_hull)
     interior = _interior_cells(np.flatnonzero(~nm.on_hull), nm, q, pts, eps)
     ref = neighbor_lists(tet)

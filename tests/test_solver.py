@@ -313,7 +313,8 @@ def test_solve_radii_single_triangle_exact():
     nm = neighbor_map(tri)
     sol = solve_radii(tri, nm, pts, mode=VolumeMode.EXACT_INTERSECTION, seed=0)
     assert sol.objective < 1e-10
-    assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
+    assert sol.radii.shape == (3,) and sol.mode is VolumeMode.EXACT_INTERSECTION
+    assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
 
 
 def test_solve_radii_radical_center_midpoints():
@@ -321,8 +322,9 @@ def test_solve_radii_radical_center_midpoints():
     tri = triangulate2(pts)
     nm = neighbor_map(tri)
     sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="strict")
-    assert np.allclose(sol.radii.r, 0.5 * (sol.lo + sol.hi))
-    verts = simplex_systems(tri).vertices(sol.radii.r)
+    assert sol.mode is VolumeMode.RADICAL_CENTER
+    assert np.allclose(sol.radii, 0.5 * (sol.lo + sol.hi))
+    verts = simplex_systems(tri).vertices(sol.radii)
     assert np.all(np.isfinite(verts))
 
 
@@ -331,15 +333,15 @@ def test_solve_radii_equal_override():
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     sol = solve_radii(tet, nm, pts, equal_radii=True)
-    assert np.all(sol.radii.r == sol.radii.r[0])
-    assert sol.status == "equal-radii"
+    assert sol.radii.shape == (len(pts),) and np.all(sol.radii == sol.radii[0])
+    assert sol.status == "equal-radii" and sol.mode is VolumeMode.RADICAL_CENTER
 
 
 def test_solve_radii_deterministic():
     pts, tri, nm, r_star, lo, hi = exact_instance(6)
     a = solve_radii(tri, nm, pts, mode=VolumeMode.EXACT_INTERSECTION, seed=42, bounds_policy="clamp")
     b = solve_radii(tri, nm, pts, mode=VolumeMode.EXACT_INTERSECTION, seed=42, bounds_policy="clamp")
-    assert np.array_equal(a.radii.r, b.radii.r)
+    assert np.array_equal(a.radii, b.radii)
     assert a.objective == b.objective
 
 
@@ -348,7 +350,7 @@ def test_solver_outputs_respect_strict_bounds():
     tri = triangulate2(pts)
     nm = neighbor_map(tri)
     sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="strict")
-    assert np.all(sol.radii.r > sol.lo) and np.all(sol.radii.r < sol.hi)
+    assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
 
 
 def _row_by_row(obj, X):
