@@ -15,7 +15,8 @@ case.
 Polygons have the same in 2D (`RingStack`): one ring per cell in one (V, 2)
 vertex array, one tag per edge and one simplex id per vertex. `clip_rings`
 clips every ring by its own line in one pass; `clip_polygon` is its one-cell
-case.
+case. `merge_rings` merges near-coincident ring vertices by the rule
+`clip_rings` applies to the rings it cuts.
 
 The domain a mesh is cut from is a one-cell stack of the same kind, every
 wall tagged -1 (`box_polygon`, `box_polyhedron`), and `domain_planes` gives
@@ -116,11 +117,11 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
     is kept whole, one with every d >= -eps vanishes. Otherwise each vertex
     with d <= eps stays, followed by the crossing point of its outgoing edge
     when that edge crosses the line. The cut edge carries the new tag and a
-    truncated edge keeps its own. Then consecutive vertices within eps merge,
-    the merged vertex's edge taking the tag of the last one merged, and the
-    last vertex goes when it lies within eps of the first; a ring left with
-    under three vertices vanishes. Simplex ids of kept rows stay; new rows
-    get -1.
+    truncated edge keeps its own. Then consecutive vertices within eps merge
+    (`_merge_runs`), the merged vertex's edge taking the tag of the last one
+    merged, and the last vertex goes when it lies within eps of the first; a
+    ring left with under three vertices vanishes. Simplex ids of kept rows
+    stay; new rows get -1.
     """
     v = stack.verts
     nring = len(stack.starts)
@@ -157,19 +158,7 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
     sid = sid.ravel()[emit]
     owner = np.repeat(ring[rows], 2)[emit]
 
-    # Merge runs of near-coincident vertices: a kept vertex's edge takes the
-    # tag of the last row before the next kept one (before the closing merge).
-    loop_starts = _group_starts(owner)
-    runs = _dedup_runs(pts, loop_starts, eps)
-    kept = np.flatnonzero(runs)
-    if len(kept):
-        nxt = np.append(kept[1:], len(pts))
-        last = np.append(owner[kept[1:]] != owner[kept[:-1]], True)
-        loop = np.searchsorted(loop_starts, kept[last], side="right") - 1
-        nxt[last] = np.append(loop_starts[1:], len(pts))[loop]
-        tag[kept] = tag[nxt - 1]
-    stay = _drop_closing(pts, loop_starts, runs, eps)
-    stay &= (np.bincount(owner[stay], minlength=nring) >= 3)[owner]
+    stay, tag = _merge_runs(pts, tag, owner, nring, eps)
 
     # Whole rings keep their rows; cut rings take their stayed points.
     src_ring = np.concatenate((ring[whole_rows], owner[stay]))
@@ -181,6 +170,39 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
         np.concatenate((stack.tags[whole_rows], tag[stay]))[order],
         np.concatenate((stack.simplices[whole_rows], sid[stay]))[order],
     )
+
+
+def merge_rings(stack: RingStack, eps: float) -> RingStack:
+    """The stack with the near-coincident vertices of every ring merged as
+    `clip_rings` merges those of a cut ring (`_merge_runs`); a ring without
+    such vertices keeps its rows."""
+    ring = stack.row_rings()
+    stay, tags = _merge_runs(stack.verts, stack.tags, ring, len(stack.starts), eps)
+    lens = np.bincount(ring[stay], minlength=len(stack.starts))
+    return RingStack(stack.verts[stay], np.cumsum(lens) - lens, tags[stay],
+                     stack.simplices[stay])
+
+
+def _merge_runs(p: np.ndarray, tags: np.ndarray, owner: np.ndarray, nring: int,
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the runs of near-coincident vertices of rings whose rows lie
+    grouped by ring id `owner` (nring rings), as `_dedup_loops` keeps them; a
+    kept vertex's edge takes the tag of the last row before the next kept
+    one (before the closing merge). Returns the mask of the rows that stay,
+    none of a ring left under three, and the tags."""
+    tags = tags.copy()
+    loop_starts = _group_starts(owner)
+    runs = _dedup_runs(p, loop_starts, eps)
+    kept = np.flatnonzero(runs)
+    if len(kept):
+        nxt = np.append(kept[1:], len(p))
+        last = np.append(owner[kept[1:]] != owner[kept[:-1]], True)
+        loop = np.searchsorted(loop_starts, kept[last], side="right") - 1
+        nxt[last] = np.append(loop_starts[1:], len(p))[loop]
+        tags[kept] = tags[nxt - 1]
+    stay = _drop_closing(p, loop_starts, runs, eps)
+    stay &= (np.bincount(owner[stay], minlength=nring) >= 3)[owner]
+    return stay, tags
 
 
 def box_polygon(lo, hi) -> RingStack:

@@ -537,7 +537,9 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
     (2D) and one simplex id per loop index, and every loop (a closed ring,
     or a face) of three vertices or more; a document that breaks these
     rules, or whose loops index outside "vertices", raises IoFailure naming
-    the cell (and the face)."""
+    the cell (and the face). So does one whose domain is a ring under three
+    vertices (2D), or has no faces or a face under three vertices (3D),
+    naming the domain."""
     check_schema(doc)
     if doc.get("kind") != "mesh":
         raise IoFailure(f"expected a mesh document, got kind={doc.get('kind')!r}")
@@ -578,10 +580,17 @@ def mesh_from_doc(doc: dict) -> ControlVolumeMesh:
                                      _id_array(sids))
     if dim == 2:
         box = np.asarray(doc["domain"]["vertices"], dtype=float)
+        if len(box) < 3:
+            raise IoFailure(f"domain: a ring of {len(box)} vertices, under three")
         domain = RingStack.from_rings(box, [0], [-1] * len(box))
     else:
         faces = [np.asarray(f, dtype=float) for f in doc["domain"]["faces"]]
+        if not faces:
+            raise IoFailure("domain: no faces")
         lens = np.array([len(f) for f in faces], dtype=np.intp)
+        if np.any(lens < 3):
+            m = int(np.argmax(lens < 3))
+            raise IoFailure(f"domain, face {m}: a loop of {lens[m]} vertices, under three")
         domain = PolyStack.from_loops(np.concatenate(faces), np.cumsum(lens) - lens,
                                       [-1] * len(faces), [0] * len(faces))
     return ControlVolumeMesh(

@@ -6,10 +6,13 @@ ring/star order; hull-point cells are cut out of the domain by the power
 bisectors toward their neighbors. Both run as array code over all cells at
 once, on polygons stacked by `clipping.RingStack` (2D) and polyhedra stacked
 by `clipping.PolyStack` (3D); the per-cell checks run once over the whole
-stack and raise for the first failing cell. That stack is the mesh's one
-cell representation (`ControlVolumeMesh.cells`): cell i belongs to point i,
-the validators and writers read its arrays, and nothing unpacks it into
-per-cell objects. The domain every cell is cut from
+stack and raise for the first failing cell. In 3D every face's plane comes
+from one table (`face_planes`), built once per stack: the planarity and
+convexity checks decide every cell from it in one pass, and
+`validate_global` tests points against the same planes. That stack is the
+mesh's one cell representation (`ControlVolumeMesh.cells`): cell i belongs
+to point i, the validators and writers read its arrays, and nothing unpacks
+it into per-cell objects. The domain every cell is cut from
 (`ControlVolumeMesh.domain`) is a one-cell stack of the same kind, its
 walls tagged -1. Every wall knows which neighbor it separates its owner
 from, which makes the perpendicularity and shared-wall checks exact; those
@@ -36,6 +39,7 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     concat_stacks,
     domain_planes,
     grouped_matvec,
+    merge_rings,
     ring_distances,
     _angular_order,
     _dedup_loops,
@@ -210,19 +214,21 @@ def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: in
 
 
 def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: np.ndarray,
-                cand_starts: np.ndarray, eps: float) -> np.ndarray:
+                cand_starts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per vertex row, the first candidate simplex of its cell, in the given
-    order, whose candidate vertex q[t] lies within eps of it; -1 where none
-    does. Cell c owns rows row_starts[c] up to row_starts[c + 1] and the
+    order, whose candidate vertex q[t] lies within eps of it (-1 where none
+    does); and per candidate, whether a row of its cell lies within eps of
+    it. Cell c owns rows row_starts[c] up to row_starts[c + 1] and the
     candidates cand[cand_starts[c]:cand_starts[c + 1]]. Each block of cells
     (`_blocks`) takes the distances of all its rows to all its candidates as
     one cell at a time would, (q[t] - v) under np.linalg.norm, whose sum of
     squares runs over the coordinates in order."""
     out = np.full(len(verts), -1, dtype=np.int64)
+    covered = np.zeros(len(cand), dtype=bool)
     nrow = _lengths(row_starts, len(verts))
     ncand = _lengths(cand_starts, len(cand))
     if not len(cand) or not len(verts):
-        return out
+        return out, covered
     for cells, mr, mc in _blocks(nrow, ncand):
         rows, real_row = _padded(row_starts, nrow, cells, mr)
         slots, real_cand = _padded(cand_starts, ncand, cells, mc)
@@ -231,11 +237,12 @@ def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: 
         for k in range(verts.shape[1]):
             gap = q[t, k][:, None, :] - verts[rows, k][:, :, None]
             square = square + gap * gap
-        near = (np.sqrt(square) <= eps) & real_cand[:, None, :]
-        hit = near.any(axis=2) & real_row
+        near = (np.sqrt(square) <= eps) & real_cand[:, None, :] & real_row[:, :, None]
+        hit = near.any(axis=2)
         first = np.take_along_axis(t[:, None, :], near.argmax(axis=2)[:, :, None], axis=2)
         out[rows[hit]] = first[:, :, 0][hit]
-    return out
+        covered[slots[real_cand]] = near.any(axis=1)[real_cand]
+    return out, covered
 
 
 def _candidates(nm: NeighborMap) -> tuple[np.ndarray, np.ndarray]:
@@ -259,10 +266,10 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     """Assemble one convex cell per point from the triangle radical centers.
 
     Interior cells list the candidate vertex of each incident triangle in ring
-    order; hull cells are the domain ring cut by the power bisectors toward
-    the ring neighbors. Every cell is clipped to the domain. All cells go
-    through each step together, stacked in one `RingStack`, which the mesh
-    keeps as its cells.
+    order, near-coincident ones merged (`merge_rings`); hull cells are the
+    domain ring cut by the power bisectors toward the ring neighbors. Every
+    cell is clipped to the domain. All cells go through each step together,
+    stacked in one `RingStack`, which the mesh keeps as its cells.
     """
     pts = tri.points if pts is None else pts
     r = np.asarray(radii, dtype=float)
@@ -278,7 +285,7 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     # Hull cells are clipped by the power bisector toward their k-th ring
     # neighbor at step k, then interior cells by each domain line that a
     # vertex lies beyond: every ring that takes a cut in one pass per step.
-    stack = _initial_rings(nm, q, domain)
+    stack = merge_rings(_initial_rings(nm, q, domain), eps)
     hull = nm.on_hull[nm.owner]
     counts, table = _neighbor_table(nm.owner[hull], nm.nbr[hull], len(pts))
     for k in range(table.shape[1]):
@@ -294,20 +301,20 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
 
     _check_convex2(stack)
     cand, cand_starts = _candidates(nm)
-    stack = replace(stack, simplices=_match_rows(stack.verts, stack.starts, q, cand,
-                                                 cand_starts, match_eps))
-    _check_orphans(q, stack.simplices, planes, eps_inside=match_eps)
+    ids, covered = _match_rows(stack.verts, stack.starts, q, cand, cand_starts, match_eps)
+    stack = replace(stack, simplices=ids)
+    _check_orphans(q, cand[covered], planes, eps_inside=match_eps)
     return ControlVolumeMesh(dim=2, points=pts, radii=r, cells=stack, domain=domain,
                              simplices=tri.triangles, simplex_vertices=q)
 
 
-def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float):
-    """Raise OrphanVertex for the first candidate vertex that no cell vertex
-    matched (`matched` holds the matched simplex ids, -1 ignored) and that
-    lies inside every domain plane (`domain_planes`) by more than
-    eps_inside."""
+def _check_orphans(q: np.ndarray, covered: np.ndarray, planes, eps_inside: float):
+    """Raise OrphanVertex for the first candidate vertex that no cell covers
+    (`covered` holds the simplex ids whose candidate vertex lies within the
+    match distance of a vertex row of a cell that lists it) and that lies
+    inside every domain plane (`domain_planes`) by more than eps_inside."""
     inside = np.ones(len(q), dtype=bool)
-    inside[matched[matched >= 0]] = False
+    inside[covered] = False
     for n, c in zip(*planes):
         inside &= _rowdot(q, np.broadcast_to(n, q.shape)) - c < -eps_inside * np.linalg.norm(n)
     bad = np.flatnonzero(inside)
@@ -315,112 +322,80 @@ def _check_orphans(q: np.ndarray, matched: np.ndarray, planes, eps_inside: float
         raise OrphanVertex(int(bad[0]))
 
 
-def _face_planes(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planes of the loops of a stack (rows, starts, successors) with Newell
-    normals `normals`: the mask of loops with a nonzero normal, and for those
-    the unit normal u (F', 3) and offset c (F',), u . x = c through the first
-    vertex."""
-    v, starts, _ = stack
+@dataclass
+class FacePlanes:
+    """The plane of every face of a `PolyStack`, computed once: its Newell
+    normal, whether that is nonzero (`keep`), the unit normal u and offset c
+    of the plane u . x = c through its first vertex (u zero without a
+    normal), the largest distance of its vertices from that plane (0.0
+    without a normal) and its longest edge."""
+
+    normals: np.ndarray   # (F, 3)
+    keep: np.ndarray      # (F,)
+    u: np.ndarray         # (F, 3)
+    c: np.ndarray         # (F,)
+    dev: np.ndarray       # (F,)
+    edge: np.ndarray      # (F,)
+
+    def nonplanar(self) -> np.ndarray:
+        """Mask of the faces whose vertices leave their plane by more than
+        EPS_FACE times their longest edge; faces with no normal or no edge
+        length pass."""
+        return self.keep & (self.edge != 0.0) & (self.dev > EPS_FACE * self.edge)
+
+
+def face_planes(stack: PolyStack) -> FacePlanes:
+    """The `FacePlanes` of every face of a stack, in one pass over its rows."""
+    v, starts = stack.verts, stack.starts
+    normals = _face_normals(v, starts, stack.succ)
     nn = np.sqrt(_rowdot(normals, normals))
     keep = nn != 0.0
-    u = normals[keep] / nn[keep, None]
-    return keep, u, _rowdot(u, v[starts[keep]])
-
-
-def _face_planarity(stack, normals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per loop of a stack (rows, starts, successors): whether it has a
-    nonzero normal, the largest distance of its vertices from the plane
-    through its first vertex (0.0 without a normal) and its longest edge."""
-    v, starts, succ = stack
-    keep, u, _ = _face_planes(stack, normals)
-    face = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(v)))
-    unit = np.zeros_like(normals)
-    unit[keep] = u
-    dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], unit[face])), starts)
-    e = v[succ] - v
+    u = np.zeros_like(normals)
+    u[keep] = normals[keep] / nn[keep, None]
+    c = _rowdot(u, v[starts])
+    if not len(starts):
+        return FacePlanes(normals, keep, u, c, np.zeros(0), np.zeros(0))
+    face = np.repeat(np.arange(len(starts)), stack.lengths())
+    dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], u[face])), starts)
+    e = v[stack.succ] - v
     edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
-    return keep, dev, edge
+    return FacePlanes(normals, keep, u, c, dev, edge)
 
 
-def _nonplanar_faces(stack, normals) -> np.ndarray:
-    """Mask of the loops whose vertices leave the plane through their first
-    vertex by more than EPS_FACE times their longest edge; loops with no
-    normal or no edge length pass."""
-    keep, dev, edge = _face_planarity(stack, normals)
-    return keep & (edge != 0.0) & (dev > EPS_FACE * edge)
-
-
-def _check_face_planarity(owner: int, neighbors: list, stack, normals):
-    """Raise NonPlanarFace for the first face of one cell that
-    `_nonplanar_faces` flags."""
-    bad = np.flatnonzero(_nonplanar_faces(stack, normals))
-    if len(bad):
-        f = int(bad[0])
-        dev = _face_planarity(stack, normals)[1]
-        raise NonPlanarFace(owner, neighbors[f], float(dev[f]))
-
-
-def _check_convex3(owner: int, stack, normals, scale: float):
-    """Raise NonConvexCell for the first face with a cell vertex more than
-    1e-9 * scale outside its plane."""
-    _, u, c = _face_planes(stack, normals)
-    out = (stack[0] @ u.T - c).max(axis=0)
-    bad = np.nonzero(out > 1e-9 * scale)[0]
-    if len(bad):
-        raise NonConvexCell(owner, f"vertex {out[bad[0]]:.3g} outside face plane")
-
-
-def _convex_suspects(stack: PolyStack, normals: np.ndarray, scale: float) -> np.ndarray:
-    """Sorted ids of the cells of a stack that `_check_convex3` might reject:
-    every cell whose largest vertex offset outside one of its face planes
-    comes within a rounding margin of 1e-9 * scale. The offsets come from one
-    stacked matmul per block of cells (`_blocks`: padded vertex rows times
-    face normals), which rounds unlike the cell-by-cell product, hence the
-    margin; the suspects are decided by `_check_convex3` itself."""
+def _check_cells3(stack: PolyStack, planes: FacePlanes, scale: float):
+    """The face-planarity and convexity checks of every cell of a stack,
+    decided in one pass from its face planes. Raise for the first failing
+    cell in cell order: NonPlanarFace for its first nonplanar face, else
+    NonConvexCell for its first face with a vertex of the cell more than
+    1e-9 * scale outside the face's plane. Each face's worst vertex offset
+    comes from one stacked matmul per block of cells (`_blocks`: padded
+    vertex rows times face normals)."""
     v = stack.verts
-    keep, u, c = _face_planes((v, stack.starts, stack.succ), normals)
     ncell = int(stack.cells.max(initial=-1)) + 1
-    rcell = stack.row_cells()
-    row_starts = np.searchsorted(rcell, np.arange(ncell))
-    face_starts = np.searchsorted(stack.cells[keep], np.arange(ncell))
+    row_starts = np.searchsorted(stack.row_cells(), np.arange(ncell))
+    face_starts = np.searchsorted(stack.cells, np.arange(ncell))
     nrow = _lengths(row_starts, len(v))
-    nface = _lengths(face_starts, len(u))
-    if not len(u):
-        return np.zeros(0, dtype=np.int64)
-    margin = 1e-12 * (float(np.abs(v).max(initial=0.0)) + float(np.abs(c).max()))
-    worst = np.full(ncell, -np.inf)
+    nface = _lengths(face_starts, len(stack.starts))
+    worst = np.full(len(stack.starts), -np.inf)
     for cells, mr, mf in _blocks(nrow, nface):
         rows, real_row = _padded(row_starts, nrow, cells, mr)
         faces, real_face = _padded(face_starts, nface, cells, mf)
-        out = np.matmul(v[rows], u[faces].transpose(0, 2, 1)) - c[faces][:, None, :]
-        out[~(real_row[:, :, None] & real_face[:, None, :])] = -np.inf
-        worst[cells] = out.max(axis=(1, 2))
-    return np.flatnonzero(worst > 1e-9 * scale - margin)
-
-
-def _check_cells3(stack: PolyStack, normals: np.ndarray, scale: float):
-    """The face-planarity and convexity checks of every cell of a stack, in
-    one pass each. Raise for the first failing cell in cell order: its first
-    nonplanar face (NonPlanarFace) or, when its faces are planar,
-    NonConvexCell as `_check_convex3` words it."""
-    nonplanar = stack.cells[_nonplanar_faces((stack.verts, stack.starts, stack.succ), normals)]
-    first = int(nonplanar[0]) if len(nonplanar) else None
-    ends = np.append(stack.starts, len(stack.verts))
-
-    def cell(i):
-        f0, f1 = np.searchsorted(stack.cells, [i, i + 1]).tolist()
-        r0, r1 = int(ends[f0]), int(ends[f1])
-        return (stack.verts[r0:r1], stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0), f0, f1
-
-    for i in _convex_suspects(stack, normals, scale).tolist():
-        if first is not None and i >= first:
-            break
-        loops, f0, f1 = cell(i)
-        _check_convex3(i, loops, normals[f0:f1], scale)
-    if first is not None:
-        loops, f0, f1 = cell(first)
-        tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
-        _check_face_planarity(first, tags, loops, normals[f0:f1])
+        out = np.matmul(v[rows], planes.u[faces].transpose(0, 2, 1)) - planes.c[faces][:, None, :]
+        out[~real_row] = -np.inf
+        worst[faces[real_face]] = out.max(axis=1)[real_face]
+    nonplanar = planes.nonplanar()
+    outside = planes.keep & (worst > 1e-9 * scale)
+    bad = np.flatnonzero(nonplanar | outside)
+    if not len(bad):
+        return
+    i = int(stack.cells[bad[0]])
+    mine = stack.cells == i
+    f = np.flatnonzero(nonplanar & mine)
+    if len(f):
+        t = int(stack.tags[f[0]])
+        raise NonPlanarFace(i, None if t < 0 else t, float(planes.dev[f[0]]))
+    f = int(np.flatnonzero(outside & mine)[0])
+    raise NonConvexCell(i, f"vertex {worst[f]:.3g} outside face plane")
 
 
 def _hull_cells(cells: np.ndarray, pts, r, domain: PolyStack, eps: float,
@@ -534,13 +509,12 @@ def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
                     *_neighbor_table(owner[hull_pairs], nbr[hull_pairs], len(pts))),
         _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), planes, eps),
     ])
-    normals = _face_normals(stack.verts, stack.starts, stack.succ)
-    _check_cells3(stack, normals, scale)
+    _check_cells3(stack, face_planes(stack), scale)
     cand, cand_starts = _candidates(nm)
     row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
-    stack = replace(stack, simplices=_match_rows(stack.verts, row_starts, q, cand, cand_starts,
-                                                 match_eps))
-    _check_orphans(q, stack.simplices, planes, eps_inside=match_eps)
+    ids, covered = _match_rows(stack.verts, row_starts, q, cand, cand_starts, match_eps)
+    stack = replace(stack, simplices=ids)
+    _check_orphans(q, cand[covered], planes, eps_inside=match_eps)
     return ControlVolumeMesh(dim=3, points=pts, radii=r, cells=stack, domain=domain,
                              simplices=tet.tetrahedra, simplex_vertices=q)
 
@@ -629,10 +603,10 @@ class GlobalReport:
         )
 
 
-def _containment_boxes(stack, n: int, tol: float, pad: float):
-    """Per cell of a stack of n cells, whether a box holding every point
-    that `_inside_pairs` accepts in it at tolerance tol is known, and the box
-    (lo, hi), as arrays over the cells.
+def _containment_boxes(stack, planes: FacePlanes | None, n: int, tol: float, pad: float):
+    """Per cell of a stack of n cells (a 3D one with its `face_planes`),
+    whether a box holding every point that `_inside_pairs` accepts in it at
+    tolerance tol is known, and the box (lo, hi), as arrays over the cells.
 
     A point strictly left of every edge line of a closed loop has winding
     number >= 1 around it, so it lies in the hull of the loop's vertices and
@@ -662,9 +636,7 @@ def _containment_boxes(stack, n: int, tol: float, pad: float):
     faces = stack
     if not len(faces.starts):
         return has, lo, hi
-    loops = (faces.verts, faces.starts, faces.succ)
-    keep, dev, _ = _face_planarity(loops, _face_normals(*loops))
-    flat = keep & (dev <= 0.5 * tol)
+    flat = planes.keep & (planes.dev <= 0.5 * tol)
     good = np.bincount(faces.cells[~flat], minlength=n) == 0
     good &= _closed_cells(faces, n, tol)
     ids = np.unique(faces.cells)
@@ -759,19 +731,22 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
         b0 = b1
 
 
-def _inside_pairs(mesh: ControlVolumeMesh, targets: np.ndarray, tol: float, pad: float):
+def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes | None, targets: np.ndarray,
+                  tol: float, pad: float):
     """(cell, target) of every target that lies inside its cell by more than
     tol, sorted by cell then target. In 2D a target is inside when its
     distance left of every edge line exceeds tol; in 3D when it lies more than
     tol inside the plane through the first vertex of every face with a
-    normal. A cell with a containment box (`_containment_boxes`) pairs with
-    the targets in it, every other non-empty cell with every target; the
-    pairs go through one array test per chunk."""
+    normal (`planes`, the cells' `face_planes`). A cell with a containment
+    box (`_containment_boxes`) pairs with the targets in it, every other
+    non-empty cell with every target; in 2D the pairs go through one array
+    test per chunk, in 3D each cell's targets through one product with all
+    of the cell's planes."""
     stack = mesh.cells
     n = len(mesh.points)
     margin = -tol
     empty = mesh.empty_cells()
-    has, lo, hi = _containment_boxes(stack, n, tol, pad)
+    has, lo, hi = _containment_boxes(stack, planes, n, tol, pad)
     has &= ~empty
     pos, tgt = [], []
     flat = isinstance(stack, RingStack)
@@ -791,10 +766,8 @@ def _inside_pairs(mesh: ControlVolumeMesh, targets: np.ndarray, tol: float, pad:
         ln[at] = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
         pad[at] = False
     else:
-        loops = (stack.verts, stack.starts, stack.succ)
-        keep, u, c = _face_planes(loops, _face_normals(*loops))
-        fcell = stack.cells[keep]
-        fstart = np.searchsorted(fcell, np.arange(n + 1))
+        u, c = planes.u[planes.keep], planes.c[planes.keep]
+        fstart = np.searchsorted(stack.cells[planes.keep], np.arange(n + 1))
 
     def unboxed():
         rest = np.flatnonzero(~has & ~empty)
@@ -812,18 +785,12 @@ def _inside_pairs(mesh: ControlVolumeMesh, targets: np.ndarray, tol: float, pad:
             cross = (ex[:, pc] * (py - vy[:, pc]) - ey[:, pc] * (px - vx[:, pc])) / ln[:, pc]
             ok = np.logical_and.reduce((cross >= -margin) | pad[:, pc], axis=0)
         else:
-            # each face's plane over its cell's targets, one matrix-vector
-            # product per face (two rows at least: a one-row product rounds
-            # as a dot, unlike a longer one)
-            cut = np.flatnonzero(np.append(True, pc[1:] != pc[:-1]))
+            # each cell's targets against all of its planes in one product
+            cut = np.flatnonzero(np.diff(pc, prepend=-1))
             ok = np.ones(len(pc), dtype=bool)
             for a, b in zip(cut.tolist(), np.append(cut[1:], len(pc)).tolist()):
-                p = targets[pt[a:b]] if b - a > 1 else targets[pt[[a, a]]]
-                inside = np.ones(len(p), dtype=bool)
-                cell = int(pc[a])
-                for f in range(fstart[cell], fstart[cell + 1]):
-                    inside &= p @ u[f] - c[f] <= margin
-                ok[a:b] = inside[:b - a]
+                f0, f1 = fstart[pc[a]], fstart[pc[a] + 1]
+                ok[a:b] = np.all(targets[pt[a:b]] @ u[f0:f1].T - c[f0:f1] <= margin, axis=1)
         pos.append(pc[ok])
         tgt.append(pt[ok])
     if not pos:
@@ -907,7 +874,8 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
     targets = np.vstack([samples, pts])
-    pos, tgt = _inside_pairs(mesh, targets, tol, 1e-9 * scale)
+    planes = face_planes(mesh.cells) if mesh.dim == 3 else None
+    pos, tgt = _inside_pairs(mesh, planes, targets, tol, 1e-9 * scale)
 
     # a probe's first cell (in cell order) owns it; every later one overlaps
     probe = tgt < probes

@@ -16,8 +16,13 @@ behind duplicate detection, simplex adjacency and overlap labels.
 
 `bowyer_watson_scan` is the Delaunay kernel that tested every live simplex
 for each new point before cvmesh walked to the point and searched its
-cavity; it is the one reference here that imports from cvmesh, sharing its
-exact integer predicates and finishing passes, which both kernels run.
+cavity; it imports from cvmesh, sharing its exact integer predicates and
+finishing passes, which both kernels run.
+
+`check_face_planarity` and `check_convex3` are the one-cell face-plane
+checks that cvmesh decides for every cell at once. They are the only other
+references that import from cvmesh: they raise its own errors, so the tests
+compare error type, owner and text.
 
 `neighbor_lists` is the per-point dict walk that built each point's ring or
 star as its own array before cvmesh built them as one row table; the tests
@@ -449,13 +454,20 @@ def clip_polygon_loop(verts, tags, normal, offset: float, tag, eps: float):
             s = da / (da - db)
             out_v.append(v[a] + s * (v[b] - v[a]))
             out_t.append(tags[a])
+    return merge_ring_loop(out_v, out_t, eps)
+
+
+def merge_ring_loop(verts, tags, eps: float):
+    """Merge each vertex of a tagged polygon within eps of the last one kept
+    into it, one vertex at a time, then drop the last kept one when it lies
+    within eps of the first. Returns (verts, tags) or None under three."""
     keep_v, keep_t = [], []
-    for k in range(len(out_v)):
-        if keep_v and np.linalg.norm(out_v[k] - keep_v[-1]) <= eps:
-            keep_t[-1] = out_t[k]  # zero-length edge collapses onto its successor
+    for k in range(len(verts)):
+        if keep_v and np.linalg.norm(verts[k] - keep_v[-1]) <= eps:
+            keep_t[-1] = tags[k]  # zero-length edge collapses onto its successor
             continue
-        keep_v.append(out_v[k])
-        keep_t.append(out_t[k])
+        keep_v.append(verts[k])
+        keep_t.append(tags[k])
     if len(keep_v) > 1 and np.linalg.norm(keep_v[0] - keep_v[-1]) <= eps:
         keep_v.pop()
         keep_t.pop()
@@ -481,9 +493,9 @@ def halfplanes(verts):
 def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, domain_tags):
     """One 2D cell per point, one cell and one clip at a time: interior cells
     are the candidate vertices q of their ring triangles (reversed with the
-    tags when clockwise) clipped by each domain line some vertex crosses;
-    hull cells are the domain clipped by the power bisector toward each ring
-    neighbor in ring order. Returns per point (verts, tags, simplex ids) or
+    tags when clockwise, near duplicates merged by `merge_ring_loop`) clipped
+    by each domain line some vertex crosses; hull cells are the domain
+    clipped by the power bisector toward each ring neighbor in ring order. Returns per point (verts, tags, simplex ids) or
     None, tags and ids None where cvmesh has None; raises CellError for the
     first reflex cell, then the first unmatched candidate vertex inside."""
     dverts = np.asarray(domain_verts, dtype=float)
@@ -500,6 +512,7 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
             if polygon_area(poly[0]) < 0.0:
                 k = len(poly[0])
                 poly = (poly[0][::-1].copy(), [poly[1][(k - 2 - j) % k] for j in range(k)])
+            poly = merge_ring_loop(*poly, eps)
             for n, c in planes:
                 if poly is not None and np.any(poly[0] @ n - c > eps):
                     poly = clip_polygon_loop(*poly, n, c, None, eps)
@@ -854,6 +867,51 @@ def newell_normal(verts) -> np.ndarray:
         float(np.sum((v[:, 2] - w[:, 2]) * (v[:, 0] + w[:, 0]))),
         float(np.sum((v[:, 0] - w[:, 0]) * (v[:, 1] + w[:, 1]))),
     ])
+
+
+def _loop_planes(stack, normals):
+    """Per loop of one cell's loops (rows, starts, successors) with Newell
+    normals `normals`: whether it has a nonzero normal, the unit normal u
+    and offset c (u . x = c through the first vertex) of the loops that do,
+    the largest distance of its vertices from that plane (0.0 without a
+    normal) and its longest edge."""
+    v, starts, succ = stack
+    nn = np.sqrt(_rowdot(normals, normals))
+    keep = nn != 0.0
+    unit = np.zeros_like(normals)
+    unit[keep] = normals[keep] / nn[keep, None]
+    face = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(v)))
+    dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], unit[face])), starts)
+    e = v[succ] - v
+    edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
+    return keep, unit[keep], _rowdot(unit[keep], v[starts[keep]]), dev, edge
+
+
+def check_face_planarity(owner: int, neighbors: list, stack, normals):
+    """Raise cvmesh's NonPlanarFace for the first face of one cell whose
+    vertices leave the plane through its first vertex by more than EPS_FACE
+    times its longest edge; faces with no normal or no edge length pass."""
+    from cvmesh.errors import NonPlanarFace
+    from cvmesh.mesh import EPS_FACE
+
+    keep, _, _, dev, edge = _loop_planes(stack, normals)
+    bad = np.flatnonzero(keep & (edge != 0.0) & (dev > EPS_FACE * edge))
+    if len(bad):
+        f = int(bad[0])
+        raise NonPlanarFace(owner, neighbors[f], float(dev[f]))
+
+
+def check_convex3(owner: int, stack, normals, scale: float):
+    """Raise cvmesh's NonConvexCell for the first face of one cell with a
+    vertex of the cell more than 1e-9 * scale outside its plane, from one
+    matrix product of the cell's vertices and face normals."""
+    from cvmesh.errors import NonConvexCell
+
+    _, u, c, _, _ = _loop_planes(stack, normals)
+    out = (stack[0] @ u.T - c).max(axis=0)
+    bad = np.nonzero(out > 1e-9 * scale)[0]
+    if len(bad):
+        raise NonConvexCell(owner, f"vertex {out[bad[0]]:.3g} outside face plane")
 
 
 def cell_contains3(cell, p, margin: float = 0.0) -> bool:

@@ -449,6 +449,31 @@ def test_mesh_from_doc_rejects_loop_index_out_of_range(index):
             mesh_from_doc(doc)
 
 
+@pytest.mark.parametrize("size", [0, 2])
+def test_mesh_from_doc_rejects_short_domain_2d(size):
+    """A 2D domain ring under three vertices is bad input naming the domain,
+    not a bare numpy error later on."""
+    doc = json.loads(dumps_json(mesh_doc(_mesh2())))
+    doc["domain"]["vertices"] = doc["domain"]["vertices"][:size]
+    with pytest.raises(IoFailure, match=f"^domain: a ring of {size} vertices"):
+        mesh_from_doc(doc)
+
+
+@pytest.mark.parametrize("case", ["no faces", "short face"])
+def test_mesh_from_doc_rejects_short_domain_3d(case):
+    """A 3D domain without faces, or with a face under three vertices, is
+    bad input naming the domain (and the face)."""
+    doc = json.loads(dumps_json(mesh_doc(_mesh3())))
+    if case == "no faces":
+        doc["domain"]["faces"] = []
+        where = "^domain: no faces"
+    else:
+        doc["domain"]["faces"][4] = doc["domain"]["faces"][4][:2]
+        where = "^domain, face 4: a loop of 2 vertices"
+    with pytest.raises(IoFailure, match=where):
+        mesh_from_doc(doc)
+
+
 @pytest.mark.parametrize("case", ["count", "owner", "closed", "open", "length",
                                   "short0", "short1", "short2"])
 def test_mesh_from_doc_rejects_cells_that_disagree_with_the_stack(case):

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import asdict, replace
 from functools import cache
 
@@ -21,8 +22,6 @@ from cvmesh.mesh import (
     _candidates,
     _cell_measures,
     _check_cells3,
-    _check_convex3,
-    _check_face_planarity,
     _clip_to_domain,
     _containment_boxes,
     _hull_cells,
@@ -35,6 +34,7 @@ from cvmesh.mesh import (
     bounding_domain3,
     build_volumes2,
     build_volumes3,
+    face_planes,
     validate_global,
     validate_perpendicularity,
 )
@@ -58,6 +58,8 @@ from oracles import (
     cell_contains_many3,
     cell_records,
     cell_volume3,
+    check_convex3,
+    check_face_planarity,
     dedup_vertices,
     halfplanes,
     loops_volume,
@@ -390,7 +392,8 @@ def test_validate_global_equals_brute_force(instance, corruption):
     # clean cells take the bounding-box path in 2D and 3D; a 3D cell that
     # lost a face no longer closes and tests every point
     tol = 1e-9 * mesh.scale()
-    boxed = _containment_boxes(mesh.cells, len(mesh.points), tol, tol)[0]
+    planes = face_planes(mesh.cells) if mesh.dim == 3 else None
+    boxed = _containment_boxes(mesh.cells, planes, len(mesh.points), tol, tol)[0]
     if corruption is None:
         assert boxed.all()
     if corruption == "drop_face":
@@ -410,6 +413,14 @@ def test_validate_global_without_margin_scans_every_point():
 def _cell_stack(faces):
     stack = stack_loops([f.verts for f in faces])
     return stack, _face_normals(*stack)
+
+
+def _cell8(faces):
+    """The faces as the one cell of a stack, labelled cell 8, and its face
+    planes."""
+    stack = polyhedra_stack([[(f.verts, f.neighbor) for f in faces]])
+    stack = replace(stack, cells=np.full(len(faces), 8, dtype=np.intp))
+    return stack, face_planes(stack)
 
 
 def _cube_center_faces():
@@ -440,6 +451,45 @@ def test_face_normals_equal_per_loop_newell():
     assert not got[-1].any()
 
 
+def _face_plane_loop(v):
+    """One face's plane, one vertex at a time: its Newell normal (of the
+    loop alone, which `newell_normal` gives up to the order of the sum),
+    whether that is nonzero, the unit normal and offset of the plane through
+    the first vertex (zero without a normal), the largest distance of a
+    vertex from that plane and the longest edge."""
+    n = _face_normals(*stack_loops([v]))[0]
+    np.testing.assert_allclose(n, newell_normal(v), rtol=0.0, atol=1e-14)
+    nn = math.sqrt(float(n @ n))
+    u = n / nn if nn != 0.0 else np.zeros(3)
+    c = float(u @ v[0])
+    dev = max(abs(float((x - v[0]) @ u)) for x in v)
+    edge = max(math.sqrt(float(e @ e)) for e in np.roll(v, -1, axis=0) - v)
+    return n, nn != 0.0, u, c, dev, edge
+
+
+def test_face_planes_equal_per_face_loop():
+    """The one-pass face-plane table against one face at a time, bit for
+    bit, on a 3D mesh's cells, with one vertex moved off its face plane, and
+    with a zero-area face; `nonplanar` flags exactly the moved face."""
+    mesh, i = _instance("uni60_3d")
+    stack = mesh.cells
+    f = int(np.flatnonzero((stack.cells == i) & (stack.lengths() >= 4))[0])
+    bent = replace(stack, verts=stack.verts.copy())
+    bent.verts[stack.starts[f] + 1] += 1e-3 * mesh.scale()
+    flat = polyhedra_stack([faces_of(stack, i) + [(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                                                            [2.0, 2.0, 2.0]]), None)]])
+    for s, moved in ((stack, []), (bent, [f]), (flat, [])):
+        planes = face_planes(s)
+        ends = np.append(s.starts, len(s.verts))
+        for g, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
+            n, keep, u, c, dev, edge = _face_plane_loop(s.verts[a:b])
+            assert planes.normals[g].tolist() == n.tolist()
+            assert (bool(planes.keep[g]), planes.u[g].tolist()) == (keep, u.tolist())
+            assert (planes.c[g], planes.dev[g], planes.edge[g]) == (c, dev, edge)
+        assert np.flatnonzero(planes.nonplanar()).tolist() == moved
+    assert not planes.keep[-1] and planes.keep[:-1].all()
+
+
 def test_match_simplex_ids_takes_first_candidate_in_order():
     q = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])  # last: a clip point
@@ -447,7 +497,7 @@ def test_match_simplex_ids_takes_first_candidate_in_order():
     for cand, want in (([2, 1, 3], [2, 3, None]), ([1, 2, 3], [1, 3, None]),
                        (np.array([3, 2, 1]), [2, 3, None]), ([], [None] * 3),
                        (np.empty(0, dtype=np.int64), [None] * 3)):
-        ids = _match_rows(verts, one, q, np.asarray(cand, dtype=np.intp), one, 1e-9)
+        ids = _match_rows(verts, one, q, np.asarray(cand, dtype=np.intp), one, 1e-9)[0]
         got = [None if t < 0 else t for t in ids.tolist()]
         assert got == want == match_simplex_ids(verts, q, cand, 1e-9)
 
@@ -465,27 +515,33 @@ def test_vertex_sets_match_uses_each_vertex_once():
 def test_displaced_face_vertex_raises_nonplanar_3d():
     faces = _cube_center_faces()
     neighbors = [f.neighbor for f in faces]
-    _check_face_planarity(8, neighbors, *_cell_stack(faces))
+    check_face_planarity(8, neighbors, *_cell_stack(faces))
+    _check_cells3(*_cell8(faces), 1.0)
     k = next(k for k, f in enumerate(faces) if len(f.verts) >= 4 and f.neighbor is not None)
     n = newell_normal(faces[k].verts)
     faces[k].verts = faces[k].verts.copy()
     faces[k].verts[1] += 1e-3 * n / np.linalg.norm(n)
     with pytest.raises(NonPlanarFace) as err:
-        _check_face_planarity(8, neighbors, *_cell_stack(faces))
+        _check_cells3(*_cell8(faces), 1.0)
     assert (err.value.owner, err.value.neighbor) == (8, faces[k].neighbor)
     assert err.value.deviation > 1e-4
+    want = _raised(check_face_planarity, 8, neighbors, *_cell_stack(faces))[1]
+    assert want == _raised(_check_cells3, *_cell8(faces), 1.0)[1]
 
 
 def test_outside_vertex_raises_nonconvex_3d():
     faces = _cube_center_faces()
-    _check_convex3(8, *_cell_stack(faces), scale=1.0)
+    check_convex3(8, *_cell_stack(faces), scale=1.0)
+    _check_cells3(*_cell8(faces), 1.0)
     n = newell_normal(faces[0].verts)
     faces[0].verts = faces[0].verts + 0.05 * n / np.linalg.norm(n)  # still planar
     stack, normals = _cell_stack(faces)
-    _check_face_planarity(8, [f.neighbor for f in faces], stack, normals)
+    check_face_planarity(8, [f.neighbor for f in faces], stack, normals)
     with pytest.raises(NonConvexCell) as err:
-        _check_convex3(8, stack, normals, scale=1.0)
+        _check_cells3(*_cell8(faces), 1.0)
     assert err.value.owner == 8
+    want = _raised(check_convex3, 8, stack, normals, 1.0)[1]
+    assert want == _raised(_check_cells3, *_cell8(faces), 1.0)[1]
 
 
 def test_nonconvex_cell_reported_not_repaired_3d():
@@ -538,7 +594,7 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
     lo, hi = dv.min(axis=0), dv.max(axis=0)
     targets = np.vstack([lo + (hi - lo) * rng.random((10_000, 3)), mesh.points])
     tol = 1e-9 * scale
-    pos, tgt = _inside_pairs(mesh, targets, tol, tol)
+    pos, tgt = _inside_pairs(mesh, face_planes(mesh.cells), targets, tol, tol)
     measures = _cell_measures(mesh.cells, len(mesh.points))
     for cell in cells:
         got = np.zeros(len(targets), dtype=bool)
@@ -793,9 +849,9 @@ def _check_cells3_loop(stack, normals, scale, q, ref, match_eps):
         v = stack.verts[r0:r1]
         cell = (v, stack.starts[f0:f1] - r0, stack.succ[r0:r1] - r0)
         tags = [None if t < 0 else t for t in stack.tags[f0:f1].tolist()]
-        _check_face_planarity(i, tags, cell, normals[f0:f1])
+        check_face_planarity(i, tags, cell, normals[f0:f1])
         ids += match_simplex_ids(v, q, ref.star_simplices[i], match_eps)
-        _check_convex3(i, cell, normals[f0:f1], scale)
+        check_convex3(i, cell, normals[f0:f1], scale)
     return [-1 if t is None else t for t in ids]
 
 
@@ -850,11 +906,11 @@ def test_3d_stack_passes_equal_cell_loops(n, seed, default):
     stack = concat_stacks([hulls, clipped])
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
     want, error = _raised(_check_cells3_loop, stack, normals, scale, q, ref, 1e-9 * scale)
-    assert _raised(_check_cells3, stack, normals, scale)[1] == error
+    assert _raised(_check_cells3, stack, face_planes(stack), scale)[1] == error
     if error is None:
         cand, starts = _candidates(nm)
         row_starts = np.searchsorted(stack.row_cells(), np.arange(nm.n_points))
-        got = _match_rows(stack.verts, row_starts, q, cand, starts, 1e-9 * scale)
+        got = _match_rows(stack.verts, row_starts, q, cand, starts, 1e-9 * scale)[0]
         assert got.tolist() == want
 
 
@@ -874,7 +930,7 @@ def test_3d_stack_checks_report_first_failing_cell():
     normals = _face_normals(bent.verts, bent.starts, bent.succ)
     _, error = _raised(_check_cells3_loop, bent, normals, scale, q, ref, 1e-9 * scale)
     assert error[:2] == (NonPlanarFace, late)
-    assert _raised(_check_cells3, bent, normals, scale)[1] == error
+    assert _raised(_check_cells3, bent, face_planes(bent), scale)[1] == error
     g = int(np.searchsorted(stack.cells, early))
     # one face pushed inward, still planar: its neighbors' corners stick out
     verts[int(ends[g]):int(ends[g + 1])] -= 0.05 * scale * normals[g] / np.linalg.norm(normals[g])
@@ -882,7 +938,7 @@ def test_3d_stack_checks_report_first_failing_cell():
     normals = _face_normals(both.verts, both.starts, both.succ)
     _, error = _raised(_check_cells3_loop, both, normals, scale, q, ref, 1e-9 * scale)
     assert error[:2] == (NonConvexCell, early)
-    assert _raised(_check_cells3, both, normals, scale)[1] == error
+    assert _raised(_check_cells3, both, face_planes(both), scale)[1] == error
 
 
 def test_total_measure_keeps_each_cell_measure():

@@ -121,3 +121,26 @@ def test_summary_counts_kernel_exact_tests_and_walk_steps(tmp_path):
     assert summary["tri_walk_steps"] == tri.walk_steps > 0
     doc = read_json(res.artifacts["triangulation.json"])
     assert sorted(doc) == ["dimension", "kind", "points", "schema", "simplices"]
+
+
+def _unit_lattice(dim: int, k: int) -> np.ndarray:
+    g = np.linspace(0.0, 1.0, k)
+    return np.stack(np.meshgrid(*[g] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+@pytest.mark.parametrize("dim, k", [(2, 8), (2, 13), (3, 4), (3, 5)])
+def test_equal_radii_lattice_builds_and_validates(tmp_path, dim, k):
+    """Unit-square and unit-cube lattices under equal radii: the two
+    triangles of a square (the tetrahedra of a cube) share one circumcenter,
+    computed once per simplex and so repeated exactly or an ulp apart. The
+    ring merges the repeats (2D) and every coincident candidate counts as
+    covered (3D), so the build succeeds, the mesh validates and the cells
+    fill the domain."""
+    pts = _unit_lattice(dim, k)
+    cfg = RunConfig(dimension=dim, n=len(pts), equal_radii=True, out_dir=str(tmp_path),
+                    formats=("json",))
+    res = run_pipeline(cfg, points=pts)
+    s = res.summary
+    assert res.exit_code == 0
+    assert s["global_ok"] and s["perpendicularity_violations"] == 0
+    assert s["total_measure"] == pytest.approx(s["domain_measure"], rel=1e-12)
