@@ -175,7 +175,18 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
 def merge_rings(stack: RingStack, eps: float) -> RingStack:
     """The stack with the near-coincident vertices of every ring merged as
     `clip_rings` merges those of a cut ring (`_merge_runs`); a ring without
-    such vertices keeps its rows."""
+    such vertices keeps its rows. A stack with no such vertices and no ring
+    of one or two rows comes back as it is, after one pass over its edges."""
+    lens = stack.lengths()
+    full = lens > 0
+    first = stack.starts[full]
+    last = first + lens[full] - 1
+    # every edge of every ring: consecutive rows, then each closing edge
+    gap = np.concatenate((np.diff(stack.verts, axis=0), stack.verts[first] - stack.verts[last]))
+    apart = np.sqrt(_rowdot(gap, gap)) > eps
+    apart[first[1:] - 1] = True     # consecutive rows of two rings
+    if apart.all() and np.all(~full | (lens >= 3)):
+        return stack
     ring = stack.row_rings()
     stay, tags = _merge_runs(stack.verts, stack.tags, ring, len(stack.starts), eps)
     lens = np.bincount(ring[stay], minlength=len(stack.starts))

@@ -57,6 +57,17 @@ def _as_bounds(bounds, n: int | None = None):
     return lo, hi
 
 
+def _values(f, pts: np.ndarray, what: str) -> np.ndarray:
+    """f on a stack of points, checked to give one value per row."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(
+            f"f returned shape {vals.shape} for a {what} of {len(pts)}; "
+            "it must map (L, n) points to (L,) values"
+        )
+    return vals
+
+
 def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) -> OptimizeResult:
     """Rosenbrock's rotating-direction minimization of f inside a box.
 
@@ -65,6 +76,15 @@ def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) ->
     Terminates when all step sizes drop below tol_step, when the improvement
     across one rotation stage falls below tol_f, or at max_evals (returning
     best-so-far flagged as non-converged).
+
+    f maps points of shape (L, n) to values of shape (L,), each row the
+    value that point has alone (ValueError when the shape is wrong). A sweep
+    tries the directions in order, each from where the earlier ones left x.
+    From direction k on, it evaluates the in-box trials of k, k + 1, ... in
+    one call, each as if the ones before it fail, and takes them in order up
+    to the first success; the next call starts after it from the new x. No
+    call goes past max_evals and n_eval counts only the trials taken, so the
+    result is the one trying a point at a time gives.
     """
     p = params or OptimizerParams()
     x = np.asarray(x0, dtype=float).copy()
@@ -75,7 +95,7 @@ def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) ->
     max_evals = p.max_evals if p.max_evals > 0 else 100_000 * n
 
     width = hi - lo
-    fx = float(f(x))
+    fx = float(_values(f, x[None], "stack")[0])
     n_eval = 1
     if not np.isfinite(fx):
         raise ValueError("objective is not finite at x0")
@@ -89,25 +109,34 @@ def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) ->
     status = "max-evals"
 
     while n_eval < max_evals:
-        for k in range(n):
-            trial = x + steps[k] * dirs[k]
-            if np.all(trial > lo) and np.all(trial < hi):
-                ft = float(f(trial))
-                n_eval += 1
-            else:
-                ft = np.inf
-            if ft <= fx:
-                x = trial
-                fx = ft
-                lam[k] += steps[k]
-                steps[k] *= p.expansion
-                succeeded[k] = True
-            else:
-                steps[k] *= p.contraction
-                if succeeded[k]:
-                    failed_after[k] = True
+        k = 0
+        while k < n:
+            trials = x + steps[k:, None] * dirs[k:]
+            inside = np.flatnonzero(np.all((trials > lo) & (trials < hi), axis=1))
+            budget = max_evals - n_eval
+            # Trials a run of failures takes: every one, or up to the last
+            # evaluation the budget allows.
+            taken = n - k if len(inside) < budget else int(inside[budget - 1]) + 1
+            inside = inside[:budget]
+            ft = np.full(n - k, np.inf)
+            if len(inside):
+                ft[inside] = _values(f, trials[inside], "stack")
+            hits = np.flatnonzero(ft[:taken] <= fx)
+            m = int(hits[0]) if len(hits) else taken    # failures before a success
+            steps[k:k + m] *= p.contraction
+            failed_after[k:k + m] |= succeeded[k:k + m]
+            n_eval += int(np.searchsorted(inside, m + 1))   # the evaluated ones up to m
+            if m == taken:
+                break
+            k += m
+            x = trials[m]
+            fx = float(ft[m])
+            lam[k] += steps[k]
+            steps[k] *= p.expansion
+            succeeded[k] = True
             if n_eval >= max_evals:
                 break
+            k += 1
 
         if np.all(np.abs(steps) < p.tol_step):
             status = "step-tol"
@@ -165,10 +194,11 @@ def soft_selection_minimize(
     When x0 is given the initial population is a Gaussian cloud around it
     instead of a uniform spread over the box.
 
-    f maps points of shape (..., n) to values of shape (...): each generation
+    f maps points of shape (L, n) to values of shape (L,): each generation
     is evaluated by one call f(pop) on the (lam, n) population, which must
-    return lam values (ValueError otherwise), and the polish calls f on single
-    (n,) points. trace holds the best value after each generation.
+    return lam values (ValueError otherwise), and the polish calls f on
+    stacks of trial points the same way. trace holds the best value after
+    each generation.
     """
     p = params or OptimizerParams()
     rng = np.random.default_rng(seed)
@@ -195,12 +225,7 @@ def soft_selection_minimize(
     rank_w /= rank_w.sum()
 
     for _ in range(p.generations):
-        fitness = np.asarray(f(pop), dtype=float)
-        if fitness.shape != (p.lam,):
-            raise ValueError(
-                f"f returned shape {fitness.shape} for a population of {p.lam}; "
-                "it must map (lam, n) points to (lam,) values"
-            )
+        fitness = _values(f, pop, "population")
         n_eval += p.lam
         order = np.argsort(fitness, kind="stable")
         if fitness[order[0]] < best_f:

@@ -174,24 +174,23 @@ class TriangleSystems2:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def vertices(self, r: np.ndarray) -> np.ndarray:
-        r2 = np.asarray(r) ** 2
+    def _centers(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of every radical center, (..., T) each, from squared radii."""
         # A gather from a stack comes back with transposed strides, on which
         # einsum sums in another order; contiguous rows keep results bit-identical.
         rt = np.ascontiguousarray(r2[..., self.indices])  # (..., T, 3)
         x = (np.einsum("tk,...tk->...t", self.kx, rt) + self.cx) / self.den
         y = (np.einsum("tk,...tk->...t", self.ky, rt) + self.cy) / self.den
-        return np.stack([x, y], axis=-1)
+        return x, y
+
+    def vertices(self, r: np.ndarray) -> np.ndarray:
+        return np.stack(self._centers(np.asarray(r) ** 2), axis=-1)
 
     def powers(self, r: np.ndarray) -> np.ndarray:
         """Power of each radical center with respect to its first circle."""
-        q = self.vertices(r)
         r2 = np.asarray(r) ** 2
-        return (
-            (q[..., 0] - self._a1) ** 2
-            + (q[..., 1] - self._b1) ** 2
-            - r2[..., self.indices[:, 0]]
-        )
+        x, y = self._centers(r2)
+        return (x - self._a1) ** 2 + (y - self._b1) ** 2 - r2[..., self.indices[:, 0]]
 
     def objective(self, r: np.ndarray) -> float | np.ndarray:
         """Weighted sum of squared powers: a float for r of shape (N,), an

@@ -19,6 +19,10 @@ for each new point before cvmesh walked to the point and searched its
 cavity; it imports from cvmesh, sharing its exact integer predicates and
 finishing passes, which both kernels run.
 
+`rosenbrock_sequential` is the polish loop that tried one trial point at a
+time before cvmesh evaluated each sweep's remaining trials in one call; it
+imports cvmesh's parameters, bounds check and direction rotation.
+
 `check_face_planarity` and `check_convex3` are the one-cell face-plane
 checks that cvmesh decides for every cell at once. They are the only other
 references that import from cvmesh: they raise its own errors, so the tests
@@ -1777,3 +1781,72 @@ def bowyer_watson_scan(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     simplices, dropped = _drop_hull_slivers(pts, rows[~ghost], rows[ghost, :d])
     simplices = _canonical_rows(simplices)
     return simplices, _adjacency(simplices), dropped
+
+
+def rosenbrock_sequential(f, x0, bounds, params=None):
+    """Rosenbrock's rotating-direction search trying one trial point at a
+    time, f called on each (n,) point alone, as cvmesh ran its polish before
+    it evaluated a sweep's remaining trials in one stacked call. It shares
+    cvmesh's parameters, result type, bounds check and rotation, which both
+    loops run; the tests compare x, fun, n_eval and status bit for bit."""
+    from cvmesh.optimize import OptimizeResult, OptimizerParams, _as_bounds, _gram_schmidt_rotation
+
+    p = params or OptimizerParams()
+    x = np.asarray(x0, dtype=float).copy()
+    n = x.size
+    lo, hi = _as_bounds(bounds, n)
+    if np.any(x <= lo) or np.any(x >= hi):
+        raise ValueError("x0 must lie strictly inside the bounds box")
+    max_evals = p.max_evals if p.max_evals > 0 else 100_000 * n
+
+    width = hi - lo
+    fx = float(f(x))
+    n_eval = 1
+    if not np.isfinite(fx):
+        raise ValueError("objective is not finite at x0")
+
+    dirs = np.eye(n)
+    steps = p.initial_step * width.copy()
+    lam = np.zeros(n)
+    succeeded = np.zeros(n, dtype=bool)
+    failed_after = np.zeros(n, dtype=bool)
+    f_stage = fx
+    status = "max-evals"
+    while n_eval < max_evals:
+        for k in range(n):
+            trial = x + steps[k] * dirs[k]
+            if np.all(trial > lo) and np.all(trial < hi):
+                ft = float(f(trial))
+                n_eval += 1
+            else:
+                ft = np.inf
+            if ft <= fx:
+                x = trial
+                fx = ft
+                lam[k] += steps[k]
+                steps[k] *= p.expansion
+                succeeded[k] = True
+            else:
+                steps[k] *= p.contraction
+                if succeeded[k]:
+                    failed_after[k] = True
+            if n_eval >= max_evals:
+                break
+
+        if np.all(np.abs(steps) < p.tol_step):
+            status = "step-tol"
+            break
+
+        if succeeded.all() and failed_after.all():
+            if f_stage - fx < p.tol_f:
+                status = "f-tol"
+                break
+            f_stage = fx
+            dirs = _gram_schmidt_rotation(dirs, lam)
+            steps = p.initial_step * width.copy()
+            lam[:] = 0.0
+            succeeded[:] = False
+            failed_after[:] = False
+
+    converged = status in ("step-tol", "f-tol")
+    return OptimizeResult(x=x, fun=fx, n_eval=n_eval, converged=converged, status=status)

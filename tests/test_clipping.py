@@ -15,11 +15,12 @@ from cvmesh.clipping import (
     clip_polyhedron,
     clip_rings,
     clip_stack,
+    merge_rings,
     ring_distances,
 )
-from cvmesh.delaunay import neighbor_map, tetrahedralize3
-from cvmesh.mesh import _interior_cells, build_volumes3
-from cvmesh.solver import simplex_systems
+from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
+from cvmesh.mesh import _initial_rings, _interior_cells, bounding_domain2, build_volumes3
+from cvmesh.solver import simplex_systems, solve_radii
 
 from conftest import faces_of, polyhedra_stack, ring_of, rings_stack, uniform_points
 from oracles import (
@@ -28,6 +29,7 @@ from oracles import (
     clip_polyhedron_loop,
     dedup_loop,
     face_loop_around_edge,
+    merge_ring_loop,
     newell_normal,
 )
 
@@ -327,3 +329,55 @@ def test_clip_rings_match_polygon_loop(seed):
                 continue
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("n, seed", [(50, 1), (400, 2), (400, 3)])
+def test_merge_rings_returns_generator_cloud_stack_unchanged(n, seed):
+    """Radical centres of a generator cloud never coincide: the build's
+    initial rings come back as the same stack, as the reference keeps them."""
+    pts = uniform_points(2, n, seed)
+    tri = triangulate2(pts)
+    nm = neighbor_map(tri)
+    r = solve_radii(tri, nm, equal_radii=True).radii
+    domain = bounding_domain2(pts)
+    scale = float(np.linalg.norm(domain.verts.max(axis=0) - domain.verts.min(axis=0)))
+    stack = _initial_rings(nm, simplex_systems(tri).vertices(r), domain)
+    assert merge_rings(stack, 1e-10 * scale) is stack
+    for c in range(len(stack.starts)):
+        poly = ring_of(stack, c)
+        want = merge_ring_loop(*poly, 1e-10 * scale)
+        assert want[0].tobytes() == poly[0].tobytes() and want[1] == poly[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_rings_match_ring_loop(seed):
+    """Rings with near-duplicate vertices, closing ones included, rings of
+    one and two rows and empty rings, merged at once against the loop
+    reference."""
+    rng = np.random.default_rng(seed)
+    polys = []
+    for c in range(40):
+        v = _random_polygon(rng, int(rng.integers(3, 9)))
+        if c % 7 == 0:       # the last vertex within eps of the first
+            v = np.vstack([v, v[0] + 0.3 * EPS * rng.normal(size=2)])
+        if c % 11 == 3:
+            v = v[:int(rng.integers(0, 3))]
+        polys.append((v, [int(t) for t in rng.integers(0, 50, len(v))]))
+    out = merge_rings(rings_stack(polys), EPS)
+    for c, poly in enumerate(polys):
+        want = merge_ring_loop(*poly, EPS) if len(poly[0]) else None
+        got = ring_of(out, c)
+        if want is None:
+            assert got is None
+            continue
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+
+def test_merge_rings_drops_short_ring_without_near_vertices():
+    """No two vertices lie within eps, but a ring of two rows still goes."""
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    stack = rings_stack([(tri, [1, 2, 3]), (tri[:2], [4, 5])])
+    out = merge_rings(stack, EPS)
+    assert ring_of(out, 0)[0].tobytes() == tri.tobytes()
+    assert ring_of(out, 1) is None

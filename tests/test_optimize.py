@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
+import cvmesh.optimize
 from cvmesh.optimize import (
     OptimizerParams,
     rosenbrock_minimize,
     soft_selection_minimize,
 )
+from oracles import rosenbrock_sequential
 
 
 def quadratic_bowl(x):
-    return (x[0] - 1.0) ** 2 + (x[1] - 2.0) ** 2
+    return (x[..., 0] - 1.0) ** 2 + (x[..., 1] - 2.0) ** 2
 
 
 def banana(x):
-    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    return 100.0 * (x[..., 1] - x[..., 0] ** 2) ** 2 + (1.0 - x[..., 0]) ** 2
 
 
 def test_rosenbrock_quadratic_bowl():
@@ -38,8 +40,10 @@ def test_rosenbrock_never_leaves_box():
         return quadratic_bowl(x)
 
     res = rosenbrock_minimize(recording, [0.25, 0.25], (lo, hi))
-    for x in calls:
-        assert np.all(x > lo) and np.all(x < hi)
+    assert calls
+    for stack in calls:
+        assert stack.ndim == 2 and stack.shape[1] == 2
+        assert np.all(stack > lo) and np.all(stack < hi)
     assert np.all(res.x > lo) and np.all(res.x < hi)
     assert res.fun <= quadratic_bowl(np.array([0.25, 0.25]))
 
@@ -78,7 +82,8 @@ def test_soft_selection_trace_monotone():
     assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_rosenbrock_polishes_exact_instance_radii():
+def _exact_polish_case():
+    """The objective of a 5-point exact instance and a start near its root."""
     from cvmesh.solver import simplex_systems
     from conftest import exact_instance
 
@@ -87,7 +92,11 @@ def test_rosenbrock_polishes_exact_instance_radii():
     width = hi - lo
     r0 = np.clip(r_star + 0.08 * width * (rng.random(5) * 2 - 1),
                  lo + 1e-6 * width, hi - 1e-6 * width)
-    res = rosenbrock_minimize(simplex_systems(tri).objective, r0, (lo, hi))
+    return simplex_systems(tri).objective, r0, (lo, hi)
+
+
+def test_rosenbrock_polishes_exact_instance_radii():
+    res = rosenbrock_minimize(*_exact_polish_case())
     assert res.fun < 1e-10
 
 
@@ -110,3 +119,62 @@ def test_soft_selection_rejects_scalar_fitness_for_population():
     with pytest.raises(ValueError, match="population"):
         soft_selection_minimize(flat_sum, ([-1, -1], [2, 2]), seed=0,
                                 params=OptimizerParams(generations=2))
+
+
+def test_rosenbrock_rejects_scalar_value_for_stack():
+    def flat_sum(x):
+        return float(np.sum(x * x))   # one value for the whole (L, n) stack
+
+    with pytest.raises(ValueError, match="stack"):
+        rosenbrock_minimize(flat_sum, [0.5, 0.5], ([-1, -1], [2, 2]))
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.x, b.x)
+    assert a.fun == b.fun
+    assert a.n_eval == b.n_eval
+    assert a.status == b.status
+    assert a.converged == b.converged
+
+
+@pytest.mark.parametrize("f, x0, box", [
+    (quadratic_bowl, [0.0, 0.0], ([-5, -5], [5, 5])),
+    (banana, [-1.2, 1.0], ([-5, -5], [5, 5])),
+    (quadratic_bowl, [0.25, 0.25], ([0.0, 0.0], [0.5, 0.5])),   # rejects trials
+    (banana, [0.1, 0.2], ([0.0, 0.0], [0.3, 0.3])),
+], ids=["bowl", "banana", "box-bowl", "box-banana"])
+def test_rosenbrock_matches_sequential_reference(f, x0, box):
+    _assert_same_run(rosenbrock_minimize(f, x0, box), rosenbrock_sequential(f, x0, box))
+
+
+def test_rosenbrock_box_case_rejects_trials():
+    # The bowl's minimum (1, 2) lies beyond the box corner (0.5, 0.5): the
+    # search ends against the box, where the steps outward are rejected.
+    lo, hi = np.array([0.0, 0.0]), np.array([0.5, 0.5])
+    res = rosenbrock_minimize(quadratic_bowl, [0.25, 0.25], (lo, hi))
+    assert res.converged
+    assert np.all(res.x < hi) and np.all(hi - res.x < 1e-2)
+
+
+def test_rosenbrock_exact_instance_matches_sequential_reference(monkeypatch):
+    f, r0, box = _exact_polish_case()
+    rotate = cvmesh.optimize._gram_schmidt_rotation
+    rotations = []
+
+    def counted(dirs, lam):
+        rotations.append(1)
+        return rotate(dirs, lam)
+
+    monkeypatch.setattr(cvmesh.optimize, "_gram_schmidt_rotation", counted)
+    batched = rosenbrock_minimize(f, r0, box)
+    assert rotations
+    _assert_same_run(batched, rosenbrock_sequential(f, r0, box))
+
+
+@pytest.mark.parametrize("max_evals", range(2, 61))
+def test_rosenbrock_budget_matches_sequential_reference(max_evals):
+    f, r0, box = _exact_polish_case()
+    p = OptimizerParams(max_evals=max_evals)
+    batched = rosenbrock_minimize(f, r0, box, p)
+    _assert_same_run(batched, rosenbrock_sequential(f, r0, box, p))
+    assert batched.n_eval <= max_evals
