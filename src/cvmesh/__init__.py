@@ -32,7 +32,6 @@ from .optimize import (
 )
 from .pipeline import run_pipeline
 from .solver import (
-    OverlapKind,
     OverlapMode,
     VolumeMode,
     classify_overlap,

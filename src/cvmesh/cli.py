@@ -29,7 +29,7 @@ from .io import (
     SCHEMA,
 )
 from .mesh import build_volumes2, build_volumes3, validate_global, validate_perpendicularity
-from .pipeline import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, report_doc, run_pipeline
+from .pipeline import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, report_doc, run_pipeline, solver_exit
 from .solver import VolumeMode, solve_radii
 from .svg import ALL_LAYERS, SvgOptions, render_svg
 
@@ -92,9 +92,7 @@ def cmd_solve(args) -> int:
     )
     write_json(radii_doc(result, tri.dim), args.out)
     print(f"solved radii: objective={result.objective:.3e} status={result.status}")
-    if config.mode == "exact-intersection" and result.objective >= config.residual_threshold:
-        return 3
-    return EXIT_OK
+    return solver_exit(result, config.residual_threshold)
 
 
 def cmd_build(args) -> int:

@@ -204,14 +204,33 @@ class RunConfig:
 # point generation
 
 
+def _inner(length: float, spacing: float) -> int:
+    """Number of points strictly inside an edge of this length: one per
+    `spacing`, less the end."""
+    return int(round(length / spacing)) - 1
+
+
 def _along(a, b, spacing: float, rng) -> np.ndarray:
     """Jittered points strictly inside the edge a -> b, about `spacing` apart."""
-    length = float(np.linalg.norm(b - a))
-    k = int(round(length / spacing)) - 1
+    k = _inner(float(np.linalg.norm(b - a)), spacing)
     if k < 1:
         return np.empty((0, len(a)))
     ts = (np.arange(1, k + 1) + 0.15 * (rng.random(k) - 0.5)) / (k + 1)
     return a + ts[:, None] * (b - a)
+
+
+def _border_size(lo, hi, spacing: float) -> tuple[int, int]:
+    """Points `_border_samples` places and the doubles it draws for them,
+    found without a draw. Box edges are axis-aligned, so an edge's length
+    is the box's extent along its axis; an edge point takes one draw, and a
+    3D face grid of at least one point per face two draws per point."""
+    d = len(lo)
+    k = [_inner(float(hi[a] - lo[a]), spacing) for a in range(d)]
+    edges = (2 ** (d - 1)) * sum(max(x, 0) for x in k)
+    if d == 2:
+        return 4 + edges, edges
+    faces = 2 * sum(max(1, k[(a + 1) % 3]) * max(1, k[(a + 2) % 3]) for a in range(3))
+    return 8 + edges + faces, edges + 2 * faces
 
 
 def _border_samples(lo, hi, spacing: float, rng) -> np.ndarray:
@@ -241,8 +260,8 @@ def _border_samples(lo, hi, spacing: float, rng) -> np.ndarray:
                 parts.append(_along(a, b, spacing, rng))
     for axis in range(3):
         u, v = (axis + 1) % 3, (axis + 2) % 3
-        ku = max(1, int(round((hi[u] - lo[u]) / spacing)) - 1)
-        kv = max(1, int(round((hi[v] - lo[v]) / spacing)) - 1)
+        ku = max(1, _inner(hi[u] - lo[u], spacing))
+        kv = max(1, _inner(hi[v] - lo[v], spacing))
         iu, iv = (g.ravel() for g in np.meshgrid(
             np.arange(1, ku + 1), np.arange(1, kv + 1), indexing="ij"))
         for w in (lo[axis], hi[axis]):
@@ -322,7 +341,9 @@ def generate_points(config: RunConfig) -> np.ndarray:
     With boundary sampling on (the default), the box corners and a jittered
     border layer are placed first and the interior is filled by uniform
     rejection; the border layer keeps hull simplices well-shaped, which the
-    radius bounds need. boundary=False gives the plain i.i.d.-uniform cloud.
+    radius bounds need. A box whose border would hold n points or more (a
+    long thin box, or a 3D box at small n) gets no border: its draws are
+    skipped, not made. boundary=False gives the plain i.i.d.-uniform cloud.
 
     The output is byte for byte that of drawing one candidate at a time with
     rng.random(dim) and accepting it when no placed point lies within the
@@ -345,10 +366,16 @@ def generate_points(config: RunConfig) -> np.ndarray:
     pts = np.empty((n, d))
     k = 0                                # points placed so far, in pts[:k]
     if config.boundary:
-        border = _border_samples(lo, hi, 1.25 * min_sep, rng)
-        if len(border) < n:
+        size, draws = _border_size(lo, hi, 1.25 * min_sep)
+        if size < n:
+            border = _border_samples(lo, hi, 1.25 * min_sep, rng)
             k = len(border)
             pts[:k] = border
+        else:
+            # A border of n points or more leaves no room for the interior,
+            # so none is placed. The stream skips the draws it would take,
+            # so the interior is drawn as if the border had been.
+            rng.bit_generator.advance(draws)
 
     grid = _BackgroundGrid(lo, hi, min_sep, n)
     pflat = np.empty(n, dtype=np.int64)  # flat grid cell of each placed point

@@ -32,13 +32,22 @@ from .mesh import (
     validate_global,
     validate_perpendicularity,
 )
-from .solver import VolumeMode, classify_overlap, simplex_systems, solve_radii
+from .solver import SolveResult, VolumeMode, classify_overlap, simplex_systems, solve_radii
 from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_INPUT = 4
+
+
+def solver_exit(solve: SolveResult, residual_threshold: float) -> int:
+    """EXIT_SOLVER when the solve did not converge, or left an
+    exact-intersection residual at or above the threshold; else EXIT_OK."""
+    ok = solve.converged and (
+        solve.mode is not VolumeMode.EXACT_INTERSECTION or solve.objective < residual_threshold
+    )
+    return EXIT_OK if ok else EXIT_SOLVER
 
 
 @dataclass
@@ -152,15 +161,10 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
             artifacts["mesh.svg"] = path
         stage("render", do_render)
 
-    solver_ok = solve.converged and (
-        mode is not VolumeMode.EXACT_INTERSECTION or solve.objective < config.residual_threshold
-    )
     if not report["ok"] and not config.allow_invalid:
         exit_code = EXIT_VALIDATION
-    elif not solver_ok:
-        exit_code = EXIT_SOLVER
     else:
-        exit_code = EXIT_OK
+        exit_code = solver_exit(solve, config.residual_threshold)
 
     summary = {
         "schema": SCHEMA,

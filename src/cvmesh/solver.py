@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
@@ -17,13 +18,13 @@ from .optimize import OptimizerParams, soft_selection_minimize
 
 __all__ = [
     "VolumeMode",
-    "OverlapKind",
     "OverlapMode",
     "SolveResult",
     "max_radii",
     "bounds_arrays",
     "classify_overlap",
     "solve_radii",
+    "SimplexSystems",
     "simplex_systems",
 ]
 
@@ -31,11 +32,6 @@ __all__ = [
 class VolumeMode(Enum):
     EXACT_INTERSECTION = "exact-intersection"
     RADICAL_CENTER = "radical-center"
-
-
-class OverlapKind(Enum):
-    OVERLAPPING = "overlapping"
-    NON_OVERLAPPING = "non-overlapping"
 
 
 @dataclass(frozen=True)
@@ -46,19 +42,6 @@ class OverlapMode:
 
     edges: np.ndarray           # (E, 2) int
     overlapping: np.ndarray     # (E,) bool
-
-    @property
-    def pairs(self) -> dict[tuple[int, int], OverlapKind]:
-        """The labels keyed by (i, j) with i < j."""
-        kinds = [OverlapKind.OVERLAPPING if o else OverlapKind.NON_OVERLAPPING
-                 for o in self.overlapping.tolist()]
-        return dict(zip(map(tuple, self.edges.tolist()), kinds))
-
-    def kind(self, i: int, j: int) -> OverlapKind:
-        hit = self.overlapping[np.all(self.edges == sorted((i, j)), axis=1)]
-        if not len(hit):
-            raise KeyError((i, j))
-        return OverlapKind.OVERLAPPING if hit[0] else OverlapKind.NON_OVERLAPPING
 
 
 @dataclass
@@ -141,126 +124,75 @@ def bounds_arrays(nm: NeighborMap, pts: np.ndarray,
     return lo, hi, [int(i) for i in empty]
 
 
-class TriangleSystems2:
-    """Vectorized radical-center evaluation for every triangle of a triangulation.
+def _adjugate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate and determinant of a stack of 2x2 or 3x3 matrices (T, d, d):
+    the 2x2 closed form, or in 3D the columns r1 x r2, r2 x r0 and r0 x r1
+    of the rows r0, r1, r2."""
+    if a.shape[-1] == 2:
+        (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
+        return np.array([[a11, -a01], [-a10, a00]]).transpose(2, 0, 1), a00 * a11 - a01 * a10
+    r0, r1, r2 = a[:, 0], a[:, 1], a[:, 2]
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
+    return adj, _rowdot(r0, adj[:, :, 0])
 
-    `vertices`, `powers` and `objective` take radii r of shape (N,) or a stack
-    of radius vectors of shape (L, N); every row of a stack gives bit for bit
-    the value that row gives on its own.
+
+class SimplexSystems:
+    """Radical centers of every simplex: triangles in 2D, tetrahedra in 3D.
+
+    Relative to a simplex's first corner p0, with e_k = p_k - p0, the center
+    y = x - p0 solves the equal-power rows 2 e_k . y = |e_k|^2 + w_0 - w_k
+    in the squared radii w. So it is affine in w: y = (K w_t + c) / den, with
+    w_t the simplex's d+1 squared radii, K (T, d, d+1), c (T, d) and
+    den = det(2E) (T,).
+
+    `vertices`, `powers` and `objective` take radii r of shape (N,) or a
+    stack of radius vectors of shape (L, N); every row of a stack gives bit
+    for bit the value that row gives on its own.
     """
 
-    def __init__(self, pts: np.ndarray, triangles: np.ndarray):
-        self.indices = np.asarray(triangles, dtype=np.int64)
-        i1, i2, i3 = self.indices.T
-        a1, b1 = pts[i1].T
-        a2, b2 = pts[i2].T
-        a3, b3 = pts[i3].T
-        self._a1, self._b1 = a1, b1
-        self.den = 2.0 * ((a1 - a2) * (b1 - b3) - (a1 - a3) * (b1 - b2))
-        q1 = a1 * a1 + b1 * b1
-        q2 = a2 * a2 + b2 * b2
-        q3 = a3 * a3 + b3 * b3
-        self.cx = q1 * (b2 - b3) - q2 * (b1 - b3) + q3 * (b1 - b2)
-        self.cy = -q1 * (a2 - a3) + q2 * (a1 - a3) - q3 * (a1 - a2)
-        self.kx = np.stack([-(b2 - b3), (b1 - b3), -(b1 - b2)], axis=1)
-        self.ky = np.stack([(a2 - a3), -(a1 - a3), (a1 - a2)], axis=1)
-        mean_edge = (
-            np.hypot(a1 - a2, b1 - b2)
-            + np.hypot(a2 - a3, b2 - b3)
-            + np.hypot(a1 - a3, b1 - b3)
-        ) / 3.0
-        self.weights = mean_edge**-4.0
+    def __init__(self, pts: np.ndarray, simplices: np.ndarray):
+        self.indices = np.asarray(simplices, dtype=np.int64)
+        p = np.asarray(pts, dtype=float)[self.indices]      # (T, d+1, d)
+        self.p0 = p[:, 0]
+        e = p[:, 1:] - p[:, :1]                                # (T, d, d)
+        adj, self.den = _adjugate(2.0 * e)
+        c = np.einsum("tij,tj->ti", adj, np.einsum("tkj,tkj->tk", e, e))
+        # w_0 enters every row with +1 and w_k row k with -1
+        k = np.concatenate([adj.sum(axis=2, keepdims=True), -adj], axis=2)
+        # Stored coordinate-major, so each K[:, i] and c[:, i] is one
+        # contiguous block.
+        self.K = np.ascontiguousarray(k.transpose(1, 0, 2)).transpose(1, 0, 2)
+        self.c = np.ascontiguousarray(c.T).T
+        dist = [np.sqrt(_rowdot(p[:, u] - p[:, v], p[:, u] - p[:, v]))
+                for u, v in combinations(range(p.shape[1]), 2)]
+        self.weights = (sum(dist) / len(dist)) ** -4.0
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def _centers(self, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of every radical center, (..., T) each, from squared radii."""
+    def _offsets(self, w: np.ndarray) -> list[np.ndarray]:
+        """The d coordinates of y = x - p0, (..., T) each, from squared radii."""
         # A gather from a stack comes back with transposed strides, on which
         # einsum sums in another order; contiguous rows keep results bit-identical.
-        rt = np.ascontiguousarray(r2[..., self.indices])  # (..., T, 3)
-        x = (np.einsum("tk,...tk->...t", self.kx, rt) + self.cx) / self.den
-        y = (np.einsum("tk,...tk->...t", self.ky, rt) + self.cy) / self.den
-        return x, y
+        wt = np.ascontiguousarray(w[..., self.indices])        # (..., T, d+1)
+        return [(np.einsum("tk,...tk->...t", self.K[:, i], wt) + self.c[:, i]) / self.den
+                for i in range(self.K.shape[1])]
 
     def vertices(self, r: np.ndarray) -> np.ndarray:
-        return np.stack(self._centers(np.asarray(r) ** 2), axis=-1)
+        return self.p0 + np.stack(self._offsets(np.asarray(r) ** 2), axis=-1)
 
     def powers(self, r: np.ndarray) -> np.ndarray:
-        """Power of each radical center with respect to its first circle."""
-        r2 = np.asarray(r) ** 2
-        x, y = self._centers(r2)
-        return (x - self._a1) ** 2 + (y - self._b1) ** 2 - r2[..., self.indices[:, 0]]
+        """Power of each radical center with respect to its first sphere."""
+        w = np.asarray(r) ** 2
+        y = self._offsets(w)
+        p = y[0] * y[0]
+        for yi in y[1:]:
+            p += yi * yi
+        return p - w[..., self.indices[:, 0]]
 
     def objective(self, r: np.ndarray) -> float | np.ndarray:
         """Weighted sum of squared powers: a float for r of shape (N,), an
         (L,) array for a stack of shape (L, N)."""
-        return _weighted_sum(self.weights, self.powers(r))
-
-
-class TetraSystems3:
-    """Vectorized radical-center evaluation for every tetrahedron (Cramer form).
-
-    Takes r of shape (N,) or (L, N), like TriangleSystems2.
-    """
-
-    def __init__(self, pts: np.ndarray, tets: np.ndarray):
-        self.indices = np.asarray(tets, dtype=np.int64)
-        p = pts[self.indices]  # (T, 4, 3)
-        self._p1 = p[:, 0, :]
-        rows = 2.0 * (p[:, [0, 0, 0], :] - p[:, [1, 2, 3], :])  # (T, 3row, 3col)
-        A = rows[:, :, 0]
-        B = rows[:, :, 1]
-        C = rows[:, :, 2]
-        # Row-pair cofactors used by each Cramer column expansion.
-        self.cof_bc = np.stack([
-            B[:, 1] * C[:, 2] - B[:, 2] * C[:, 1],
-            B[:, 0] * C[:, 2] - B[:, 2] * C[:, 0],
-            B[:, 0] * C[:, 1] - B[:, 1] * C[:, 0],
-        ], axis=1)
-        self.cof_ac = np.stack([
-            A[:, 1] * C[:, 2] - A[:, 2] * C[:, 1],
-            A[:, 0] * C[:, 2] - A[:, 2] * C[:, 0],
-            A[:, 0] * C[:, 1] - A[:, 1] * C[:, 0],
-        ], axis=1)
-        self.cof_ab = np.stack([
-            A[:, 1] * B[:, 2] - A[:, 2] * B[:, 1],
-            A[:, 0] * B[:, 2] - A[:, 2] * B[:, 0],
-            A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0],
-        ], axis=1)
-        self.w = A[:, 0] * self.cof_bc[:, 0] - B[:, 0] * self.cof_ac[:, 0] + C[:, 0] * self.cof_ab[:, 0]
-        sq = np.sum(p * p, axis=2)  # (T, 4)
-        self.kd = sq[:, [0, 0, 0]] - sq[:, [1, 2, 3]]  # r-independent part of the deltas
-        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        mean_edge = sum(
-            np.linalg.norm(p[:, u, :] - p[:, v, :], axis=1) for u, v in edges
-        ) / 6.0
-        self.weights = mean_edge**-4.0
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def _deltas(self, r2: np.ndarray) -> np.ndarray:
-        rt = r2[..., self.indices]  # (..., T, 4)
-        # Contiguous for the same reason as in TriangleSystems2.vertices.
-        return np.ascontiguousarray(rt[..., 1:] - rt[..., [0, 0, 0]] + self.kd)
-
-    def vertices(self, r: np.ndarray) -> np.ndarray:
-        r2 = np.asarray(r) ** 2
-        d = self._deltas(r2)  # (..., T, 3)
-        sign = np.array([1.0, -1.0, 1.0])
-        wx = np.einsum("...tk,tk,k->...t", d, self.cof_bc, sign)
-        wy = -np.einsum("...tk,tk,k->...t", d, self.cof_ac, sign)
-        wz = np.einsum("...tk,tk,k->...t", d, self.cof_ab, sign)
-        return np.stack([wx, wy, wz], axis=-1) / self.w[:, None]
-
-    def powers(self, r: np.ndarray) -> np.ndarray:
-        q = self.vertices(r)
-        r2 = np.asarray(r) ** 2
-        return np.sum((q - self._p1) ** 2, axis=-1) - r2[..., self.indices[:, 0]]
-
-    def objective(self, r: np.ndarray) -> float | np.ndarray:
-        """Float for r of shape (N,), (L,) array for a stack of shape (L, N)."""
         return _weighted_sum(self.weights, self.powers(r))
 
 
@@ -270,10 +202,8 @@ def _weighted_sum(weights: np.ndarray, p: np.ndarray) -> float | np.ndarray:
     return float(sums) if sums.ndim == 0 else sums
 
 
-def simplex_systems(tri: Triangulation2 | Triangulation3):
-    if isinstance(tri, Triangulation2):
-        return TriangleSystems2(tri.points, tri.triangles)
-    return TetraSystems3(tri.points, tri.tetrahedra)
+def simplex_systems(tri: Triangulation2 | Triangulation3) -> SimplexSystems:
+    return SimplexSystems(tri.points, tri.simplices)
 
 
 def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from cvmesh.clipping import PolyStack, RingStack
 from cvmesh.delaunay import neighbor_map, triangulate2
 from cvmesh.io import RunConfig, generate_points
-from cvmesh.solver import TetraSystems3, TriangleSystems2, bounds_arrays, simplex_systems
+from cvmesh.solver import SimplexSystems, bounds_arrays, simplex_systems
 
 
 def uniform_points(dim: int, n: int, seed: int, **cfg) -> np.ndarray:
@@ -117,8 +117,7 @@ def radical_centers(centers, radii) -> tuple[np.ndarray, np.ndarray]:
     its simplex's first circle (zero when all the circles meet there)."""
     c = np.asarray(centers, dtype=float)
     k, m, d = c.shape
-    systems = (TriangleSystems2 if d == 2 else TetraSystems3)(
-        c.reshape(-1, d), np.arange(k * m).reshape(k, m))
+    systems = SimplexSystems(c.reshape(-1, d), np.arange(k * m).reshape(k, m))
     r = np.asarray(radii, dtype=float).reshape(-1)
     return systems.vertices(r), systems.powers(r)
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -1160,6 +1161,27 @@ def newton_equal_power_2d(centers, radii, x0, iters=60):
         jac = np.array([2.0 * (c[1] - c[0]), 2.0 * (c[2] - c[0])])
         x = x - gauss_solve(jac, f)
     return x
+
+
+def radical_center_exact(corners, radii):
+    """Radical center of one simplex's d+1 spheres in exact rational
+    arithmetic: the float inputs are taken as `Fraction`s, and the rows
+    2 (c_k - c_0) . x = |c_k|^2 - |c_0|^2 - r_k^2 + r_0^2 are solved by
+    Gauss-Jordan elimination. Returns d `Fraction`s."""
+    c = [[Fraction(float(v)) for v in row] for row in corners]
+    w = [Fraction(float(r)) ** 2 for r in radii]
+    sq = [sum(v * v for v in row) for row in c]
+    rows = [[2 * (a - b) for a, b in zip(c[k], c[0])] + [sq[k] - sq[0] - w[k] + w[0]]
+            for k in range(1, len(c))]
+    n = len(rows)
+    for col in range(n):
+        piv = next(k for k in range(col, n) if rows[k][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for k in range(n):
+            if k != col and rows[k][col] != 0:
+                f = rows[k][col] / rows[col][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
+    return [rows[k][n] / rows[k][k] for k in range(n)]
 
 
 def gauss_solve(a, b):

@@ -1,6 +1,11 @@
+import dataclasses
 import json
 import os
 
+import pytest
+
+import cvmesh.cli
+import cvmesh.pipeline
 from cvmesh.cli import main
 from cvmesh.io import dumps_json, read_json
 
@@ -38,6 +43,25 @@ def test_stage_chain(tmp_path):
     assert report["ok"] is True
     assert (tmp_path / "mesh.vtk").read_text().startswith("# vtk DataFile")
     assert "<svg" in (tmp_path / "mesh.svg").read_text()
+
+
+@pytest.mark.parametrize("converged, code", [(True, 0), (False, 3)])
+def test_solve_and_run_exit_by_one_solver_rule(tmp_path, monkeypatch, converged, code):
+    """`solve` and `run` take their exit code from one rule: a solve that did
+    not converge exits 3, whatever its mode and residual."""
+    os.chdir(tmp_path)
+    cfg = _cfg(tmp_path)
+    assert main(["gen", "--config", cfg, "--out", "pts.json"]) == 0
+    assert main(["tri", "--points", "pts.json", "--out", "tri.json"]) == 0
+    solve_radii = cvmesh.pipeline.solve_radii
+
+    def solve(*args, **kwargs):
+        return dataclasses.replace(solve_radii(*args, **kwargs), converged=converged)
+
+    monkeypatch.setattr(cvmesh.cli, "solve_radii", solve)
+    monkeypatch.setattr(cvmesh.pipeline, "solve_radii", solve)
+    assert main(["solve", "--config", cfg, "--tri", "tri.json", "--out", "radii.json"]) == code
+    assert main(["run", "--config", cfg, "--out", "out"]) == code
 
 
 def test_run_composite_exit_zero(tmp_path):

@@ -27,6 +27,7 @@ from cvmesh.io import (
     vtk_polydata,
     vtk_unstructured,
 )
+import cvmesh.io as io_mod
 from cvmesh.mesh import build_volumes2, build_volumes3, validate_global, validate_perpendicularity
 from cvmesh.pipeline import report_doc, run_pipeline
 from cvmesh.solver import solve_radii
@@ -166,6 +167,47 @@ def test_generate_points_grid_memory_on_elongated_box():
         tracemalloc.stop()
     assert peak < 40e6, peak
     assert pts.tobytes() == _reference(cfg).tobytes()
+
+
+@pytest.mark.parametrize("box, spacing", [
+    ((0.0, 0.0, 1.0, 1.0), 0.05),
+    ((0.5, -2.0, 1.7, 0.5), 0.3),
+    ((0.0, 0.0, 1e4, 1.0), 0.047),
+    ((0.0, 0.0, 1.0, 1.0), 2.0),
+    ((0.0, 0.0, 0.0, 1.0, 1.0, 1.0), 0.2),
+    ((0.5, -2.0, 1.0, 1.7, 0.5, 4.0), 0.4),
+    ((0.0, 0.0, 0.0, 50.0, 1.0, 2.0), 0.3),
+    ((0.0, 0.0, 0.0, 1.0, 1.0, 1.0), 3.0),
+])
+def test_border_size_counts_border_samples(box, spacing):
+    """The border size and draw count found without a draw are the points
+    the border layer places and the stream it consumes."""
+    d = len(box) // 2
+    lo, hi = np.asarray(box[:d]), np.asarray(box[d:])
+    drawn, skipped = np.random.default_rng(5), np.random.default_rng(5)
+    border = io_mod._border_samples(lo, hi, spacing, drawn)
+    size, draws = io_mod._border_size(lo, hi, spacing)
+    assert size == len(border)
+    skipped.bit_generator.advance(draws)
+    assert drawn.random(3).tolist() == skipped.random(3).tolist()
+
+
+@pytest.mark.parametrize("config", [
+    dict(dimension=2, n=400, seed=1, box=(0.0, 0.0, 1e4, 1.0)),
+    dict(dimension=3, n=60, seed=1),
+    dict(dimension=3, n=60, seed=2, box=(0.0, 0.0, 0.0, 50.0, 1.0, 1.0)),
+])
+def test_generate_points_skips_a_border_it_would_drop(config, monkeypatch):
+    """A box whose border layer would hold n points or more (426,708 for a
+    1 x 10^4 box at n=400, 98 for the unit cube at n=60) draws none, and
+    places the points the scalar loop places after drawing and dropping it."""
+    ref = _reference(RunConfig(**config))
+
+    def no_draw(*args):
+        raise AssertionError("border drawn")
+
+    monkeypatch.setattr(io_mod, "_border_samples", no_draw)
+    assert generate_points(RunConfig(**config)).tobytes() == ref.tobytes()
 
 
 def _mesh2(seed=3, n=12):

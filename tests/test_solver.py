@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from cvmesh.delaunay import Triangulation2, _adjacency, neighbor_map, tetrahedra
 from cvmesh.errors import DegenerateTriangle, EmptyInterval
 from cvmesh.optimize import OptimizerParams, soft_selection_minimize
 from cvmesh.solver import (
-    OverlapKind,
+    SimplexSystems,
     VolumeMode,
     _lower_bounds,
     bounds_arrays,
@@ -19,7 +20,7 @@ from cvmesh.solver import (
 
 from conftest import bcc_cell, exact_instance, hexagon_patch, radical_centers, uniform_points
 from oracles import (gauss_solve, neighbor_lists, newton_equal_power_2d, overlap_loop,
-                     radius_bounds_loop, tetra_height)
+                     radical_center_exact, radius_bounds_loop, tetra_height)
 
 
 def test_vertex2_common_point_of_three_circles():
@@ -100,7 +101,7 @@ def test_vertex3_matches_gauss_oracle():
 
 
 def test_cramer_determinants_solve_the_system():
-    # The Cramer form of TetraSystems3 solves the pairwise-difference system.
+    # The 3D centers solve the pairwise-difference system.
     rng = np.random.default_rng(4)
     for _ in range(100):
         c = rng.standard_normal((4, 3)) * 2
@@ -111,6 +112,23 @@ def test_cramer_determinants_solve_the_system():
         rows = 2.0 * (c[0] - c[1:])
         d = np.array([r[k] ** 2 - r[0] ** 2 + float(c[0] @ c[0] - c[k] @ c[k]) for k in (1, 2, 3)])
         assert np.allclose(rows @ q[0], d, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vertices_match_exact_centers_far_from_origin(dim, shift):
+    """On a unit-extent cloud shifted far from the origin, every radical
+    center is within 1e-10 of the exact rational one: the centers are solved
+    relative to each simplex's first corner, so the shift costs no digits."""
+    pts = uniform_points(dim, 30 if dim == 2 else 20, seed=1)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    r = 0.5 * np.min(max_radii(neighbor_map(tri), pts)) * (1.0 + np.random.default_rng(dim).random(len(pts)))
+    far = pts + shift
+    q = SimplexSystems(far, tri.simplices).vertices(r)
+    err = max(abs(Fraction(float(got)) - want)
+              for s, row in zip(tri.simplices, q)
+              for got, want in zip(row, radical_center_exact(far[s], r[s])))
+    assert err <= 1e-10
 
 
 def _hexagon_with_center():
@@ -263,14 +281,12 @@ def test_classify_overlap_boundary_and_strict():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.8]])
     tri = triangulate2(pts)
     nm = neighbor_map(tri)
-    # tangency (equality) counts as overlapping
-    mode = classify_overlap(np.array([1.0, 1.0, 0.1]), nm, pts)
-    assert mode.kind(0, 1) is OverlapKind.OVERLAPPING
-    mode = classify_overlap(np.array([0.9, 0.9, 0.1]), nm, pts)
-    assert mode.kind(0, 1) is OverlapKind.NON_OVERLAPPING
-    mode = classify_overlap(np.array([1.5, 0.6, 0.1]), nm, pts)
-    assert mode.kind(0, 1) is OverlapKind.OVERLAPPING
-    assert mode.kind(1, 0) is mode.kind(0, 1)
+    # tangency (equality) counts as overlapping; the pair (0, 1) is row 0
+    # of the sorted i < j edges
+    for r, label in (([1.0, 1.0, 0.1], True), ([0.9, 0.9, 0.1], False), ([1.5, 0.6, 0.1], True)):
+        mode = classify_overlap(np.array(r), nm, pts)
+        assert mode.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert mode.overlapping[0] == label
 
 
 def test_classify_overlap_partitions_all_neighbor_pairs():
@@ -280,7 +296,8 @@ def test_classify_overlap_partitions_all_neighbor_pairs():
     r = 0.3 * np.ones(len(pts))
     mode = classify_overlap(r, nm, pts)
     expected_pairs = {tuple(sorted(e)) for e in tri.edges().tolist()}
-    assert set(mode.pairs.keys()) == expected_pairs
+    assert len(mode.edges) == len(mode.overlapping) == len(expected_pairs)
+    assert set(map(tuple, mode.edges.tolist())) == expected_pairs
 
 
 def test_classify_overlap_matches_pair_loop():
@@ -301,7 +318,7 @@ def test_classify_overlap_matches_pair_loop():
         for r in [tangent] + [s * base * rng.uniform(0.7, 1.3, n) for s in (0.8, 1.0, 1.2)]:
             mode = classify_overlap(r, nm, pts)
             expected = overlap_loop(r, neighbor_lists(tri), pts)
-            got = {k: v is OverlapKind.OVERLAPPING for k, v in mode.pairs.items()}
+            got = dict(zip(map(tuple, mode.edges.tolist()), mode.overlapping.tolist()))
             assert got == expected
             assert 0 < sum(expected.values()) < len(expected)
             assert np.array_equal(mode.edges, np.array(sorted(expected)))
