@@ -141,10 +141,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    if getattr(args, "render", False) and "svg" not in config.formats:
-        config = config.replace(formats=tuple(config.formats) + ("svg",))
-    result = run_pipeline(config)
+    result = run_pipeline(_config_from_args(args))
     s = result.summary
     print(
         f"run finished: residual={s['residual']:.3e} "
@@ -219,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-perp", type=float, dest="tol_perp", default=None)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", default=None, help="comma list of json,vtk,svg")
-    p.add_argument("--render", action="store_true",
-                   help="force SVG rendering even with a restricted --format")
     p.add_argument("--allow-invalid", action="store_true", dest="allow_invalid")
     p.set_defaults(fn=cmd_run)
 

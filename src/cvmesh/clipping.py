@@ -18,6 +18,11 @@ clips every ring by its own line in one pass; `clip_polygon` is its one-cell
 case. `merge_rings` merges near-coincident ring vertices by the rule
 `clip_rings` applies to the rings it cuts.
 
+Both stacked clips take the signed distance of every vertex row from its
+cell's cut as one array, so a caller computes it in one product over the
+whole stack: `verts @ n - c` for one plane shared by every cell, or a row-wise
+dot relative to each cell's own point for planes that differ per cell.
+
 The domain a mesh is cut from is a one-cell stack of the same kind, every
 wall tagged -1 (`box_polygon`, `box_polyhedron`), and `domain_planes` gives
 its outward planes.
@@ -74,38 +79,6 @@ class RingStack:
         lens = self.lengths()
         full = lens > 0
         return _successors(self.starts[full], len(self.verts))
-
-
-def grouped_matvec(verts: np.ndarray, group: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Per row r, verts[r] @ normals[group[r]] (groups sorted, rows of a
-    group contiguous), each group rounded as the one-group product
-    `group_rows @ normal`: a BLAS matrix-vector product, whose rounding
-    differs from a row-wise dot. The groups, padded with zero rows to one
-    length, go through one stacked matmul, which makes one matrix-vector
-    product per group."""
-    normals = np.asarray(normals, dtype=float)
-    if not len(verts):
-        return np.empty(0)
-    first = np.searchsorted(group, np.arange(len(normals)))
-    local = np.arange(len(verts)) - first[group]
-    pad = np.zeros((len(normals), max(int(local.max()) + 1, 2), verts.shape[1]))
-    pad[group, local] = verts
-    return np.matmul(pad, normals[:, :, None])[group, local, 0]
-
-
-def ring_distances(stack: RingStack, normals: np.ndarray, offsets: np.ndarray,
-                   live: np.ndarray | None = None) -> np.ndarray:
-    """Per row, verts[r] @ normals[c] - offsets[c] for its ring c, rounded as
-    `ring_verts @ normal - offset` for each ring alone (`grouped_matvec`).
-    Rows of the rings where `live` is False get -inf: no cut reaches them."""
-    ring = stack.row_rings()
-    live = np.ones(len(stack.starts), dtype=bool) if live is None else live
-    rows = live[ring]
-    group = (np.cumsum(live) - 1)[ring[rows]]
-    d = np.full(len(stack.verts), -np.inf)
-    d[rows] = (grouped_matvec(stack.verts[rows], group, np.asarray(normals, dtype=float)[live])
-               - np.asarray(offsets, dtype=float)[live][group])
-    return d
 
 
 def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:

@@ -3,10 +3,14 @@ closure by domain clipping, and the global/local mesh validations.
 
 Interior cells take their vertices directly from the incident simplices in
 ring/star order; hull-point cells are cut out of the domain by the power
-bisectors toward their neighbors. Both run as array code over all cells at
-once, on polygons stacked by `clipping.RingStack` (2D) and polyhedra stacked
-by `clipping.PolyStack` (3D); the per-cell checks run once over the whole
-stack and raise for the first failing cell. In 3D every face's plane comes
+bisectors toward their neighbors. Every bisector, in 2D and 3D, comes from
+one helper (`_bisectors`) as a plane relative to the cell's own generator,
+so a cloud far from the origin keeps its digits; the cells that cross the
+domain are clipped in one whole-stack pass per domain line or plane. Both
+run as array code over all cells at once, on polygons stacked by
+`clipping.RingStack` (2D) and polyhedra stacked by `clipping.PolyStack`
+(3D); the per-cell checks run once over the whole stack and raise for the
+first failing cell. In 3D every face's plane comes
 from one table (`face_planes`), built once per stack: the planarity and
 convexity checks decide every cell from it in one pass, and
 `validate_global` tests points against the same planes. That stack is the
@@ -38,9 +42,7 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     clip_stack,
     concat_stacks,
     domain_planes,
-    grouped_matvec,
     merge_rings,
-    ring_distances,
     _angular_order,
     _dedup_loops,
     _face_normals,
@@ -261,6 +263,16 @@ def _neighbor_table(owner: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndar
     return counts, table
 
 
+def _bisectors(pts: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The power bisector of every pair (i[k], j[k]) as the plane
+    n . (x - p_i) = c, relative to p_i: n = 2 (p_j - p_i) and
+    c = |p_j - p_i|^2 + r_i^2 - r_j^2. A point x has n . (x - p_i) < c
+    exactly when its power |x - p_i|^2 - r_i^2 toward i is below its power
+    toward j; the offsets p_j - p_i keep their digits far from the origin."""
+    e = pts[j] - pts[i]
+    return 2.0 * e, _rowdot(e, e) + r[i] * r[i] - r[j] * r[j]
+
+
 def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
                    domain: RingStack | None = None) -> ControlVolumeMesh:
     """Assemble one convex cell per point from the triangle radical centers.
@@ -283,19 +295,21 @@ def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
     planes = domain_planes(domain)
 
     # Hull cells are clipped by the power bisector toward their k-th ring
-    # neighbor at step k, then interior cells by each domain line that a
-    # vertex lies beyond: every ring that takes a cut in one pass per step.
+    # neighbor at step k, then every cell by each domain line that a vertex
+    # lies beyond: every ring that takes a cut in one pass per step.
     stack = merge_rings(_initial_rings(nm, q, domain), eps)
     hull = nm.on_hull[nm.owner]
     counts, table = _neighbor_table(nm.owner[hull], nm.nbr[hull], len(pts))
     for k in range(table.shape[1]):
-        pj, rj = pts[table[:, k]], r[table[:, k]]
-        normal = 2.0 * (pj - pts)
-        offset = _rowdot(pj, pj) - _rowdot(pts, pts) + r * r - rj * rj
-        d = ring_distances(stack, normal, offset, counts > k)
+        ring = stack.row_rings()
+        live = counts[ring] > k
+        i = ring[live]
+        normal, offset = _bisectors(pts, r, i, table[i, k])
+        d = np.full(len(live), -np.inf)
+        d[live] = _rowdot(stack.verts[live] - pts[i], normal) - offset
         stack = clip_rings(stack, d, table[:, k], eps)
     for n, c in zip(*planes):
-        d = ring_distances(stack, np.tile(n, (len(pts), 1)), np.full(len(pts), c), ~nm.on_hull)
+        d = stack.verts @ n - c
         if np.any(d > eps):
             stack = clip_rings(stack, d, [None] * len(pts), eps)
 
@@ -345,9 +359,13 @@ class FacePlanes:
 
 
 def face_planes(stack: PolyStack) -> FacePlanes:
-    """The `FacePlanes` of every face of a stack, in one pass over its rows."""
+    """The `FacePlanes` of every face of a stack, in one pass over its rows.
+    Normals and deviations take each vertex relative to its face's first
+    vertex, so a small face far from the origin keeps its digits."""
     v, starts = stack.verts, stack.starts
-    normals = _face_normals(v, starts, stack.succ)
+    face = np.repeat(np.arange(len(starts)), stack.lengths())
+    rel = v - v[starts][face]
+    normals = _face_normals(rel, starts, stack.succ)
     nn = np.sqrt(_rowdot(normals, normals))
     keep = nn != 0.0
     u = np.zeros_like(normals)
@@ -355,8 +373,7 @@ def face_planes(stack: PolyStack) -> FacePlanes:
     c = _rowdot(u, v[starts])
     if not len(starts):
         return FacePlanes(normals, keep, u, c, np.zeros(0), np.zeros(0))
-    face = np.repeat(np.arange(len(starts)), stack.lengths())
-    dev = np.maximum.reduceat(np.abs(_rowdot(v - v[starts][face], u[face])), starts)
+    dev = np.maximum.reduceat(np.abs(_rowdot(rel, u[face])), starts)
     e = v[stack.succ] - v
     edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
     return FacePlanes(normals, keep, u, c, dev, edge)
@@ -414,12 +431,9 @@ def _hull_cells(cells: np.ndarray, pts, r, domain: PolyStack, eps: float,
     for k in range(table.shape[1]):
         live = int(np.count_nonzero(counts > k))
         head, tail = stack.split(live)
-        pi, pj = pts[cells[:live]], pts[table[:live, k]]
-        ri, rj = r[cells[:live]], r[table[:live, k]]
-        normal = 2.0 * (pj - pi)
-        offset = _rowdot(pj, pj) - _rowdot(pi, pi) + ri * ri - rj * rj
+        normal, offset = _bisectors(pts, r, cells[:live], table[:live, k])
         rc = head.row_cells()
-        d = _rowdot(head.verts, normal[rc]) - offset[rc]
+        d = _rowdot(head.verts - pts[cells[rc]], normal[rc]) - offset[rc]
         stack = concat_stacks([clip_stack(head, d, normal, table[:live, k], eps), tail])
     return replace(stack, cells=cells[stack.cells])
 
@@ -464,20 +478,16 @@ def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
 def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
     """Clip the cells with a vertex beyond a domain plane (`domain_planes`,
     by more than eps relative to its normal) by each such plane in turn: one
-    `clip_stack` pass per plane over every cell that crosses it."""
+    `clip_stack` pass per plane over the whole stack, the rows of the cells
+    that do not cross it at -inf."""
+    ncell = int(stack.cells.max(initial=-1)) + 1
     for n, c in zip(*planes):
         rows = stack.row_cells()
-        d = grouped_matvec(stack.verts, rows, np.tile(n, (int(rows.max(initial=-1)) + 1, 1))) - c
-        crossing = np.unique(rows[d > eps * np.linalg.norm(n)])
-        if not len(crossing):
-            continue
-        inside = np.isin(stack.cells, crossing)
-        part = stack.take(np.flatnonzero(inside))
-        part = replace(part, cells=np.searchsorted(crossing, part.cells))
-        cut = clip_stack(part, d[np.isin(rows, crossing)], np.tile(n, (len(crossing), 1)),
-                         [None] * len(crossing), eps)
-        stack = concat_stacks([stack.take(np.flatnonzero(~inside)),
-                               replace(cut, cells=crossing[cut.cells])])
+        d = stack.verts @ n - c
+        crossing = np.bincount(rows[d > eps * np.linalg.norm(n)], minlength=ncell) > 0
+        if crossing.any():
+            d[~crossing[rows]] = -np.inf
+            stack = clip_stack(stack, d, np.tile(n, (ncell, 1)), [None] * ncell, eps)
     return stack
 
 

@@ -429,15 +429,20 @@ class CellError(Exception):
         self.kind, self.key, self.text = kind, key, text
 
 
-def clip_polygon_loop(verts, tags, normal, offset: float, tag, eps: float):
+def clip_polygon_loop(verts, tags, normal, offset: float, tag, eps: float, origin=None):
     """Keep the part of a tagged polygon with normal . x <= offset, one edge
-    at a time; new edges carry `tag`. Returns (verts, tags) or None."""
+    at a time; new edges carry `tag`. With an origin the line is
+    normal . (x - origin) <= offset, each vertex's distance one dot product.
+    Returns (verts, tags) or None."""
     v = np.asarray(verts, dtype=float)
     k = len(v)
     if k == 0:
         return None
     n = np.asarray(normal, dtype=float)
-    d = v @ n - offset
+    if origin is None:
+        d = v @ n - offset
+    else:
+        d = np.array([float((x - origin) @ n) for x in v]) - offset
     if np.all(d <= eps):
         return v, list(tags)
     if np.all(d >= -eps):
@@ -500,7 +505,8 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
     are the candidate vertices q of their ring triangles (reversed with the
     tags when clockwise, near duplicates merged by `merge_ring_loop`) clipped
     by each domain line some vertex crosses; hull cells are the domain
-    clipped by the power bisector toward each ring neighbor in ring order. Returns per point (verts, tags, simplex ids) or
+    clipped by the power bisector toward each ring neighbor in ring order,
+    taken relative to the point. Returns per point (verts, tags, simplex ids) or
     None, tags and ids None where cvmesh has None; raises CellError for the
     first reflex cell, then the first unmatched candidate vertex inside."""
     dverts = np.asarray(domain_verts, dtype=float)
@@ -526,10 +532,9 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
             for u in ring:
                 if poly is None:
                     break
-                pj, rj = pts[int(u)], r[int(u)]
-                n = 2.0 * (pj - pts[i])
-                c = float(pj @ pj - pts[i] @ pts[i]) + r[i] * r[i] - rj * rj
-                poly = clip_polygon_loop(*poly, n, c, int(u), eps)
+                e, rj = pts[int(u)] - pts[i], r[int(u)]
+                c = float(e @ e) + r[i] * r[i] - rj * rj
+                poly = clip_polygon_loop(*poly, 2.0 * e, c, int(u), eps, origin=pts[i])
         if poly is None:
             cells.append(None)
             continue

@@ -240,7 +240,7 @@ def test_criterion_8_run_determinism(tmp_path):
 def test_criterion_9_fig4_style_run(tmp_path):
     out = str(tmp_path / "fig4")
     code = main(["run", "--dim", "2", "--n", "20", "--mode", "exact-intersection",
-                 "--render", "--out", out])
+                 "--out", out])
     assert code in (0, 3)  # non-convergence is reported, artifacts still emitted
     svg = open(os.path.join(out, "mesh.svg")).read()
     assert svg.count("<circle") == 20          # one radius circle per point

@@ -16,7 +16,6 @@ from cvmesh.clipping import (
     clip_rings,
     clip_stack,
     merge_rings,
-    ring_distances,
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.mesh import _initial_rings, _interior_cells, bounding_domain2, build_volumes3
@@ -318,7 +317,7 @@ def test_clip_rings_match_polygon_loop(seed):
         offsets.append(offset)
         tags.append(None if c % 5 == 0 else 100 + c)
     stack = rings_stack(polys)
-    d = ring_distances(stack, np.array(normals), np.array(offsets))
+    d = np.concatenate([poly[0] @ n - c for poly, n, c in zip(polys, normals, offsets)])
     out = clip_rings(stack, d, tags, EPS)
     for c, poly in enumerate(polys):
         want = clip_polygon_loop(*poly, normals[c], offsets[c], tags[c], EPS)

@@ -1,5 +1,6 @@
 import copy
 import math
+from fractions import Fraction
 from dataclasses import asdict, replace
 from functools import cache
 
@@ -19,6 +20,7 @@ from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh.mesh import (
     ControlVolumeMesh,
+    _bisectors,
     _candidates,
     _cell_measures,
     _check_cells3,
@@ -453,11 +455,11 @@ def test_face_normals_equal_per_loop_newell():
 
 def _face_plane_loop(v):
     """One face's plane, one vertex at a time: its Newell normal (of the
-    loop alone, which `newell_normal` gives up to the order of the sum),
-    whether that is nonzero, the unit normal and offset of the plane through
-    the first vertex (zero without a normal), the largest distance of a
-    vertex from that plane and the longest edge."""
-    n = _face_normals(*stack_loops([v]))[0]
+    loop alone taken relative to its first vertex, which `newell_normal`
+    gives up to rounding), whether that is nonzero, the unit normal and
+    offset of the plane through the first vertex (zero without a normal),
+    the largest distance of a vertex from that plane and the longest edge."""
+    n = _face_normals(*stack_loops([v - v[0]]))[0]
     np.testing.assert_allclose(n, newell_normal(v), rtol=0.0, atol=1e-14)
     nn = math.sqrt(float(n @ n))
     u = n / nn if nn != 0.0 else np.zeros(3)
@@ -956,3 +958,44 @@ def test_total_measure_keeps_each_cell_measure():
     mesh = with_ring(mesh, 0, np.column_stack([np.cos(ang), np.sin(ang)]) * 1e-3 + 0.1, [-1] * 12)
     assert k != 12
     assert mesh.total_measure() == float(sum(c.measure() for c in cell_records(mesh)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bisectors_decide_power_exactly_far_from_origin(dim):
+    """For pairs of a unit box moved to 1e5, n . (x - p_i) - c from
+    `_bisectors` is negative exactly when x has the lower power toward i,
+    |x - p_i|^2 - r_i^2 < |x - p_j|^2 - r_j^2 in exact arithmetic: at random
+    points of the box and at points 1e-9 to either side of each bisector,
+    which the absolute form |p_j|^2 - |p_i|^2 + r_i^2 - r_j^2 cannot place."""
+    rng = np.random.default_rng(11)
+    m = 100
+    pts = 1e5 + rng.random((2 * m, dim))
+    r = 0.2 * rng.random(2 * m)
+    i, j = np.arange(m), np.arange(m, 2 * m)
+    n, c = _bisectors(pts, r, i, j)
+    e = pts[j] - pts[i]
+    ee = np.sum(e * e, axis=1)
+    foot = pts[i] + (c / (2.0 * ee))[:, None] * e
+    side = rng.normal(size=(m, dim))
+    side -= (np.sum(side * e, axis=1) / ee)[:, None] * e      # along the bisector
+    unit = e / np.sqrt(ee)[:, None]
+    xs = [1e5 + rng.random((m, dim))]
+    xs += [foot + 0.1 * side + s * 1e-9 * unit for s in (-1.0, 1.0)]
+    for x in xs:
+        d = np.sum((x - pts[i]) * n, axis=1) - c
+        for k in range(m):
+            power = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[k], pts[t]))
+                     - Fraction(r[t]) ** 2 for t in (i[k], j[k])]
+            assert power[0] != power[1]
+            assert (d[k] < 0.0) == (power[0] < power[1])
+
+
+def test_face_planes_keep_small_faces_planar_far_from_origin():
+    """Triangles with edges near 1e-4 at 1e5 from the origin are planar: the
+    face normals are taken relative to each face's first vertex, where the
+    absolute Newell sums would tilt them by about 1e-6 rad."""
+    rng = np.random.default_rng(3)
+    loops = [1e5 + rng.random(3) + 1e-4 * rng.random((3, 3)) for _ in range(200)]
+    planes = face_planes(polyhedra_stack([[(v, None) for v in loops]]))
+    assert not planes.nonplanar().any()
+    assert np.all(planes.dev <= 1e-9 * planes.edge)

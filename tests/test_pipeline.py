@@ -144,3 +144,17 @@ def test_equal_radii_lattice_builds_and_validates(tmp_path, dim, k):
     assert res.exit_code == 0
     assert s["global_ok"] and s["perpendicularity_violations"] == 0
     assert s["total_measure"] == pytest.approx(s["domain_measure"], rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n, shift", [(2, 400, 1e3), (3, 60, 1e3), (3, 60, 1e5)])
+def test_run_far_from_origin(tmp_path, dim, n, shift):
+    """A unit box moved far from the origin builds and validates as the
+    unshifted box does: the radical centers, the bisectors that cut the hull
+    cells and the face planes are all taken relative to a nearby point, so
+    they keep the digits that absolute coordinates lose."""
+    box = (shift,) * dim + (shift + 1.0,) * dim
+    cfg = RunConfig(dimension=dim, n=n, seed=1, equal_radii=True, box=box,
+                    formats=("json",), out_dir=str(tmp_path))
+    res = run_pipeline(cfg)
+    assert res.exit_code == 0
+    assert res.summary["global_ok"]
