@@ -3,9 +3,9 @@
 Cells grow around scattered points from circles/spheres of optimized radii:
 Delaunay neighborhoods supply the local simplices, each simplex contributes a
 closed-form candidate vertex (the radical center of its circles), radius
-bounds keep the construction valid, and derivative-free optimization drives
-the circles toward common intersection points when exact-intersection meshes
-are requested.
+bounds keep the construction valid, and an evolution strategy polished by
+Levenberg-Marquardt in the squared radii drives the circles toward common
+intersection points when exact-intersection meshes are requested.
 """
 from .delaunay import (
     NeighborMap,
@@ -27,6 +27,7 @@ from .mesh import (
 from .optimize import (
     OptimizeResult,
     OptimizerParams,
+    levenberg_marquardt,
     rosenbrock_minimize,
     soft_selection_minimize,
 )

@@ -1,6 +1,7 @@
-"""Box-constrained derivative-free minimizers: rotating-direction local search
-and a (mu, lambda) evolutionary global stage with fitness-proportional
-(soft) parent selection followed by a local polish.
+"""Box-constrained minimizers: a (mu, lambda) evolutionary global stage with
+fitness-proportional (soft) parent selection followed by a local polish,
+either Levenberg-Marquardt on a least-squares residual with its Jacobian or
+the derivative-free rotating-direction search of Rosenbrock.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 __all__ = [
     "OptimizerParams",
     "OptimizeResult",
+    "interior_box",
+    "levenberg_marquardt",
     "rosenbrock_minimize",
     "soft_selection_minimize",
 ]
@@ -19,8 +22,11 @@ __all__ = [
 @dataclass(frozen=True)
 class OptimizerParams:
     """The evolution strategy of `soft_selection_minimize` (mu to
-    sigma_decay) and the `rosenbrock_minimize` polish (expansion to
-    max_evals); a run's config holds one under "optimizer"."""
+    sigma_decay) and its polish; a run's config holds one under "optimizer".
+
+    The `levenberg_marquardt` polish of exact-intersection mode reads tol_f
+    and max_evals only; `rosenbrock_minimize`, the default polish, reads
+    expansion to max_evals."""
 
     mu: int = 20
     lam: int = 140
@@ -55,6 +61,15 @@ def _as_bounds(bounds, n: int | None = None):
     if np.any(hi <= lo):
         raise ValueError("empty bounds box: every hi must exceed its lo")
     return lo, hi
+
+
+def interior_box(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The closed box the evolution strategy keeps its individuals in: the
+    bounds moved inwards by 1e-12 of the box width, so every point of it lies
+    strictly inside the bounds."""
+    lo, hi = _as_bounds(bounds)
+    margin = 1e-12 * (hi - lo)
+    return lo + margin, hi - margin
 
 
 def _values(f, pts: np.ndarray, what: str) -> np.ndarray:
@@ -158,6 +173,69 @@ def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) ->
     return OptimizeResult(x=x, fun=fx, n_eval=n_eval, converged=converged, status=status)
 
 
+def levenberg_marquardt(residuals, x0, bounds, params: OptimizerParams | None = None) -> OptimizeResult:
+    """Levenberg-Marquardt minimization of |s(x)|^2 inside a closed box.
+
+    residuals maps a point x of shape (n,) to (s, J): the residual vector
+    (m,) and its Jacobian (m, n). Each iteration solves the damped normal
+    equations (A + lam diag(A)) dx = -g, with A = J^T J and g = J^T s, on the
+    free coordinates: a coordinate sitting on a bound while its gradient
+    points out of the box is frozen, and so is one that no residual depends
+    on. The trial point x + dx is clipped to the box and taken only when it
+    lowers |s|^2; lam grows x4 after a rejected trial and shrinks /3 after an
+    accepted one. Stops when an accepted step gains less than tol_f
+    ("f-tol"), when no lam up to 1e12 gives a decrease or no coordinate is
+    free ("step-tol"), or after max_evals calls of residuals ("max-evals",
+    not converged). Returns the last accepted point with fun = |s|^2.
+    """
+    p = params or OptimizerParams()
+    lo, hi = _as_bounds(bounds, np.size(x0))
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    max_evals = p.max_evals if p.max_evals > 0 else 100_000 * x.size
+    s, jac = residuals(x)
+    fx = float(s @ s)
+    n_eval = 1
+    if not np.isfinite(fx):
+        raise ValueError("residuals are not finite at x0")
+
+    lam = 1e-3
+    status = "max-evals"
+    while n_eval < max_evals:
+        g = jac.T @ s
+        a = jac.T @ jac
+        diag = a.diagonal()
+        free = (diag > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if not free.any():
+            status = "step-tol"
+            break
+        a, g, diag = a[np.ix_(free, free)], g[free], diag[free]
+        while True:
+            trial = x.copy()
+            trial[free] += np.linalg.solve(a + np.diag(lam * diag), -g)
+            np.clip(trial, lo, hi, out=trial)
+            s_t, jac_t = residuals(trial)
+            f_t = float(s_t @ s_t)
+            n_eval += 1
+            if f_t < fx or n_eval >= max_evals:
+                break
+            lam *= 4.0
+            if lam > 1e12:
+                break
+        if not f_t < fx:
+            if lam > 1e12:
+                status = "step-tol"
+            break
+        gain = fx - f_t
+        x, s, jac, fx = trial, s_t, jac_t, f_t
+        lam /= 3.0
+        if gain < p.tol_f:
+            status = "f-tol"
+            break
+
+    converged = status in ("step-tol", "f-tol")
+    return OptimizeResult(x=x, fun=fx, n_eval=n_eval, converged=converged, status=status)
+
+
 def _gram_schmidt_rotation(dirs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     n = dirs.shape[0]
     a = np.empty_like(dirs)
@@ -184,20 +262,23 @@ def soft_selection_minimize(
     seed: int = 0,
     params: OptimizerParams | None = None,
     x0=None,
+    polish=None,
 ) -> OptimizeResult:
     """Global minimization by a (mu, lambda) evolution strategy with soft selection.
 
     Parents are sampled with probability proportional to a linear rank weight,
     so inferior individuals survive with reduced (not zero) probability.
-    Mutation is isotropic Gaussian, decayed per generation. The best individual
-    found is polished with rosenbrock_minimize. Deterministic for a fixed seed.
-    When x0 is given the initial population is a Gaussian cloud around it
-    instead of a uniform spread over the box.
+    Mutation is isotropic Gaussian, decayed per generation, and individuals
+    stay in `interior_box(bounds)`. The best individual found goes to
+    polish(x) -> OptimizeResult, by default rosenbrock_minimize on f inside
+    the bounds; the polished point replaces it when its fun is no larger.
+    Deterministic for a fixed seed. When x0 is given the initial population
+    is a Gaussian cloud around it instead of a uniform spread over the box.
 
     f maps points of shape (L, n) to values of shape (L,): each generation
     is evaluated by one call f(pop) on the (lam, n) population, which must
-    return lam values (ValueError otherwise), and the polish calls f on
-    stacks of trial points the same way. trace holds the best value after
+    return lam values (ValueError otherwise), and the default polish calls f
+    on stacks of trial points the same way. trace holds the best value after
     each generation.
     """
     p = params or OptimizerParams()
@@ -205,7 +286,7 @@ def soft_selection_minimize(
     lo, hi = _as_bounds(bounds)
     n = lo.size
     width = hi - lo
-    margin = 1e-12 * width  # keep individuals strictly interior
+    inner_lo, inner_hi = interior_box((lo, hi))
 
     if x0 is None:
         pop = lo + width * rng.random((p.lam, n))
@@ -213,7 +294,7 @@ def soft_selection_minimize(
         x0 = np.asarray(x0, dtype=float)
         pop = x0 + p.sigma0 * width * rng.standard_normal((p.lam, n))
         pop[0] = x0
-    np.clip(pop, lo + margin, hi - margin, out=pop)
+    np.clip(pop, inner_lo, inner_hi, out=pop)
 
     sigma = p.sigma0
     best_x = None
@@ -237,16 +318,19 @@ def soft_selection_minimize(
         parents = pop[parent_idx]
         picks = rng.integers(0, p.mu, size=p.lam)
         pop = parents[picks] + sigma * width * rng.standard_normal((p.lam, n))
-        np.clip(pop, lo + margin, hi - margin, out=pop)
+        np.clip(pop, inner_lo, inner_hi, out=pop)
         sigma *= p.sigma_decay
 
-    polish = rosenbrock_minimize(f, best_x, (lo, hi), p)
-    if polish.fun <= best_f:
-        best_x, best_f = polish.x, polish.fun
+    if polish is None:
+        polished = rosenbrock_minimize(f, best_x, (lo, hi), p)
+    else:
+        polished = polish(best_x)
+    if polished.fun <= best_f:
+        best_x, best_f = polished.x, polished.fun
     return OptimizeResult(
         x=best_x,
         fun=best_f,
-        n_eval=n_eval + polish.n_eval,
+        n_eval=n_eval + polished.n_eval,
         converged=True,
         status="generations",
         trace=trace,

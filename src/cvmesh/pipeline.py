@@ -32,7 +32,7 @@ from .mesh import (
     validate_global,
     validate_perpendicularity,
 )
-from .solver import SolveResult, VolumeMode, classify_overlap, simplex_systems, solve_radii
+from .solver import SolveResult, VolumeMode, classify_overlap, solve_radii
 from .svg import render_svg
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "hull_slivers_dropped": tri.hull_slivers_dropped,
         "tri_exact_tests": tri.exact_tests,
         "tri_walk_steps": tri.walk_steps,
-        "max_simplex_residual": _max_simplex_residual(tri, solve),
+        "max_simplex_residual": solve.max_simplex_residual,
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,
         "global_ok": glob.ok,
@@ -203,9 +203,3 @@ def _domain_clipped_cells(mesh) -> int:
     owner = stack.row_rings() if mesh.dim == 2 else stack.cells
     return len(np.unique(owner[stack.tags < 0]))
 
-
-def _max_simplex_residual(tri, solve) -> float:
-    """Largest power mismatch |residual| over the simplices of the run's
-    triangulation at the solved radii."""
-    powers = simplex_systems(tri).powers(solve.radii)
-    return float(np.max(np.abs(powers))) if len(powers) else 0.0

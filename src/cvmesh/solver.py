@@ -14,7 +14,7 @@ from .clipping import _rowdot
 from .delaunay import NeighborMap, Triangulation2, Triangulation3
 from .errors import EmptyInterval
 from .geometry import neighbor_heights, tetra_heights
-from .optimize import OptimizerParams, soft_selection_minimize
+from .optimize import OptimizerParams, interior_box, levenberg_marquardt, soft_selection_minimize
 
 __all__ = [
     "VolumeMode",
@@ -51,6 +51,7 @@ class SolveResult:
     lo: np.ndarray
     hi: np.ndarray
     objective: float
+    max_simplex_residual: float  # largest |power| over the simplices at radii
     n_eval: int
     converged: bool
     status: str
@@ -147,7 +148,8 @@ class SimplexSystems:
 
     `vertices`, `powers` and `objective` take radii r of shape (N,) or a
     stack of radius vectors of shape (L, N); every row of a stack gives bit
-    for bit the value that row gives on its own.
+    for bit the value that row gives on its own. `jacobian` takes r of
+    shape (N,).
     """
 
     def __init__(self, pts: np.ndarray, simplices: np.ndarray):
@@ -190,6 +192,18 @@ class SimplexSystems:
             p += yi * yi
         return p - w[..., self.indices[:, 0]]
 
+    def jacobian(self, r: np.ndarray) -> np.ndarray:
+        """Derivatives of `powers` in the squared radii, (T, d+1): row t holds
+        dp_t/dw_k for the simplex's corners k = 0..d, which is
+        2 y . K[:, :, k] / den, less 1 for the first corner."""
+        y = self._offsets(np.asarray(r) ** 2)
+        jac = y[0][:, None] * self.K[:, 0]
+        for i, yi in enumerate(y[1:], 1):
+            jac += yi[:, None] * self.K[:, i]
+        jac *= 2.0 / self.den[:, None]
+        jac[:, 0] -= 1.0
+        return jac
+
     def objective(self, r: np.ndarray) -> float | np.ndarray:
         """Weighted sum of squared powers: a float for r of shape (N,), an
         (L,) array for a stack of shape (L, N)."""
@@ -212,9 +226,11 @@ def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     rr = np.asarray(r, dtype=float)
     pts = np.asarray(pts, dtype=float)
     n = nm.n_points
-    # every neighbour pair, both ways and repeated: np.unique drops the repeats
+    # every neighbour pair appears both ways: the rows with i < j give each
+    # pair (repeated in 3D), and np.unique drops the repeats and sorts
     i, j = nm.pairs()
-    key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    one_way = i < j
+    key = np.unique(i[one_way] * n + j[one_way])
     edges = np.column_stack(np.divmod(key, n))
     d = pts[edges[:, 0]] - pts[edges[:, 1]]
     # the row-wise sqrt(d . d) is np.linalg.norm of each row, bit for bit
@@ -237,60 +253,78 @@ def solve_radii(
 
     RADICAL_CENTER mode sets each radius to its interval midpoint and takes
     vertices directly as radical centers (no optimization). EXACT_INTERSECTION
-    mode minimizes the power-mismatch objective inside the strict bounds box
-    (soft selection plus a rotating-direction polish). equal_radii bypasses
-    both and assigns every point half the smallest max radius (the
-    Voronoi-equivalence override).
+    mode minimizes the power-mismatch objective inside the strict bounds box:
+    soft selection (`soft_selection_minimize`), then a Levenberg-Marquardt
+    polish of its best radii in the squared radii w = r^2
+    (`levenberg_marquardt` on the weighted powers and their `jacobian`,
+    inside the box the evolution strategy keeps to, squared; it reads
+    params.tol_f and params.max_evals). The polished radii are kept when
+    their objective is no larger. equal_radii bypasses both and assigns
+    every point half the smallest max radius (the Voronoi-equivalence
+    override).
     bounds_policy "clamp" floors empty radius intervals to (0, r_max) instead
     of raising EmptyInterval; affected points are reported on the result.
     """
     if pts is None:
         pts = tri.points
     systems = simplex_systems(tri)
+    clamped: list[int] = []
+    n_eval, converged, trace = 1, True, []
 
     if equal_radii:
         r = np.full(len(pts), 0.5 * float(np.min(max_radii(nm, pts))))
         lo = np.zeros(len(pts))
         hi = np.full(len(pts), np.inf)
-        return SolveResult(
-            radii=r,
-            mode=mode,
-            lo=lo,
-            hi=hi,
-            objective=systems.objective(r),
-            n_eval=1,
-            converged=True,
-            status="equal-radii",
-        )
+        status = "equal-radii"
+    else:
+        lo, hi, clamped = bounds_arrays(nm, pts, policy=bounds_policy)
+        if mode is VolumeMode.RADICAL_CENTER:
+            r = 0.5 * (lo + hi)
+            status = "radical-center"
+        else:
+            x0 = r0 if r0 is not None else lo + 0.62 * (hi - lo)
+            x0 = np.clip(x0, lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo))
+            result = soft_selection_minimize(
+                systems.objective, (lo, hi), seed=seed, params=params, x0=x0,
+                polish=_lm_polish(systems, (lo, hi), params),
+            )
+            r, n_eval, converged, status, trace = (
+                result.x, result.n_eval, result.converged, result.status, result.trace)
 
-    lo, hi, clamped = bounds_arrays(nm, pts, policy=bounds_policy)
-
-    if mode is VolumeMode.RADICAL_CENTER:
-        r = 0.5 * (lo + hi)
-        return SolveResult(
-            radii=r,
-            mode=mode,
-            lo=lo,
-            hi=hi,
-            objective=systems.objective(r),
-            n_eval=1,
-            converged=True,
-            status="radical-center",
-            clamped_points=clamped,
-        )
-
-    x0 = r0 if r0 is not None else lo + 0.62 * (hi - lo)
-    x0 = np.clip(x0, lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo))
-    result = soft_selection_minimize(systems.objective, (lo, hi), seed=seed, params=params, x0=x0)
+    powers = systems.powers(r)
     return SolveResult(
-        radii=result.x,
+        radii=r,
         mode=mode,
         lo=lo,
         hi=hi,
-        objective=result.fun,
-        n_eval=result.n_eval,
-        converged=result.converged,
-        status=result.status,
+        objective=_weighted_sum(systems.weights, powers),
+        max_simplex_residual=float(np.max(np.abs(powers))) if len(powers) else 0.0,
+        n_eval=n_eval,
+        converged=converged,
+        status=status,
         clamped_points=clamped,
-        trace=result.trace,
+        trace=trace,
     )
+
+
+def _lm_polish(systems: SimplexSystems, bounds, params: OptimizerParams | None):
+    """polish(r) -> OptimizeResult for `soft_selection_minimize`: Levenberg-
+    Marquardt on the residuals sqrt(weights) * powers in w = r^2, inside the
+    squared `interior_box(bounds)`; x and fun come back in radii."""
+    inner_lo, inner_hi = interior_box(bounds)
+    scale = np.sqrt(systems.weights)
+    rows = np.arange(len(systems))[:, None]
+
+    def residuals(w):
+        r = np.sqrt(w)
+        jac = np.zeros((len(systems), len(w)))
+        jac[rows, systems.indices] = scale[:, None] * systems.jacobian(r)
+        return scale * systems.powers(r), jac
+
+    def polish(r):
+        result = levenberg_marquardt(residuals, r * r, (inner_lo ** 2, inner_hi ** 2), params)
+        result.x = np.sqrt(result.x)
+        result.fun = systems.objective(result.x)
+        return result
+
+    return polish

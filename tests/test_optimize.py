@@ -3,7 +3,10 @@ import pytest
 
 import cvmesh.optimize
 from cvmesh.optimize import (
+    OptimizeResult,
     OptimizerParams,
+    interior_box,
+    levenberg_marquardt,
     rosenbrock_minimize,
     soft_selection_minimize,
 )
@@ -178,3 +181,105 @@ def test_rosenbrock_budget_matches_sequential_reference(max_evals):
     batched = rosenbrock_minimize(f, r0, box, p)
     _assert_same_run(batched, rosenbrock_sequential(f, r0, box, p))
     assert batched.n_eval <= max_evals
+
+
+def bowl_residuals(x):
+    return x - np.array([1.0, 2.0]), np.eye(2)
+
+
+def banana_residuals(x):
+    """Residuals whose squared norm is `banana`, and their Jacobian."""
+    s = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return s, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def test_lm_banana():
+    res = levenberg_marquardt(banana_residuals, [-1.2, 1.0], ([-5, -5], [5, 5]))
+    assert res.converged
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
+    assert res.fun == pytest.approx(banana(res.x), abs=1e-20)
+
+
+def test_lm_ends_on_the_bound_the_minimum_lies_beyond():
+    # The bowl's minimum (1, 2) lies beyond the corner (0.5, 0.5): the step
+    # is clipped onto the corner, and there both coordinates stay frozen.
+    res = levenberg_marquardt(bowl_residuals, [0.25, 0.25], ([0.0, 0.0], [0.5, 0.5]))
+    assert res.converged
+    assert np.array_equal(res.x, [0.5, 0.5])
+    # The banana's minimum (1, 1) lies beyond x0 <= 0.5: the polish ends on
+    # that bound, at the least value along it, x1 = 0.25.
+    res = levenberg_marquardt(banana_residuals, [-1.2, 1.0], ([-5, -5], [0.5, 5]))
+    assert res.converged
+    assert res.x[0] == 0.5
+    assert res.x[1] == pytest.approx(0.25, abs=1e-6)
+
+
+def test_lm_steps_stay_in_the_box():
+    lo, hi = np.array([-1.0, 0.0]), np.array([0.5, 0.3])
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return banana_residuals(x)
+
+    res = levenberg_marquardt(recording, [-0.9, 0.1], (lo, hi))
+    assert len(seen) == res.n_eval > 1
+    for x in seen:
+        assert np.all(x >= lo) and np.all(x <= hi)
+    assert res.fun < float(banana(np.array([-0.9, 0.1])))
+
+
+def test_lm_max_evals_flagged():
+    res = levenberg_marquardt(banana_residuals, [-1.2, 1.0], ([-5, -5], [5, 5]),
+                              OptimizerParams(max_evals=4))
+    assert not res.converged
+    assert res.status == "max-evals"
+    assert res.n_eval <= 4
+    assert res.fun <= banana(np.array([-1.2, 1.0]))
+
+
+def test_lm_requires_finite_start():
+    with pytest.raises(ValueError):
+        levenberg_marquardt(lambda x: (np.full(2, np.nan), np.eye(2)), [0.0, 0.0], ([-1, -1], [1, 1]))
+
+
+def test_interior_box_is_the_evolution_strategy_box():
+    lo, hi = np.array([0.0, 1.0]), np.array([1.0, 1.5])
+    inner_lo, inner_hi = interior_box((lo, hi))
+    assert np.all(lo < inner_lo) and np.all(inner_hi < hi)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return quadratic_bowl(x)
+
+    declined = OptimizeResult(x=lo, fun=np.inf, n_eval=0, converged=False, status="max-evals")
+    res = soft_selection_minimize(recording, (lo, hi), seed=2, params=OptimizerParams(generations=5),
+                                  polish=lambda x: declined)
+    for pop in seen:
+        assert np.all(inner_lo <= pop) and np.all(pop <= inner_hi)
+    # the bowl's minimum (1, 2) lies beyond the top of the box: the clip reaches it
+    assert np.any(np.vstack(seen) == inner_hi)
+    assert np.all(inner_lo <= res.x) and np.all(res.x <= inner_hi)
+
+
+def test_soft_selection_takes_a_polish():
+    seen = []
+
+    def polish(x):
+        seen.append(x.copy())
+        return OptimizeResult(x=np.array([1.0, 2.0]), fun=0.0, n_eval=3, converged=True,
+                              status="f-tol")
+
+    p = OptimizerParams(generations=5)
+    res = soft_selection_minimize(quadratic_bowl, ([-5, -5], [5, 5]), seed=1, params=p, polish=polish)
+    assert len(seen) == 1
+    assert res.fun == 0.0 and np.array_equal(res.x, [1.0, 2.0])
+    assert res.n_eval == 5 * p.lam + 3
+    # a polish that ends higher than the best individual is dropped
+    worse = soft_selection_minimize(
+        quadratic_bowl, ([-5, -5], [5, 5]), seed=1, params=p,
+        polish=lambda x: OptimizeResult(x=x + 1.0, fun=np.inf, n_eval=1, converged=False,
+                                        status="max-evals"))
+    assert np.array_equal(worse.x, seen[0])
+    assert worse.fun == worse.trace[-1]

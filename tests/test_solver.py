@@ -6,10 +6,12 @@ import pytest
 
 from cvmesh.delaunay import Triangulation2, _adjacency, neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import DegenerateTriangle, EmptyInterval
-from cvmesh.optimize import OptimizerParams, soft_selection_minimize
+import cvmesh.solver
+from cvmesh.optimize import OptimizeResult, OptimizerParams, rosenbrock_minimize, soft_selection_minimize
 from cvmesh.solver import (
     SimplexSystems,
     VolumeMode,
+    _lm_polish,
     _lower_bounds,
     bounds_arrays,
     classify_overlap,
@@ -413,3 +415,100 @@ def test_soft_selection_batched_matches_row_by_row():
     assert a.fun == b.fun
     assert a.n_eval == b.n_eval
     assert a.trace == b.trace
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jacobian_matches_central_differences(dim, shift):
+    """Every row of `jacobian` matches central differences of `powers` in
+    w = r^2 to 1e-7 of the row's largest entry. The powers are quadratic in
+    w, so the differences are exact but for rounding."""
+    pts = uniform_points(dim, 30 if dim == 2 else 20, seed=2)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    n = len(pts)
+    r = 0.5 * np.min(max_radii(neighbor_map(tri), pts)) * (1.0 + np.random.default_rng(dim).random(n))
+    systems = SimplexSystems(pts + shift, tri.simplices)
+    jac = systems.jacobian(r)
+    assert jac.shape == (len(systems), dim + 1)
+    dense = np.zeros((len(systems), n))
+    dense[np.arange(len(systems))[:, None], systems.indices] = jac
+
+    w = r * r
+    h = 1e-4 * w
+    step = np.diag(h)                       # row k moves w_k alone
+    fd = ((systems.powers(np.sqrt(w + step)) - systems.powers(np.sqrt(w - step))) / (2.0 * h[:, None])).T
+    err = np.max(np.abs(fd - dense), axis=1) / np.max(np.abs(dense), axis=1)
+    assert np.all(err < 1e-7), float(err.max())
+
+
+def _es_best(systems, lo, hi, seed):
+    """The evolution strategy's best radii, as solve_radii starts it, unpolished."""
+    x0 = lo + 0.62 * (hi - lo)
+    x0 = np.clip(x0, lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo))
+    declined = OptimizeResult(x=x0, fun=np.inf, n_eval=0, converged=False, status="max-evals")
+    return soft_selection_minimize(systems.objective, (lo, hi), seed=seed, x0=x0,
+                                   polish=lambda x: declined)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_lm_polish_reaches_rosenbrock_objective_on_lattices(seed):
+    """From the same evolution-strategy best, the Levenberg-Marquardt polish
+    ends no higher than the Rosenbrock polish it replaced."""
+    pts = hexagon_patch(2, seed)
+    tri = triangulate2(pts)
+    lo, hi, _ = bounds_arrays(neighbor_map(tri), pts, policy="clamp")
+    systems = simplex_systems(tri)
+    es = _es_best(systems, lo, hi, seed)
+    lm = _lm_polish(systems, (lo, hi), None)(es.x)
+    ros = rosenbrock_minimize(systems.objective, es.x, (lo, hi))
+    assert lm.converged
+    assert lm.fun <= ros.fun < es.fun
+    assert lm.fun == systems.objective(lm.x)
+
+
+def test_lm_polish_evaluates_only_strictly_inside_the_bounds(monkeypatch):
+    seen = []
+    lm = cvmesh.solver.levenberg_marquardt
+
+    def recording(residuals, x0, bounds, params=None):
+        def recorded(w):
+            seen.append(np.sqrt(w))
+            return residuals(w)
+        return lm(recorded, x0, bounds, params)
+
+    monkeypatch.setattr(cvmesh.solver, "levenberg_marquardt", recording)
+    for seed in (1, 2, 3):
+        pts = hexagon_patch(2, seed)
+        tri = triangulate2(pts)
+        sol = solve_radii(tri, neighbor_map(tri), pts, mode=VolumeMode.EXACT_INTERSECTION,
+                          seed=seed, bounds_policy="clamp")
+        assert len(seen) > 1
+        for r in seen:
+            assert np.all(r > sol.lo) and np.all(r < sol.hi)
+        assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
+        seen.clear()
+
+
+def test_lm_polish_solves_exact_instance():
+    pts, tri, nm, r_star, lo, hi = exact_instance(6)
+    width = hi - lo
+    r0 = np.clip(r_star + 0.08 * width * (np.random.default_rng(4).random(len(pts)) * 2 - 1),
+                 lo + 1e-6 * width, hi - 1e-6 * width)
+    res = _lm_polish(simplex_systems(tri), (lo, hi), None)(r0)
+    assert res.converged
+    assert res.fun < 1e-20
+
+
+@pytest.mark.parametrize("kw", [
+    dict(equal_radii=True),
+    dict(mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp"),
+    dict(mode=VolumeMode.EXACT_INTERSECTION, bounds_policy="clamp",
+         params=OptimizerParams(generations=5)),
+], ids=["equal", "radical-center", "exact"])
+def test_solve_result_carries_objective_and_max_residual(kw):
+    pts = hexagon_patch(2, seed=3)
+    tri = triangulate2(pts)
+    sol = solve_radii(tri, neighbor_map(tri), pts, seed=3, **kw)
+    systems = simplex_systems(tri)
+    assert sol.objective == systems.objective(sol.radii)
+    assert sol.max_simplex_residual == float(np.max(np.abs(systems.powers(sol.radii))))
