@@ -257,15 +257,6 @@ class PolyStack:
         return PolyStack.from_loops(self.verts[rows], starts, self.tags[faces], self.cells[faces],
                                     self.simplices[rows])
 
-    def split(self, c: int) -> tuple["PolyStack", "PolyStack"]:
-        """The faces of the cells below c, and the rest."""
-        f = int(np.searchsorted(self.cells, c))
-        r = int(self.starts[f]) if f < len(self.starts) else len(self.verts)
-        return (PolyStack(self.verts[:r], self.starts[:f], self.succ[:r],
-                          self.tags[:f], self.cells[:f], self.simplices[:r]),
-                PolyStack(self.verts[r:], self.starts[f:] - r, self.succ[r:] - r,
-                          self.tags[f:], self.cells[f:], self.simplices[r:]))
-
     def vertices(self) -> np.ndarray:
         """Every vertex row, (N, 3). perfbench's clip kernel reads a 3D
         domain's corners through this name (and a 2D domain's through
@@ -447,9 +438,11 @@ def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: 
     keep_face = ~cell_above[stack.cells] | (cut_cell[stack.cells] & below)
     cut_face = cut_cell[stack.cells] & below & above
 
-    # Emit per kept row its vertex when inside, then the crossing point of
-    # its outgoing edge when that edge crosses the plane.
-    rows = np.flatnonzero(keep_face[row_face])
+    # Whole faces keep their rows. Emit per row of a cut face its vertex when
+    # inside, then the crossing point of its outgoing edge when that edge
+    # crosses the plane.
+    whole_rows = np.flatnonzero((keep_face & ~cut_face)[row_face])
+    rows = np.flatnonzero(cut_face[row_face])
     inside = d <= eps
     emit = np.empty((len(rows), 2), dtype=bool)
     emit[:, 0] = inside[rows]
@@ -469,19 +462,28 @@ def clip_stack(stack: PolyStack, d: np.ndarray, normals: np.ndarray, tags, eps: 
     pts = pts.reshape(-1, 3)[emit]
     sid = sid.ravel()[emit]
     face = np.repeat(row_face[rows], 2)[emit]
-    on_plane = on_plane.ravel()[emit] & cut_cell[stack.cells[face]]
+    on_plane = on_plane.ravel()[emit]
 
-    # Cut loops lose their near-duplicate vertices; loops under three go.
-    loop_starts = _group_starts(face)
-    stay = _dedup_loops(pts, loop_starts, eps) | ~cut_face[face]
-    count = np.bincount(face[stay], minlength=nface)
-    stay &= count[face] >= 3
-    loop_starts = _group_starts(face[stay])
-    kept = face[stay][loop_starts]
-    faces = PolyStack.from_loops(pts[stay], loop_starts, stack.tags[kept], stack.cells[kept],
-                                 sid[stay])
+    # Cut loops lose their near-duplicate vertices, then join the whole
+    # faces in face order; loops under three go.
+    stay = _dedup_loops(pts, _group_starts(face), eps)
+    src = np.concatenate((row_face[whole_rows], face[stay]))
+    order = np.argsort(src, kind="stable")
+    order = order[(np.bincount(src, minlength=nface) >= 3)[src[order]]]
+    loop_starts = _group_starts(src[order])
+    kept = src[order][loop_starts]
+    faces = PolyStack.from_loops(np.concatenate((v[whole_rows], pts[stay]))[order], loop_starts,
+                                 stack.tags[kept], stack.cells[kept],
+                                 np.concatenate((stack.simplices[whole_rows], sid[stay]))[order])
 
-    caps = _section_faces(pts[on_plane], stack.cells[face[on_plane]], normals, tags, eps)
+    # The section face of a cut cell: the vertices of its whole faces within
+    # eps of the plane and the on-plane points of its cut faces, in face and
+    # loop order.
+    touch = whole_rows[(np.abs(d[whole_rows]) <= eps) & cut_cell[stack.cells[row_face[whole_rows]]]]
+    src = np.concatenate((row_face[touch], face[on_plane]))
+    order = np.argsort(src, kind="stable")
+    caps = _section_faces(np.concatenate((v[touch], pts[on_plane]))[order],
+                          stack.cells[src[order]], normals, tags, eps)
     return concat_stacks([faces, caps])
 
 

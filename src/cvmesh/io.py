@@ -160,6 +160,9 @@ class RunConfig:
         lo, hi = self.box_bounds()
         if np.any(hi <= lo):
             raise ValueError("box upper corner must exceed lower corner")
+        unknown = [f for f in self.formats if f not in ("json", "vtk", "svg")]
+        if unknown:
+            raise ValueError(f"unknown formats: {unknown} (known: json, vtk, svg)")
         for name in ("tol_perp", "residual_threshold", "min_sep_factor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

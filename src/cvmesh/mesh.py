@@ -1,16 +1,15 @@
-"""Control-volume assembly from per-simplex candidate vertices, boundary-cell
-closure by domain clipping, and the global/local mesh validations.
+"""Control-volume assembly from per-simplex candidate vertices, one rule
+for every cell, and the global/local mesh validations.
 
-Interior cells take their vertices directly from the incident simplices in
-ring/star order; hull-point cells are cut out of the domain by the power
-bisectors toward their neighbors. Every bisector, in 2D and 3D, comes from
-one helper (`_bisectors`) as a plane relative to the cell's own generator,
-so a cloud far from the origin keeps its digits; the cells that cross the
-domain are clipped in one whole-stack pass per domain line or plane. Both
-run as array code over all cells at once, on polygons stacked by
-`clipping.RingStack` (2D) and polyhedra stacked by `clipping.PolyStack`
-(3D); the per-cell checks run once over the whole stack and raise for the
-first failing cell. In 3D every face's plane comes
+Every cell lists the radical centers of its simplices in ring (2D) or star
+(3D) order. A hull point's cell closes through the ghost simplices on its
+hull facets: each adds the point where its facet's power ray meets the
+point's far line or plane beyond the domain (`_far_planes`), and the edge or
+face of those points is tagged -1. The domain clip is then the one cut, and
+no cell is repaired after it is built. All of it runs as array code over all
+cells at once, on polygons stacked by `clipping.RingStack` (2D) and
+polyhedra stacked by `clipping.PolyStack` (3D); the per-cell checks run once
+over the whole stack and raise for the first failing cell. In 3D every face's plane comes
 from one table (`face_planes`), built once per stack: the planarity and
 convexity checks decide every cell from it in one pass, and
 `validate_global` tests points against the same planes. That stack is the
@@ -52,7 +51,7 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     _rowdot,
     _successors,
 )
-from .delaunay import NeighborMap, Triangulation2, Triangulation3
+from .delaunay import GHOST, NeighborMap, Triangulation2, Triangulation3
 from .errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from .solver import simplex_systems
 
@@ -146,28 +145,70 @@ def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return area
 
 
-def _initial_rings(nm: NeighborMap, q: np.ndarray, box: RingStack) -> RingStack:
-    """One ring per point, in point order. An interior point's ring lists
-    the candidate vertices of its rows' triangles in ring order, the edge
-    after vertex k tagged with the next row's neighbor, reversed where its
-    signed area is negative (the tags rotate with it: edge m of the reversed
-    ring is edge k - 2 - m of the original). A hull point's ring is the
-    domain ring, `box`."""
-    inner = ~nm.on_hull
-    lens = np.where(inner, nm.lengths(), len(box.verts))
-    starts = np.cumsum(lens) - lens
-    local = np.arange(int(lens.sum())) - np.repeat(starts, lens)
-    inside = np.repeat(inner, lens)
-    row = (np.repeat(nm.starts, lens) + local)[inside]
-    outer = local[~inside]
-    verts = np.empty((len(local), 2))
-    tags = np.empty(len(local), dtype=np.int64)
-    verts[inside], tags[inside] = q[nm.simplex[row]], nm.nbr[nm.succ()[row]]
-    verts[~inside], tags[~inside] = box.verts[outer], box.tags[outer]
+def _far_planes(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, corners: np.ndarray,
+                scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The far line (2D) or plane (3D) m_i . x = L_i of every hull point i,
+    as (m, L) (m zero and L -inf for interior points). m_i is the unit
+    vector from the cloud's mean to p_i, so m_i . n > 0 for the outward
+    normal n of every hull facet through p_i. L_i lies one domain scale
+    beyond every domain corner and every radical center of i's simplices."""
+    hull = nm.on_hull
+    m = np.zeros_like(pts)
+    mh = pts[hull] - pts.mean(axis=0)
+    m[hull] = mh = mh / np.sqrt(_rowdot(mh, mh))[:, None]
+    rows = hull[nm.owner] & (nm.simplex >= 0)
+    far = np.full(len(pts), -np.inf)
+    np.maximum.at(far, nm.owner[rows], _rowdot(m[nm.owner[rows]], q[nm.simplex[rows]]))
+    corner = [_rowdot(mh, np.broadcast_to(c, mh.shape)) for c in corners]
+    far[hull] = np.max([far[hull]] + corner, axis=0)
+    return m, far + scale
 
-    flip = np.repeat(inner & (_ring_areas(verts, starts) < 0.0), lens)
-    k = np.repeat(lens, lens)
+
+def _far_points(q: np.ndarray, n: np.ndarray, m: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """Row by row, where the line q + s n through a radical center q along a
+    hull facet's normal n meets the far line or plane m . x = far: the
+    vertex a ghost simplex gives a cell. Either sign of n gives that point,
+    on the power ray: the plane lies beyond q and m . n > 0 outward."""
+    s = (far - _rowdot(m, q)) / _rowdot(m, n)
+    return q + s[:, None] * n
+
+
+def _rings(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, m: np.ndarray,
+           far: np.ndarray) -> RingStack:
+    """One ring per point, in point order, of the candidate vertices of its
+    rows' triangles in ring order. An interior point's ring closes on itself,
+    the edge after vertex k tagged with the next row's neighbor. A hull
+    point's fan u_0 .. u_m with triangles t_0 .. t_(m-1) closes through its
+    two ghost triangles: its ring is [F_0, q[t_0], ..., q[t_(m-1)], F_m],
+    where F_0 and F_m are the `_far_points` of the power rays from q[t_0] and
+    q[t_(m-1)] through the hull edges (i, u_0) and (i, u_m), its edges tagged
+    u_0, ..., u_m and the closing edge GHOST. A ring is reversed where its
+    signed area is negative (the tags rotate with it: edge m of the reversed
+    ring is edge k - 2 - m of the original)."""
+    hull = nm.on_hull
+    lens = nm.lengths() + hull
+    starts = np.cumsum(lens) - lens
     first = np.repeat(starts, lens)
+    local = np.arange(len(first)) - first
+    k = np.repeat(lens, lens)
+    ghost = np.repeat(hull, lens)
+    row = np.repeat(nm.starts, lens) + local - ghost    # the row of each vertex's triangle
+    head = ghost & (local == 0)
+    tail = ghost & (local == k - 1)
+    real = ~(head | tail)
+    verts = np.empty((len(first), 2))
+    verts[real] = q[nm.simplex[row[real]]]
+    a, b = row[head] + 1, row[tail]                      # each fan's first and last row
+    i = nm.owner[a]
+    for at, t, u in ((head, nm.simplex[a], nm.nbr[a]), (tail, nm.simplex[b - 1], nm.nbr[b])):
+        e = pts[u] - pts[i]                              # along the hull edge (i, u)
+        verts[at] = _far_points(q[t], np.column_stack((e[:, 1], -e[:, 0])), m[i], far[i])
+    # the edge after a vertex faces the neighbor of the row after the vertex's
+    # triangle; a hull ring's closing edge faces the ghost
+    after = np.minimum(np.where(ghost, row + 1, nm.succ()[row]), len(nm.nbr) - 1)
+    tags = np.where(tail, GHOST, nm.nbr[after])
+
+    flip = np.repeat(_ring_areas(verts, starts) < 0.0, lens)
     rows = np.where(flip, first + k - 1 - local, first + local)
     tag_rows = np.where(flip, first + (k - 2 - local) % k, first + local)
     return RingStack.from_rings(verts[rows], starts, tags[tag_rows])
@@ -252,74 +293,6 @@ def _candidates(nm: NeighborMap) -> tuple[np.ndarray, np.ndarray]:
     one flat array, and per-point starts."""
     has = nm.simplex >= 0
     return nm.simplex[has], np.searchsorted(nm.owner[has], np.arange(nm.n_points))
-
-
-def _neighbor_table(owner: np.ndarray, nbr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per point of n, its count of (owner, nbr) pairs (sorted by owner) and
-    an (n, largest count) table of its neighbors in pair order, zero-padded."""
-    counts = np.bincount(owner, minlength=n)
-    table = np.zeros((n, counts.max(initial=0)), dtype=np.int64)
-    table[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = nbr
-    return counts, table
-
-
-def _bisectors(pts: np.ndarray, r: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """The power bisector of every pair (i[k], j[k]) as the plane
-    n . (x - p_i) = c, relative to p_i: n = 2 (p_j - p_i) and
-    c = |p_j - p_i|^2 + r_i^2 - r_j^2. A point x has n . (x - p_i) < c
-    exactly when its power |x - p_i|^2 - r_i^2 toward i is below its power
-    toward j; the offsets p_j - p_i keep their digits far from the origin."""
-    e = pts[j] - pts[i]
-    return 2.0 * e, _rowdot(e, e) + r[i] * r[i] - r[j] * r[j]
-
-
-def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
-                   domain: RingStack | None = None) -> ControlVolumeMesh:
-    """Assemble one convex cell per point from the triangle radical centers.
-
-    Interior cells list the candidate vertex of each incident triangle in ring
-    order, near-coincident ones merged (`merge_rings`); hull cells are the
-    domain ring cut by the power bisectors toward the ring neighbors. Every
-    cell is clipped to the domain. All cells go through each step together,
-    stacked in one `RingStack`, which the mesh keeps as its cells.
-    """
-    pts = tri.points if pts is None else pts
-    r = np.asarray(radii, dtype=float)
-    systems = simplex_systems(tri)
-    q = systems.vertices(r)
-    domain = domain if domain is not None else bounding_domain2(pts)
-    dverts = domain.verts
-    scale = float(np.linalg.norm(dverts.max(axis=0) - dverts.min(axis=0)))
-    eps = 1e-10 * scale
-    match_eps = 1e-9 * scale
-    planes = domain_planes(domain)
-
-    # Hull cells are clipped by the power bisector toward their k-th ring
-    # neighbor at step k, then every cell by each domain line that a vertex
-    # lies beyond: every ring that takes a cut in one pass per step.
-    stack = merge_rings(_initial_rings(nm, q, domain), eps)
-    hull = nm.on_hull[nm.owner]
-    counts, table = _neighbor_table(nm.owner[hull], nm.nbr[hull], len(pts))
-    for k in range(table.shape[1]):
-        ring = stack.row_rings()
-        live = counts[ring] > k
-        i = ring[live]
-        normal, offset = _bisectors(pts, r, i, table[i, k])
-        d = np.full(len(live), -np.inf)
-        d[live] = _rowdot(stack.verts[live] - pts[i], normal) - offset
-        stack = clip_rings(stack, d, table[:, k], eps)
-    for n, c in zip(*planes):
-        d = stack.verts @ n - c
-        if np.any(d > eps):
-            stack = clip_rings(stack, d, [None] * len(pts), eps)
-
-    _check_convex2(stack)
-    cand, cand_starts = _candidates(nm)
-    ids, covered = _match_rows(stack.verts, stack.starts, q, cand, cand_starts, match_eps)
-    stack = replace(stack, simplices=ids)
-    _check_orphans(q, cand[covered], planes, eps_inside=match_eps)
-    return ControlVolumeMesh(dim=2, points=pts, radii=r, cells=stack, domain=domain,
-                             simplices=tri.triangles, simplex_vertices=q)
 
 
 def _check_orphans(q: np.ndarray, covered: np.ndarray, planes, eps_inside: float):
@@ -415,54 +388,50 @@ def _check_cells3(stack: PolyStack, planes: FacePlanes, scale: float):
     raise NonConvexCell(i, f"vertex {worst[f]:.3g} outside face plane")
 
 
-def _hull_cells(cells: np.ndarray, pts, r, domain: PolyStack, eps: float,
-                counts: np.ndarray, table: np.ndarray) -> PolyStack:
-    """Hull-point cells: each starts as a copy of the one-cell domain stack
-    and is clipped by the power bisector toward its k-th neighbor
-    (table[i, k], k < counts[i]) at step k, every cell that has a k-th
-    neighbor in one `clip_stack` pass per step."""
-    # most neighbors first, so the cells clipped at step k lead the stack
-    cells = cells[np.argsort(-counts[cells], kind="stable")]
-    counts, table = counts[cells], table[cells]
-    m, nv, nf = len(cells), len(domain.verts), len(domain.starts)
-    stack = PolyStack.from_loops(np.tile(domain.verts, (m, 1)),
-                                 (domain.starts + nv * np.arange(m)[:, None]).ravel(),
-                                 np.tile(domain.tags, m), np.repeat(np.arange(m), nf))
-    for k in range(table.shape[1]):
-        live = int(np.count_nonzero(counts > k))
-        head, tail = stack.split(live)
-        normal, offset = _bisectors(pts, r, cells[:live], table[:live, k])
-        rc = head.row_cells()
-        d = _rowdot(head.verts - pts[cells[rc]], normal[rc]) - offset[rc]
-        stack = concat_stacks([clip_stack(head, d, normal, table[:live, k], eps), tail])
-    return replace(stack, cells=cells[stack.cells])
+def _star_rows(tet: Triangulation3, nm: NeighborMap, pts: np.ndarray, q: np.ndarray,
+               m: np.ndarray, far: np.ndarray):
+    """Every point's star rows, then the rows its ghost tetrahedra add, as
+    (owner, triples, points) for `_cell_walls`. A star row holds its
+    tetrahedron's other three corners and radical center. A ghost row
+    belongs to a corner i of a hull facet f (adjacency -1): the facet's
+    other two corners plus GHOST, and the point where the power ray from the
+    radical center of f's tetrahedron through f meets i's far plane
+    (`_far_points`)."""
+    t, k = np.nonzero(tet.adjacency == -1)
+    facet = tet.tetrahedra[t][np.arange(4) != k[:, None]].reshape(-1, 3)
+    a = pts[facet[:, 0]]
+    n = np.cross(pts[facet[:, 1]] - a, pts[facet[:, 2]] - a)
+    owner = facet.ravel()
+    triples = np.column_stack((facet[:, [1, 2, 0, 2, 0, 1]].reshape(-1, 2),
+                               np.full(len(owner), GHOST)))
+    f = np.repeat(np.arange(len(t)), 3)
+    points = _far_points(q[t[f]], n[f], m[owner], far[owner])
+    return (np.concatenate((nm.owner, owner)), np.concatenate((nm.nbr, triples)),
+            np.concatenate((q[nm.simplex], points)))
 
 
-def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
-                    eps: float) -> PolyStack:
-    """Interior-point cells: the wall toward neighbor j collects the candidate
-    vertices of every tetrahedron on edge (i, j), in star order, sorted by
-    angle around their centroid in the plane normal to the edge (the
-    centroid lies inside the convex wall, unlike the edge midpoint, so
-    angular order is boundary order), with near duplicates removed
-    (`_dedup_loops`) and oriented toward j; walls under three vertices are
-    left out. All walls of all cells in one pass."""
-    if not len(cells):
-        return PolyStack.empty()
-    rows = np.flatnonzero(np.isin(nm.owner, cells))
-    # one row per (owner, neighbor, tetrahedron), by owner, neighbor, star order
-    owner = np.repeat(nm.owner[rows], 3)
-    other = nm.nbr[rows].ravel()
-    tets = nm.simplex[rows]
-    row = np.repeat(np.arange(len(rows)), 3)
-    order = np.lexsort((row, other, owner))
-    owner, other, tet = owner[order], other[order], tets[row[order]]
-    new = np.ones(len(owner), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (other[1:] != other[:-1])
+def _cell_walls(owner: np.ndarray, triples: np.ndarray, points: np.ndarray, pts: np.ndarray,
+                m: np.ndarray, eps: float) -> PolyStack:
+    """Every cell's walls from star rows (row k: point owner[k], corners
+    triples[k], vertex points[k]). The wall of i toward j collects the
+    vertices of every row of i whose triple holds j, in row order, sorted by
+    angle around their centroid in the plane normal to the axis p_j - p_i
+    (the centroid lies inside the convex wall, so angular order is boundary
+    order), with near duplicates removed (`_dedup_loops`) and oriented along
+    the axis; walls under three vertices are left out. The GHOST wall of a
+    hull point i, its far points, takes the axis m[i] and the tag -1. All
+    walls of all cells in one pass."""
+    # one entry per (owner, neighbor, row), by owner, neighbor, row order
+    own = np.repeat(owner, 3)
+    other = triples.ravel()
+    order = np.argsort(own * (len(pts) + 1) + other + 1, kind="stable")
+    own, other, row = own[order], other[order], order // 3
+    new = np.ones(len(own), dtype=bool)
+    new[1:] = (own[1:] != own[:-1]) | (other[1:] != other[:-1])
     group = np.cumsum(new) - 1
-    gi, gj = owner[new], other[new]
-    axis = pts[gj] - pts[gi]
-    p = q[tet]
+    gi, gj = own[new], other[new]
+    axis = np.where((gj == GHOST)[:, None], m[gi], pts[gj] - pts[gi])
+    p = points[row]
     loops = p[_angular_order(p, group, axis)]
     keep = _dedup_loops(loops, np.flatnonzero(new), eps)
     keep &= (np.bincount(group[keep], minlength=len(gi)) >= 3)[group]
@@ -477,56 +446,77 @@ def _interior_cells(cells: np.ndarray, nm: NeighborMap, q: np.ndarray, pts,
 
 def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
     """Clip the cells with a vertex beyond a domain plane (`domain_planes`,
-    by more than eps relative to its normal) by each such plane in turn: one
-    `clip_stack` pass per plane over the whole stack, the rows of the cells
-    that do not cross it at -inf."""
+    by more than eps relative to its normal) to the domain: those cells are
+    taken out once, clipped by each plane in turn in one `clip_stack` pass
+    (the rows of the cells that do not cross that plane at -inf) and put
+    back among the others, which keep their rows."""
     ncell = int(stack.cells.max(initial=-1)) + 1
+    rows = stack.row_cells()
+    beyond = np.zeros(len(rows), dtype=bool)
     for n, c in zip(*planes):
-        rows = stack.row_cells()
-        d = stack.verts @ n - c
+        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
+    cut = (np.bincount(rows[beyond], minlength=ncell) > 0)[stack.cells]
+    part = stack.take(np.flatnonzero(cut))
+    for n, c in zip(*planes):
+        rows = part.row_cells()
+        d = part.verts @ n - c
         crossing = np.bincount(rows[d > eps * np.linalg.norm(n)], minlength=ncell) > 0
         if crossing.any():
             d[~crossing[rows]] = -np.inf
-            stack = clip_stack(stack, d, np.tile(n, (ncell, 1)), [None] * ncell, eps)
-    return stack
+            part = clip_stack(part, d, np.tile(n, (ncell, 1)), [None] * ncell, eps)
+    return concat_stacks([stack.take(np.flatnonzero(~cut)), part])
 
 
-def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
-                   domain: PolyStack | None = None) -> ControlVolumeMesh:
-    """3D analog of build_volumes2: the face toward neighbor j collects the
-    candidate vertices of every tetrahedron on edge (i, j), ordered around the
-    edge; hull cells are cut from the domain by power bisectors. The checks
-    run once over the whole `PolyStack`, raising for the first failing cell,
-    and the mesh keeps that stack as its cells."""
-    pts = tet.points if pts is None else pts
+def _build(tri, nm: NeighborMap, pts, radii, domain) -> ControlVolumeMesh:
+    """The cells of `build_volumes2` and `build_volumes3`, then their checks
+    over the whole stack: convexity (2D) or planarity and convexity (3D),
+    then that every candidate vertex inside the domain is covered."""
+    pts = tri.points if pts is None else pts
     r = np.asarray(radii, dtype=float)
-    systems = simplex_systems(tet)
-    q = systems.vertices(r)
-    domain = domain if domain is not None else bounding_domain3(pts)
+    q = simplex_systems(tri).vertices(r)
+    if domain is None:
+        domain = bounding_domain2(pts) if tri.dim == 2 else bounding_domain3(pts)
     dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
     match_eps = 1e-9 * scale
     planes = domain_planes(domain)
-
-    hull = np.flatnonzero(nm.on_hull)
-    interior = np.flatnonzero(~nm.on_hull)
-    i, j = nm.pairs()
-    owner, nbr = np.divmod(np.unique(i * len(pts) + j), len(pts))   # each point's neighbors, sorted
-    hull_pairs = nm.on_hull[owner]
-    stack = concat_stacks([
-        _hull_cells(hull, pts, r, domain, eps,
-                    *_neighbor_table(owner[hull_pairs], nbr[hull_pairs], len(pts))),
-        _clip_to_domain(_interior_cells(interior, nm, q, pts, eps), planes, eps),
-    ])
-    _check_cells3(stack, face_planes(stack), scale)
+    m, far = _far_planes(pts, nm, q, dv, scale)
+    if tri.dim == 2:
+        # every ring that a domain line cuts, in one pass per line
+        stack = merge_rings(_rings(pts, nm, q, m, far), eps)
+        for n, c in zip(*planes):
+            d = stack.verts @ n - c
+            if np.any(d > eps):
+                stack = clip_rings(stack, d, [None] * len(pts), eps)
+        _check_convex2(stack)
+        row_starts = stack.starts
+    else:
+        walls = _cell_walls(*_star_rows(tri, nm, pts, q, m, far), pts, m, eps)
+        stack = _clip_to_domain(walls, planes, eps)
+        _check_cells3(stack, face_planes(stack), scale)
+        row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
     cand, cand_starts = _candidates(nm)
-    row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
     ids, covered = _match_rows(stack.verts, row_starts, q, cand, cand_starts, match_eps)
-    stack = replace(stack, simplices=ids)
     _check_orphans(q, cand[covered], planes, eps_inside=match_eps)
-    return ControlVolumeMesh(dim=3, points=pts, radii=r, cells=stack, domain=domain,
-                             simplices=tet.tetrahedra, simplex_vertices=q)
+    return ControlVolumeMesh(dim=tri.dim, points=pts, radii=r, cells=replace(stack, simplices=ids),
+                             domain=domain, simplices=tri.simplices, simplex_vertices=q)
+
+
+def build_volumes2(tri: Triangulation2, nm: NeighborMap, pts=None, radii=None,
+                   domain: RingStack | None = None) -> ControlVolumeMesh:
+    """One convex cell per point: the radical centers of its triangles in
+    ring order (`_rings`), near-coincident ones merged (`merge_rings`),
+    clipped to the domain; all cells in one `RingStack`, the mesh's cells."""
+    return _build(tri, nm, pts, radii, domain)
+
+
+def build_volumes3(tet: Triangulation3, nm: NeighborMap, pts=None, radii=None,
+                   domain: PolyStack | None = None) -> ControlVolumeMesh:
+    """3D analog of build_volumes2: the face toward neighbor j collects the
+    radical centers of the tetrahedra on edge (i, j) (`_cell_walls`); all
+    cells in one `PolyStack`, the mesh's cells."""
+    return _build(tet, nm, pts, radii, domain)
 
 
 @dataclass

@@ -8,7 +8,10 @@ hand-rolled Gaussian elimination, one-face, one-vertex-at-a-time loops
 for the 3D cell clipping, face-loop ordering, containment, volume, simplex
 matching and perpendicularity that cvmesh computes as array code over whole
 cells, the one-cell-at-a-time 2D cell assembly and perpendicularity loop
-that cvmesh runs over one stack of rings, the one-candidate-at-a-time
+that cvmesh runs over one stack of rings, the star and ghost rows of a 3D
+cell one facet at a time, the power-bisector clip of the domain that built
+hull cells before they closed through ghost simplices
+(`bisector_cell2`, `bisector_cell3`), the one-candidate-at-a-time
 rejection loop that cvmesh's point
 generator runs in blocks over a background grid, the artifact writers with
 one Python call per number, and the point-, facet- and pair-at-a-time loops
@@ -500,13 +503,30 @@ def halfplanes(verts):
     return out
 
 
-def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, domain_tags):
-    """One 2D cell per point, one cell and one clip at a time: interior cells
-    are the candidate vertices q of their ring triangles (reversed with the
-    tags when clockwise, near duplicates merged by `merge_ring_loop`) clipped
-    by each domain line some vertex crosses; hull cells are the domain
-    clipped by the power bisector toward each ring neighbor in ring order,
-    taken relative to the point. Returns per point (verts, tags, simplex ids) or
+def far_line(pts, i: int, q, tids, corners, scale: float):
+    """The far line (plane) m . x = L of hull point i, one value at a time:
+    m the unit vector from the points' mean to p_i, L one domain scale
+    beyond every domain corner and every radical center q[t] of i's
+    simplices tids."""
+    m = pts[i] - pts.mean(axis=0)
+    m = m / np.sqrt(float(m @ m))
+    return m, max([float(m @ c) for c in corners] + [float(m @ q[t]) for t in tids]) + scale
+
+
+def far_point(qt, n, m, far: float):
+    """Where the ray qt + s n (s > 0) meets the far line (plane) m . x = far."""
+    s = (far - float(m @ qt)) / float(m @ n)
+    return qt + s * n
+
+
+def build_cells2_loop(pts, q, rings, closed, ring_simplices, domain_verts):
+    """One 2D cell per point, one cell and one clip at a time: each cell is
+    the candidate vertices q of its ring triangles, a hull point's fan
+    u_0 .. u_m closed by the far points of the power rays through its hull
+    edges (i, u_0) and (i, u_m) (`far_line`, `far_point`) with a ghost edge
+    (None) between them; reversed with the tags when clockwise, near
+    duplicates merged by `merge_ring_loop`, then clipped by each domain line
+    some vertex crosses. Returns per point (verts, tags, simplex ids) or
     None, tags and ids None where cvmesh has None; raises CellError for the
     first reflex cell, then the first unmatched candidate vertex inside."""
     dverts = np.asarray(domain_verts, dtype=float)
@@ -517,24 +537,23 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
     cells, matched = [], set()
     for i in range(len(pts)):
         ring, tids = rings[i], ring_simplices[i]
+        m = len(ring)
         if closed[i]:
-            m = len(ring)
             poly = (q[tids].copy(), [int(ring[(k + 1) % m]) for k in range(len(tids))])
-            if polygon_area(poly[0]) < 0.0:
-                k = len(poly[0])
-                poly = (poly[0][::-1].copy(), [poly[1][(k - 2 - j) % k] for j in range(k)])
-            poly = merge_ring_loop(*poly, eps)
-            for n, c in planes:
-                if poly is not None and np.any(poly[0] @ n - c > eps):
-                    poly = clip_polygon_loop(*poly, n, c, None, eps)
         else:
-            poly = (dverts.copy(), list(domain_tags))
-            for u in ring:
-                if poly is None:
-                    break
-                e, rj = pts[int(u)] - pts[i], r[int(u)]
-                c = float(e @ e) + r[i] * r[i] - rj * rj
-                poly = clip_polygon_loop(*poly, 2.0 * e, c, int(u), eps, origin=pts[i])
+            mi, far = far_line(pts, i, q, tids, dverts, scale)
+            ends = []
+            for u, t, turn in ((ring[0], tids[0], 1.0), (ring[-1], tids[-1], -1.0)):
+                e = pts[int(u)] - pts[i]
+                ends.append(far_point(q[t], turn * np.array([e[1], -e[0]]), mi, far))
+            poly = (np.vstack([ends[0], q[tids], ends[1]]), [int(u) for u in ring] + [None])
+        if polygon_area(poly[0]) < 0.0:
+            k = len(poly[0])
+            poly = (poly[0][::-1].copy(), [poly[1][(k - 2 - j) % k] for j in range(k)])
+        poly = merge_ring_loop(*poly, eps)
+        for n, c in planes:
+            if poly is not None and np.any(poly[0] @ n - c > eps):
+                poly = clip_polygon_loop(*poly, n, c, None, eps)
         if poly is None:
             cells.append(None)
             continue
@@ -559,6 +578,39 @@ def build_cells2_loop(pts, r, q, rings, closed, ring_simplices, domain_verts, do
                                     for n, c in planes):
             raise CellError("OrphanVertex", t)
     return cells
+
+
+def bisector_cell2(pts, r, i: int, neighbors, domain_verts, eps: float):
+    """The power cell of point i as cvmesh built hull cells before it closed
+    them through ghost triangles: the domain polygon clipped by the power
+    bisector toward each neighbor j in the given order, new edges tagged j,
+    worked in the frame of p_i (the domain moved by -p_i, the bisector
+    2 e . x <= |e|^2 + r_i^2 - r_j^2 with e = p_j - p_i), so a cloud far
+    from the origin keeps its digits. Returns (verts, tags) or None."""
+    origin = pts[i]
+    poly = (np.asarray(domain_verts, dtype=float) - origin, [None] * len(domain_verts))
+    for j in neighbors:
+        e = pts[int(j)] - origin
+        poly = clip_polygon_loop(*poly, 2.0 * e, float(e @ e) + r[i] * r[i] - r[j] * r[j],
+                                 int(j), eps)
+        if poly is None:
+            return None
+    return poly[0] + origin, poly[1]
+
+
+def bisector_cell3(pts, r, i: int, neighbors, domain_faces, eps: float):
+    """The 3D `bisector_cell2`: the domain polyhedron's (loop, tag) faces
+    clipped by the power bisector toward each neighbor in the given order,
+    in the frame of p_i. Returns the faces or None."""
+    origin = pts[i]
+    faces = [(v - origin, t) for v, t in domain_faces]
+    for j in neighbors:
+        e = pts[int(j)] - origin
+        faces = clip_polyhedron_loop(faces, 2.0 * e, float(e @ e) + r[i] * r[i] - r[j] * r[j],
+                                     int(j), eps)
+        if faces is None:
+            return None
+    return [(v + origin, t) for v, t in faces]
 
 
 # ---------------------------------------------------------------------------
@@ -1116,10 +1168,11 @@ def cap_face(points, n, eps):
     return loop
 
 
-def face_loop_around_edge(i: int, j: int, q, tet_ids, pts, eps: float):
+def face_loop_around_edge(i: int, j: int, q, tet_ids, pts, eps: float, axis=None):
     """Order the candidate vertices of all tetrahedra on edge (i, j) cyclically
-    in the plane perpendicular to the edge; returns (loop, simplex ids)."""
-    axis = pts[j] - pts[i]
+    in the plane perpendicular to the edge (or to `axis` when given); returns
+    (loop, simplex ids)."""
+    axis = pts[j] - pts[i] if axis is None else np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(axis, seed)
@@ -1145,6 +1198,49 @@ def face_loop_around_edge(i: int, j: int, q, tet_ids, pts, eps: float):
     if len(keep_v) < 3:
         return None, None
     return np.asarray(keep_v), keep_i
+
+
+def ghost_rows_loop(tets, adjacency, pts, q, far_lines):
+    """The star rows of the ghost tetrahedra, one hull facet (adjacency -1)
+    and one corner at a time: per hull point i, a list of (the facet's other
+    two corners, the far point where the power ray from the radical center
+    of the facet's tetrahedron along its outward normal meets i's far plane
+    far_lines[i] = (m, L))."""
+    rows = {}
+    for t in range(len(tets)):
+        for k in range(4):
+            if adjacency[t][k] != -1:
+                continue
+            facet = [int(v) for c, v in enumerate(tets[t]) if c != k]
+            a = pts[facet[0]]
+            n = np.cross(pts[facet[1]] - a, pts[facet[2]] - a)
+            if float(n @ (pts[int(tets[t][k])] - a)) > 0.0:
+                n = -n
+            for i in facet:
+                others = [v for v in facet if v != i]
+                rows.setdefault(i, []).append((others, far_point(q[t], n, *far_lines[i])))
+    return rows
+
+
+def star_walls_loop(i: int, triples, points, pts, m, eps: float):
+    """The walls of point i from its star rows (the row's three corners,
+    GHOST = -1 for a ghost row's third, and its vertex), one neighbor at a
+    time in ascending order: the vertices of the rows that hold j ordered by
+    `face_loop_around_edge` around p_j - p_i (around m for GHOST), oriented
+    along that axis, tagged j (None for GHOST); walls under three vertices
+    left out. Returns (loop, tag) faces."""
+    points = np.asarray(points, dtype=float)
+    faces = []
+    for j in sorted({int(x) for tr in triples for x in tr}):
+        rows = [k for k, tr in enumerate(triples) if j in [int(x) for x in tr]]
+        axis = m if j < 0 else pts[j] - pts[i]
+        loop, _ = face_loop_around_edge(i, j, points, rows, pts, eps, axis=axis)
+        if loop is None:
+            continue
+        if float(np.dot(newell_normal(loop), axis)) < 0.0:
+            loop = loop[::-1]
+        faces.append((loop, None if j < 0 else j))
+    return faces
 
 
 def dedup_vertices(verts, tol):

@@ -133,6 +133,15 @@ def test_unknown_mode_rejected(tmp_path):
     assert main(["run", "--mode", "exact-intersection", "--n", "2"]) == 4
 
 
+def test_unknown_format_rejected(tmp_path, capsys):
+    """`--format jsn` exits 4 naming the format and writes nothing; it used
+    to exit 0 without a mesh."""
+    out = tmp_path / "out"
+    assert main(["run", "--n", "30", "--equal-radii", "--format", "jsn", "--out", str(out)]) == 4
+    assert "unknown formats: ['jsn']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_3d_run_and_gen_from_flags(tmp_path):
     """`--dim 3` without a config file takes the 3D unit box (it used to
     keep the 2D default box and exit 4), and `export` of the run's mesh.json

@@ -18,7 +18,14 @@ from cvmesh.clipping import (
     merge_rings,
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
-from cvmesh.mesh import _initial_rings, _interior_cells, bounding_domain2, build_volumes3
+from cvmesh.mesh import (
+    _cell_walls,
+    _far_planes,
+    _rings,
+    _star_rows,
+    bounding_domain2,
+    build_volumes3,
+)
 from cvmesh.solver import simplex_systems, solve_radii
 
 from conftest import faces_of, polyhedra_stack, ring_of, rings_stack, uniform_points
@@ -28,8 +35,11 @@ from oracles import (
     clip_polyhedron_loop,
     dedup_loop,
     face_loop_around_edge,
+    far_line,
+    ghost_rows_loop,
     merge_ring_loop,
     newell_normal,
+    star_walls_loop,
 )
 
 EPS = 1e-10
@@ -243,7 +253,9 @@ def test_interior_walls_match_loop_reference(n, seed):
     eps = 1e-10 * scale
     interior = np.flatnonzero(~nm.on_hull)
     assert len(interior)
-    stack = _interior_cells(interior, nm, q, pts, eps)
+    rows = np.isin(nm.owner, interior)
+    stack = _cell_walls(nm.owner[rows], nm.nbr[rows], q[nm.simplex[rows]], pts,
+                        np.zeros_like(pts), eps)
     ref = neighbor_lists(tet)
     for i in interior.tolist():
         want = []
@@ -260,25 +272,37 @@ def test_interior_walls_match_loop_reference(n, seed):
 
 @pytest.mark.parametrize("n, seed", [(30, 1), (60, 2), (60, 3)])
 def test_hull_cells_match_loop_reference(n, seed):
-    """Each hull cell is the domain clipped by the power bisector toward each
-    neighbor in ascending id order, stopping when nothing is left: faces,
-    order, tags and loops as the loop reference gives them."""
+    """Each hull cell, one at a time: its walls from its star rows and the
+    ghost rows of its hull facets (far points from `far_line`), one
+    neighbor at a time, then clipped by each domain plane a vertex lies
+    beyond; faces, order, tags and loops as the batched walls
+    (`_star_rows`, `_cell_walls`) and the build give them."""
     pts = uniform_points(3, n, seed)
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
     r = np.full(len(pts), 0.05)
+    q = simplex_systems(tet).vertices(r)
     mesh = build_volumes3(tet, nm, pts, r)
-    eps = 1e-10 * mesh.scale()
+    scale = mesh.scale()
+    eps = 1e-10 * scale
     ref = neighbor_lists(tet)
-    for i in np.flatnonzero(nm.on_hull).tolist():
-        faces = faces_of(mesh.domain)
-        for j in np.unique(ref.stars[i]).tolist():
-            faces = clip_polyhedron_loop(faces, 2.0 * (pts[j] - pts[i]),
-                                         float(pts[j] @ pts[j] - pts[i] @ pts[i]), j, eps)
-            if faces is None:
-                break
-        got = faces_of(mesh.cells, i)
-        _assert_same(got, faces, mesh.scale())
+    hull = np.flatnonzero(nm.on_hull).tolist()
+    lines = {i: far_line(pts, i, q, ref.star_simplices[i], mesh.domain.verts, scale)
+             for i in hull}
+    ghosts = ghost_rows_loop(tet.tetrahedra, tet.adjacency, pts, q, lines)
+    m, far = _far_planes(pts, nm, q, mesh.domain.verts, scale)
+    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)
+    for i in hull:
+        triples = [list(t) for t in ref.stars[i]] + [o + [-1] for o, _ in ghosts[i]]
+        points = [q[t] for t in ref.star_simplices[i]] + [p for _, p in ghosts[i]]
+        faces = star_walls_loop(i, triples, points, pts, lines[i][0], eps)
+        _assert_same(faces_of(walls, i), faces, scale)
+        for v, _ in faces_of(mesh.domain):
+            n = newell_normal(v)
+            c = float(n @ v[0])
+            if any(np.any(f @ n - c > eps * np.linalg.norm(n)) for f, _ in faces):
+                faces = clip_polyhedron_loop(faces, n, c, None, eps)
+        _assert_same(faces_of(mesh.cells, i), faces, scale)
 
 
 def _random_polygon(rng, k):
@@ -340,7 +364,8 @@ def test_merge_rings_returns_generator_cloud_stack_unchanged(n, seed):
     r = solve_radii(tri, nm, equal_radii=True).radii
     domain = bounding_domain2(pts)
     scale = float(np.linalg.norm(domain.verts.max(axis=0) - domain.verts.min(axis=0)))
-    stack = _initial_rings(nm, simplex_systems(tri).vertices(r), domain)
+    q = simplex_systems(tri).vertices(r)
+    stack = _rings(pts, nm, q, *_far_planes(pts, nm, q, domain.verts, scale))
     assert merge_rings(stack, 1e-10 * scale) is stack
     for c in range(len(stack.starts)):
         poly = ring_of(stack, c)

@@ -65,6 +65,23 @@ def test_runconfig_validation():
     assert cfg.box == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("formats", [("jsn",), ("json", "png"), ("",), tuple("json")])
+def test_runconfig_rejects_unknown_formats(formats, tmp_path):
+    """A format other than json, vtk or svg is an input error naming it, at
+    construction, from a config file and through replace; before, the run
+    skipped it and wrote no mesh."""
+    with pytest.raises(ValueError, match="unknown formats"):
+        RunConfig(formats=formats)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"formats": list(formats)}))
+    with pytest.raises(ValueError, match="unknown formats"):
+        RunConfig.from_file(str(p))
+    with pytest.raises(ValueError, match="unknown formats"):
+        RunConfig().replace(formats=formats)
+    assert RunConfig(formats=("svg", "json", "vtk")).formats == ("svg", "json", "vtk")
+    assert RunConfig(formats=()).formats == ()
+
+
 def test_runconfig_from_file_rejects_unknown_keys(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text('{"n": 12, "sneed": 4}')

@@ -1,6 +1,5 @@
 import copy
 import math
-from fractions import Fraction
 from dataclasses import asdict, replace
 from functools import cache
 
@@ -20,17 +19,17 @@ from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh.mesh import (
     ControlVolumeMesh,
-    _bisectors,
     _candidates,
     _cell_measures,
+    _cell_walls,
     _check_cells3,
     _clip_to_domain,
     _containment_boxes,
-    _hull_cells,
+    _far_planes,
     _inside_pairs,
-    _interior_cells,
     _match_rows,
     _ring_areas,
+    _star_rows,
     _vertex_sets_match_many,
     bounding_domain2,
     bounding_domain3,
@@ -55,6 +54,8 @@ from conftest import (
 )
 from oracles import (
     CellError,
+    bisector_cell2,
+    bisector_cell3,
     build_cells2_loop,
     cell_contains3,
     cell_contains_many3,
@@ -687,8 +688,8 @@ def test_build_volumes2_equals_cell_loop(kind, n, seed):
     domain = bounding_domain2(pts)
     ref = neighbor_lists(tri)
     try:
-        want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
-                                 domain.verts, [None] * 4)
+        want = build_cells2_loop(pts, q, ref.rings, ref.closed, ref.ring_simplices,
+                                 domain.verts)
     except CellError as exc:
         error = {"NonConvexCell": NonConvexCell, "OrphanVertex": OrphanVertex}[exc.kind]
         with pytest.raises(error) as err:
@@ -734,7 +735,7 @@ def test_build_volumes2_clockwise_rings_equal_cell_loop(seed):
     assert_table_equals_lists(nm, replace(ref, rings=rings, ring_simplices=tids))
     q = simplex_systems(tri).vertices(r)
     domain = bounding_domain2(pts)
-    want = build_cells2_loop(pts, r, q, rings, ref.closed, tids, domain.verts, [None] * 4)
+    want = build_cells2_loop(pts, q, rings, ref.closed, tids, domain.verts)
     mesh = build_volumes2(tri, nm, pts, r)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
@@ -749,13 +750,93 @@ def test_build_volumes2_hexagonal_domain_equals_cell_loop(seed):
     domain = hexagonal_domain(pts)
     q = simplex_systems(tri).vertices(r)
     ref = neighbor_lists(tri)
-    want = build_cells2_loop(pts, r, q, ref.rings, ref.closed, ref.ring_simplices,
-                             domain.verts, [None] * 6)
+    want = build_cells2_loop(pts, q, ref.rings, ref.closed, ref.ring_simplices, domain.verts)
     mesh = build_volumes2(tri, nm, pts, r, domain=domain)
     for cell, (v, tags, ids) in zip(cell_records(mesh), want):
         assert cell.verts.tobytes() == v.tobytes()
         assert (cell.edge_neighbors, cell.vertex_simplices) == (tags, ids)
     assert validate_global(mesh).ok
+
+
+def _lattice(dim, k):
+    g = np.linspace(0.0, 1.0, k)
+    return np.stack(np.meshgrid(*[g] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _same_loop(verts, ids, tags, want_verts, want_ids, want_tags, tol) -> bool:
+    """Whether a loop is the wanted one up to the vertex it starts at: the
+    same simplex ids (and edge tags, when given) at every vertex, each
+    vertex within tol."""
+    k = len(verts)
+    if k != len(want_verts):
+        return False
+    for s in range(k):
+        at = (np.arange(k) + s) % k
+        if ([want_ids[a] for a in at] == ids
+                and (tags is None or [want_tags[a] for a in at] == tags)
+                and np.all(np.abs(want_verts[at] - verts) <= tol)):
+            return True
+    return False
+
+
+HULL_CASES = (
+    [("uniform", 2, n, seed) for n in (20, 100, 400) for seed in range(3)]
+    + [("uniform", 3, n, seed) for n in (30, 60) for seed in range(3)] + [("uniform", 3, 200, 0)]
+    + [("lattice", 2, k, 0) for k in (3, 8, 13)] + [("lattice", 3, k, 0) for k in (3, 4, 5)]
+    + [("hexagon", 2, 60, seed) for seed in range(2)]
+    + [("far", 2, 400, 1), ("far", 3, 300, 1)]
+)
+
+
+@pytest.mark.parametrize("kind, dim, n, seed", HULL_CASES)
+def test_hull_cells_equal_bisector_reference(kind, dim, n, seed):
+    """In equal-radii mode every hull cell, closed through its ghost
+    simplices and cut by the domain alone, is the domain cut by the power
+    bisectors toward its neighbors (`bisector_cell2`, `bisector_cell3`):
+    the same walls with the same tags and simplex ids, each vertex within
+    1e-12 of the scale, up to where a loop starts and the order of the
+    faces. Generator clouds, lattices (shared circumcenters), a turned
+    hexagonal domain and a unit box moved to 1e3."""
+    if kind == "lattice":
+        pts = _lattice(dim, n)
+    elif kind == "far":
+        pts = uniform_points(dim, n, seed, box=[1e3] * dim + [1e3 + 1.0] * dim)
+    else:
+        pts = uniform_points(dim, n, seed)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    r = solve_radii(tri, nm, pts, equal_radii=True).radii
+    q = simplex_systems(tri).vertices(r)
+    if dim == 2:
+        domain = hexagonal_domain(pts) if kind == "hexagon" else bounding_domain2(pts)
+        mesh = build_volumes2(tri, nm, pts, r, domain=domain)
+    else:
+        mesh = build_volumes3(tri, nm, pts, r)
+    scale = mesh.scale()
+    eps, tol = 1e-10 * scale, 1e-12 * scale
+    ref = neighbor_lists(tri)
+    cells = cell_records(mesh)
+    for i in np.flatnonzero(nm.on_hull).tolist():
+        nbrs = np.unique(ref.neighbors(i))
+        cell = cells[i]
+        if dim == 2:
+            cand = ref.ring_simplices[i]
+            v, tags = bisector_cell2(pts, r, i, nbrs, mesh.domain.verts, eps)
+            ids = match_simplex_ids(v, q, cand, 1e-9 * scale)
+            assert _same_loop(cell.verts, cell.vertex_simplices, cell.edge_neighbors,
+                              v, ids, tags, tol), i
+            continue
+        cand = ref.star_simplices[i]
+        want = bisector_cell3(pts, r, i, nbrs, faces_of(mesh.domain), eps)
+        got = list(cell.faces)
+        assert sorted(f.neighbor if f.neighbor is not None else -1 for f in got) == \
+            sorted(t if t is not None else -1 for _, t in want), i
+        for v, t in want:
+            ids = match_simplex_ids(v, q, cand, 1e-9 * scale)
+            hit = [k for k, f in enumerate(got) if f.neighbor == t
+                   and _same_loop(f.verts, f.vertex_simplices, None, v, ids, None, tol)]
+            assert hit, (i, t)
+            got.pop(hit[0])
 
 
 def test_ring_areas_equal_polygon_area():
@@ -813,6 +894,24 @@ def test_nonconvex_2d_default_mode_sweep_reports_owner():
     assert failing >= 5
 
 
+def test_reflex_hull_ring_raises_instead_of_clipped_convex():
+    """No repair after the build: in the default mode, generator cloud n=50
+    seed 0 gives hull point 4 a ring with a reflex corner. Cutting the
+    domain by power bisectors, the old hull rule, made that cell convex;
+    closed through its ghost triangles, it raises NonConvexCell naming the
+    point, as an interior cell does."""
+    pts, tri, nm, r = _sweep2("default", 50, 0)
+    assert nm.on_hull[4]
+    with pytest.raises(NonConvexCell) as err:
+        build_volumes2(tri, nm, pts, r)
+    assert err.value.owner == 4
+    domain = bounding_domain2(pts)
+    scale = float(np.linalg.norm(domain.verts.max(axis=0) - domain.verts.min(axis=0)))
+    v, _ = bisector_cell2(pts, r, 4, neighbor_lists(tri).rings[4], domain.verts, 1e-10 * scale)
+    e = np.roll(v, -1, axis=0) - v
+    assert np.all(e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) >= 0.0)
+
+
 def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
     mesh, i = copy.deepcopy(_instance("uni400"))
     mesh.cells.verts[_rows(mesh, i)[0]] += np.array([1e-3, -2e-3])
@@ -858,6 +957,9 @@ def _check_cells3_loop(stack, normals, scale, q, ref, match_eps):
 
 
 def _stack3(n, seed, default):
+    """One 3D case and its cells' walls before the domain clip: the star
+    rows of every point and the ghost rows of every hull point, in one
+    `_cell_walls` pass."""
     pts = uniform_points(3, n, seed)
     tet = tetrahedralize3(pts)
     nm = neighbor_map(tet)
@@ -871,16 +973,9 @@ def _stack3(n, seed, default):
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
     planes = domain_planes(domain)
-    hull = np.flatnonzero(nm.on_hull)
-    interior = _interior_cells(np.flatnonzero(~nm.on_hull), nm, q, pts, eps)
-    ref = neighbor_lists(tet)
-    hood = [np.unique(ref.stars[i]) for i in range(len(pts))]
-    counts = np.array([len(h) for h in hood])
-    table = np.zeros((len(pts), counts[hull].max()), dtype=np.int64)
-    for i in hull.tolist():
-        table[i, :counts[i]] = hood[i]
-    hulls = _hull_cells(hull, pts, r, domain, eps, counts, table)
-    return nm, ref, q, planes, scale, eps, interior, hulls
+    m, far = _far_planes(pts, nm, q, dv, scale)
+    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)
+    return nm, neighbor_lists(tet), q, planes, scale, eps, walls
 
 
 def _same_stack(a, b):
@@ -902,10 +997,9 @@ def test_3d_stack_passes_equal_cell_loops(n, seed, default):
     """The per-plane domain clip, the whole-stack planarity and convexity
     checks and the whole-stack simplex matching against the one-cell loops
     they replaced, in equal-radii and default mode (where cells fail)."""
-    nm, ref, q, planes, scale, eps, interior, hulls = _stack3(n, seed, default)
-    clipped = _clip_to_domain(interior, planes, eps)
-    _same_stack(clipped, _clip_to_domain_loop(interior, planes, eps))
-    stack = concat_stacks([hulls, clipped])
+    nm, ref, q, planes, scale, eps, walls = _stack3(n, seed, default)
+    stack = _clip_to_domain(walls, planes, eps)
+    _same_stack(stack, _clip_to_domain_loop(walls, planes, eps))
     normals = _face_normals(stack.verts, stack.starts, stack.succ)
     want, error = _raised(_check_cells3_loop, stack, normals, scale, q, ref, 1e-9 * scale)
     assert _raised(_check_cells3, stack, face_planes(stack), scale)[1] == error
@@ -920,8 +1014,8 @@ def test_3d_stack_checks_report_first_failing_cell():
     """Break a late cell's planarity and an earlier cell's convexity: the
     earlier cell is reported, as the cell loop reports it; then only the
     planarity break, reported as NonPlanarFace."""
-    nm, ref, q, planes, scale, eps, interior, hulls = _stack3(60, 1, False)
-    stack = concat_stacks([hulls, _clip_to_domain(interior, planes, eps)])
+    nm, ref, q, planes, scale, eps, walls = _stack3(60, 1, False)
+    stack = _clip_to_domain(walls, planes, eps)
     cells = np.unique(stack.cells)
     late, early = int(cells[-3]), int(cells[5])
     ends = np.append(stack.starts, len(stack.verts))
@@ -958,36 +1052,6 @@ def test_total_measure_keeps_each_cell_measure():
     mesh = with_ring(mesh, 0, np.column_stack([np.cos(ang), np.sin(ang)]) * 1e-3 + 0.1, [-1] * 12)
     assert k != 12
     assert mesh.total_measure() == float(sum(c.measure() for c in cell_records(mesh)))
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_bisectors_decide_power_exactly_far_from_origin(dim):
-    """For pairs of a unit box moved to 1e5, n . (x - p_i) - c from
-    `_bisectors` is negative exactly when x has the lower power toward i,
-    |x - p_i|^2 - r_i^2 < |x - p_j|^2 - r_j^2 in exact arithmetic: at random
-    points of the box and at points 1e-9 to either side of each bisector,
-    which the absolute form |p_j|^2 - |p_i|^2 + r_i^2 - r_j^2 cannot place."""
-    rng = np.random.default_rng(11)
-    m = 100
-    pts = 1e5 + rng.random((2 * m, dim))
-    r = 0.2 * rng.random(2 * m)
-    i, j = np.arange(m), np.arange(m, 2 * m)
-    n, c = _bisectors(pts, r, i, j)
-    e = pts[j] - pts[i]
-    ee = np.sum(e * e, axis=1)
-    foot = pts[i] + (c / (2.0 * ee))[:, None] * e
-    side = rng.normal(size=(m, dim))
-    side -= (np.sum(side * e, axis=1) / ee)[:, None] * e      # along the bisector
-    unit = e / np.sqrt(ee)[:, None]
-    xs = [1e5 + rng.random((m, dim))]
-    xs += [foot + 0.1 * side + s * 1e-9 * unit for s in (-1.0, 1.0)]
-    for x in xs:
-        d = np.sum((x - pts[i]) * n, axis=1) - c
-        for k in range(m):
-            power = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[k], pts[t]))
-                     - Fraction(r[t]) ** 2 for t in (i[k], j[k])]
-            assert power[0] != power[1]
-            assert (d[k] < 0.0) == (power[0] < power[1])
 
 
 def test_face_planes_keep_small_faces_planar_far_from_origin():
