@@ -912,6 +912,29 @@ def test_reflex_hull_ring_raises_instead_of_clipped_convex():
     assert np.all(e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) >= 0.0)
 
 
+# Of the default-mode and exact-mode sweeps (clamped bounds; 2D n=20, 50, 100
+# and 400 and 3D n=30 and 60 with seeds 0-9, 3D n=200 with seeds 0-2), the
+# cases that built when hull cells were cut from the domain by power
+# bisectors; every other case raised under both rules.
+BUILT_UNDER_BISECTORS = (
+    [("radical-center", 2, 20, s) for s in (3, 6, 8)] + [("radical-center", 3, 30, 6)]
+    + [("exact-intersection", 2, 20, s) for s in (1, 3, 5, 8)]
+    + [("exact-intersection", 2, 50, s) for s in (3, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("mode, dim, n, seed", BUILT_UNDER_BISECTORS)
+def test_sweep_cases_that_built_under_bisectors_still_build(mode, dim, n, seed):
+    """Closing hull cells through their ghost simplices fails no case that
+    the bisector rule built: each gives a valid mesh."""
+    pts = uniform_points(dim, n, seed)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    r = solve_radii(tri, nm, pts, mode=VolumeMode(mode), seed=seed, bounds_policy="clamp").radii
+    mesh = (build_volumes2 if dim == 2 else build_volumes3)(tri, nm, pts, r)
+    assert validate_global(mesh).ok and validate_perpendicularity(mesh).ok
+
+
 def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
     mesh, i = copy.deepcopy(_instance("uni400"))
     mesh.cells.verts[_rows(mesh, i)[0]] += np.array([1e-3, -2e-3])
