@@ -468,19 +468,48 @@ def radii_doc(solve_result, dimension: int) -> dict:
     }
 
 
-def _pool_vertices(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pool the (V, dim) vertex rows: (coords, ids).
+@dataclass(frozen=True)
+class PooledVertices:
+    """Vertex rows pooled and formatted once for every mesh writer.
 
     coords holds the distinct vertices in order of first appearance, ids the
-    index into coords of every row in turn. Two vertices are one when their
-    float64 bytes are: for finite doubles that is when their ".17g" texts are
-    (so -0.0 and 0.0 stay apart), and every NaN is mapped to one NaN first,
-    as all share the text "nan"."""
-    key = np.where(np.isnan(verts), np.nan, verts)
-    key = key.view(np.dtype((np.void, key.itemsize * verts.shape[1]))).ravel()
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return verts[first[order]], np.argsort(order)[inverse.ravel()]
+    index into coords of every row in turn, and text the "%.17g" text of
+    every coordinate of coords in row-major order. Two vertices are one when
+    their float64 bytes are: for finite doubles that is when their ".17g"
+    texts are (so -0.0 and 0.0 stay apart), and every NaN is mapped to one
+    NaN first, as all share the text "nan"."""
+
+    coords: np.ndarray          # (P, dim)
+    ids: np.ndarray             # (V,)
+    text: list[str]             # (P * dim,)
+
+    @classmethod
+    def of(cls, verts: np.ndarray) -> "PooledVertices":
+        key = np.where(np.isnan(verts), np.nan, verts)
+        key = key.view(np.dtype((np.void, key.itemsize * verts.shape[1]))).ravel()
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        coords = verts[first[order]]
+        flat = coords.ravel().tolist()
+        return cls(coords, np.argsort(order)[inverse.ravel()],
+                   ("%.17g\n" * len(flat) % tuple(flat)).split("\n")[:-1])
+
+    def json(self) -> RawJson:
+        """The coords as JSON lists, the bytes of `dumps_json(coords)`: a
+        non-finite coordinate prints as null."""
+        text = self.text
+        bad = np.flatnonzero(~np.isfinite(self.coords.ravel())).tolist()
+        if bad:
+            text = list(text)
+            for k in bad:
+                text[k] = "null"
+        row = "[" + ", ".join(["%s"] * self.coords.shape[1]) + "]"
+        return RawJson("[" + ", ".join([row] * len(self.coords)) % tuple(text) + "]")
+
+    def vtk_points(self) -> str:
+        """The legacy VTK POINTS section, a 2D row given z = 0."""
+        row = " ".join(["%s"] * self.coords.shape[1]) + (" 0\n" if self.coords.shape[1] == 2 else "\n")
+        return f"POINTS {len(self.coords)} double\n" + (row * len(self.coords)) % tuple(self.text)
 
 
 def _runs(tokens: list[str], lengths: np.ndarray) -> list[str]:
@@ -501,12 +530,12 @@ _FACE3 = ('{\n      "loop": [%s],\n      "neighbor": %s,\n'
           '      "vertex_simplices": [%s]\n    }')
 
 
-def _cells_json(mesh: ControlVolumeMesh) -> tuple[np.ndarray, RawJson]:
-    """The pooled vertices and the JSON text of the "cells" list, as the
-    recursive emitter would print one dict per cell (and face) at indent 2.
-    Cell i's owner is i; it is closed when it has rows (2D) or faces (3D)."""
+def _cells_json(mesh: ControlVolumeMesh, ids: np.ndarray) -> RawJson:
+    """The JSON text of the "cells" list, as the recursive emitter would
+    print one dict per cell (and face) at indent 2, each stack row given
+    its pooled vertex id. Cell i's owner is i; it is closed when it has
+    rows (2D) or faces (3D)."""
     stack = mesh.cells
-    coords, ids = _pool_vertices(stack.verts)
     lens = stack.lengths()
     loops = _runs(list(map(str, ids.tolist())), lens)
     sids = _runs(_ints(stack.simplices), lens)
@@ -519,15 +548,17 @@ def _cells_json(mesh: ControlVolumeMesh) -> tuple[np.ndarray, RawJson]:
         nfaces = np.bincount(stack.cells, minlength=len(mesh.points))
         closed = np.where(nfaces > 0, "true", "false").tolist()
         text = [_CELL3 % row for row in zip(range(len(nfaces)), closed, _runs(faces, nfaces))]
-    return coords, RawJson("[" + ", ".join(text) + "]")
+    return RawJson("[" + ", ".join(text) + "]")
 
 
-def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None) -> dict:
-    """The mesh.json document. Its "cells" entry is the finished JSON text
-    of the cell list (a `RawJson`), laid out for the top level of the
+def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None,
+             pooled: PooledVertices | None = None) -> dict:
+    """The mesh.json document. Its "vertices" and "cells" entries are
+    finished JSON text (`RawJson`), laid out for the top level of the
     document: write it with `write_json`/`dumps_json`, and read a mesh back
-    with `mesh_from_doc` on the parsed file."""
-    coords, cells = _cells_json(mesh)
+    with `mesh_from_doc` on the parsed file. pooled, when given, is
+    `PooledVertices.of(mesh.cells.verts)`."""
+    pooled = pooled or PooledVertices.of(mesh.cells.verts)
     d = mesh.domain
     domain = ({"vertices": d.verts} if mesh.dim == 2
               else {"faces": np.split(d.verts, d.starts[1:])})
@@ -539,8 +570,8 @@ def mesh_doc(mesh: ControlVolumeMesh, validation: dict | None = None) -> dict:
         "points": mesh.points,
         "radii": mesh.radii,
         "domain": domain,
-        "vertices": coords,
-        "cells": cells,
+        "vertices": pooled.json(),
+        "cells": _cells_json(mesh, pooled.ids),
         "simplices": mesh.simplices,
         "simplex_vertices": mesh.simplex_vertices,
         "validation": validation,
@@ -655,38 +686,39 @@ def _text_lines(spec: str, values: np.ndarray, counts, head: str = "", tail: str
     return template[:len(template) - len(head)] % tuple(np.ravel(values).tolist())
 
 
-def _vtk_points(coords: np.ndarray, row: str) -> str:
-    return f"POINTS {len(coords)} double\n" + (row * len(coords)) % tuple(coords.ravel().tolist())
-
-
-def vtk_polydata(mesh: ControlVolumeMesh) -> str:
-    """One polygon per ring that is not empty."""
+def vtk_polydata(mesh: ControlVolumeMesh, pooled: PooledVertices | None = None) -> str:
+    """One polygon per ring that is not empty. pooled, when given, is
+    `PooledVertices.of(mesh.cells.verts)`; it serves when every ring with
+    rows is one of them."""
     rings = mesh.cells
     full = ~mesh.empty_cells()
-    coords, ids = _pool_vertices(rings.verts[full[rings.row_rings()]])
+    keep = full[rings.row_rings()]
+    if pooled is None or not keep.all():
+        pooled = PooledVertices.of(rings.verts[keep])
     k = rings.lengths()[full]
-    stream = np.insert(ids, np.cumsum(k) - k, k)
+    stream = np.insert(pooled.ids, np.cumsum(k) - k, k)
     return (_vtk_header("cvmesh control volumes", "POLYDATA")
-            + _vtk_points(coords, "%.17g %.17g 0\n")
+            + pooled.vtk_points()
             + f"POLYGONS {len(k)} {len(stream)}\n"
             + _text_lines("%d", stream, k + 1))
 
 
-def vtk_unstructured(mesh: ControlVolumeMesh) -> str:
-    """One polyhedron (VTK type 42) per cell with faces."""
+def vtk_unstructured(mesh: ControlVolumeMesh, pooled: PooledVertices | None = None) -> str:
+    """One polyhedron (VTK type 42) per cell with faces. pooled, when given,
+    is `PooledVertices.of(mesh.cells.verts)`."""
     stack = mesh.cells
-    coords, ids = _pool_vertices(stack.verts)
+    pooled = pooled or PooledVertices.of(stack.verts)
     k = stack.lengths()
     nfaces = np.bincount(stack.cells)
     nfaces = nfaces[nfaces > 0]
     first = np.cumsum(nfaces) - nfaces                 # each cell's first face
     size = np.add.reduceat(k + 1, first) + 1           # record length after its prefix
     # each face as (k, ids...), then (size, face count) before each cell's faces
-    faces = np.insert(ids, np.cumsum(k) - k, k)
+    faces = np.insert(pooled.ids, np.cumsum(k) - k, k)
     start = (np.cumsum(k + 1) - (k + 1))[first]
     stream = np.insert(faces, np.repeat(start, 2), np.column_stack([size, nfaces]).ravel())
     return (_vtk_header("cvmesh control volumes", "UNSTRUCTURED_GRID")
-            + _vtk_points(coords, "%.17g %.17g %.17g\n")
+            + pooled.vtk_points()
             + f"CELLS {len(nfaces)} {len(stream)}\n"
             + _text_lines("%d", stream, size + 1)
             + f"CELL_TYPES {len(nfaces)}\n"
@@ -694,14 +726,16 @@ def vtk_unstructured(mesh: ControlVolumeMesh) -> str:
 
 
 def export_mesh(mesh: ControlVolumeMesh, path: str, fmt: str = "json",
-                validation: dict | None = None):
-    """Write the mesh as canonical JSON or legacy ASCII VTK."""
+                validation: dict | None = None, pooled: PooledVertices | None = None):
+    """Write the mesh as canonical JSON or legacy ASCII VTK. pooled, when
+    given, is `PooledVertices.of(mesh.cells.verts)`: one pool serves the
+    writers of every format of one mesh."""
     if mesh.empty_cells().all():
         raise IoFailure("refusing to export an empty mesh")
     if fmt == "json":
-        write_json(mesh_doc(mesh, validation), path)
+        write_json(mesh_doc(mesh, validation, pooled), path)
     elif fmt == "vtk":
-        body = vtk_polydata(mesh) if mesh.dim == 2 else vtk_unstructured(mesh)
+        body = (vtk_polydata if mesh.dim == 2 else vtk_unstructured)(mesh, pooled)
         try:
             with open(path, "w") as fh:
                 fh.write(body)

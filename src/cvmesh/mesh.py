@@ -657,15 +657,24 @@ def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
     rcell = faces.row_cells()
     finite = np.all(np.isfinite(faces.verts), axis=1)
     snapped = np.floor(np.where(finite[:, None], faces.verts, 0.0) / grid).astype(np.int64)
-    _, vid = np.unique(np.column_stack((rcell, snapped)), axis=0, return_inverse=True)
-    a = vid.ravel()
+    # vertex ids in the lexicographic order of (cell, snapped x, y, z)
+    keys = np.column_stack((rcell, snapped))
+    by_key = np.lexsort(keys.T[::-1])
+    new = np.ones(len(keys), dtype=bool)
+    np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1, out=new[1:])
+    a = np.empty(len(keys), dtype=np.int64)
+    a[by_key] = np.cumsum(new) - 1
     b = a[faces.succ]
     nv = int(a.max(initial=0)) + 1
     fwd = a * nv + b
-    srt = np.sort(fwd)
+    by_edge = np.argsort(fwd)
+    srt = fwd[by_edge]
+    twice = by_edge[np.flatnonzero(srt[1:] == srt[:-1])[:, None] + [0, 1]]
     once = np.ones(len(fwd), dtype=bool)
-    once[np.isin(fwd, srt[1:][srt[1:] == srt[:-1]])] = False
-    ok = once & finite & (a != b) & np.isin(b * nv + a, srt)
+    once[twice.ravel()] = False
+    rev = b * nv + a
+    has_rev = srt[np.minimum(srt.searchsorted(rev), len(srt) - 1)] == rev
+    ok = once & finite & (a != b) & has_rev
     return np.bincount(rcell[~ok], minlength=n) == 0
 
 

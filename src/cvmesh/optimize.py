@@ -256,6 +256,24 @@ def _gram_schmidt_rotation(dirs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_cdf(lam: int) -> np.ndarray:
+    """Cumulative linear rank weights lam, lam - 1, ..., 1, normalised: rank
+    k of a generation is drawn as a parent with probability (lam - k) / sum.
+    `searchsorted(rng.random(mu), side="right")` on it draws mu ranks exactly
+    as `rng.choice(lam, size=mu, p=weights)` does, from the same stream."""
+    rank_w = np.arange(lam, 0, -1, dtype=float)
+    rank_w /= rank_w.sum()
+    cdf = rank_w.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _clamp(x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """np.clip(x, lo, hi, out=x), bit for bit, without its dispatch cost."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
+
+
 def soft_selection_minimize(
     f,
     bounds,
@@ -294,7 +312,7 @@ def soft_selection_minimize(
         x0 = np.asarray(x0, dtype=float)
         pop = x0 + p.sigma0 * width * rng.standard_normal((p.lam, n))
         pop[0] = x0
-    np.clip(pop, inner_lo, inner_hi, out=pop)
+    _clamp(pop, inner_lo, inner_hi)
 
     sigma = p.sigma0
     best_x = None
@@ -302,9 +320,7 @@ def soft_selection_minimize(
     n_eval = 0
     trace: list[float] = []
 
-    rank_w = np.arange(p.lam, 0, -1, dtype=float)
-    rank_w /= rank_w.sum()
-
+    cdf = _rank_cdf(p.lam)
     for _ in range(p.generations):
         fitness = _values(f, pop, "population")
         n_eval += p.lam
@@ -314,11 +330,10 @@ def soft_selection_minimize(
             best_x = pop[order[0]].copy()
         trace.append(best_f)
 
-        parent_idx = rng.choice(order, size=p.mu, p=rank_w)
-        parents = pop[parent_idx]
+        parents = pop[order[cdf.searchsorted(rng.random(p.mu), side="right")]]
         picks = rng.integers(0, p.mu, size=p.lam)
         pop = parents[picks] + sigma * width * rng.standard_normal((p.lam, n))
-        np.clip(pop, inner_lo, inner_hi, out=pop)
+        _clamp(pop, inner_lo, inner_hi)
         sigma *= p.sigma_decay
 
     if polish is None:

@@ -15,6 +15,7 @@ from .delaunay import neighbor_map, tetrahedralize3, triangulate2
 from .errors import CvMeshError, PipelineError
 from .geometry import as_point_array
 from .io import (
+    PooledVertices,
     RunConfig,
     export_mesh,
     generate_points,
@@ -142,14 +143,13 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     emit("report.json", {"schema": SCHEMA, "kind": "report", **report})
 
     def do_export():
-        if "json" in config.formats:
-            path = os.path.join(config.out_dir, "mesh.json")
-            export_mesh(mesh, path, "json", validation=report)
-            artifacts["mesh.json"] = path
-        if "vtk" in config.formats:
-            path = os.path.join(config.out_dir, "mesh.vtk")
-            export_mesh(mesh, path, "vtk")
-            artifacts["mesh.vtk"] = path
+        wanted = [fmt for fmt in ("json", "vtk") if fmt in config.formats]
+        # one pool of the vertex rows, formatted once, serves both writers
+        pooled = PooledVertices.of(mesh.cells.verts) if wanted else None
+        for fmt in wanted:
+            path = os.path.join(config.out_dir, f"mesh.{fmt}")
+            export_mesh(mesh, path, fmt, validation=report, pooled=pooled)
+            artifacts[f"mesh.{fmt}"] = path
 
     stage("export", do_export)
 
@@ -183,6 +183,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
         "tri_exact_tests": tri.exact_tests,
         "tri_walk_steps": tri.walk_steps,
         "max_simplex_residual": solve.max_simplex_residual,
+        **_residual_spread(solve.powers),
         "perpendicularity_violations": len(perp.violations),
         "overlapping_pairs": n_overlapping,
         "global_ok": glob.ok,
@@ -195,6 +196,16 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     write_json(summary, spath)
     artifacts["summary.json"] = spath
     return PipelineResult(exit_code=exit_code, summary=summary, artifacts=artifacts, mesh=mesh)
+
+
+def _residual_spread(powers: np.ndarray) -> dict:
+    """The median and 99th percentile of |power| over the simplices, and the
+    simplex with the largest (the first of equals; null with no simplex)."""
+    size = np.abs(powers)
+    if not len(size):
+        return {"residual_p50": 0.0, "residual_p99": 0.0, "worst_simplex": None}
+    p50, p99 = np.percentile(size, [50, 99]).tolist()
+    return {"residual_p50": p50, "residual_p99": p99, "worst_simplex": int(np.argmax(size))}
 
 
 def _domain_clipped_cells(mesh) -> int:

@@ -51,12 +51,17 @@ class SolveResult:
     lo: np.ndarray
     hi: np.ndarray
     objective: float
-    max_simplex_residual: float  # largest |power| over the simplices at radii
+    powers: np.ndarray          # (T,) power of each simplex's radical center at radii
     n_eval: int
     converged: bool
     status: str
     clamped_points: list[int] = field(default_factory=list)
     trace: list[float] = field(default_factory=list)   # best objective per ES generation
+
+    @property
+    def max_simplex_residual(self) -> float:
+        """The largest |power| over the simplices, 0 with none."""
+        return float(np.max(np.abs(self.powers))) if len(self.powers) else 0.0
 
 
 def _lower_bounds(nm: NeighborMap, pts: np.ndarray,
@@ -143,17 +148,18 @@ class SimplexSystems:
     Relative to a simplex's first corner p0, with e_k = p_k - p0, the center
     y = x - p0 solves the equal-power rows 2 e_k . y = |e_k|^2 + w_0 - w_k
     in the squared radii w. So it is affine in w: y = (K w_t + c) / den, with
-    w_t the simplex's d+1 squared radii, K (T, d, d+1), c (T, d) and
-    den = det(2E) (T,).
+    w_t the simplex's d+1 squared radii, K stored as (d, d+1, T), c as
+    (d, T) and den = det(2E) (T,).
 
     `vertices`, `powers` and `objective` take radii r of shape (N,) or a
     stack of radius vectors of shape (L, N); every row of a stack gives bit
-    for bit the value that row gives on its own. `jacobian` takes r of
-    shape (N,).
+    for bit the value that row gives on its own. `jacobian` and
+    `powers_and_jacobian` take r of shape (N,).
     """
 
     def __init__(self, pts: np.ndarray, simplices: np.ndarray):
         self.indices = np.asarray(simplices, dtype=np.int64)
+        self._corners = np.ascontiguousarray(self.indices.T)  # (d+1, T)
         p = np.asarray(pts, dtype=float)[self.indices]      # (T, d+1, d)
         self.p0 = p[:, 0]
         e = p[:, 1:] - p[:, :1]                                # (T, d, d)
@@ -161,10 +167,8 @@ class SimplexSystems:
         c = np.einsum("tij,tj->ti", adj, np.einsum("tkj,tkj->tk", e, e))
         # w_0 enters every row with +1 and w_k row k with -1
         k = np.concatenate([adj.sum(axis=2, keepdims=True), -adj], axis=2)
-        # Stored coordinate-major, so each K[:, i] and c[:, i] is one
-        # contiguous block.
-        self.K = np.ascontiguousarray(k.transpose(1, 0, 2)).transpose(1, 0, 2)
-        self.c = np.ascontiguousarray(c.T).T
+        self.K = np.ascontiguousarray(k.transpose(1, 2, 0))
+        self.c = np.ascontiguousarray(c.T)
         dist = [np.sqrt(_rowdot(p[:, u] - p[:, v], p[:, u] - p[:, v]))
                 for u, v in combinations(range(p.shape[1]), 2)]
         self.weights = (sum(dist) / len(dist)) ** -4.0
@@ -172,37 +176,55 @@ class SimplexSystems:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def _offsets(self, w: np.ndarray) -> list[np.ndarray]:
-        """The d coordinates of y = x - p0, (..., T) each, from squared radii."""
-        # A gather from a stack comes back with transposed strides, on which
-        # einsum sums in another order; contiguous rows keep results bit-identical.
-        wt = np.ascontiguousarray(w[..., self.indices])        # (..., T, d+1)
-        return [(np.einsum("tk,...tk->...t", self.K[:, i], wt) + self.c[:, i]) / self.den
-                for i in range(self.K.shape[1])]
+    def _offsets(self, w: np.ndarray) -> np.ndarray:
+        """y = x - p0 of every simplex, (..., d, T), from squared radii w.
+
+        One gather of the corner weights, then one product with K per corner,
+        summed as (t0 + t2) + t1 in 2D and (t0 + t2) + (t1 + t3) in 3D: the
+        same pairing for a single vector and every row of a stack, whatever
+        the stack's memory order."""
+        wt = w[..., None, self._corners]                        # (..., 1, d+1, T)
+        K = self.K
+        y = K[:, 0] * wt[..., 0, :]
+        y += K[:, 2] * wt[..., 2, :]
+        t1 = K[:, 1] * wt[..., 1, :]
+        if K.shape[1] == 4:
+            t1 += K[:, 3] * wt[..., 3, :]
+        y += t1
+        y += self.c
+        y /= self.den
+        return y
+
+    def _powers(self, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        p = y[..., 0, :] * y[..., 0, :]
+        for i in range(1, y.shape[-2]):
+            p += y[..., i, :] * y[..., i, :]
+        return p - w[..., self.indices[:, 0]]
 
     def vertices(self, r: np.ndarray) -> np.ndarray:
-        return self.p0 + np.stack(self._offsets(np.asarray(r) ** 2), axis=-1)
+        return self.p0 + np.swapaxes(self._offsets(np.asarray(r) ** 2), -1, -2)
 
     def powers(self, r: np.ndarray) -> np.ndarray:
         """Power of each radical center with respect to its first sphere."""
         w = np.asarray(r) ** 2
-        y = self._offsets(w)
-        p = y[0] * y[0]
-        for yi in y[1:]:
-            p += yi * yi
-        return p - w[..., self.indices[:, 0]]
+        return self._powers(w, self._offsets(w))
 
     def jacobian(self, r: np.ndarray) -> np.ndarray:
         """Derivatives of `powers` in the squared radii, (T, d+1): row t holds
         dp_t/dw_k for the simplex's corners k = 0..d, which is
-        2 y . K[:, :, k] / den, less 1 for the first corner."""
-        y = self._offsets(np.asarray(r) ** 2)
-        jac = y[0][:, None] * self.K[:, 0]
-        for i, yi in enumerate(y[1:], 1):
-            jac += yi[:, None] * self.K[:, i]
-        jac *= 2.0 / self.den[:, None]
-        jac[:, 0] -= 1.0
-        return jac
+        2 y . K[:, k, t] / den, less 1 for the first corner."""
+        return self.powers_and_jacobian(r)[1]
+
+    def powers_and_jacobian(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`powers` and `jacobian` at r, from one evaluation of the centers."""
+        w = np.asarray(r) ** 2
+        y = self._offsets(w)
+        jac = y[0] * self.K[0]
+        for i in range(1, len(y)):
+            jac += y[i] * self.K[i]
+        jac *= 2.0 / self.den
+        jac[0] -= 1.0
+        return self._powers(w, y), jac.T
 
     def objective(self, r: np.ndarray) -> float | np.ndarray:
         """Weighted sum of squared powers: a float for r of shape (N,), an
@@ -298,7 +320,7 @@ def solve_radii(
         lo=lo,
         hi=hi,
         objective=_weighted_sum(systems.weights, powers),
-        max_simplex_residual=float(np.max(np.abs(powers))) if len(powers) else 0.0,
+        powers=powers,
         n_eval=n_eval,
         converged=converged,
         status=status,
@@ -316,10 +338,10 @@ def _lm_polish(systems: SimplexSystems, bounds, params: OptimizerParams | None):
     rows = np.arange(len(systems))[:, None]
 
     def residuals(w):
-        r = np.sqrt(w)
+        powers, dpdw = systems.powers_and_jacobian(np.sqrt(w))
         jac = np.zeros((len(systems), len(w)))
-        jac[rows, systems.indices] = scale[:, None] * systems.jacobian(r)
-        return scale * systems.powers(r), jac
+        jac[rows, systems.indices] = scale[:, None] * dpdw
+        return scale * powers, jac
 
     def polish(r):
         result = levenberg_marquardt(residuals, r * r, (inner_lo ** 2, inner_hi ** 2), params)

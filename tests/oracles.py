@@ -26,6 +26,19 @@ finishing passes, which both kernels run.
 time before cvmesh evaluated each sweep's remaining trials in one call; it
 imports cvmesh's parameters, bounds check and direction rotation.
 
+`closed_cells_unique` is the face-closure test of cvmesh's containment
+boxes as it numbered vertices with `np.unique(axis=0)` and tested edges with
+`np.isin`, before one lexsort and a search of the sorted edge keys replaced
+both. `einsum_offsets` is the radical-center kernel that summed each
+coordinate's corner terms with its own einsum, before one block product
+over all coordinates replaced it.
+
+`soft_selection_choice` is the evolution strategy as it drew each
+generation's parents with `rng.choice(order, p=rank_w)` and clamped with
+`np.clip`, before a cumulative rank table searched once per draw and two
+in-place bounds replaced both; it imports cvmesh's parameters, result type,
+bounds checks and population test, which both loops share.
+
 `check_face_planarity` and `check_convex3` are the one-cell face-plane
 checks that cvmesh decides for every cell at once. They are the only other
 references that import from cvmesh: they raise its own errors, so the tests
@@ -1305,6 +1318,38 @@ def gauss_solve(a, b):
     return x
 
 
+def closed_cells_unique(faces, n: int, grid: float) -> np.ndarray:
+    """Per cell of a face stack (n cells), whether its face loops close:
+    every directed edge has exactly one reverse in the cell, none repeats and
+    none joins a vertex to itself, vertices being one when they snap to the
+    same cube of side grid; a non-finite vertex fails its cell. Vertices are
+    numbered by np.unique over (cell, snapped coordinates) rows."""
+    rcell = np.repeat(faces.cells, np.diff(np.append(faces.starts, len(faces.verts))))
+    finite = np.all(np.isfinite(faces.verts), axis=1)
+    snapped = np.floor(np.where(finite[:, None], faces.verts, 0.0) / grid).astype(np.int64)
+    _, vid = np.unique(np.column_stack((rcell, snapped)), axis=0, return_inverse=True)
+    a = vid.ravel()
+    b = a[faces.succ]
+    nv = int(a.max(initial=0)) + 1
+    fwd = a * nv + b
+    srt = np.sort(fwd)
+    once = np.ones(len(fwd), dtype=bool)
+    once[np.isin(fwd, srt[1:][srt[1:] == srt[:-1]])] = False
+    ok = once & finite & (a != b) & np.isin(b * nv + a, srt)
+    return np.bincount(rcell[~ok], minlength=n) == 0
+
+
+def einsum_offsets(indices, K, c, den, w):
+    """The d coordinates of each simplex's radical center relative to its
+    first corner, as a (..., T, d) array: coordinate i is
+    (einsum("tk,...tk->...t", K[:, i], w_t) + c[:, i]) / den on contiguous
+    copies of K[:, i] and of the gather w_t of the corner weights, with
+    K (T, d, d+1) and c (T, d) as cvmesh's SimplexSystems derives them."""
+    wt = np.ascontiguousarray(w[..., indices])
+    return np.stack([(np.einsum("tk,...tk->...t", np.ascontiguousarray(K[:, i]), wt) + c[:, i])
+                     / den for i in range(K.shape[1])], axis=-1)
+
+
 def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
     """The GlobalReport fields of cvmesh's validate_global, computed by testing
     every probe and every generator against every cell: the cell records'
@@ -1973,3 +2018,48 @@ def rosenbrock_sequential(f, x0, bounds, params=None):
 
     converged = status in ("step-tol", "f-tol")
     return OptimizeResult(x=x, fun=fx, n_eval=n_eval, converged=converged, status=status)
+
+
+def soft_selection_choice(f, bounds, seed=0, params=None, x0=None, polish=None):
+    """cvmesh's (mu, lambda) evolution strategy drawing each generation's
+    parents by rng.choice(order, size=mu, p=rank_w) and keeping individuals
+    in the interior box by np.clip; the tests compare x, fun, n_eval and
+    trace bit for bit."""
+    from cvmesh.optimize import (OptimizeResult, OptimizerParams, _as_bounds, _values,
+                                 interior_box, rosenbrock_minimize)
+
+    p = params or OptimizerParams()
+    rng = np.random.default_rng(seed)
+    lo, hi = _as_bounds(bounds)
+    n = lo.size
+    width = hi - lo
+    inner_lo, inner_hi = interior_box((lo, hi))
+    if x0 is None:
+        pop = lo + width * rng.random((p.lam, n))
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        pop = x0 + p.sigma0 * width * rng.standard_normal((p.lam, n))
+        pop[0] = x0
+    np.clip(pop, inner_lo, inner_hi, out=pop)
+    sigma = p.sigma0
+    best_x, best_f, n_eval, trace = None, np.inf, 0, []
+    rank_w = np.arange(p.lam, 0, -1, dtype=float)
+    rank_w /= rank_w.sum()
+    for _ in range(p.generations):
+        fitness = _values(f, pop, "population")
+        n_eval += p.lam
+        order = np.argsort(fitness, kind="stable")
+        if fitness[order[0]] < best_f:
+            best_f = float(fitness[order[0]])
+            best_x = pop[order[0]].copy()
+        trace.append(best_f)
+        parents = pop[rng.choice(order, size=p.mu, p=rank_w)]
+        picks = rng.integers(0, p.mu, size=p.lam)
+        pop = parents[picks] + sigma * width * rng.standard_normal((p.lam, n))
+        np.clip(pop, inner_lo, inner_hi, out=pop)
+        sigma *= p.sigma_decay
+    polished = rosenbrock_minimize(f, best_x, (lo, hi), p) if polish is None else polish(best_x)
+    if polished.fun <= best_f:
+        best_x, best_f = polished.x, polished.fun
+    return OptimizeResult(x=best_x, fun=best_f, n_eval=n_eval + polished.n_eval,
+                          converged=True, status="generations", trace=trace)

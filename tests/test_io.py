@@ -16,6 +16,7 @@ from cvmesh.errors import (
     UnsupportedFormat,
 )
 from cvmesh.io import (
+    PooledVertices,
     RunConfig,
     dumps_json,
     export_mesh,
@@ -470,11 +471,13 @@ def test_mesh_bytes_match_reference_on_odd_coordinates(tmp_path):
     mesh3 = _mesh3()
     _odd_coordinates([f.verts for c in cell_records(mesh3) for f in c.faces or []][::3], 3)
     for m in (mesh, mesh3):
-        export_mesh(m, str(tmp_path / "m.json"), "json", validation={"ok": False})
-        export_mesh(m, str(tmp_path / "m.vtk"), "vtk")
-        assert (tmp_path / "m.json").read_text() == oracles.mesh_json(m, {"ok": False})
-        vtk = oracles.vtk_polydata if m.dim == 2 else oracles.vtk_unstructured
-        assert (tmp_path / "m.vtk").read_text() == vtk(m)
+        # each writer pooling for itself, and both sharing one pool
+        for pooled in (None, PooledVertices.of(m.cells.verts)):
+            export_mesh(m, str(tmp_path / "m.json"), "json", validation={"ok": False}, pooled=pooled)
+            export_mesh(m, str(tmp_path / "m.vtk"), "vtk", pooled=pooled)
+            assert (tmp_path / "m.json").read_text() == oracles.mesh_json(m, {"ok": False})
+            vtk = oracles.vtk_polydata if m.dim == 2 else oracles.vtk_unstructured
+            assert (tmp_path / "m.vtk").read_text() == vtk(m)
     assert render_svg(mesh) == oracles.render_svg(mesh, options=SvgOptions())
     doc = json.loads((tmp_path / "m.json").read_text())
     # NaN rows of two bit patterns pool into one vertex, a third row is apart

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cvmesh.clipping import (
+    PolyStack,
     RingStack,
     _face_normals,
     box_polygon,
@@ -17,6 +18,7 @@ from cvmesh.clipping import (
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
+from cvmesh.io import RunConfig, generate_points
 from cvmesh.mesh import (
     ControlVolumeMesh,
     _candidates,
@@ -24,6 +26,7 @@ from cvmesh.mesh import (
     _cell_walls,
     _check_cells3,
     _clip_to_domain,
+    _closed_cells,
     _containment_boxes,
     _far_planes,
     _inside_pairs,
@@ -63,6 +66,7 @@ from oracles import (
     cell_volume3,
     check_convex3,
     check_face_planarity,
+    closed_cells_unique,
     dedup_vertices,
     halfplanes,
     loops_volume,
@@ -411,6 +415,70 @@ def test_validate_global_without_margin_scans_every_point():
     report = validate_global(mesh, probes=500, tol=0.0)
     assert asdict(report) == validate_global_brute_force(mesh, probes=500, tol=0.0)
     assert (0, 4) in report.foreign_points
+
+
+@cache
+def _generator_faces3(n, seed):
+    """The face stack of an equal-radii 3D generator cloud (box border
+    included), and the mesh's scale."""
+    pts = generate_points(RunConfig(dimension=3, n=n, seed=seed))
+    tri = tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    mesh = build_volumes3(tri, nm, pts, solve_radii(tri, nm, pts, equal_radii=True).radii)
+    return mesh.cells, mesh.scale()
+
+
+def _with_loop(stack, f, loop):
+    """The stack with face f's loop replaced by the given rows."""
+    lens = stack.lengths()
+    ends = np.cumsum(lens)
+    verts = np.concatenate([stack.verts[:ends[f] - lens[f]], loop, stack.verts[ends[f]:]])
+    lens[f] = len(loop)
+    return PolyStack.from_loops(verts, np.cumsum(lens) - lens, stack.tags, stack.cells)
+
+
+def _broken(stack, i, fault):
+    """The stack with one fault in a face of cell i: the face dropped,
+    listed twice (every edge repeated), one vertex NaN, or one vertex
+    repeated (an edge from a vertex to itself)."""
+    f = int(np.flatnonzero(stack.cells == i)[1])
+    loop = stack.verts[stack.starts[f]:stack.starts[f] + stack.lengths()[f]]
+    every = np.arange(len(stack.starts))
+    if fault == "dropped face":
+        return stack.take(np.delete(every, f))
+    if fault == "repeated edge":
+        return stack.take(np.insert(every, f, f))
+    if fault == "nan vertex":
+        bad = loop.copy()
+        bad[1, 2] = np.nan
+        return _with_loop(stack, f, bad)
+    return _with_loop(stack, f, np.insert(loop, 1, loop[1], axis=0))
+
+
+@pytest.mark.parametrize("fault", [None, "dropped face", "repeated edge", "nan vertex", "self-loop"])
+@pytest.mark.parametrize("source, grid", [("uniform", 1e-9), ("generator", 1e-9), ("generator", 2e-2)])
+def test_closed_cells_equal_unique_reference(source, grid, fault):
+    """The lexsort numbering and sorted-key search mark the same cells
+    closed as numbering by np.unique(axis=0) and testing edges by np.isin:
+    on clean face stacks of a uniform cloud and of a generator cloud with
+    its box border, at the validation grid (1e-9 of the scale, where every
+    cell closes) and at a coarse one (where short edges collapse and many
+    cells do not), and on stacks with one broken face, whose cell then does
+    not close."""
+    if source == "uniform":
+        mesh = _sweep_mesh(3, 60, 1)[1]
+        stack, scale = mesh.cells, mesh.scale()
+    else:
+        stack, scale = _generator_faces3(200, 1)
+    n = int(stack.cells.max()) + 1
+    closed = closed_cells_unique(stack, n, grid * scale)
+    assert closed.all() == (grid < 1e-3)
+    i = int(np.flatnonzero(closed)[len(closed) // 3 % int(closed.sum())])
+    if fault is not None:
+        stack = _broken(stack, i, fault)
+    got = _closed_cells(stack, n, grid * scale)
+    assert np.array_equal(got, closed_cells_unique(stack, n, grid * scale))
+    assert got[i] == (fault is None)
 
 
 def _cell_stack(faces):

@@ -5,12 +5,13 @@ import cvmesh.optimize
 from cvmesh.optimize import (
     OptimizeResult,
     OptimizerParams,
+    _rank_cdf,
     interior_box,
     levenberg_marquardt,
     rosenbrock_minimize,
     soft_selection_minimize,
 )
-from oracles import rosenbrock_sequential
+from oracles import rosenbrock_sequential, soft_selection_choice
 
 
 def quadratic_bowl(x):
@@ -283,3 +284,55 @@ def test_soft_selection_takes_a_polish():
                                         status="max-evals"))
     assert np.array_equal(worse.x, seen[0])
     assert worse.fun == worse.trace[-1]
+
+
+@pytest.mark.parametrize("lam, mu", [(140, 20), (7, 3), (1, 1)])
+def test_rank_cdf_draws_as_rng_choice(lam, mu):
+    """Over 500 generations the cumulative rank table, searched with one
+    rng.random(mu) per draw, picks the parents rng.choice(order, size=mu,
+    p=rank_w) picks, and leaves the generator in the same state; the
+    integers and normals drawn between generations stay in step too."""
+    rank_w = np.arange(lam, 0, -1, dtype=float)
+    rank_w /= rank_w.sum()
+    cdf = _rank_cdf(lam)
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    orders = np.random.default_rng(12)
+    for _ in range(500):
+        order = orders.permutation(lam)
+        assert np.array_equal(order[cdf.searchsorted(a.random(mu), side="right")],
+                              b.choice(order, size=mu, p=rank_w))
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.integers(0, mu, size=lam), b.integers(0, mu, size=lam))
+        assert np.array_equal(a.standard_normal((lam, 3)), b.standard_normal((lam, 3)))
+
+
+def _exact_es_case():
+    from cvmesh.solver import simplex_systems
+    from conftest import exact_instance
+
+    pts, tri, nm, r_star, lo, hi = exact_instance(6)
+    return simplex_systems(tri).objective, (lo, hi), lo + 0.62 * (hi - lo)
+
+
+@pytest.mark.parametrize("case", ["sphere", "rastrigin", "exact6"])
+def test_soft_selection_matches_rng_choice_reference(case):
+    """The evolution strategy with its rank-table parent draws and in-place
+    clamp runs bit for bit as the loop that drew by rng.choice and clamped
+    by np.clip: same best point, value, evaluation count and trace."""
+    declined = lambda x: OptimizeResult(x=x, fun=np.inf, n_eval=0, converged=False,
+                                        status="max-evals")
+    if case == "exact6":
+        f, box, x0 = _exact_es_case()
+        kw = dict(params=OptimizerParams(generations=60), x0=x0, polish=declined)
+    elif case == "sphere":
+        f, box = (lambda x: np.sum(x * x, axis=-1)), (np.full(6, -2.0), np.full(6, 3.0))
+        kw = dict(params=OptimizerParams(generations=40, mu=5, lam=30), polish=declined)
+    else:
+        f = lambda x: 10 * x.shape[-1] + np.sum(x * x - 10 * np.cos(2 * np.pi * x), axis=-1)
+        box = ([-5.12] * 3, [5.12] * 3)
+        kw = dict(params=OptimizerParams(generations=30))
+    for seed in (0, 3):
+        got = soft_selection_minimize(f, box, seed=seed, **kw)
+        want = soft_selection_choice(f, box, seed=seed, **kw)
+        _assert_same_run(got, want)
+        assert got.trace == want.trace

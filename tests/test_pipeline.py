@@ -4,6 +4,7 @@ import pytest
 from cvmesh.io import RunConfig, read_json
 from cvmesh.optimize import OptimizerParams
 from cvmesh.pipeline import run_pipeline
+from cvmesh.solver import SimplexSystems
 
 from conftest import flat_faced_box, hexagon_patch
 
@@ -158,3 +159,25 @@ def test_run_far_from_origin(tmp_path, dim, n, shift):
     res = run_pipeline(cfg)
     assert res.exit_code == 0
     assert res.summary["global_ok"]
+
+
+@pytest.mark.parametrize("kw", [dict(mode="exact-intersection", bounds_policy="clamp",
+                                     optimizer=OptimizerParams(generations=5)),
+                                dict(equal_radii=True)], ids=["exact", "equal"])
+def test_summary_carries_residual_spread(tmp_path, kw):
+    """summary.json gives the median and 99th percentile of |power| over the
+    simplices at the written radii, and the simplex with the largest; the
+    radii.json document does not change for them."""
+    pts = hexagon_patch(2, seed=4)
+    res = run_pipeline(RunConfig(dimension=2, n=len(pts), seed=4, probes=500,
+                                 out_dir=str(tmp_path), **kw), points=pts)
+    summary = read_json(res.artifacts["summary.json"])
+    radii = read_json(res.artifacts["radii.json"])
+    tri = read_json(res.artifacts["triangulation.json"])
+    size = np.abs(SimplexSystems(pts, np.asarray(tri["simplices"])).powers(np.asarray(radii["radii"])))
+    assert summary["residual_p50"] == float(np.percentile(size, 50))
+    assert summary["residual_p99"] == float(np.percentile(size, 99))
+    assert summary["worst_simplex"] == int(np.argmax(size))
+    assert summary["max_simplex_residual"] == size[summary["worst_simplex"]] > 0.0
+    assert summary["residual_p50"] <= summary["residual_p99"] <= summary["max_simplex_residual"]
+    assert not {"residual_p50", "residual_p99", "worst_simplex"} & set(radii)

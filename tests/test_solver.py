@@ -21,8 +21,8 @@ from cvmesh.solver import (
 )
 
 from conftest import bcc_cell, exact_instance, hexagon_patch, radical_centers, uniform_points
-from oracles import (gauss_solve, neighbor_lists, newton_equal_power_2d, overlap_loop,
-                     radical_center_exact, radius_bounds_loop, tetra_height)
+from oracles import (einsum_offsets, gauss_solve, neighbor_lists, newton_equal_power_2d,
+                     overlap_loop, radical_center_exact, radius_bounds_loop, tetra_height)
 
 
 def test_vertex2_common_point_of_three_circles():
@@ -401,6 +401,28 @@ def test_batched_objective_equals_row_by_row(build, order):
         row = np.ascontiguousarray(pop[k])
         assert np.array_equal(powers[k], systems.powers(row))
         assert np.array_equal(vertices[k], systems.vertices(row))
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_kernel_matches_einsum_reference(dim, shift):
+    """The one block kernel gives the centers, powers and vertices the
+    per-coordinate einsum kernel gives, to within 2 ulp: for single radius
+    vectors and for C- and F-ordered stacks. Einsum's summation order is no
+    numpy contract, so the bound is not 0."""
+    pts = uniform_points(dim, 40 if dim == 2 else 30, seed=5)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    systems = SimplexSystems(pts + shift, tri.simplices)
+    K, c = systems.K.transpose(2, 0, 1), systems.c.T          # (T, d, d+1), (T, d)
+    r_min = 0.5 * np.min(max_radii(neighbor_map(tri), pts))
+    stack = r_min * (1.0 + np.random.default_rng(dim).random((50, len(pts))))
+    for r in (stack, np.asfortranarray(stack), stack[7]):
+        w = r ** 2
+        y = einsum_offsets(systems.indices, K, c, systems.den, w)
+        np.testing.assert_array_max_ulp(np.swapaxes(systems._offsets(w), -1, -2), y, maxulp=2)
+        np.testing.assert_array_max_ulp(systems.vertices(r), systems.p0 + y, maxulp=2)
+        powers = np.sum(y * y, axis=-1) - w[..., systems.indices[:, 0]]
+        np.testing.assert_array_max_ulp(systems.powers(r), powers, maxulp=2)
 
 
 def test_soft_selection_batched_matches_row_by_row():
