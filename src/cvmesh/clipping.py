@@ -145,11 +145,13 @@ def clip_rings(stack: RingStack, d: np.ndarray, tags, eps: float) -> RingStack:
     )
 
 
-def merge_rings(stack: RingStack, eps: float) -> RingStack:
+def merge_rings(stack: RingStack, eps: float) -> tuple[RingStack, tuple[np.ndarray, np.ndarray]]:
     """The stack with the near-coincident vertices of every ring merged as
     `clip_rings` merges those of a cut ring (`_merge_runs`); a ring without
     such vertices keeps its rows. A stack with no such vertices and no ring
-    of one or two rows comes back as it is, after one pass over its edges."""
+    of one or two rows comes back as it is, after one pass over its edges.
+    Also returns what the rings absorbed: the ring and simplex id of every
+    row merged away from a ring that stays."""
     lens = stack.lengths()
     full = lens > 0
     first = stack.starts[full]
@@ -159,12 +161,13 @@ def merge_rings(stack: RingStack, eps: float) -> RingStack:
     apart = np.sqrt(_rowdot(gap, gap)) > eps
     apart[first[1:] - 1] = True     # consecutive rows of two rings
     if apart.all() and np.all(~full | (lens >= 3)):
-        return stack
+        return stack, (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     ring = stack.row_rings()
     stay, tags = _merge_runs(stack.verts, stack.tags, ring, len(stack.starts), eps)
     lens = np.bincount(ring[stay], minlength=len(stack.starts))
-    return RingStack(stack.verts[stay], np.cumsum(lens) - lens, tags[stay],
-                     stack.simplices[stay])
+    gone = ~stay & (lens > 0)[ring]
+    return (RingStack(stack.verts[stay], np.cumsum(lens) - lens, tags[stay], stack.simplices[stay]),
+            (ring[gone], stack.simplices[gone]))
 
 
 def _merge_runs(p: np.ndarray, tags: np.ndarray, owner: np.ndarray, nring: int,
@@ -387,14 +390,19 @@ def _frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _angular_order(p: np.ndarray, groups: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Row order that sorts every group of points (groups sorted) by angle
     around its centroid in the plane normal to the group's row of axis,
-    stable on ties."""
+    stable on ties. The groups of one size go through one stable argsort
+    along the rows of a (groups, size) table of their angles."""
     starts = _group_starts(groups)
     counts = _lengths(starts, len(p))
     g = np.repeat(np.arange(len(starts)), counts)
     _, e1, e2 = _frames(axis)
     rel = p - (np.add.reduceat(p, starts, axis=0) / counts[:, None])[g]
     ang = np.arctan2(_rowdot(rel, e2[g]), _rowdot(rel, e1[g]))
-    return np.lexsort((ang, g))
+    order = np.arange(len(p))
+    for k in np.unique(counts[counts > 1]).tolist():
+        rows = starts[counts == k, None] + np.arange(k)
+        order[rows] = np.take_along_axis(rows, np.argsort(ang[rows], axis=1, kind="stable"), axis=1)
+    return order
 
 
 def _reverse_within(starts: np.ndarray, n: int, flip: np.ndarray) -> np.ndarray:

@@ -69,11 +69,11 @@ class NonPlanarFace(CvMeshError):
 
 
 class OrphanVertex(CvMeshError):
-    """A simplex candidate vertex inside the domain was not assigned to any cell."""
+    """A simplex candidate vertex inside the domain is missing from a corner's cell."""
 
     def __init__(self, simplex):
         self.simplex = simplex
-        super().__init__(f"candidate vertex of simplex {simplex} assigned to no cell")
+        super().__init__(f"candidate vertex of simplex {simplex} missing from a corner's cell")
 
 
 class RejectionBudgetExceeded(CvMeshError):

@@ -477,7 +477,8 @@ class PooledVertices:
     every coordinate of coords in row-major order. Two vertices are one when
     their float64 bytes are: for finite doubles that is when their ".17g"
     texts are (so -0.0 and 0.0 stay apart), and every NaN is mapped to one
-    NaN first, as all share the text "nan"."""
+    NaN first, as all share the text "nan". The rows are pooled by one
+    stable lexsort of their coordinates' 64-bit patterns."""
 
     coords: np.ndarray          # (P, dim)
     ids: np.ndarray             # (V,)
@@ -485,14 +486,16 @@ class PooledVertices:
 
     @classmethod
     def of(cls, verts: np.ndarray) -> "PooledVertices":
-        key = np.where(np.isnan(verts), np.nan, verts)
-        key = key.view(np.dtype((np.void, key.itemsize * verts.shape[1]))).ravel()
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        coords = verts[first[order]]
+        bits = np.where(np.isnan(verts), np.nan, verts).view(np.int64)
+        by_bits = np.lexsort(bits.T[::-1])
+        new = np.ones(len(by_bits), dtype=bool)
+        np.any(bits[by_bits[1:]] != bits[by_bits[:-1]], axis=1, out=new[1:])
+        first = by_bits[new]                  # each vertex's first row, in bit order
+        ids = np.empty_like(by_bits)
+        ids[by_bits] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+        coords = verts[np.sort(first)]
         flat = coords.ravel().tolist()
-        return cls(coords, np.argsort(order)[inverse.ravel()],
-                   ("%.17g\n" * len(flat) % tuple(flat)).split("\n")[:-1])
+        return cls(coords, ids, ("%.17g\n" * len(flat) % tuple(flat)).split("\n")[:-1])
 
     def json(self) -> RawJson:
         """The coords as JSON lists, the bytes of `dumps_json(coords)`: a
@@ -518,9 +521,13 @@ def _runs(tokens: list[str], lengths: np.ndarray) -> list[str]:
     return [", ".join(tokens[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 
-def _ints(values: np.ndarray) -> list[str]:
-    """JSON text of ids, null for -1, one per value."""
-    return ["null" if t < 0 else str(t) for t in values.tolist()]
+def _int_runs(values: np.ndarray, lengths: np.ndarray) -> list[str]:
+    """", "-joined JSON text of ids, null for a negative one, one run per
+    length. One `%` call formats every id (negative ones as -1), through a
+    template of "%d"s with one line per run."""
+    spec = {k: ", ".join(["%d"] * k) for k in set(lengths.tolist())}
+    text = "\n".join([spec[k] for k in lengths.tolist()]) % tuple(np.maximum(values, -1).tolist())
+    return text.replace("-1", "null").split("\n")[:len(lengths)]
 
 
 _CELL2 = ('{\n    "owner": %d,\n    "closed": %s,\n    "loop": [%s],\n'
@@ -537,14 +544,15 @@ def _cells_json(mesh: ControlVolumeMesh, ids: np.ndarray) -> RawJson:
     rows (2D) or faces (3D)."""
     stack = mesh.cells
     lens = stack.lengths()
-    loops = _runs(list(map(str, ids.tolist())), lens)
-    sids = _runs(_ints(stack.simplices), lens)
+    loops = _int_runs(ids, lens)
+    sids = _int_runs(stack.simplices, lens)
     if mesh.dim == 2:
         closed = np.where(lens > 0, "true", "false").tolist()
         text = [_CELL2 % row for row in zip(range(len(lens)), closed, loops,
-                                            _runs(_ints(stack.tags), lens), sids)]
+                                            _int_runs(stack.tags, lens), sids)]
     else:
-        faces = [_FACE3 % row for row in zip(loops, _ints(stack.tags), sids)]
+        tags = _int_runs(stack.tags, np.ones(len(lens), dtype=np.int64))
+        faces = [_FACE3 % row for row in zip(loops, tags, sids)]
         nfaces = np.bincount(stack.cells, minlength=len(mesh.points))
         closed = np.where(nfaces > 0, "true", "false").tolist()
         text = [_CELL3 % row for row in zip(range(len(nfaces)), closed, _runs(faces, nfaces))]

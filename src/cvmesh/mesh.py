@@ -25,7 +25,7 @@ as checking one cell at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -176,7 +176,8 @@ def _far_points(q: np.ndarray, n: np.ndarray, m: np.ndarray, far: np.ndarray) ->
 def _rings(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, m: np.ndarray,
            far: np.ndarray) -> RingStack:
     """One ring per point, in point order, of the candidate vertices of its
-    rows' triangles in ring order. An interior point's ring closes on itself,
+    rows' triangles in ring order, each row carrying its triangle's id (-1
+    for a far point). An interior point's ring closes on itself,
     the edge after vertex k tagged with the next row's neighbor. A hull
     point's fan u_0 .. u_m with triangles t_0 .. t_(m-1) closes through its
     two ghost triangles: its ring is [F_0, q[t_0], ..., q[t_(m-1)], F_m],
@@ -197,7 +198,8 @@ def _rings(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, m: np.ndarray,
     tail = ghost & (local == k - 1)
     real = ~(head | tail)
     verts = np.empty((len(first), 2))
-    verts[real] = q[nm.simplex[row[real]]]
+    sids = np.where(real, nm.simplex[row], -1)
+    verts[real] = q[sids[real]]
     a, b = row[head] + 1, row[tail]                      # each fan's first and last row
     i = nm.owner[a]
     for at, t, u in ((head, nm.simplex[a], nm.nbr[a]), (tail, nm.simplex[b - 1], nm.nbr[b])):
@@ -211,7 +213,7 @@ def _rings(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, m: np.ndarray,
     flip = np.repeat(_ring_areas(verts, starts) < 0.0, lens)
     rows = np.where(flip, first + k - 1 - local, first + local)
     tag_rows = np.where(flip, first + (k - 2 - local) % k, first + local)
-    return RingStack.from_rings(verts[rows], starts, tags[tag_rows])
+    return RingStack(verts[rows], starts, tags[tag_rows], sids[rows])
 
 
 def _check_convex2(stack: RingStack):
@@ -256,52 +258,19 @@ def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: in
     return np.where(real, starts[cells, None] + np.arange(width), 0), real
 
 
-def _match_rows(verts: np.ndarray, row_starts: np.ndarray, q: np.ndarray, cand: np.ndarray,
-                cand_starts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex row, the first candidate simplex of its cell, in the given
-    order, whose candidate vertex q[t] lies within eps of it (-1 where none
-    does); and per candidate, whether a row of its cell lies within eps of
-    it. Cell c owns rows row_starts[c] up to row_starts[c + 1] and the
-    candidates cand[cand_starts[c]:cand_starts[c + 1]]. Each block of cells
-    (`_blocks`) takes the distances of all its rows to all its candidates as
-    one cell at a time would, (q[t] - v) under np.linalg.norm, whose sum of
-    squares runs over the coordinates in order."""
-    out = np.full(len(verts), -1, dtype=np.int64)
-    covered = np.zeros(len(cand), dtype=bool)
-    nrow = _lengths(row_starts, len(verts))
-    ncand = _lengths(cand_starts, len(cand))
-    if not len(cand) or not len(verts):
-        return out, covered
-    for cells, mr, mc in _blocks(nrow, ncand):
-        rows, real_row = _padded(row_starts, nrow, cells, mr)
-        slots, real_cand = _padded(cand_starts, ncand, cells, mc)
-        t = cand[slots]
-        square = 0.0
-        for k in range(verts.shape[1]):
-            gap = q[t, k][:, None, :] - verts[rows, k][:, :, None]
-            square = square + gap * gap
-        near = (np.sqrt(square) <= eps) & real_cand[:, None, :] & real_row[:, :, None]
-        hit = near.any(axis=2)
-        first = np.take_along_axis(t[:, None, :], near.argmax(axis=2)[:, :, None], axis=2)
-        out[rows[hit]] = first[:, :, 0][hit]
-        covered[slots[real_cand]] = near.any(axis=1)[real_cand]
-    return out, covered
-
-
-def _candidates(nm: NeighborMap) -> tuple[np.ndarray, np.ndarray]:
-    """Every point's simplices in row order (rows without one left out) as
-    one flat array, and per-point starts."""
-    has = nm.simplex >= 0
-    return nm.simplex[has], np.searchsorted(nm.owner[has], np.arange(nm.n_points))
-
-
-def _check_orphans(q: np.ndarray, covered: np.ndarray, planes, eps_inside: float):
-    """Raise OrphanVertex for the first candidate vertex that no cell covers
-    (`covered` holds the simplex ids whose candidate vertex lies within the
-    match distance of a vertex row of a cell that lists it) and that lies
-    inside every domain plane (`domain_planes`) by more than eps_inside."""
-    inside = np.ones(len(q), dtype=bool)
-    inside[covered] = False
+def _check_orphans(simplices: np.ndarray, q: np.ndarray, cells: np.ndarray, ids: np.ndarray,
+                   planes, eps_inside: float):
+    """Raise OrphanVertex for the first simplex whose candidate vertex lies
+    inside every domain plane (`domain_planes`) by more than eps_inside and
+    that not every cell of its d + 1 corners covers. Cell cells[k] covers
+    simplex ids[k]: the simplex of one of its vertex rows, or one that it
+    absorbed when rows merged (-1, a clip point, covers nothing). No
+    distance is measured; each (corner, simplex) pair is marked once."""
+    real = ids >= 0
+    row, k = np.nonzero(simplices[ids[real]] == cells[real, None])
+    hit = np.zeros(simplices.shape, dtype=bool)
+    hit[ids[real][row], k] = True
+    inside = ~hit.all(axis=1)
     for n, c in zip(*planes):
         inside &= _rowdot(q, np.broadcast_to(n, q.shape)) - c < -eps_inside * np.linalg.norm(n)
     bad = np.flatnonzero(inside)
@@ -391,12 +360,12 @@ def _check_cells3(stack: PolyStack, planes: FacePlanes, scale: float):
 def _star_rows(tet: Triangulation3, nm: NeighborMap, pts: np.ndarray, q: np.ndarray,
                m: np.ndarray, far: np.ndarray):
     """Every point's star rows, then the rows its ghost tetrahedra add, as
-    (owner, triples, points) for `_cell_walls`. A star row holds its
-    tetrahedron's other three corners and radical center. A ghost row
+    (owner, triples, points, ids) for `_cell_walls`. A star row holds its
+    tetrahedron's other three corners, radical center and id. A ghost row
     belongs to a corner i of a hull facet f (adjacency -1): the facet's
     other two corners plus GHOST, and the point where the power ray from the
     radical center of f's tetrahedron through f meets i's far plane
-    (`_far_points`)."""
+    (`_far_points`), with id -1."""
     t, k = np.nonzero(tet.adjacency == -1)
     facet = tet.tetrahedra[t][np.arange(4) != k[:, None]].reshape(-1, 3)
     a = pts[facet[:, 0]]
@@ -407,20 +376,25 @@ def _star_rows(tet: Triangulation3, nm: NeighborMap, pts: np.ndarray, q: np.ndar
     f = np.repeat(np.arange(len(t)), 3)
     points = _far_points(q[t[f]], n[f], m[owner], far[owner])
     return (np.concatenate((nm.owner, owner)), np.concatenate((nm.nbr, triples)),
-            np.concatenate((q[nm.simplex], points)))
+            np.concatenate((q[nm.simplex], points)),
+            np.concatenate((nm.simplex, np.full(len(owner), -1, dtype=np.int64))))
 
 
-def _cell_walls(owner: np.ndarray, triples: np.ndarray, points: np.ndarray, pts: np.ndarray,
-                m: np.ndarray, eps: float) -> PolyStack:
+def _cell_walls(owner: np.ndarray, triples: np.ndarray, points: np.ndarray, ids: np.ndarray,
+                pts: np.ndarray, m: np.ndarray, eps: float):
     """Every cell's walls from star rows (row k: point owner[k], corners
-    triples[k], vertex points[k]). The wall of i toward j collects the
-    vertices of every row of i whose triple holds j, in row order, sorted by
-    angle around their centroid in the plane normal to the axis p_j - p_i
-    (the centroid lies inside the convex wall, so angular order is boundary
-    order), with near duplicates removed (`_dedup_loops`) and oriented along
-    the axis; walls under three vertices are left out. The GHOST wall of a
+    triples[k], vertex points[k], simplex ids[k]). The wall of i toward j
+    collects the vertices of every row of i whose triple holds j, in row
+    order, sorted by angle around their centroid in the plane normal to the
+    axis p_j - p_i (the centroid lies inside the convex wall, so angular
+    order is boundary order), with near duplicates removed (`_dedup_loops`)
+    and oriented along the axis; walls under three vertices are left out. The GHOST wall of a
     hull point i, its far points, takes the axis m[i] and the tag -1. All
-    walls of all cells in one pass."""
+    walls of all cells in one pass. Returns the walls as a `PolyStack`, each
+    row with its simplex id, and what the cells absorbed: the cell and
+    simplex id of every row dropped, as a near duplicate or with a wall under
+    three vertices (an edge or a vertex of the cell), from a cell that keeps
+    a wall."""
     # one entry per (owner, neighbor, row), by owner, neighbor, row order
     own = np.repeat(owner, 3)
     other = triples.ravel()
@@ -432,16 +406,20 @@ def _cell_walls(owner: np.ndarray, triples: np.ndarray, points: np.ndarray, pts:
     gi, gj = own[new], other[new]
     axis = np.where((gj == GHOST)[:, None], m[gi], pts[gj] - pts[gi])
     p = points[row]
-    loops = p[_angular_order(p, group, axis)]
+    by_angle = row[_angular_order(p, group, axis)]
+    loops, sids = points[by_angle], ids[by_angle]
     keep = _dedup_loops(loops, np.flatnonzero(new), eps)
     keep &= (np.bincount(group[keep], minlength=len(gi)) >= 3)[group]
-    loops, group = loops[keep], group[keep]
+    cell = gi[group]
+    gone = ~keep & (np.bincount(cell[keep], minlength=len(pts)) > 0)[cell]
+    absorbed = cell[gone], sids[gone]
+    loops, sids, group = loops[keep], sids[keep], group[keep]
     starts = _group_starts(group)
     walls = group[starts]
     realized = _face_normals(loops, starts, _successors(starts, len(loops)))
     flip = _rowdot(realized, axis[walls]) < 0.0
-    return PolyStack.from_loops(loops[_reverse_within(starts, len(loops), flip)], starts,
-                                gj[walls], gi[walls])
+    rows = _reverse_within(starts, len(loops), flip)
+    return PolyStack.from_loops(loops[rows], starts, gj[walls], gi[walls], sids[rows]), absorbed
 
 
 def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
@@ -470,7 +448,9 @@ def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
 def _build(tri, nm: NeighborMap, pts, radii, domain) -> ControlVolumeMesh:
     """The cells of `build_volumes2` and `build_volumes3`, then their checks
     over the whole stack: convexity (2D) or planarity and convexity (3D),
-    then that every candidate vertex inside the domain is covered."""
+    then that every candidate vertex inside the domain is covered by the
+    cells of all its simplex's corners (`_check_orphans`), from the simplex
+    ids the rows carry from assembly on."""
     pts = tri.points if pts is None else pts
     r = np.asarray(radii, dtype=float)
     q = simplex_systems(tri).vertices(r)
@@ -479,27 +459,25 @@ def _build(tri, nm: NeighborMap, pts, radii, domain) -> ControlVolumeMesh:
     dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
-    match_eps = 1e-9 * scale
     planes = domain_planes(domain)
     m, far = _far_planes(pts, nm, q, dv, scale)
     if tri.dim == 2:
         # every ring that a domain line cuts, in one pass per line
-        stack = merge_rings(_rings(pts, nm, q, m, far), eps)
+        stack, (cells, ids) = merge_rings(_rings(pts, nm, q, m, far), eps)
         for n, c in zip(*planes):
             d = stack.verts @ n - c
             if np.any(d > eps):
                 stack = clip_rings(stack, d, [None] * len(pts), eps)
         _check_convex2(stack)
-        row_starts = stack.starts
+        rows = stack.row_rings()
     else:
-        walls = _cell_walls(*_star_rows(tri, nm, pts, q, m, far), pts, m, eps)
+        walls, (cells, ids) = _cell_walls(*_star_rows(tri, nm, pts, q, m, far), pts, m, eps)
         stack = _clip_to_domain(walls, planes, eps)
         _check_cells3(stack, face_planes(stack), scale)
-        row_starts = np.searchsorted(stack.row_cells(), np.arange(len(pts)))
-    cand, cand_starts = _candidates(nm)
-    ids, covered = _match_rows(stack.verts, row_starts, q, cand, cand_starts, match_eps)
-    _check_orphans(q, cand[covered], planes, eps_inside=match_eps)
-    return ControlVolumeMesh(dim=tri.dim, points=pts, radii=r, cells=replace(stack, simplices=ids),
+        rows = stack.row_cells()
+    _check_orphans(tri.simplices, q, np.concatenate((rows, cells)),
+                   np.concatenate((stack.simplices, ids)), planes, 1e-9 * scale)
+    return ControlVolumeMesh(dim=tri.dim, points=pts, radii=r, cells=stack,
                              domain=domain, simplices=tri.simplices, simplex_vertices=q)
 
 

@@ -29,7 +29,10 @@ imports cvmesh's parameters, bounds check and direction rotation.
 `closed_cells_unique` is the face-closure test of cvmesh's containment
 boxes as it numbered vertices with `np.unique(axis=0)` and tested edges with
 `np.isin`, before one lexsort and a search of the sorted edge keys replaced
-both. `einsum_offsets` is the radical-center kernel that summed each
+both. `angular_order_lexsort` is cvmesh's wall ordering as one stable
+`np.lexsort` on (group, angle), before the groups of each size were sorted
+along the rows of one table; it imports cvmesh's frames and row products,
+so both sort the same angles. `einsum_offsets` is the radical-center kernel that summed each
 coordinate's corner terms with its own einsum, before one block product
 over all coordinates replaced it.
 
@@ -1337,6 +1340,21 @@ def closed_cells_unique(faces, n: int, grid: float) -> np.ndarray:
     once[np.isin(fwd, srt[1:][srt[1:] == srt[:-1]])] = False
     ok = once & finite & (a != b) & np.isin(b * nv + a, srt)
     return np.bincount(rcell[~ok], minlength=n) == 0
+
+
+def angular_order_lexsort(p, groups, axis) -> np.ndarray:
+    """Row order that sorts every group of points (groups sorted) by angle
+    around its centroid in the plane normal to the group's row of axis,
+    stable on ties, from one np.lexsort on (group, angle)."""
+    from cvmesh.clipping import _frames, _rowdot
+
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    counts = np.diff(np.append(starts, len(p)))
+    g = np.repeat(np.arange(len(starts)), counts)
+    _, e1, e2 = _frames(axis)
+    rel = p - (np.add.reduceat(p, starts, axis=0) / counts[:, None])[g]
+    ang = np.arctan2(_rowdot(rel, e2[g]), _rowdot(rel, e1[g]))
+    return np.lexsort((ang, g))
 
 
 def einsum_offsets(indices, K, c, den, w):

@@ -7,7 +7,9 @@ lengths and start vertices, and coordinates within 1e-12 times the scale.
 import numpy as np
 import pytest
 
+from cvmesh import mesh as mesh_module
 from cvmesh.clipping import (
+    _angular_order,
     _dedup_loops,
     _first_unique,
     box_polyhedron,
@@ -30,6 +32,7 @@ from cvmesh.solver import simplex_systems, solve_radii
 
 from conftest import faces_of, polyhedra_stack, ring_of, rings_stack, uniform_points
 from oracles import (
+    angular_order_lexsort,
     neighbor_lists,
     clip_polygon_loop,
     clip_polyhedron_loop,
@@ -254,8 +257,8 @@ def test_interior_walls_match_loop_reference(n, seed):
     interior = np.flatnonzero(~nm.on_hull)
     assert len(interior)
     rows = np.isin(nm.owner, interior)
-    stack = _cell_walls(nm.owner[rows], nm.nbr[rows], q[nm.simplex[rows]], pts,
-                        np.zeros_like(pts), eps)
+    stack = _cell_walls(nm.owner[rows], nm.nbr[rows], q[nm.simplex[rows]], nm.simplex[rows],
+                        pts, np.zeros_like(pts), eps)[0]
     ref = neighbor_lists(tet)
     for i in interior.tolist():
         want = []
@@ -291,7 +294,7 @@ def test_hull_cells_match_loop_reference(n, seed):
              for i in hull}
     ghosts = ghost_rows_loop(tet.tetrahedra, tet.adjacency, pts, q, lines)
     m, far = _far_planes(pts, nm, q, mesh.domain.verts, scale)
-    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)
+    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)[0]
     for i in hull:
         triples = [list(t) for t in ref.stars[i]] + [o + [-1] for o, _ in ghosts[i]]
         points = [q[t] for t in ref.star_simplices[i]] + [p for _, p in ghosts[i]]
@@ -366,7 +369,7 @@ def test_merge_rings_returns_generator_cloud_stack_unchanged(n, seed):
     scale = float(np.linalg.norm(domain.verts.max(axis=0) - domain.verts.min(axis=0)))
     q = simplex_systems(tri).vertices(r)
     stack = _rings(pts, nm, q, *_far_planes(pts, nm, q, domain.verts, scale))
-    assert merge_rings(stack, 1e-10 * scale) is stack
+    assert merge_rings(stack, 1e-10 * scale)[0] is stack
     for c in range(len(stack.starts)):
         poly = ring_of(stack, c)
         want = merge_ring_loop(*poly, 1e-10 * scale)
@@ -387,7 +390,7 @@ def test_merge_rings_match_ring_loop(seed):
         if c % 11 == 3:
             v = v[:int(rng.integers(0, 3))]
         polys.append((v, [int(t) for t in rng.integers(0, 50, len(v))]))
-    out = merge_rings(rings_stack(polys), EPS)
+    out = merge_rings(rings_stack(polys), EPS)[0]
     for c, poly in enumerate(polys):
         want = merge_ring_loop(*poly, EPS) if len(poly[0]) else None
         got = ring_of(out, c)
@@ -402,6 +405,36 @@ def test_merge_rings_drops_short_ring_without_near_vertices():
     """No two vertices lie within eps, but a ring of two rows still goes."""
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     stack = rings_stack([(tri, [1, 2, 3]), (tri[:2], [4, 5])])
-    out = merge_rings(stack, EPS)
+    out = merge_rings(stack, EPS)[0]
     assert ring_of(out, 0)[0].tobytes() == tri.tobytes()
     assert ring_of(out, 1) is None
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_angular_order_equals_stable_lexsort(k, monkeypatch):
+    """The per-size sorts of `_angular_order` give the permutation of one
+    stable lexsort on (group, angle): on the walls of a k^3 unit lattice,
+    whose merged centers repeat rows exactly, so angles tie and ties keep
+    index order; and on random groups of 1 to 12 points with repeats."""
+    seen = []
+
+    def spy(p, groups, axis):
+        seen.append((p, groups, axis))
+        return _angular_order(p, groups, axis)
+
+    monkeypatch.setattr(mesh_module, "_angular_order", spy)
+    g = np.linspace(0.0, 1.0, k)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    tet = tetrahedralize3(pts)
+    nm = neighbor_map(tet)
+    build_volumes3(tet, nm, pts, solve_radii(tet, nm, pts, equal_radii=True).radii)
+    p, groups, axis = seen[0]
+    assert len(np.unique(np.column_stack((groups, p)), axis=0)) < len(p)   # repeated rows
+    rng = np.random.default_rng(k)
+    sizes = rng.integers(1, 13, size=300)
+    rows = rng.normal(size=(int(sizes.sum()), 3))
+    rows[1::4] = rows[::4][:len(rows[1::4])]
+    cases = [(p, groups, axis), (rows, np.repeat(np.arange(300), sizes), rng.normal(size=(300, 3)))]
+    for p, groups, axis in cases:
+        want = angular_order_lexsort(p, groups, axis)
+        assert np.array_equal(_angular_order(p, groups, axis), want)

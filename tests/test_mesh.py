@@ -18,10 +18,10 @@ from cvmesh.clipping import (
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
+from cvmesh import mesh as mesh_module
 from cvmesh.io import RunConfig, generate_points
 from cvmesh.mesh import (
     ControlVolumeMesh,
-    _candidates,
     _cell_measures,
     _cell_walls,
     _check_cells3,
@@ -30,7 +30,6 @@ from cvmesh.mesh import (
     _containment_boxes,
     _far_planes,
     _inside_pairs,
-    _match_rows,
     _ring_areas,
     _star_rows,
     _vertex_sets_match_many,
@@ -561,16 +560,99 @@ def test_face_planes_equal_per_face_loop():
     assert not planes.keep[-1] and planes.keep[:-1].all()
 
 
-def test_match_simplex_ids_takes_first_candidate_in_order():
-    q = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    verts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])  # last: a clip point
-    one = np.zeros(1, dtype=np.intp)
-    for cand, want in (([2, 1, 3], [2, 3, None]), ([1, 2, 3], [1, 3, None]),
-                       (np.array([3, 2, 1]), [2, 3, None]), ([], [None] * 3),
-                       (np.empty(0, dtype=np.int64), [None] * 3)):
-        ids = _match_rows(verts, one, q, np.asarray(cand, dtype=np.intp), one, 1e-9)[0]
-        got = [None if t < 0 else t for t in ids.tolist()]
-        assert got == want == match_simplex_ids(verts, q, cand, 1e-9)
+def _built(pts, monkeypatch=None):
+    """The equal-radii mesh of pts; with monkeypatch, also the arguments the
+    build hands `_check_orphans`."""
+    seen = []
+    if monkeypatch is not None:
+        check = mesh_module._check_orphans
+
+        def spy(*args):
+            seen.append(args)
+            return check(*args)
+        monkeypatch.setattr(mesh_module, "_check_orphans", spy)
+    tri = triangulate2(pts) if pts.shape[1] == 2 else tetrahedralize3(pts)
+    nm = neighbor_map(tri)
+    r = solve_radii(tri, nm, pts, equal_radii=True).radii
+    build = build_volumes2 if pts.shape[1] == 2 else build_volumes3
+    return build(tri, nm, pts, r), nm, (seen[0] if seen else None)
+
+
+def _cell_rows(mesh):
+    """The cell of every vertex row of a mesh's cell stack."""
+    return mesh.cells.row_rings() if mesh.dim == 2 else mesh.cells.row_cells()
+
+
+def _inside(mesh):
+    """Per simplex, whether its candidate vertex lies inside every domain
+    plane by more than 1e-9 * scale."""
+    q = mesh.simplex_vertices
+    inside = np.ones(len(q), dtype=bool)
+    for n, c in zip(*domain_planes(mesh.domain)):
+        inside &= q @ n - c < -1e-9 * mesh.scale() * np.linalg.norm(n)
+    return inside
+
+
+@pytest.mark.parametrize("dim, n", [(2, 400), (3, 300)])
+@pytest.mark.parametrize("seed", range(3))
+def test_build_ids_equal_distance_reference(dim, n, seed):
+    """On generator clouds the simplex id each row carries from assembly is
+    the one the distance reference finds: the first simplex of the cell, in
+    row order, whose candidate vertex lies within 1e-9 * scale of the row
+    (None for clip points)."""
+    mesh, nm, _ = _built(uniform_points(dim, n, seed))
+    q, eps = mesh.simplex_vertices, 1e-9 * mesh.scale()
+    rows = _cell_rows(mesh)
+    for i in range(n):
+        mine = rows == i
+        cand = nm.simplex[nm.owner == i]
+        want = match_simplex_ids(mesh.cells.verts[mine], q, cand[cand >= 0], eps)
+        assert [None if t < 0 else t for t in mesh.cells.simplices[mine].tolist()] == want
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stripped_vertex_raises_orphan_naming_its_simplex(dim):
+    """A cell that loses the rows of one of its vertices inside the domain
+    no longer covers that vertex's simplex, though the other corners' cells
+    do: the orphan check names that simplex. The intact stack passes."""
+    mesh, _, _ = _built(uniform_points(dim, 400 if dim == 2 else 60, 1))
+    rows, ids = _cell_rows(mesh), mesh.cells.simplices
+    args = mesh.simplices, mesh.simplex_vertices
+    planes, eps = domain_planes(mesh.domain), 1e-9 * mesh.scale()
+    mesh_module._check_orphans(*args, rows, ids, planes, eps)
+    inside = _inside(mesh)
+    for k in (np.flatnonzero((ids >= 0) & inside[np.maximum(ids, 0)])[[0, -1]]).tolist():
+        gone = (rows == rows[k]) & (ids == ids[k])
+        assert gone.sum() == (1 if dim == 2 else 3)
+        with pytest.raises(OrphanVertex) as err:
+            mesh_module._check_orphans(*args, rows[~gone], ids[~gone], planes, eps)
+        assert err.value.simplex == ids[k]
+
+
+@pytest.mark.parametrize("dim, k", [(2, 13), (3, 5)])
+def test_lattice_simplices_counted_by_every_corner(dim, k, monkeypatch):
+    """On unit lattices, where the simplices of one square or cube share a
+    center and the rows merge, every simplex inside the domain is covered
+    by the d + 1 cells of its corners, counting each (cell, simplex) pair
+    once; some only through the ids the cells absorbed, and no cell covers
+    a simplex it is not a corner of."""
+    mesh, _, (simplices, q, cells, ids, _, _) = _built(_lattice(dim, k), monkeypatch)
+    assert np.array_equal(simplices, mesh.simplices)
+    nrow = len(mesh.cells.verts)
+    assert np.array_equal(cells[:nrow], _cell_rows(mesh))
+    assert np.array_equal(ids[:nrow], mesh.cells.simplices)
+    inside = _inside(mesh)
+    assert inside.all()
+
+    def counts(cells, ids):
+        real = ids >= 0
+        pair = np.unique(ids[real] * len(mesh.points) + cells[real])
+        t, c = np.divmod(pair, len(mesh.points))
+        assert np.all(np.any(simplices[t] == c[:, None], axis=1))
+        return np.bincount(t, minlength=len(q))
+
+    assert np.all(counts(cells, ids) == dim + 1)
+    assert np.any(counts(cells[:nrow], ids[:nrow]) < dim + 1)
 
 
 def test_vertex_sets_match_uses_each_vertex_once():
@@ -834,13 +916,14 @@ def _lattice(dim, k):
 def _same_loop(verts, ids, tags, want_verts, want_ids, want_tags, tol) -> bool:
     """Whether a loop is the wanted one up to the vertex it starts at: the
     same simplex ids (and edge tags, when given) at every vertex, each
-    vertex within tol."""
+    vertex within tol. A wanted id may also be a set of the ids allowed."""
     k = len(verts)
     if k != len(want_verts):
         return False
     for s in range(k):
         at = (np.arange(k) + s) % k
-        if ([want_ids[a] for a in at] == ids
+        if (all(x in w if isinstance(w, set) else x == w
+                for x, w in zip(ids, [want_ids[a] for a in at]))
                 and (tags is None or [want_tags[a] for a in at] == tags)
                 and np.all(np.abs(want_verts[at] - verts) <= tol)):
             return True
@@ -864,7 +947,9 @@ def test_hull_cells_equal_bisector_reference(kind, dim, n, seed):
     the same walls with the same tags and simplex ids, each vertex within
     1e-12 of the scale, up to where a loop starts and the order of the
     faces. Generator clouds, lattices (shared circumcenters), a turned
-    hexagonal domain and a unit box moved to 1e3."""
+    hexagonal domain and a unit box moved to 1e3. A 3D lattice wall keeps
+    the id of the first of its merged rows in angular order, so there the
+    id may be any simplex of the cell whose center lies at the vertex."""
     if kind == "lattice":
         pts = _lattice(dim, n)
     elif kind == "far":
@@ -901,6 +986,9 @@ def test_hull_cells_equal_bisector_reference(kind, dim, n, seed):
             sorted(t if t is not None else -1 for _, t in want), i
         for v, t in want:
             ids = match_simplex_ids(v, q, cand, 1e-9 * scale)
+            if kind == "lattice":
+                ids = [{c for c in cand.tolist() if np.linalg.norm(q[c] - x) <= 1e-9 * scale}
+                       or {None} for x in v]
             hit = [k for k, f in enumerate(got) if f.neighbor == t
                    and _same_loop(f.verts, f.vertex_simplices, None, v, ids, None, tol)]
             assert hit, (i, t)
@@ -1065,7 +1153,7 @@ def _stack3(n, seed, default):
     eps = 1e-10 * scale
     planes = domain_planes(domain)
     m, far = _far_planes(pts, nm, q, dv, scale)
-    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)
+    walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)[0]
     return nm, neighbor_lists(tet), q, planes, scale, eps, walls
 
 
@@ -1095,10 +1183,7 @@ def test_3d_stack_passes_equal_cell_loops(n, seed, default):
     want, error = _raised(_check_cells3_loop, stack, normals, scale, q, ref, 1e-9 * scale)
     assert _raised(_check_cells3, stack, face_planes(stack), scale)[1] == error
     if error is None:
-        cand, starts = _candidates(nm)
-        row_starts = np.searchsorted(stack.row_cells(), np.arange(nm.n_points))
-        got = _match_rows(stack.verts, row_starts, q, cand, starts, 1e-9 * scale)[0]
-        assert got.tolist() == want
+        assert stack.simplices.tolist() == want
 
 
 def test_3d_stack_checks_report_first_failing_cell():
