@@ -278,15 +278,26 @@ def _border_samples(lo, hi, spacing: float, rng) -> np.ndarray:
 
 
 class _BackgroundGrid:
-    """Uniform cells over the box, each side at least min_sep, so every point
-    closer than min_sep to a query lies in the 3^d cells around the query's
-    cell (Bridson 2007, "Fast Poisson disk sampling in arbitrary dimensions").
+    """The placed points bucketed by uniform cells over the box, each side at
+    least min_sep, so every point closer than min_sep to a query lies in the
+    3^d cells around the query's cell (Bridson 2007, "Fast Poisson disk
+    sampling in arbitrary dimensions").
 
     The sides carry a margin of 1e-6 over min_sep: rounding in the cell
     coordinate is a few ulps times the cells per axis, so it cannot move two
     points closer than min_sep more than one cell apart. Long axes get wider
     cells until there are at most 4n + 64 of them, which keeps the grid O(n)
     whatever the box's aspect ratio.
+
+    The grid has one empty cell of margin on every side, so the 3^d cells
+    around a point's flat cell are that id plus the fixed offsets `around`,
+    with no range test. The placed points stay bucketed across blocks in one
+    table: order[bound[c]:bound[c + 1]] are the points of flat cell c, in
+    index order. `add` merges the points a block accepted into it, so no
+    block sorts the points placed before it. A query costs the same whatever
+    the number placed: 3^d table reads and one distance per point in those
+    cells. Beyond its candidates, a block pays one pass over the cells and
+    one copy of `order`, both at array-copy speed.
     """
 
     def __init__(self, lo, hi, min_sep: float, n: int):
@@ -299,39 +310,57 @@ class _BackgroundGrid:
         self.lo = lo
         self.min_sep = min_sep
         self.width = extent / shape
-        self.shape = shape.astype(np.int64)
-        self.size = int(np.prod(self.shape))
-        self.strides = np.cumprod(np.r_[1, self.shape[:-1]])
-        self.offsets = np.array(list(product((-1, 0, 1), repeat=d)), dtype=np.int64)
+        self.top = shape.astype(np.int64) - 1          # last cell per axis
+        padded = self.top + 3                          # a margin cell each side
+        self.strides = np.cumprod(np.r_[1, padded[:-1]])
+        self.size = int(np.prod(padded))
+        self.around = np.array(list(product((-1, 0, 1), repeat=d))) @ self.strides
+        self.bound = np.zeros(self.size + 1, dtype=np.int64)
+        self.order = np.empty(0, dtype=np.int64)
 
-    def cells(self, x: np.ndarray) -> np.ndarray:
-        """Per-axis cell coordinates (m, d) of the points x (m, d)."""
+    def flat(self, x: np.ndarray) -> np.ndarray:
+        """Flat padded cell ids (m,) of the points x (m, d)."""
         c = np.floor((x - self.lo) / self.width).astype(np.int64)
-        return np.clip(c, 0, self.shape - 1)
+        np.maximum(c, 0, out=c)
+        np.minimum(c, self.top, out=c)
+        return (c + 1) @ self.strides
 
-    def flat(self, cells: np.ndarray) -> np.ndarray:
-        return cells @ self.strides
+    def buckets(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (bound, order) table of points in the flat cells `flat`:
+        bound[c] counts the points in cells below c, by one repeat over the
+        cells (a cumsum over them costs several times more)."""
+        order = np.argsort(flat, kind="stable")
+        steps = np.diff(flat[order], prepend=-1, append=self.size)
+        return np.arange(len(flat) + 1).repeat(steps), order
 
-    def conflicts(self, x, xcells, pts, pflat) -> tuple[np.ndarray, np.ndarray]:
+    def add(self, flat: np.ndarray) -> None:
+        """Merge the next len(flat) points, in flat cells `flat`, into the
+        placed points' table: each goes to the end of its cell's bucket."""
+        bound, new = self.buckets(flat)
+        self.order = np.insert(self.order, self.bound[flat[new] + 1], new + len(self.order))
+        self.bound += bound
+
+    def conflicts(self, x, xflat, pts, bound, order) -> tuple[np.ndarray, np.ndarray]:
         """(q, p) index pairs, ordered by q, with |pts[p] - x[q]| < min_sep:
-        only the points p in the 3^d cells around x[q] are measured (x[q] in
-        per-axis cells xcells[q], pts[p] in flat cell pflat[p]). The distance
-        is the expression of a check against every point,
-        np.linalg.norm(pts - x) (sqrt of the sum of squared differences), so
-        every decision is the same to the last bit; squared distances would
-        differ there."""
-        order = np.argsort(pflat, kind="stable")
-        count = np.bincount(pflat, minlength=self.size)
-        start = np.cumsum(count) - count
-        nb = xcells[:, None, :] + self.offsets
-        q, o = np.nonzero(np.all((nb >= 0) & (nb < self.shape), axis=2))
-        cell = self.flat(nb[q, o])
-        c = count[cell]
-        run = np.cumsum(c) - c
-        q = np.repeat(q, c)
-        p = order[np.arange(int(c.sum())) + np.repeat(start[cell] - run, c)]
-        hit = np.linalg.norm(pts[p] - x[q], axis=1) < self.min_sep
-        return q[hit], p[hit]
+        only the points p that the table (bound, order) holds in the 3^d
+        cells around x[q]'s flat cell xflat[q] are measured. The distance is
+        that of a check against every point, np.linalg.norm(pts - x, axis=1):
+        the sqrt of each row's squared differences summed from the first
+        column on, so every decision is the same to the last bit; squared
+        distances would differ there."""
+        cell = (xflat[:, None] + self.around).ravel()
+        first = bound[cell]
+        count = bound[cell + 1] - first
+        shift = (first + count - count.cumsum()).repeat(count)
+        p = order[np.arange(len(shift)) + shift]
+        q = np.arange(len(x)).repeat(count.reshape(len(x), len(self.around)).sum(axis=1))
+        diff = pts.take(p, axis=0) - x.take(q, axis=0)
+        diff *= diff
+        sq = diff[:, 0] + diff[:, 1]       # summed in np.linalg.norm's order
+        if diff.shape[1] == 3:
+            sq += diff[:, 2]
+        hit = np.sqrt(sq) < self.min_sep
+        return q.compress(hit), p.compress(hit)
 
 
 _MAX_BLOCK = 8192                        # candidates per block; bounds its memory
@@ -352,10 +381,11 @@ def generate_points(config: RunConfig) -> np.ndarray:
     rng.random(dim) and accepting it when no placed point lies within the
     separation, but a candidate costs the same whatever N: candidates are
     drawn in blocks (the same stream), sized from the acceptance rate of the
-    last block. A background grid checks a block against the placed points
-    in the 3^dim cells around each candidate only, and a candidate that
-    passes is accepted unless an earlier accepted candidate of its own block
-    lies within the separation. Attempts count up to the candidate that
+    last block. A background grid, which keeps the placed points bucketed by
+    cell across blocks, checks a block against the placed points in the
+    3^dim cells around each candidate only, and a candidate that passes is
+    accepted unless an earlier accepted candidate of its own block lies
+    within the separation. Attempts count up to the candidate that
     places point N; after 1000 + 500 N of them without N points,
     RejectionBudgetExceeded is raised.
     """
@@ -381,8 +411,7 @@ def generate_points(config: RunConfig) -> np.ndarray:
             rng.bit_generator.advance(draws)
 
     grid = _BackgroundGrid(lo, hi, min_sep, n)
-    pflat = np.empty(n, dtype=np.int64)  # flat grid cell of each placed point
-    pflat[:k] = grid.flat(grid.cells(pts[:k]))
+    grid.add(grid.flat(pts[:k]))
     budget = 1000 + 500 * n
     attempts = 0
     # Conflicts inside a block grow as the square of its size over n and are
@@ -399,16 +428,16 @@ def generate_points(config: RunConfig) -> np.ndarray:
         m = math.ceil(1.25 * min(n - k, per_block) / rate)
         m = min(m, _MAX_BLOCK, budget - attempts)
         cand = lo + (hi - lo) * rng.random((m, d))
-        ccells = grid.cells(cand)
+        cflat = grid.flat(cand)
 
         # candidates with no placed point within min_sep, in draw order
         rejected = np.zeros(m, dtype=bool)
-        rejected[grid.conflicts(cand, ccells, pts, pflat[:k])[0]] = True
+        rejected[grid.conflicts(cand, cflat, pts, grid.bound, grid.order)[0]] = True
         live = np.flatnonzero(~rejected)
         # a live candidate is accepted unless an earlier accepted one of
         # this block is within min_sep
-        q, p = grid.conflicts(cand[live], ccells[live], cand[live],
-                              grid.flat(ccells[live]))
+        lcand, lflat = cand[live], cflat[live]
+        q, p = grid.conflicts(lcand, lflat, lcand, *grid.buckets(lflat))
         earlier = p < q
         accepted = [True] * len(live)
         for i, j in zip(q[earlier].tolist(), p[earlier].tolist()):  # ordered by i
@@ -419,7 +448,7 @@ def generate_points(config: RunConfig) -> np.ndarray:
         rate = max(len(placed), 1) / m
         attempts += int(placed[-1]) + 1 if k + len(placed) == n else m
         pts[k:k + len(placed)] = cand[placed]
-        pflat[k:k + len(placed)] = grid.flat(ccells[placed])
+        grid.add(cflat[placed])
         k += len(placed)
     return pts
 

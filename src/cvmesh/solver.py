@@ -249,10 +249,13 @@ def classify_overlap(r, nm: NeighborMap, pts: np.ndarray) -> OverlapMode:
     pts = np.asarray(pts, dtype=float)
     n = nm.n_points
     # every neighbour pair appears both ways: the rows with i < j give each
-    # pair (repeated in 3D), and np.unique drops the repeats and sorts
+    # pair once in 2D (a point's ring lists a neighbour once), so a sort
+    # orders them; in 3D a pair repeats over the tetrahedra around its edge,
+    # and np.unique drops the repeats and sorts
     i, j = nm.pairs()
     one_way = i < j
-    key = np.unique(i[one_way] * n + j[one_way])
+    key = i[one_way] * n + j[one_way]
+    key = np.sort(key) if nm.dim == 2 else np.unique(key)
     edges = np.column_stack(np.divmod(key, n))
     d = pts[edges[:, 0]] - pts[edges[:, 1]]
     # the row-wise sqrt(d . d) is np.linalg.norm of each row, bit for bit

@@ -155,6 +155,85 @@ def test_generate_points_matches_scalar_loop(dim, n):
                 assert generate_points(cfg).tobytes() == _reference(cfg).tobytes(), cfg
 
 
+@pytest.mark.parametrize("config, capped, digest", [
+    (dict(dimension=2, n=20_000, seed=1), True,
+     "94aacd9f8e639ee2eac37e83e61ac354430c0d9dd06f343bdbe62f9bd31f6962"),
+    (dict(dimension=3, n=5000, seed=1), False,
+     "830d26e0f45ff7be489527448716041bef0df2af6ced1660e3631fed9b40f328"),
+])
+def test_generate_points_pinned_output_at_size(config, capped, digest, monkeypatch):
+    """Past the scalar-loop sizes: both clouds merge many blocks into the
+    placed points' buckets, and the 2D one draws blocks capped at
+    _MAX_BLOCK. The digests are those of the grid that re-sorted every
+    placed point for each block."""
+    blocks, capped_draws = [], []
+
+    class Grid(io_mod._BackgroundGrid):
+        def add(self, flat):
+            blocks.append(len(flat))
+            super().add(flat)
+
+        def flat(self, x):
+            capped_draws.append(len(x) == io_mod._MAX_BLOCK)
+            return super().flat(x)
+
+    monkeypatch.setattr(io_mod, "_BackgroundGrid", Grid)
+    pts = np.asarray(generate_points(RunConfig(**config)), dtype="<f8")
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
+    assert len(blocks) > 5 and sum(blocks) == config["n"]
+    assert any(capped_draws) == capped
+
+
+@pytest.mark.parametrize("config", [
+    dict(dimension=2, n=200, seed=1, box=(0.0, 0.0, 1000.0, 1.0), min_sep_factor=10.0),
+    dict(dimension=2, n=30, seed=2, box=(0.0, 0.0, 100.0, 1.0), min_sep_factor=2.0),
+    dict(dimension=2, n=120, seed=3, box=(0.0, 0.0, 1.0, 300.0), min_sep_factor=6.0,
+         boundary=False),
+    dict(dimension=3, n=40, seed=1, box=(0.0, 0.0, 0.0, 60.0, 1.0, 1.0), min_sep_factor=1.5),
+    dict(dimension=3, n=100, seed=2, box=(0.0, 0.0, 0.0, 1.0, 80.0, 0.5), min_sep_factor=4.0),
+])
+def test_generate_points_matches_scalar_loop_on_thin_grids(config, monkeypatch):
+    """Long thin boxes whose grid has one or two cells across a short axis
+    (the long axis widened to keep the grid O(n)), so the margin cells
+    around the grid outnumber the cells inside it: the same bytes as the
+    scalar loop."""
+    grids = []
+
+    class Grid(io_mod._BackgroundGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(io_mod, "_BackgroundGrid", Grid)
+    cfg = RunConfig(**config)
+    assert generate_points(cfg).tobytes() == _reference(cfg).tobytes()
+    (grid,) = grids
+    assert grid.top.min() <= 1
+    assert grid.size > 2 * np.prod(grid.top + 1)
+
+
+def test_background_grid_distance_is_norm_bit_for_bit():
+    """Point pairs whose squared differences sum to another double when
+    summed from the last column: with min_sep the larger of the two
+    distances, the grid decides each pair as np.linalg.norm does."""
+    rng = np.random.default_rng(0)
+    lo, hi = np.zeros(3), np.ones(3)
+    cases = 0
+    while cases < 20:
+        a = 0.5 + 0.01 * (rng.random((1, 3)) - 0.5)
+        b = a + 0.05 * (rng.random((1, 3)) - 0.5)
+        sq = (b - a)[0] ** 2
+        first, last = np.sqrt((sq[0] + sq[1]) + sq[2]), np.sqrt(sq[0] + (sq[1] + sq[2]))
+        if first == last:
+            continue
+        cases += 1
+        min_sep = max(first, last)
+        grid = io_mod._BackgroundGrid(lo, hi, min_sep, 10)
+        grid.add(grid.flat(b))
+        q, _ = grid.conflicts(a, grid.flat(a), b, grid.bound, grid.order)
+        assert len(q) == int(np.linalg.norm(b - a, axis=1)[0] < min_sep)
+
+
 def test_generate_points_budget_exceeded():
     """The budget runs out at the same attempt with the same points placed
     as in the scalar loop, with or without a border layer, in 2D and 3D."""

@@ -326,6 +326,23 @@ def test_classify_overlap_matches_pair_loop():
             assert np.array_equal(mode.edges, np.array(sorted(expected)))
 
 
+@pytest.mark.parametrize("n, seed", [(400, 0), (400, 1), (400, 2), (2000, 1), (64, None)])
+def test_classify_overlap_2d_edges_are_the_unique_pairs(n, seed):
+    """In 2D the rows with owner < nbr give each edge once, so the sorted
+    keys classify_overlap keeps are the np.unique of those keys: on
+    generator clouds and on the 8 x 8 unit lattice (seed None)."""
+    if seed is None:
+        g = np.linspace(0.0, 1.0, 8)
+        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    else:
+        pts = uniform_points(2, n, seed)
+    nm = neighbor_map(triangulate2(pts))
+    i, j = nm.pairs()
+    key = np.unique(i[i < j] * len(pts) + j[i < j])
+    mode = classify_overlap(np.full(len(pts), 0.01), nm, pts)
+    assert np.array_equal(mode.edges, np.column_stack(np.divmod(key, len(pts))))
+
+
 def test_solve_radii_single_triangle_exact():
     pts = np.array([[0.0, 0.0], [1.0, 0.1], [0.45, 0.95]])
     tri = triangulate2(pts)
