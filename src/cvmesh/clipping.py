@@ -24,8 +24,9 @@ whole stack: `verts @ n - c` for one plane shared by every cell, or a row-wise
 dot relative to each cell's own point for planes that differ per cell.
 
 The domain a mesh is cut from is a one-cell stack of the same kind, every
-wall tagged -1 (`box_polygon`, `box_polyhedron`), and `domain_planes` gives
-its outward planes.
+wall tagged -1 (`box_polygon`, `box_polyhedron`); `mesh.face_planes` gives
+its outward planes with unit normals, so the distances a caller passes are
+true distances and the eps band is as wide as eps at every scale.
 """
 from __future__ import annotations
 
@@ -539,16 +540,3 @@ def box_polyhedron(lo, hi) -> PolyStack:
     corners = np.array(list(product(*zip(lo, hi))), dtype=float)
     return PolyStack.from_loops(corners[_BOX_FACES], np.arange(0, 24, 4), [-1] * 6, [0] * 6)
 
-
-def domain_planes(domain: RingStack | PolyStack) -> tuple[np.ndarray, np.ndarray]:
-    """Outward planes n . x <= c of a one-cell domain stack, unnormalized:
-    one per edge of a CCW ring, n the edge vector turned clockwise, or one
-    per face, n its Newell normal; c places the plane through the first
-    vertex of the edge or face."""
-    v = domain.verts
-    if isinstance(domain, RingStack):
-        e = v[domain.succ()] - v
-        n = np.column_stack((e[:, 1], -e[:, 0]))
-        return n, _rowdot(n, v)
-    n = _face_normals(v, domain.starts, domain.succ)
-    return n, _rowdot(n, v[domain.starts])

@@ -9,10 +9,15 @@ face of those points is tagged -1. The domain clip is then the one cut, and
 no cell is repaired after it is built. All of it runs as array code over all
 cells at once, on polygons stacked by `clipping.RingStack` (2D) and
 polyhedra stacked by `clipping.PolyStack` (3D); the per-cell checks run once
-over the whole stack and raise for the first failing cell. In 3D every face's plane comes
-from one table (`face_planes`), built once per stack: the planarity and
-convexity checks decide every cell from it in one pass, and
-`validate_global` tests points against the same planes. That stack is the
+over the whole stack and raise for the first failing cell. Every wall's
+line (2D) or plane (3D), of the domain and of the cells, comes from one
+table (`face_planes`) with unit normals, so every cut and every tolerance
+compares a true distance with an eps relative to the domain scale, and a
+domain scaled by a power of two gives the same mesh scaled by it, bit for
+bit. The domain clip and the orphan check read the domain's table; in 3D
+the planarity and convexity checks decide every cell from the cells' table
+in one pass, and `validate_global` tests points against the cells' lines
+or planes. That stack is the
 mesh's one cell representation (`ControlVolumeMesh.cells`): cell i belongs
 to point i, the validators and writers read its arrays, and nothing unpacks
 it into per-cell objects. The domain every cell is cut from
@@ -40,7 +45,6 @@ from .clipping import (  # noqa: F401 (perfbench wraps clip_polygon, clip_polyhe
     clip_rings,
     clip_stack,
     concat_stacks,
-    domain_planes,
     merge_rings,
     _angular_order,
     _dedup_loops,
@@ -118,7 +122,7 @@ def _cell_measures(stack, n: int) -> np.ndarray:
 def _padded_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    pad = DOMAIN_PAD * max(float((hi - lo).max()), 1e-12)
+    pad = DOMAIN_PAD * float((hi - lo).max())
     return lo - pad, hi + pad
 
 
@@ -259,10 +263,10 @@ def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: in
 
 
 def _check_orphans(simplices: np.ndarray, q: np.ndarray, cells: np.ndarray, ids: np.ndarray,
-                   planes, eps_inside: float):
+                   planes: FacePlanes, eps_inside: float):
     """Raise OrphanVertex for the first simplex whose candidate vertex lies
-    inside every domain plane (`domain_planes`) by more than eps_inside and
-    that not every cell of its d + 1 corners covers. Cell cells[k] covers
+    more than eps_inside inside every domain plane (the domain's
+    `face_planes`) and that not every cell of its d + 1 corners covers. Cell cells[k] covers
     simplex ids[k]: the simplex of one of its vertex rows, or one that it
     absorbed when rows merged (-1, a clip point, covers nothing). No
     distance is measured; each (corner, simplex) pair is marked once."""
@@ -271,8 +275,8 @@ def _check_orphans(simplices: np.ndarray, q: np.ndarray, cells: np.ndarray, ids:
     hit = np.zeros(simplices.shape, dtype=bool)
     hit[ids[real][row], k] = True
     inside = ~hit.all(axis=1)
-    for n, c in zip(*planes):
-        inside &= _rowdot(q, np.broadcast_to(n, q.shape)) - c < -eps_inside * np.linalg.norm(n)
+    for u, c in zip(planes.u, planes.c):
+        inside &= _rowdot(q, np.broadcast_to(u, q.shape)) - c < -eps_inside
     bad = np.flatnonzero(inside)
     if len(bad):
         raise OrphanVertex(int(bad[0]))
@@ -280,15 +284,14 @@ def _check_orphans(simplices: np.ndarray, q: np.ndarray, cells: np.ndarray, ids:
 
 @dataclass
 class FacePlanes:
-    """The plane of every face of a `PolyStack`, computed once: its Newell
-    normal, whether that is nonzero (`keep`), the unit normal u and offset c
-    of the plane u . x = c through its first vertex (u zero without a
-    normal), the largest distance of its vertices from that plane (0.0
-    without a normal) and its longest edge."""
+    """The line or plane of every wall of a stack, computed once: whether
+    the wall has a normal (`keep`), the outward unit normal u and offset c
+    of the line or plane u . x = c through its first vertex (u zero without
+    a normal), the largest distance of its vertices from that plane (0.0
+    for an edge or without a normal) and its longest edge."""
 
-    normals: np.ndarray   # (F, 3)
     keep: np.ndarray      # (F,)
-    u: np.ndarray         # (F, 3)
+    u: np.ndarray         # (F, d)
     c: np.ndarray         # (F,)
     dev: np.ndarray       # (F,)
     edge: np.ndarray      # (F,)
@@ -300,25 +303,35 @@ class FacePlanes:
         return self.keep & (self.edge != 0.0) & (self.dev > EPS_FACE * self.edge)
 
 
-def face_planes(stack: PolyStack) -> FacePlanes:
-    """The `FacePlanes` of every face of a stack, in one pass over its rows.
-    Normals and deviations take each vertex relative to its face's first
-    vertex, so a small face far from the origin keeps its digits."""
-    v, starts = stack.verts, stack.starts
-    face = np.repeat(np.arange(len(starts)), stack.lengths())
-    rel = v - v[starts][face]
-    normals = _face_normals(rel, starts, stack.succ)
-    nn = np.sqrt(_rowdot(normals, normals))
+def face_planes(stack: RingStack | PolyStack) -> FacePlanes:
+    """The `FacePlanes` of every wall of a stack, in one pass over its rows:
+    one line per edge of a `RingStack`, n the edge vector e turned
+    clockwise (outward for a CCW ring), or one plane per face of a
+    `PolyStack`, n its Newell normal; u is n / |n|. Face normals and
+    deviations take each vertex relative to its face's first vertex, so a
+    small face far from the origin keeps its digits."""
+    v = stack.verts
+    if isinstance(stack, RingStack):
+        e = v[stack.succ()] - v
+        n, first = np.column_stack((e[:, 1], -e[:, 0])), v
+    else:
+        starts = stack.starts
+        face = np.repeat(np.arange(len(starts)), stack.lengths())
+        rel = v - v[starts][face]
+        n, first = _face_normals(rel, starts, stack.succ), v[starts]
+    nn = np.sqrt(_rowdot(n, n))
     keep = nn != 0.0
-    u = np.zeros_like(normals)
-    u[keep] = normals[keep] / nn[keep, None]
-    c = _rowdot(u, v[starts])
+    u = np.zeros_like(n)
+    u[keep] = n[keep] / nn[keep, None]
+    c = _rowdot(u, first)
+    if isinstance(stack, RingStack):
+        return FacePlanes(keep, u, c, np.zeros(len(v)), np.sqrt(_rowdot(e, e)))
     if not len(starts):
-        return FacePlanes(normals, keep, u, c, np.zeros(0), np.zeros(0))
+        return FacePlanes(keep, u, c, np.zeros(0), np.zeros(0))
     dev = np.maximum.reduceat(np.abs(_rowdot(rel, u[face])), starts)
     e = v[stack.succ] - v
     edge = np.maximum.reduceat(np.sqrt(_rowdot(e, e)), starts)
-    return FacePlanes(normals, keep, u, c, dev, edge)
+    return FacePlanes(keep, u, c, dev, edge)
 
 
 def _check_cells3(stack: PolyStack, planes: FacePlanes, scale: float):
@@ -422,26 +435,26 @@ def _cell_walls(owner: np.ndarray, triples: np.ndarray, points: np.ndarray, ids:
     return PolyStack.from_loops(loops[rows], starts, gj[walls], gi[walls], sids[rows]), absorbed
 
 
-def _clip_to_domain(stack: PolyStack, planes, eps: float) -> PolyStack:
-    """Clip the cells with a vertex beyond a domain plane (`domain_planes`,
-    by more than eps relative to its normal) to the domain: those cells are
-    taken out once, clipped by each plane in turn in one `clip_stack` pass
-    (the rows of the cells that do not cross that plane at -inf) and put
-    back among the others, which keep their rows."""
+def _clip_to_domain(stack: PolyStack, planes: FacePlanes, eps: float) -> PolyStack:
+    """Clip the cells with a vertex more than eps beyond a domain plane (the
+    domain's `face_planes`) to the domain: those cells are taken out once,
+    clipped by each plane in turn in one `clip_stack` pass (the rows of the
+    cells that do not cross that plane at -inf) and put back among the
+    others, which keep their rows."""
     ncell = int(stack.cells.max(initial=-1)) + 1
     rows = stack.row_cells()
     beyond = np.zeros(len(rows), dtype=bool)
-    for n, c in zip(*planes):
-        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
+    for u, c in zip(planes.u, planes.c):
+        beyond |= stack.verts @ u - c > eps
     cut = (np.bincount(rows[beyond], minlength=ncell) > 0)[stack.cells]
     part = stack.take(np.flatnonzero(cut))
-    for n, c in zip(*planes):
+    for u, c in zip(planes.u, planes.c):
         rows = part.row_cells()
-        d = part.verts @ n - c
-        crossing = np.bincount(rows[d > eps * np.linalg.norm(n)], minlength=ncell) > 0
+        d = part.verts @ u - c
+        crossing = np.bincount(rows[d > eps], minlength=ncell) > 0
         if crossing.any():
             d[~crossing[rows]] = -np.inf
-            part = clip_stack(part, d, np.tile(n, (ncell, 1)), [None] * ncell, eps)
+            part = clip_stack(part, d, np.tile(u, (ncell, 1)), [None] * ncell, eps)
     return concat_stacks([stack.take(np.flatnonzero(~cut)), part])
 
 
@@ -459,13 +472,13 @@ def _build(tri, nm: NeighborMap, pts, radii, domain) -> ControlVolumeMesh:
     dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
-    planes = domain_planes(domain)
+    planes = face_planes(domain)
     m, far = _far_planes(pts, nm, q, dv, scale)
     if tri.dim == 2:
         # every ring that a domain line cuts, in one pass per line
         stack, (cells, ids) = merge_rings(_rings(pts, nm, q, m, far), eps)
-        for n, c in zip(*planes):
-            d = stack.verts @ n - c
+        for u, c in zip(planes.u, planes.c):
+            d = stack.verts @ u - c
             if np.any(d > eps):
                 stack = clip_rings(stack, d, [None] * len(pts), eps)
         _check_convex2(stack)
@@ -581,8 +594,8 @@ class GlobalReport:
         )
 
 
-def _containment_boxes(stack, planes: FacePlanes | None, n: int, tol: float, pad: float):
-    """Per cell of a stack of n cells (a 3D one with its `face_planes`),
+def _containment_boxes(stack, planes: FacePlanes, n: int, tol: float, pad: float):
+    """Per cell of a stack of n cells with its `face_planes`,
     whether a box holding every point that `_inside_pairs` accepts in it at
     tolerance tol is known, and the box (lo, hi), as arrays over the cells.
 
@@ -596,13 +609,12 @@ def _containment_boxes(stack, planes: FacePlanes | None, n: int, tol: float, pad
     of another face (`_closed_cells`). Then a point inside every plane by tol
     sees every face at a positive solid angle, and the solid angles of a
     closed surface sum to a whole number of spheres. Such cells get the box
-    of their vertices; other 3D cells, and every cell when tol <= 0, get
-    none. Empty cells get none either.
+    of their vertices; other 3D cells get none. Empty cells get none either.
     """
     has = np.zeros(n, dtype=bool)
     lo = np.zeros((n, stack.verts.shape[1]))
     hi = np.zeros_like(lo)
-    if tol <= 0.0 or n == 0:
+    if n == 0:
         return has, lo, hi
     if isinstance(stack, RingStack):
         full = stack.lengths() > 0
@@ -718,17 +730,16 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
         b0 = b1
 
 
-def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes | None, targets: np.ndarray,
+def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes, targets: np.ndarray,
                   tol: float, pad: float):
     """(cell, target) of every target that lies inside its cell by more than
-    tol, sorted by cell then target. In 2D a target is inside when its
-    distance left of every edge line exceeds tol; in 3D when it lies more than
-    tol inside the plane through the first vertex of every face with a
-    normal (`planes`, the cells' `face_planes`). A cell with a containment
-    box (`_containment_boxes`) pairs with the targets in it, every other
-    non-empty cell with every target; in 2D the pairs go through one array
-    test per chunk, in 3D each cell's targets through one product with all
-    of the cell's planes."""
+    tol, sorted by cell then target, against the cells' `face_planes`: in 2D
+    a target is inside when it lies more than tol inside every edge line; in
+    3D when it lies more than tol inside the plane of every face with a
+    normal. A cell with a containment box (`_containment_boxes`) pairs with
+    the targets in it, every other non-empty cell with every target; in 2D
+    the pairs go through one array test per chunk, in 3D each cell's
+    targets through one product with all of the cell's planes."""
     stack = mesh.cells
     n = len(mesh.points)
     margin = -tol
@@ -738,20 +749,13 @@ def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes | None, targets: n
     pos, tgt = [], []
     flat = isinstance(stack, RingStack)
     if flat:
-        # per cell (column) its vertices, edge vectors and lengths, padded
-        # to one height; padding rows pass every test
-        rings = stack
-        v = rings.verts
-        e = v[rings.succ()] - v
-        ring = rings.row_rings()
-        at = (np.arange(len(v)) - rings.starts[ring], ring)
-        width = (max(int(rings.lengths().max(initial=0)), 1), n)
-        vx, vy, ex, ey = (np.zeros(width) for _ in range(4))
-        ln = np.ones(width)
-        pad = np.ones(width, dtype=bool)
-        vx[at], vy[at], ex[at], ey[at] = v[:, 0], v[:, 1], e[:, 0], e[:, 1]
-        ln[at] = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
-        pad[at] = False
+        # per cell (column) its edge lines, padded to one height; padding
+        # rows (u zero, c infinite) pass every test
+        ring = stack.row_rings()
+        at = (np.arange(len(ring)) - stack.starts[ring], ring)
+        width = (max(int(stack.lengths().max(initial=0)), 1), n)
+        ux, uy, c = np.zeros(width), np.zeros(width), np.full(width, np.inf)
+        ux[at], uy[at], c[at] = planes.u[:, 0], planes.u[:, 1], planes.c
     else:
         u, c = planes.u[planes.keep], planes.c[planes.keep]
         fstart = np.searchsorted(stack.cells[planes.keep], np.arange(n + 1))
@@ -767,10 +771,9 @@ def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes | None, targets: n
     for pc, pt in chain(((boxed[pb], pt) for pb, pt in _box_pairs(lo[boxed], hi[boxed], targets)),
                         unboxed()):
         if flat:
-            # the cross products, one column of edges per pair
+            # the signed distances, one column of edge lines per pair
             px, py = targets[pt, 0], targets[pt, 1]
-            cross = (ex[:, pc] * (py - vy[:, pc]) - ey[:, pc] * (px - vx[:, pc])) / ln[:, pc]
-            ok = np.logical_and.reduce((cross >= -margin) | pad[:, pc], axis=0)
+            ok = np.all(ux[:, pc] * px + uy[:, pc] * py - c[:, pc] <= margin, axis=0)
         else:
             # each cell's targets against all of its planes in one product
             cut = np.flatnonzero(np.diff(pc, prepend=-1))
@@ -834,8 +837,7 @@ def _wall_mismatches(mesh: ControlVolumeMesh, tol: float) -> list:
     return out
 
 
-def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0,
-                    tol: float | None = None) -> GlobalReport:
+def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0) -> GlobalReport:
     """Global mesh conditions: identical shared walls seen from both owners,
     sampled pairwise interior disjointness, each owner inside its own cell,
     and no foreign generator inside any cell.
@@ -850,7 +852,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     or generator order.
     """
     scale = mesh.scale()
-    tol = 1e-9 * scale if tol is None else tol
+    tol = 1e-9 * scale
     pts = mesh.points
     n = len(pts)
     mismatches = _wall_mismatches(mesh, tol)
@@ -861,7 +863,7 @@ def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0
     hi = dverts.max(axis=0)
     samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
     targets = np.vstack([samples, pts])
-    planes = face_planes(mesh.cells) if mesh.dim == 3 else None
+    planes = face_planes(mesh.cells)
     pos, tgt = _inside_pairs(mesh, planes, targets, tol, 1e-9 * scale)
 
     # a probe's first cell (in cell order) owns it; every later one overlaps

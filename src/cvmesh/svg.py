@@ -7,6 +7,7 @@ counts stay meaningful.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,11 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
 
     Each layer's coordinates are computed as arrays, by the same float64
     operations as one element at a time, and the layer is formatted by one
-    "%.6f" template ("%.6f" % x is format(x, ".6f"))."""
+    "%.6f" template ("%.6f" % x is format(x, ".6f")). Every coordinate,
+    radius and stroke width is first multiplied by the power of two that
+    brings the padded view span into [1, 2) (1.0 for a unit box), so six
+    decimals keep the same digits at every scale, and a mesh scaled by a
+    power of two renders the same bytes."""
     if mesh.dim != 2:
         raise DimensionMismatch("SVG rendering is 2D only; export 3D meshes to VTK")
     opt = options or SvgOptions()
@@ -46,6 +51,8 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
     lo = dv.min(axis=0)
     hi = dv.max(axis=0)
     span = float(max(hi - lo))
+    f = math.ldexp(1.0, 1 - math.frexp(span + 2 * (0.02 * span))[1])
+    lo, hi, span, pts = lo * f, hi * f, span * f, pts * f
     pad = 0.02 * span
     x0, y0 = lo - pad
     w, h = (hi - lo) + 2 * pad
@@ -64,7 +71,7 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
     if "cells" in opt.layers:
         rings = mesh.cells
         full = ~mesh.empty_cells()
-        v = rings.verts[full[rings.row_rings()]]
+        v = rings.verts[full[rings.row_rings()]] * f
         out.append(f'<g id="cells" fill="none" stroke="#1a6faf" stroke-width="{sw}">\n')
         out.append(_text_lines("%.6f,%.6f", xy(v), rings.lengths()[full],
                                head='<polygon points="', tail='"/>'))
@@ -83,7 +90,7 @@ def render_svg(mesh: ControlVolumeMesh, pts: np.ndarray | None = None,
         out.append("</g>\n")
 
     if "circles" in opt.layers and radii is not None:
-        r = np.asarray(radii, dtype=float)
+        r = np.asarray(radii, dtype=float) * f
         m = min(len(pts), len(r))
         out.append(f'<g id="circles" fill="none" stroke="#d88a2d" stroke-width="{sw}">\n')
         out.append(('<circle cx="%.6f" cy="%.6f" r="%.6f"/>\n' * m)

@@ -511,11 +511,16 @@ def polygon_area(v) -> float:
 
 
 def halfplanes(verts):
+    """The outward line u . x = c of every edge of a CCW polygon, one edge at
+    a time: u the edge vector turned clockwise over its length (zero for a
+    zero-length edge), c placing the line through the edge's first vertex."""
     out = []
     for a in range(len(verts)):
         e = verts[(a + 1) % len(verts)] - verts[a]
         n = np.array([e[1], -e[0]])
-        out.append((n, float(n @ verts[a])))
+        nn = math.sqrt(float(n @ n))
+        u = n / nn if nn != 0.0 else np.zeros(2)
+        out.append((u, float(u @ verts[a])))
     return out
 
 
@@ -590,8 +595,7 @@ def build_cells2_loop(pts, q, rings, closed, ring_simplices, domain_verts):
         matched.update(t for t in ids if t is not None)
         cells.append((v, poly[1], ids))
     for t in range(len(q)):
-        if t not in matched and all(float(q[t] @ n - c) < -match_eps * np.linalg.norm(n)
-                                    for n, c in planes):
+        if t not in matched and all(float(q[t] @ u - c) < -match_eps for u, c in planes):
             raise CellError("OrphanVertex", t)
     return cells
 
@@ -1368,12 +1372,12 @@ def einsum_offsets(indices, K, c, den, w):
                      / den for i in range(K.shape[1])], axis=-1)
 
 
-def validate_global_brute_force(mesh, probes=10_000, seed=0, tol=None) -> dict:
+def validate_global_brute_force(mesh, probes=10_000, seed=0) -> dict:
     """The GlobalReport fields of cvmesh's validate_global, computed by testing
     every probe and every generator against every cell: the cell records'
     shared walls, contains and contains_many, and the mesh's own measures."""
     scale = mesh.scale()
-    tol = 1e-9 * scale if tol is None else tol
+    tol = 1e-9 * scale
     pts = mesh.points
     cells = cell_records(mesh)
 
@@ -1687,7 +1691,9 @@ def _fmt(v: float) -> str:
 
 def render_svg(mesh, pts=None, radii=None, options=None) -> str:
     """cvmesh.svg.render_svg, one element and one number at a time; options
-    is a cvmesh.svg.SvgOptions (the caller passes the default)."""
+    is a cvmesh.svg.SvgOptions (the caller passes the default). Every
+    coordinate, radius and stroke width is multiplied by f, the power of two
+    2^-e with the padded view span in [2^e, 2^(e + 1))."""
     opt = options
     pts = mesh.points if pts is None else np.asarray(pts, dtype=float)
     radii = mesh.radii if radii is None else radii
@@ -1696,6 +1702,13 @@ def render_svg(mesh, pts=None, radii=None, options=None) -> str:
     lo = dv.min(axis=0)
     hi = dv.max(axis=0)
     span = float(max(hi - lo))
+    e = 0
+    while 2.0 ** (e + 1) <= span + 2 * (0.02 * span):
+        e += 1
+    while 2.0 ** e > span + 2 * (0.02 * span):
+        e -= 1
+    f = 2.0 ** -e
+    lo, hi, span, pts = lo * f, hi * f, span * f, pts * f
     pad = 0.02 * span
     x0, y0 = lo - pad
     w, h = (hi - lo) + 2 * pad
@@ -1717,7 +1730,7 @@ def render_svg(mesh, pts=None, radii=None, options=None) -> str:
         for cell in cell_records(mesh):
             if cell.empty:
                 continue
-            coords = " ".join(f"{_fmt(v[0])},{fy(v[1])}" for v in cell.verts)
+            coords = " ".join(f"{_fmt(v[0] * f)},{fy(v[1] * f)}" for v in cell.verts)
             out.append(f'<polygon points="{coords}"/>')
         out.append("</g>")
 
@@ -1737,7 +1750,7 @@ def render_svg(mesh, pts=None, radii=None, options=None) -> str:
     if "circles" in opt.layers and radii is not None:
         out.append(f'<g id="circles" fill="none" stroke="#d88a2d" stroke-width="{sw}">')
         for p, r in zip(pts, radii):
-            out.append(f'<circle cx="{_fmt(p[0])}" cy="{fy(p[1])}" r="{_fmt(float(r))}"/>')
+            out.append(f'<circle cx="{_fmt(p[0])}" cy="{fy(p[1])}" r="{_fmt(float(r) * f)}"/>')
         out.append("</g>")
 
     if "points" in opt.layers:

@@ -441,6 +441,22 @@ def test_svg_deterministic_bytes():
     assert render_svg(mesh) == render_svg(mesh)
 
 
+def test_svg_bytes_equal_for_mesh_scaled_by_power_of_two():
+    """Coordinates are formatted at a view span in [1, 2), so a mesh scaled
+    by 2^k renders the bytes of the unscaled mesh, down to spans where six
+    fixed decimals of the world coordinates would print only zeros."""
+    mesh = _mesh2(seed=6, n=15)
+    want = render_svg(mesh)
+    for k in (-40, -30, -1, 1, 20):
+        s = 2.0 ** k
+        scaled = dataclasses.replace(
+            mesh, points=mesh.points * s, radii=mesh.radii * s,
+            cells=dataclasses.replace(mesh.cells, verts=mesh.cells.verts * s),
+            domain=dataclasses.replace(mesh.domain, verts=mesh.domain.verts * s))
+        assert render_svg(scaled) == want, k
+        assert render_svg(scaled) == oracles.render_svg(scaled, options=SvgOptions()), k
+
+
 def test_svg_rejects_3d():
     with pytest.raises(DimensionMismatch):
         render_svg(_mesh3())

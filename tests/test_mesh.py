@@ -14,7 +14,6 @@ from cvmesh.clipping import (
     box_polyhedron,
     clip_polyhedron,
     concat_stacks,
-    domain_planes,
 )
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
@@ -398,22 +397,11 @@ def test_validate_global_equals_brute_force(instance, corruption):
     # clean cells take the bounding-box path in 2D and 3D; a 3D cell that
     # lost a face no longer closes and tests every point
     tol = 1e-9 * mesh.scale()
-    planes = face_planes(mesh.cells) if mesh.dim == 3 else None
-    boxed = _containment_boxes(mesh.cells, planes, len(mesh.points), tol, tol)[0]
+    boxed = _containment_boxes(mesh.cells, face_planes(mesh.cells), len(mesh.points), tol, tol)[0]
     if corruption is None:
         assert boxed.all()
     if corruption == "drop_face":
         assert not boxed[i]
-
-
-def test_validate_global_without_margin_scans_every_point():
-    """At tol=0 a degenerate loop accepts points on its line beyond its
-    vertices, so no bounding box is sound and every cell tests every point."""
-    mesh, _ = copy.deepcopy(_instance("square"))
-    mesh = with_ring(mesh, 0, [[0.0, 0.5], [0.2, 0.5], [0.1, 0.5]], [-1, -1, -1])
-    report = validate_global(mesh, probes=500, tol=0.0)
-    assert asdict(report) == validate_global_brute_force(mesh, probes=500, tol=0.0)
-    assert (0, 4) in report.foreign_points
 
 
 @cache
@@ -528,7 +516,6 @@ def _face_plane_loop(v):
     offset of the plane through the first vertex (zero without a normal),
     the largest distance of a vertex from that plane and the longest edge."""
     n = _face_normals(*stack_loops([v - v[0]]))[0]
-    np.testing.assert_allclose(n, newell_normal(v), rtol=0.0, atol=1e-14)
     nn = math.sqrt(float(n @ n))
     u = n / nn if nn != 0.0 else np.zeros(3)
     c = float(u @ v[0])
@@ -553,7 +540,7 @@ def test_face_planes_equal_per_face_loop():
         ends = np.append(s.starts, len(s.verts))
         for g, (a, b) in enumerate(zip(ends[:-1].tolist(), ends[1:].tolist())):
             n, keep, u, c, dev, edge = _face_plane_loop(s.verts[a:b])
-            assert planes.normals[g].tolist() == n.tolist()
+            np.testing.assert_allclose(n, newell_normal(s.verts[a:b]), rtol=0.0, atol=1e-14)
             assert (bool(planes.keep[g]), planes.u[g].tolist()) == (keep, u.tolist())
             assert (planes.c[g], planes.dev[g], planes.edge[g]) == (c, dev, edge)
         assert np.flatnonzero(planes.nonplanar()).tolist() == moved
@@ -588,8 +575,9 @@ def _inside(mesh):
     plane by more than 1e-9 * scale."""
     q = mesh.simplex_vertices
     inside = np.ones(len(q), dtype=bool)
-    for n, c in zip(*domain_planes(mesh.domain)):
-        inside &= q @ n - c < -1e-9 * mesh.scale() * np.linalg.norm(n)
+    planes = face_planes(mesh.domain)
+    for u, c in zip(planes.u, planes.c):
+        inside &= q @ u - c < -1e-9 * mesh.scale()
     return inside
 
 
@@ -618,7 +606,7 @@ def test_stripped_vertex_raises_orphan_naming_its_simplex(dim):
     mesh, _, _ = _built(uniform_points(dim, 400 if dim == 2 else 60, 1))
     rows, ids = _cell_rows(mesh), mesh.cells.simplices
     args = mesh.simplices, mesh.simplex_vertices
-    planes, eps = domain_planes(mesh.domain), 1e-9 * mesh.scale()
+    planes, eps = face_planes(mesh.domain), 1e-9 * mesh.scale()
     mesh_module._check_orphans(*args, rows, ids, planes, eps)
     inside = _inside(mesh)
     for k in (np.flatnonzero((ids >= 0) & inside[np.maximum(ids, 0)])[[0, -1]]).tolist():
@@ -1011,26 +999,31 @@ def test_ring_areas_equal_polygon_area():
 
 
 def test_domain_planes_and_measure_equal_one_loop_references():
-    """The planes and measure of a one-cell domain stack, from its arrays,
-    against the one-edge half-planes, the one-face Newell normals and the
-    one-loop area and volume, bit for bit, on random boxes and turned
-    hexagons."""
+    """The planes (`face_planes`) and measure of a one-cell domain stack,
+    from its arrays, against the one-edge half-planes, the one-face planes
+    and the one-loop area and volume, bit for bit, on random boxes and
+    turned hexagons."""
     rng = np.random.default_rng(11)
     for _ in range(200):
         lo = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4)
         hi = lo + rng.random(3) * 10.0 ** rng.integers(-3, 4) + 1e-9
         for domain in (box_polygon(lo[:2], hi[:2]), hexagonal_domain(lo[None, :2])):
-            n, c = domain_planes(domain)
+            planes = face_planes(domain)
             want = halfplanes(domain.verts)
-            assert n.tolist() == [w.tolist() for w, _ in want]
-            assert c.tolist() == [w for _, w in want]
+            assert planes.u.tolist() == [w.tolist() for w, _ in want]
+            assert planes.c.tolist() == [w for _, w in want]
+            assert planes.keep.all() and not planes.dev.any()
+            edges = np.roll(domain.verts, -1, axis=0) - domain.verts
+            assert planes.edge.tolist() == [math.sqrt(float(e @ e)) for e in edges]
             mesh = ControlVolumeMesh(2, lo[None, :2], None, domain, domain)
             assert mesh.domain_measure() == polygon_area(domain.verts)
         box = box_polyhedron(lo, hi)
         loops = [v for v, _ in faces_of(box)]
-        n, c = domain_planes(box)
-        assert n.tolist() == [newell_normal(v).tolist() for v in loops]
-        assert c.tolist() == [float(newell_normal(v) @ v[0]) for v in loops]
+        planes = face_planes(box)
+        for g, v in enumerate(loops):
+            _, keep, u, c, dev, edge = _face_plane_loop(v)
+            assert (bool(planes.keep[g]), planes.u[g].tolist()) == (keep, u.tolist())
+            assert (planes.c[g], planes.dev[g], planes.edge[g]) == (c, dev, edge)
         mesh = ControlVolumeMesh(3, lo[None], None, box, box)
         assert mesh.domain_measure() == loops_volume(loops)
 
@@ -1099,18 +1092,18 @@ def test_perpendicularity_2d_flags_displaced_vertex_as_loop_reference():
     assert (report.checked, report.violations) == perpendicularity_loop2(mesh, tol=1e-6)
 
 
-def _clip_to_domain_loop(stack, domain_planes, eps):
+def _clip_to_domain_loop(stack, planes, eps):
     """The one-cell-at-a-time domain clip that `_clip_to_domain` replaced."""
-    domain_planes = list(zip(*domain_planes))
+    planes = list(zip(planes.u, planes.c))
     beyond = np.zeros(len(stack.verts), dtype=bool)
-    for n, c in domain_planes:
-        beyond |= stack.verts @ n - c > eps * np.linalg.norm(n)
+    for n, c in planes:
+        beyond |= stack.verts @ n - c > eps
     crossing = np.unique(stack.row_cells()[beyond])
     parts = [stack.take(np.flatnonzero(~np.isin(stack.cells, crossing)))]
     for i in crossing.tolist():
         poly = polyhedra_stack([faces_of(stack, i)])
-        for n, c in domain_planes:
-            if np.any(poly.verts @ n - c > eps * np.linalg.norm(n)):
+        for n, c in planes:
+            if np.any(poly.verts @ n - c > eps):
                 poly = clip_polyhedron(poly, n, c, None, eps)
                 if not len(poly.starts):
                     break
@@ -1151,7 +1144,7 @@ def _stack3(n, seed, default):
     dv = domain.verts
     scale = float(np.linalg.norm(dv.max(axis=0) - dv.min(axis=0)))
     eps = 1e-10 * scale
-    planes = domain_planes(domain)
+    planes = face_planes(domain)
     m, far = _far_planes(pts, nm, q, dv, scale)
     walls = _cell_walls(*_star_rows(tet, nm, pts, q, m, far), pts, m, eps)[0]
     return nm, neighbor_lists(tet), q, planes, scale, eps, walls

@@ -161,6 +161,36 @@ def test_run_far_from_origin(tmp_path, dim, n, shift):
     assert res.summary["global_ok"]
 
 
+@pytest.mark.parametrize("case", ["equal2d", "equal3d", "exact2d"])
+def test_run_is_equivariant_under_power_of_two_scaling(tmp_path, case):
+    """The box [0, 2^k]^d gives the unit box's run times 2^k, bit for bit:
+    the exit code, the radii and every cell vertex scaled by 2^k, the same
+    starts, tags and simplex ids. Every cut compares a true distance with an
+    eps relative to the domain scale, and scaling by a power of two is exact,
+    so no step may see the scale."""
+    dim, n, seed, kw, pts = {
+        "equal2d": (2, 400, 1, dict(equal_radii=True), None),
+        "equal3d": (3, 60, 1000, dict(equal_radii=True), None),
+        "exact2d": (2, 19, 1, dict(mode="exact-intersection"), hexagon_patch(2, seed=1)),
+    }[case]
+
+    def run(k):
+        s = 2.0 ** k
+        cfg = RunConfig(dimension=dim, n=n, seed=seed, box=(0.0,) * dim + (s,) * dim,
+                        formats=(), out_dir=str(tmp_path / str(k)), **kw)
+        return run_pipeline(cfg, points=None if pts is None else pts * s)
+
+    unit = run(0)
+    for k in (-40, -20, 20, 40):
+        res, s = run(k), 2.0 ** k
+        assert res.exit_code == unit.exit_code, k
+        a, b = res.mesh, unit.mesh
+        assert a.radii.tobytes() == (b.radii * s).tobytes(), k
+        assert a.cells.verts.tobytes() == (b.cells.verts * s).tobytes(), k
+        for name in ("starts", "tags", "simplices"):
+            assert np.array_equal(getattr(a.cells, name), getattr(b.cells, name)), (k, name)
+
+
 @pytest.mark.parametrize("kw", [dict(mode="exact-intersection", bounds_policy="clamp",
                                      optimizer=OptimizerParams(generations=5)),
                                 dict(equal_radii=True)], ids=["exact", "equal"])
