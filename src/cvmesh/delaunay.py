@@ -1,10 +1,12 @@
 """Delaunay triangulation (2D) and tetrahedralization (3D) by one incremental
 Bowyer-Watson kernel with a ghost vertex at infinity, which locates each
-point by a walk and grows its cavity by breadth-first search, with float
-predicates that go exact inside Shewchuk's static error bounds; and the
-neighbourhood of every point (its CCW ring in 2D, its star of
-incident tetrahedra in 3D) as one flat row table, `NeighborMap`, built from
-the simplices in whole-array passes.
+point by a walk and grows its cavity by breadth-first search, with
+predicates in three stages: a float filter against one static error bound
+fixed by the input's extent, then against Shewchuk's bound from the
+permanent of the very test, then exact integer arithmetic on coordinates
+built on first use; and the neighbourhood of every point (its CCW ring in
+2D, its star of incident tetrahedra in 3D) as one flat row table,
+`NeighborMap`, built from the simplices in whole-array passes.
 
 Construction is single-threaded; finished triangulations and neighbor maps are
 immutable and safe to share across threads.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import factorial, frexp
+from math import factorial, frexp, inf
 from operator import itemgetter
 
 import numpy as np
@@ -128,10 +130,23 @@ def _duplicate_pairs(pts: np.ndarray, eps: float) -> list[tuple[int, int]]:
     on a grid of side eps: each point is measured against the earlier points
     in the 3^d cells around its own. Pairs are ordered by i, then by the
     neighbour cell's offset in product((-1, 0, 1), repeat=d) order, then
-    by j."""
+    by j.
+
+    The grid is skipped when a sort proves there is no pair: two points
+    within eps project on a unit direction within eps of each other, so if
+    the sorted projections on (1, sqrt 2, sqrt 3) normalised (irrational
+    ratios, so no lattice row projects onto one value) are all further apart
+    than eps plus a bound on their rounding, the grid would find nothing."""
     if eps <= 0.0:
         return []
     n, dim = pts.shape
+    direction = np.sqrt(np.arange(1.0, dim + 1))
+    direction /= np.linalg.norm(direction)
+    # each projection's rounding is below d^1.5 ulps of max |x|, the
+    # direction's norm is 1 within 2 ulps, and the gap rounds within 1
+    slack = 16 * dim * _EPS * (float(np.abs(pts).max()) + eps)
+    if np.all(np.diff(np.sort(pts @ direction)) > eps + slack):
+        return []
     keys = np.floor((pts - pts.min(axis=0)) / eps).astype(np.int64)
     # Occupied cells are numbered through the per-axis ranks of their keys;
     # a neighbour cell that no point occupies gets no candidates.
@@ -231,14 +246,29 @@ def _adjacency(simplices: np.ndarray) -> np.ndarray:
     return adj.reshape(t, m)
 
 
-def _exact_coords(pts: np.ndarray) -> list[tuple[int, ...]]:
-    """The points scaled by the least power of two that makes every coordinate
-    an integer: exact, so the predicates below have no rounding."""
-    ratios = [x.as_integer_ratio() for x in pts.ravel().tolist()]
-    shift = max(den.bit_length() for _, den in ratios)
-    flat = [num << (shift - den.bit_length()) for num, den in ratios]
-    d = pts.shape[1]
-    return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
+class _ExactCoords:
+    """The points times one power of two that makes every coordinate an
+    integer: exact, so the predicates below have no rounding, and the same
+    power for all points, so every predicate, homogeneous in the points,
+    keeps its sign. xp[v] is point v's integer tuple, built on first use:
+    most runs leave only a few tests to exact arithmetic."""
+
+    def __init__(self, pts: np.ndarray):
+        # x = m 2^e with m 2^53 an integer, so x 2^(53 - min e) is the
+        # integer (m 2^53) << (e - min e); a zero (e = 0) stays zero
+        mant, exp = np.frexp(pts)
+        self.mant = (mant * 2.0 ** 53).astype(np.int64)
+        self.shift = exp - exp.min()
+        self.rows: dict[int, tuple[int, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.mant)
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        row = self.rows.get(v)
+        if row is None:
+            row = self.rows[v] = tuple(m << s for m, s in zip(self.mant[v].tolist(), self.shift[v].tolist()))
+        return row
 
 
 # Exact predicates on integer points, one closed form per dimension. orient is
@@ -305,11 +335,14 @@ _ON_FACET = {2: _in_segment_exact, 3: _in_circumcircle_exact}
 # Float filters of the predicates above (Shewchuk 1997). Each evaluates its
 # determinant in floating point exactly as Shewchuk's orient2d, orient3d,
 # incircle or insphere does and returns its sign, +1 or -1, when the value
-# exceeds that evaluation's static error bound (a constant times the
-# permanent: the determinant with every product taken by absolute value), or
-# 0 to abstain and leave the case to the exact test. _TINY covers rounding
-# below the normal range, which the relative bounds leave out, for
-# coordinates of magnitude about 1 or less, as the kernel scales them.
+# exceeds that evaluation's error bound (a constant times the permanent: the
+# determinant with every product taken by absolute value), or 0 to abstain
+# and leave the case to the exact test. _TINY covers rounding below the
+# normal range, which the relative bounds leave out, for coordinates of
+# magnitude about 1 or less, as the kernel scales them. The in-circle and
+# in-sphere filters first try `static`, the bound of `_static_error`: never
+# below the permanent's, it decides most tests before the permanent is
+# computed, and the same way.
 _EPS = 2.0 ** -53
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _O3D_BOUND = (7.0 + 56.0 * _EPS) * _EPS
@@ -337,8 +370,23 @@ def _dot2_filter(a, b, p) -> int:
     return 1 if dot > err else -1 if dot < -err else 0
 
 
-def _incircle_filter(a, b, c, p) -> int:
-    """Sign of `_incircle_exact(a, b, c, p)`, or 0."""
+def _static_error(pts: np.ndarray) -> float:
+    """The static error bound of `_incircle_filter` (2D points) or
+    `_insphere_filter` (3D points) on points whose |coordinates| are at most
+    those of pts. With B twice the largest |coordinate|, no coordinate
+    difference exceeds B, so the in-circle permanent is at most 12 B^4 and
+    the in-sphere permanent at most 72 B^5; twice that covers the rounding
+    of the computed permanent, so this bound is never below the permanent's.
+    A bound that overflows is infinite and decides nothing."""
+    b = 2.0 * float(np.abs(pts).max())
+    if pts.shape[1] == 2:
+        return _ICC_BOUND * (24.0 * (b * b * b * b)) + _TINY
+    return _ISP_BOUND * (144.0 * (b * b * b * b * b)) + _TINY
+
+
+def _incircle_filter(a, b, c, p, static: float) -> int:
+    """Sign of `_incircle_exact(a, b, c, p)`, or 0; static is
+    `_static_error` of points at least as large."""
     adx, ady = a[0] - p[0], a[1] - p[1]
     bdx, bdy = b[0] - p[0], b[1] - p[1]
     cdx, cdy = c[0] - p[0], c[1] - p[1]
@@ -349,6 +397,10 @@ def _incircle_filter(a, b, c, p) -> int:
     blift = bdx * bdx + bdy * bdy
     clift = cdx * cdx + cdy * cdy
     det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    if det > static:
+        return 1
+    if det < -static:
+        return -1
     permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift + (abs(cdxady) + abs(adxcdy)) * blift
                  + (abs(adxbdy) + abs(bdxady)) * clift)
     err = _ICC_BOUND * permanent + _TINY
@@ -371,9 +423,10 @@ def _orient3_filter(a, b, c, d) -> int:
     return -1 if det > err else 1 if det < -err else 0
 
 
-def _insphere_filter(a, b, c, d, p) -> int:
+def _insphere_filter(a, b, c, d, p, static: float) -> int:
     """Sign of `_insphere_exact(a, b, c, d, p)`, or 0 (Shewchuk's insphere
-    has the opposite sign)."""
+    has the opposite sign); static is `_static_error` of points at least as
+    large."""
     aex, aey, aez = a[0] - p[0], a[1] - p[1], a[2] - p[2]
     bex, bey, bez = b[0] - p[0], b[1] - p[1], b[2] - p[2]
     cex, cey, cez = c[0] - p[0], c[1] - p[1], c[2] - p[2]
@@ -395,6 +448,10 @@ def _insphere_filter(a, b, c, d, p) -> int:
     clift = cex * cex + cey * cey + cez * cez
     dlift = dex * dex + dey * dey + dez * dez
     det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    if det > static:
+        return -1
+    if det < -static:
+        return 1
     aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
     aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
     cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
@@ -463,13 +520,17 @@ def _rownormal(*edges: np.ndarray) -> np.ndarray:
 
 
 class _Predicates:
-    """The kernel's orientation and conflict tests on its (scaled) points: the
-    float filter first, the exact integer test only where the filter
-    abstains. `exact` counts the exact tests."""
+    """The kernel's orientation and conflict tests on its (scaled) points, in
+    three stages: the in-circle (in-sphere) filter against `static`, the
+    static bound fixed by the points' extent; every filter against the bound
+    from its own permanent; the exact integer test, on coordinates built on
+    first use (`_ExactCoords`), only where both abstain. `exact` counts the
+    exact tests."""
 
     def __init__(self, pts: np.ndarray):
         self.P = [tuple(row) for row in pts.tolist()]
-        self.xp = _exact_coords(pts)
+        self.static = _static_error(pts)
+        self.xp = _ExactCoords(pts)
         self.exact = 0
 
     def orient(self, f, p: int) -> int:
@@ -495,9 +556,9 @@ class _Predicates:
         P = self.P
         if row[d] != GHOST:
             if d == 2:
-                s = _incircle_filter(P[row[0]], P[row[1]], P[row[2]], P[p])
+                s = _incircle_filter(P[row[0]], P[row[1]], P[row[2]], P[p], self.static)
             else:
-                s = _insphere_filter(P[row[0]], P[row[1]], P[row[2]], P[row[3]], P[p])
+                s = _insphere_filter(P[row[0]], P[row[1]], P[row[2]], P[row[3]], P[p], self.static)
             if s:
                 return s > 0
             self.exact += 1
@@ -518,13 +579,14 @@ class _Predicates:
         else:
             # Every sphere through a, b, c meets their plane in their
             # circumcircle: any point off the plane, on its positive side for
-            # certain, closes one.
+            # certain, closes one. That point lies beyond the points' extent,
+            # so the static bound does not hold for it.
             c = P[f[2]]
             ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
             vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
             off = (a[0] + (uy * vz - uz * vy), a[1] + (uz * vx - ux * vz), a[2] + (ux * vy - uy * vx))
             if _orient3_filter(a, b, c, off) > 0:
-                s = _insphere_filter(a, b, c, off, q)
+                s = _insphere_filter(a, b, c, off, q, inf)
                 if s:
                     return s > 0
         self.exact += 1
@@ -552,16 +614,18 @@ def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, i
     beyond: the random draw keeps a walk through cocircular (cospherical)
     simplices from cycling (Devillers et al.'s stochastic walk), and a walk
     of more steps than there are live simplices raises `PointLocationFailed`.
-    Every test is a float filter with a static error bound, decided exactly
-    inside it (`_Predicates`), so each cavity is exactly star-shaped and no
-    repair pass follows. Cocircular
-    (cospherical) ties count as outside, so earlier simplices win and the
-    output is deterministic. Last, `_drop_hull_slivers` removes the flat
-    hull simplices.
+    Every test is decided exactly (`_Predicates`): a float filter against
+    the static bound of the points' extent, then against the bound of the
+    test's own permanent, then integer arithmetic on coordinates built on
+    first use, so each cavity is exactly star-shaped and no repair pass
+    follows. Cocircular (cospherical) ties count as outside, so earlier
+    simplices win and the output is deterministic. Last,
+    `_drop_hull_slivers` removes the flat hull simplices.
     """
     n, d = pts.shape
     tests = _Predicates(pts)
     P = tests.P + [None]    # P[GHOST] is None
+    static = tests.static
     orient = _orient2_filter if d == 2 else _orient3_filter
     insphere = _incircle_filter if d == 2 else _insphere_filter
     # The corners of the facet opposite corner k, ordered so that the facet
@@ -658,8 +722,9 @@ def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, i
                 o = adj[k]
                 hit = inside.get(o)
                 if hit is None:
-                    out = S[o]
-                    s = insphere(*C[o], q) if out[d] != GHOST else 0
+                    out, corners = S[o], C[o]
+                    # a ghost conflicts when p lies strictly beyond its facet
+                    s = insphere(*corners, q, static) if out[d] != GHOST else orient(*corners[:d], q)
                     hit = inside[o] = s > 0 if s else tests.conflict(out, p)
                     if hit:
                         cavity.append(o)
@@ -677,7 +742,9 @@ def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, i
             S[c] = None
         free += cavity
 
-        # New simplices sharing a ridge (with p) are linked through one dict.
+        # New simplices sharing a ridge (with p) are linked through one dict,
+        # keyed by the ridge's other vertex (2D) or by u * n + v for its other
+        # two, u < v (3D; v >= 0, as only u can be GHOST).
         link: dict = {}
         for f, j, o, back in new:
             if free:
@@ -692,7 +759,11 @@ def _bowyer_watson(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int, i
             A[o][back] = t
             S[t], C[t], A[t] = tuple(f), tuple(map(P.__getitem__, f)), adj
             for k, r in ridges[j]:
-                key = f[r[0]] if d == 2 else (min(f[r[0]], f[r[1]]), max(f[r[0]], f[r[1]]))
+                if d == 2:
+                    key = f[r[0]]
+                else:
+                    u, v = f[r[0]], f[r[1]]
+                    key = u * n + v if u < v else v * n + u
                 other = link.pop(key, None)
                 if other is None:
                     link[key] = (t, k)

@@ -671,21 +671,25 @@ def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
 PAIR_CHUNK = 1 << 12   # candidate (box, target) pairs per chunk
 
 
-def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, cols: np.ndarray):
     """Yield (box, target) index arrays of every target inside a box (lo <= x
     <= hi on every axis), grouped by box in box order, in chunks of boxes with
-    about PAIR_CHUNK candidates each. Candidates come from a grid of buckets
+    about PAIR_CHUNK candidates each; the targets come as their (d, N)
+    coordinate columns. Candidates come from a grid of buckets
     over the targets, a quarter as wide as the median box: bucket indices
     grow with each coordinate, so a box's bucket range holds all its
-    targets."""
+    targets. The order of a box's targets within a bucket is free: callers
+    sort the pairs they keep."""
     dim = lo.shape[1]
     live = np.flatnonzero(~np.any(np.isnan(lo) | np.isnan(hi), axis=1))
-    if not len(live) or not len(targets):
+    if not len(live) or not cols.shape[1]:
         return
-    tlo, thi = targets.min(axis=0), targets.max(axis=0)
+    locols, hicols = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+    tlo = np.array([x.min() for x in cols])
+    thi = np.array([x.max() for x in cols])
     extent = thi - tlo
     width = np.median(np.minimum(hi[live], thi) - np.maximum(lo[live], tlo), axis=0)
-    cap = int(np.ceil((4 * len(targets)) ** (1.0 / dim)))
+    cap = int(np.ceil((4 * cols.shape[1]) ** (1.0 / dim)))
     m = np.ones(dim, dtype=np.int64)
     ok = (extent > 0) & (width > 0)
     m[ok] = np.clip(np.round(4 * extent[ok] / width[ok]), 1, cap).astype(np.int64)
@@ -695,9 +699,10 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
         return np.clip(np.floor((x - tlo) / h), 0, m - 1).astype(np.int64)
 
     stride = np.append(np.cumprod(m[::-1])[::-1][1:], 1)
-    tkey = bucket(targets) @ stride
-    by_key = np.argsort(tkey, kind="stable")
-    first = np.searchsorted(tkey[by_key], np.arange(int(np.prod(m)) + 1))
+    tkey = bucket(cols.T) @ stride
+    by_key = np.argsort(tkey)
+    first = np.zeros(int(np.prod(m)) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tkey, minlength=len(first) - 1), out=first[1:])
     blo, bhi = bucket(lo[live]), bucket(hi[live])
     cnt = bhi - blo + 1
     nstrip = np.prod(cnt[:, :-1], axis=1)
@@ -723,9 +728,9 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray):
         pt = by_key[pos]
         pb = live[pb]
         inside = np.ones(len(pt), dtype=bool)
-        for k in range(dim):
-            x = targets[pt, k]
-            inside &= (x >= lo[pb, k]) & (x <= hi[pb, k])
+        for x, a, b in zip(cols, locols, hicols):
+            x = x[pt]
+            inside &= (x >= a[pb]) & (x <= b[pb])
         yield pb[inside], pt[inside]
         b0 = b1
 
@@ -749,11 +754,12 @@ def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes, targets: np.ndarr
     pos, tgt = [], []
     flat = isinstance(stack, RingStack)
     if flat:
-        # per cell (column) its edge lines, padded to one height; padding
-        # rows (u zero, c infinite) pass every test
+        # per cell (row) its edge lines, padded to one width; padding
+        # entries (u zero, c infinite) pass every test
         ring = stack.row_rings()
-        at = (np.arange(len(ring)) - stack.starts[ring], ring)
-        width = (max(int(stack.lengths().max(initial=0)), 1), n)
+        lens = stack.lengths()
+        at = (ring, np.arange(len(ring)) - stack.starts[ring])
+        width = (n, max(int(lens.max(initial=0)), 1))
         ux, uy, c = np.zeros(width), np.zeros(width), np.full(width, np.inf)
         ux[at], uy[at], c[at] = planes.u[:, 0], planes.u[:, 1], planes.c
     else:
@@ -768,19 +774,25 @@ def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes, targets: np.ndarr
             yield np.repeat(cells, len(targets)), np.tile(np.arange(len(targets)), len(cells))
 
     boxed = np.flatnonzero(has)
-    for pc, pt in chain(((boxed[pb], pt) for pb, pt in _box_pairs(lo[boxed], hi[boxed], targets)),
+    # the targets (and boxes) column by column: on (N, d) rows, axis-0
+    # reductions and gathers of one column are several times slower
+    cols = np.ascontiguousarray(targets.T)
+    for pc, pt in chain(((boxed[pb], pt) for pb, pt in _box_pairs(lo[boxed], hi[boxed], cols)),
                         unboxed()):
         if flat:
-            # the signed distances, one column of edge lines per pair
-            px, py = targets[pt, 0], targets[pt, 1]
-            ok = np.all(ux[:, pc] * px + uy[:, pc] * py - c[:, pc] <= margin, axis=0)
+            # the signed distances, one row of edge lines per pair, cut to
+            # the widest cell of the chunk
+            w = int(lens[pc].max(initial=1))
+            px, py = cols.take(pt, axis=1)[:, :, None]
+            ok = np.all(ux[pc, :w] * px + uy[pc, :w] * py - c[pc, :w] <= margin, axis=1)
         else:
             # each cell's targets against all of its planes in one product
             cut = np.flatnonzero(np.diff(pc, prepend=-1))
             ok = np.ones(len(pc), dtype=bool)
+            tp = targets[pt]
             for a, b in zip(cut.tolist(), np.append(cut[1:], len(pc)).tolist()):
                 f0, f1 = fstart[pc[a]], fstart[pc[a] + 1]
-                ok[a:b] = np.all(targets[pt[a:b]] @ u[f0:f1].T - c[f0:f1] <= margin, axis=1)
+                ok[a:b] = np.all(tp[a:b] @ u[f0:f1].T - c[f0:f1] <= margin, axis=1)
         pos.append(pc[ok])
         tgt.append(pt[ok])
     if not pos:

@@ -22,6 +22,11 @@ for each new point before cvmesh walked to the point and searched its
 cavity; it imports from cvmesh, sharing its exact integer predicates and
 finishing passes, which both kernels run.
 
+`incircle_filter_permanent` and `insphere_filter_permanent` are the
+kernel's in-circle and in-sphere float filters as they were before a static
+bound, fixed by the input's extent, came first: every test against the
+bound of its own permanent.
+
 `rosenbrock_sequential` is the polish loop that tried one trial point at a
 time before cvmesh evaluated each sweep's remaining trials in one call; it
 imports cvmesh's parameters, bounds check and direction rotation.
@@ -1907,12 +1912,12 @@ def bowyer_watson_scan(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     `triangulate2`'s (`tetrahedralize3`'s) input checks."""
     from cvmesh.delaunay import (
         _FACETS, GHOST, _adjacency, _canonical_rows, _conflict_exact, _drop_hull_slivers,
-        _exact_coords, _first_simplex,
+        _ExactCoords, _first_simplex,
     )
 
     n, d = pts.shape
     facets = _FACETS[d]
-    xp = _exact_coords(pts)
+    xp = _ExactCoords(pts)
     lifted = np.hstack([pts, _scan_rowdot(pts, pts)[:, None]])
     # With the facet's edge lengths, bounds the rounding of a ghost's facet test.
     diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -1980,6 +1985,72 @@ def bowyer_watson_scan(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     simplices, dropped = _drop_hull_slivers(pts, rows[~ghost], rows[ghost, :d])
     simplices = _canonical_rows(simplices)
     return simplices, _adjacency(simplices), dropped
+
+
+# Shewchuk's (1997) error constants of incircle and insphere, and the
+# absolute term cvmesh adds for rounding below the normal range.
+_SHEWCHUK_EPS = 2.0 ** -53
+_ICC_ERRBOUND = (10.0 + 96.0 * _SHEWCHUK_EPS) * _SHEWCHUK_EPS
+_ISP_ERRBOUND = (16.0 + 224.0 * _SHEWCHUK_EPS) * _SHEWCHUK_EPS
+_SUBNORMAL_TERM = 2.0 ** -960
+
+
+def incircle_filter_permanent(a, b, c, p) -> int:
+    """The in-circle filter with the permanent's bound alone: the sign of
+    the lifted determinant of a, b, c translated by -p, or 0 inside
+    (10 + 96 eps) eps times its permanent."""
+    adx, ady = a[0] - p[0], a[1] - p[1]
+    bdx, bdy = b[0] - p[0], b[1] - p[1]
+    cdx, cdy = c[0] - p[0], c[1] - p[1]
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift + (abs(cdxady) + abs(adxcdy)) * blift
+                 + (abs(adxbdy) + abs(bdxady)) * clift)
+    err = _ICC_ERRBOUND * permanent + _SUBNORMAL_TERM
+    return 1 if det > err else -1 if det < -err else 0
+
+
+def insphere_filter_permanent(a, b, c, d, p) -> int:
+    """The in-sphere filter with the permanent's bound alone: the sign of
+    the lifted determinant of a, b, c, d translated by -p (the opposite of
+    Shewchuk's insphere), or 0 inside (16 + 224 eps) eps times its
+    permanent."""
+    aex, aey, aez = a[0] - p[0], a[1] - p[1], a[2] - p[2]
+    bex, bey, bez = b[0] - p[0], b[1] - p[1], b[2] - p[2]
+    cex, cey, cez = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    dex, dey, dez = d[0] - p[0], d[1] - p[1], d[2] - p[2]
+    aexbey, bexaey = aex * bey, bex * aey
+    bexcey, cexbey = bex * cey, cex * bey
+    cexdey, dexcey = cex * dey, dex * cey
+    dexaey, aexdey = dex * aey, aex * dey
+    aexcey, cexaey = aex * cey, cex * aey
+    bexdey, dexbey = bex * dey, dex * bey
+    ab, bc, cd = aexbey - bexaey, bexcey - cexbey, cexdey - dexcey
+    da, ac, bd = dexaey - aexdey, aexcey - cexaey, bexdey - dexbey
+    abc = aez * bc - bez * ac + cez * ab
+    bcd = bez * cd - cez * bd + dez * bc
+    cda = cez * da + dez * ac + aez * cd
+    dab = dez * ab + aez * bd + bez * da
+    alift = aex * aex + aey * aey + aez * aez
+    blift = bex * bex + bey * bey + bez * bez
+    clift = cex * cex + cey * cey + cez * cez
+    dlift = dex * dex + dey * dey + dez * dez
+    det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd)
+    aez, bez, cez, dez = abs(aez), abs(bez), abs(cez), abs(dez)
+    aexbey, bexaey, bexcey, cexbey = abs(aexbey), abs(bexaey), abs(bexcey), abs(cexbey)
+    cexdey, dexcey, dexaey, aexdey = abs(cexdey), abs(dexcey), abs(dexaey), abs(aexdey)
+    aexcey, cexaey, bexdey, dexbey = abs(aexcey), abs(cexaey), abs(bexdey), abs(dexbey)
+    permanent = (((cexdey + dexcey) * bez + (dexbey + bexdey) * cez + (bexcey + cexbey) * dez) * alift
+                 + ((dexaey + aexdey) * cez + (aexcey + cexaey) * dez + (cexdey + dexcey) * aez) * blift
+                 + ((aexbey + bexaey) * dez + (bexdey + dexbey) * aez + (dexaey + aexdey) * bez) * clift
+                 + ((bexcey + cexbey) * aez + (cexaey + aexcey) * bez + (aexbey + bexaey) * cez) * dlift)
+    err = _ISP_ERRBOUND * permanent + _SUBNORMAL_TERM
+    return -1 if det > err else 1 if det < -err else 0
 
 
 def rosenbrock_sequential(f, x0, bounds, params=None):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product
 
 import numpy as np
@@ -15,6 +16,8 @@ from oracles import (
     duplicate_pairs_loop,
     empty_circumcircles,
     empty_circumspheres,
+    incircle_filter_permanent,
+    insphere_filter_permanent,
     neighbor_lists,
     tetra_volume,
     triangle_area,
@@ -108,6 +111,42 @@ def test_duplicate_pairs_match_grid_loop():
             got = _duplicate_pairs(pts, eps)
             assert got == duplicate_pairs_loop(pts, eps), (len(pts), eps)
     assert len(_duplicate_pairs(clouds[-1], 1e-12)) > 10
+
+
+def _projection_gaps(pts: np.ndarray) -> np.ndarray:
+    """Gaps between the sorted projections of pts on the direction that
+    `_duplicate_pairs` sorts along, (1, sqrt 2, sqrt 3) normalised."""
+    v = np.sqrt(np.arange(1.0, pts.shape[1] + 1))
+    return np.diff(np.sort(pts @ (v / np.linalg.norm(v))))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_duplicate_pairs_sort_proof_and_grid_fallback(dim):
+    eps = 1e-3
+    base = uniform_points(dim, 200, 3) * 0.5
+    v = np.sqrt(np.arange(1.0, dim + 1))
+    # a pair 2 eps apart across the sort direction projects onto one value:
+    # the sort proves nothing, the grid runs and finds no pair
+    across = np.zeros(dim)
+    across[:2] = (-v[1], v[0])
+    across *= 2 * eps / np.linalg.norm(across)
+    pts = np.vstack([base, base[5] + across])
+    assert _projection_gaps(pts).min() < eps
+    assert _duplicate_pairs(pts, eps) == duplicate_pairs_loop(pts, eps) == []
+    kernel = triangulate2 if dim == 2 else tetrahedralize3
+    kernel(pts)    # raises nothing
+    # a pair eps / 2 apart: the grid's pairs, and DuplicatePoints names them
+    pts = np.vstack([base, base[5] + np.full(dim, 0.5 * eps / dim ** 0.5)])
+    want = duplicate_pairs_loop(pts, eps)
+    assert want == [(5, len(base))]
+    assert _duplicate_pairs(pts, eps) == want
+    with pytest.raises(DuplicatePoints) as err:
+        kernel(np.vstack([base, base[5] + 1e-14]))
+    assert err.value.pairs == [(5, len(base))]
+    # a lattice: no projection repeats, so the sort proves there is no pair
+    lattice = _lattice(dim, 13 if dim == 2 else 5) / 12.0
+    assert _projection_gaps(lattice).min() > eps + 1e-9
+    assert _duplicate_pairs(lattice, eps) == duplicate_pairs_loop(lattice, eps) == []
 
 
 def test_adjacency_matches_facet_loop():
@@ -593,16 +632,17 @@ def _sign(v: int) -> int:
 @pytest.mark.parametrize("case", sorted(PREDICATE_SETS))
 def test_float_filters_abstain_or_agree_with_exact(case):
     from cvmesh.delaunay import (
-        GHOST, _conflict_exact, _dot2_filter, _exact_coords, _incircle_exact, _incircle_filter,
+        GHOST, _conflict_exact, _dot2_filter, _ExactCoords, _incircle_exact, _incircle_filter,
         _insphere_exact, _insphere_filter, _orient2_exact, _orient2_filter, _orient3_exact,
-        _orient3_filter, _Predicates,
+        _orient3_filter, _Predicates, _static_error,
     )
 
     for seed in range(3):
         pts = PREDICATE_SETS[case](seed)
         n, d = pts.shape
         P = [tuple(p) for p in pts.tolist()]
-        xp = _exact_coords(pts)
+        xp = _ExactCoords(pts)
+        static = _static_error(pts)
         tests = _Predicates(pts)
         rng = np.random.default_rng(seed)
         for _ in range(3000):
@@ -610,12 +650,14 @@ def test_float_filters_abstain_or_agree_with_exact(case):
             *row, p = ids
             if d == 2:
                 pairs = [(_orient2_filter(*(P[v] for v in row)), _orient2_exact(*(xp[v] for v in row))),
-                         (_incircle_filter(*(P[v] for v in ids)), _incircle_exact(*(xp[v] for v in ids))),
+                         (_incircle_filter(*(P[v] for v in ids), static),
+                          _incircle_exact(*(xp[v] for v in ids))),
                          (_dot2_filter(P[row[0]], P[row[1]], P[p]),
                           sum((a - c) * (b - c) for a, b, c in zip(xp[row[0]], xp[row[1]], xp[p])))]
             else:
                 pairs = [(_orient3_filter(*(P[v] for v in row)), _orient3_exact(*(xp[v] for v in row))),
-                         (_insphere_filter(*(P[v] for v in ids)), _insphere_exact(*(xp[v] for v in ids)))]
+                         (_insphere_filter(*(P[v] for v in ids), static),
+                          _insphere_exact(*(xp[v] for v in ids)))]
             for got, want in pairs:
                 assert got in (0, _sign(want)), (ids, got, want)
             # The kernel's tests, filter and fallback together, are exact.
@@ -623,6 +665,63 @@ def test_float_filters_abstain_or_agree_with_exact(case):
                 assert tests.conflict(r, p) == _conflict_exact(xp, r, p), (r, p)
             assert tests.orient(row[:d], p) == _sign((_orient2_exact if d == 2 else _orient3_exact)(
                 *(xp[v] for v in row[:d]), xp[p]))
+
+
+def _staged_sets() -> dict:
+    """Point sets for the staged filters: the predicate sets, cocircular and
+    cospherical sets perturbed by 2^-30 to 2^-60, coordinates at
+    +-(1 - 2^-53), and points up to |x| = 1e3, none of them scaled."""
+    sets = {f"{case} {seed}": PREDICATE_SETS[case](seed) for case in PREDICATE_SETS for seed in range(2)}
+    for k in (30, 40, 50, 60):
+        for name, pts in (("cocircular", _cocircular() / 8.0), ("cospherical", _cospherical() / 4.0)):
+            jitter = np.random.default_rng(k).uniform(-1.0, 1.0, pts.shape) * 2.0 ** -k
+            sets[f"{name} 2^-{k}"] = pts + jitter
+    top = 1.0 - 2.0 ** -53
+    for dim in (2, 3):
+        rng = np.random.default_rng(dim)
+        corners = np.array(list(product((-top, top), repeat=dim)))
+        sets[f"{dim}D corners"] = np.vstack([corners, _nudged(corners, dim), rng.uniform(-top, top, (20, dim))])
+        sets[f"{dim}D |x| <= 1e3"] = np.vstack([rng.uniform(-1e3, 1e3, (30, dim)),
+                                                 (_cocircular() if dim == 2 else _cospherical()) * 1e3 / 9])
+    return sets
+
+
+def test_staged_filters_equal_the_permanent_bound():
+    """The static stage decides only what the permanent's bound decides the
+    same way: the staged filters return exactly the one-stage values."""
+    from cvmesh.delaunay import _incircle_filter, _insphere_filter, _static_error
+
+    stages = {0: 0, 1: 0}    # one-stage abstentions and decisions, both well covered
+    for name, pts in _staged_sets().items():
+        n, d = pts.shape
+        static = _static_error(pts)
+        P = [tuple(p) for p in pts.tolist()]
+        rng = np.random.default_rng(len(name))
+        for _ in range(2000):
+            ids = rng.choice(n, d + 2, replace=False).tolist()
+            corners = [P[v] for v in ids]
+            if d == 2:
+                got, want = _incircle_filter(*corners, static), incircle_filter_permanent(*corners)
+            else:
+                got, want = _insphere_filter(*corners, static), insphere_filter_permanent(*corners)
+            assert got == want, (name, ids, got, want)
+            stages[want != 0] += 1
+    assert min(stages.values()) > 1000, stages
+
+
+@pytest.mark.parametrize("dim, n, digest, exact, walk", [
+    (2, 10_000, "0cef55af0279ad89", 1, 29520),
+    (3, 2000, "b9a2701380d91b83", 51, 11142),
+])
+def test_kernel_decisions_pinned(dim, n, digest, exact, walk):
+    # the staged predicates decide every test as the permanent's bound with
+    # its exact fallback did: same simplices, exact tests and walk steps
+    from cvmesh.io import RunConfig, generate_points
+
+    pts = generate_points(RunConfig(dimension=dim, n=n, seed=1))
+    tri = (triangulate2 if dim == 2 else tetrahedralize3)(pts)
+    got = hashlib.sha256(np.ascontiguousarray(tri.simplices, dtype=np.int64).tobytes()).hexdigest()
+    assert (got[:16], tri.exact_tests, tri.walk_steps, tri.hull_slivers_dropped) == (digest, exact, walk, 0)
 
 
 def test_walk_that_does_not_end_raises(monkeypatch):

@@ -404,6 +404,26 @@ def test_validate_global_equals_brute_force(instance, corruption):
         assert not boxed[i]
 
 
+@pytest.mark.parametrize("chunk", (64, 1024))
+@pytest.mark.parametrize("instance", ("uni400", "uni60_3d"))
+@pytest.mark.parametrize("corruption", (None, "translate"))
+def test_validate_global_small_chunks_equal_brute_force(monkeypatch, chunk, instance, corruption):
+    """Smaller chunks cut the probe sweep at many more boxes (64 candidates:
+    one box a chunk; 1024: a few boxes of unlike widths): the 2D edge table
+    cut to each chunk's widest cell and the 3D per-cell views of each
+    chunk's targets report what brute force does."""
+    monkeypatch.setattr(mesh_module, "PAIR_CHUNK", chunk)
+    mesh, i = copy.deepcopy(_instance(instance))
+    edit, field = CORRUPTIONS[corruption]
+    if edit is not None:
+        edit(mesh, i)
+    report = validate_global(mesh)
+    assert asdict(report) == validate_global_brute_force(mesh)
+    assert report.ok == (corruption is None)
+    if field is not None:
+        assert getattr(report, field), field
+
+
 @cache
 def _generator_faces3(n, seed):
     """The face stack of an equal-radii 3D generator cloud (box border
