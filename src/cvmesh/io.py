@@ -51,17 +51,17 @@ class RawJson(str):
 
 def _dumps_array(a: np.ndarray) -> str:
     """A 1-D or 2-D int or float array as JSON lists, the bytes of dumping
-    a.tolist(): one `%` call for all rows ("%.17g" % x is format(x, ".17g"));
-    a row with a non-finite value goes number by number, so that value
-    prints as null."""
+    a.tolist(): one `%` call for all rows ("%.17g" % x is format(x, ".17g")).
+    Each non-finite float takes the literal null in place of its slot."""
     rows = a.reshape(-1, a.shape[-1])
-    row = "[" + ", ".join(["%.17g" if a.dtype.kind == "f" else "%d"] * rows.shape[1]) + "]"
-    if a.dtype.kind == "f" and not np.isfinite(rows).all():
-        finite = np.isfinite(rows).all(axis=1).tolist()
-        text = ", ".join(row % tuple(r) if ok else dumps_json(r)
-                         for r, ok in zip(rows.tolist(), finite))
-    else:
+    slot = "%.17g" if a.dtype.kind == "f" else "%d"
+    finite = np.isfinite(rows)
+    if finite.all():
+        row = "[" + ", ".join([slot] * rows.shape[1]) + "]"
         text = ", ".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        slots = np.where(finite, slot, "null").tolist()
+        text = ", ".join("[" + ", ".join(r) + "]" for r in slots) % tuple(rows[finite].tolist())
     return text if a.ndim == 1 else "[" + text + "]"
 
 
@@ -479,16 +479,15 @@ def triangulation_doc(tri) -> dict:
 
 
 def radii_doc(solve_result, dimension: int) -> dict:
-    lo = [v if math.isfinite(v) else None for v in solve_result.lo.tolist()]
-    hi = [v if math.isfinite(v) else None for v in solve_result.hi.tolist()]
+    """The radii document; a bound that is not finite is written as null."""
     return {
         "schema": SCHEMA,
         "kind": "radii",
         "dimension": dimension,
         "mode": solve_result.mode.value,
         "radii": solve_result.radii,
-        "lo": lo,
-        "hi": hi,
+        "lo": solve_result.lo,
+        "hi": solve_result.hi,
         "objective": solve_result.objective,
         "n_eval": solve_result.n_eval,
         "converged": solve_result.converged,

@@ -25,8 +25,10 @@ class OptimizerParams:
     sigma_decay) and its polish; a run's config holds one under "optimizer".
 
     The `levenberg_marquardt` polish of exact-intersection mode reads tol_f
-    and max_evals only; `rosenbrock_minimize`, the default polish, reads
-    expansion to max_evals."""
+    and max_evals only, tol_f as relative: it stops when an accepted step
+    gains less than tol_f times the objective before that step.
+    `rosenbrock_minimize`, the default polish, reads expansion to max_evals,
+    tol_f as an absolute gain over one rotation stage."""
 
     mu: int = 20
     lam: int = 140
@@ -37,7 +39,7 @@ class OptimizerParams:
     contraction: float = -0.5
     initial_step: float = 0.1      # fraction of the box width per coordinate
     tol_step: float = 1e-10
-    tol_f: float = 1e-14
+    tol_f: float = 1e-10
     max_evals: int = 0             # 0 -> 10^5 * dimension
 
 
@@ -173,26 +175,49 @@ def rosenbrock_minimize(f, x0, bounds, params: OptimizerParams | None = None) ->
     return OptimizeResult(x=x, fun=fx, n_eval=n_eval, converged=converged, status=status)
 
 
+def _column_sums(values: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """(n,) sums of the entries values[i, j] per column id cols[i, j]: J^T v
+    for values = jac * v[:, None]."""
+    return np.bincount(cols.ravel(), weights=values.ravel(), minlength=n)
+
+
+def _normal_matrix(jac: np.ndarray, cols: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """J^T J on the free coordinates, (f, f), from the Jacobian rows: one
+    np.bincount over the products jac[i, a] * jac[i, b] of every two entries
+    of a row, where a held column sends its products to a spare last slot."""
+    nf = int(np.count_nonzero(free))
+    pos = np.where(free, np.cumsum(free) - 1, nf)[cols]    # (m, k)
+    key = pos[:, :, None] * (nf + 1) + pos[:, None, :]
+    val = jac[:, :, None] * jac[:, None, :]
+    a = np.bincount(key.ravel(), weights=val.ravel(), minlength=(nf + 1) ** 2)
+    return a.reshape(nf + 1, nf + 1)[:nf, :nf]
+
+
 def levenberg_marquardt(residuals, x0, bounds, params: OptimizerParams | None = None) -> OptimizeResult:
     """Levenberg-Marquardt minimization of |s(x)|^2 inside a closed box.
 
-    residuals maps a point x of shape (n,) to (s, J): the residual vector
-    (m,) and its Jacobian (m, n). Each iteration solves the damped normal
-    equations (A + lam diag(A)) dx = -g, with A = J^T J and g = J^T s, on the
-    free coordinates: a coordinate sitting on a bound while its gradient
-    points out of the box is frozen, and so is one that no residual depends
-    on. The trial point x + dx is clipped to the box and taken only when it
-    lowers |s|^2; lam grows x4 after a rejected trial and shrinks /3 after an
-    accepted one. Stops when an accepted step gains less than tol_f
-    ("f-tol"), when no lam up to 1e12 gives a decrease or no coordinate is
-    free ("step-tol"), or after max_evals calls of residuals ("max-evals",
-    not converged). Returns the last accepted point with fun = |s|^2.
+    residuals maps a point x of shape (n,) to (s, jac, cols): the residual
+    vector (m,) and its Jacobian as rows, jac[i, j] the derivative of s_i in
+    x[cols[i, j]], both (m, k); an entry whose column repeats in a row adds
+    to it. g = J^T s and A = J^T J are assembled from those rows with
+    np.bincount, A on the free coordinates only, and never from a dense
+    (m, n) Jacobian. Each iteration solves the damped normal equations
+    (A + lam diag(A)) dx = -g on the free coordinates: a coordinate sitting
+    on a bound while its gradient points out of the box is frozen, and so is
+    one that no residual depends on. The trial point x + dx is clipped to
+    the box and taken only when it lowers |s|^2; lam grows x4 after a
+    rejected trial and shrinks /3 after an accepted one. Stops when an
+    accepted step gains less than tol_f times |s|^2 before it ("f-tol"),
+    when no lam up to 1e12 gives a decrease or no coordinate is free
+    ("step-tol"), or after max_evals calls of residuals ("max-evals", not
+    converged). Returns the last accepted point with fun = |s|^2.
     """
     p = params or OptimizerParams()
     lo, hi = _as_bounds(bounds, np.size(x0))
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    max_evals = p.max_evals if p.max_evals > 0 else 100_000 * x.size
-    s, jac = residuals(x)
+    n = x.size
+    max_evals = p.max_evals if p.max_evals > 0 else 100_000 * n
+    s, jac, cols = residuals(x)
     fx = float(s @ s)
     n_eval = 1
     if not np.isfinite(fx):
@@ -201,19 +226,21 @@ def levenberg_marquardt(residuals, x0, bounds, params: OptimizerParams | None = 
     lam = 1e-3
     status = "max-evals"
     while n_eval < max_evals:
-        g = jac.T @ s
-        a = jac.T @ jac
-        diag = a.diagonal()
+        g = _column_sums(jac * s[:, None], cols, n)
+        diag = _column_sums(jac * jac, cols, n)
         free = (diag > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
         if not free.any():
             status = "step-tol"
             break
-        a, g, diag = a[np.ix_(free, free)], g[free], diag[free]
+        a, step, diag = _normal_matrix(jac, cols, free), -g[free], diag[free]
+        on_diag = np.arange(len(diag))
         while True:
+            damped = a.copy()
+            damped[on_diag, on_diag] += lam * diag
             trial = x.copy()
-            trial[free] += np.linalg.solve(a + np.diag(lam * diag), -g)
-            np.clip(trial, lo, hi, out=trial)
-            s_t, jac_t = residuals(trial)
+            trial[free] += np.linalg.solve(damped, step)
+            _clamp(trial, lo, hi)
+            s_t, jac_t, cols_t = residuals(trial)
             f_t = float(s_t @ s_t)
             n_eval += 1
             if f_t < fx or n_eval >= max_evals:
@@ -226,9 +253,10 @@ def levenberg_marquardt(residuals, x0, bounds, params: OptimizerParams | None = 
                 status = "step-tol"
             break
         gain = fx - f_t
-        x, s, jac, fx = trial, s_t, jac_t, f_t
+        stop = gain < p.tol_f * fx
+        x, s, jac, cols, fx = trial, s_t, jac_t, cols_t, f_t
         lam /= 3.0
-        if gain < p.tol_f:
+        if stop:
             status = "f-tol"
             break
 
@@ -330,9 +358,12 @@ def soft_selection_minimize(
             best_x = pop[order[0]].copy()
         trace.append(best_f)
 
-        parents = pop[order[cdf.searchsorted(rng.random(p.mu), side="right")]]
+        parents = order[cdf.searchsorted(rng.random(p.mu), side="right")]
         picks = rng.integers(0, p.mu, size=p.lam)
-        pop = parents[picks] + sigma * width * rng.standard_normal((p.lam, n))
+        step = rng.standard_normal((p.lam, n))
+        step *= sigma * width
+        step += pop[parents[picks]]
+        pop = step
         _clamp(pop, inner_lo, inner_hi)
         sigma *= p.sigma_decay
 

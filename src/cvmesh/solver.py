@@ -142,6 +142,31 @@ def _adjugate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, _rowdot(r0, adj[:, :, 0])
 
 
+BLOCK = 1 << 14   # float64 entries of one (d, T, B) array of the radius-stack kernel
+
+
+class _Block:
+    """Workspace of the `SimplexSystems` kernel for blocks of B radius
+    vectors, population last: the kernel's constants tiled to B columns, so
+    that every product and sum runs over contiguous (T, B) operands, and the
+    arrays a block writes, so that evaluating a block allocates nothing."""
+
+    def __init__(self, systems: "SimplexSystems", width: int):
+        def tile(a):
+            return np.ascontiguousarray(np.broadcast_to(a[..., None], a.shape + (width,)))
+
+        d, t = systems.K.shape[0], len(systems)
+        self.K, self.c, self.den, self.weights = (
+            tile(a) for a in (systems.K, systems.c, systems.den, systems.weights))
+        self.w = np.zeros((systems.n_points, width))    # squared radii, one column per vector
+        self.wt = np.empty((d + 1, t, width))            # corner weights
+        self.y = np.empty((d, t, width))                 # center offsets
+        self.terms = np.empty((d - 1, d, t, width))     # corner terms held for their pairing
+        self.p = np.empty((2, t, width))                 # powers, and a term of them
+        self.rows = np.empty((width, t))                 # weighted squared powers, by rows
+        self.sums = np.empty(width)
+
+
 class SimplexSystems:
     """Radical centers of every simplex: triangles in 2D, tetrahedra in 3D.
 
@@ -154,13 +179,16 @@ class SimplexSystems:
     `vertices`, `powers` and `objective` take radii r of shape (N,) or a
     stack of radius vectors of shape (L, N); every row of a stack gives bit
     for bit the value that row gives on its own. `jacobian` and
-    `powers_and_jacobian` take r of shape (N,).
+    `powers_and_jacobian` take r of shape (N,). The kernel keeps one
+    workspace per block width it has met (`_Block`), so one instance is not
+    to be shared between threads.
     """
 
     def __init__(self, pts: np.ndarray, simplices: np.ndarray):
         self.indices = np.asarray(simplices, dtype=np.int64)
         self._corners = np.ascontiguousarray(self.indices.T)  # (d+1, T)
         p = np.asarray(pts, dtype=float)[self.indices]      # (T, d+1, d)
+        self.n_points = len(pts)
         self.p0 = p[:, 0]
         e = p[:, 1:] - p[:, :1]                                # (T, d, d)
         adj, self.den = _adjugate(2.0 * e)
@@ -172,42 +200,87 @@ class SimplexSystems:
         dist = [np.sqrt(_rowdot(p[:, u] - p[:, v], p[:, u] - p[:, v]))
                 for u, v in combinations(range(p.shape[1]), 2)]
         self.weights = (sum(dist) / len(dist)) ** -4.0
+        self._blocks: dict[int, _Block] = {}
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def _offsets(self, w: np.ndarray) -> np.ndarray:
-        """y = x - p0 of every simplex, (..., d, T), from squared radii w.
+    def _block(self, width: int) -> _Block:
+        blk = self._blocks.get(width)
+        if blk is None:
+            blk = self._blocks[width] = _Block(self, width)
+        return blk
+
+    def _stacked(self, r: np.ndarray, kernel) -> np.ndarray:
+        """kernel(blk) on the radii r, population last: the stack goes through
+        in blocks of B vectors, B as even over the blocks as the budget lets,
+        each block's squared radii in the columns of blk.w (N, B); a last
+        block with fewer vectors leaves its spare columns as they were.
+        BLOCK bounds each (d, T, B) array. A single vector r (N,) is the
+        one-column case and loses that column again; the kernel's (..., B)
+        outputs are gathered along their last axis."""
+        r = np.asarray(r, dtype=float)
+        stack = np.atleast_2d(r)
+        n = len(stack)
+        most = max(BLOCK // max(self.K.shape[0] * len(self), 1), 1)
+        width = -(-n // -(-n // most))
+        blk = self._block(width)
+        out = None
+        for b in range(0, n, width):
+            m = min(width, n - b)
+            np.square(stack[b:b + m].T, out=blk.w[:, :m])
+            part = kernel(blk)
+            if out is None:
+                out = np.empty(part.shape[:-1] + (n,))
+            out[..., b:b + m] = part[..., :m]
+        return out[..., 0] if r.ndim == 1 else out
+
+    def _offsets(self, blk: _Block) -> np.ndarray:
+        """y = x - p0 of every simplex, blk.y (d, T, B), from blk.w.
 
         One gather of the corner weights, then one product with K per corner,
         summed as (t0 + t2) + t1 in 2D and (t0 + t2) + (t1 + t3) in 3D: the
-        same pairing for a single vector and every row of a stack, whatever
-        the stack's memory order."""
-        wt = w[..., None, self._corners]                        # (..., 1, d+1, T)
-        K = self.K
-        y = K[:, 0] * wt[..., 0, :]
-        y += K[:, 2] * wt[..., 2, :]
-        t1 = K[:, 1] * wt[..., 1, :]
-        if K.shape[1] == 4:
-            t1 += K[:, 3] * wt[..., 3, :]
+        same products and pairing for every column, whatever B."""
+        wt, y, t, K = blk.wt, blk.y, blk.terms, blk.K
+        blk.w.take(self._corners, axis=0, out=wt, mode="clip")
+        np.multiply(K[:, 0], wt[0], out=y)
+        y += np.multiply(K[:, 2], wt[2], out=t[0])
+        t1 = np.multiply(K[:, 1], wt[1], out=t[-1])
+        if len(wt) == 4:
+            t1 += np.multiply(K[:, 3], wt[3], out=t[0])
         y += t1
-        y += self.c
-        y /= self.den
+        y += blk.c
+        y /= blk.den
         return y
 
-    def _powers(self, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-        p = y[..., 0, :] * y[..., 0, :]
-        for i in range(1, y.shape[-2]):
-            p += y[..., i, :] * y[..., i, :]
-        return p - w[..., self.indices[:, 0]]
+    def _powers(self, blk: _Block) -> np.ndarray:
+        """blk.p[0] (T, B): the power of every center blk.y at blk.w."""
+        y, p = blk.y, blk.p
+        np.multiply(y[0], y[0], out=p[0])
+        for i in range(1, len(y)):
+            p[0] += np.multiply(y[i], y[i], out=p[1])
+        p[0] -= blk.w.take(self.indices[:, 0], axis=0, out=p[1], mode="clip")
+        return p[0]
+
+    def _power_columns(self, blk: _Block) -> np.ndarray:
+        self._offsets(blk)
+        return self._powers(blk)
+
+    def _weighted_sums(self, blk: _Block) -> np.ndarray:
+        """(B,) sums of weights * p**2 over the simplices, each summed as a
+        contiguous (T,) row: the order a single vector's sum takes."""
+        p = self._power_columns(blk)
+        q = np.multiply(blk.weights, p, out=blk.p[1])
+        q *= p
+        np.copyto(blk.rows, q.T)
+        return blk.rows.sum(axis=-1, out=blk.sums)
 
     def vertices(self, r: np.ndarray) -> np.ndarray:
-        return self.p0 + np.swapaxes(self._offsets(np.asarray(r) ** 2), -1, -2)
+        return self.p0 + np.swapaxes(self._stacked(r, self._offsets), 0, -1)
 
     def powers(self, r: np.ndarray) -> np.ndarray:
         """Power of each radical center with respect to its first sphere."""
-        w = np.asarray(r) ** 2
-        return self._powers(w, self._offsets(w))
+        return self._stacked(r, self._power_columns).T
 
     def jacobian(self, r: np.ndarray) -> np.ndarray:
         """Derivatives of `powers` in the squared radii, (T, d+1): row t holds
@@ -217,25 +290,22 @@ class SimplexSystems:
 
     def powers_and_jacobian(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`powers` and `jacobian` at r, from one evaluation of the centers."""
-        w = np.asarray(r) ** 2
-        y = self._offsets(w)
+        blk = self._block(1)
+        np.square(r, out=blk.w[:, 0])
+        y = self._offsets(blk)[..., 0]
+        p = self._powers(blk)[:, 0].copy()
         jac = y[0] * self.K[0]
         for i in range(1, len(y)):
             jac += y[i] * self.K[i]
         jac *= 2.0 / self.den
         jac[0] -= 1.0
-        return self._powers(w, y), jac.T
+        return p, jac.T
 
     def objective(self, r: np.ndarray) -> float | np.ndarray:
         """Weighted sum of squared powers: a float for r of shape (N,), an
         (L,) array for a stack of shape (L, N)."""
-        return _weighted_sum(self.weights, self.powers(r))
-
-
-def _weighted_sum(weights: np.ndarray, p: np.ndarray) -> float | np.ndarray:
-    """Row sums of weights * p**2, each in the order a single (T,) row sums in."""
-    sums = np.sum(np.ascontiguousarray(weights * p * p), axis=-1)
-    return float(sums) if sums.ndim == 0 else sums
+        sums = self._stacked(r, self._weighted_sums)
+        return float(sums) if sums.ndim == 0 else sums
 
 
 def simplex_systems(tri: Triangulation2 | Triangulation3) -> SimplexSystems:
@@ -281,9 +351,9 @@ def solve_radii(
     mode minimizes the power-mismatch objective inside the strict bounds box:
     soft selection (`soft_selection_minimize`), then a Levenberg-Marquardt
     polish of its best radii in the squared radii w = r^2
-    (`levenberg_marquardt` on the weighted powers and their `jacobian`,
-    inside the box the evolution strategy keeps to, squared; it reads
-    params.tol_f and params.max_evals). The polished radii are kept when
+    (`levenberg_marquardt` on the weighted powers and their `jacobian`
+    rows, inside the box the evolution strategy keeps to, squared; it reads
+    params.tol_f, as relative, and params.max_evals). The polished radii are kept when
     their objective is no larger. equal_radii bypasses both and assigns
     every point half the smallest max radius (the Voronoi-equivalence
     override).
@@ -322,7 +392,7 @@ def solve_radii(
         mode=mode,
         lo=lo,
         hi=hi,
-        objective=_weighted_sum(systems.weights, powers),
+        objective=systems.objective(r),
         powers=powers,
         n_eval=n_eval,
         converged=converged,
@@ -335,16 +405,14 @@ def solve_radii(
 def _lm_polish(systems: SimplexSystems, bounds, params: OptimizerParams | None):
     """polish(r) -> OptimizeResult for `soft_selection_minimize`: Levenberg-
     Marquardt on the residuals sqrt(weights) * powers in w = r^2, inside the
-    squared `interior_box(bounds)`; x and fun come back in radii."""
+    squared `interior_box(bounds)`, with the (T, d+1) Jacobian rows on the
+    simplices' corner ids as columns; x and fun come back in radii."""
     inner_lo, inner_hi = interior_box(bounds)
     scale = np.sqrt(systems.weights)
-    rows = np.arange(len(systems))[:, None]
 
     def residuals(w):
         powers, dpdw = systems.powers_and_jacobian(np.sqrt(w))
-        jac = np.zeros((len(systems), len(w)))
-        jac[rows, systems.indices] = scale[:, None] * dpdw
-        return scale * powers, jac
+        return scale * powers, scale[:, None] * dpdw, systems.indices
 
     def polish(r):
         result = levenberg_marquardt(residuals, r * r, (inner_lo ** 2, inner_hi ** 2), params)

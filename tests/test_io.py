@@ -31,7 +31,7 @@ from cvmesh.io import (
 import cvmesh.io as io_mod
 from cvmesh.mesh import build_volumes2, build_volumes3, validate_global, validate_perpendicularity
 from cvmesh.pipeline import report_doc, run_pipeline
-from cvmesh.solver import solve_radii
+from cvmesh.solver import VolumeMode, solve_radii
 from cvmesh.svg import SvgOptions, render_svg
 
 import oracles
@@ -508,6 +508,28 @@ def test_radii_doc_with_non_finite_bounds_matches_reference():
     text = dumps_json(doc)
     assert text == oracles.dumps_json(doc)
     assert json.loads(text)["lo"][:3] == [None, None, None]
+
+
+@pytest.mark.parametrize("kind", ["equal", "exact", "clamp"])
+def test_radii_doc_bytes_equal_the_list_path(kind):
+    """lo and hi go to dumps_json as arrays, each non-finite entry a null
+    slot of one template: radii.json keeps the bytes of writing them as
+    Python lists with None for each non-finite entry."""
+    if kind == "exact":
+        pts = hexagon_patch(2, seed=1)
+        kw = dict(mode=VolumeMode.EXACT_INTERSECTION, seed=1, bounds_policy="clamp")
+    else:
+        pts = uniform_points(2, 400, seed=1)
+        kw = dict(equal_radii=True) if kind == "equal" else dict(bounds_policy="clamp")
+    tri = triangulate2(pts)
+    sol = solve_radii(tri, neighbor_map(tri), pts, **kw)
+    doc = radii_doc(sol, 2)
+    listed = dict(doc, **{k: [v if math.isfinite(v) else None for v in getattr(sol, k).tolist()]
+                          for k in ("lo", "hi")})
+    text = dumps_json(doc)
+    assert text == oracles.dumps_json(listed)
+    if kind == "equal":
+        assert json.loads(text)["hi"] == [None] * len(pts)
 
 
 def _assert_reference_bytes(result):

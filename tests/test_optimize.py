@@ -5,6 +5,8 @@ import cvmesh.optimize
 from cvmesh.optimize import (
     OptimizeResult,
     OptimizerParams,
+    _column_sums,
+    _normal_matrix,
     _rank_cdf,
     interior_box,
     levenberg_marquardt,
@@ -184,14 +186,20 @@ def test_rosenbrock_budget_matches_sequential_reference(max_evals):
     assert batched.n_eval <= max_evals
 
 
+def _rows(jac):
+    """A dense Jacobian as `levenberg_marquardt` takes it: every row's values,
+    with column ids arange(n) per row."""
+    return jac, np.tile(np.arange(jac.shape[1]), (len(jac), 1))
+
+
 def bowl_residuals(x):
-    return x - np.array([1.0, 2.0]), np.eye(2)
+    return (x - np.array([1.0, 2.0]), *_rows(np.eye(2)))
 
 
 def banana_residuals(x):
-    """Residuals whose squared norm is `banana`, and their Jacobian."""
+    """Residuals whose squared norm is `banana`, and their Jacobian rows."""
     s = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-    return s, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return (s, *_rows(np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])))
 
 
 def test_lm_banana():
@@ -241,7 +249,41 @@ def test_lm_max_evals_flagged():
 
 def test_lm_requires_finite_start():
     with pytest.raises(ValueError):
-        levenberg_marquardt(lambda x: (np.full(2, np.nan), np.eye(2)), [0.0, 0.0], ([-1, -1], [1, 1]))
+        levenberg_marquardt(lambda x: (np.full(2, np.nan), *_rows(np.eye(2))), [0.0, 0.0],
+                            ([-1, -1], [1, 1]))
+
+
+def _exact6_rows():
+    """Residuals and Jacobian rows of the powers of `exact_instance(6)` in w."""
+    from cvmesh.solver import simplex_systems
+    from conftest import exact_instance
+
+    pts, tri, nm, r_star, lo, hi = exact_instance(6)
+    systems = simplex_systems(tri)
+    return (*systems.powers_and_jacobian(lo + 0.62 * (hi - lo)), systems.indices)
+
+
+@pytest.mark.parametrize("case", ["bowl", "banana", "exact6"])
+def test_row_assembly_equals_dense_normal_equations(case):
+    """J^T s and J^T J assembled from the Jacobian rows by np.bincount equal
+    jac.T @ s and jac.T @ jac of the dense Jacobian to within 4 ulps of the
+    magnitudes summed, on all coordinates and on a free subset of them."""
+    if case == "exact6":
+        s, jac, cols = _exact6_rows()
+    else:
+        s, jac, cols = (bowl_residuals if case == "bowl" else banana_residuals)(np.array([-1.2, 1.0]))
+    n = int(cols.max()) + 1
+    dense = np.zeros((len(s), n))
+    np.add.at(dense, (np.arange(len(s))[:, None], cols), jac)
+    bound = 4 * np.finfo(float).eps
+    g = _column_sums(jac * s[:, None], cols, n)
+    assert np.all(np.abs(g - dense.T @ s) <= bound * (np.abs(dense.T) @ np.abs(s)))
+    gram, gram_abs = dense.T @ dense, np.abs(dense.T) @ np.abs(dense)
+    for free in (np.ones(n, dtype=bool), np.arange(n) % 2 == 1):
+        a = _normal_matrix(jac, cols, free)
+        sub = np.ix_(free, free)
+        assert a.shape == (free.sum(), free.sum())
+        assert np.all(np.abs(a - gram[sub]) <= bound * gram_abs[sub])
 
 
 def test_interior_box_is_the_evolution_strategy_box():

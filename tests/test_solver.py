@@ -420,6 +420,39 @@ def test_batched_objective_equals_row_by_row(build, order):
         assert np.array_equal(vertices[k], systems.vertices(row))
 
 
+@pytest.fixture(scope="module", params=[(2, 400), (3, 200)], ids=["2d-n400", "3d-n200"])
+def generator_systems(request):
+    dim, n = request.param
+    pts = uniform_points(dim, n, seed=1)
+    tri = triangulate2(pts) if dim == 2 else tetrahedralize3(pts)
+    return SimplexSystems(pts, tri.simplices), 0.5 * np.min(max_radii(neighbor_map(tri), pts))
+
+
+@pytest.mark.parametrize("size", [1, 5, 141])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacks_across_blocks_equal_row_by_row(generator_systems, size, order):
+    """Stacks that span several kernel blocks, with a last block the stack
+    does not fill, give every row bit for bit as that row alone; so does a
+    stack of one. A later call leaves the arrays an earlier one returned
+    as they were."""
+    systems, r_min = generator_systems
+    n = systems.n_points
+    most = cvmesh.solver.BLOCK // (systems.K.shape[0] * len(systems))
+    width = -(-size // -(-size // most))                # the blocks' width, as even as it goes
+    if size == 141:
+        assert 1 < width < size and size % width        # several blocks; the last one not full
+    pop = np.asarray(r_min * (1.0 + np.random.default_rng(size).random((size, n))), order=order)
+    objective, powers, vertices = systems.objective(pop), systems.powers(pop), systems.vertices(pop)
+    kept = objective.copy(), powers.copy(), vertices.copy()
+    single = [(systems.objective(row), systems.powers(row), systems.vertices(row))
+              for row in map(np.ascontiguousarray, pop)]
+    assert np.array_equal(objective, [o for o, _, _ in single])
+    assert np.array_equal(powers, [p for _, p, _ in single])
+    assert np.array_equal(vertices, [v for _, _, v in single])
+    for got, want in zip((objective, powers, vertices), kept):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e3])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_block_kernel_matches_einsum_reference(dim, shift):
@@ -436,7 +469,8 @@ def test_block_kernel_matches_einsum_reference(dim, shift):
     for r in (stack, np.asfortranarray(stack), stack[7]):
         w = r ** 2
         y = einsum_offsets(systems.indices, K, c, systems.den, w)
-        np.testing.assert_array_max_ulp(np.swapaxes(systems._offsets(w), -1, -2), y, maxulp=2)
+        offsets = systems._stacked(r, systems._offsets)            # (d, T, ...) population last
+        np.testing.assert_array_max_ulp(np.swapaxes(offsets, 0, -1), y, maxulp=2)
         np.testing.assert_array_max_ulp(systems.vertices(r), systems.p0 + y, maxulp=2)
         powers = np.sum(y * y, axis=-1) - w[..., systems.indices[:, 0]]
         np.testing.assert_array_max_ulp(systems.powers(r), powers, maxulp=2)
@@ -526,6 +560,20 @@ def test_lm_polish_evaluates_only_strictly_inside_the_bounds(monkeypatch):
             assert np.all(r > sol.lo) and np.all(r < sol.hi)
         assert np.all(sol.radii > sol.lo) and np.all(sol.radii < sol.hi)
         seen.clear()
+
+
+def test_lm_polish_stops_relative_on_generator_cloud():
+    """On the 2D n=200 seed-1 generator cloud (exact mode, clamp) the polish
+    stops once a step gains less than tol_f of the objective: at most 1000
+    residual evaluations (2545 with the absolute 1e-14 stop), ending within
+    1e-6 of the objective that stop reached, 2.5537394."""
+    pts = uniform_points(2, 200, seed=1)
+    tri = triangulate2(pts)
+    sol = solve_radii(tri, neighbor_map(tri), pts, mode=VolumeMode.EXACT_INTERSECTION, seed=1,
+                      bounds_policy="clamp")
+    p = OptimizerParams()
+    assert sol.n_eval - p.lam * p.generations <= 1000
+    assert sol.objective == pytest.approx(2.5537394, rel=1e-6)
 
 
 def test_lm_polish_solves_exact_instance():
