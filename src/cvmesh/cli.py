@@ -111,14 +111,16 @@ def cmd_build(args) -> int:
 def cmd_validate(args) -> int:
     mesh = mesh_from_doc(read_json(args.mesh))
     perp = validate_perpendicularity(mesh, tol=args.tol_perp)
-    glob = validate_global(mesh, probes=args.probes)
+    glob = validate_global(mesh)
     report = report_doc(perp, glob)
     if args.out:
         write_json({"schema": SCHEMA, "kind": "report", **report}, args.out)
     status = "ok" if report["ok"] else "INVALID"
     print(
         f"validation {status}: {len(perp.violations)} perpendicularity violations, "
-        f"{len(glob.overlaps)} overlaps, {len(glob.shared_wall_mismatches)} wall mismatches"
+        f"{len(glob.shared_wall_mismatches)} wall mismatches, {len(glob.overlaps)} overlaps, "
+        f"{len(glob.owners_outside)} owners outside, {len(glob.foreign_points)} foreign points, "
+        f"cell measures {glob.total_measure:.12g} of domain {glob.domain_measure:.12g}"
     )
     return EXIT_OK if report["ok"] else EXIT_VALIDATION
 
@@ -194,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate a built mesh")
     p.add_argument("--mesh", required=True)
     p.add_argument("--tol-perp", type=float, dest="tol_perp", default=1e-6)
-    p.add_argument("--probes", type=int, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_validate)
 

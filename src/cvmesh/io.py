@@ -137,7 +137,6 @@ class RunConfig:
     bounds_policy: str = "clamp"         # or "strict" (raise on empty intervals)
     tol_perp: float = 1e-6
     residual_threshold: float = 1e-8
-    probes: int = 10_000
     allow_invalid: bool = False
     out_dir: str = "out"
     formats: tuple = ("json", "vtk", "svg")

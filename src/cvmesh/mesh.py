@@ -1,5 +1,5 @@
 """Control-volume assembly from per-simplex candidate vertices, one rule
-for every cell, and the global/local mesh validations.
+for every cell, the local validation and the global certificate.
 
 Every cell lists the radical centers of its simplices in ring (2D) or star
 (3D) order. A hull point's cell closes through the ghost simplices on its
@@ -14,24 +14,29 @@ line (2D) or plane (3D), of the domain and of the cells, comes from one
 table (`face_planes`) with unit normals, so every cut and every tolerance
 compares a true distance with an eps relative to the domain scale, and a
 domain scaled by a power of two gives the same mesh scaled by it, bit for
-bit. The domain clip and the orphan check read the domain's table; in 3D
-the planarity and convexity checks decide every cell from the cells' table
-in one pass, and `validate_global` tests points against the cells' lines
-or planes. That stack is the
-mesh's one cell representation (`ControlVolumeMesh.cells`): cell i belongs
-to point i, the validators and writers read its arrays, and nothing unpacks
-it into per-cell objects. The domain every cell is cut from
+bit. The domain clip and the orphan check read the domain's table; the
+convexity check (`_convex_faults`: every vertex of a cell against every
+wall of it) and in 3D the planarity check decide every cell from the
+cells' table in one padded pass. That stack is the mesh's one cell
+representation (`ControlVolumeMesh.cells`): cell i belongs to point i, the
+validators and writers read its arrays, and nothing unpacks it into
+per-cell objects. The domain every cell is cut from
 (`ControlVolumeMesh.domain`) is a one-cell stack of the same kind, its
 walls tagged -1. Every wall knows which neighbor it separates its owner
-from, which makes the perpendicularity and shared-wall checks exact; those
-and the global checks are whole-mesh array passes too, with the same report
-as checking one cell at a time.
+from, which makes the perpendicularity and shared-wall checks exact.
+
+`validate_global` certifies that the cells tile the domain once, each
+generator inside its own cell only, from five conditions that hold cell by
+cell and wall by wall: convex, positively oriented cells (planar and closed
+in 3D), shared walls matched once with opposite normals, domain walls on
+the domain's faces, cell measures that sum to the domain's, and every
+owner inside its cell. Each is a whole-mesh array pass, with the report of
+checking one cell at a time; no point is sampled.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -104,8 +109,9 @@ class ControlVolumeMesh:
 def _cell_measures(stack, n: int) -> np.ndarray:
     """The measure of every cell of a stack of n cells: 2D areas by
     `_ring_areas`; 3D volumes from the fan terms of every face loop of every
-    cell at once, each cell's terms summed in order from 0 (a Python sum)
-    and divided by 6."""
+    cell at once, each taken about its cell's first vertex (so a cell far
+    from the origin keeps its digits), each cell's terms summed in order
+    from 0 (a Python sum) and divided by 6."""
     if isinstance(stack, RingStack):
         return _ring_areas(stack.verts, stack.starts)
     v, starts, succ = stack.verts, stack.starts, stack.succ
@@ -114,7 +120,8 @@ def _cell_measures(stack, n: int) -> np.ndarray:
     mid[starts] = False      # ... nor the first
     b = rows[mid]
     f = np.searchsorted(starts, b, side="right") - 1
-    terms = _rowdot(v[starts[f]], np.cross(v[b], v[b + 1])).tolist()
+    o = v[starts[np.searchsorted(stack.cells, stack.cells[f])]]
+    terms = _rowdot(v[starts[f]] - o, np.cross(v[b] - o, v[b + 1] - o)).tolist()
     cuts = np.searchsorted(stack.cells[f], np.arange(n + 1)).tolist()
     return np.array([sum(terms[i:j]) / 6.0 for i, j in zip(cuts, cuts[1:])])
 
@@ -136,12 +143,14 @@ def bounding_domain3(pts: np.ndarray) -> PolyStack:
 
 def _ring_areas(verts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Signed area of every ring of a `RingStack` (0.0 for rings under three
-    rows): half the np.sum of its shoelace terms. The terms of the rings of
-    one length go through one np.sum along rows, which sums each row as
-    np.sum sums that ring alone (pairwise from eight on)."""
+    rows): half the np.sum of its shoelace terms, taken about the ring's
+    first row. The terms of the rings of one length go through one np.sum
+    along rows, which sums each row as np.sum sums that ring alone (pairwise
+    from eight on)."""
     lens = _lengths(starts, len(verts))
     nxt = _successors(starts[lens > 0], len(verts))
-    t = verts[:, 0] * verts[nxt, 1] - verts[nxt, 0] * verts[:, 1]
+    rel = verts - verts[np.repeat(starts, lens)]
+    t = rel[:, 0] * rel[nxt, 1] - rel[nxt, 0] * rel[:, 1]
     area = np.zeros(len(starts))
     for k in np.unique(lens[lens >= 3]).tolist():
         rings = np.flatnonzero(lens == k)
@@ -220,22 +229,6 @@ def _rings(pts: np.ndarray, nm: NeighborMap, q: np.ndarray, m: np.ndarray,
     return RingStack(verts[rows], starts, tags[tag_rows], sids[rows])
 
 
-def _check_convex2(stack: RingStack):
-    """Raise NonConvexCell for the first ring (its index the owner) with a
-    corner whose sine (edge cross product over both lengths) is below -1e-9."""
-    v = stack.verts
-    nxt = stack.succ()
-    e = v[nxt] - v
-    ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
-    cross = (e[:, 0] * e[nxt, 1] - e[:, 1] * e[nxt, 0]) / (ln * ln[nxt])
-    ring = stack.row_rings()
-    bad = np.flatnonzero((cross < -1e-9) & (stack.lengths() >= 3)[ring])
-    if len(bad):
-        c = int(ring[bad[0]])
-        rows = cross[ring == c]
-        raise NonConvexCell(c, f"reflex corner, sin={rows.min():.3g}")
-
-
 BLOCK = 1 << 15   # padded entries per block of cells in the per-cell passes
 
 
@@ -245,14 +238,17 @@ def _blocks(a: np.ndarray, b: np.ndarray):
     each block as long as cells * max a * max b stays within BLOCK (one
     cell at least). Yields (cells, max a, max b)."""
     order = np.argsort(-(a * b), kind="stable")
-    a, b = a[order].tolist(), b[order].tolist()
+    a, b = a[order], b[order]
     lo = 0
     while lo < len(order):
-        ma, mb, hi = a[lo], b[lo], lo + 1
-        while hi < len(order) and (hi + 1 - lo) * max(ma, a[hi]) * max(mb, b[hi]) <= BLOCK:
-            ma, mb, hi = max(ma, a[hi]), max(mb, b[hi]), hi + 1
-        yield order[lo:hi], max(ma, 1), max(mb, 1)
-        lo = hi
+        # no later cell has a larger a * b, so a block holds at most
+        # BLOCK // (a * b) of its first cell, plus that cell
+        end = min(len(order), lo + BLOCK // max(int(a[lo] * b[lo]), 1) + 1)
+        ma = np.maximum.accumulate(a[lo:end])
+        mb = np.maximum.accumulate(b[lo:end])
+        k = max(int(np.searchsorted(np.arange(1, end - lo + 1) * ma * mb, BLOCK, side="right")), 1)
+        yield order[lo:lo + k], max(int(ma[k - 1]), 1), max(int(mb[k - 1]), 1)
+        lo += k
 
 
 def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: int):
@@ -260,6 +256,82 @@ def _padded(starts: np.ndarray, counts: np.ndarray, cells: np.ndarray, width: in
     from starts[c], and the mask of real ones (padding points at row 0)."""
     real = np.arange(width) < counts[cells, None]
     return np.where(real, starts[cells, None] + np.arange(width), 0), real
+
+
+def _layout(stack: RingStack | PolyStack, n: int):
+    """Per cell of a stack of n cells: the first of its vertex rows and their
+    count, then the first of its walls and their count, as four arrays. A
+    ring's walls are its edges, one per row; a ring under three rows has
+    neither rows nor walls here."""
+    if isinstance(stack, RingStack):
+        lens = stack.lengths()
+        lens = np.where(lens >= 3, lens, 0)
+        return stack.starts, lens, stack.starts, lens
+    row_starts = np.searchsorted(stack.row_cells(), np.arange(n))
+    face_starts = np.searchsorted(stack.cells, np.arange(n))
+    return (row_starts, _lengths(row_starts, len(stack.verts)),
+            face_starts, _lengths(face_starts, len(stack.starts)))
+
+
+def _offset_blocks(points: np.ndarray, point_starts: np.ndarray, npoint: np.ndarray,
+                   planes: FacePlanes, wall_starts: np.ndarray, nwall: np.ndarray):
+    """The signed offset of each point of a cell from each of its walls'
+    lines or planes, one stacked matmul per block of cells (`_blocks`). Cell
+    c's points are rows point_starts[c] .. + npoint[c] of `points`, its
+    walls entries wall_starts[c] .. + nwall[c] of `planes`. Yields, per
+    block, the padded point rows and their mask of real ones, the padded
+    walls and theirs, and the (cells, points, walls) offsets."""
+    for cells, mp, mw in _blocks(npoint, nwall):
+        rows, real_row = _padded(point_starts, npoint, cells, mp)
+        walls, real_wall = _padded(wall_starts, nwall, cells, mw)
+        out = np.matmul(points[rows], planes.u[walls].transpose(0, 2, 1)) - planes.c[walls][:, None, :]
+        yield rows, real_row, walls, real_wall, out
+
+
+def _convex_faults(stack: RingStack | PolyStack, planes: FacePlanes, scale: float, n: int):
+    """The convexity test of every wall of a stack of n cells with its
+    `face_planes`, for the build checks and `validate_global` alike. A wall
+    fails when a vertex of its cell lies more than 1e-9 * scale outside its
+    line or plane (walls without a normal pass); in 2D a ring's edge also
+    fails when the corner at its end has a sine (edge cross product over
+    both lengths) below -1e-9. Every vertex against every wall catches what
+    the corner rule alone passes, a ring that winds twice. Returns the mask
+    of failing walls, each wall's largest vertex offset (-inf for a ring
+    under three rows) and, in 2D, each row's corner sine."""
+    point_starts, npoint, wall_starts, nwall = _layout(stack, n)
+    worst = np.full(len(planes.c), -np.inf)
+    for _, real_row, walls, real_wall, out in _offset_blocks(stack.verts, point_starts, npoint,
+                                                             planes, wall_starts, nwall):
+        out[~real_row] = -np.inf
+        worst[walls[real_wall]] = out.max(axis=1)[real_wall]
+    bad = planes.keep & (worst > 1e-9 * scale)
+    if not isinstance(stack, RingStack):
+        return bad, worst, None
+    v = stack.verts
+    nxt = stack.succ()
+    e = v[nxt] - v
+    ln = np.maximum(np.hypot(e[:, 0], e[:, 1]), 1e-300)
+    r = np.flatnonzero((stack.lengths() >= 3)[stack.row_rings()])
+    s = nxt[r]
+    sine = np.zeros(len(v))
+    sine[r] = (e[r, 0] * e[s, 1] - e[r, 1] * e[s, 0]) / (ln[r] * ln[s])
+    bad |= sine < -1e-9
+    return bad, worst, sine
+
+
+def _check_convex2(stack: RingStack, planes: FacePlanes, scale: float):
+    """Raise NonConvexCell for the first ring (its index the owner) that
+    fails `_convex_faults`: by its most reflex corner when a corner fails,
+    else by its vertex farthest outside an edge line."""
+    bad, worst, sine = _convex_faults(stack, planes, scale, len(stack.starts))
+    rows = np.flatnonzero(bad)
+    if len(rows):
+        ring = stack.row_rings()
+        c = int(ring[rows[0]])
+        mine = ring == c
+        if sine[mine].min() < -1e-9:
+            raise NonConvexCell(c, f"reflex corner, sin={sine[mine].min():.3g}")
+        raise NonConvexCell(c, f"vertex {worst[mine].max():.3g} outside edge line")
 
 
 def _check_orphans(simplices: np.ndarray, q: np.ndarray, cells: np.ndarray, ids: np.ndarray,
@@ -338,25 +410,10 @@ def _check_cells3(stack: PolyStack, planes: FacePlanes, scale: float):
     """The face-planarity and convexity checks of every cell of a stack,
     decided in one pass from its face planes. Raise for the first failing
     cell in cell order: NonPlanarFace for its first nonplanar face, else
-    NonConvexCell for its first face with a vertex of the cell more than
-    1e-9 * scale outside the face's plane. Each face's worst vertex offset
-    comes from one stacked matmul per block of cells (`_blocks`: padded
-    vertex rows times face normals)."""
-    v = stack.verts
+    NonConvexCell for its first face that fails `_convex_faults`."""
     ncell = int(stack.cells.max(initial=-1)) + 1
-    row_starts = np.searchsorted(stack.row_cells(), np.arange(ncell))
-    face_starts = np.searchsorted(stack.cells, np.arange(ncell))
-    nrow = _lengths(row_starts, len(v))
-    nface = _lengths(face_starts, len(stack.starts))
-    worst = np.full(len(stack.starts), -np.inf)
-    for cells, mr, mf in _blocks(nrow, nface):
-        rows, real_row = _padded(row_starts, nrow, cells, mr)
-        faces, real_face = _padded(face_starts, nface, cells, mf)
-        out = np.matmul(v[rows], planes.u[faces].transpose(0, 2, 1)) - planes.c[faces][:, None, :]
-        out[~real_row] = -np.inf
-        worst[faces[real_face]] = out.max(axis=1)[real_face]
+    outside, worst, _ = _convex_faults(stack, planes, scale, ncell)
     nonplanar = planes.nonplanar()
-    outside = planes.keep & (worst > 1e-9 * scale)
     bad = np.flatnonzero(nonplanar | outside)
     if not len(bad):
         return
@@ -481,7 +538,7 @@ def _build(tri, nm: NeighborMap, pts, radii, domain) -> ControlVolumeMesh:
             d = stack.verts @ u - c
             if np.any(d > eps):
                 stack = clip_rings(stack, d, [None] * len(pts), eps)
-        _check_convex2(stack)
+        _check_convex2(stack, face_planes(stack), scale)
         rows = stack.row_rings()
     else:
         walls, (cells, ids) = _cell_walls(*_star_rows(tri, nm, pts, q, m, far), pts, m, eps)
@@ -576,65 +633,28 @@ def _wall_rows(mesh: ControlVolumeMesh) -> np.ndarray:
     return (rings.tags >= 0) & ~mesh.empty_cells()[rings.row_rings()]
 
 
+MEASURE_RTOL = 1e-9   # condition (iv): the cell measures' sum against the domain measure
+
+
 @dataclass
 class GlobalReport:
-    shared_wall_mismatches: list
-    overlaps: list
-    owners_outside: list
-    foreign_points: list
+    """The certificate of `validate_global`: what fails each condition, and
+    the total cell and domain measures of condition (iv)."""
+
+    shared_wall_mismatches: list   # (i, j, kind), i <= j
+    overlaps: list                 # (cell, condition)
+    owners_outside: list           # cell
+    foreign_points: list           # (cell, generator)
     total_measure: float
     domain_measure: float
-    probes: int
 
     @property
     def ok(self) -> bool:
+        gap = abs(self.total_measure - self.domain_measure)
         return not (
             self.shared_wall_mismatches or self.overlaps
             or self.owners_outside or self.foreign_points
-        )
-
-
-def _containment_boxes(stack, planes: FacePlanes, n: int, tol: float, pad: float):
-    """Per cell of a stack of n cells with its `face_planes`,
-    whether a box holding every point that `_inside_pairs` accepts in it at
-    tolerance tol is known, and the box (lo, hi), as arrays over the cells.
-
-    A point strictly left of every edge line of a closed loop has winding
-    number >= 1 around it, so it lies in the hull of the loop's vertices and
-    hence in their bounding box, widened here by pad against rounding. In 3D,
-    the test takes each face against the plane through its first vertex and
-    skips faces with no normal, so the same argument needs more of the
-    cell: every face has a normal and lies within tol / 2 of its plane, and
-    the faces close, each directed edge running back along exactly one edge
-    of another face (`_closed_cells`). Then a point inside every plane by tol
-    sees every face at a positive solid angle, and the solid angles of a
-    closed surface sum to a whole number of spheres. Such cells get the box
-    of their vertices; other 3D cells get none. Empty cells get none either.
-    """
-    has = np.zeros(n, dtype=bool)
-    lo = np.zeros((n, stack.verts.shape[1]))
-    hi = np.zeros_like(lo)
-    if n == 0:
-        return has, lo, hi
-    if isinstance(stack, RingStack):
-        full = stack.lengths() > 0
-        starts = stack.starts[full]
-        lo[full] = np.minimum.reduceat(stack.verts, starts, axis=0) - pad
-        hi[full] = np.maximum.reduceat(stack.verts, starts, axis=0) + pad
-        has[full] = True
-        return has, lo, hi
-    faces = stack
-    if not len(faces.starts):
-        return has, lo, hi
-    flat = planes.keep & (planes.dev <= 0.5 * tol)
-    good = np.bincount(faces.cells[~flat], minlength=n) == 0
-    good &= _closed_cells(faces, n, tol)
-    ids = np.unique(faces.cells)
-    rows = np.searchsorted(faces.row_cells(), ids)
-    lo[ids] = np.minimum.reduceat(faces.verts, rows, axis=0) - pad
-    hi[ids] = np.maximum.reduceat(faces.verts, rows, axis=0) + pad
-    has[ids] = good[ids]
-    return has, lo, hi
+        ) and gap <= MEASURE_RTOL * abs(self.domain_measure)
 
 
 def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
@@ -650,8 +670,9 @@ def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
     # vertex ids in the lexicographic order of (cell, snapped x, y, z)
     keys = np.column_stack((rcell, snapped))
     by_key = np.lexsort(keys.T[::-1])
+    srt = keys[by_key]
     new = np.ones(len(keys), dtype=bool)
-    np.any(keys[by_key[1:]] != keys[by_key[:-1]], axis=1, out=new[1:])
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
     a = np.empty(len(keys), dtype=np.int64)
     a[by_key] = np.cumsum(new) - 1
     b = a[faces.succ]
@@ -668,145 +689,82 @@ def _closed_cells(faces: PolyStack, n: int, grid: float) -> np.ndarray:
     return np.bincount(rcell[~ok], minlength=n) == 0
 
 
-PAIR_CHUNK = 1 << 12   # candidate (box, target) pairs per chunk
+def _off_domain(mesh: ControlVolumeMesh, tol: float) -> np.ndarray:
+    """Condition (iii), per wall of the cells (2D: per row, its edge): the
+    mask of the domain walls (tag -1, of a cell that is not empty) that lie
+    within tol of no domain face. A wall lies within tol of face f when every
+    vertex of it is within tol of f's line or plane and at most tol outside
+    every domain line or plane (the domain's `face_planes`)."""
+    stack = mesh.cells
+    if isinstance(stack, RingStack):
+        walls = np.flatnonzero((stack.tags < 0) & ~mesh.empty_cells()[stack.row_rings()])
+        verts = stack.verts[np.column_stack((walls, stack.succ()[walls])).ravel()]
+        starts = 2 * np.arange(len(walls))
+    else:
+        walls = np.flatnonzero(stack.tags < 0)
+        part = stack.take(walls)
+        verts, starts = part.verts, part.starts
+    off = np.zeros(len(stack.tags), dtype=bool)
+    if not len(walls):
+        return off
+    dp = face_planes(mesh.domain)
+    d = verts @ dp.u.T - dp.c
+    inside = np.logical_and.reduceat(d.max(axis=1) <= tol, starts)
+    on = np.logical_and.reduceat(np.abs(d) <= tol, starts, axis=0).any(axis=1)
+    off[walls] = ~(inside & on)
+    return off
 
 
-def _box_pairs(lo: np.ndarray, hi: np.ndarray, cols: np.ndarray):
-    """Yield (box, target) index arrays of every target inside a box (lo <= x
-    <= hi on every axis), grouped by box in box order, in chunks of boxes with
-    about PAIR_CHUNK candidates each; the targets come as their (d, N)
-    coordinate columns. Candidates come from a grid of buckets
-    over the targets, a quarter as wide as the median box: bucket indices
-    grow with each coordinate, so a box's bucket range holds all its
-    targets. The order of a box's targets within a bucket is free: callers
-    sort the pairs they keep."""
-    dim = lo.shape[1]
-    live = np.flatnonzero(~np.any(np.isnan(lo) | np.isnan(hi), axis=1))
-    if not len(live) or not cols.shape[1]:
-        return
-    locols, hicols = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-    tlo = np.array([x.min() for x in cols])
-    thi = np.array([x.max() for x in cols])
-    extent = thi - tlo
-    width = np.median(np.minimum(hi[live], thi) - np.maximum(lo[live], tlo), axis=0)
-    cap = int(np.ceil((4 * cols.shape[1]) ** (1.0 / dim)))
-    m = np.ones(dim, dtype=np.int64)
-    ok = (extent > 0) & (width > 0)
-    m[ok] = np.clip(np.round(4 * extent[ok] / width[ok]), 1, cap).astype(np.int64)
-    h = np.where(extent > 0, extent / m, 1.0)
-
-    def bucket(x):
-        return np.clip(np.floor((x - tlo) / h), 0, m - 1).astype(np.int64)
-
-    stride = np.append(np.cumprod(m[::-1])[::-1][1:], 1)
-    tkey = bucket(cols.T) @ stride
-    by_key = np.argsort(tkey)
-    first = np.zeros(int(np.prod(m)) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tkey, minlength=len(first) - 1), out=first[1:])
-    blo, bhi = bucket(lo[live]), bucket(hi[live])
-    cnt = bhi - blo + 1
-    nstrip = np.prod(cnt[:, :-1], axis=1)
-    box = np.repeat(np.arange(len(live)), nstrip)
-    rest = np.arange(int(nstrip.sum())) - np.repeat(np.cumsum(nstrip) - nstrip, nstrip)
-    prefix = np.zeros(len(box), dtype=np.int64)
-    for k in range(dim - 2, -1, -1):
-        prefix += (blo[box, k] + rest % cnt[box, k]) * stride[k]
-        rest //= cnt[box, k]
-    s0 = first[prefix + blo[box, -1]]
-    s1 = first[prefix + bhi[box, -1] + 1]
-    per_box = np.bincount(box, weights=s1 - s0, minlength=len(live)).astype(np.int64)
-    total = np.cumsum(per_box)
-    strip_of = np.cumsum(nstrip) - nstrip
-    b0 = 0
-    while b0 < len(live):
-        b1 = max(int(np.searchsorted(total, total[b0] - per_box[b0] + PAIR_CHUNK, side="right")),
-                 b0 + 1)
-        sl = slice(int(strip_of[b0]), int(strip_of[b1 - 1] + nstrip[b1 - 1]))
-        n = s1[sl] - s0[sl]
-        pb = np.repeat(box[sl], n)
-        pos = np.arange(int(n.sum())) + np.repeat(s0[sl] - (np.cumsum(n) - n), n)
-        pt = by_key[pos]
-        pb = live[pb]
-        inside = np.ones(len(pt), dtype=bool)
-        for x, a, b in zip(cols, locols, hicols):
-            x = x[pt]
-            inside &= (x >= a[pb]) & (x <= b[pb])
-        yield pb[inside], pt[inside]
-        b0 = b1
-
-
-def _inside_pairs(mesh: ControlVolumeMesh, planes: FacePlanes, targets: np.ndarray,
-                  tol: float, pad: float):
-    """(cell, target) of every target that lies inside its cell by more than
-    tol, sorted by cell then target, against the cells' `face_planes`: in 2D
-    a target is inside when it lies more than tol inside every edge line; in
-    3D when it lies more than tol inside the plane of every face with a
-    normal. A cell with a containment box (`_containment_boxes`) pairs with
-    the targets in it, every other non-empty cell with every target; in 2D
-    the pairs go through one array test per chunk, in 3D each cell's
-    targets through one product with all of the cell's planes."""
+def _contained(mesh: ControlVolumeMesh, planes: FacePlanes, tol: float) -> tuple[list, list]:
+    """Condition (v) and the local foreign-point test, in one padded pass
+    over (cell, point) pairs: every cell that is not empty against its own
+    generator and the generators of its wall neighbours, from either side of
+    the wall. A point is inside a cell when it lies more than tol inside
+    every edge line (2D; an edge of no length holds nothing inside it) or
+    every face plane with a normal (3D) of it, from the cells'
+    `face_planes`. Returns the owners outside their cells (empty
+    cells included) and the (cell, generator) pairs of neighbours inside,
+    both in cell then generator order."""
     stack = mesh.cells
     n = len(mesh.points)
-    margin = -tol
     empty = mesh.empty_cells()
-    has, lo, hi = _containment_boxes(stack, planes, n, tol, pad)
-    has &= ~empty
-    pos, tgt = [], []
-    flat = isinstance(stack, RingStack)
-    if flat:
-        # per cell (row) its edge lines, padded to one width; padding
-        # entries (u zero, c infinite) pass every test
-        ring = stack.row_rings()
-        lens = stack.lengths()
-        at = (ring, np.arange(len(ring)) - stack.starts[ring])
-        width = (n, max(int(lens.max(initial=0)), 1))
-        ux, uy, c = np.zeros(width), np.zeros(width), np.full(width, np.inf)
-        ux[at], uy[at], c[at] = planes.u[:, 0], planes.u[:, 1], planes.c
-    else:
-        u, c = planes.u[planes.keep], planes.c[planes.keep]
-        fstart = np.searchsorted(stack.cells[planes.keep], np.arange(n + 1))
-
-    def unboxed():
-        rest = np.flatnonzero(~has & ~empty)
-        step = max(PAIR_CHUNK // len(targets), 1)
-        for a in range(0, len(rest), step):
-            cells = rest[a:a + step]
-            yield np.repeat(cells, len(targets)), np.tile(np.arange(len(targets)), len(cells))
-
-    boxed = np.flatnonzero(has)
-    # the targets (and boxes) column by column: on (N, d) rows, axis-0
-    # reductions and gathers of one column are several times slower
-    cols = np.ascontiguousarray(targets.T)
-    for pc, pt in chain(((boxed[pb], pt) for pb, pt in _box_pairs(lo[boxed], hi[boxed], cols)),
-                        unboxed()):
-        if flat:
-            # the signed distances, one row of edge lines per pair, cut to
-            # the widest cell of the chunk
-            w = int(lens[pc].max(initial=1))
-            px, py = cols.take(pt, axis=1)[:, :, None]
-            ok = np.all(ux[pc, :w] * px + uy[pc, :w] * py - c[pc, :w] <= margin, axis=1)
-        else:
-            # each cell's targets against all of its planes in one product
-            cut = np.flatnonzero(np.diff(pc, prepend=-1))
-            ok = np.ones(len(pc), dtype=bool)
-            tp = targets[pt]
-            for a, b in zip(cut.tolist(), np.append(cut[1:], len(pc)).tolist()):
-                f0, f1 = fstart[pc[a]], fstart[pc[a] + 1]
-                ok[a:b] = np.all(tp[a:b] @ u[f0:f1].T - c[f0:f1] <= margin, axis=1)
-        pos.append(pc[ok])
-        tgt.append(pt[ok])
-    if not pos:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    key = np.sort(np.concatenate(pos).astype(np.int64) * len(targets) + np.concatenate(tgt))
-    return np.divmod(key, len(targets))
+    i = stack.row_rings() if isinstance(stack, RingStack) else stack.cells
+    j = stack.tags
+    wall = (j >= 0) & (j < n) & (j != i) & ~empty[i]
+    own = np.arange(n)
+    cell = np.concatenate((i[wall], j[wall], own))
+    point = np.concatenate((j[wall], i[wall], own))
+    key = np.sort((cell * n + point)[~empty[cell]])
+    key = key[np.append(True, key[1:] != key[:-1])]
+    cell, point = np.divmod(key, n)
+    pair_starts = np.searchsorted(cell, own)
+    _, _, wall_starts, nwall = _layout(stack, n)
+    usable = np.ones(len(j), dtype=bool) if isinstance(stack, RingStack) else planes.keep
+    inside = np.zeros(len(key), dtype=bool)
+    for rows, real_row, walls, real_wall, out in _offset_blocks(
+            mesh.points[point], pair_starts, _lengths(pair_starts, len(key)),
+            planes, wall_starts, nwall):
+        live = (real_wall & usable[walls])[:, None, :]
+        inside[rows[real_row]] = (np.where(live, out, -np.inf).max(axis=2) <= -tol)[real_row]
+    home = np.zeros(n, dtype=bool)
+    home[cell[inside & (cell == point)]] = True
+    foreign = inside & (cell != point)
+    return (np.flatnonzero(empty | ~home).tolist(),
+            list(zip(cell[foreign].tolist(), point[foreign].tolist())))
 
 
-def _wall_mismatches(mesh: ControlVolumeMesh, tol: float) -> list:
-    """The shared-wall check: walls keyed (min, max) of owner and neighbor,
-    in order of first appearance, each side taking its owner's last wall
-    under that key; a key without both sides is "missing side", two sides
-    whose vertices do not pair up within tol (`_vertex_sets_match_many`, for
-    all walls of one size at once) are "wall geometry differs"."""
+WALL_KINDS = ("missing side", "repeated wall", "wall geometry differs", "normals agree")
+
+
+def _wall_mismatches(mesh: ControlVolumeMesh, planes: FacePlanes, tol: float) -> list:
+    """Condition (ii), the shared-wall check: walls keyed (min, max) of owner
+    and neighbor, in order of first appearance. A key is "missing side"
+    without a wall on both sides, "repeated wall" when a side has two, "wall
+    geometry differs" when the two sides' vertices do not pair up within tol
+    (`_vertex_sets_match_many`, for all walls of one size at once), and
+    "normals agree" when the two sides' unit normals (the cells'
+    `face_planes`) point the same way, so that the cells lie on one side of
+    the wall, folded over each other."""
     if mesh.dim == 2:
         # each wall a loop of its edge's two endpoints
         rings = mesh.cells
@@ -816,88 +774,96 @@ def _wall_mismatches(mesh: ControlVolumeMesh, tol: float) -> list:
         verts = verts.reshape(-1, 2)
         starts, lens = 2 * np.arange(len(rows)), np.full(len(rows), 2)
     else:
-        walls = mesh.cells.take(np.flatnonzero(mesh.cells.tags >= 0))
+        rows = np.flatnonzero(mesh.cells.tags >= 0)
+        walls = mesh.cells.take(rows)
         o, j = walls.cells, walls.tags
         verts, starts, lens = walls.verts, walls.starts, walls.lengths()
     if not len(o):
         return []
+    u = planes.u[rows]
     lo, hi = np.minimum(o, j), np.maximum(o, j)
     base = int(hi.max()) + 1
     _, first, key = np.unique(lo * base + hi, return_index=True, return_inverse=True)
     key = key.ravel()
     side = (o == hi) & (lo != hi)
     code = 2 * key + side
-    uniq, back = np.unique(code[::-1], return_index=True)
+    count = np.bincount(code, minlength=2 * len(first))
     last = np.full(2 * len(first), -1)
-    last[uniq] = len(code) - 1 - back
+    last[code] = np.arange(len(code))
     a, b = last[0::2], last[1::2]
     both = (a >= 0) & (b >= 0)
+    repeated = both & ((count[0::2] > 1) | (count[1::2] > 1))
+    pairs = np.flatnonzero(both & ~repeated)
     differs = np.zeros(len(first), dtype=bool)
-    pairs = np.flatnonzero(both)
     differs[pairs] = lens[a[pairs]] != lens[b[pairs]]
     same = pairs[~differs[pairs]]
     for k in np.unique(lens[a[same]]).tolist():
         grp = same[lens[a[same]] == k]
         loops = verts[starts[np.stack((a[grp], b[grp]))][..., None] + np.arange(k)]
         differs[grp] = ~_vertex_sets_match_many(loops[0], loops[1], tol)
-    out = []
-    for w in np.argsort(first).tolist():
-        if not both[w]:
-            out.append((int(lo[first[w]]), int(hi[first[w]]), "missing side"))
-        elif differs[w]:
-            out.append((int(lo[first[w]]), int(hi[first[w]]), "wall geometry differs"))
-    return out
+    agree = np.zeros(len(first), dtype=bool)
+    agree[pairs] = _rowdot(u[a[pairs]], u[b[pairs]]) > 0.0
+    kind = np.select([~both, repeated, differs, agree], [0, 1, 2, 3], -1)
+    bad = np.flatnonzero(kind >= 0)
+    bad = bad[np.argsort(first[bad])]
+    return [(int(lo[first[w]]), int(hi[first[w]]), WALL_KINDS[kind[w]]) for w in bad.tolist()]
 
 
-def validate_global(mesh: ControlVolumeMesh, probes: int = 10_000, seed: int = 0) -> GlobalReport:
-    """Global mesh conditions: identical shared walls seen from both owners,
-    sampled pairwise interior disjointness, each owner inside its own cell,
-    and no foreign generator inside any cell.
+def validate_global(mesh: ControlVolumeMesh) -> GlobalReport:
+    """Certify that the cells tile the domain once, with each generator in
+    its own cell, from five conditions checked as array passes over the
+    cells' one `face_planes` table:
 
-    Each cell with a containment box (`_containment_boxes`) tests only the
-    probes and generators inside it; the points outside cannot pass the
-    strict containment test, so the report equals that of testing every
-    point against every cell. A cell without a known box tests every point.
-    The owner is inside its cell when its own generator row passes that same
-    test; an empty cell holds nothing, so its owner is outside. Overlaps,
-    owners outside and foreign points are listed in cell order, then probe
-    or generator order.
+    (i) every cell is convex and positively oriented (`_convex_faults`, the
+        build checks' test), and in 3D every face is planar and every cell
+        closed (`_closed_cells`);
+    (ii) every interior wall is matched by exactly one wall of its neighbour,
+        with the same vertices and the opposite unit normal
+        (`_wall_mismatches`);
+    (iii) every domain wall lies within tol of one domain face
+        (`_off_domain`);
+    (iv) the cell measures sum to the domain measure, to MEASURE_RTOL
+        relative (`GlobalReport.ok`);
+    (v) every owner lies more than tol inside its own cell (`_contained`).
+
+    By (ii) and (iii) the cells' boundaries add up to k times the domain's
+    boundary; every point of the domain is then covered k times, and (i)
+    with (iv) give k = 1. So the cells tile the domain without overlap, and
+    by (v) no generator lies inside another cell. tol is 1e-9 times the
+    domain scale. Failures of (i) and (iii) are listed under `overlaps` as
+    (cell, condition) in cell order, the conditions "nonplanar", "not
+    convex", "open" and "off domain" in that order; `foreign_points` lists
+    the wall neighbours whose generator lies inside a cell. Empty cells are
+    listed only under `owners_outside`.
     """
     scale = mesh.scale()
     tol = 1e-9 * scale
-    pts = mesh.points
-    n = len(pts)
-    mismatches = _wall_mismatches(mesh, tol)
+    n = len(mesh.points)
+    stack = mesh.cells
+    planes = face_planes(stack)
+    flat = isinstance(stack, RingStack)
+    owner = stack.row_rings() if flat else stack.cells
 
-    rng = np.random.default_rng(seed)
-    dverts = mesh.domain.verts
-    lo = dverts.min(axis=0)
-    hi = dverts.max(axis=0)
-    samples = lo + (hi - lo) * rng.random((probes, mesh.dim))
-    targets = np.vstack([samples, pts])
-    planes = face_planes(mesh.cells)
-    pos, tgt = _inside_pairs(mesh, planes, targets, tol, 1e-9 * scale)
+    def per_cell(wall_mask):
+        return np.bincount(owner[wall_mask], minlength=n) > 0
 
-    # a probe's first cell (in cell order) owns it; every later one overlaps
-    probe = tgt < probes
-    ppos, pk = pos[probe], tgt[probe]
-    first = np.full(probes, n, dtype=np.int64)
-    np.minimum.at(first, pk, ppos)
-    later = ppos != first[pk]
-    overlaps = list(zip(pk[later].tolist(), first[pk[later]].tolist(), ppos[later].tolist()))
-
-    gpos, gj = pos[~probe], tgt[~probe] - probes
-    own = gj == gpos
-    home = np.zeros(n, dtype=bool)
-    home[gpos[own]] = True
+    # a 2D edge is never nonplanar, and rings close by construction
+    faults = {
+        "nonplanar": per_cell(planes.nonplanar()),
+        "not convex": per_cell(_convex_faults(stack, planes, scale, n)[0]),
+        "open": np.zeros(n, dtype=bool) if flat else ~_closed_cells(stack, n, tol),
+        "off domain": per_cell(_off_domain(mesh, tol)),
+    }
+    names = list(faults)
+    cells, k = np.nonzero(np.column_stack(list(faults.values())) & ~mesh.empty_cells()[:, None])
+    owners_outside, foreign = _contained(mesh, planes, tol)
     return GlobalReport(
-        shared_wall_mismatches=mismatches,
-        overlaps=overlaps,
-        owners_outside=np.flatnonzero(mesh.empty_cells() | ~home).tolist(),
-        foreign_points=list(zip(gpos[~own].tolist(), gj[~own].tolist())),
+        shared_wall_mismatches=_wall_mismatches(mesh, planes, tol),
+        overlaps=[(c, names[m]) for c, m in zip(cells.tolist(), k.tolist())],
+        owners_outside=owners_outside,
+        foreign_points=foreign,
         total_measure=mesh.total_measure(),
         domain_measure=mesh.domain_measure(),
-        probes=probes,
     )
 
 

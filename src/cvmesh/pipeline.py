@@ -73,7 +73,6 @@ def report_doc(perp: PerpendicularityReport, glob: GlobalReport) -> dict:
             "foreign_points": [list(v) for v in glob.foreign_points],
             "total_measure": glob.total_measure,
             "domain_measure": glob.domain_measure,
-            "probes": glob.probes,
         },
         "ok": perp.ok and glob.ok,
     }
@@ -137,7 +136,7 @@ def run_pipeline(config: RunConfig, points=None) -> PipelineResult:
     mesh.mode = config.mode
 
     perp = stage("validate", lambda: validate_perpendicularity(mesh, tol=config.tol_perp))
-    glob = stage("validate_global", lambda: validate_global(mesh, probes=config.probes, seed=config.seed))
+    glob = stage("validate_global", lambda: validate_global(mesh))
     report = report_doc(perp, glob)
     mesh.diagnostics = report
     emit("report.json", {"schema": SCHEMA, "kind": "report", **report})

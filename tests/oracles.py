@@ -511,7 +511,9 @@ def merge_ring_loop(verts, tags, eps: float):
 
 
 def polygon_area(v) -> float:
-    """Signed shoelace area of one vertex loop, its terms summed by np.sum."""
+    """Signed shoelace area of one vertex loop, its terms taken about its
+    first vertex and summed by np.sum."""
+    v = v - v[0]
     return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
 
 
@@ -659,8 +661,9 @@ def stack_loops(loops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def loops_volume(loops) -> float:
     """Divergence-theorem volume bounded by outward-oriented vertex loops:
-    v[0] . (v[k] x v[k + 1]) / 6 over the fan triangles of every loop, as a
-    running total in fan order."""
+    v[0] . (v[k] x v[k + 1]) / 6 over the fan triangles of every loop, each
+    vertex taken about the first vertex of the first loop, as a running
+    total in fan order."""
     if not loops:
         return 0.0
     v, starts, succ = stack_loops(loops)
@@ -669,7 +672,8 @@ def loops_volume(loops) -> float:
     mid[starts] = False
     b = rows[mid]
     a = starts[np.searchsorted(starts, b, side="right") - 1]
-    return sum(_rowdot(v[a], np.cross(v[b], v[b + 1])).tolist()) / 6.0
+    o = v[0]
+    return sum(_rowdot(v[a] - o, np.cross(v[b] - o, v[b + 1] - o)).tolist()) / 6.0
 
 
 @dataclass
@@ -1016,27 +1020,12 @@ def cell_contains3(cell, p, margin: float = 0.0) -> bool:
     return bool(cell.faces)
 
 
-def cell_contains_many3(cell, pts, margin: float = 0.0) -> np.ndarray:
-    """cell_contains3 over an (M, 3) array, one face at a time."""
-    if not cell.faces:
-        return np.zeros(len(pts), dtype=bool)
-    ok = np.ones(len(pts), dtype=bool)
-    for f in cell.faces:
-        n = newell_normal(f.verts)
-        nn = float(np.linalg.norm(n))
-        if nn == 0.0:
-            continue
-        d = (pts - f.verts[0]) @ (n / nn)
-        ok &= d <= margin
-    return ok
-
-
 def cell_volume3(cell) -> float:
     """Divergence-theorem volume of a 3D cell, summed over each face's fan
-    triangles one at a time."""
+    triangles one at a time, about the cell's first vertex."""
     total = 0.0
     for f in cell.faces or []:
-        v = f.verts
+        v = f.verts - cell.faces[0].verts[0]
         for k in range(1, len(v) - 1):
             total += float(np.dot(v[0], np.cross(v[k], v[k + 1])))
     return total / 6.0
@@ -1435,6 +1424,149 @@ def validate_global_brute_force(mesh, probes=10_000, seed=0) -> dict:
         total_measure=mesh.total_measure(),
         domain_measure=mesh.domain_measure(),
         probes=probes,
+    )
+
+
+def _line_of(a, b):
+    """The outward line u . x = c of the edge a -> b of a CCW polygon: u the
+    edge vector turned clockwise over its length (zero for an edge of no
+    length), c = u . a."""
+    e = b - a
+    nn = math.hypot(float(e[0]), float(e[1]))
+    u = np.array([e[1], -e[0]]) / nn if nn != 0.0 else np.zeros(2)
+    return u, float(u @ a)
+
+
+def _plane_of(verts):
+    """The plane u . x = c of one face loop, from its Newell normal with the
+    vertices taken about the first (u zero without a normal), c = u . v0."""
+    n = newell_normal(verts - verts[0])
+    nn = float(np.linalg.norm(n))
+    u = n / nn if nn != 0.0 else np.zeros(3)
+    return u, float(u @ verts[0])
+
+
+def _walls_of(cell):
+    """A non-empty cell's walls as (vertices, neighbor, u, c): each edge of a
+    2D ring, each face of a 3D cell."""
+    if cell.verts is not None:
+        v = cell.verts
+        return [(np.vstack([v[k], v[(k + 1) % len(v)]]), j) + _line_of(v[k], v[(k + 1) % len(v)])
+                for k, j in enumerate(cell.edge_neighbors)]
+    return [(f.verts, f.neighbor) + _plane_of(f.verts) for f in cell.faces]
+
+
+def _closed_loop(cell, grid: float) -> bool:
+    """Whether a 3D cell's face loops close, one directed edge at a time:
+    vertices snapped to cubes of side grid, every edge present once, never
+    from a vertex to itself, and run back once along another edge."""
+    edges = []
+    for f in cell.faces:
+        if not np.all(np.isfinite(f.verts)):
+            return False
+        keys = [tuple(k) for k in np.floor(f.verts / grid).astype(np.int64).tolist()]
+        edges += [(keys[k], keys[(k + 1) % len(keys)]) for k in range(len(keys))]
+    seen = {}
+    for e in edges:
+        seen[e] = seen.get(e, 0) + 1
+    return all(seen[(a, b)] == 1 and a != b and (b, a) in seen for a, b in edges)
+
+
+def certify_loop(mesh) -> dict:
+    """The GlobalReport fields of cvmesh's validate_global, from its five
+    conditions checked one cell and one wall at a time on the cell records:
+    (i) convex (every corner's sine at least -1e-9 in 2D; no vertex more than
+    1e-9 * scale outside a wall's line or plane), planar and closed (3D);
+    (ii) every interior wall met once from the other side, with the same
+    vertices and opposite normals; (iii) every domain wall within tol of a
+    domain face; (v) every owner, and no wall neighbour from either side,
+    more than tol inside the cell. The measures are the mesh's own, and
+    condition (iv) compares them in GlobalReport.ok."""
+    from cvmesh.mesh import EPS_FACE
+
+    scale = mesh.scale()
+    tol = 1e-9 * scale
+    pts = mesh.points
+    n = len(pts)
+    cells = cell_records(mesh)
+    if mesh.dim == 2:
+        d = mesh.domain.verts
+        domain = [_line_of(d[k], d[(k + 1) % len(d)]) for k in range(len(d))]
+    else:
+        domain = [_plane_of(v) for v in np.split(mesh.domain.verts, mesh.domain.starts[1:])]
+
+    def on_domain(verts) -> bool:
+        inside = all(float(u @ v) - c <= tol for v in verts for u, c in domain)
+        return inside and any(all(abs(float(u @ v) - c) <= tol for v in verts) for u, c in domain)
+
+    overlaps, sides, near = [], {}, [set() for _ in range(n)]
+    for cell in cells:
+        if cell.empty:
+            continue
+        i = cell.owner
+        walls = _walls_of(cell)
+        verts = cell.all_vertices()
+        faults = []
+        if mesh.dim == 3:
+            for f in cell.faces:
+                u, _ = _plane_of(f.verts)
+                dev = max(abs(float(u @ (v - f.verts[0]))) for v in f.verts)
+                edge = max(float(np.linalg.norm(np.roll(f.verts, -1, axis=0)[k] - f.verts[k]))
+                           for k in range(len(f.verts)))
+                if u.any() and edge != 0.0 and dev > EPS_FACE * edge:
+                    faults.append("nonplanar")
+                    break
+        convex = all(float(u @ v) - c <= 1e-9 * scale for _, _, u, c in walls if u.any()
+                     for v in verts)
+        if mesh.dim == 2:
+            v = cell.verts
+            for k in range(len(v)):
+                e0 = v[(k + 1) % len(v)] - v[k]
+                e1 = v[(k + 2) % len(v)] - v[(k + 1) % len(v)]
+                ln = max(math.hypot(*e0), 1e-300) * max(math.hypot(*e1), 1e-300)
+                convex &= not (e0[0] * e1[1] - e0[1] * e1[0]) / ln < -1e-9
+        if not convex:
+            faults.append("not convex")
+        if mesh.dim == 3 and not _closed_loop(cell, tol):
+            faults.append("open")
+        if any(j is None and not on_domain(w) for w, j, _, _ in walls):
+            faults.append("off domain")
+        overlaps += [(i, f) for f in faults]
+        for w, j, u, _ in walls:
+            if j is None:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            sides.setdefault((lo, hi), ([], []))[int(i == hi and lo != hi)].append((w, u))
+            if 0 <= j < n and j != i:
+                near[i].add(j)
+                near[j].add(i)
+
+    mismatches = []
+    for (lo, hi), (a, b) in sides.items():
+        if not a or not b:
+            mismatches.append((lo, hi, "missing side"))
+        elif len(a) > 1 or len(b) > 1:
+            mismatches.append((lo, hi, "repeated wall"))
+        elif len(a[0][0]) != len(b[0][0]) or not vertex_sets_match(a[0][0], b[0][0], tol):
+            mismatches.append((lo, hi, "wall geometry differs"))
+        elif float(a[0][1] @ b[0][1]) > 0.0:
+            mismatches.append((lo, hi, "normals agree"))
+
+    owners_outside, foreign = [], []
+    for cell in cells:
+        i = cell.owner
+        if cell.empty or not cell.contains(pts[i], margin=-tol):
+            owners_outside.append(i)
+        if not cell.empty:
+            foreign += [(i, j) for j in sorted(near[i]) if cell.contains(pts[j], margin=-tol)]
+
+    return dict(
+        shared_wall_mismatches=mismatches,
+        overlaps=overlaps,
+        owners_outside=owners_outside,
+        foreign_points=foreign,
+        total_measure=mesh.total_measure(),
+        domain_measure=mesh.domain_measure(),
     )
 
 

@@ -16,7 +16,6 @@ def _cfg(tmp_path, **extra):
         "n": 12,
         "seed": 3,
         "equal_radii": True,
-        "probes": 1000,
         "optimizer": {"generations": 10},
     }
     doc.update(extra)
@@ -117,6 +116,27 @@ def test_validate_exit_two_on_invalid_mesh(tmp_path):
     assert main(["validate", "--mesh", str(bad), "--out", "bad_report.json"]) == 2
     report = read_json("bad_report.json")
     assert report["ok"] is False
+
+
+def test_validate_prints_one_count_per_certificate_field(tmp_path, capsys):
+    os.chdir(tmp_path)
+    assert main(["run", "--config", _cfg(tmp_path), "--out", "out"]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--mesh", "out/mesh.json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("validation ok: 0 perpendicularity violations, 0 wall mismatches, "
+                          "0 overlaps, 0 owners outside, 0 foreign points, cell measures ")
+    s = read_json("out/summary.json")
+    assert f"{s['total_measure']:.12g} of domain {s['domain_measure']:.12g}" in out
+
+
+def test_run_rejects_probes_key(tmp_path, capsys):
+    """The probe count went with the probe sweep: a config file that still
+    sets it is an input error naming the key."""
+    cfg = _cfg(tmp_path, probes=1000)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "p")]) == 4
+    assert "unknown config keys: ['probes']" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
 def test_render_layer_selection(tmp_path):

@@ -550,7 +550,7 @@ def _assert_reference_bytes(result):
 @pytest.mark.parametrize("dim, n, seeds", [(2, 400, (1, 2, 3)), (3, 60, (1, 2, 3)), (3, 300, (1, 2))])
 def test_artifact_bytes_match_reference_writers(tmp_path, dim, n, seeds):
     for seed in seeds:
-        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True, probes=500,
+        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True,
                         out_dir=str(tmp_path / str(seed)))
         result = run_pipeline(cfg)
         assert result.exit_code == 0
@@ -562,7 +562,7 @@ def test_artifact_bytes_match_reference_writers_on_hex_lattice(tmp_path):
     for seed in (1, 2):
         pts = hexagon_patch(2, seed=seed)
         cfg = RunConfig(dimension=2, n=len(pts), seed=seed, mode="exact-intersection",
-                        probes=500, out_dir=str(tmp_path / str(seed)))
+                        out_dir=str(tmp_path / str(seed)))
         _assert_reference_bytes(run_pipeline(cfg, points=pts))
 
 
@@ -711,10 +711,10 @@ def test_ring_under_three_rows_is_an_empty_cell():
         deg = with_ring(mesh, k, mesh.cells.verts[cut], mesh.cells.tags[cut],
                         mesh.cells.simplices[cut])
         assert validate_perpendicularity(deg) == validate_perpendicularity(empty)
-        report = validate_global(deg, probes=500)
-        assert report == validate_global(empty, probes=500)
+        report = validate_global(deg)
+        assert report == validate_global(empty)
         assert k in report.owners_outside
-        assert dataclasses.asdict(report) == oracles.validate_global_brute_force(deg, probes=500)
+        assert dataclasses.asdict(report) == oracles.certify_loop(deg)
         assert vtk_polydata(deg) == vtk_polydata(empty)
         assert render_svg(deg) == render_svg(empty)
         text = dumps_json(mesh_doc(deg))
@@ -729,11 +729,11 @@ def test_validators_on_read_mesh_give_the_runs_report(tmp_path, dim, n):
     """mesh.json -> stack -> validators, the path of `cvmesh validate`, gives
     the report of the run that wrote the file."""
     for seed in (1, 2, 3):
-        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True, probes=2000,
+        cfg = RunConfig(dimension=dim, n=n, seed=seed, equal_radii=True,
                         formats=("json",), out_dir=str(tmp_path / str(seed)))
         result = run_pipeline(cfg)
         doc = read_json(result.artifacts["mesh.json"])
         mesh = mesh_from_doc(doc)
         perp = validate_perpendicularity(mesh, tol=cfg.tol_perp)
-        glob = validate_global(mesh, probes=cfg.probes, seed=cfg.seed)
+        glob = validate_global(mesh)
         assert json.loads(dumps_json(report_doc(perp, glob))) == doc["validation"]

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from dataclasses import asdict, replace
 from functools import cache
@@ -18,7 +19,7 @@ from cvmesh.clipping import (
 from cvmesh.delaunay import neighbor_map, tetrahedralize3, triangulate2
 from cvmesh.errors import NonConvexCell, NonPlanarFace, OrphanVertex
 from cvmesh import mesh as mesh_module
-from cvmesh.io import RunConfig, generate_points
+from cvmesh.io import RunConfig, dumps_json, generate_points, mesh_doc, mesh_from_doc
 from cvmesh.mesh import (
     ControlVolumeMesh,
     _cell_measures,
@@ -26,9 +27,7 @@ from cvmesh.mesh import (
     _check_cells3,
     _clip_to_domain,
     _closed_cells,
-    _containment_boxes,
     _far_planes,
-    _inside_pairs,
     _ring_areas,
     _star_rows,
     _vertex_sets_match_many,
@@ -59,9 +58,9 @@ from oracles import (
     bisector_cell3,
     build_cells2_loop,
     cell_contains3,
-    cell_contains_many3,
     cell_records,
     cell_volume3,
+    certify_loop,
     check_convex3,
     check_face_planarity,
     closed_cells_unique,
@@ -255,23 +254,37 @@ def test_perpendicularity_flags_displaced_vertex():
 
 def test_global_checks_pass_on_voronoi_mesh():
     pts, mesh = _square_center_mesh()
-    report = validate_global(mesh, probes=4000, seed=0)
+    report = validate_global(mesh)
     assert report.ok
     assert report.total_measure == pytest.approx(report.domain_measure, rel=1e-9)
+
+
+def test_ok_needs_the_measures_to_sum_to_the_domain():
+    """Condition (iv) is part of `ok`: with every list empty, a total measure
+    off the domain's by more than 1e-9 relative fails, one within it passes."""
+    report = validate_global(_square_center_mesh()[1])
+    d = report.domain_measure
+    assert replace(report, total_measure=d * (1.0 + 5e-10)).ok
+    assert not replace(report, total_measure=d * (1.0 + 2e-9)).ok
+    assert not replace(report, total_measure=d * (1.0 - 2e-9)).ok
 
 
 def test_global_flags_mismatched_shared_wall():
     pts, mesh = _square_center_mesh()
     mesh.cells.verts[_rows(mesh, 4)[0]] += np.array([2e-3, 1e-3])
-    report = validate_global(mesh, probes=500, seed=0)
+    report = validate_global(mesh)
     assert report.shared_wall_mismatches
 
 
 def test_global_flags_translated_cell_overlap():
+    """A cell moved over its neighbours still matches no wall of theirs: the
+    certificate fails on condition (ii)."""
     pts, mesh = _square_center_mesh()
     mesh.cells.verts[_rows(mesh, 4)] += np.array([0.18, 0.0])
-    report = validate_global(mesh, probes=10_000, seed=0)
-    assert report.overlaps
+    report = validate_global(mesh)
+    assert not report.ok
+    assert {(i, j) for i, j, kind in report.shared_wall_mismatches
+            if kind == "wall geometry differs"} == {(0, 4), (1, 4), (2, 4), (3, 4)}
 
 
 def test_validation_reports_are_reproducible(hex50):
@@ -280,9 +293,7 @@ def test_validation_reports_are_reproducible(hex50):
     nm = neighbor_map(tri)
     sol = solve_radii(tri, nm, pts, mode=VolumeMode.RADICAL_CENTER, bounds_policy="clamp")
     mesh = build_volumes2(tri, nm, pts, sol.radii)
-    r1 = validate_global(mesh, probes=2000, seed=5)
-    r2 = validate_global(mesh, probes=2000, seed=5)
-    assert r1 == r2
+    assert validate_global(mesh) == validate_global(copy.deepcopy(mesh))
 
 
 def _central(pts) -> int:
@@ -364,14 +375,97 @@ def _drop_face(mesh, i):
     raise AssertionError(f"no wall of cell {i} guards a neighbor alone")
 
 
+def _wall_neighbor(mesh, i) -> int:
+    """The neighbor of cell i's first interior wall."""
+    owner = mesh.cells.row_rings() if mesh.dim == 2 else mesh.cells.cells
+    tags = mesh.cells.tags[owner == i]
+    return int(tags[tags >= 0][0])
+
+
+def _duplicate(mesh, i):
+    """Cell i's walls, copied under the owner of a neighboring cell in place
+    of that cell's own."""
+    k = _wall_neighbor(mesh, i)
+    s = mesh.cells
+    if mesh.dim == 2:
+        rows = _rows(mesh, i)
+        mesh.cells = with_ring(mesh, k, s.verts[rows], s.tags[rows], s.simplices[rows]).cells
+    else:
+        mine = s.take(np.flatnonzero(s.cells == i))
+        mine.cells[:] = k
+        mesh.cells = concat_stacks([s.take(np.flatnonzero(s.cells != k)), mine])
+
+
+def _fold(mesh, i):
+    """A neighbor k of cell i mirrored through the line or plane of their
+    shared wall, its loops reversed to keep them outward: the two walls keep
+    their vertices, but both cells now lie on one side of them."""
+    k = _wall_neighbor(mesh, i)
+    s = mesh.cells
+    planes = face_planes(s)
+    owner = s.row_rings() if mesh.dim == 2 else s.cells
+    w = np.flatnonzero((owner == i) & (s.tags == k))[0]
+    u, c = planes.u[w], planes.c[w]
+    rows = _rows(mesh, k)
+    s.verts[rows] -= 2.0 * (s.verts[rows] @ u - c)[:, None] * u
+    if mesh.dim == 2:
+        m = len(rows)
+        s.verts[rows] = s.verts[rows[::-1]]
+        s.simplices[rows] = s.simplices[rows[::-1]]
+        s.tags[rows] = s.tags[rows[(m - 2 - np.arange(m)) % m]]
+    else:
+        for f in np.flatnonzero(s.cells == k):
+            loop = s.starts[f] + np.arange(s.lengths()[f])
+            s.verts[loop] = s.verts[loop[::-1]]
+            s.simplices[loop] = s.simplices[loop[::-1]]
+
+
+def _pull_in(mesh, i):
+    """The first domain wall of the mesh moved inward by 1e-5 of the domain
+    scale across the domain face it lies on: every vertex row of the mesh at
+    one of its vertices moves with it, so the walls on both sides still
+    match."""
+    s = mesh.cells
+    tol = 1e-9 * mesh.scale()
+    w = int(np.flatnonzero(s.tags < 0)[0])
+    if mesh.dim == 2:
+        at = s.verts[[w, s.succ()[w]]]
+    else:
+        at = s.verts[s.starts[w] + np.arange(s.lengths()[w])]
+    dp = face_planes(mesh.domain)
+    f = int(np.argmin(np.abs(at @ dp.u.T - dp.c).max(axis=0)))
+    near = (np.abs(s.verts[:, None, :] - at[None]) <= tol).all(axis=2).any(axis=1)
+    s.verts[near] -= 1e-5 * mesh.scale() * dp.u[f]
+
+
+def _move_generator(mesh, i):
+    """Generator i moved to the mean of the vertices of a neighbor's cell."""
+    k = _wall_neighbor(mesh, i)
+    mesh.points = mesh.points.copy()
+    mesh.points[i] = mesh.cells.verts[_rows(mesh, k)].mean(axis=0)
+
+
 # corruption -> (edit of the chosen cell, GlobalReport field it must fill)
 CORRUPTIONS = {
     None: (None, None),
-    "translate": (_translate, "overlaps"),
+    "translate": (_translate, "shared_wall_mismatches"),
     "scale3": (_scale3, "foreign_points"),
     "empty": (_empty, "owners_outside"),
     "drop_face": (_drop_face, "foreign_points"),
+    "duplicate": (_duplicate, "shared_wall_mismatches"),
+    "fold": (_fold, "shared_wall_mismatches"),
+    "pull_in": (_pull_in, "overlaps"),
+    "move_generator": (_move_generator, "foreign_points"),
 }
+MUTATIONS = ("duplicate", "fold", "pull_in", "move_generator")
+
+
+def _corrupted(instance, corruption):
+    mesh, i = copy.deepcopy(_instance(instance))
+    edit, field = CORRUPTIONS[corruption]
+    if edit is not None:
+        edit(mesh, i)
+    return mesh, i, field
 
 
 @pytest.mark.parametrize("instance, corruption", [
@@ -382,46 +476,74 @@ CORRUPTIONS = {
     ("uni60_3d", "empty"), ("uni60_3d", "drop_face"),
 ])
 def test_validate_global_equals_brute_force(instance, corruption):
-    """The bounding-box sweep reports exactly what testing every probe and
-    every generator against every cell reports, on valid and broken meshes."""
-    mesh, i = copy.deepcopy(_instance(instance))
-    edit, field = CORRUPTIONS[corruption]
-    if edit is not None:
-        edit(mesh, i)
+    """The certificate passes exactly the meshes on which testing every
+    probe and every generator against every cell finds no defect."""
+    mesh, i, field = _corrupted(instance, corruption)
     report = validate_global(mesh)
-    assert asdict(report) == validate_global_brute_force(mesh)
-    assert report.ok == (corruption is None)
+    brute = validate_global_brute_force(mesh)
+    clean = not any(brute[k] for k in ("shared_wall_mismatches", "overlaps",
+                                       "owners_outside", "foreign_points"))
+    assert report.ok == clean == (corruption is None)
     if field is not None:
         assert getattr(report, field), field
 
-    # clean cells take the bounding-box path in 2D and 3D; a 3D cell that
-    # lost a face no longer closes and tests every point
-    tol = 1e-9 * mesh.scale()
-    boxed = _containment_boxes(mesh.cells, face_planes(mesh.cells), len(mesh.points), tol, tol)[0]
-    if corruption is None:
-        assert boxed.all()
-    if corruption == "drop_face":
-        assert not boxed[i]
+
+@pytest.mark.parametrize("instance, corruption", [
+    (instance, corruption) for instance in INSTANCES for corruption in CORRUPTIONS
+    if corruption != "drop_face" or instance == "uni60_3d"   # a 2D cell has no face to drop
+])
+def test_validate_global_equals_certify_loop(instance, corruption):
+    """The array passes of the certificate report what checking its five
+    conditions one cell and one wall at a time reports, on valid and broken
+    meshes."""
+    mesh, _, _ = _corrupted(instance, corruption)
+    assert asdict(validate_global(mesh)) == certify_loop(mesh)
 
 
-@pytest.mark.parametrize("chunk", (64, 1024))
-@pytest.mark.parametrize("instance", ("uni400", "uni60_3d"))
-@pytest.mark.parametrize("corruption", (None, "translate"))
-def test_validate_global_small_chunks_equal_brute_force(monkeypatch, chunk, instance, corruption):
-    """Smaller chunks cut the probe sweep at many more boxes (64 candidates:
-    one box a chunk; 1024: a few boxes of unlike widths): the 2D edge table
-    cut to each chunk's widest cell and the 3D per-cell views of each
-    chunk's targets report what brute force does."""
-    monkeypatch.setattr(mesh_module, "PAIR_CHUNK", chunk)
-    mesh, i = copy.deepcopy(_instance(instance))
-    edit, field = CORRUPTIONS[corruption]
-    if edit is not None:
-        edit(mesh, i)
+@pytest.mark.parametrize("corruption", MUTATIONS)
+@pytest.mark.parametrize("instance", ("square", "uni400", "uni60_3d"))
+def test_certificate_catches_mutation(instance, corruption):
+    """Each mutation fails the certificate on the condition it breaks: a
+    duplicated cell leaves its copy's old neighbors without a side, a fold
+    has matching walls whose normals agree, a wall pulled off the domain
+    fails (iii) and (iv), and a generator moved into its neighbor's cell is
+    outside its own and foreign in the neighbor's."""
+    mesh, i, field = _corrupted(instance, corruption)
     report = validate_global(mesh)
-    assert asdict(report) == validate_global_brute_force(mesh)
-    assert report.ok == (corruption is None)
-    if field is not None:
-        assert getattr(report, field), field
+    assert not report.ok
+    assert getattr(report, field), field
+    k = _wall_neighbor(_instance(instance)[0], i)
+    kinds = {(a, b): kind for a, b, kind in report.shared_wall_mismatches}
+    if corruption == "duplicate":
+        assert "missing side" in kinds.values() and k in report.owners_outside
+    elif corruption == "fold":
+        assert kinds[(min(i, k), max(i, k))] == "normals agree"
+    elif corruption == "pull_in":
+        assert "off domain" in {cond for _, cond in report.overlaps}
+        assert not report.shared_wall_mismatches
+        assert report.total_measure < report.domain_measure * (1.0 - 1e-9)
+    else:
+        assert i in report.owners_outside and (k, i) in report.foreign_points
+
+
+def test_pentagram_cell_is_not_convex(tmp_path):
+    """A ring that winds twice (a pentagram: its corners all turn left, so
+    the corner rule alone passes it) is listed as not convex, in a mesh read
+    back from mesh.json."""
+    mesh, _ = _instance("uni400")
+    doc = json.loads(dumps_json(mesh_doc(mesh)))
+    k = next(c for c, cell in enumerate(doc["cells"])
+             if len(cell["loop"]) == 5 and -1 not in cell["edge_neighbors"])
+    cell = doc["cells"][k]
+    for key in ("loop", "edge_neighbors", "vertex_simplices"):
+        cell[key] = [cell[key][m] for m in (0, 2, 4, 1, 3)]
+    star = mesh_from_doc(doc)
+    v = star.cells.verts[_rows(star, k)]
+    e = np.roll(v, -1, axis=0) - v
+    assert np.all(e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0] > 0)
+    report = validate_global(star)
+    assert (k, "not convex") in report.overlaps
+    assert asdict(report) == certify_loop(star)
 
 
 @cache
@@ -732,8 +854,9 @@ KERNEL_SWEEP = (
 @pytest.mark.parametrize("dim, n, seed", KERNEL_SWEEP)
 def test_cell_kernels_equal_loop_references(dim, n, seed):
     """The stacked-loop kernels against the one-face, one-vertex loops of
-    tests/oracles.py: identical simplex ids and containment masks, equal
-    perpendicularity reports, volumes to 1e-13."""
+    tests/oracles.py: identical simplex ids, the containment of each cell's
+    owner and wall neighbors, equal perpendicularity reports, volumes to
+    1e-13."""
     ref, mesh = _sweep_mesh(dim, n, seed)
     q = mesh.simplex_vertices
     scale = mesh.scale()
@@ -750,21 +873,16 @@ def test_cell_kernels_equal_loop_references(dim, n, seed):
     if dim == 2:
         return
 
-    rng = np.random.default_rng(seed)
-    dv = mesh.domain.verts
-    lo, hi = dv.min(axis=0), dv.max(axis=0)
-    targets = np.vstack([lo + (hi - lo) * rng.random((10_000, 3)), mesh.points])
     tol = 1e-9 * scale
-    pos, tgt = _inside_pairs(mesh, face_planes(mesh.cells), targets, tol, tol)
+    report = validate_global(mesh)
     measures = _cell_measures(mesh.cells, len(mesh.points))
+    foreign = set(report.foreign_points)
     for cell in cells:
-        got = np.zeros(len(targets), dtype=bool)
-        got[tgt[pos == cell.owner]] = True
-        assert np.array_equal(got, cell_contains_many3(cell, targets, -tol))
-        near = [cell.owner] + [f.neighbor for f in cell.faces if f.neighbor is not None]
-        for j in near:
-            assert got[10_000 + j] == cell_contains3(cell, mesh.points[j], -tol)
-        assert measures[cell.owner] == pytest.approx(cell_volume3(cell), rel=1e-13, abs=0.0)
+        i = cell.owner
+        assert (i not in report.owners_outside) == cell_contains3(cell, mesh.points[i], -tol)
+        for j in {f.neighbor for f in cell.faces if f.neighbor is not None}:
+            assert ((i, j) in foreign) == cell_contains3(cell, mesh.points[j], -tol)
+        assert measures[i] == pytest.approx(cell_volume3(cell), rel=1e-13, abs=0.0)
     report = validate_perpendicularity(mesh)
     assert (report.checked, report.violations) == perpendicularity_loop3(mesh)
 

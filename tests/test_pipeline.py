@@ -10,7 +10,7 @@ from conftest import flat_faced_box, hexagon_patch
 
 
 def test_minimal_3d_single_tet(tmp_path):
-    cfg = RunConfig(dimension=3, n=4, seed=5, equal_radii=True, probes=500,
+    cfg = RunConfig(dimension=3, n=4, seed=5, equal_radii=True,
                     out_dir=str(tmp_path))
     res = run_pipeline(cfg)
     assert res.exit_code == 0
@@ -21,7 +21,7 @@ def test_minimal_3d_single_tet(tmp_path):
 
 
 def test_exit_code_follows_residual_threshold(tmp_path):
-    base = dict(dimension=2, n=10, seed=1, mode="exact-intersection", probes=500,
+    base = dict(dimension=2, n=10, seed=1, mode="exact-intersection",
                 optimizer=OptimizerParams(generations=8))
     strict = run_pipeline(RunConfig(out_dir=str(tmp_path / "strict"),
                                     residual_threshold=1e-12, **base))
@@ -38,7 +38,7 @@ def test_exit_code_follows_residual_threshold(tmp_path):
 
 
 def test_radii_artifact_carries_overlap_counts(tmp_path):
-    cfg = RunConfig(dimension=2, n=12, seed=3, equal_radii=True, probes=500,
+    cfg = RunConfig(dimension=2, n=12, seed=3, equal_radii=True,
                     out_dir=str(tmp_path))
     res = run_pipeline(cfg)
     doc = read_json(res.artifacts["radii.json"])
@@ -50,7 +50,7 @@ def test_radii_artifact_carries_overlap_counts(tmp_path):
 def test_pipeline_accepts_prebuilt_points(tmp_path):
     pts = hexagon_patch(2, seed=0)
     cfg = RunConfig(dimension=2, n=len(pts), seed=0, bounds_policy="strict",
-                    probes=1000, out_dir=str(tmp_path))
+                    out_dir=str(tmp_path))
     res = run_pipeline(cfg, points=pts)
     assert res.exit_code == 0
     assert res.summary["clamped_points"] == 0
@@ -58,7 +58,7 @@ def test_pipeline_accepts_prebuilt_points(tmp_path):
 
 
 def test_summary_names_stages(tmp_path):
-    cfg = RunConfig(dimension=2, n=10, seed=2, equal_radii=True, probes=500,
+    cfg = RunConfig(dimension=2, n=10, seed=2, equal_radii=True,
                     out_dir=str(tmp_path))
     res = run_pipeline(cfg)
     for stage in ("gen", "tri", "neighbors", "solve", "overlap", "build", "validate",
@@ -97,7 +97,7 @@ def test_hull_slivers_are_dropped_and_counted(tmp_path, dim, seed):
 
 def test_summary_counts_domain_clipped_cells(tmp_path):
     for dim, n in ((2, 30), (3, 30)):
-        cfg = RunConfig(dimension=dim, n=n, seed=4, equal_radii=True, probes=500,
+        cfg = RunConfig(dimension=dim, n=n, seed=4, equal_radii=True,
                         out_dir=str(tmp_path / f"d{dim}"))
         res = run_pipeline(cfg)
         summary = read_json(res.artifacts["summary.json"])
@@ -114,7 +114,7 @@ def test_summary_counts_kernel_exact_tests_and_walk_steps(tmp_path):
     # its keys, and so its bytes.
     from cvmesh.delaunay import tetrahedralize3
 
-    cfg = RunConfig(dimension=3, n=60, seed=1, equal_radii=True, probes=500, out_dir=str(tmp_path))
+    cfg = RunConfig(dimension=3, n=60, seed=1, equal_radii=True, out_dir=str(tmp_path))
     res = run_pipeline(cfg)
     summary = read_json(res.artifacts["summary.json"])
     tri = tetrahedralize3(read_json(res.artifacts["points.json"])["points"])
@@ -152,13 +152,15 @@ def test_run_far_from_origin(tmp_path, dim, n, shift):
     """A unit box moved far from the origin builds and validates as the
     unshifted box does: the radical centers, the bisectors that cut the hull
     cells and the face planes are all taken relative to a nearby point, so
-    they keep the digits that absolute coordinates lose."""
+    they keep the digits that absolute coordinates lose. So are the cell and
+    domain measures, which must agree as condition (iv) asks."""
     box = (shift,) * dim + (shift + 1.0,) * dim
     cfg = RunConfig(dimension=dim, n=n, seed=1, equal_radii=True, box=box,
                     formats=("json",), out_dir=str(tmp_path))
     res = run_pipeline(cfg)
     assert res.exit_code == 0
     assert res.summary["global_ok"]
+    assert res.summary["total_measure"] == pytest.approx(res.summary["domain_measure"], rel=1e-9)
 
 
 @pytest.mark.parametrize("case", ["equal2d", "equal3d", "exact2d"])
@@ -199,7 +201,7 @@ def test_summary_carries_residual_spread(tmp_path, kw):
     simplices at the written radii, and the simplex with the largest; the
     radii.json document does not change for them."""
     pts = hexagon_patch(2, seed=4)
-    res = run_pipeline(RunConfig(dimension=2, n=len(pts), seed=4, probes=500,
+    res = run_pipeline(RunConfig(dimension=2, n=len(pts), seed=4,
                                  out_dir=str(tmp_path), **kw), points=pts)
     summary = read_json(res.artifacts["summary.json"])
     radii = read_json(res.artifacts["radii.json"])
